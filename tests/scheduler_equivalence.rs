@@ -29,135 +29,15 @@ use fedscope::core::distributed::{distributed_report, run_distributed, run_distr
 use fedscope::core::runner::CourseReport;
 use fedscope::data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fedscope::data::FedDataset;
-use fedscope::monitor::{counters, MonitorHandle, RecordingMonitor};
+use fedscope::monitor::{MonitorHandle, RecordingMonitor};
 use fedscope::sim::FleetConfig;
 use fedscope::tensor::model::{convnet2, logistic_regression};
 use fedscope::tensor::optim::SgdConfig;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-// ---------------------------------------------------------------------------
-// fingerprinting
-// ---------------------------------------------------------------------------
-
-/// FNV-1a over the canonical byte stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn field(&mut self, name: &str, value: &str) {
-        self.write(name.as_bytes());
-        self.write(b"=");
-        self.write(value.as_bytes());
-        self.write(b";");
-    }
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// The counters a pre-refactor course can bump, in a FIXED order. New
-/// counters introduced *after* the pin (e.g. per-scheduler gauges) must not
-/// be added here: the claim is that the legacy surface is unchanged, not
-/// that the refactor adds nothing.
-const PINNED_COUNTERS: &[&str] = &[
-    counters::MESSAGES_DELIVERED,
-    counters::MESSAGES_SENT,
-    counters::UPLOADED_BYTES,
-    counters::DOWNLOADED_BYTES,
-    counters::PARTICIPATION,
-    counters::UPDATES_RECEIVED,
-    counters::UPDATES_DROPPED,
-    counters::STALENESS_SUM,
-    counters::UPDATES_AGGREGATED,
-    counters::AGGREGATIONS,
-    counters::REMEDIAL,
-    counters::CRASHED_DELIVERIES,
-    counters::DROPOUTS,
-    counters::RECONNECTS,
-];
-
-/// Folds the pre-refactor `CourseReport` fields (the fields that existed at
-/// pin time — later additions are intentionally not fingerprinted) and the
-/// full monitor stream into one fingerprint. Floats are folded by exact bit
-/// pattern.
-fn fingerprint(report: &CourseReport, mon: &RecordingMonitor) -> u64 {
-    let mut h = Fnv::new();
-    h.field("final_time", &report.final_time_secs.to_bits().to_string());
-    h.field("rounds", &report.rounds.to_string());
-    for e in &report.history {
-        h.field(
-            "hist",
-            &format!(
-                "{}:{}:{}:{}:{}",
-                e.round,
-                e.time_secs.to_bits(),
-                e.metrics.loss.to_bits(),
-                e.metrics.accuracy.to_bits(),
-                e.metrics.n
-            ),
-        );
-    }
-    h.field("finish", &report.finish_reason);
-    h.field("dropped", &report.dropped_updates.to_string());
-    h.field("total", &report.total_updates.to_string());
-    h.field("crashed", &report.crashed_deliveries.to_string());
-    h.field("remedial", &report.remedial_count.to_string());
-    h.field("up_bytes", &report.uploaded_bytes.to_string());
-    h.field("down_bytes", &report.downloaded_bytes.to_string());
-    for hh in &report.effective_handlers {
-        h.field("handler", hh);
-    }
-    for w in &report.registry_warnings {
-        h.field("warn", w);
-    }
-    for v in &report.conformance_violations {
-        h.field("violation", v);
-    }
-    h.field("dropouts", &format!("{:?}", report.dropouts));
-    h.field("reconnects", &report.reconnects.to_string());
-
-    for name in PINNED_COUNTERS {
-        h.field(name, &mon.counter(name).to_string());
-    }
-    for r in mon.rounds() {
-        h.field(
-            "round",
-            &format!(
-                "{}:{}:{}:{}:{}",
-                r.round,
-                r.time_secs.to_bits(),
-                r.loss.to_bits(),
-                r.accuracy.to_bits(),
-                r.n
-            ),
-        );
-    }
-    for s in mon.spans() {
-        h.field(
-            "span",
-            &format!(
-                "{}:{}:{}:{}:{}:{}:{}",
-                s.name,
-                s.cat,
-                s.track,
-                s.start_secs.to_bits(),
-                s.dur_secs.to_bits(),
-                s.depth,
-                s.nested
-            ),
-        );
-    }
-    h.finish()
-}
+mod common;
+use common::{check, extract, fingerprint, Fnv};
 
 /// The deterministic surface of a distributed (wall-clock) course.
 fn fingerprint_distributed(report: &CourseReport) -> u64 {
@@ -240,14 +120,6 @@ fn build_runner(
         .build()
         .with_monitor(MonitorHandle::from_shared(monitor.clone()));
     (runner, monitor)
-}
-
-fn extract(monitor: Arc<Mutex<RecordingMonitor>>) -> RecordingMonitor {
-    Arc::try_unwrap(monitor)
-        .map_err(|_| "runner kept a monitor handle")
-        .unwrap()
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
 }
 
 fn base_cfg(wl: &Wl) -> FlConfig {
@@ -343,27 +215,6 @@ const GOLDEN_DISTRIBUTED: &[(&str, u64)] = &[
     ("tcp/sync", 0xdbb4ae202db78438),
     ("tcp/goal", 0xa69a2b7f70373320),
 ];
-
-fn capture_mode() -> bool {
-    std::env::var("SCHED_EQ_CAPTURE").is_ok_and(|v| v == "1")
-}
-
-fn check(label: &str, actual: u64, golden: &[(&str, u64)]) {
-    if capture_mode() {
-        println!("    (\"{label}\", {actual:#018x}),");
-        return;
-    }
-    let expected = golden
-        .iter()
-        .find(|(l, _)| *l == label)
-        .unwrap_or_else(|| panic!("no golden entry for cell {label}"))
-        .1;
-    assert_eq!(
-        actual, expected,
-        "{label}: fingerprint diverged from the pre-refactor pin \
-         ({actual:#018x} != {expected:#018x})"
-    );
-}
 
 // ---------------------------------------------------------------------------
 // tests

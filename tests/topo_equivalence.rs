@@ -3,15 +3,24 @@
 //! at the same seed — in the standalone virtual-time runner and on both
 //! distributed backends (bus and TCP).
 
-use fedscope::core::config::FlConfig;
+use fedscope::core::config::{CodecSpec, CompressionConfig, FlConfig};
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{distributed_report, run_distributed, run_distributed_tcp};
 use fedscope::core::StandaloneRunner;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
+use fedscope::monitor::{MonitorHandle, RecordingMonitor};
 use fedscope::net::Topology;
+use fedscope::sim::FleetConfig;
 use fedscope::tensor::model::logistic_regression;
-use fedscope::topo::{run_course_auto, run_hier_distributed, run_hier_distributed_tcp};
+use fedscope::topo::{
+    bytes_down_counter, bytes_up_counter, run_course_auto, run_hier_distributed,
+    run_hier_distributed_tcp, TopoCourse, TIER_LEVELS,
+};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+mod common;
+use common::{check, extract, fold_course, Fnv};
 
 const BUDGET: Duration = Duration::from_secs(60);
 
@@ -67,6 +76,11 @@ fn course_no_eval(n: usize, seed: u64, topology: Topology) -> StandaloneRunner {
 const HIER2: Topology = Topology::Hierarchical {
     tiers: 2,
     fanout: 4,
+};
+
+const HIER3: Topology = Topology::Hierarchical {
+    tiers: 3,
+    fanout: 2,
 };
 
 // ---------------------------------------------------------------------------
@@ -125,6 +139,96 @@ fn standalone_gossip_is_deterministic() {
     );
     assert_eq!(r1.rounds, 3);
     assert!(r1.uploaded_bytes > 0, "peers exchanged models");
+}
+
+// ---------------------------------------------------------------------------
+// absolute pins (captured before the one-event-loop refactor)
+// ---------------------------------------------------------------------------
+
+/// `CourseReport` + monitor stream + per-tier counters + `TopoReport` of one
+/// hierarchical course over a heterogeneous fleet, folded into one FNV-1a
+/// fingerprint.
+fn hier_fingerprint(topology: Topology, upload: Option<CodecSpec>) -> u64 {
+    let merging = upload.is_some();
+    let n = 8;
+    let data = twitter_like(&TwitterConfig {
+        num_clients: n,
+        per_client: 12,
+        ..Default::default()
+    });
+    let dim = data.input_dim();
+    let cfg = FlConfig {
+        total_rounds: 3,
+        concurrency: 6,
+        seed: 51,
+        topology,
+        compression: CompressionConfig {
+            upload,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let fleet = FleetConfig {
+        num_clients: n,
+        speed_sigma: 1.2,
+        seed: cfg.seed ^ 0xf1ee,
+        ..Default::default()
+    };
+    let runner = CourseBuilder::new(
+        data,
+        Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
+        cfg,
+    )
+    .fleet_config(fleet)
+    .build();
+    let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
+    let mut course = TopoCourse::assemble(runner)
+        .expect("hier plan")
+        .with_monitor(MonitorHandle::from_shared(monitor.clone()));
+    let (report, topo) = course.run().expect("hier course");
+    drop(course);
+    let mon = extract(monitor);
+    let topo = topo.expect("hierarchies report per-tier traffic");
+    assert_eq!(
+        topo.root_bytes_up() < topo.leaf_bytes_up(),
+        merging,
+        "partial merge (and only it) must shrink the root link: {topo:?}"
+    );
+    let mut h = Fnv::new();
+    fold_course(&mut h, &report, &mon);
+    for level in 1..=TIER_LEVELS {
+        for name in [bytes_up_counter(level), bytes_down_counter(level)] {
+            h.field(name, &mon.counter(name).to_string());
+        }
+    }
+    h.field("topo", &format!("{topo:?}"));
+    h.finish()
+}
+
+/// Captured at the commit before the three virtual-time runners were merged
+/// (`SCHED_EQ_CAPTURE=1 cargo test --test topo_equivalence -- --nocapture`
+/// re-captures). Lossless cells are otherwise pinned only relative to the
+/// star; the TopK cells (partial merge, per-hop re-encoding) by nothing else.
+const GOLDEN_HIER: &[(&str, u64)] = &[
+    ("hier:2x4/identity", 0x2032d784dab73c70),
+    ("hier:2x4/topk", 0x1632d9601358f361),
+    ("hier:3x2/identity", 0x93955c976177db17),
+    ("hier:3x2/topk", 0xa7893746d46fd439),
+];
+
+#[test]
+fn hier_courses_match_pre_refactor_pin() {
+    let shapes = [("hier:2x4", HIER2), ("hier:3x2", HIER3)];
+    let codecs = [
+        ("identity", None),
+        ("topk", Some(CodecSpec::TopK { ratio: 0.25 })),
+    ];
+    for (sname, topology) in shapes {
+        for (cname, upload) in codecs {
+            let label = format!("{sname}/{cname}");
+            check(&label, hier_fingerprint(topology, upload), GOLDEN_HIER);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
