@@ -12,33 +12,94 @@
 
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{cifar, femnist, twitter, Workload};
-use fs_core::config::{CodecSpec, CompressionConfig};
+use fs_core::config::{CodecSpec, CompressionConfig, FlConfig};
 use fs_core::runner::CourseReport;
 use fs_monitor::{MonitorHandle, RecordingMonitor};
+use fs_net::Topology;
+use fs_scale::ScaleCourseBuilder;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Runs one seeded course at the given parallelism.
-fn run_course(wl: &Workload, strat: Strategy, rounds: u64, parallelism: usize) -> CourseReport {
+/// How a grid cell's course is assembled: which client store and router the
+/// one virtual-time loop runs over.
+#[derive(Clone, Copy, Debug)]
+enum Via {
+    /// Eager clients, star routing — `Workload::build`.
+    Eager,
+    /// The fs-scale lazy store over the same dataset.
+    Lazy,
+    /// Eager clients routed over a 2-tier hierarchy by fs-topo.
+    Hier,
+}
+
+fn configure(wl: &Workload, strat: Strategy, rounds: u64, parallelism: usize) -> FlConfig {
     let mut cfg = strat.configure(wl);
     cfg.target_accuracy = None;
     cfg.total_rounds = rounds;
     cfg.parallelism = parallelism;
-    wl.build(cfg).run()
+    cfg
 }
 
-/// The acceptance bar: every strategy × workload pair, serial vs parallel.
+/// Runs one seeded course at the given parallelism.
+fn run_course(wl: &Workload, strat: Strategy, rounds: u64, parallelism: usize) -> CourseReport {
+    run_course_via(Via::Eager, wl, strat, rounds, parallelism)
+}
+
+fn run_course_via(
+    via: Via,
+    wl: &Workload,
+    strat: Strategy,
+    rounds: u64,
+    parallelism: usize,
+) -> CourseReport {
+    let mut cfg = configure(wl, strat, rounds, parallelism);
+    match via {
+        Via::Eager => wl.build(cfg).run(),
+        Via::Lazy => ScaleCourseBuilder::from_dataset(
+            Arc::new(wl.dataset.clone()),
+            (wl.model_factory_builder)(&wl.dataset),
+            cfg,
+        )
+        .fleet_config(wl.fleet_cfg.clone())
+        .build()
+        .run(),
+        Via::Hier => {
+            cfg.topology = Topology::Hierarchical {
+                tiers: 2,
+                fanout: 8,
+            };
+            let (report, topo) = fs_topo::run_course_auto(wl.build(cfg)).expect("hier course");
+            assert!(topo.is_some(), "the course ran routed");
+            report
+        }
+    }
+}
+
+/// The acceptance bar: every strategy × workload pair, serial vs parallel —
+/// plus one lazy-store and one hierarchical cell, which run on the same loop
+/// and must honour `parallelism` just the same.
 #[test]
 fn every_strategy_workload_pair_is_parallel_deterministic() {
     let seed = 11;
-    for wl in [femnist(seed), cifar(seed), twitter(seed)] {
-        for strat in Strategy::all() {
-            let serial = run_course(&wl, strat, 2, 1);
-            let parallel = run_course(&wl, strat, 2, 2);
+    for (i, wl) in [femnist(seed), cifar(seed), twitter(seed)]
+        .iter()
+        .enumerate()
+    {
+        let mut grid: Vec<(Via, Strategy, usize)> = Strategy::all()
+            .into_iter()
+            .map(|strat| (Via::Eager, strat, 2))
+            .collect();
+        if i == 0 {
+            grid.push((Via::Lazy, Strategy::GoalAggrUnif, 4));
+            grid.push((Via::Hier, Strategy::SyncVanilla, 4));
+        }
+        for (via, strat, threads) in grid {
+            let serial = run_course_via(via, wl, strat, 2, 1);
+            let parallel = run_course_via(via, wl, strat, 2, threads);
             assert_eq!(
                 serial,
                 parallel,
-                "{} / {}: parallel run diverged from serial",
+                "{} / {} / {via:?}: parallel run diverged from serial",
                 wl.name,
                 strat.label()
             );

@@ -138,15 +138,16 @@ impl Client {
         self.registry.specs()
     }
 
+    /// The message client `id` opens a course with. Joining is fixed
+    /// behaviour, not a registered handler, so a runner can schedule the
+    /// whole t = 0 join wave without touching a single client.
+    pub fn join_request(id: ParticipantId) -> Message {
+        Message::new(id, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty)
+    }
+
     /// Initial action: ask to join the FL course.
     pub fn start(&mut self, ctx: &mut Ctx) {
-        ctx.send(Message::new(
-            self.state.id,
-            SERVER_ID,
-            MessageKind::JoinIn,
-            0,
-            Payload::Empty,
-        ));
+        ctx.send(Self::join_request(self.state.id));
     }
 
     /// Attempts to capture a restorable image of this client's mutable

@@ -142,19 +142,6 @@ impl Default for DropoutPolicy {
     }
 }
 
-/// Which standalone execution core drives the course.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// The legacy runner: every client fully materialized for the whole
-    /// course. Supports custom handlers, speculation, and parallelism.
-    #[default]
-    Legacy,
-    /// The fs-scale runner: lazy client state with cohort-granular
-    /// scheduling. Handles millions of clients; requires default handlers
-    /// and `LocalTrainer`-backed clients, and always runs serially.
-    Scale,
-}
-
 /// Which [`Scheduler`](crate::scheduler::Scheduler) policy drives the
 /// server's when-to-aggregate decisions.
 ///
@@ -233,20 +220,17 @@ pub struct FlConfig {
     pub dropout: DropoutPolicy,
     /// Course RNG seed.
     pub seed: u64,
-    /// Worker threads for the standalone runner's speculative client
-    /// execution: `1` (the default) runs every handler serially on the
+    /// Worker threads for the virtual-time course loop's speculative client
+    /// execution (eager, lazy and hierarchical courses alike): `1` (the default) runs every handler serially on the
     /// simulation thread, `0` uses all available cores, `n > 1` uses `n`
     /// workers. Any setting produces bit-identical reports, RNG streams, and
     /// virtual-time accounting — parallelism only changes wall-clock time.
     pub parallelism: usize,
-    /// Which standalone execution core to use. `Scale` trades handler
-    /// flexibility for million-client capacity; reports are bit-identical
-    /// on overlapping scales.
-    pub execution: ExecutionMode,
     /// Communication topology: star (the default), hierarchical with edge
-    /// aggregators, or serverless gossip. Non-star courses run through the
-    /// `fs-topo` runners; tier/neighborhood assignment is derived
-    /// deterministically from `seed`.
+    /// aggregators, or serverless gossip. Non-star courses are routed by
+    /// `fs-topo` (`run_course_auto`); a runner started without a router for
+    /// its topology refuses to run (`FSV057`). Tier/neighborhood assignment
+    /// is derived deterministically from `seed`.
     pub topology: Topology,
 }
 
@@ -273,7 +257,6 @@ impl Default for FlConfig {
             dropout: DropoutPolicy::default(),
             seed: 42,
             parallelism: 1,
-            execution: ExecutionMode::default(),
             topology: Topology::Star,
         }
     }

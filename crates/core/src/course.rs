@@ -4,12 +4,18 @@
 //! model factory, and an [`FlConfig`]; the builder wires up the server, the
 //! clients, the fleet, the sampler, the aggregator, and the centralized
 //! evaluator, validating the configuration as it goes.
+//!
+//! Everything that does not depend on *where clients live* — validation,
+//! fleet, template model, sampler, evaluator, aggregator, server — is
+//! [`CourseWiring`], written once. [`CourseBuilder`] adds the eager client
+//! set on top (one [`Client`] per dataset split, built up front); `fs-scale`'s
+//! builder adds a lazy store on top of the same wiring.
 
 use crate::aggregator::{Aggregator, FedAvg};
 use crate::client::Client;
 use crate::config::{AggregationRule, FlConfig, SamplerKind, SchedulerKind};
 use crate::eval::GlobalEvaluator;
-use crate::runner::StandaloneRunner;
+use crate::runner::{Runner, StandaloneRunner};
 use crate::sampler::Sampler;
 use crate::server::Server;
 use crate::trainer::{pooled_test_set, share_all, LocalTrainer, ShareFilter, TrainConfig, Trainer};
@@ -26,97 +32,83 @@ pub type ModelFactory = Box<dyn Fn(&mut StdRng) -> Box<dyn Model>>;
 pub type TrainerFactory =
     Box<dyn Fn(usize, Box<dyn Model>, ClientSplit, &FlConfig) -> Box<dyn Trainer>>;
 
-/// Assembles FL courses.
-pub struct CourseBuilder {
-    dataset: FedDataset,
-    cfg: FlConfig,
-    fleet: Option<Fleet>,
-    fleet_cfg: FleetConfig,
-    model_factory: ModelFactory,
-    share: ShareFilter,
-    aggregator: Option<Box<dyn Aggregator>>,
-    trainer_factory: Option<TrainerFactory>,
-    sampler_override: Option<Sampler>,
-    central_eval: bool,
-    eval_cap_per_client: usize,
-    detect_perf_drop: bool,
+/// The client-independent half of a course: every knob but the client set,
+/// plus the one validation and server/sampler/evaluator/aggregator wiring
+/// every builder goes through.
+pub struct CourseWiring {
+    /// Number of clients the course is assembled for.
+    pub num_clients: usize,
+    /// The course configuration.
+    pub cfg: FlConfig,
+    /// An explicit fleet, used instead of generating one from `fleet_cfg`.
+    pub fleet: Option<Fleet>,
+    /// Configuration of the generated fleet.
+    pub fleet_cfg: FleetConfig,
+    /// Creates the template model (the initial global parameters).
+    pub model_factory: ModelFactory,
+    /// Parameter-sharing filter (personalization / multi-goal).
+    pub share: ShareFilter,
+    /// Replaces the default FedAvg aggregator.
+    pub aggregator: Option<Box<dyn Aggregator>>,
+    /// Replaces the sampler derived from `cfg.sampler`.
+    pub sampler: Option<Sampler>,
+    /// Whether to build the centralized evaluator (needs a pooled test set).
+    pub central_eval: bool,
+    /// Whether clients detect validation-performance drops.
+    pub detect_perf_drop: bool,
 }
 
-impl CourseBuilder {
-    /// Starts a builder from a dataset, a model factory, and a configuration.
-    pub fn new(dataset: FedDataset, model_factory: ModelFactory, cfg: FlConfig) -> Self {
+/// What [`CourseWiring::wire`] produces: the server and fleet, ready to run,
+/// and the blueprint the client set is built from.
+pub struct Wired {
+    /// The assembled server.
+    pub server: Server,
+    /// The device fleet.
+    pub fleet: Fleet,
+    /// What every client is built from.
+    pub blueprint: ClientBlueprint,
+}
+
+/// Everything clients have in common, so that building client `idx` — up
+/// front or on demand — is the same code path with the same seeds.
+pub struct ClientBlueprint {
+    /// The template model every client starts from (FedAvg convention).
+    pub template: Box<dyn Model>,
+    /// The course configuration.
+    pub cfg: FlConfig,
+    /// Parameter-sharing filter.
+    pub share: ShareFilter,
+    /// Whether clients detect validation-performance drops.
+    pub detect_perf_drop: bool,
+}
+
+/// Test samples pooled per client for the centralized evaluator.
+const EVAL_CAP_PER_CLIENT: usize = 20;
+
+impl CourseWiring {
+    /// Default wiring for `num_clients` clients.
+    pub fn new(num_clients: usize, model_factory: ModelFactory, cfg: FlConfig) -> Self {
         let fleet_cfg = FleetConfig {
-            num_clients: dataset.num_clients(),
+            num_clients,
             seed: cfg.seed ^ 0xf1ee,
             ..Default::default()
         };
         Self {
-            dataset,
+            num_clients,
             cfg,
             fleet: None,
             fleet_cfg,
             model_factory,
             share: share_all(),
             aggregator: None,
-            trainer_factory: None,
-            sampler_override: None,
+            sampler: None,
             central_eval: true,
-            eval_cap_per_client: 20,
             detect_perf_drop: false,
         }
     }
 
-    /// Uses an explicit fleet instead of generating one.
-    pub fn fleet(mut self, fleet: Fleet) -> Self {
-        self.fleet = Some(fleet);
-        self
-    }
-
-    /// Adjusts the generated fleet's configuration.
-    pub fn fleet_config(mut self, cfg: FleetConfig) -> Self {
-        self.fleet_cfg = cfg;
-        self
-    }
-
-    /// Sets the parameter-sharing filter (personalization / multi-goal).
-    pub fn share_filter(mut self, share: ShareFilter) -> Self {
-        self.share = share;
-        self
-    }
-
-    /// Replaces the default FedAvg aggregator.
-    pub fn aggregator(mut self, agg: Box<dyn Aggregator>) -> Self {
-        self.aggregator = Some(agg);
-        self
-    }
-
-    /// Replaces the default [`LocalTrainer`] factory (personalization).
-    pub fn trainer_factory(mut self, f: TrainerFactory) -> Self {
-        self.trainer_factory = Some(f);
-        self
-    }
-
-    /// Replaces the sampler derived from `cfg.sampler` (e.g. an
-    /// inverse-responsiveness sampler compensating slow clients).
-    pub fn sampler(mut self, s: Sampler) -> Self {
-        self.sampler_override = Some(s);
-        self
-    }
-
-    /// Disables the centralized evaluator (e.g. pure-distributed eval runs).
-    pub fn no_central_eval(mut self) -> Self {
-        self.central_eval = false;
-        self
-    }
-
-    /// Enables client-side `performance_drop` detection.
-    pub fn detect_perf_drop(mut self) -> Self {
-        self.detect_perf_drop = true;
-        self
-    }
-
     fn validate(&self) {
-        let n = self.dataset.num_clients();
+        let n = self.num_clients;
         assert!(n > 0, "dataset has no clients");
         assert!(
             self.cfg.sample_target() <= n,
@@ -156,21 +148,22 @@ impl CourseBuilder {
         }
     }
 
-    /// Builds the standalone runner.
-    pub fn build(self) -> StandaloneRunner {
+    /// Validates the configuration and wires up fleet, template, sampler,
+    /// evaluator, aggregator and server. The centralized evaluator scores on
+    /// the test set pooled from `test_pool`; without one (a population that
+    /// exists only as a closure) there is no evaluator.
+    pub fn wire(self, test_pool: Option<&FedDataset>) -> Wired {
         self.validate();
-        let CourseBuilder {
-            dataset,
+        let CourseWiring {
+            num_clients: n,
             cfg,
             fleet,
             fleet_cfg,
             model_factory,
             share,
             aggregator,
-            trainer_factory,
-            sampler_override,
+            sampler,
             central_eval,
-            eval_cap_per_client,
             detect_perf_drop,
         } = self;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -185,7 +178,6 @@ impl CourseBuilder {
                  measure re-arms the round); the other modes would deadlock"
             );
         }
-        let n = dataset.num_clients();
 
         // template model defines the initial global parameters
         let template = model_factory(&mut rng);
@@ -199,34 +191,24 @@ impl CourseBuilder {
             Some(mut codec) => 1 + 8 + codec.compress(&global).encoded_len(),
             None => 1 + 8 + fs_net::wire::params_wire_len(&global),
         };
-        let sampler = if let Some(s) = sampler_override {
-            s
-        } else {
-            match cfg.sampler {
-                SamplerKind::Uniform => Sampler::Uniform,
-                SamplerKind::Responsiveness => Sampler::Responsiveness {
-                    speeds: fleet.response_speeds(avg_examples, payload),
-                },
-                SamplerKind::Group => {
-                    let groups = (0..fleet.num_groups())
-                        .map(|g| fleet.group_members(g))
-                        .collect();
-                    Sampler::group(groups)
-                }
+        let sampler = sampler.unwrap_or_else(|| match cfg.sampler {
+            SamplerKind::Uniform => Sampler::Uniform,
+            SamplerKind::Responsiveness => Sampler::Responsiveness {
+                speeds: fleet.response_speeds(avg_examples, payload),
+            },
+            SamplerKind::Group => {
+                let groups = (0..fleet.num_groups())
+                    .map(|g| fleet.group_members(g))
+                    .collect();
+                Sampler::group(groups)
             }
-        };
+        });
 
         // centralized evaluator on the pooled test set
-        let evaluator = if central_eval {
-            let (x, y) = pooled_test_set(&dataset, eval_cap_per_client);
-            if y.is_empty() {
-                None
-            } else {
-                Some(GlobalEvaluator::new(template.clone_model(), x, y))
-            }
-        } else {
-            None
-        };
+        let evaluator = test_pool.filter(|_| central_eval).and_then(|dataset| {
+            let (x, y) = pooled_test_set(dataset, EVAL_CAP_PER_CLIENT);
+            (!y.is_empty()).then(|| GlobalEvaluator::new(template.clone_model(), x, y))
+        });
 
         let mut aggregator =
             aggregator.unwrap_or_else(|| Box::new(FedAvg::new(cfg.effective_staleness_discount())));
@@ -235,33 +217,142 @@ impl CourseBuilder {
         // wall-clock, never the report
         aggregator.set_shards(cfg.parallelism.max(1));
         let server = Server::new(cfg.clone(), global, n, aggregator, sampler, evaluator);
-
-        // clients share the template initialization (FedAvg convention)
-        let mut clients = Vec::with_capacity(n);
-        for (i, split) in dataset.clients.iter().enumerate() {
-            let model = template.clone_model();
-            let trainer: Box<dyn Trainer> = match &trainer_factory {
-                Some(f) => f(i, model, split.clone(), &cfg),
-                None => Box::new(LocalTrainer::new(
-                    model,
-                    split.clone(),
-                    TrainConfig {
-                        local_steps: cfg.local_steps,
-                        batch_size: cfg.batch_size,
-                        sgd: cfg.sgd,
-                    },
-                    share.clone(),
-                    cfg.seed ^ (i as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15),
-                )),
-            };
-            let mut client = Client::new((i + 1) as u32, trainer);
-            client.state.detect_perf_drop = detect_perf_drop;
-            // one codec instance per client: residuals / delta references are
-            // sender-local state
-            client.state.compressor = cfg.compression.build_upload();
-            clients.push(client);
+        Wired {
+            server,
+            fleet,
+            blueprint: ClientBlueprint {
+                template,
+                cfg,
+                share,
+                detect_perf_drop,
+            },
         }
-        StandaloneRunner::new(server, clients, fleet, cfg.seed)
+    }
+}
+
+impl ClientBlueprint {
+    /// Builds client `idx` (0-based) in its initial state around `trainer`.
+    pub fn client(&self, idx: usize, trainer: Box<dyn Trainer>) -> Client {
+        let mut client = Client::new((idx + 1) as u32, trainer);
+        client.state.detect_perf_drop = self.detect_perf_drop;
+        // one codec instance per client: residuals / delta references are
+        // sender-local state
+        client.state.compressor = self.cfg.compression.build_upload();
+        client
+    }
+
+    /// The default trainer of client `idx` (0-based): plain local SGD on
+    /// `model` over `data`, seeded from the course seed and the index.
+    pub fn local_trainer(
+        &self,
+        idx: usize,
+        model: Box<dyn Model>,
+        data: ClientSplit,
+    ) -> LocalTrainer {
+        LocalTrainer::new(
+            model,
+            data,
+            TrainConfig {
+                local_steps: self.cfg.local_steps,
+                batch_size: self.cfg.batch_size,
+                sgd: self.cfg.sgd,
+            },
+            self.share.clone(),
+            self.cfg.seed ^ (idx as u64 + 1).wrapping_mul(0x9e3779b97f4a7c15),
+        )
+    }
+}
+
+/// Assembles FL courses over a materialized dataset.
+pub struct CourseBuilder {
+    dataset: FedDataset,
+    wiring: CourseWiring,
+    trainer_factory: Option<TrainerFactory>,
+}
+
+impl CourseBuilder {
+    /// Starts a builder from a dataset, a model factory, and a configuration.
+    pub fn new(dataset: FedDataset, model_factory: ModelFactory, cfg: FlConfig) -> Self {
+        let wiring = CourseWiring::new(dataset.num_clients(), model_factory, cfg);
+        Self {
+            dataset,
+            wiring,
+            trainer_factory: None,
+        }
+    }
+
+    /// Uses an explicit fleet instead of generating one.
+    pub fn fleet(mut self, fleet: Fleet) -> Self {
+        self.wiring.fleet = Some(fleet);
+        self
+    }
+
+    /// Adjusts the generated fleet's configuration.
+    pub fn fleet_config(mut self, cfg: FleetConfig) -> Self {
+        self.wiring.fleet_cfg = cfg;
+        self
+    }
+
+    /// Sets the parameter-sharing filter (personalization / multi-goal).
+    pub fn share_filter(mut self, share: ShareFilter) -> Self {
+        self.wiring.share = share;
+        self
+    }
+
+    /// Replaces the default FedAvg aggregator.
+    pub fn aggregator(mut self, agg: Box<dyn Aggregator>) -> Self {
+        self.wiring.aggregator = Some(agg);
+        self
+    }
+
+    /// Replaces the default [`LocalTrainer`] factory (personalization).
+    pub fn trainer_factory(mut self, f: TrainerFactory) -> Self {
+        self.trainer_factory = Some(f);
+        self
+    }
+
+    /// Replaces the sampler derived from `cfg.sampler` (e.g. an
+    /// inverse-responsiveness sampler compensating slow clients).
+    pub fn sampler(mut self, s: Sampler) -> Self {
+        self.wiring.sampler = Some(s);
+        self
+    }
+
+    /// Disables the centralized evaluator (e.g. pure-distributed eval runs).
+    pub fn no_central_eval(mut self) -> Self {
+        self.wiring.central_eval = false;
+        self
+    }
+
+    /// Enables client-side `performance_drop` detection.
+    pub fn detect_perf_drop(mut self) -> Self {
+        self.wiring.detect_perf_drop = true;
+        self
+    }
+
+    /// Builds the runner, every client materialized up front.
+    pub fn build(self) -> StandaloneRunner {
+        let Wired {
+            server,
+            fleet,
+            blueprint,
+        } = self.wiring.wire(Some(&self.dataset));
+        let clients = self
+            .dataset
+            .clients
+            .into_iter()
+            .enumerate()
+            .map(|(i, split)| {
+                let model = blueprint.template.clone_model();
+                let trainer: Box<dyn Trainer> = match &self.trainer_factory {
+                    Some(f) => f(i, model, split, &blueprint.cfg),
+                    None => Box::new(blueprint.local_trainer(i, model, split)),
+                };
+                let client = blueprint.client(i, trainer);
+                (client.state.id, client)
+            })
+            .collect();
+        Runner::new(server, clients, fleet)
     }
 }
 

@@ -41,8 +41,8 @@ pub struct Timer {
 }
 
 /// A server-side broadcast recorded at cohort granularity: one payload, many
-/// targets, scheduled by a batching runner as a single heap entry instead of
-/// per-client owned messages.
+/// targets, scheduled by the virtual-time loop as a single heap entry instead
+/// of per-client owned messages.
 #[derive(Clone, Debug)]
 pub struct BatchedBroadcast {
     /// `outbox.len()` at record time: the broadcast happened after this many
@@ -80,10 +80,10 @@ pub struct Ctx {
     /// Observability sink. Null (free) unless the runner attached a monitor;
     /// handlers record domain counters and round metrics through it.
     pub monitor: MonitorHandle,
-    /// When set (by a cohort-batching runner), [`Ctx::broadcast`] records a
-    /// single [`BatchedBroadcast`] instead of expanding into per-target
-    /// outbox entries. Defaults to `false`: legacy runners see the exact
-    /// per-client sends they always did.
+    /// When set (by the virtual-time loop, on server dispatches),
+    /// [`Ctx::broadcast`] records a single [`BatchedBroadcast`] instead of
+    /// expanding into per-target outbox entries. Defaults to `false`: the
+    /// distributed runners ship one owned message per client.
     pub batch_broadcasts: bool,
     /// Broadcasts recorded while `batch_broadcasts` was set, in order.
     pub broadcasts: Vec<BatchedBroadcast>,
@@ -138,9 +138,9 @@ impl Ctx {
 
     /// Broadcasts `payload` from the server to every client in `targets`.
     ///
-    /// Under a legacy runner this expands into one [`Ctx::send`] per target —
-    /// byte-for-byte what the pre-batching server did. Under a batching
-    /// runner (`batch_broadcasts` set) it records a single
+    /// By default this expands into one [`Ctx::send`] per target, which is
+    /// what the distributed runners ship. Under the virtual-time loop
+    /// (`batch_broadcasts` set) it records a single
     /// [`BatchedBroadcast`] and one emitted event; registry conformance diffs
     /// emissions by membership, not count, so the two paths are
     /// conformance-equivalent. Empty target lists are a no-op either way.

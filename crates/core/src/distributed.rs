@@ -29,13 +29,14 @@ use crate::client::Client;
 use crate::config::DropoutPolicy;
 use crate::ctx::Ctx;
 use crate::server::Server;
+use crate::verify::singleton_groups;
 use fs_monitor::MonitorHandle;
 use fs_net::bus::{Bus, BusError, Mailbox};
 use fs_net::fault::{FaultPlan, FaultyBus, SendOutcome};
 use fs_net::tcp::{HubEvent, ReconnectPolicy, ResilientPeer, TcpError, TcpHub};
 use fs_net::{ParticipantId, SERVER_ID};
 use fs_sim::VirtualTime;
-use fs_verify::{VerifyMode, VerifyReport};
+use fs_verify::VerifyReport;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::net::SocketAddr;
@@ -47,7 +48,8 @@ use std::time::{Duration, Instant};
 pub enum DistributedError {
     /// The configured rule needs virtual time (e.g. `time_up`).
     UnsupportedRule(&'static str),
-    /// The course failed static verification under [`VerifyMode::Enforce`].
+    /// The course failed static verification under
+    /// [`fs_verify::VerifyMode::Enforce`].
     Verification(Box<VerifyReport>),
     /// A bus operation failed.
     Bus(BusError),
@@ -97,6 +99,12 @@ impl fmt::Display for DistributedError {
 
 impl std::error::Error for DistributedError {}
 
+impl From<Box<VerifyReport>> for DistributedError {
+    fn from(report: Box<VerifyReport>) -> Self {
+        DistributedError::Verification(report)
+    }
+}
+
 impl From<BusError> for DistributedError {
     fn from(e: BusError) -> Self {
         match e {
@@ -129,30 +137,6 @@ pub struct TcpRunOptions {
     pub monitor: MonitorHandle,
 }
 
-/// Runs static verification per the server's configured [`VerifyMode`]
-/// before any thread is spawned.
-fn preflight(server: &Server, clients: &[Client]) -> Result<(), DistributedError> {
-    let mode = server.state.cfg.verify;
-    if mode == VerifyMode::Skip {
-        return Ok(());
-    }
-    let refs: Vec<&Client> = clients.iter().collect();
-    let report = crate::verify::verify_assembled(server, &refs, Some(&server.state.cfg));
-    let verbose = std::env::var_os("FS_VERIFY_LOG").is_some();
-    if verbose {
-        for line in crate::verify::effective_handler_log(server, &refs) {
-            eprintln!("fs-verify: {line}");
-        }
-    }
-    if verbose || !report.is_clean() {
-        eprint!("{}", report.render_table());
-    }
-    if mode == VerifyMode::Enforce && report.has_errors() {
-        return Err(DistributedError::Verification(Box::new(report)));
-    }
-    Ok(())
-}
-
 /// Why a client worker thread stopped.
 #[derive(Debug)]
 enum ClientOutcome {
@@ -172,7 +156,8 @@ struct ClientExit {
     outcome: ClientOutcome,
 }
 
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught worker panic, when it was a string.
+pub fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -184,26 +169,21 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Shared server-loop bookkeeping: which clients are gone for good, and
 /// whether the course can be declared complete.
-struct Completion {
-    finished: bool,
+#[derive(Default)]
+pub struct Completion {
+    /// The server terminated the course.
+    pub finished: bool,
     /// Clients whose connection died terminally (their final report may be
     /// legitimately lost). Cleanly finished clients are NOT in here: their
     /// report is still in flight and must be awaited.
-    gone: BTreeSet<ParticipantId>,
+    pub gone: BTreeSet<ParticipantId>,
 }
 
 impl Completion {
-    fn new() -> Self {
-        Self {
-            finished: false,
-            gone: BTreeSet::new(),
-        }
-    }
-
     /// The course is complete when the server terminated it and every roster
     /// member has either reported metrics or provably disconnected (so its
     /// report can never arrive).
-    fn complete(&self, server: &Server) -> bool {
+    pub fn complete(&self, server: &Server) -> bool {
         self.finished
             && server
                 .state
@@ -215,7 +195,7 @@ impl Completion {
 
 /// Applies the dropout policy for a dead client: `Ok(())` means the course
 /// continues with the survivors (the server re-evaluated its conditions).
-fn apply_dropout(
+pub fn apply_dropout(
     server: &mut Server,
     id: ParticipantId,
     ctx: &mut Ctx,
@@ -261,7 +241,8 @@ pub fn run_distributed_with(
     // are folded into the monitor once, at the flush below — commutative
     // totals, so the deferred fold is observably identical
     opts.monitor = opts.monitor.sharded();
-    preflight(&server, &clients)?;
+    // static verification, before any thread is spawned
+    crate::verify::preflight(&server, &singleton_groups(&clients), Vec::new())?;
     let plan = opts.faults.unwrap_or_default();
     let mut bus = Bus::new();
     let server_mb = bus.register(SERVER_ID);
@@ -309,7 +290,7 @@ pub fn run_distributed_with(
 
     // fsa::allow(FSA002, distributed runtime wall budget; real threads and sockets are not on the virtual clock)
     let deadline = Instant::now() + wall_budget;
-    let mut done = Completion::new();
+    let mut done = Completion::default();
     let mut finished_exits: BTreeSet<ParticipantId> = BTreeSet::new();
     let result = loop {
         // worker exits first: a panic must surface as ClientPanic even if a
@@ -454,7 +435,8 @@ pub fn run_distributed_tcp_with(
     // lock-free sharded bank so frame I/O never serializes on the monitor
     // mutex, and fold the totals back in at the flush below
     opts.monitor = opts.monitor.sharded();
-    preflight(&server, &clients)?;
+    // static verification, before any thread is spawned
+    crate::verify::preflight(&server, &singleton_groups(&clients), Vec::new())?;
     let bind_addr = opts
         .addr
         .unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)));
@@ -545,7 +527,7 @@ pub fn run_distributed_tcp_with(
         }
     };
 
-    let mut done = Completion::new();
+    let mut done = Completion::default();
     let result = loop {
         while let Ok(exit) = exit_rx.try_recv() {
             if matches!(exit.outcome, ClientOutcome::Disconnected) {
@@ -628,32 +610,7 @@ pub fn run_distributed_tcp_with(
 /// monitor's `wire.*` counters instead — but rounds, learning curve, finish
 /// reason, dropouts, and reconnects are all filled in.
 pub fn distributed_report(server: &Server) -> crate::runner::CourseReport {
-    let s = &server.state;
-    crate::runner::CourseReport {
-        final_time_secs: 0.0,
-        rounds: s.round,
-        history: s.history.clone(),
-        finish_reason: s
-            .finish_reason
-            .clone()
-            .unwrap_or_else(|| "queue drained".to_string()),
-        dropped_updates: s.ledger.dropped_updates,
-        stale_drops: s.ledger.stale_drops,
-        total_updates: s.ledger.total_updates,
-        crashed_deliveries: 0,
-        remedial_count: s.ledger.remedial_count,
-        uploaded_bytes: 0,
-        downloaded_bytes: 0,
-        effective_handlers: server
-            .effective_handlers()
-            .iter()
-            .map(|(e, n)| format!("server: {e} -> {n}"))
-            .collect(),
-        registry_warnings: server.warnings().to_vec(),
-        conformance_violations: server.violations().to_vec(),
-        dropouts: s.dropouts.clone(),
-        reconnects: s.reconnects,
-    }
+    crate::runner::CourseReport::from_server(server, &[])
 }
 
 fn tcp_to_bind(e: TcpError) -> DistributedError {

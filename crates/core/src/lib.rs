@@ -50,17 +50,17 @@ pub mod verify;
 pub use aggregator::{Aggregator, ReceivedUpdate};
 pub use client::{Client, ClientState};
 pub use config::{
-    AggregationRule, BroadcastManner, CodecSpec, CompressionConfig, DropoutPolicy, ExecutionMode,
-    FlConfig, SamplerKind,
+    AggregationRule, BroadcastManner, CodecSpec, CompressionConfig, DropoutPolicy, FlConfig,
+    SamplerKind,
 };
-pub use course::CourseBuilder;
+pub use course::{CourseBuilder, CourseWiring};
 pub use ctx::Ctx;
 pub use event::{Condition, Event};
-pub use runner::{CourseReport, StandaloneRunner};
+pub use runner::{Ascent, ClientStore, CourseReport, Router, Runner, StandaloneRunner, Star};
 pub use scheduler::{build_scheduler, RosterVerdict, Scheduler, SchedulerObs, Selection};
 pub use server::{Server, ServerState};
 pub use trainer::{LocalTrainer, ShareFilter, TrainConfig, Trainer, TrainerParts};
 pub use verify::{
-    course_ir, course_ir_grouped, effective_handler_log, effective_handler_log_grouped,
+    course_ir, course_ir_grouped, effective_handler_log, effective_handler_log_grouped, preflight,
     verify_assembled, verify_assembled_grouped,
 };

@@ -1,4 +1,5 @@
-//! The standalone runner: a deterministic virtual-time simulation.
+//! The virtual-time course loop: one deterministic discrete-event simulation
+//! for every server-based course.
 //!
 //! Implements the paper's evaluation protocol (§5.3.1) exactly: the server
 //! broadcasts at timestamp 0; a client's reply is stamped
@@ -8,95 +9,70 @@
 //! Crashed deliveries (device failures) silently drop the round's broadcast,
 //! which is what the `time_up` remedial machinery exists to absorb.
 //!
+//! [`Runner`] is that loop, once. What varies between courses is confined to
+//! two seams, both chosen by how the course was assembled and never by a
+//! config switch:
+//!
+//! * **where clients live** — a [`ClientStore`]. The eager store is the
+//!   `BTreeMap` every client was built into ([`StandaloneRunner`]); `fs-scale`
+//!   supplies a lazy one that materializes a client only while it is
+//!   dispatched. The loop only ever `take`s a client out and `put_back`s it.
+//! * **how a send is routed** — a [`Router`]. [`Star`] does nothing;
+//!   `fs-topo` installs a tree router that meters per-tier traffic at send
+//!   time and walks server-bound messages up through edge aggregators at
+//!   delivery time.
+//!
+//! # Event order
+//!
+//! The global event order is the `(VirtualTime, seq)` order of the queue,
+//! where `seq` counts pushes. A server broadcast to `m` clients occupies one
+//! heap entry, not `m`: it reserves `m` consecutive sequence numbers up
+//! front — one per recipient, in send order — and is re-armed member by
+//! member at those reserved keys. Every recipient therefore pops at exactly
+//! the `(at, seq)` an individual push would have given it, so batching
+//! changes memory, never order: crash-RNG draws, sampler draws, timestamps
+//! and monitor records are the same bit for bit.
+//!
 //! # Parallel execution (`FlConfig::parallelism`)
 //!
-//! With `parallelism > 1` the runner speculatively executes client handlers
+//! With `parallelism > 1` the loop speculatively executes client handlers
 //! on an `fs-exec` worker pool while keeping the simulation bit-identical to
-//! serial execution. When the server emits a message to a client, the runner
+//! serial execution. When the server emits a message to a client, the loop
 //! already knows the exact virtual delivery time, and between that emission
 //! and the delivery pop no other event can touch the client *in the common
-//! case* — so the client is moved into a worker job that snapshots its state
-//! and runs the handler immediately, in parallel with the rest of the
-//! simulation. When the delivery event pops, the runner either *adopts* the
-//! precomputed result (re-emitting its outputs and monitor records at
-//! exactly the serial program point, so queue sequence numbers, RNG draws,
-//! timestamps, and report fields all match serially produced ones) or
-//! *recalls* the speculation — rolling the client back to its snapshot —
-//! when the prediction was wrong: an earlier delivery reached the same
-//! client first, or the broadcast was lost to a simulated device crash.
+//! case* — so the client is taken out of the store into a worker job that
+//! snapshots its state and runs the handler immediately, in parallel with
+//! the rest of the simulation. When the delivery pops, the loop either
+//! *adopts* the precomputed result (re-emitting its outputs and monitor
+//! records at exactly the serial program point, so queue sequence numbers,
+//! RNG draws, timestamps, and report fields all match serially produced
+//! ones) or *recalls* the speculation — rolling the client back to its
+//! snapshot — when the prediction was wrong: an earlier delivery reached the
+//! same client first, or the broadcast was lost to a simulated device crash.
+//! Because speculation only uses `take`/`put_back`, it works over any store.
 //! See DESIGN.md ("Determinism contract") for the full argument.
 
-use crate::client::Client;
-use crate::ctx::Ctx;
+use crate::client::{Client, ClientSnapshot};
+use crate::ctx::{BatchedBroadcast, Ctx, Outgoing};
 use crate::eval::EvalRecord;
 use crate::event::Condition;
 use crate::server::Server;
 use fs_exec::{JobHandle, WorkerPool};
-use fs_monitor::{counters, BufferMonitor, MonitorHandle};
-use fs_net::{Message, MessageKind, ParticipantId, SERVER_ID};
-use fs_sim::{EventQueue, Fleet, VirtualTime};
-use fs_verify::{VerifyMode, VerifyReport};
+use fs_monitor::{counters, BufferMonitor, MonitorHandle, MonitorOp};
+use fs_net::{Message, MessageKind, ParticipantId, Payload, Topology, SERVER_ID};
+use fs_sim::{Fleet, IndexedEventQueue, VirtualTime};
+use fs_verify::{Code, Diagnostic, VerifyReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 use std::sync::{Arc, Mutex};
-
-/// An entry in the simulation's event queue.
-enum SimEvent {
-    /// Deliver a message to its receiver.
-    Deliver(Message),
-    /// Deliver a message whose handling was speculatively started on a
-    /// worker when the message was emitted. The message itself travels
-    /// inside the speculation job; this entry holds just enough to run the
-    /// serial bookkeeping (crash draw, counters) at the right queue
-    /// position.
-    SpecDeliver {
-        /// The client the message is addressed to.
-        receiver: ParticipantId,
-        /// The message kind (drives the crash draw and counters).
-        kind: MessageKind,
-        /// Key into the runner's outstanding-speculation table.
-        spec_id: u64,
-    },
-    /// Fire a timer-armed condition on a participant.
-    Timer {
-        /// The participant the timer belongs to (currently always the server).
-        to: ParticipantId,
-        /// The condition to raise.
-        condition: Condition,
-        /// The round the timer was armed in.
-        round: u64,
-    },
-}
-
-/// What a speculation job sends back to the simulation thread.
-struct SpecResult {
-    /// The client, moved back. Post-dispatch state when `run` is `Some`,
-    /// untouched when `None`.
-    client: Client,
-    /// The message the speculation was created for (needed to dispatch
-    /// serially on recall or ineligibility).
-    msg: Message,
-    /// The executed speculation, or `None` when the client's trainer could
-    /// not be snapshotted (it then runs serially at the delivery pop).
-    run: Option<SpecRun>,
-}
-
-/// The outputs of a speculatively executed dispatch.
-struct SpecRun {
-    /// Pre-dispatch client state, for rollback on recall.
-    snapshot: crate::client::ClientSnapshot,
-    /// The handler's recorded intents, to be enqueued at adopt time.
-    ctx: Ctx,
-    /// Monitor operations the handler issued, buffered for in-order replay.
-    ops: Vec<fs_monitor::MonitorOp>,
-}
 
 /// Outcome summary of a finished course.
 ///
 /// `PartialEq` compares every field — the serial-vs-parallel determinism
 /// tests assert whole-report equality.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CourseReport {
     /// Final virtual time.
     pub final_time_secs: f64,
@@ -139,6 +115,35 @@ pub struct CourseReport {
 }
 
 impl CourseReport {
+    /// The server's share of a report: rounds, learning curve, finish
+    /// reason, ledger totals, dropouts, its registry output, and the
+    /// effective-handler log over `clients` (representatives plus the ids
+    /// they stand for; empty when the clients are gone, as after a
+    /// distributed run). Everything a runner meters itself — virtual time,
+    /// crash and payload-byte totals — is left at zero for the runner to
+    /// fill in.
+    pub fn from_server(server: &Server, clients: &[(&Client, Vec<ParticipantId>)]) -> Self {
+        let s = &server.state;
+        CourseReport {
+            rounds: s.round,
+            history: s.history.clone(),
+            finish_reason: s
+                .finish_reason
+                .clone()
+                .unwrap_or_else(|| "queue drained".to_string()),
+            dropped_updates: s.ledger.dropped_updates,
+            stale_drops: s.ledger.stale_drops,
+            total_updates: s.ledger.total_updates,
+            remedial_count: s.ledger.remedial_count,
+            effective_handlers: crate::verify::effective_handler_log_grouped(server, clients),
+            registry_warnings: server.warnings().to_vec(),
+            conformance_violations: server.violations().to_vec(),
+            dropouts: s.dropouts.clone(),
+            reconnects: s.reconnects,
+            ..Default::default()
+        }
+    }
+
     /// Total payload bytes moved in either direction.
     pub fn total_bytes(&self) -> u64 {
         self.uploaded_bytes + self.downloaded_bytes
@@ -166,14 +171,241 @@ impl CourseReport {
     }
 }
 
+/// Where a course's clients live between dispatches.
+///
+/// The loop is the only caller and holds at most one client per id out of
+/// the store at a time. A store may observe the ids it is asked for, the
+/// clients handed back, and (in `put_back`) the server's state at that
+/// program point; it never sees the clock, the queue or the monitor, so it
+/// cannot perturb event order.
+pub trait ClientStore {
+    /// Every client id in the course, ascending.
+    fn ids(&self) -> Vec<ParticipantId>;
+
+    /// Moves client `id` out of the store for a dispatch (or a speculation).
+    /// `None` when the id is unknown or the client is already out.
+    fn take(&mut self, id: ParticipantId) -> Option<Client>;
+
+    /// Returns a client after its dispatch (or a rolled-back speculation).
+    /// `server` is the server at this program point — the same point under
+    /// serial and speculative execution — for stores that decide what to
+    /// retain from whether the server can still reach the client.
+    fn put_back(&mut self, client: Client, server: &Server);
+
+    /// Representative clients and the ids each stands for: what static
+    /// verification and the effective-handler log are computed over.
+    fn groups(&self) -> Vec<(&Client, Vec<ParticipantId>)>;
+
+    /// Visits every client's registry warnings and conformance violations,
+    /// in id order.
+    fn registry_output(&self, visit: &mut dyn FnMut(&[String], &[String]));
+
+    /// `false` when every client's handler for `kind` is known to have no
+    /// effect, so the loop can record the dispatch without taking the
+    /// receiver out. The default claims nothing.
+    fn handles(&self, _kind: MessageKind) -> bool {
+        true
+    }
+}
+
+/// The eager store: every client built up front and held for the course.
+impl ClientStore for BTreeMap<ParticipantId, Client> {
+    fn ids(&self) -> Vec<ParticipantId> {
+        self.keys().copied().collect()
+    }
+
+    fn take(&mut self, id: ParticipantId) -> Option<Client> {
+        self.remove(&id)
+    }
+
+    fn put_back(&mut self, client: Client, _server: &Server) {
+        self.insert(client.state.id, client);
+    }
+
+    fn groups(&self) -> Vec<(&Client, Vec<ParticipantId>)> {
+        crate::verify::singleton_groups(self.values())
+    }
+
+    fn registry_output(&self, visit: &mut dyn FnMut(&[String], &[String])) {
+        for c in self.values() {
+            visit(c.warnings(), c.violations());
+        }
+    }
+}
+
+/// What a server-bound message turned into on its way up the topology.
+pub enum Ascent {
+    /// It reaches the server unchanged.
+    Through,
+    /// An intermediate tier kept it (a partial cohort still filling).
+    Absorbed,
+    /// An intermediate tier substituted this message for it.
+    Merged(Message),
+    /// Routing failed; the course stops with this as its finish reason. The
+    /// router keeps the typed error for its owner.
+    Failed(String),
+}
+
+/// How a send is routed between the participants the loop dispatches.
+///
+/// A router observes each send (after the loop charged it) and each
+/// server-bound delivery; it may meter, absorb or substitute server-bound
+/// messages, but it has no access to the queue or the clock, so it cannot
+/// reorder events or move timestamps.
+pub trait Router {
+    /// Whether this router realizes `topology`. A course whose configured
+    /// topology its router does not realize is refused (`FSV057`) instead of
+    /// silently running as something else.
+    fn routes(&self, topology: &Topology) -> bool;
+
+    /// Findings about the realized route, merged into the preflight report.
+    fn diagnostics(&self) -> Vec<Diagnostic> {
+        Vec::new()
+    }
+
+    /// Observes one send from `from`, `payload_bytes` long, at send time.
+    fn on_send(
+        &mut self,
+        _from: ParticipantId,
+        _msg: &Message,
+        _payload_bytes: u64,
+        _monitor: &MonitorHandle,
+    ) {
+    }
+
+    /// Carries a server-bound message from its sender up to the server, at
+    /// delivery time `at`.
+    fn ascend(&mut self, _at: VirtualTime, _msg: &Message, _monitor: &MonitorHandle) -> Ascent {
+        Ascent::Through
+    }
+}
+
+/// The star topology: every client talks to the server directly.
+pub struct Star;
+
+impl Router for Star {
+    fn routes(&self, topology: &Topology) -> bool {
+        matches!(topology, Topology::Star)
+    }
+}
+
+/// Identifies one outstanding speculation. Non-zero so a batch member's
+/// `Option<SpecId>` costs four bytes; if the counter ever wraps, the affected
+/// sends simply run serially.
+type SpecId = NonZeroU32;
+
+/// Which way a batched message fan travels.
+#[derive(Clone, Copy)]
+enum BatchDir {
+    /// Many clients → server (the t = 0 join wave); `sender` varies.
+    ToServer,
+    /// Server → many clients (a broadcast); `receiver` varies.
+    ToClients,
+}
+
+/// One member of a batch: its delivery key and the client it involves.
+#[derive(Clone, Copy)]
+struct BatchMember {
+    at: VirtualTime,
+    seq: u64,
+    client: ParticipantId,
+    /// Set when this member's handling was speculatively started at send
+    /// time (the message then travels inside the speculation job).
+    spec: Option<SpecId>,
+}
+
+/// A message fan scheduled as a single heap entry, re-armed member by
+/// member in global `(at, seq)` order.
+struct Batch {
+    /// The shared message; `sender`/`receiver`/`timestamp` are stamped per
+    /// member at delivery.
+    template: Message,
+    /// Members sorted by `(at, seq)`.
+    members: Vec<BatchMember>,
+    /// Index of the next member to deliver.
+    next: usize,
+    dir: BatchDir,
+}
+
+/// An entry in the simulation's event queue.
+enum SimEvent {
+    /// Deliver a message to its receiver. Boxed so that the queue's slot
+    /// table — sized by the widest variant and by the most events ever
+    /// pending at once — stays a few words per entry.
+    Deliver(Box<Message>),
+    /// Deliver a message of a kind the client store does not handle. Nobody
+    /// will read it, so only what its delivery records survives the queue —
+    /// a million joins mean a million `IdAssignment`s in flight.
+    Unread {
+        receiver: ParticipantId,
+        kind: MessageKind,
+    },
+    /// Deliver the next member of a batch.
+    Batch(Box<Batch>),
+    /// Deliver a message whose handling was speculatively started on a
+    /// worker when the message was emitted. The message itself travels
+    /// inside the speculation job; this entry holds just enough to run the
+    /// serial bookkeeping (crash draw, counters) at the right queue
+    /// position.
+    SpecDeliver {
+        receiver: ParticipantId,
+        kind: MessageKind,
+        spec: SpecId,
+    },
+    /// Fire a timer-armed condition on a participant.
+    Timer {
+        /// The participant the timer belongs to (only the server's fire).
+        to: ParticipantId,
+        condition: Condition,
+        /// The round the timer was armed in.
+        round: u64,
+    },
+}
+
+/// What a speculation job sends back to the simulation thread.
+struct SpecResult {
+    /// The client, moved back. Post-dispatch state when `run` is `Some`,
+    /// untouched when `None`.
+    client: Client,
+    /// The message the speculation was created for (needed to dispatch
+    /// serially on recall or ineligibility).
+    msg: Message,
+    /// The executed speculation, or `None` when the client's trainer could
+    /// not be snapshotted (it then runs serially at the delivery pop).
+    run: Option<SpecRun>,
+}
+
+/// The outputs of a speculatively executed dispatch.
+struct SpecRun {
+    /// Pre-dispatch client state, for rollback on recall.
+    snapshot: ClientSnapshot,
+    /// The handler's recorded intents, to be enqueued at adopt time.
+    ctx: Ctx,
+    /// Monitor operations the handler issued, buffered for in-order replay.
+    ops: Vec<MonitorOp>,
+}
+
+impl SpecResult {
+    /// The client as it was before the speculation touched it.
+    fn rolled_back(self) -> (Client, Message) {
+        let mut client = self.client;
+        if let Some(run) = self.run {
+            client.restore(run.snapshot);
+        }
+        (client, self.msg)
+    }
+}
+
 /// Runs an FL course under virtual time.
-pub struct StandaloneRunner {
+pub struct Runner<S, R = Star> {
     /// The server participant.
     pub server: Server,
-    /// The client participants, keyed by id.
-    pub clients: BTreeMap<ParticipantId, Client>,
+    /// The client participants.
+    pub clients: S,
     /// Device profiles.
     pub fleet: Fleet,
+    /// The routing policy (and, after the run, its tallies).
+    pub router: R,
     /// Current virtual time.
     pub now: VirtualTime,
     /// Broadcast deliveries dropped by simulated device crashes.
@@ -182,44 +414,64 @@ pub struct StandaloneRunner {
     pub uploaded_bytes: u64,
     /// Payload bytes sent toward clients so far.
     pub downloaded_bytes: u64,
-    queue: EventQueue<SimEvent>,
+    queue: IndexedEventQueue<SimEvent>,
     crash_rng: StdRng,
     max_events: u64,
+    events_processed: u64,
     monitor: MonitorHandle,
     /// Worker pool for speculative client execution; `None` runs serially.
     pool: Option<WorkerPool>,
     /// In-flight speculations by id.
-    pending: BTreeMap<u64, JobHandle<SpecResult>>,
+    pending: BTreeMap<SpecId, JobHandle<SpecResult>>,
     /// The (single) outstanding speculation per client, if any.
-    spec_by_client: BTreeMap<ParticipantId, u64>,
+    spec_by_client: BTreeMap<ParticipantId, SpecId>,
     /// Messages recovered from recalled speculations, dispatched serially
-    /// when their `SpecDeliver` entry pops.
-    recalled: BTreeMap<u64, Message>,
-    spec_seq: u64,
+    /// when their delivery entry pops.
+    recalled: BTreeMap<SpecId, Message>,
+    spec_seq: u32,
 }
 
-impl StandaloneRunner {
-    /// Assembles a runner; the course starts when [`StandaloneRunner::run`]
-    /// is called.
-    pub fn new(server: Server, clients: Vec<Client>, fleet: Fleet, seed: u64) -> Self {
-        let clients: BTreeMap<ParticipantId, Client> =
-            clients.into_iter().map(|c| (c.state.id, c)).collect();
+/// The runner over eagerly built clients — what `CourseBuilder::build`
+/// returns.
+pub type StandaloneRunner = Runner<BTreeMap<ParticipantId, Client>>;
+
+impl<S: ClientStore> Runner<S> {
+    /// Assembles a star-routed runner; the course starts when
+    /// [`Runner::run`] is called.
+    pub fn new(server: Server, clients: S, fleet: Fleet) -> Self {
+        Runner::routed(server, clients, fleet, Star)
+    }
+
+    /// Re-routes a not-yet-run course through `router`.
+    pub fn with_router<R: Router>(self, router: R) -> Runner<S, R> {
+        let mut routed = Runner::routed(self.server, self.clients, self.fleet, router);
+        routed.max_events = self.max_events;
+        routed.monitor = self.monitor;
+        routed
+    }
+}
+
+impl<S: ClientStore, R: Router> Runner<S, R> {
+    fn routed(server: Server, clients: S, fleet: Fleet, router: R) -> Self {
         assert_eq!(
             fleet.len(),
-            clients.len(),
+            clients.ids().len(),
             "fleet size must match client count"
         );
+        let crash_rng = StdRng::seed_from_u64(server.state.cfg.seed ^ 0xc4a5);
         Self {
             server,
             clients,
             fleet,
+            router,
             now: VirtualTime::ZERO,
             crashed_deliveries: 0,
             uploaded_bytes: 0,
             downloaded_bytes: 0,
-            queue: EventQueue::new(),
-            crash_rng: StdRng::seed_from_u64(seed ^ 0xc4a5),
+            queue: IndexedEventQueue::new(),
+            crash_rng,
             max_events: 50_000_000,
+            events_processed: 0,
             monitor: MonitorHandle::null(),
             pool: None,
             pending: BTreeMap::new(),
@@ -243,53 +495,319 @@ impl StandaloneRunner {
         self
     }
 
-    fn enqueue_intents(&mut self, from: ParticipantId, ctx: Ctx) {
+    /// Number of simulation events processed by the last run.
+    pub fn events_processed(&self) -> u64 {
+        self.events_processed
+    }
+
+    /// Runs the course to completion and returns the report, or the
+    /// verification report when the course's topology has no router here
+    /// (`FSV057`, regardless of mode) or it fails static analysis under
+    /// [`fs_verify::VerifyMode::Enforce`].
+    pub fn try_run(&mut self) -> Result<CourseReport, Box<VerifyReport>> {
+        let topology = self.server.state.cfg.topology;
+        if !self.router.routes(&topology) {
+            let mut report = VerifyReport::new();
+            report.push(
+                Diagnostic::new(
+                    Code::TopologyUnrouted,
+                    "topology",
+                    format!("{topology:?} is configured but this runner has no router for it"),
+                )
+                .with_suggestion("run the assembled course through fs_topo::run_course_auto"),
+            );
+            return Err(Box::new(report));
+        }
+        crate::verify::preflight(
+            &self.server,
+            &self.clients.groups(),
+            self.router.diagnostics(),
+        )?;
+        Ok(self.run_unchecked())
+    }
+
+    /// Runs the course to completion (queue drained or event cap reached) and
+    /// returns the report.
+    ///
+    /// # Panics
+    /// Panics with the rendered diagnostic table when the course is refused
+    /// (see [`Runner::try_run`], the recoverable form).
+    pub fn run(&mut self) -> CourseReport {
+        match self.try_run() {
+            Ok(report) => report,
+            // fsa::allow(FSA022, the doc-comment contract: run() panics on Enforce rejection, try_run is the recoverable path)
+            Err(verify) => panic!("course rejected by static verification:\n{verify}"),
+        }
+    }
+
+    fn run_unchecked(&mut self) -> CourseReport {
+        // counter adds from the event loop (delivery, participation, remedial
+        // and timer paths) go to a lock-free sharded bank and are folded into
+        // the monitor once at the flush below — commutative totals, so the
+        // deferred fold is observably identical
+        self.monitor = self.monitor.clone().sharded();
+        // the parallelism knob: 1 = serial (no pool), 0 = one worker per
+        // available core, n > 1 = n workers
+        let parallelism = self.server.state.cfg.parallelism;
+        if parallelism != 1 && self.pool.is_none() {
+            self.pool = Some(WorkerPool::new(parallelism));
+        }
+        self.kickoff();
+        let mut events = 0u64;
+        while let Some((at, _seq, ev)) = self.queue.pop() {
+            events += 1;
+            if events > self.max_events {
+                self.server.state.finish_reason =
+                    Some(format!("event cap {} reached", self.max_events));
+                break;
+            }
+            self.now = at;
+            if let Err(why) = self.handle_event(at, ev) {
+                self.server.state.finish_reason = Some(why);
+                break;
+            }
+        }
+        self.events_processed = events;
+        // undone speculations (possible only when the loop broke early) must
+        // be rolled back so client state matches the serial run
+        self.drain_speculations();
+        self.monitor.flush_counters();
+        self.report()
+    }
+
+    /// Kick off: every client asks to join at t = 0. Joining is not a
+    /// registered handler — [`Client::join_request`] is all a client does —
+    /// so the wave is charged and scheduled as one batch without taking a
+    /// single client out of its store.
+    fn kickoff(&mut self) {
+        let ids = self.clients.ids();
+        let Some(&first) = ids.first() else {
+            return;
+        };
+        let mut template = Client::join_request(first);
+        let payload_bytes = template.payload_bytes();
+        let seq0 = self.queue.reserve_seqs(ids.len() as u64);
+        let mut members = Vec::with_capacity(ids.len());
+        for (i, id) in ids.into_iter().enumerate() {
+            self.monitor
+                .enter(id, "start", "dispatch", VirtualTime::ZERO);
+            self.monitor.exit(id, VirtualTime::ZERO);
+            template.sender = id;
+            let at = self.charge_send(id, &template, payload_bytes, 0.0, VirtualTime::ZERO);
+            members.push(BatchMember {
+                at,
+                seq: seq0 + i as u64,
+                client: id,
+                spec: None,
+            });
+        }
+        self.schedule_batch(template, members, BatchDir::ToServer);
+    }
+
+    fn handle_event(&mut self, at: VirtualTime, ev: SimEvent) -> Result<(), String> {
+        if !matches!(ev, SimEvent::Timer { .. }) {
+            self.monitor.add(counters::MESSAGES_DELIVERED, 1);
+        }
+        match ev {
+            SimEvent::Deliver(msg) => {
+                if msg.receiver == SERVER_ID {
+                    self.deliver_server(at, &msg)?;
+                } else {
+                    self.deliver_client(at, &msg);
+                }
+            }
+            SimEvent::Unread { receiver, kind } => {
+                let header = Message::new(SERVER_ID, receiver, kind, 0, Payload::Empty);
+                self.deliver_client(at, &header);
+            }
+            SimEvent::SpecDeliver {
+                receiver,
+                kind,
+                spec,
+            } => self.deliver_speculated(at, receiver, kind, spec),
+            SimEvent::Batch(mut batch) => {
+                let m = batch.members[batch.next];
+                batch.next += 1;
+                batch.template.timestamp = m.at.as_secs();
+                let delivered = match (batch.dir, m.spec) {
+                    (BatchDir::ToServer, _) => {
+                        batch.template.sender = m.client;
+                        self.deliver_server(at, &batch.template)
+                    }
+                    (BatchDir::ToClients, Some(spec)) => {
+                        self.deliver_speculated(at, m.client, batch.template.kind, spec);
+                        Ok(())
+                    }
+                    (BatchDir::ToClients, None) => {
+                        batch.template.receiver = m.client;
+                        self.deliver_client(at, &batch.template);
+                        Ok(())
+                    }
+                };
+                // re-arm at the next member's reserved key
+                if let Some(next) = batch.members.get(batch.next) {
+                    let (at, seq) = (next.at, next.seq);
+                    self.queue.push_at_seq(at, seq, SimEvent::Batch(batch));
+                }
+                delivered?;
+            }
+            SimEvent::Timer {
+                to,
+                condition,
+                round,
+            } => {
+                if to == SERVER_ID {
+                    self.dispatch_server(at, "timer", |server, ctx| {
+                        server.handle_timer(condition, round, ctx)
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Delivers a server-bound message: up through the router, then into the
+    /// server's handler.
+    fn deliver_server(&mut self, at: VirtualTime, msg: &Message) -> Result<(), String> {
+        let merged;
+        let msg = match self.router.ascend(at, msg, &self.monitor) {
+            Ascent::Through => msg,
+            Ascent::Absorbed => return Ok(()),
+            Ascent::Merged(m) => {
+                merged = m;
+                &merged
+            }
+            Ascent::Failed(why) => return Err(why),
+        };
+        self.dispatch_server(at, msg.kind.name(), |server, ctx| server.handle(msg, ctx));
+        Ok(())
+    }
+
+    /// Runs one server dispatch and realizes its intents. The server records
+    /// broadcasts at cohort granularity (one payload, many targets).
+    fn dispatch_server(
+        &mut self,
+        at: VirtualTime,
+        label: &'static str,
+        dispatch: impl FnOnce(&mut Server, &mut Ctx),
+    ) {
+        let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
+        ctx.batch_broadcasts = true;
+        self.monitor.enter(SERVER_ID, label, "dispatch", at);
+        dispatch(&mut self.server, &mut ctx);
+        self.monitor.exit(SERVER_ID, at);
+        self.realize(SERVER_ID, ctx);
+    }
+
+    /// The device-crash draw every `ModelParams` delivery makes, and the
+    /// crash/participation counter that follows from it. The serial and the
+    /// speculated delivery path both come through here, so they consume the
+    /// crash RNG identically.
+    fn lost_to_crash(&mut self, receiver: ParticipantId, kind: MessageKind) -> bool {
+        if kind != MessageKind::ModelParams {
+            return false;
+        }
+        let lost = self.fleet.crashes(receiver, &mut self.crash_rng);
+        if lost {
+            self.crashed_deliveries += 1;
+            self.monitor.add(counters::CRASHED_DELIVERIES, 1);
+        } else {
+            self.monitor.add(counters::PARTICIPATION, 1);
+        }
+        lost
+    }
+
+    /// The serial client-delivery path: crash draw, then dispatch.
+    fn deliver_client(&mut self, at: VirtualTime, msg: &Message) {
+        // a lost broadcast never reaches the client (and any speculation on
+        // it stays valid — the client handles nothing)
+        if !self.lost_to_crash(msg.receiver, msg.kind) {
+            self.dispatch_client(at, msg);
+        }
+    }
+
+    /// Runs a client handler inline on the simulation thread. Recalls any
+    /// outstanding speculation on the receiver first — its prediction is
+    /// invalidated by this earlier delivery.
+    fn dispatch_client(&mut self, at: VirtualTime, msg: &Message) {
+        let id = msg.receiver;
+        if !self.clients.handles(msg.kind) {
+            // only the dispatch span is observable
+            self.monitor.enter(id, msg.kind.name(), "dispatch", at);
+            self.monitor.exit(id, at);
+            return;
+        }
+        self.recall(id);
+        if let Some(mut client) = self.clients.take(id) {
+            let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
+            self.monitor.enter(id, msg.kind.name(), "dispatch", at);
+            client.handle(msg, &mut ctx);
+            self.monitor.exit(id, at);
+            self.clients.put_back(client, &self.server);
+            self.realize(id, ctx);
+        }
+    }
+
+    /// Handles the delivery of a speculated message: adopt the precomputed
+    /// dispatch, or fall back to the serial path for recalled/ineligible
+    /// speculations, or roll back on a crash draw.
+    fn deliver_speculated(
+        &mut self,
+        at: VirtualTime,
+        receiver: ParticipantId,
+        kind: MessageKind,
+        spec: SpecId,
+    ) {
+        if let Some(msg) = self.recalled.remove(&spec) {
+            // recalled earlier by an out-of-order delivery: the client was
+            // already rolled back, dispatch serially at this (correct) point
+            self.deliver_client(at, &msg);
+            return;
+        }
+        // every speculated delivery is backed by a pending job until
+        // recalled, and the recalled case returned above — a missing job
+        // means the speculation was already resolved, so this entry is stale
+        let Some(handle) = self.pending.remove(&spec) else {
+            return;
+        };
+        self.spec_by_client.remove(&receiver);
+        let res = handle.join();
+        if self.lost_to_crash(receiver, kind) {
+            // the crash draw says this broadcast was lost: undo the
+            // speculative training
+            let (client, _) = res.rolled_back();
+            self.clients.put_back(client, &self.server);
+            return;
+        }
+        self.clients.put_back(res.client, &self.server);
+        match res.run {
+            Some(run) => {
+                // adopt: re-emit outputs and monitor records at exactly the
+                // serial program point
+                self.monitor.enter(receiver, kind.name(), "dispatch", at);
+                BufferMonitor::replay_ops(&run.ops, &self.monitor);
+                self.monitor.exit(receiver, at);
+                self.realize(receiver, run.ctx);
+            }
+            // trainer not snapshotable: nothing ran, dispatch serially now
+            None => self.dispatch_client(at, &res.msg),
+        }
+    }
+
+    /// Realizes one dispatch's intents: individual sends and cohort
+    /// broadcasts interleaved at their recorded anchors (so sequence numbers
+    /// are assigned in emission order), then timers.
+    fn realize(&mut self, from: ParticipantId, ctx: Ctx) {
         let now = ctx.now;
-        for out in ctx.outbox {
-            let mut msg = out.msg;
-            let payload_bytes = msg.payload_bytes() as u64;
-            self.monitor.add(counters::MESSAGES_SENT, 1);
-            // the monitor's byte counters are bumped at the same statements
-            // that charge the report's totals, so they reconcile exactly
-            if msg.receiver == SERVER_ID {
-                self.uploaded_bytes += payload_bytes;
-                self.monitor.add(counters::UPLOADED_BYTES, payload_bytes);
-            } else {
-                self.downloaded_bytes += payload_bytes;
-                self.monitor.add(counters::DOWNLOADED_BYTES, payload_bytes);
+        let mut broadcasts = ctx.broadcasts.into_iter().peekable();
+        for (i, out) in ctx.outbox.into_iter().enumerate() {
+            while let Some(b) = broadcasts.next_if(|b| b.anchor <= i) {
+                self.send_batch(now, b);
             }
-            let delay = if from == SERVER_ID {
-                // server time is negligible; the receiver pays the download
-                let p = self.fleet.profile(msg.receiver);
-                let comm = p.comm_secs(msg.payload_bytes());
-                if self.monitor.is_live() && comm > 0.0 {
-                    self.monitor
-                        .span(msg.receiver, "download", "comm", now, comm);
-                }
-                comm
-            } else {
-                let p = self.fleet.profile(from);
-                let compute = p.compute_secs(out.compute_work.round() as usize);
-                let comm = p.comm_secs(msg.payload_bytes());
-                if self.monitor.is_live() {
-                    if compute > 0.0 {
-                        self.monitor
-                            .span(from, "local_train", "compute", now, compute);
-                    }
-                    if comm > 0.0 {
-                        self.monitor
-                            .span(from, "upload", "comm", now + compute, comm);
-                    }
-                }
-                compute + comm
-            };
-            msg.timestamp = (now + delay).as_secs();
-            let deliver_at = now + delay;
-            if self.can_speculate(from, &msg) {
-                self.spawn_speculation(deliver_at, msg);
-            } else {
-                self.queue.push(deliver_at, SimEvent::Deliver(msg));
-            }
+            self.send_one(from, now, out);
+        }
+        for b in broadcasts {
+            self.send_batch(now, b);
         }
         for t in ctx.timers {
             self.queue.push(
@@ -303,10 +821,126 @@ impl StandaloneRunner {
         }
     }
 
+    /// Charges one send and returns its delivery time: message and byte
+    /// counters (the monitor's are bumped at the same statements that charge
+    /// the report's totals, so they reconcile exactly), the router's
+    /// bookkeeping, and the device delay with its spans — server time is
+    /// negligible so the receiver pays the download; a client pays its
+    /// compute, then its upload.
+    fn charge_send(
+        &mut self,
+        from: ParticipantId,
+        msg: &Message,
+        payload_bytes: usize,
+        compute_work: f64,
+        now: VirtualTime,
+    ) -> VirtualTime {
+        let bytes = payload_bytes as u64;
+        self.monitor.add(counters::MESSAGES_SENT, 1);
+        if msg.receiver == SERVER_ID {
+            self.uploaded_bytes += bytes;
+            self.monitor.add(counters::UPLOADED_BYTES, bytes);
+        } else {
+            self.downloaded_bytes += bytes;
+            self.monitor.add(counters::DOWNLOADED_BYTES, bytes);
+        }
+        self.router.on_send(from, msg, bytes, &self.monitor);
+        let live = self.monitor.is_live();
+        let delay = if from == SERVER_ID {
+            let comm = self.fleet.profile(msg.receiver).comm_secs(payload_bytes);
+            if live && comm > 0.0 {
+                self.monitor
+                    .span(msg.receiver, "download", "comm", now, comm);
+            }
+            comm
+        } else {
+            let p = self.fleet.profile(from);
+            let compute = p.compute_secs(compute_work.round() as usize);
+            let comm = p.comm_secs(payload_bytes);
+            if live && compute > 0.0 {
+                self.monitor
+                    .span(from, "local_train", "compute", now, compute);
+            }
+            if live && comm > 0.0 {
+                self.monitor
+                    .span(from, "upload", "comm", now + compute, comm);
+            }
+            compute + comm
+        };
+        now + delay
+    }
+
+    /// One individual send.
+    fn send_one(&mut self, from: ParticipantId, now: VirtualTime, out: Outgoing) {
+        let mut msg = out.msg;
+        let at = self.charge_send(from, &msg, msg.payload_bytes(), out.compute_work, now);
+        msg.timestamp = at.as_secs();
+        let (receiver, kind) = (msg.receiver, msg.kind);
+        let ev = if receiver != SERVER_ID && !self.clients.handles(kind) {
+            SimEvent::Unread { receiver, kind }
+        } else if !self.can_speculate(from, &msg) {
+            SimEvent::Deliver(Box::new(msg))
+        } else {
+            match self.speculate(at, msg) {
+                Ok(spec) => SimEvent::SpecDeliver {
+                    receiver,
+                    kind,
+                    spec,
+                },
+                Err(msg) => SimEvent::Deliver(Box::new(msg)),
+            }
+        };
+        self.queue.push(at, ev);
+    }
+
+    /// One cohort broadcast: per-target counters, spans, and delivery keys
+    /// exactly as if each copy had been sent individually, stored as a single
+    /// [`Batch`] occupying one heap entry.
+    fn send_batch(&mut self, now: VirtualTime, b: BatchedBroadcast) {
+        let mut template = Message::new(SERVER_ID, SERVER_ID, b.kind, b.round, b.payload);
+        let payload_bytes = template.payload_bytes();
+        let seq0 = self.queue.reserve_seqs(b.targets.len() as u64);
+        let mut members = Vec::with_capacity(b.targets.len());
+        for (j, &c) in b.targets.iter().enumerate() {
+            template.receiver = c;
+            let at = self.charge_send(SERVER_ID, &template, payload_bytes, 0.0, now);
+            let spec = if self.can_speculate(SERVER_ID, &template) {
+                let mut copy = template.clone();
+                copy.timestamp = at.as_secs();
+                self.speculate(at, copy).ok()
+            } else {
+                None
+            };
+            members.push(BatchMember {
+                at,
+                seq: seq0 + j as u64,
+                client: c,
+                spec,
+            });
+        }
+        self.schedule_batch(template, members, BatchDir::ToClients);
+    }
+
+    /// Sorts a batch's members into `(at, seq)` order and schedules its
+    /// first member.
+    fn schedule_batch(&mut self, template: Message, mut members: Vec<BatchMember>, dir: BatchDir) {
+        members.sort_by_key(|m| (m.at, m.seq));
+        let Some(first) = members.first().copied() else {
+            return;
+        };
+        let batch = Box::new(Batch {
+            template,
+            members,
+            next: 0,
+            dir,
+        });
+        self.queue
+            .push_at_seq(first.at, first.seq, SimEvent::Batch(batch));
+    }
+
     /// Whether handling `msg` may start now on a worker. Only server → client
     /// traffic of the kinds that trigger real work (training, evaluation) is
-    /// worth speculating; the client must be present (not already
-    /// speculating) and its trainer snapshotable.
+    /// worth speculating, and only one speculation per client at a time.
     fn can_speculate(&self, from: ParticipantId, msg: &Message) -> bool {
         self.pool.is_some()
             && from == SERVER_ID
@@ -315,31 +949,25 @@ impl StandaloneRunner {
                 msg.kind,
                 MessageKind::ModelParams | MessageKind::EvalRequest | MessageKind::Finish
             )
-            && self.clients.contains_key(&msg.receiver)
             && !self.spec_by_client.contains_key(&msg.receiver)
     }
 
-    /// Moves the receiver into a worker job that snapshots it and runs the
-    /// handler at the (already known) delivery time, and queues a
-    /// [`SimEvent::SpecDeliver`] at the exact position the serial runner
-    /// would queue the delivery.
-    fn spawn_speculation(&mut self, deliver_at: VirtualTime, msg: Message) {
-        let receiver = msg.receiver;
-        let kind = msg.kind;
-        // `can_speculate` vetted presence and pool; degrade to the serial
-        // delivery path rather than crash if either invariant ever erodes
-        let Some(mut client) = self.clients.remove(&receiver) else {
-            self.queue.push(deliver_at, SimEvent::Deliver(msg));
-            return;
-        };
-        let spec_id = self.spec_seq;
-        self.spec_seq += 1;
-        let live = self.monitor.is_live();
+    /// Takes the receiver out of its store into a worker job that snapshots
+    /// it and runs the handler at the (already known) delivery time. Hands
+    /// the message back when the client is not there to take.
+    fn speculate(&mut self, deliver_at: VirtualTime, msg: Message) -> Result<SpecId, Message> {
         let Some(pool) = self.pool.as_ref() else {
-            self.clients.insert(receiver, client);
-            self.queue.push(deliver_at, SimEvent::Deliver(msg));
-            return;
+            return Err(msg);
         };
+        let Some(spec) = NonZeroU32::new(self.spec_seq.wrapping_add(1)) else {
+            return Err(msg);
+        };
+        let receiver = msg.receiver;
+        let Some(mut client) = self.clients.take(receiver) else {
+            return Err(msg);
+        };
+        self.spec_seq = spec.get();
+        let live = self.monitor.is_live();
         let handle = pool.spawn(move || {
             let Some(snapshot) = client.snapshot() else {
                 return SpecResult {
@@ -369,37 +997,26 @@ impl StandaloneRunner {
                 run: Some(SpecRun { snapshot, ctx, ops }),
             }
         });
-        self.pending.insert(spec_id, handle);
-        self.spec_by_client.insert(receiver, spec_id);
-        self.queue.push(
-            deliver_at,
-            SimEvent::SpecDeliver {
-                receiver,
-                kind,
-                spec_id,
-            },
-        );
+        self.pending.insert(spec, handle);
+        self.spec_by_client.insert(receiver, spec);
+        Ok(spec)
     }
 
     /// Recalls the outstanding speculation on `id`, if any: joins the job,
     /// rolls the client back to its pre-dispatch snapshot, and stashes the
-    /// message so the pending `SpecDeliver` entry dispatches it serially.
+    /// message so the pending delivery entry dispatches it serially.
     fn recall(&mut self, id: ParticipantId) {
-        let Some(spec_id) = self.spec_by_client.remove(&id) else {
+        let Some(spec) = self.spec_by_client.remove(&id) else {
             return;
         };
         // spec_by_client and pending move in lockstep; nothing to roll back
         // if the job is somehow already gone
-        let Some(handle) = self.pending.remove(&spec_id) else {
+        let Some(handle) = self.pending.remove(&spec) else {
             return;
         };
-        let res = handle.join();
-        let mut client = res.client;
-        if let Some(run) = res.run {
-            client.restore(run.snapshot);
-        }
-        self.clients.insert(id, client);
-        self.recalled.insert(spec_id, res.msg);
+        let (client, msg) = handle.join().rolled_back();
+        self.clients.put_back(client, &self.server);
+        self.recalled.insert(spec, msg);
     }
 
     /// Rolls back every outstanding speculation (used when the run stops
@@ -413,281 +1030,27 @@ impl StandaloneRunner {
         self.recalled.clear();
     }
 
-    /// The serial client-delivery path: crash draw, participation counter,
-    /// then dispatch. Recalls any outstanding speculation on the receiver
-    /// first — its prediction is invalidated by this earlier delivery.
-    fn deliver_client(&mut self, at: VirtualTime, msg: Message) {
-        if msg.kind == MessageKind::ModelParams
-            && self.fleet.crashes(msg.receiver, &mut self.crash_rng)
-        {
-            // device crash: the broadcast never reaches the client (and any
-            // speculation on it stays valid — the client handles nothing)
-            self.crashed_deliveries += 1;
-            self.monitor.add(counters::CRASHED_DELIVERIES, 1);
-            return;
-        }
-        if msg.kind == MessageKind::ModelParams {
-            self.monitor.add(counters::PARTICIPATION, 1);
-        }
-        self.recall(msg.receiver);
-        self.dispatch_client(at, &msg);
-    }
-
-    /// Runs a client handler inline on the simulation thread.
-    fn dispatch_client(&mut self, at: VirtualTime, msg: &Message) {
-        let id = msg.receiver;
-        if let Some(client) = self.clients.get_mut(&id) {
-            let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
-            self.monitor.enter(id, msg.kind.name(), "dispatch", at);
-            client.handle(msg, &mut ctx);
-            self.monitor.exit(id, at);
-            self.enqueue_intents(id, ctx);
-        }
-    }
-
-    /// Handles a [`SimEvent::SpecDeliver`] pop: adopt the precomputed
-    /// dispatch, or fall back to the serial path for recalled/ineligible
-    /// speculations, or roll back on a crash draw.
-    fn deliver_speculated(
-        &mut self,
-        at: VirtualTime,
-        receiver: ParticipantId,
-        kind: MessageKind,
-        spec_id: u64,
-    ) {
-        if let Some(msg) = self.recalled.remove(&spec_id) {
-            // recalled earlier by an out-of-order delivery: the client was
-            // already rolled back, dispatch serially at this (correct) point
-            self.deliver_client(at, msg);
-            return;
-        }
-        // every SpecDeliver entry is backed by a pending job until recalled,
-        // and the recalled case returned above — a missing job means the
-        // speculation was already resolved, so this entry is stale
-        let Some(handle) = self.pending.remove(&spec_id) else {
-            return;
-        };
-        self.spec_by_client.remove(&receiver);
-        if kind == MessageKind::ModelParams && self.fleet.crashes(receiver, &mut self.crash_rng) {
-            // the crash draw says this broadcast was lost: undo the
-            // speculative training
-            self.crashed_deliveries += 1;
-            self.monitor.add(counters::CRASHED_DELIVERIES, 1);
-            let res = handle.join();
-            let mut client = res.client;
-            if let Some(run) = res.run {
-                client.restore(run.snapshot);
-            }
-            self.clients.insert(receiver, client);
-            return;
-        }
-        if kind == MessageKind::ModelParams {
-            self.monitor.add(counters::PARTICIPATION, 1);
-        }
-        let res = handle.join();
-        match res.run {
-            Some(run) => {
-                // adopt: re-emit outputs and monitor records at exactly the
-                // serial program point
-                self.clients.insert(receiver, res.client);
-                self.monitor.enter(receiver, kind.name(), "dispatch", at);
-                BufferMonitor::replay_ops(&run.ops, &self.monitor);
-                self.monitor.exit(receiver, at);
-                self.enqueue_intents(receiver, run.ctx);
-            }
-            None => {
-                // trainer not snapshotable: run serially now
-                self.clients.insert(receiver, res.client);
-                self.dispatch_client(at, &res.msg);
-            }
-        }
-    }
-
-    /// The clients as a borrowed slice-of-refs, in id order — the shape the
-    /// verifier and the report builder both consume. Built in one place so
-    /// call sites stop collecting their own copies.
-    fn client_refs(&self) -> Vec<&Client> {
-        self.clients.values().collect()
-    }
-
-    /// Verifies the assembled course per the configured [`VerifyMode`].
-    /// Returns the report as an error under `Enforce` when it has Errors.
-    fn preflight(&self) -> Result<(), Box<VerifyReport>> {
-        let mode = self.server.state.cfg.verify;
-        if mode == VerifyMode::Skip {
-            return Ok(());
-        }
-        let clients = self.client_refs();
-        let report =
-            crate::verify::verify_assembled(&self.server, &clients, Some(&self.server.state.cfg));
-        let verbose = std::env::var_os("FS_VERIFY_LOG").is_some();
-        if verbose {
-            for line in crate::verify::effective_handler_log(&self.server, &clients) {
-                eprintln!("fs-verify: {line}");
-            }
-        }
-        if verbose || !report.is_clean() {
-            eprint!("{}", report.render_table());
-        }
-        if mode == VerifyMode::Enforce && report.has_errors() {
-            return Err(Box::new(report));
-        }
-        Ok(())
-    }
-
-    /// Runs the course to completion and returns the report, or the
-    /// verification report when the course fails static analysis under
-    /// [`VerifyMode::Enforce`].
-    pub fn try_run(&mut self) -> Result<CourseReport, Box<VerifyReport>> {
-        self.preflight()?;
-        Ok(self.run_unchecked())
-    }
-
-    /// Runs the course to completion (queue drained or event cap reached) and
-    /// returns the report.
-    ///
-    /// # Panics
-    /// Panics with the rendered diagnostic table when the course fails static
-    /// verification under [`VerifyMode::Enforce`]; use
-    /// [`StandaloneRunner::try_run`] to handle that case programmatically.
-    pub fn run(&mut self) -> CourseReport {
-        match self.try_run() {
-            Ok(report) => report,
-            // fsa::allow(FSA022, the doc-comment contract: run() panics on Enforce rejection, try_run is the recoverable path)
-            Err(verify) => panic!("course rejected by static verification:\n{verify}"),
-        }
-    }
-
-    fn run_unchecked(&mut self) -> CourseReport {
-        // counter adds from the event loop (delivery, participation, remedial
-        // and timer paths) go to a lock-free sharded bank and are folded into
-        // the monitor once at the flush below — commutative totals, so the
-        // deferred fold is observably identical
-        self.monitor = self.monitor.clone().sharded();
-        // the parallelism knob: 1 = serial (no pool, the exact old path),
-        // 0 = one worker per available core, n > 1 = n workers
-        let parallelism = self.server.state.cfg.parallelism;
-        if parallelism != 1 && self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(parallelism));
-        }
-        // kick off: every client asks to join at t = 0. The map is taken out
-        // for the sweep so each client is visited once by iteration instead
-        // of one O(log n) lookup per client (`enqueue_intents` only needs the
-        // map for speculation, which never applies to client-originated
-        // sends).
-        let mut clients = std::mem::take(&mut self.clients);
-        for (&id, client) in clients.iter_mut() {
-            let mut ctx = Ctx::with_monitor(VirtualTime::ZERO, self.monitor.clone());
-            self.monitor
-                .enter(id, "start", "dispatch", VirtualTime::ZERO);
-            client.start(&mut ctx);
-            self.monitor.exit(id, VirtualTime::ZERO);
-            self.enqueue_intents(id, ctx);
-        }
-        self.clients = clients;
-        let mut events = 0u64;
-        while let Some((at, ev)) = self.queue.pop() {
-            events += 1;
-            if events > self.max_events {
-                self.server.state.finish_reason =
-                    Some(format!("event cap {} reached", self.max_events));
-                break;
-            }
-            self.now = at;
-            match ev {
-                SimEvent::Deliver(msg) => {
-                    self.monitor.add(counters::MESSAGES_DELIVERED, 1);
-                    if msg.receiver == SERVER_ID {
-                        let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
-                        self.monitor
-                            .enter(SERVER_ID, msg.kind.name(), "dispatch", at);
-                        self.server.handle(&msg, &mut ctx);
-                        self.monitor.exit(SERVER_ID, at);
-                        self.enqueue_intents(SERVER_ID, ctx);
-                    } else {
-                        self.deliver_client(at, msg);
-                    }
-                }
-                SimEvent::SpecDeliver {
-                    receiver,
-                    kind,
-                    spec_id,
-                } => {
-                    self.monitor.add(counters::MESSAGES_DELIVERED, 1);
-                    self.deliver_speculated(at, receiver, kind, spec_id);
-                }
-                SimEvent::Timer {
-                    to,
-                    condition,
-                    round,
-                } => {
-                    if to == SERVER_ID {
-                        let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
-                        self.monitor.enter(SERVER_ID, "timer", "dispatch", at);
-                        self.server.handle_timer(condition, round, &mut ctx);
-                        self.monitor.exit(SERVER_ID, at);
-                        self.enqueue_intents(SERVER_ID, ctx);
-                    }
-                }
-            }
-        }
-        // undone speculations (possible only when the event cap broke the
-        // loop) must be rolled back so state matches the serial run
-        self.drain_speculations();
-        self.monitor.flush_counters();
-        self.report()
-    }
-
     /// Builds the course report from the current state.
     pub fn report(&self) -> CourseReport {
-        let clients = self.client_refs();
-        let effective_handlers = crate::verify::effective_handler_log(&self.server, &clients);
-        let mut registry_warnings: Vec<String> = self.server.warnings().to_vec();
-        let mut conformance_violations: Vec<String> = self.server.violations().to_vec();
-        for c in &clients {
-            for w in c.warnings() {
-                if !registry_warnings.contains(w) {
-                    registry_warnings.push(w.clone());
-                }
-            }
-            for v in c.violations() {
-                if !conformance_violations.contains(v) {
-                    conformance_violations.push(v.clone());
-                }
-            }
-        }
-        let s = &self.server.state;
-        CourseReport {
-            final_time_secs: self.now.as_secs(),
-            rounds: s.round,
-            history: s.history.clone(),
-            finish_reason: s
-                .finish_reason
-                .clone()
-                .unwrap_or_else(|| "queue drained".to_string()),
-            dropped_updates: s.ledger.dropped_updates,
-            stale_drops: s.ledger.stale_drops,
-            total_updates: s.ledger.total_updates,
-            crashed_deliveries: self.crashed_deliveries,
-            remedial_count: s.ledger.remedial_count,
-            uploaded_bytes: self.uploaded_bytes,
-            downloaded_bytes: self.downloaded_bytes,
-            effective_handlers,
-            registry_warnings,
-            conformance_violations,
-            dropouts: s.dropouts.clone(),
-            reconnects: s.reconnects,
-        }
+        let mut report = CourseReport::from_server(&self.server, &self.clients.groups());
+        self.clients.registry_output(&mut |warnings, violations| {
+            merge_unique(&mut report.registry_warnings, warnings);
+            merge_unique(&mut report.conformance_violations, violations);
+        });
+        report.final_time_secs = self.now.as_secs();
+        report.crashed_deliveries = self.crashed_deliveries;
+        report.uploaded_bytes = self.uploaded_bytes;
+        report.downloaded_bytes = self.downloaded_bytes;
+        report
     }
+}
 
-    /// First virtual time (seconds) at which global test accuracy reached
-    /// `target`, if it ever did.
-    pub fn time_to_accuracy(&self, target: f32) -> Option<f64> {
-        self.server
-            .state
-            .history
-            .iter()
-            .find(|r| r.metrics.accuracy >= target)
-            .map(|r| r.time_secs)
+/// Appends the lines of `from` not already in `into`, keeping first-seen
+/// order (how registry warnings and conformance violations are collected).
+pub fn merge_unique(into: &mut Vec<String>, from: &[String]) {
+    for line in from {
+        if !into.contains(line) {
+            into.push(line.clone());
+        }
     }
 }

@@ -189,7 +189,8 @@ impl ServerState {
     ///
     /// The payload is computed once (the per-version cache already made every
     /// copy identical) and handed to [`Ctx::broadcast`], which either expands
-    /// it per target (legacy runners) or records one cohort-granular batch.
+    /// it per target (the distributed runners) or records one cohort-granular
+    /// batch (the virtual-time loop).
     fn broadcast_to(&mut self, targets: &[ParticipantId], ctx: &mut Ctx) {
         if targets.is_empty() {
             return;

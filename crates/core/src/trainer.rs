@@ -84,10 +84,10 @@ pub trait Trainer: Send {
     }
 
     /// Downcasts this trainer into a [`LocalTrainer`] by value, consuming the
-    /// box. The lazy-materialization runner uses this to dismantle a client
-    /// when it goes dormant — recycling the model tensors through a pool and
-    /// keeping only the tiny resumable state (optimizer, RNG) — so only
-    /// `LocalTrainer`-backed clients can run under `execution: scale`.
+    /// box. The lazy client store uses this to dismantle a client when it
+    /// goes dormant — recycling the model tensors through a pool and keeping
+    /// only the tiny resumable state (optimizer, RNG) — so only
+    /// `LocalTrainer`-backed clients can live in it.
     ///
     /// The default returns `None` (not a `LocalTrainer`).
     fn into_local(self: Box<Self>) -> Option<LocalTrainer> {

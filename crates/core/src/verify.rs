@@ -6,21 +6,19 @@
 //! identical handler tables into one group, so a 10k-client course lowers to
 //! a couple of specs), gathers registry overwrite warnings, projects the
 //! config into [`fs_verify::ConfigFacts`], and hands the result to
-//! [`fs_verify::verify_course`]. Runners call [`verify_assembled`] before
-//! starting a course.
+//! [`fs_verify::verify_course`]. Every runner — virtual-time, bus, TCP, star
+//! or routed — calls [`preflight`] before starting a course.
 
 use crate::client::Client;
 use crate::config::FlConfig;
 use crate::server::Server;
 use fs_net::ParticipantId;
-use fs_verify::{CourseIr, HandlerSpec, ParticipantSpec, VerifyReport};
+use fs_verify::{CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyMode, VerifyReport};
 
 /// Lowers a course into the verifier's IR. `config` is optional so callers
 /// can verify a hand-assembled server/client set without a full `FlConfig`.
 pub fn course_ir(server: &Server, clients: &[&Client], config: Option<&FlConfig>) -> CourseIr {
-    let groups: Vec<(&Client, Vec<ParticipantId>)> =
-        clients.iter().map(|c| (*c, vec![c.state.id])).collect();
-    course_ir_grouped(server, &groups, config)
+    course_ir_grouped(server, &singleton_groups(clients.iter().copied()), config)
 }
 
 /// Lowers a course given as representative clients plus the id sets they
@@ -90,12 +88,56 @@ pub fn verify_assembled_grouped(
     fs_verify::verify_course(&course_ir_grouped(server, reps, config))
 }
 
+/// Verifies an assembled course per its configured [`VerifyMode`] before it
+/// starts: static analysis over `clients` (representatives plus the ids they
+/// stand for) merged with `extra` findings the caller already holds (a
+/// realized topology plan's). Prints the table when it has anything to say
+/// (always under `FS_VERIFY_LOG`), and returns the report as the error when
+/// `Enforce` meets an Error.
+pub fn preflight(
+    server: &Server,
+    clients: &[(&Client, Vec<ParticipantId>)],
+    extra: Vec<Diagnostic>,
+) -> Result<(), Box<VerifyReport>> {
+    let cfg = &server.state.cfg;
+    if cfg.verify == VerifyMode::Skip {
+        return Ok(());
+    }
+    let mut report = verify_assembled_grouped(server, clients, Some(cfg));
+    report.extend(extra);
+    if std::env::var_os("FS_VERIFY_LOG").is_some() {
+        for line in effective_handler_log_grouped(server, clients) {
+            eprintln!("fs-verify: {line}");
+        }
+    }
+    enforce(cfg.verify, report)
+}
+
+/// Applies `mode` to a finished report: prints the table when it has anything
+/// to say (always under `FS_VERIFY_LOG`) and returns the report as the error
+/// when `Enforce` meets an Error.
+pub fn enforce(mode: VerifyMode, report: VerifyReport) -> Result<(), Box<VerifyReport>> {
+    if std::env::var_os("FS_VERIFY_LOG").is_some() || !report.is_clean() {
+        eprint!("{}", report.render_table());
+    }
+    if mode == VerifyMode::Enforce && report.has_errors() {
+        return Err(Box::new(report));
+    }
+    Ok(())
+}
+
+/// One singleton group per client — the shape [`preflight`] and the grouped
+/// lowering take when every client is materialized.
+pub fn singleton_groups<'a>(
+    clients: impl IntoIterator<Item = &'a Client>,
+) -> Vec<(&'a Client, Vec<ParticipantId>)> {
+    clients.into_iter().map(|c| (c, vec![c.state.id])).collect()
+}
+
 /// The effective-handler log the paper prints: one line per participant
 /// group, `<event> -> <handler>` pairs in registration-table order.
 pub fn effective_handler_log(server: &Server, clients: &[&Client]) -> Vec<String> {
-    let groups: Vec<(&Client, Vec<ParticipantId>)> =
-        clients.iter().map(|c| (*c, vec![c.state.id])).collect();
-    effective_handler_log_grouped(server, &groups)
+    effective_handler_log_grouped(server, &singleton_groups(clients.iter().copied()))
 }
 
 /// [`effective_handler_log`] over representative clients (see

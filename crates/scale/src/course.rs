@@ -1,54 +1,35 @@
-//! Course assembly for the scale runner.
+//! Course assembly over the lazy client store.
 //!
-//! [`ScaleCourseBuilder`] mirrors `fs_core::CourseBuilder` decision for
-//! decision — same validation messages, same RNG draws in the same order,
-//! same sampler/evaluator/aggregator wiring — so a course built here is the
-//! *same course*, just executed by the lazy runner. The one structural
-//! difference: clients are described by a data *source* (a shared dataset or
-//! a closure from client index to split) instead of being constructed up
-//! front, which is what makes million-client courses representable at all.
-//!
-//! [`build_course`] dispatches on [`ExecutionMode`] so callers holding an
-//! ordinary [`FedDataset`] can switch runners with one config field.
+//! [`ScaleCourseBuilder`] is `fs_core`'s [`CourseWiring`] — the one
+//! validation and server/sampler/evaluator/aggregator wiring every course
+//! goes through — plus a data *source* in place of a materialized client set.
+//! Handing the builder a closure from client index to split (or a shared
+//! dataset to index into) is what selects the lazy store; nothing in
+//! `FlConfig` does. The course itself is the *same course*: same RNG draws in
+//! the same order, same server, run by the same loop.
 
-use crate::runner::{ClientFactory, ScaleRunner};
-use fs_core::aggregator::FedAvg;
-use fs_core::config::{AggregationRule, ExecutionMode, FlConfig, SamplerKind, SchedulerKind};
-use fs_core::course::{CourseBuilder, ModelFactory};
-use fs_core::eval::GlobalEvaluator;
+use crate::store::{ClientFactory, LazyStore};
+use fs_core::config::FlConfig;
+use fs_core::course::{CourseWiring, ModelFactory, Wired};
 use fs_core::sampler::Sampler;
-use fs_core::trainer::{pooled_test_set, share_all, ShareFilter, TrainConfig};
-use fs_core::{CourseReport, Server, StandaloneRunner};
+use fs_core::trainer::ShareFilter;
+use fs_core::Runner;
 use fs_data::{ClientSplit, FedDataset};
-use fs_monitor::MonitorHandle;
 use fs_sim::{Fleet, FleetConfig};
-use fs_verify::VerifyReport;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Where client splits come from.
-enum DataSource {
-    /// A fully materialized dataset (splits cloned per activation).
-    Dataset(Arc<FedDataset>),
+/// The virtual-time runner over lazily materialized clients.
+pub type ScaleRunner = Runner<LazyStore>;
+
+/// Assembles courses over the [`LazyStore`].
+pub struct ScaleCourseBuilder {
+    /// A fully materialized dataset to index into (splits cloned per
+    /// activation); also the centralized evaluator's test pool.
+    dataset: Option<Arc<FedDataset>>,
     /// A deterministic closure: client index → split. The only viable form
     /// at millions of clients — data exists only while its client is active.
-    Closure(Arc<dyn Fn(usize) -> ClientSplit + Send + Sync>),
-}
-
-/// Assembles courses for the [`ScaleRunner`].
-pub struct ScaleCourseBuilder {
-    source: DataSource,
-    num_clients: usize,
-    cfg: FlConfig,
-    fleet: Option<Fleet>,
-    fleet_cfg: FleetConfig,
-    model_factory: ModelFactory,
-    share: ShareFilter,
-    sampler_override: Option<Sampler>,
-    central_eval: bool,
-    eval_cap_per_client: usize,
-    detect_perf_drop: bool,
+    data: Arc<dyn Fn(usize) -> ClientSplit + Send + Sync>,
+    wiring: CourseWiring,
 }
 
 impl ScaleCourseBuilder {
@@ -59,290 +40,90 @@ impl ScaleCourseBuilder {
         model_factory: ModelFactory,
         cfg: FlConfig,
     ) -> Self {
-        let num_clients = dataset.num_clients();
-        let fleet_cfg = FleetConfig {
-            num_clients,
-            seed: cfg.seed ^ 0xf1ee,
-            ..Default::default()
-        };
+        let source = dataset.clone();
         Self {
-            source: DataSource::Dataset(dataset),
-            num_clients,
-            cfg,
-            fleet: None,
-            fleet_cfg,
-            model_factory,
-            share: share_all(),
-            sampler_override: None,
-            central_eval: true,
-            eval_cap_per_client: 20,
-            detect_perf_drop: false,
+            wiring: CourseWiring::new(dataset.num_clients(), model_factory, cfg),
+            dataset: Some(dataset),
+            data: Arc::new(move |i| source.clients[i].clone()),
         }
     }
 
     /// Starts a builder over `num_clients` splits produced on demand by
     /// `data`. No centralized evaluator (pooling a million test splits is
-    /// exactly the materialization this crate exists to avoid); the course
-    /// history stays empty unless one is impractical to want at this scale.
+    /// exactly the materialization this crate exists to avoid), so the
+    /// course history stays empty.
     pub fn synthetic(
         num_clients: usize,
         data: Arc<dyn Fn(usize) -> ClientSplit + Send + Sync>,
         model_factory: ModelFactory,
         cfg: FlConfig,
     ) -> Self {
-        let fleet_cfg = FleetConfig {
-            num_clients,
-            seed: cfg.seed ^ 0xf1ee,
-            ..Default::default()
-        };
         Self {
-            source: DataSource::Closure(data),
-            num_clients,
-            cfg,
-            fleet: None,
-            fleet_cfg,
-            model_factory,
-            share: share_all(),
-            sampler_override: None,
-            central_eval: false,
-            eval_cap_per_client: 20,
-            detect_perf_drop: false,
+            wiring: CourseWiring::new(num_clients, model_factory, cfg),
+            dataset: None,
+            data,
         }
     }
 
     /// Uses an explicit fleet instead of generating one.
     pub fn fleet(mut self, fleet: Fleet) -> Self {
-        self.fleet = Some(fleet);
+        self.wiring.fleet = Some(fleet);
         self
     }
 
     /// Adjusts the generated fleet's configuration.
     pub fn fleet_config(mut self, cfg: FleetConfig) -> Self {
-        self.fleet_cfg = cfg;
+        self.wiring.fleet_cfg = cfg;
         self
     }
 
     /// Sets the parameter-sharing filter (personalization / multi-goal).
     pub fn share_filter(mut self, share: ShareFilter) -> Self {
-        self.share = share;
+        self.wiring.share = share;
         self
     }
 
     /// Replaces the sampler derived from `cfg.sampler`.
     pub fn sampler(mut self, s: Sampler) -> Self {
-        self.sampler_override = Some(s);
+        self.wiring.sampler = Some(s);
         self
     }
 
     /// Disables the centralized evaluator.
     pub fn no_central_eval(mut self) -> Self {
-        self.central_eval = false;
+        self.wiring.central_eval = false;
         self
     }
 
     /// Enables client-side `performance_drop` detection.
     pub fn detect_perf_drop(mut self) -> Self {
-        self.detect_perf_drop = true;
+        self.wiring.detect_perf_drop = true;
         self
     }
 
-    // Same checks, same messages as `CourseBuilder::validate`.
-    fn validate(&self) {
-        let n = self.num_clients;
-        assert!(n > 0, "dataset has no clients");
-        assert!(
-            self.cfg.sample_target() <= n,
-            "sample target {} exceeds client count {n}",
-            self.cfg.sample_target()
-        );
-        match self.cfg.rule {
-            AggregationRule::GoalAchieved { goal } => {
-                assert!(goal >= 1, "aggregation goal must be >= 1");
-                assert!(
-                    goal <= self.cfg.sample_target(),
-                    "goal {goal} can never be reached with sample target {}",
-                    self.cfg.sample_target()
-                );
-            }
-            AggregationRule::TimeUp {
-                budget_secs,
-                min_feedback,
-            } => {
-                assert!(budget_secs > 0.0, "time budget must be positive");
-                assert!(
-                    min_feedback <= self.cfg.sample_target(),
-                    "min_feedback {min_feedback} exceeds sample target {}",
-                    self.cfg.sample_target()
-                );
-            }
-            AggregationRule::AllReceived => {}
-        }
-        match self.cfg.scheduler {
-            SchedulerKind::BufferedAsync { k, .. } => {
-                assert!(k >= 1, "buffer threshold k must be >= 1");
-            }
-            SchedulerKind::Tiered { tiers } => {
-                assert!(tiers >= 1, "tier count must be >= 1");
-            }
-            SchedulerKind::FromRule => {}
-        }
-    }
-
-    /// Builds the scale runner. Every RNG draw and derived quantity happens
-    /// in exactly the order `CourseBuilder::build` performs them.
+    /// Builds the runner over a lazy store of untouched clients.
     pub fn build(self) -> ScaleRunner {
-        self.validate();
-        let ScaleCourseBuilder {
-            source,
-            num_clients: n,
-            cfg,
+        let n = self.wiring.num_clients;
+        let Wired {
+            server,
             fleet,
-            fleet_cfg,
-            model_factory,
-            share,
-            sampler_override,
-            central_eval,
-            eval_cap_per_client,
-            detect_perf_drop,
-        } = self;
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let fleet = fleet.unwrap_or_else(|| Fleet::generate(&fleet_cfg));
-        if !cfg.scheduler_uses_timer() {
-            assert!(
-                fleet.profiles().iter().all(|p| p.crash_prob == 0.0),
-                "client crashes require a timer-armed scheduler (its remedial \
-                 measure re-arms the round); the other modes would deadlock"
-            );
-        }
-
-        // template model defines the initial global parameters
-        let template = model_factory(&mut rng);
-        let global = template.get_params().filter(|k| share(k));
-
-        let avg_examples = cfg.local_steps * cfg.batch_size;
-        let payload = match cfg.compression.build_download() {
-            Some(mut codec) => 1 + 8 + codec.compress(&global).encoded_len(),
-            None => 1 + 8 + fs_net::wire::params_wire_len(&global),
-        };
-        let sampler = if let Some(s) = sampler_override {
-            s
-        } else {
-            match cfg.sampler {
-                SamplerKind::Uniform => Sampler::Uniform,
-                SamplerKind::Responsiveness => Sampler::Responsiveness {
-                    speeds: fleet.response_speeds(avg_examples, payload),
-                },
-                SamplerKind::Group => {
-                    let groups = (0..fleet.num_groups())
-                        .map(|g| fleet.group_members(g))
-                        .collect();
-                    Sampler::group(groups)
-                }
-            }
-        };
-
-        let evaluator = if central_eval {
-            match &source {
-                DataSource::Dataset(ds) => {
-                    let (x, y) = pooled_test_set(ds, eval_cap_per_client);
-                    if y.is_empty() {
-                        None
-                    } else {
-                        Some(GlobalEvaluator::new(template.clone_model(), x, y))
-                    }
-                }
-                DataSource::Closure(_) => None,
-            }
-        } else {
-            None
-        };
-
-        let aggregator = Box::new(FedAvg::new(cfg.effective_staleness_discount()));
-        let server = Server::new(cfg.clone(), global, n, aggregator, sampler, evaluator);
-
-        let share_for_private = share.clone();
-        let template_private = template.get_params().filter(|k| !share_for_private(k));
-        let data: Arc<dyn Fn(usize) -> ClientSplit + Send + Sync> = match source {
-            DataSource::Dataset(ds) => Arc::new(move |i| ds.clients[i].clone()),
-            DataSource::Closure(f) => f,
-        };
+            blueprint,
+        } = self.wiring.wire(self.dataset.as_deref());
+        let share = &blueprint.share;
+        let template_private = blueprint.template.get_params().filter(|k| !share(k));
         let factory = ClientFactory {
-            template,
+            blueprint,
             template_private,
-            data,
-            train_cfg: TrainConfig {
-                local_steps: cfg.local_steps,
-                batch_size: cfg.batch_size,
-                sgd: cfg.sgd,
-            },
-            share,
-            compression: cfg.compression,
-            detect_perf_drop,
-            seed: cfg.seed,
+            data: self.data,
         };
-        ScaleRunner::new(server, factory, n, fleet, cfg.seed)
-    }
-}
-
-/// A runner built by [`build_course`] — whichever execution core the config
-/// selected.
-// one instance per course, so the variant-size asymmetry costs nothing
-#[allow(clippy::large_enum_variant)]
-pub enum CourseRunner {
-    /// The legacy fully-materialized runner (supports `parallelism > 1`,
-    /// custom trainers/aggregators, plug-ins).
-    Legacy(StandaloneRunner),
-    /// The lazy-materialization scale runner.
-    Scale(ScaleRunner),
-}
-
-impl CourseRunner {
-    /// Attaches an observability sink.
-    pub fn with_monitor(self, monitor: MonitorHandle) -> Self {
-        match self {
-            CourseRunner::Legacy(r) => CourseRunner::Legacy(r.with_monitor(monitor)),
-            CourseRunner::Scale(r) => CourseRunner::Scale(r.with_monitor(monitor)),
-        }
-    }
-
-    /// Runs the course to completion.
-    pub fn run(&mut self) -> CourseReport {
-        match self {
-            CourseRunner::Legacy(r) => r.run(),
-            CourseRunner::Scale(r) => r.run(),
-        }
-    }
-
-    /// Runs the course, surfacing static-verification rejection as an error.
-    pub fn try_run(&mut self) -> Result<CourseReport, Box<VerifyReport>> {
-        match self {
-            CourseRunner::Legacy(r) => r.try_run(),
-            CourseRunner::Scale(r) => r.try_run(),
-        }
-    }
-}
-
-/// Builds a course from a dataset, dispatching on `cfg.execution`: the
-/// legacy runner by default, the scale runner under
-/// [`ExecutionMode::Scale`]. Both paths produce bit-identical courses.
-pub fn build_course(
-    dataset: FedDataset,
-    model_factory: ModelFactory,
-    cfg: FlConfig,
-) -> CourseRunner {
-    match cfg.execution {
-        ExecutionMode::Legacy => {
-            CourseRunner::Legacy(CourseBuilder::new(dataset, model_factory, cfg).build())
-        }
-        ExecutionMode::Scale => CourseRunner::Scale(
-            ScaleCourseBuilder::from_dataset(Arc::new(dataset), model_factory, cfg).build(),
-        ),
+        Runner::new(server, LazyStore::new(factory, n), fleet)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fs_core::course::CourseBuilder;
     use fs_data::synth::{twitter_like, TwitterConfig};
     use fs_tensor::model::logistic_regression;
     use fs_tensor::optim::SgdConfig;
@@ -365,10 +146,10 @@ mod tests {
     }
 
     #[test]
-    fn scale_report_matches_legacy_report() {
+    fn lazy_report_matches_eager_report() {
         let d = data(8);
         let dim = d.input_dim();
-        let legacy = CourseBuilder::new(
+        let eager = CourseBuilder::new(
             d.clone(),
             Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
             base_cfg(),
@@ -382,26 +163,7 @@ mod tests {
         )
         .build()
         .run();
-        assert_eq!(legacy, scale);
-    }
-
-    #[test]
-    fn build_course_dispatches_on_execution_mode() {
-        let d = data(8);
-        let dim = d.input_dim();
-        let cfg = FlConfig {
-            execution: ExecutionMode::Scale,
-            ..base_cfg()
-        };
-        let mut runner = build_course(
-            d,
-            Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
-            cfg,
-        );
-        assert!(matches!(runner, CourseRunner::Scale(_)));
-        let report = runner.run();
-        assert_eq!(report.rounds, 4);
-        assert_eq!(report.history.len(), 4);
+        assert_eq!(eager, scale);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # fs-scale — million-client simulation core
 //!
-//! The legacy standalone runner materializes every client up front: a model,
+//! The eager client store materializes every client up front: a model,
 //! a dataset split, an optimizer, and a handler registry per client, held for
 //! the whole course. That caps simulations around the tens of thousands of
-//! clients. This crate rearchitects the standalone execution core around two
-//! observations about federated courses at scale:
+//! clients. Million-client courses rest on two observations about federated
+//! courses at scale:
 //!
 //! 1. **Almost every client is idle almost always.** Per round the server
 //!    samples a small cohort; the rest of the fleet does nothing. An idle
@@ -14,31 +14,30 @@
 //! 2. **Most events are cohort-shaped.** A broadcast to `m` clients is one
 //!    payload and `m` arrival times — not `m` owned messages.
 //!
-//! So: idle clients live as O(1) slots ([`runner::ScaleRunner`]'s slab of
-//! slot structs), the dispatched client is lazily materialized from a
-//! [`runner::ClientFactory`] (model tensors recycled through a pool), and
-//! the course is driven by a single indexed event heap
-//! ([`fs_sim::IndexedEventQueue`]) where a broadcast occupies one entry that
-//! is re-armed member by member. The result runs 1,000,000-client courses in
-//! a memory footprint the legacy runner would need for a few hundred, while
-//! producing **bit-identical** [`fs_core::CourseReport`]s (and monitor
-//! streams) on scales where both runners can run — the equivalence suite in
-//! `tests/scale_equivalence.rs` holds that line.
+//! The second observation is built into `fs_core`'s one virtual-time loop
+//! ([`fs_core::Runner`]): every course, eager or lazy, schedules a broadcast
+//! as one heap entry re-armed member by member. This crate supplies the
+//! first: [`store::LazyStore`], a [`fs_core::ClientStore`] in which idle
+//! clients are O(1) slots and the dispatched client is materialized from a
+//! [`store::ClientFactory`] (model tensors recycled through a pool). The
+//! result runs 1,000,000-client courses in a memory footprint an eager store
+//! would need for a few hundred, while producing **bit-identical**
+//! [`fs_core::CourseReport`]s (and monitor streams) on scales where both
+//! stores fit — the equivalence suite in `tests/scale_equivalence.rs` holds
+//! that line.
 //!
-//! Select it per course with `FlConfig { execution: ExecutionMode::Scale }`
-//! through [`course::build_course`], or construct a
-//! [`course::ScaleCourseBuilder`] directly (required for the closure-backed
-//! synthetic data sources that make million-client datasets feasible).
+//! There is no switch to flip: a course gets the lazy store by being
+//! assembled with [`course::ScaleCourseBuilder`], i.e. from a client-index
+//! closure (the only form a million-client dataset can take) or a shared
+//! dataset to index into.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod course;
-pub mod runner;
-pub mod slab;
+pub mod store;
 
-pub use course::{build_course, CourseRunner, ScaleCourseBuilder};
-pub use runner::{ClientFactory, ScaleRunner};
-pub use slab::Slab;
+pub use course::{ScaleCourseBuilder, ScaleRunner};
+pub use store::{ClientFactory, LazyStore};
 
 use fs_core::trainer::{LocalUpdate, Trainer};
 use fs_tensor::model::Metrics;

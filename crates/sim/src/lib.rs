@@ -12,13 +12,13 @@
 //!   bandwidth, and reliability drawn from heavy-tailed distributions (the
 //!   paper uses FedScale device traces; we substitute log-normal draws, which
 //!   reproduce the heterogeneity the async experiments exercise);
-//! * [`queue::EventQueue`] — the deterministic timestamp-ordered event queue
-//!   the standalone runner drains.
+//! * [`queue::IndexedEventQueue`] — the deterministic `(time, seq)`-ordered
+//!   event heap the virtual-time course loop drains.
 
 pub mod device;
 pub mod queue;
 pub mod time;
 
 pub use device::{DeviceProfile, Fleet, FleetConfig};
-pub use queue::{EventQueue, Handle, IndexedEventQueue};
+pub use queue::IndexedEventQueue;
 pub use time::VirtualTime;

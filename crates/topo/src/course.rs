@@ -1,13 +1,13 @@
 //! Topology-aware course assembly.
 //!
-//! `fs_core::CourseBuilder` assembles a star course; this module re-routes
-//! the assembled participants over whatever `FlConfig::topology` names. The
-//! star path hands back the untouched `StandaloneRunner` — zero behavioural
-//! delta for existing courses — while hierarchies and gossip courses get
-//! their dedicated runners.
+//! `fs_core::CourseBuilder` assembles the participants; this module routes
+//! them over whatever `FlConfig::topology` names. The star path hands back
+//! the untouched `StandaloneRunner`, a hierarchy is the same runner with a
+//! [`crate::router::TreeRouter`] installed, and a (serverless) gossip course
+//! gets its own round-synchronous runner.
 
 use crate::gossip::GossipRunner;
-use crate::runner::{TopoReport, TopoRunError, TopoRunner};
+use crate::router::{route, run_routed, TopoReport, TopoRunError, TopoRunner};
 use fs_core::runner::{CourseReport, StandaloneRunner};
 use fs_monitor::MonitorHandle;
 use fs_net::Topology;
@@ -16,7 +16,7 @@ use fs_net::Topology;
 pub enum TopoCourse {
     /// Plain star: the unchanged `fs-core` virtual-time runner.
     Star(Box<StandaloneRunner>),
-    /// Tree of edge aggregators.
+    /// The same runner, routed over a tree of edge aggregators.
     Hierarchical(Box<TopoRunner>),
     /// Serverless peer-to-peer averaging.
     Gossip(Box<GossipRunner>),
@@ -27,9 +27,7 @@ impl TopoCourse {
     pub fn assemble(runner: StandaloneRunner) -> Result<Self, TopoRunError> {
         match runner.server.state.cfg.topology {
             Topology::Star => Ok(TopoCourse::Star(Box::new(runner))),
-            Topology::Hierarchical { .. } => Ok(TopoCourse::Hierarchical(Box::new(
-                TopoRunner::from_standalone(runner)?,
-            ))),
+            Topology::Hierarchical { .. } => Ok(TopoCourse::Hierarchical(Box::new(route(runner)?))),
             Topology::Gossip { .. } => Ok(TopoCourse::Gossip(Box::new(
                 GossipRunner::from_standalone(runner)?,
             ))),
@@ -55,10 +53,7 @@ impl TopoCourse {
                 .try_run()
                 .map(|report| (report, None))
                 .map_err(TopoRunError::Verification),
-            TopoCourse::Hierarchical(r) => {
-                let report = r.run()?;
-                Ok((report, Some(r.topo_report())))
-            }
+            TopoCourse::Hierarchical(r) => run_routed(r).map(|(report, topo)| (report, Some(topo))),
             TopoCourse::Gossip(r) => {
                 let outcome = r.run()?;
                 Ok((outcome.report, Some(outcome.topo)))

@@ -1,6 +1,6 @@
 //! Distributed topology courses: the same shapes on real threads.
 //!
-//! The standalone [`crate::runner::TopoRunner`] charges virtual time and
+//! The standalone [`crate::router::TreeRouter`] charges virtual time and
 //! per-hop encoded bytes; this module re-routes the *distributed* runners
 //! (fs-core's threads-over-bus and threads-over-TCP) through the tree:
 //!
@@ -34,13 +34,14 @@
 //! [`ReconnectPolicy`]: fs_net::tcp::ReconnectPolicy
 //! [`Server::notify_rejoin`]: fs_core::server::Server::notify_rejoin
 
-use crate::runner::TopoRunError;
+use crate::router::{check_plan, TopoRunError};
 use crate::{bytes_down_counter, bytes_up_counter};
 use fs_compress::{decompress, Compressor};
 use fs_core::client::Client;
-use fs_core::config::DropoutPolicy;
 use fs_core::ctx::Ctx;
-use fs_core::distributed::{BusRunOptions, DistributedError, TcpRunOptions};
+use fs_core::distributed::{
+    apply_dropout, panic_detail, BusRunOptions, Completion, DistributedError, TcpRunOptions,
+};
 use fs_core::eval::EvalRecord;
 use fs_core::runner::{CourseReport, StandaloneRunner};
 use fs_core::server::Server;
@@ -52,7 +53,7 @@ use fs_net::tcp::{HubEvent, ReconnectPolicy, ResilientPeer, TcpError, TcpHub};
 use fs_net::wire::payload_wire_len;
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SendOutcome, TopologyPlan, SERVER_ID};
 use fs_sim::VirtualTime;
-use fs_verify::{verify_topology_plan, VerifyMode};
+use fs_verify::verify_topology_plan;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
@@ -123,16 +124,6 @@ struct WorkerExit {
     outcome: WorkerOutcome,
 }
 
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 fn fold_outcome<E: std::fmt::Display>(
     result: std::thread::Result<Result<WorkerOutcome, E>>,
 ) -> WorkerOutcome {
@@ -143,76 +134,18 @@ fn fold_outcome<E: std::fmt::Display>(
     }
 }
 
-/// Server-loop bookkeeping: which clients are gone for good, and whether the
-/// course can be declared complete (fs-core semantics).
-struct Completion {
-    finished: bool,
-    gone: BTreeSet<ParticipantId>,
-}
-
-impl Completion {
-    fn new() -> Self {
-        Self {
-            finished: false,
-            gone: BTreeSet::new(),
-        }
-    }
-
-    fn complete(&self, server: &Server) -> bool {
-        self.finished
-            && server
-                .state
-                .roster
-                .iter()
-                .all(|id| server.state.client_reports.contains_key(id) || self.gone.contains(id))
-    }
-}
-
-/// Applies the dropout policy for a dead client: `Ok(())` means the course
-/// continues with the survivors.
-fn apply_dropout(
-    server: &mut Server,
-    id: ParticipantId,
-    ctx: &mut Ctx,
-) -> Result<(), DistributedError> {
-    match server.state.cfg.dropout {
-        DropoutPolicy::Fail => Err(DistributedError::PeerDisconnected(id)),
-        DropoutPolicy::Survivors { min_survivors } => {
-            let survivors = if server.state.roster_index.contains(&id) {
-                server.state.roster.len() - 1
-            } else {
-                server.state.roster.len()
-            };
-            if survivors < min_survivors {
-                return Err(DistributedError::PeerDisconnected(id));
-            }
-            server.notify_dropout(id, ctx);
-            Ok(())
-        }
-    }
-}
-
-/// Static verification (assembled course + topology plan) per the configured
-/// [`VerifyMode`], before any thread is spawned.
-fn preflight(
-    server: &Server,
-    clients: &[Client],
-    plan: &TopologyPlan,
-) -> Result<(), DistributedError> {
-    let mode = server.state.cfg.verify;
-    if mode == VerifyMode::Skip {
-        return Ok(());
-    }
-    let refs: Vec<&Client> = clients.iter().collect();
-    let mut report = fs_core::verify_assembled(server, &refs, Some(&server.state.cfg));
-    report.extend(verify_topology_plan(plan).diagnostics);
-    if std::env::var_os("FS_VERIFY_LOG").is_some() || !report.is_clean() {
-        eprint!("{}", report.render_table());
-    }
-    if mode == VerifyMode::Enforce && report.has_errors() {
-        return Err(DistributedError::Verification(Box::new(report)));
-    }
-    Ok(())
+/// Realizes the configured topology and statically verifies the assembled
+/// course together with the plan, before any thread is spawned.
+fn verified_plan(server: &Server, clients: &[Client]) -> Result<TopologyPlan, TopoRunError> {
+    let cfg = &server.state.cfg;
+    let plan = TopologyPlan::build(cfg.topology, clients.len(), cfg.seed)?;
+    fs_core::preflight(
+        server,
+        &fs_core::verify::singleton_groups(clients),
+        verify_topology_plan(&plan).diagnostics,
+    )
+    .map_err(DistributedError::Verification)?;
+    Ok(plan)
 }
 
 // ---------------------------------------------------------------------------
@@ -238,9 +171,7 @@ pub fn run_hier_distributed_with(
     if server.state.cfg.scheduler_uses_timer() {
         return Err(DistributedError::UnsupportedRule("time_up").into());
     }
-    let cfg = &server.state.cfg;
-    let plan = TopologyPlan::build(cfg.topology, clients.len(), cfg.seed)?;
-    preflight(&server, &clients, &plan)?;
+    let plan = verified_plan(&server, &clients)?;
     if plan.edges.is_empty() {
         // a star in disguise: the flat runner already does everything
         return fs_core::distributed::run_distributed_with(server, clients, wall_budget, opts)
@@ -293,7 +224,7 @@ pub fn run_hier_distributed_with(
 
     // fsa::allow(FSA002, distributed runtime wall budget; real threads are not on the virtual clock)
     let deadline = Instant::now() + wall_budget;
-    let mut done = Completion::new();
+    let mut done = Completion::default();
     let mut finished_exits: BTreeSet<ParticipantId> = BTreeSet::new();
     let mut dead_edges: BTreeSet<ParticipantId> = BTreeSet::new();
     let mut lost_since: Option<Instant> = None;
@@ -660,9 +591,7 @@ pub fn run_hier_distributed_tcp_with(
     if server.state.cfg.scheduler_uses_timer() {
         return Err(DistributedError::UnsupportedRule("time_up").into());
     }
-    let cfg = &server.state.cfg;
-    let plan = TopologyPlan::build(cfg.topology, clients.len(), cfg.seed)?;
-    preflight(&server, &clients, &plan)?;
+    let plan = verified_plan(&server, &clients)?;
     if plan.edges.is_empty() {
         return fs_core::distributed::run_distributed_tcp_with(server, clients, wall_budget, opts)
             .map_err(Into::into);
@@ -744,7 +673,7 @@ pub fn run_hier_distributed_tcp_with(
             }
         };
 
-    let mut done = Completion::new();
+    let mut done = Completion::default();
     let mut dead_edges: BTreeSet<ParticipantId> = BTreeSet::new();
     // finished clients whose EOF beat their relayed report: the report is
     // normally still in flight through the edge, but a fault-injected
@@ -1394,22 +1323,11 @@ fn gossip_report(
         }
     }
     CourseReport {
-        final_time_secs: 0.0,
         rounds,
         history,
         finish_reason: "gossip rounds complete".to_string(),
-        dropped_updates: 0,
-        stale_drops: 0,
         total_updates: n as u64,
-        crashed_deliveries: 0,
-        remedial_count: 0,
-        uploaded_bytes: 0,
-        downloaded_bytes: 0,
-        effective_handlers: Vec::new(),
-        registry_warnings: Vec::new(),
-        conformance_violations: Vec::new(),
-        dropouts: Vec::new(),
-        reconnects: 0,
+        ..Default::default()
     }
 }
 
@@ -1429,15 +1347,7 @@ fn gossip_parts(runner: StandaloneRunner) -> Result<GossipParts, TopoRunError> {
     let clients = runner.clients;
     let cfg = server.state.cfg.clone();
     let plan = Arc::new(TopologyPlan::build(cfg.topology, clients.len(), cfg.seed)?);
-    if cfg.verify != VerifyMode::Skip {
-        let report = verify_topology_plan(&plan);
-        if !report.is_clean() {
-            eprint!("{}", report.render_table());
-        }
-        if cfg.verify == VerifyMode::Enforce && report.has_errors() {
-            return Err(TopoRunError::Verification(Box::new(report)));
-        }
-    }
+    check_plan(cfg.verify, &plan)?;
     let rounds = match cfg.topology {
         fs_net::Topology::Gossip { rounds, .. } if rounds > 0 => rounds as u64,
         _ => cfg.total_rounds,

@@ -21,7 +21,7 @@
 //! server-full runners emit.
 
 use crate::bytes_up_counter;
-use crate::runner::{TopoReport, TopoRunError};
+use crate::router::{check_plan, TopoReport, TopoRunError};
 use fs_compress::{decompress, Compressor};
 use fs_core::config::FlConfig;
 use fs_core::eval::{EvalRecord, GlobalEvaluator};
@@ -32,7 +32,6 @@ use fs_net::wire::payload_wire_len;
 use fs_net::{ParticipantId, Payload, TopologyPlan};
 use fs_sim::{Fleet, VirtualTime};
 use fs_tensor::ParamMap;
-use fs_verify::{verify_topology_plan, VerifyMode};
 use std::collections::BTreeMap;
 
 /// One gossip participant: its trainer, model, codec, and local clock.
@@ -129,15 +128,7 @@ impl GossipRunner {
 
     /// Runs the gossip course: train → exchange → merge, round-synchronous.
     pub fn run(&mut self) -> Result<GossipOutcome, TopoRunError> {
-        if self.cfg.verify != VerifyMode::Skip {
-            let report = verify_topology_plan(&self.plan);
-            if !report.is_clean() {
-                eprint!("{}", report.render_table());
-            }
-            if self.cfg.verify == VerifyMode::Enforce && report.has_errors() {
-                return Err(TopoRunError::Verification(Box::new(report)));
-            }
-        }
+        check_plan(self.cfg.verify, &self.plan)?;
         let mut history: Vec<EvalRecord> = Vec::new();
         let mut exchanges = 0u64;
         let mut uploaded_bytes = 0u64;
@@ -271,18 +262,9 @@ impl GossipRunner {
             rounds: self.rounds,
             history,
             finish_reason: "gossip rounds complete".to_string(),
-            dropped_updates: 0,
-            stale_drops: 0,
             total_updates: exchanges,
-            crashed_deliveries: 0,
-            remedial_count: 0,
             uploaded_bytes,
-            downloaded_bytes: 0,
-            effective_handlers: Vec::new(),
-            registry_warnings: Vec::new(),
-            conformance_violations: Vec::new(),
-            dropouts: Vec::new(),
-            reconnects: 0,
+            ..Default::default()
         };
         let topo = TopoReport {
             levels: 1,

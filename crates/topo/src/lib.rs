@@ -16,11 +16,12 @@
 //!   sample-weight-merges its subtree's updates into one
 //!   [`fs_net::Payload::PartialUpdate`] and re-encodes it with its own codec
 //!   instance, so compression is applied — and charged — *per hop*.
-//! * [`runner::TopoRunner`] — the virtual-time standalone simulation routed
-//!   over the tree. Leaf links (client ↔ device radio) are charged exactly as
-//!   the star runner charges them; backbone links (edge ↔ server datacenter
-//!   fabric) are zero-latency but their encoded bytes are metered per tier
-//!   ([`TIER_LEVELS`] counters + [`runner::TopoReport`]).
+//! * [`router::TreeRouter`] — the routing policy that turns `fs-core`'s one
+//!   virtual-time loop into a hierarchical simulation. Leaf links (client ↔
+//!   device radio) are charged by the loop exactly as in a star; backbone
+//!   links (edge ↔ server datacenter fabric) are zero-latency but their
+//!   encoded bytes are metered per tier ([`TIER_LEVELS`] counters +
+//!   [`router::TopoReport`]).
 //! * [`gossip::GossipRunner`] — serverless peer-to-peer averaging with
 //!   deterministic per-round neighbor sampling shared by every peer.
 //! * [`distributed`] — the same shapes on real threads over the in-process
@@ -37,7 +38,7 @@ pub mod course;
 pub mod distributed;
 pub mod edge;
 pub mod gossip;
-pub mod runner;
+pub mod router;
 
 pub use course::{run_course_auto, TopoCourse};
 pub use distributed::{
@@ -46,7 +47,7 @@ pub use distributed::{
 };
 pub use edge::{EdgeAction, EdgeAggregator, EdgeError, EdgeMerge};
 pub use gossip::{GossipOutcome, GossipRunner};
-pub use runner::{TopoReport, TopoRunError, TopoRunner};
+pub use router::{TopoReport, TopoRunError, TopoRunner, TreeRouter};
 
 /// Deepest tier that gets its own monitor counter; deeper links clamp here.
 pub const TIER_LEVELS: usize = 4;

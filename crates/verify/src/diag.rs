@@ -127,6 +127,9 @@ pub enum Code {
     /// history, which intermediate tiers do not hold — unsupported in
     /// hierarchical topologies.
     DeltaUploadUnsupportedInHier,
+    /// FSV057: the config names a non-star topology but the runner was
+    /// started without a router for it — it would silently run as a star.
+    TopologyUnrouted,
     /// FSV060: the buffered-async / tiered schedulers drive one central
     /// server loop and require the star topology (gossip has no server;
     /// hierarchical edges close rounds with `all_received` semantics).
@@ -184,6 +187,7 @@ impl Code {
             Code::TopologyRuleUnsupported => "FSV054",
             Code::GossipIgnoresStrategy => "FSV055",
             Code::DeltaUploadUnsupportedInHier => "FSV056",
+            Code::TopologyUnrouted => "FSV057",
             Code::SchedTopologyUnsupported => "FSV060",
             Code::SchedBufferInvalid => "FSV061",
             Code::SchedTiersInvalid => "FSV062",
@@ -217,6 +221,7 @@ impl Code {
             | Code::OrphanSubtree
             | Code::TierUnreachable
             | Code::DeltaUploadUnsupportedInHier
+            | Code::TopologyUnrouted
             | Code::SchedTopologyUnsupported
             | Code::SchedBufferInvalid
             | Code::SchedTiersInvalid => Severity::Error,
@@ -447,6 +452,7 @@ mod tests {
             Code::TopologyRuleUnsupported,
             Code::GossipIgnoresStrategy,
             Code::DeltaUploadUnsupportedInHier,
+            Code::TopologyUnrouted,
         ];
         let mut strs: Vec<&str> = all.iter().map(|c| c.as_str()).collect();
         strs.sort_unstable();

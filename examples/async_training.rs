@@ -62,15 +62,15 @@ fn main() {
 
     let mut sync_time = None;
     for (name, cfg) in strategies {
-        let mut runner = CourseBuilder::new(
+        let report = CourseBuilder::new(
             data.clone(),
             Box::new(|rng| Box::new(convnet2(1, 8, 32, 10, 0.0, rng))),
             cfg,
         )
         .fleet_config(fleet_cfg.clone())
-        .build();
-        runner.run();
-        match runner.time_to_accuracy(target) {
+        .build()
+        .run();
+        match report.time_to_accuracy(target) {
             Some(secs) => {
                 let speedup = sync_time.map(|s: f64| s / secs);
                 sync_time.get_or_insert(secs);

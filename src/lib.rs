@@ -18,8 +18,8 @@
 //!   `FSVnnn` diagnostics (§3.6, Appendix E)
 //! * [`core`] — the event-driven FL engine (workers, events, handlers,
 //!   aggregators, samplers, runners, completeness checking)
-//! * [`scale`] — million-client simulation core: lazy client state over an
-//!   indexed event-heap, bit-identical to the legacy runner
+//! * [`scale`] — million-client courses: a lazy client store for the one
+//!   virtual-time loop, bit-identical to the eager store
 //! * [`topo`] — communication topologies: hierarchical edge aggregation and
 //!   serverless gossip, standalone and distributed, with per-tier byte
 //!   metering

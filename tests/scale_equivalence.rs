@@ -1,7 +1,7 @@
-//! Equivalence suite for the fs-scale runner: the lazy, heap-indexed
-//! million-client core must produce a **bit-identical** [`CourseReport`] to
-//! the legacy standalone runner on every overlapping scale — same strategy,
-//! same codec, same fleet, same seed. The comparison goes beyond the report:
+//! Equivalence suite for the fs-scale lazy client store: a course run over
+//! it must produce a **bit-identical** [`CourseReport`] to the same course
+//! over the eager store on every overlapping scale — same strategy, same
+//! codec, same fleet, same seed. The comparison goes beyond the report:
 //! the fs-monitor streams (counters, round records, span sequences) must
 //! match event-for-event, and the monitor's byte counters must reconcile
 //! with the sim-charged totals in both runners.
@@ -11,6 +11,7 @@ use fedscope::core::config::{
 };
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::runner::CourseReport;
+use fedscope::core::{ClientStore, Router, Runner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::data::FedDataset;
 use fedscope::monitor::{counters, MonitorHandle, RecordingMonitor};
@@ -269,6 +270,102 @@ fn crash_faults_replay_identically() {
         "crash cell is vacuous: no deliveries crashed"
     );
     assert_equivalent("crash/plain", 100, cfg, Some(fleet_cfg));
+}
+
+/// Runs a course capped at `cap` events and reports what it left behind:
+/// the report plus every client's `rounds_trained`.
+fn run_capped<S: ClientStore, R: Router>(
+    runner: Runner<S, R>,
+    cap: u64,
+) -> (CourseReport, Vec<u64>) {
+    let mut runner = runner.with_max_events(cap);
+    let report = runner.run();
+    let trained = runner
+        .clients
+        .ids()
+        .into_iter()
+        .map(|id| {
+            let client = runner
+                .clients
+                .take(id)
+                .expect("every client is back in its store");
+            client.state.rounds_trained
+        })
+        .collect();
+    (report, trained)
+}
+
+#[test]
+fn event_cap_rolls_back_in_flight_speculation_on_both_stores() {
+    // at parallelism 4 every broadcast starts its whole cohort training at
+    // send time; a cap that breaks the loop between a broadcast and its
+    // deliveries leaves those speculations in flight, and they must be
+    // rolled back so the clients match a serial run that never got there
+    let n = 30;
+    let fleet_cfg = |cfg: &FlConfig| FleetConfig {
+        num_clients: n,
+        speed_sigma: 1.0,
+        seed: cfg.seed ^ 0xf1ee,
+        ..Default::default()
+    };
+    let factory = |dim: usize| -> fedscope::core::course::ModelFactory {
+        Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng)))
+    };
+    let eager = |parallelism: usize, cap: u64| {
+        let cfg = FlConfig {
+            parallelism,
+            ..base_cfg(4)
+        };
+        let data = dataset(n, 21);
+        let dim = data.input_dim();
+        let fleet = fleet_cfg(&cfg);
+        run_capped(
+            CourseBuilder::new(data, factory(dim), cfg)
+                .fleet_config(fleet)
+                .build(),
+            cap,
+        )
+    };
+    let lazy = |parallelism: usize, cap: u64| {
+        let cfg = FlConfig {
+            parallelism,
+            ..base_cfg(4)
+        };
+        let data = Arc::new(dataset(n, 21));
+        let dim = data.input_dim();
+        let fleet = fleet_cfg(&cfg);
+        run_capped(
+            ScaleCourseBuilder::from_dataset(data, factory(dim), cfg)
+                .fleet_config(fleet)
+                .build(),
+            cap,
+        )
+    };
+    let (uncapped, _) = eager(1, u64::MAX);
+    assert_eq!(uncapped.rounds, 4, "the uncapped course completes");
+    let mut saw_partial_round = false;
+    // caps from just after the join wave through the first rounds, so some
+    // land between a broadcast and its cohort's deliveries
+    for cap in (2 * n as u64..2 * n as u64 + 60).step_by(3) {
+        let serial = eager(1, cap);
+        assert_eq!(serial.0.finish_reason, format!("event cap {cap} reached"));
+        saw_partial_round |= serial.1.iter().any(|&t| t > 0) && serial.0.rounds < 4;
+        for (label, run) in [
+            ("eager/4", eager(4, cap)),
+            ("lazy/1", lazy(1, cap)),
+            ("lazy/4", lazy(4, cap)),
+        ] {
+            assert_eq!(serial.0, run.0, "{label}: report diverged at cap {cap}");
+            assert_eq!(
+                serial.1, run.1,
+                "{label}: per-client rounds_trained diverged at cap {cap}"
+            );
+        }
+    }
+    assert!(
+        saw_partial_round,
+        "no cap landed mid-course: test is vacuous"
+    );
 }
 
 proptest! {

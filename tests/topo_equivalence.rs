@@ -141,6 +141,34 @@ fn standalone_gossip_is_deterministic() {
     assert!(r1.uploaded_bytes > 0, "peers exchanged models");
 }
 
+#[test]
+fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
+    // regression: `CourseBuilder::new(.., hier/gossip cfg).build().run()` used
+    // to ignore the topology and quietly run a star
+    let gossip = Topology::Gossip {
+        degree: 2,
+        rounds: 0,
+    };
+    for topology in [HIER2, gossip] {
+        let mut runner = course(8, 41, topology);
+        // not a lint a verify mode can wave through
+        runner.server.state.cfg.verify = fedscope::verify::VerifyMode::Skip;
+        let refused = runner
+            .try_run()
+            .expect_err("an un-routed course must not run");
+        assert!(
+            refused
+                .diagnostics
+                .iter()
+                .any(|d| d.code.as_str() == "FSV057"),
+            "expected FSV057, got {refused}"
+        );
+        assert_eq!(runner.server.state.round, 0, "nothing ran");
+    }
+    let panicked = std::panic::catch_unwind(|| course(8, 41, HIER2).run());
+    assert!(panicked.is_err(), "run() panics with the diagnostic");
+}
+
 // ---------------------------------------------------------------------------
 // absolute pins (captured before the one-event-loop refactor)
 // ---------------------------------------------------------------------------
