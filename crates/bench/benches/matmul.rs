@@ -1,11 +1,10 @@
-//! Criterion: the blocked matmul kernels against the naive baseline.
-//!
-//! The acceptance bar for the kernel overhaul is >= 3x on the
-//! 128x256x128 product vs [`Tensor::matmul_naive`]; `exp_perf` re-measures
-//! the same shapes outside criterion and persists them in
-//! `BENCH_perf.json`.
+//! Criterion: the blocked matmul kernels against the naive baseline, on the
+//! shapes of [`fs_bench::MATMUL_SHAPES`] — the full-tile squares and the
+//! ragged products courses actually run; `exp_perf` re-measures the same
+//! list outside criterion and persists it in `BENCH_perf.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fs_bench::MATMUL_SHAPES;
 use fs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,25 +18,36 @@ fn bench_matmul(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let mut group = c.benchmark_group("matmul");
 
-    for &(m, k, n) in &[(64usize, 64usize, 64usize), (128, 256, 128)] {
+    for &(transposed_lhs, m, k, n) in &MATMUL_SHAPES {
         let a = random_matrix(m, k, &mut rng);
         let b = random_matrix(k, n, &mut rng);
+        let mut out = Tensor::zeros(&[m, n]);
+        if transposed_lhs {
+            let at = a.t(); // [k, m]: the gradient-of-weights layout
+            group.bench_function(&format!("naive_tn_{m}x{k}x{n}")[..], |bench| {
+                bench.iter(|| {
+                    std::hint::black_box(&at)
+                        .t()
+                        .matmul_naive(std::hint::black_box(&b))
+                })
+            });
+            group.bench_function(&format!("tn_acc_{m}x{k}x{n}")[..], |bench| {
+                bench.iter(|| {
+                    std::hint::black_box(&at).matmul_tn_acc(std::hint::black_box(&b), &mut out)
+                })
+            });
+            continue;
+        }
         group.bench_function(&format!("naive_{m}x{k}x{n}")[..], |bench| {
             bench.iter(|| std::hint::black_box(&a).matmul_naive(std::hint::black_box(&b)))
         });
         group.bench_function(&format!("blocked_{m}x{k}x{n}")[..], |bench| {
-            bench.iter(|| std::hint::black_box(&a).matmul(std::hint::black_box(&b)))
+            bench.iter(|| std::hint::black_box(&a).matmul_into(std::hint::black_box(&b), &mut out))
         });
         let bt = b.t(); // [n, k] layout for the transposed-RHS path
-        let mut out = Tensor::zeros(&[m, n]);
-        let mut scratch = Vec::new();
         group.bench_function(&format!("nt_into_{m}x{k}x{n}")[..], |bench| {
             bench.iter(|| {
-                std::hint::black_box(&a).matmul_nt_into(
-                    std::hint::black_box(&bt),
-                    &mut out,
-                    &mut scratch,
-                )
+                std::hint::black_box(&a).matmul_nt_into(std::hint::black_box(&bt), &mut out)
             })
         });
     }

@@ -109,19 +109,38 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// One row per shape of [`fs_bench::MATMUL_SHAPES`]; a transposed-lhs shape
+/// times `matmul_tn_acc` against transpose-then-naive.
 fn bench_matmul(quick: bool) -> Vec<MatmulRow> {
     let mut rng = StdRng::seed_from_u64(7);
     let reps = if quick { 5 } else { 20 };
     let mut rows = Vec::new();
-    for &(m, k, n) in &[(64usize, 64usize, 64usize), (128, 256, 128)] {
+    for &(transposed_lhs, m, k, n) in &fs_bench::MATMUL_SHAPES {
         let a = random_matrix(m, k, &mut rng);
+        let at = a.t();
         let b = random_matrix(k, n, &mut rng);
+        let mut out = Tensor::zeros(&[m, n]);
+        // small products finish in well under a microsecond: time a batch
+        let calls = (200_000 / (m * k * n)).max(1);
         let naive_ns = best_of(reps, || {
-            std::hint::black_box(std::hint::black_box(&a).matmul_naive(std::hint::black_box(&b)));
-        });
+            for _ in 0..calls {
+                let b = std::hint::black_box(&b);
+                std::hint::black_box(if transposed_lhs {
+                    std::hint::black_box(&at).t().matmul_naive(b)
+                } else {
+                    std::hint::black_box(&a).matmul_naive(b)
+                });
+            }
+        }) / calls as f64;
         let blocked_ns = best_of(reps, || {
-            std::hint::black_box(std::hint::black_box(&a).matmul(std::hint::black_box(&b)));
-        });
+            for _ in 0..calls {
+                if transposed_lhs {
+                    std::hint::black_box(&at).matmul_tn_acc(std::hint::black_box(&b), &mut out);
+                } else {
+                    std::hint::black_box(&a).matmul_into(std::hint::black_box(&b), &mut out);
+                }
+            }
+        }) / calls as f64;
         rows.push(MatmulRow {
             m,
             k,

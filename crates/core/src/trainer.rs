@@ -186,6 +186,9 @@ impl LocalTrainer {
     /// proximal anchor, returning the mean loss over steps.
     pub fn run_sgd(&mut self, steps: usize, anchor: Option<&ParamMap>) -> f32 {
         let mut total = 0.0f32;
+        // one gradient map for the whole pass: the model refreshes it in
+        // place, so from the second step on `loss_grad_into` allocates nothing
+        let mut grads = ParamMap::new();
         for _ in 0..steps {
             let batch = self
                 .data
@@ -194,7 +197,7 @@ impl LocalTrainer {
             if batch.is_empty() {
                 break;
             }
-            let (loss, grads) = self.model.loss_grad(&batch.x, &batch.y);
+            let loss = self.model.loss_grad_into(&batch.x, &batch.y, &mut grads);
             let mut params = self.model.get_params();
             self.opt.step(&mut params, &grads, anchor);
             self.model.set_params(&params);

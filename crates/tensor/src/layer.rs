@@ -1,7 +1,10 @@
 //! Neural-network layers with manual analytic gradients.
 //!
 //! Each layer caches whatever it needs during `forward` and consumes the cache
-//! in `backward`, accumulating parameter gradients internally. The layers here
+//! in `backward`, accumulating parameter gradients internally. The caches and
+//! every temporary of the layers a course trains (`Linear`, `Conv2d`, `Relu`,
+//! `MaxPool2d`, `Flatten`) come from the worker's [`scratch`] pool and go back
+//! to it, so a layer at rest holds parameters and gradients only. The layers here
 //! are exactly those needed by the paper's ModelZoo subset used in the
 //! evaluation: `Linear`, `Conv2d` (the "ConvNet2" building block), `Relu`,
 //! `MaxPool2d`, `Flatten`, `Dropout`, and `BatchNorm1d` (FedBN personalizes
@@ -10,9 +13,11 @@
 //! All gradients are checked against central finite differences in the crate's
 //! integration tests.
 
-use crate::{init, ParamMap, Tensor};
+use crate::tensor::kernels::{gemm, transpose, CONTINUE, OVERWRITE};
+use crate::{init, scratch, ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// A differentiable network layer.
 ///
@@ -27,6 +32,14 @@ pub trait Layer: Send {
     ///
     /// Must be called after a matching `forward` with `train = true`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] for a caller that has no use for the input
+    /// gradient (a model's first layer): parameter gradients accumulate
+    /// exactly as in `backward`, and layers whose input gradient is separate
+    /// work (`Linear`, `Conv2d`) skip it.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        scratch::give(self.backward(grad_out));
+    }
 
     /// Copies this layer's parameters into `out` under `prefix`.
     fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
@@ -66,9 +79,6 @@ pub struct Linear {
     gw: Tensor,
     gb: Tensor,
     x_cache: Option<Tensor>,
-    /// Reusable staging buffer for `W^T` (see [`Tensor::matmul_nt_into`]);
-    /// grows once, then every forward runs allocation-free inside the gemm.
-    wt_scratch: Vec<f32>,
 }
 
 impl Linear {
@@ -80,7 +90,6 @@ impl Linear {
             gw: Tensor::zeros(&[out_dim, in_dim]),
             gb: Tensor::zeros(&[out_dim]),
             x_cache: None,
-            wt_scratch: Vec::new(),
         }
     }
 
@@ -93,17 +102,33 @@ impl Linear {
     pub fn out_dim(&self) -> usize {
         self.w.shape()[0]
     }
+
+    /// `gw += grad_out^T x` and `gb += column sums`, consuming the cache.
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        let x = self
+            .x_cache
+            .take()
+            .expect("Linear::backward without forward(train)");
+        grad_out.matmul_tn_acc(&x, &mut self.gw);
+        scratch::give(x);
+        let gb = self.gb.data_mut();
+        for row in grad_out.data().chunks_exact(gb.len()) {
+            for (g, &v) in gb.iter_mut().zip(row) {
+                *g += v;
+            }
+        }
+    }
 }
 
 impl Layer for Linear {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 2, "Linear expects [B, in]");
         assert_eq!(x.cols(), self.in_dim(), "Linear input dim");
-        let mut y = Tensor::zeros(&[0]);
-        x.matmul_nt_into(&self.w, &mut y, &mut self.wt_scratch);
-        let out = self.b.data().len();
-        for row in y.data_mut().chunks_exact_mut(out) {
-            for (v, &bv) in row.iter_mut().zip(self.b.data()) {
+        let mut y = scratch::take(&[x.rows(), self.out_dim()]);
+        x.matmul_nt_into(&self.w, &mut y);
+        let bias = self.b.data();
+        for row in y.data_mut().chunks_exact_mut(bias.len()) {
+            for (v, &bv) in row.iter_mut().zip(bias) {
                 *v += bv;
             }
         }
@@ -114,19 +139,15 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .x_cache
-            .take()
-            .expect("Linear::backward without forward(train)");
-        // gw += grad_out^T x ; gb += column sums ; grad_in = grad_out W
-        grad_out.matmul_tn_acc(&x, &mut self.gw);
-        let out = grad_out.cols();
-        for row in grad_out.data().chunks_exact(out) {
-            for (g, &v) in self.gb.data_mut().iter_mut().zip(row) {
-                *g += v;
-            }
-        }
-        grad_out.matmul(&self.w)
+        self.accumulate_grads(grad_out);
+        // grad_in = grad_out W
+        let mut grad_in = scratch::take(&[grad_out.rows(), self.in_dim()]);
+        grad_out.matmul_into(&self.w, &mut grad_in);
+        grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.accumulate_grads(grad_out);
     }
 
     fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
@@ -135,8 +156,8 @@ impl Layer for Linear {
     }
 
     fn collect_grads(&self, prefix: &str, out: &mut ParamMap) {
-        out.insert(format!("{prefix}.weight"), self.gw.clone());
-        out.insert(format!("{prefix}.bias"), self.gb.clone());
+        out.store(prefix, "weight", &self.gw);
+        out.store(prefix, "bias", &self.gb);
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
@@ -151,8 +172,8 @@ impl Layer for Linear {
     }
 
     fn zero_grad(&mut self) {
-        self.gw = self.gw.zeros_like();
-        self.gb = self.gb.zeros_like();
+        self.gw.fill(0.0);
+        self.gb.fill(0.0);
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -162,7 +183,6 @@ impl Layer for Linear {
             gw: self.gw.clone(),
             gb: self.gb.clone(),
             x_cache: None,
-            wt_scratch: Vec::new(),
         })
     }
 }
@@ -170,7 +190,9 @@ impl Layer for Linear {
 /// Rectified linear unit, applied elementwise.
 #[derive(Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// The output of the last training forward: `y > 0` exactly where the
+    /// input was, so it doubles as the gradient mask.
+    out: Option<Tensor>,
 }
 
 impl Relu {
@@ -182,24 +204,32 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        if train {
-            self.mask = Some(x.data().iter().map(|&v| v > 0.0).collect());
+        let mut y = scratch::take(x.shape());
+        for (o, &v) in y.data_mut().iter_mut().zip(x.data()) {
+            *o = v.max(0.0);
         }
-        x.map(|v| v.max(0.0))
+        if train {
+            self.out = Some(y.clone());
+        }
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mask = self
-            .mask
+        let y = self
+            .out
             .take()
             .expect("Relu::backward without forward(train)");
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(mask)
-            .map(|(&g, m)| if m { g } else { 0.0 })
-            .collect();
-        Tensor::from_vec(grad_out.shape().to_vec(), data)
+        let mut grad_in = scratch::take(grad_out.shape());
+        for ((o, &g), &v) in grad_in
+            .data_mut()
+            .iter_mut()
+            .zip(grad_out.data())
+            .zip(y.data())
+        {
+            *o = if v > 0.0 { g } else { 0.0 };
+        }
+        scratch::give(y);
+        grad_in
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -367,7 +397,8 @@ impl Layer for AvgPool2d {
 /// Flattens `[B, ...]` to `[B, prod(...)]`.
 #[derive(Default)]
 pub struct Flatten {
-    in_shape: Option<Vec<usize>>,
+    /// The training input, kept for its shape (a storage-sharing clone).
+    input: Option<Tensor>,
 }
 
 impl Flatten {
@@ -382,17 +413,19 @@ impl Layer for Flatten {
         let b = x.shape()[0];
         let rest: usize = x.shape()[1..].iter().product();
         if train {
-            self.in_shape = Some(x.shape().to_vec());
+            self.input = Some(x.clone());
         }
         x.reshape(&[b, rest])
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .in_shape
+        let x = self
+            .input
             .take()
             .expect("Flatten::backward without forward(train)");
-        grad_out.reshape(&shape)
+        let grad_in = grad_out.reshape(x.shape());
+        scratch::give(x);
+        grad_in
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -405,7 +438,7 @@ impl Layer for Flatten {
 pub struct Dropout {
     p: f32,
     rng: StdRng,
-    mask: Option<Vec<f32>>,
+    mask: Option<Tensor>,
 }
 
 impl Dropout {
@@ -429,33 +462,37 @@ impl Layer for Dropout {
             return x.clone();
         }
         let keep = 1.0 - self.p;
-        let mask: Vec<f32> = (0..x.numel())
-            .map(|_| {
-                if self.rng.gen::<f32>() < self.p {
-                    0.0
-                } else {
-                    1.0 / keep
-                }
-            })
-            .collect();
-        let data = x.data().iter().zip(&mask).map(|(&v, &m)| v * m).collect();
+        let mut mask = scratch::take(x.shape());
+        for m in mask.data_mut() {
+            *m = if self.rng.gen::<f32>() < self.p {
+                0.0
+            } else {
+                1.0 / keep
+            };
+        }
+        let mut y = scratch::take(x.shape());
+        for ((o, &v), &m) in y.data_mut().iter_mut().zip(x.data()).zip(mask.data()) {
+            *o = v * m;
+        }
         self.mask = Some(mask);
-        Tensor::from_vec(x.shape().to_vec(), data)
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match self.mask.take() {
-            Some(mask) => {
-                let data = grad_out
-                    .data()
-                    .iter()
-                    .zip(&mask)
-                    .map(|(&g, &m)| g * m)
-                    .collect();
-                Tensor::from_vec(grad_out.shape().to_vec(), data)
-            }
-            None => grad_out.clone(),
+        let Some(mask) = self.mask.take() else {
+            return grad_out.clone();
+        };
+        let mut grad_in = scratch::take(grad_out.shape());
+        for ((o, &g), &m) in grad_in
+            .data_mut()
+            .iter_mut()
+            .zip(grad_out.data())
+            .zip(mask.data())
+        {
+            *o = g * m;
         }
+        scratch::give(mask);
+        grad_in
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -620,8 +657,8 @@ impl Layer for BatchNorm1d {
     }
 
     fn zero_grad(&mut self) {
-        self.g_gamma = self.g_gamma.zeros_like();
-        self.g_beta = self.g_beta.zeros_like();
+        self.g_gamma.fill(0.0);
+        self.g_beta.fill(0.0);
     }
 
     fn buffer_names(&self) -> Vec<&'static str> {
@@ -643,9 +680,140 @@ impl Layer for BatchNorm1d {
     }
 }
 
-/// 2-D convolution over `[B, C, H, W]` inputs, implemented with im2col.
+/// The geometry of one convolution call: everything the lowering needs.
+///
+/// The lowering works on a zero-bordered copy of the image, `[C, H + 2·pad,
+/// W + 2·pad]`, so every tap of every output position reads (or, folding
+/// back, writes) a real cell and the row loops have no edge cases.
+#[derive(Clone, Copy)]
+struct ConvGeom {
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    pad: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// Runs `$body` with `$ow` bound to the output width as a compile-time
+/// constant for the widths small images have (a row copy or add is then a
+/// vector move, not a `memcpy` call per four floats), else as the runtime
+/// value — the same loop either way.
+macro_rules! with_const_width {
+    ($width:expr, |$ow:ident| $body:expr) => {
+        match $width {
+            4 => {
+                let $ow = 4;
+                $body
+            }
+            8 => {
+                let $ow = 8;
+                $body
+            }
+            $ow => $body,
+        }
+    };
+}
+
+impl ConvGeom {
+    /// Elements of the zero-bordered image.
+    fn padded_len(&self) -> usize {
+        self.c * (self.h + 2 * self.pad) * (self.w + 2 * self.pad)
+    }
+
+    /// Copies one `[C, H, W]` image into the interior of `xp`, whose border
+    /// the caller has zeroed.
+    fn pad_image(&self, img: &[f32], xp: &mut [f32]) {
+        let (hp, wp) = (self.h + 2 * self.pad, self.w + 2 * self.pad);
+        with_const_width!(self.w, |w| {
+            for (plane, padded) in img
+                .chunks_exact(self.h * w)
+                .zip(xp.chunks_exact_mut(hp * wp))
+            {
+                let interior = padded[self.pad * wp..].chunks_exact_mut(wp);
+                for (row, padded_row) in plane.chunks_exact(w).zip(interior) {
+                    padded_row[self.pad..self.pad + w].copy_from_slice(row);
+                }
+            }
+        })
+    }
+
+    /// Unfolds the zero-bordered image `xp` into `cols [C·K·K, OH·OW]`,
+    /// writing every element.
+    fn im2col(&self, xp: &[f32], cols: &mut [f32]) {
+        let ConvGeom { c, k, oh, .. } = *self;
+        let (hp, wp) = (self.h + 2 * self.pad, self.w + 2 * self.pad);
+        with_const_width!(self.ow, |ow| {
+            let mut rows = cols.chunks_exact_mut(ow);
+            for ci in 0..c {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        for oy in 0..oh {
+                            let at = (ci * hp + oy + ky) * wp + kx;
+                            let row = rows.next().expect("cols holds C*K*K*OH rows");
+                            row.copy_from_slice(&xp[at..at + ow]);
+                        }
+                    }
+                }
+            }
+        })
+    }
+
+    /// Folds `gcols [C·K·K, OH·OW]` back onto one `[C, H, W]` image,
+    /// overwriting it; `gp` is a zero-bordered image's worth of scratch.
+    ///
+    /// An input pixel receives one contribution per tap; they must be added
+    /// in increasing `(oy, ox)`. With `oy = iy - ky + pad` that is
+    /// *descending* `(ky, kx)`, which is how the taps are walked here — an
+    /// ascending walk would silently change the sums.
+    fn col2im(&self, gcols: &[f32], gp: &mut [f32], img: &mut [f32]) {
+        let ConvGeom { c, k, oh, .. } = *self;
+        let (hp, wp) = (self.h + 2 * self.pad, self.w + 2 * self.pad);
+        gp.fill(0.0);
+        with_const_width!(self.ow, |ow| {
+            for ci in 0..c {
+                for ky in (0..k).rev() {
+                    for kx in (0..k).rev() {
+                        let f = (ci * k + ky) * k + kx;
+                        for oy in 0..oh {
+                            let at = (ci * hp + oy + ky) * wp + kx;
+                            let src = &gcols[(f * oh + oy) * ow..(f * oh + oy + 1) * ow];
+                            for (d, &g) in gp[at..at + ow].iter_mut().zip(src) {
+                                *d += g;
+                            }
+                        }
+                    }
+                }
+            }
+        });
+        // what landed on the border belongs to no pixel
+        with_const_width!(self.w, |w| {
+            for (plane, padded) in img
+                .chunks_exact_mut(self.h * w)
+                .zip(gp.chunks_exact(hp * wp))
+            {
+                let interior = padded[self.pad * wp..].chunks_exact(wp);
+                for (row, padded_row) in plane.chunks_exact_mut(w).zip(interior) {
+                    row.copy_from_slice(&padded_row[self.pad..self.pad + w]);
+                }
+            }
+        })
+    }
+}
+
+/// 2-D convolution over `[B, C, H, W]` inputs.
 ///
 /// Stride is fixed at 1; `pad` zero-pads symmetrically.
+///
+/// One lowering serves every pass: an image is unfolded to the
+/// feature-major matrix `cols[f, p]` (`f = (ci, ky, kx)`, `p = (oy, ox)`),
+/// `[C·K·K, OH·OW]`, in a scratch tile that is refilled per image. Forward
+/// is `W [OC, C·K·K] x cols`, which *is* the image's `[OC, OH, OW]` block of
+/// the NCHW output; the weight gradient is `cols x g^T` with the `k` chain
+/// running on across images; the input gradient is `W^T x g` folded back by
+/// [`ConvGeom::col2im`]. The accumulation orders these fix are part of the
+/// determinism contract (DESIGN.md, "training step").
 pub struct Conv2d {
     in_ch: usize,
     out_ch: usize,
@@ -656,24 +824,9 @@ pub struct Conv2d {
     b: Tensor,
     gw: Tensor,
     gb: Tensor,
-    cache: Option<ConvCache>,
-    /// Recycled im2col allocation: `backward` returns the cache's `cols`
-    /// tensor here so the next `forward` refills it in place instead of
-    /// allocating the (large) lowering matrix every step.
-    cols_spare: Option<Tensor>,
-    /// Reusable staging buffer for `W^T` in the forward gemm.
-    wt_scratch: Vec<f32>,
-    /// Reusable gemm output `[B*OH*OW, out_ch]` (forward).
-    y_scratch: Tensor,
-    /// Reusable reordered gradient `[B*OH*OW, out_ch]` (backward).
-    gmat_scratch: Tensor,
-    /// Reusable column gradient `[B*OH*OW, in_ch*k*k]` (backward).
-    gcols_scratch: Tensor,
-}
-
-struct ConvCache {
-    cols: Tensor,
-    in_shape: Vec<usize>,
+    /// The training input (a storage-sharing clone); `backward` lowers it
+    /// again image by image instead of keeping the whole batch unfolded.
+    x_cache: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -690,12 +843,7 @@ impl Conv2d {
             b: Tensor::zeros(&[out_ch]),
             gw: Tensor::zeros(&[out_ch, fan_in]),
             gb: Tensor::zeros(&[out_ch]),
-            cache: None,
-            cols_spare: None,
-            wt_scratch: Vec::new(),
-            y_scratch: Tensor::zeros(&[0]),
-            gmat_scratch: Tensor::zeros(&[0]),
-            gcols_scratch: Tensor::zeros(&[0]),
+            x_cache: None,
         }
     }
 
@@ -717,73 +865,82 @@ impl Conv2d {
         (h + 2 * self.pad + 1 - self.k, w + 2 * self.pad + 1 - self.k)
     }
 
-    /// Lowers `[B, C, H, W]` into the im2col matrix `[B*OH*OW, C*K*K]`,
-    /// refilling `cols` in place (its allocation is reused across steps).
-    fn im2col_into(&self, x: &Tensor, cols: &mut Tensor) {
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    fn geom(&self, h: usize, w: usize) -> ConvGeom {
         let (oh, ow) = self.out_hw(h, w);
-        let kk = self.k;
-        let pad = self.pad as isize;
-        let cols_w = c * kk * kk;
-        cols.reset_to(&[b * oh * ow, cols_w]);
-        let cd = cols.data_mut();
-        cd.fill(0.0);
-        let xd = x.data();
-        for bi in 0..b {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((bi * oh + oy) * ow + ox) * cols_w;
-                    for ci in 0..c {
-                        for ky in 0..kk {
-                            let iy = oy as isize + ky as isize - pad;
-                            for kx in 0..kk {
-                                let ix = ox as isize + kx as isize - pad;
-                                let dst = row + (ci * kk + ky) * kk + kx;
-                                if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                                    cd[dst] =
-                                        xd[((bi * c + ci) * h + iy as usize) * w + ix as usize];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        ConvGeom {
+            c: self.in_ch,
+            h,
+            w,
+            k: self.k,
+            pad: self.pad,
+            oh,
+            ow,
         }
     }
 
-    /// Scatters the im2col-shaped gradient back to `[B, C, H, W]`.
-    fn col2im(&self, gcols: &Tensor, in_shape: &[usize]) -> Tensor {
-        let (b, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let kk = self.k;
-        let pad = self.pad as isize;
-        let cols_w = c * kk * kk;
-        let mut out = vec![0.0f32; b * c * h * w];
-        let gd = gcols.data();
-        for bi in 0..b {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((bi * oh + oy) * ow + ox) * cols_w;
-                    for ci in 0..c {
-                        for ky in 0..kk {
-                            let iy = oy as isize + ky as isize - pad;
-                            if iy < 0 || iy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..kk {
-                                let ix = ox as isize + kx as isize - pad;
-                                if ix < 0 || ix >= w as isize {
-                                    continue;
-                                }
-                                let src = row + (ci * kk + ky) * kk + kx;
-                                out[((bi * c + ci) * h + iy as usize) * w + ix as usize] += gd[src];
-                            }
-                        }
-                    }
+    /// Shared backward pass; the input gradient (one more product and the
+    /// fold per image) is computed only when `want_input`.
+    fn backprop(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
+        let x = self
+            .x_cache
+            .take()
+            .expect("Conv2d::backward without forward(train)");
+        let (bsz, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let geom = self.geom(h, w);
+        let (oc, fan_in, p) = (self.out_ch, c * self.k * self.k, geom.oh * geom.ow);
+        assert_eq!(
+            grad_out.shape(),
+            &[bsz, oc, geom.oh, geom.ow],
+            "Conv2d grad shape"
+        );
+        let mut cols = scratch::take(&[fan_in, p]);
+        let mut gt = scratch::take(&[p, oc]);
+        // gw^T as one chain per element over every (b, oy, ox), from +0.0
+        let mut gwt = scratch::take(&[fan_in, oc]);
+        gwt.fill(0.0);
+        let mut xp = scratch::take(&[geom.padded_len()]);
+        xp.fill(0.0);
+        // the input gradient and the two tiles only its fold needs
+        let mut input_side = want_input.then(|| {
+            let grad_in = scratch::take(x.shape());
+            let gcols = scratch::take(&[fan_in, p]);
+            let gp = scratch::take(&[geom.padded_len()]);
+            (grad_in, gcols, gp)
+        });
+        let gb = self.gb.data_mut();
+        for bi in 0..bsz {
+            let g = &grad_out.data()[bi * oc * p..(bi + 1) * oc * p];
+            // g^T [P, OC]: the rhs of the weight-gradient product
+            transpose(g, oc, p, gt.data_mut());
+            for row in gt.data().chunks_exact(oc) {
+                for (gbv, &v) in gb.iter_mut().zip(row) {
+                    *gbv += v;
                 }
             }
+            let img = bi * c * h * w..(bi + 1) * c * h * w;
+            geom.pad_image(&x.data()[img.clone()], xp.data_mut());
+            geom.im2col(xp.data(), cols.data_mut());
+            gemm::<false, CONTINUE>(cols.data(), gt.data(), gwt.data_mut(), fan_in, p, oc);
+            if let Some((grad_in, gcols, gp)) = input_side.as_mut() {
+                // gcols [F, P] = W^T g, each element over increasing oc
+                gemm::<true, OVERWRITE>(self.w.data(), g, gcols.data_mut(), fan_in, oc, p);
+                geom.col2im(gcols.data(), gp.data_mut(), &mut grad_in.data_mut()[img]);
+            }
         }
-        Tensor::from_vec(in_shape.to_vec(), out)
+        // the finished chains are added to the gradient once
+        for (o, gw_row) in self.gw.data_mut().chunks_exact_mut(fan_in).enumerate() {
+            for (f, gv) in gw_row.iter_mut().enumerate() {
+                *gv += gwt.data()[f * oc + o];
+            }
+        }
+        for t in [x, cols, gt, gwt, xp] {
+            scratch::give(t);
+        }
+        input_side.map(|(grad_in, gcols, gp)| {
+            scratch::give(gcols);
+            scratch::give(gp);
+            grad_in
+        })
     }
 }
 
@@ -791,85 +948,43 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 4, "Conv2d expects [B, C, H, W]");
         assert_eq!(x.shape()[1], self.in_ch, "Conv2d input channels");
-        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let mut cols = self
-            .cols_spare
-            .take()
-            .unwrap_or_else(|| Tensor::zeros(&[0]));
-        self.im2col_into(x, &mut cols);
-        // [B*OH*OW, fan_in] x [fan_in, out_ch] -> [B*OH*OW, out_ch]
-        cols.matmul_nt_into(&self.w, &mut self.y_scratch, &mut self.wt_scratch);
-        for row in self.y_scratch.data_mut().chunks_exact_mut(self.out_ch) {
-            for (v, &bv) in row.iter_mut().zip(self.b.data()) {
-                *v += bv;
-            }
-        }
-        if train {
-            self.cache = Some(ConvCache {
-                cols,
-                in_shape: x.shape().to_vec(),
-            });
-        } else {
-            self.cols_spare = Some(cols);
-        }
-        // reorder [B*OH*OW, OC] -> [B, OC, OH, OW]
-        let mut out = vec![0.0f32; b * self.out_ch * oh * ow];
-        let yd = self.y_scratch.data();
-        for bi in 0..b {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = (bi * oh + oy) * ow + ox;
-                    for oc in 0..self.out_ch {
-                        out[((bi * self.out_ch + oc) * oh + oy) * ow + ox] =
-                            yd[row * self.out_ch + oc];
-                    }
+        let (bsz, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let geom = self.geom(h, w);
+        let (oc, fan_in, p) = (self.out_ch, c * self.k * self.k, geom.oh * geom.ow);
+        let mut y = scratch::take(&[bsz, oc, geom.oh, geom.ow]);
+        let mut cols = scratch::take(&[fan_in, p]);
+        let mut xp = scratch::take(&[geom.padded_len()]);
+        xp.fill(0.0);
+        for (img, y_img) in x
+            .data()
+            .chunks_exact(c * h * w)
+            .zip(y.data_mut().chunks_exact_mut(oc * p))
+        {
+            geom.pad_image(img, xp.data_mut());
+            geom.im2col(xp.data(), cols.data_mut());
+            // y[oc, p] = sum over increasing f of w[oc, f] * cols[f, p], + bias
+            gemm::<false, OVERWRITE>(self.w.data(), cols.data(), y_img, oc, fan_in, p);
+            for (row, &bv) in y_img.chunks_exact_mut(p).zip(self.b.data()) {
+                for v in row {
+                    *v += bv;
                 }
             }
         }
-        Tensor::from_vec(vec![b, self.out_ch, oh, ow], out)
+        scratch::give(cols);
+        scratch::give(xp);
+        if train {
+            self.x_cache = Some(x.clone());
+        }
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let ConvCache { cols, in_shape } = self
-            .cache
-            .take()
-            .expect("Conv2d::backward without forward(train)");
-        let (b, oc, oh, ow) = (
-            grad_out.shape()[0],
-            grad_out.shape()[1],
-            grad_out.shape()[2],
-            grad_out.shape()[3],
-        );
-        assert_eq!(oc, self.out_ch);
-        // reorder grad [B, OC, OH, OW] -> [B*OH*OW, OC]; every element is
-        // written, so the reused scratch needs no zero-fill
-        self.gmat_scratch.reset_to(&[b * oh * ow, oc]);
-        let g = self.gmat_scratch.data_mut();
-        let gd = grad_out.data();
-        for bi in 0..b {
-            for o in 0..oc {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        g[((bi * oh + oy) * ow + ox) * oc + o] =
-                            gd[((bi * oc + o) * oh + oy) * ow + ox];
-                    }
-                }
-            }
-        }
-        // gw += gmat^T cols ; gb += column sums ; gcols = gmat W
-        self.gmat_scratch.matmul_tn_acc(&cols, &mut self.gw);
-        for row in self.gmat_scratch.data().chunks_exact(oc) {
-            for (gbv, &v) in self.gb.data_mut().iter_mut().zip(row) {
-                *gbv += v;
-            }
-        }
-        self.gmat_scratch
-            .matmul_into(&self.w, &mut self.gcols_scratch);
-        let grad_in = self.col2im(&self.gcols_scratch, &in_shape);
-        // hand the im2col allocation back for the next forward
-        self.cols_spare = Some(cols);
-        grad_in
+        self.backprop(grad_out, true)
+            .expect("input gradient was requested")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop(grad_out, false);
     }
 
     fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
@@ -878,8 +993,8 @@ impl Layer for Conv2d {
     }
 
     fn collect_grads(&self, prefix: &str, out: &mut ParamMap) {
-        out.insert(format!("{prefix}.weight"), self.gw.clone());
-        out.insert(format!("{prefix}.bias"), self.gb.clone());
+        out.store(prefix, "weight", &self.gw);
+        out.store(prefix, "bias", &self.gb);
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
@@ -888,13 +1003,14 @@ impl Layer for Conv2d {
             self.w = w.clone();
         }
         if let Some(b) = src.get(&format!("{prefix}.bias")) {
+            assert_eq!(b.shape(), self.b.shape(), "Conv2d bias shape");
             self.b = b.clone();
         }
     }
 
     fn zero_grad(&mut self) {
-        self.gw = self.gw.zeros_like();
-        self.gb = self.gb.zeros_like();
+        self.gw.fill(0.0);
+        self.gb.fill(0.0);
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -907,12 +1023,7 @@ impl Layer for Conv2d {
             b: self.b.clone(),
             gw: self.gw.clone(),
             gb: self.gb.clone(),
-            cache: None,
-            cols_spare: None,
-            wt_scratch: Vec::new(),
-            y_scratch: Tensor::zeros(&[0]),
-            gmat_scratch: Tensor::zeros(&[0]),
-            gcols_scratch: Tensor::zeros(&[0]),
+            x_cache: None,
         })
     }
 }
@@ -922,7 +1033,9 @@ impl Layer for Conv2d {
 /// Odd trailing rows/columns are dropped (floor semantics, as in PyTorch).
 #[derive(Default)]
 pub struct MaxPool2d {
-    argmax: Option<(Vec<usize>, Vec<usize>)>,
+    /// The training input (a storage-sharing clone); `backward` finds each
+    /// window's winner again instead of keeping an index per output.
+    x_cache: Option<Tensor>,
 }
 
 impl MaxPool2d {
@@ -930,55 +1043,61 @@ impl MaxPool2d {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Calls `visit(output index, winning input index, its value)` for every
+    /// 2x2 window of `x`, in output order. The first of equal maxima wins.
+    fn for_each_window(x: &Tensor, mut visit: impl FnMut(usize, usize, f32)) {
+        let (planes, h, w) = (x.shape()[0] * x.shape()[1], x.shape()[2], x.shape()[3]);
+        let (oh, ow) = (h / 2, w / 2);
+        let xd = x.data();
+        let mut o = 0;
+        for plane in 0..planes {
+            let base = plane * h * w;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0usize;
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let idx = base + (oy * 2 + dy) * w + (ox * 2 + dx);
+                            if xd[idx] > best {
+                                best = xd[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    visit(o, best_idx, best);
+                    o += 1;
+                }
+            }
+        }
+    }
 }
 
 impl Layer for MaxPool2d {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 4, "MaxPool2d expects [B, C, H, W]");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = (h / 2, w / 2);
-        let xd = x.data();
-        let mut out = vec![0.0f32; b * c * oh * ow];
-        let mut arg = vec![0usize; b * c * oh * ow];
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = base + (oy * 2 + dy) * w + (ox * 2 + dx);
-                                if xd[idx] > best {
-                                    best = xd[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        let o = ((bi * c + ci) * oh + oy) * ow + ox;
-                        out[o] = best;
-                        arg[o] = best_idx;
-                    }
-                }
-            }
-        }
+        let mut y = scratch::take(&[b, c, h / 2, w / 2]);
+        let yd = y.data_mut();
+        Self::for_each_window(x, |o, _, best| yd[o] = best);
         if train {
-            self.argmax = Some((arg, x.shape().to_vec()));
+            self.x_cache = Some(x.clone());
         }
-        Tensor::from_vec(vec![b, c, oh, ow], out)
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (arg, in_shape) = self
-            .argmax
+        let x = self
+            .x_cache
             .take()
             .expect("MaxPool2d::backward without forward(train)");
-        let mut grad_in = vec![0.0f32; in_shape.iter().product()];
-        for (g, &idx) in grad_out.data().iter().zip(&arg) {
-            grad_in[idx] += g;
-        }
-        Tensor::from_vec(in_shape, grad_in)
+        let mut grad_in = scratch::take(x.shape());
+        grad_in.fill(0.0);
+        let (gi, gd) = (grad_in.data_mut(), grad_out.data());
+        Self::for_each_window(&x, |o, idx, _| gi[idx] += gd[o]);
+        scratch::give(x);
+        grad_in
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -986,21 +1105,48 @@ impl Layer for MaxPool2d {
     }
 }
 
-impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut cur = x.clone();
-        for (_, layer) in &mut self.layers {
-            cur = layer.forward(&cur, train);
+impl Sequential {
+    /// Back-propagates through every layer; the first layer's input
+    /// gradient is computed only when `want_input`.
+    fn backprop(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
+        let mut cur: Option<Tensor> = None;
+        for (idx, (_, layer)) in self.layers.iter_mut().enumerate().rev() {
+            let g = cur.as_ref().unwrap_or(grad_out);
+            let next = if idx > 0 || want_input {
+                Some(layer.backward(g))
+            } else {
+                layer.backward_params(g);
+                None
+            };
+            if let Some(done) = std::mem::replace(&mut cur, next) {
+                scratch::give(done);
+            }
         }
         cur
     }
+}
+
+impl Layer for Sequential {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let mut cur: Option<Tensor> = None;
+        for (_, layer) in &mut self.layers {
+            let next = layer.forward(cur.as_ref().unwrap_or(x), train);
+            if let Some(done) = cur.replace(next) {
+                scratch::give(done);
+            }
+        }
+        cur.unwrap_or_else(|| x.clone())
+    }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut cur = grad_out.clone();
-        for (_, layer) in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur);
+        self.backprop(grad_out, true)
+            .unwrap_or_else(|| grad_out.clone())
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        if let Some(unused) = self.backprop(grad_out, false) {
+            scratch::give(unused);
         }
-        cur
     }
 
     fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
@@ -1065,11 +1211,13 @@ impl Sequential {
         out
     }
 
-    fn join(prefix: &str, name: &str) -> String {
+    /// `prefix.name`, borrowing `name` for a top-level network so walking
+    /// it (every training step collects gradients) allocates nothing.
+    fn join<'a>(prefix: &str, name: &'a str) -> Cow<'a, str> {
         if prefix.is_empty() {
-            name.to_string()
+            Cow::Borrowed(name)
         } else {
-            format!("{prefix}.{name}")
+            Cow::Owned(format!("{prefix}.{name}"))
         }
     }
 

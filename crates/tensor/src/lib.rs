@@ -7,8 +7,12 @@
 //! * [`Tensor`] — a dense, row-major `f32` tensor with the linear algebra the
 //!   layers require (matmul, transpose, elementwise ops, reductions);
 //! * [`layer`] — neural-network layers with **manual analytic gradients**
-//!   (`Linear`, `Conv2d` via im2col, `BatchNorm1d`, `Relu`, `Dropout`,
-//!   `MaxPool2d`, `Flatten`), composed by [`layer::Sequential`];
+//!   (`Linear`, `Conv2d` via a per-image feature-major im2col, `BatchNorm1d`,
+//!   `Relu`, `Dropout`, `MaxPool2d`, `Flatten`), composed by
+//!   [`layer::Sequential`];
+//! * [`scratch`] — the per-thread pool every temporary of a training step
+//!   comes from and returns to, so a warm step allocates nothing and a model
+//!   at rest holds parameters and gradients only;
 //! * [`model`] — the [`model::Model`] trait plus the architectures used in the
 //!   paper's evaluation: logistic regression (Twitter), a two-convolution CNN
 //!   (FEMNIST / CIFAR-10, the paper's "ConvNet2"), an MLP, and a dense GCN for
@@ -30,6 +34,7 @@ pub mod loss;
 pub mod model;
 pub mod optim;
 pub mod params;
+pub mod scratch;
 pub mod tensor;
 
 pub use params::ParamMap;

@@ -1,6 +1,6 @@
 //! Loss functions with analytic gradients with respect to the logits.
 
-use crate::Tensor;
+use crate::{scratch, Tensor};
 
 /// The loss a model trains with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,42 +36,51 @@ impl Target {
 }
 
 /// Row-wise softmax of `[B, C]` logits (numerically stabilized).
-#[allow(clippy::needless_range_loop)] // index loops read clearer in kernels
 pub fn softmax(logits: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(logits.shape());
+    softmax_into(logits, &mut out);
+    out
+}
+
+/// [`softmax`] writing every element of the same-shaped `out`.
+fn softmax_into(logits: &Tensor, out: &mut Tensor) {
     assert_eq!(logits.shape().len(), 2);
-    let (b, c) = (logits.rows(), logits.cols());
-    let mut out = Tensor::zeros(&[b, c]);
-    for r in 0..b {
-        let row = logits.row(r);
+    let c = logits.cols();
+    for (row, o_row) in logits
+        .data()
+        .chunks_exact(c)
+        .zip(out.data_mut().chunks_exact_mut(c))
+    {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
-        for j in 0..c {
-            let e = (row[j] - max).exp();
-            *out.at_mut(r, j) = e;
+        for (o, &v) in o_row.iter_mut().zip(row) {
+            let e = (v - max).exp();
+            *o = e;
             sum += e;
         }
-        for j in 0..c {
-            *out.at_mut(r, j) /= sum;
+        for o in o_row {
+            *o /= sum;
         }
     }
-    out
 }
 
 /// Mean softmax cross-entropy loss and its gradient w.r.t. the logits.
 ///
 /// Returns `(loss, dL/dlogits)` with the gradient already divided by the batch
-/// size, so optimizers see the mean-loss gradient.
+/// size, so optimizers see the mean-loss gradient. The gradient tensor comes
+/// from worker scratch.
 pub fn softmax_cross_entropy(logits: &Tensor, classes: &[usize]) -> (f32, Tensor) {
     let (b, c) = (logits.rows(), logits.cols());
     assert_eq!(b, classes.len(), "batch/target length mismatch");
-    let probs = softmax(logits);
+    // the probabilities become the gradient in place
+    let mut grad = scratch::take(logits.shape());
+    softmax_into(logits, &mut grad);
     let mut loss = 0.0f32;
-    let mut grad = probs.clone();
     let inv_b = 1.0 / b as f32;
-    for (r, &y) in classes.iter().enumerate() {
+    for (row, &y) in grad.data_mut().chunks_exact_mut(c).zip(classes) {
         assert!(y < c, "class index {y} out of range {c}");
-        loss -= (probs.at(r, y).max(1e-12)).ln();
-        *grad.at_mut(r, y) -= 1.0;
+        loss -= (row[y].max(1e-12)).ln();
+        row[y] -= 1.0;
     }
     grad.scale(inv_b);
     (loss * inv_b, grad)
@@ -79,19 +88,19 @@ pub fn softmax_cross_entropy(logits: &Tensor, classes: &[usize]) -> (f32, Tensor
 
 /// Mean squared error and its gradient w.r.t. the predictions.
 ///
-/// `preds` must be `[B, 1]` or `[B]`; `values.len()` must equal `B`.
-#[allow(clippy::needless_range_loop)]
+/// `preds` must be `[B, 1]` or `[B]`; `values.len()` must equal `B`. The
+/// gradient tensor comes from worker scratch.
 pub fn mse(preds: &Tensor, values: &[f32]) -> (f32, Tensor) {
     let b = preds.shape()[0];
     assert_eq!(b, values.len(), "batch/target length mismatch");
     assert_eq!(preds.numel(), b, "mse expects one prediction per example");
     let mut loss = 0.0f32;
-    let mut grad = preds.zeros_like();
+    let mut grad = scratch::take(preds.shape());
     let inv_b = 1.0 / b as f32;
-    for i in 0..b {
-        let diff = preds.data()[i] - values[i];
+    for ((g, &p), &v) in grad.data_mut().iter_mut().zip(preds.data()).zip(values) {
+        let diff = p - v;
         loss += diff * diff;
-        grad.data_mut()[i] = 2.0 * diff * inv_b;
+        *g = 2.0 * diff * inv_b;
     }
     (loss * inv_b, grad)
 }

@@ -10,7 +10,7 @@ use crate::layer::{
     BatchNorm1d, Conv2d, Dropout, Flatten, Layer, Linear, MaxPool2d, Relu, Sequential,
 };
 use crate::loss::{accuracy, mse, softmax_cross_entropy, LossKind, Target};
-use crate::{init, ParamMap, Tensor};
+use crate::{init, scratch, ParamMap, Tensor};
 use rand::Rng;
 
 /// Evaluation metrics for one dataset split.
@@ -65,6 +65,15 @@ pub trait Model: Send {
     /// of the mean loss with respect to every trainable parameter.
     fn loss_grad(&mut self, x: &Tensor, y: &Target) -> (f32, ParamMap);
 
+    /// [`Model::loss_grad`] storing the gradient into `grads`, which a
+    /// training loop passes back step after step: a model that can refresh
+    /// the map's tensors in place ([`NetModel`]) then allocates nothing.
+    fn loss_grad_into(&mut self, x: &Tensor, y: &Target, grads: &mut ParamMap) -> f32 {
+        let (loss, fresh) = self.loss_grad(x, y);
+        *grads = fresh;
+        loss
+    }
+
     /// Keys of non-trained buffers (e.g. batch-norm running statistics).
     fn buffer_keys(&self) -> Vec<String> {
         Vec::new()
@@ -73,23 +82,22 @@ pub trait Model: Send {
     /// Evaluates loss and accuracy on a split without computing gradients.
     fn evaluate(&mut self, x: &Tensor, y: &Target) -> Metrics {
         let logits = self.predict(x);
-        match y {
+        let (loss, grad, acc) = match y {
             Target::Classes(c) => {
-                let (loss, _) = softmax_cross_entropy(&logits, c);
-                Metrics {
-                    loss,
-                    accuracy: accuracy(&logits, c),
-                    n: c.len(),
-                }
+                let (loss, grad) = softmax_cross_entropy(&logits, c);
+                (loss, grad, accuracy(&logits, c))
             }
             Target::Values(v) => {
-                let (loss, _) = mse(&logits, v);
-                Metrics {
-                    loss,
-                    accuracy: 0.0,
-                    n: v.len(),
-                }
+                let (loss, grad) = mse(&logits, v);
+                (loss, grad, 0.0)
             }
+        };
+        scratch::give(grad);
+        scratch::give(logits);
+        Metrics {
+            loss,
+            accuracy: acc,
+            n: y.len(),
         }
     }
 
@@ -120,6 +128,11 @@ impl NetModel {
     pub fn loss_kind(&self) -> LossKind {
         self.loss
     }
+
+    /// The wrapped network (for inspection and layer-level tests).
+    pub fn net(&self) -> &Sequential {
+        &self.net
+    }
 }
 
 impl Model for NetModel {
@@ -138,6 +151,12 @@ impl Model for NetModel {
     }
 
     fn loss_grad(&mut self, x: &Tensor, y: &Target) -> (f32, ParamMap) {
+        let mut grads = ParamMap::new();
+        let loss = self.loss_grad_into(x, y, &mut grads);
+        (loss, grads)
+    }
+
+    fn loss_grad_into(&mut self, x: &Tensor, y: &Target, grads: &mut ParamMap) -> f32 {
         self.net.zero_grad();
         let logits = self.net.forward(x, true);
         let (loss, grad_logits) = match (self.loss, y) {
@@ -147,10 +166,12 @@ impl Model for NetModel {
             (LossKind::Mse, Target::Values(v)) => mse(&logits, v),
             (kind, _) => panic!("loss {kind:?} incompatible with target type"),
         };
-        self.net.backward(&grad_logits);
-        let mut grads = ParamMap::new();
-        self.net.collect_grads("", &mut grads);
-        (loss, grads)
+        scratch::give(logits);
+        // nobody reads the gradient w.r.t. the batch: the first layer skips it
+        self.net.backward_params(&grad_logits);
+        scratch::give(grad_logits);
+        self.net.collect_grads("", grads);
+        loss
     }
 
     fn buffer_keys(&self) -> Vec<String> {

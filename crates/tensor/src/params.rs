@@ -9,6 +9,7 @@
 
 use crate::Tensor;
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// An ordered map of named tensors.
 ///
@@ -29,6 +30,35 @@ impl ParamMap {
     /// Inserts (or replaces) a named tensor.
     pub fn insert(&mut self, name: impl Into<String>, t: Tensor) {
         self.entries.insert(name.into(), t);
+    }
+
+    /// Stores a copy of `t` under `"{prefix}.{leaf}"`.
+    ///
+    /// An existing same-shaped entry is refreshed in place — no key is built
+    /// and nothing is allocated, which is what lets a training loop collect
+    /// gradients into one map step after step. The map owns its storage: a
+    /// first store deep-copies, so the entry never aliases the layer's
+    /// accumulator.
+    pub fn store(&mut self, prefix: &str, leaf: &str, t: &Tensor) {
+        let is_key = |k: &str| {
+            k.len() == prefix.len() + 1 + leaf.len()
+                && k.starts_with(prefix)
+                && k.as_bytes()[prefix.len()] == b'.'
+                && k.ends_with(leaf)
+        };
+        // keys that start with `prefix` sort together from `prefix` on
+        let existing = self
+            .entries
+            .range_mut::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .find(|(k, _)| is_key(k));
+        match existing {
+            Some((_, slot)) if slot.shape() == t.shape() => slot.copy_from(t),
+            _ => {
+                let owned = Tensor::from_vec(t.shape().to_vec(), t.data().to_vec());
+                self.entries.insert(format!("{prefix}.{leaf}"), owned);
+            }
+        }
     }
 
     /// Looks up a tensor by name.

@@ -12,12 +12,60 @@
 //! the tensors that are actually written.
 
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
+
+/// Dimensions stored inline up to rank 4 (every shape a course produces), so
+/// cloning, reshaping or recycling a tensor never allocates for its shape;
+/// higher ranks (the wire format allows them) spill to the heap.
+#[derive(Clone, PartialEq)]
+enum Shape {
+    /// `dims[..rank]` are the dimensions; the unused tail stays zero so the
+    /// derived `PartialEq` compares shapes, not leftovers.
+    Inline {
+        dims: [usize; 4],
+        rank: u8,
+    },
+    Heap(Vec<usize>),
+}
+
+impl Shape {
+    fn new(dims: &[usize]) -> Self {
+        if dims.len() <= 4 {
+            let mut inline = [0usize; 4];
+            inline[..dims.len()].copy_from_slice(dims);
+            Shape::Inline {
+                dims: inline,
+                rank: dims.len() as u8,
+            }
+        } else {
+            Shape::Heap(dims.to_vec())
+        }
+    }
+}
+
+impl Deref for Shape {
+    type Target = [usize];
+
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        match self {
+            Shape::Inline { dims, rank } => &dims[..*rank as usize],
+            Shape::Heap(v) => v,
+        }
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.deref().fmt(f)
+    }
+}
 
 /// Dense row-major tensor of `f32` values with copy-on-write storage.
 #[derive(Clone, PartialEq)]
 pub struct Tensor {
-    shape: Vec<usize>,
+    shape: Shape,
     data: Arc<Vec<f32>>,
 }
 
@@ -54,7 +102,7 @@ impl Tensor {
             data.len()
         );
         Self {
-            shape,
+            shape: Shape::new(&shape),
             data: Arc::new(data),
         }
     }
@@ -63,7 +111,7 @@ impl Tensor {
     pub fn zeros(shape: &[usize]) -> Self {
         let numel = shape.iter().product();
         Self {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             data: Arc::new(vec![0.0; numel]),
         }
     }
@@ -72,7 +120,7 @@ impl Tensor {
     pub fn full(shape: &[usize], v: f32) -> Self {
         let numel = shape.iter().product();
         Self {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             data: Arc::new(vec![v; numel]),
         }
     }
@@ -170,7 +218,7 @@ impl Tensor {
             shape
         );
         Self {
-            shape: shape.to_vec(),
+            shape: Shape::new(shape),
             // shares storage with `self`: reshape is free until either side
             // is written
             data: Arc::clone(&self.data),
@@ -217,7 +265,7 @@ impl Tensor {
             }
         }
         Tensor {
-            shape: vec![m, n],
+            shape: Shape::new(&[m, n]),
             data: Arc::new(out),
         }
     }
@@ -236,22 +284,28 @@ impl Tensor {
             self.shape, rhs.shape
         );
         out.reset_to(&[m, n]);
-        kernels::matmul_blocked(&self.data, &rhs.data, out.data_mut(), m, k, n);
+        kernels::gemm::<false, { kernels::OVERWRITE }>(
+            &self.data,
+            &rhs.data,
+            out.data_mut(),
+            m,
+            k,
+            n,
+        );
     }
 
     /// Transposed-RHS fast path: `self [m,k] x rhs^T` where `rhs` is stored
-    /// `[n,k]` — the layout of `Linear`/`Conv2d` weights, so the forward
-    /// pass never materializes `w.t()` as a fresh tensor.
+    /// `[n,k]` — the layout of `Linear` weights, so the forward pass never
+    /// materializes `w.t()` as a fresh tensor.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(&[0]);
-        let mut scratch = Vec::new();
-        self.matmul_nt_into(rhs, &mut out, &mut scratch);
+        self.matmul_nt_into(rhs, &mut out);
         out
     }
 
-    /// [`Tensor::matmul_nt`] writing into `out`, with the transposed copy of
-    /// `rhs` staged in `scratch` (both reusable across steps).
-    pub fn matmul_nt_into(&self, rhs: &Tensor, out: &mut Tensor, scratch: &mut Vec<f32>) {
+    /// [`Tensor::matmul_nt`] writing into `out`; the transposed copy of
+    /// `rhs` is staged in worker scratch.
+    pub fn matmul_nt_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(self.shape.len(), 2, "matmul_nt lhs must be 2-D");
         assert_eq!(rhs.shape.len(), 2, "matmul_nt rhs must be 2-D");
         let (m, k) = (self.shape[0], self.shape[1]);
@@ -262,16 +316,18 @@ impl Tensor {
             self.shape, rhs.shape
         );
         // stage rhs^T once; the transpose is O(k·n) against O(m·k·n) math
-        scratch.clear();
-        scratch.resize(k * n, 0.0);
-        for j in 0..n {
-            let row = &rhs.data[j * k..(j + 1) * k];
-            for (kk, &v) in row.iter().enumerate() {
-                scratch[kk * n + j] = v;
-            }
-        }
+        let mut staged = crate::scratch::take(&[k, n]);
+        kernels::transpose(&rhs.data, n, k, staged.data_mut());
         out.reset_to(&[m, n]);
-        kernels::matmul_blocked(&self.data, scratch, out.data_mut(), m, k, n);
+        kernels::gemm::<false, { kernels::OVERWRITE }>(
+            &self.data,
+            staged.data(),
+            out.data_mut(),
+            m,
+            k,
+            n,
+        );
+        crate::scratch::give(staged);
     }
 
     /// Transposed-LHS accumulating product: `out += self^T x rhs` where
@@ -288,8 +344,15 @@ impl Tensor {
             "matmul_tn inner dims: {:?}^T x {:?}",
             self.shape, rhs.shape
         );
-        assert_eq!(out.shape, vec![m, n], "matmul_tn_acc out shape");
-        kernels::matmul_tn(&self.data, &rhs.data, out.data_mut(), m, k, n);
+        assert_eq!(*out.shape, [m, n], "matmul_tn_acc out shape");
+        kernels::gemm::<true, { kernels::ADD_AFTER }>(
+            &self.data,
+            &rhs.data,
+            out.data_mut(),
+            m,
+            k,
+            n,
+        );
     }
 
     /// Transpose of a 2-D tensor.
@@ -297,13 +360,9 @@ impl Tensor {
         assert_eq!(self.shape.len(), 2, "t() requires a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        kernels::transpose(&self.data, m, n, &mut out);
         Tensor {
-            shape: vec![n, m],
+            shape: Shape::new(&[n, m]),
             data: Arc::new(out),
         }
     }
@@ -425,14 +484,33 @@ impl Tensor {
     /// to reuse the allocation across steps.
     pub(crate) fn reset_to(&mut self, shape: &[usize]) {
         let numel = shape.iter().product();
-        self.shape.clear();
-        self.shape.extend_from_slice(shape);
+        if *self.shape != *shape {
+            self.shape = Shape::new(shape);
+        }
         match Arc::get_mut(&mut self.data) {
             Some(v) => v.resize(numel, 0.0),
             // shared buffer: the caller overwrites every element anyway, so
             // allocate fresh instead of cloning contents via make_mut
             None => self.data = Arc::new(vec![0.0; numel]),
         }
+    }
+
+    /// `true` when no other tensor shares this one's backing buffer.
+    pub(crate) fn is_unique(&mut self) -> bool {
+        Arc::get_mut(&mut self.data).is_some()
+    }
+
+    /// Allocated element capacity of the backing buffer.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
+    }
+
+    /// Fills the backing buffer with NaN up to its capacity (see
+    /// [`crate::scratch::poison`]).
+    pub(crate) fn poison(&mut self) {
+        let v = Arc::make_mut(&mut self.data);
+        v.clear();
+        v.resize(v.capacity(), f32::NAN);
     }
 
     /// Sum of all elements.
@@ -492,7 +570,7 @@ impl Tensor {
             data.extend_from_slice(r);
         }
         Tensor {
-            shape: vec![rows.len(), width],
+            shape: Shape::new(&[rows.len(), width]),
             data: Arc::new(data),
         }
     }
@@ -536,26 +614,43 @@ pub fn acc_scaled_diff_slice(dst: &mut [f32], alpha: f32, u: &[f32], g: &[f32]) 
 
 /// Register-blocked matmul micro-kernels.
 ///
-/// Both kernels compute each output element with a *single accumulator in
+/// Every kernel computes each output element with a *single accumulator in
 /// strict increasing-`k` order* — the same order as the naive i-k-j loop —
-/// so for finite inputs their results are bit-identical to
+/// so for finite inputs the results are bit-identical to
 /// [`Tensor::matmul_naive`] (dropping the naive kernel's `a == 0.0` skip is
 /// also exact: the accumulator starts at `+0.0` and can never become `-0.0`
 /// under round-to-nearest, so adding a signed-zero product is the
-/// identity). The speed comes purely from blocking: an `MR x NR` tile of
+/// identity). The speed comes purely from blocking: an `R x W` tile of
 /// accumulators lives in registers across the whole `k` loop, so `out` is
 /// touched once per tile instead of once per `k` step, and the compiler
 /// vectorizes the constant-width column loop.
-mod kernels {
-    /// Accumulator tile rows (distinct output rows per tile).
+///
+/// Tiles are shape-complete: any `m` is covered by 4-row bands plus one
+/// 1–3-row band, any `n` by 16-wide tiles plus an 8/4/2/1-wide remainder, and
+/// every one of those is the same monomorphised constant-bound loop — there
+/// is no dynamic-width branch for a ragged shape to fall into.
+pub(crate) mod kernels {
+    /// Accumulator tile rows (distinct output rows per full tile).
     const MR: usize = 4;
     /// Accumulator tile columns. At `MR x NR = 4 x 16` the tile is 8 AVX2
-    /// registers, leaving room for the broadcast multipliers — the whole
-    /// accumulator state lives in the register file across the `k` loop.
+    /// (4 AVX-512) registers, leaving room for the broadcast multipliers —
+    /// the whole accumulator state lives in the register file across the
+    /// `k` loop.
     const NR: usize = 16;
 
-    /// `out = a [m,k] x b [k,n]`, overwriting every element of `out`.
-    pub(super) fn matmul_blocked(
+    /// Tile mode: accumulators start at `+0.0` and overwrite `out`.
+    pub(crate) const OVERWRITE: u8 = 0;
+    /// Tile mode: accumulators start at `+0.0` and are added to `out` once
+    /// (`out += a x b`, the product rounded before the add).
+    pub(crate) const ADD_AFTER: u8 = 1;
+    /// Tile mode: accumulators start from `out` and overwrite it, so the
+    /// `k` chain of a previous call continues unbroken — a product split
+    /// along `k` into several calls gives the bits of the unsplit product.
+    pub(crate) const CONTINUE: u8 = 2;
+
+    /// `out (mode)= a x b` with `b` stored `[k,n]`, `out` `[m,n]`, and `a`
+    /// stored `[m,k]` (`TA = false`) or `[k,m]` (`TA = true`).
+    pub(crate) fn gemm<const TA: bool, const MODE: u8>(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
@@ -563,9 +658,9 @@ mod kernels {
         k: usize,
         n: usize,
     ) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
+        assert_eq!(a.len(), m * k, "gemm lhs length");
+        assert_eq!(b.len(), k * n, "gemm rhs length");
+        assert_eq!(out.len(), m * n, "gemm out length");
         // The wide paths are the same Rust code monomorphized with wider
         // vector features enabled; lanes are independent accumulators, so
         // the result is bitwise the same on every path.
@@ -573,21 +668,23 @@ mod kernels {
         {
             if std::is_x86_feature_detected!("avx512f") {
                 // SAFETY: the avx512f feature was just detected at runtime
-                unsafe { matmul_blocked_avx512(a, b, out, m, k, n) };
+                unsafe { gemm_avx512::<TA, MODE>(a, b, out, m, k, n) };
                 return;
             }
             if std::is_x86_feature_detected!("avx2") {
                 // SAFETY: the avx2 feature was just detected at runtime
-                unsafe { matmul_blocked_avx2(a, b, out, m, k, n) };
+                unsafe { gemm_avx2::<TA, MODE>(a, b, out, m, k, n) };
                 return;
             }
         }
-        matmul_blocked_impl(a, b, out, m, k, n);
+        gemm_impl::<TA, MODE>(a, b, out, m, k, n);
     }
 
+    /// # Safety
+    /// The CPU must support `avx512f`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    unsafe fn matmul_blocked_avx512(
+    unsafe fn gemm_avx512<const TA: bool, const MODE: u8>(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
@@ -595,12 +692,14 @@ mod kernels {
         k: usize,
         n: usize,
     ) {
-        matmul_blocked_impl(a, b, out, m, k, n);
+        gemm_impl::<TA, MODE>(a, b, out, m, k, n);
     }
 
+    /// # Safety
+    /// The CPU must support `avx2`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn matmul_blocked_avx2(
+    unsafe fn gemm_avx2<const TA: bool, const MODE: u8>(
         a: &[f32],
         b: &[f32],
         out: &mut [f32],
@@ -608,63 +707,133 @@ mod kernels {
         k: usize,
         n: usize,
     ) {
-        matmul_blocked_impl(a, b, out, m, k, n);
+        gemm_impl::<TA, MODE>(a, b, out, m, k, n);
     }
 
+    /// The portable kernel every dispatched path monomorphises.
     #[inline(always)]
-    fn matmul_blocked_impl(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    pub(super) fn gemm_impl<const TA: bool, const MODE: u8>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
         let mut i = 0;
-        while i < m {
-            let ib = MR.min(m - i);
-            let mut j = 0;
-            while j < n {
-                let jb = NR.min(n - j);
-                if ib == MR && jb == NR {
-                    // full tile: separate fixed-size accumulators and
-                    // hoisted row slices, so every inner bound is a
-                    // compile-time constant and the c-loop vectorizes
-                    let a0 = &a[i * k..i * k + k];
-                    let a1 = &a[(i + 1) * k..(i + 1) * k + k];
-                    let a2 = &a[(i + 2) * k..(i + 2) * k + k];
-                    let a3 = &a[(i + 3) * k..(i + 3) * k + k];
-                    let mut acc0 = [0.0f32; NR];
-                    let mut acc1 = [0.0f32; NR];
-                    let mut acc2 = [0.0f32; NR];
-                    let mut acc3 = [0.0f32; NR];
-                    for kk in 0..k {
-                        let b_row = &b[kk * n + j..kk * n + j + NR];
-                        let (av0, av1, av2, av3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                        for c in 0..NR {
-                            let bv = b_row[c];
-                            acc0[c] += av0 * bv;
-                            acc1[c] += av1 * bv;
-                            acc2[c] += av2 * bv;
-                            acc3[c] += av3 * bv;
-                        }
-                    }
-                    out[i * n + j..i * n + j + NR].copy_from_slice(&acc0);
-                    out[(i + 1) * n + j..(i + 1) * n + j + NR].copy_from_slice(&acc1);
-                    out[(i + 2) * n + j..(i + 2) * n + j + NR].copy_from_slice(&acc2);
-                    out[(i + 3) * n + j..(i + 3) * n + j + NR].copy_from_slice(&acc3);
-                } else {
-                    let mut acc = [[0.0f32; NR]; MR];
-                    for kk in 0..k {
-                        let b_row = &b[kk * n + j..kk * n + j + jb];
-                        for (r, acc_r) in acc.iter_mut().enumerate().take(ib) {
-                            let av = a[(i + r) * k + kk];
-                            for (x, &bv) in acc_r[..jb].iter_mut().zip(b_row) {
-                                *x += av * bv;
-                            }
-                        }
-                    }
-                    for (r, acc_r) in acc.iter().enumerate().take(ib) {
-                        let o_row = &mut out[(i + r) * n + j..(i + r) * n + j + jb];
-                        o_row.copy_from_slice(&acc_r[..jb]);
-                    }
-                }
-                j += jb;
-            }
+        while i + MR <= m {
+            band::<MR, TA, MODE>(a, b, out, i, m, k, n);
             i += MR;
+        }
+        match m - i {
+            3 => band::<3, TA, MODE>(a, b, out, i, m, k, n),
+            2 => band::<2, TA, MODE>(a, b, out, i, m, k, n),
+            1 => band::<1, TA, MODE>(a, b, out, i, m, k, n),
+            _ => {}
+        }
+    }
+
+    /// Rows `i..i + R` of `out`: full-width tiles, then the constant-width
+    /// remainder tiles (`n mod 16` in binary).
+    #[inline(always)]
+    fn band<const R: usize, const TA: bool, const MODE: u8>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        i: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let mut j = 0;
+        while j + NR <= n {
+            tile::<R, NR, TA, MODE>(a, b, out, i, j, m, k, n);
+            j += NR;
+        }
+        if n - j >= 8 {
+            tile::<R, 8, TA, MODE>(a, b, out, i, j, m, k, n);
+            j += 8;
+        }
+        if n - j >= 4 {
+            tile::<R, 4, TA, MODE>(a, b, out, i, j, m, k, n);
+            j += 4;
+        }
+        if n - j >= 2 {
+            tile::<R, 2, TA, MODE>(a, b, out, i, j, m, k, n);
+            j += 2;
+        }
+        if n - j >= 1 {
+            tile::<R, 1, TA, MODE>(a, b, out, i, j, m, k, n);
+        }
+    }
+
+    /// One `R x W` accumulator tile at `(i, j)`: every bound is a
+    /// compile-time constant, one accumulator per output element, products
+    /// added in strictly increasing `k`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn tile<const R: usize, const W: usize, const TA: bool, const MODE: u8>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        i: usize,
+        j: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let mut acc = [[0.0f32; W]; R];
+        if MODE == CONTINUE {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                acc_r.copy_from_slice(&out[(i + r) * n + j..(i + r) * n + j + W]);
+            }
+        }
+        // hoisted row slices of a row-major lhs (unused when transposed)
+        let a_rows: [&[f32]; R] = std::array::from_fn(|r| {
+            if TA {
+                &a[..0]
+            } else {
+                &a[(i + r) * k..(i + r + 1) * k]
+            }
+        });
+        for kk in 0..k {
+            let b_row = &b[kk * n + j..kk * n + j + W];
+            let mut av = [0.0f32; R];
+            if TA {
+                // a transposed lhs is contiguous across the tile's rows
+                av.copy_from_slice(&a[kk * m + i..kk * m + i + R]);
+            } else {
+                for (v, row) in av.iter_mut().zip(&a_rows) {
+                    *v = row[kk];
+                }
+            }
+            for c in 0..W {
+                let bv = b_row[c];
+                for r in 0..R {
+                    acc[r][c] += av[r] * bv;
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            let o_row = &mut out[(i + r) * n + j..(i + r) * n + j + W];
+            if MODE == ADD_AFTER {
+                for (o, &v) in o_row.iter_mut().zip(acc_r) {
+                    *o += v;
+                }
+            } else {
+                o_row.copy_from_slice(acc_r);
+            }
+        }
+    }
+
+    /// `dst [cols, rows] = src [rows, cols]` transposed, every element written.
+    pub(crate) fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+        assert_eq!(src.len(), rows * cols, "transpose src length");
+        assert_eq!(dst.len(), rows * cols, "transpose dst length");
+        for r in 0..rows {
+            for (c, &v) in src[r * cols..(r + 1) * cols].iter().enumerate() {
+                dst[c * rows + r] = v;
+            }
         }
     }
 
@@ -728,121 +897,6 @@ mod kernels {
             .zip(g_it.remainder())
         {
             *d += alpha * (uu - gg);
-        }
-    }
-
-    /// `out += a^T x b` where `a` is stored `[k,m]` and `b` `[k,n]`.
-    ///
-    /// Accumulating (`+=`) mirrors the gradient path it replaces
-    /// (`gw.add_scaled(1.0, &temp)`), keeping the result bitwise equal to
-    /// the old two-step form.
-    pub(super) fn matmul_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), k * m);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::is_x86_feature_detected!("avx512f") {
-                // SAFETY: the avx512f feature was just detected at runtime
-                unsafe { matmul_tn_avx512(a, b, out, m, k, n) };
-                return;
-            }
-            if std::is_x86_feature_detected!("avx2") {
-                // SAFETY: the avx2 feature was just detected at runtime
-                unsafe { matmul_tn_avx2(a, b, out, m, k, n) };
-                return;
-            }
-        }
-        matmul_tn_impl(a, b, out, m, k, n);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn matmul_tn_avx512(
-        a: &[f32],
-        b: &[f32],
-        out: &mut [f32],
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        matmul_tn_impl(a, b, out, m, k, n);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn matmul_tn_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        matmul_tn_impl(a, b, out, m, k, n);
-    }
-
-    #[inline(always)]
-    fn matmul_tn_impl(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        let mut i = 0;
-        while i < m {
-            let ib = MR.min(m - i);
-            let mut j = 0;
-            while j < n {
-                let jb = NR.min(n - j);
-                if ib == MR && jb == NR {
-                    let mut acc0 = [0.0f32; NR];
-                    let mut acc1 = [0.0f32; NR];
-                    let mut acc2 = [0.0f32; NR];
-                    let mut acc3 = [0.0f32; NR];
-                    for kk in 0..k {
-                        // a's row is contiguous across the tile's i range
-                        let a_row = &a[kk * m + i..kk * m + i + MR];
-                        let b_row = &b[kk * n + j..kk * n + j + NR];
-                        let (av0, av1, av2, av3) = (a_row[0], a_row[1], a_row[2], a_row[3]);
-                        for c in 0..NR {
-                            let bv = b_row[c];
-                            acc0[c] += av0 * bv;
-                            acc1[c] += av1 * bv;
-                            acc2[c] += av2 * bv;
-                            acc3[c] += av3 * bv;
-                        }
-                    }
-                    for (o, &v) in out[i * n + j..i * n + j + NR].iter_mut().zip(&acc0) {
-                        *o += v;
-                    }
-                    for (o, &v) in out[(i + 1) * n + j..(i + 1) * n + j + NR]
-                        .iter_mut()
-                        .zip(&acc1)
-                    {
-                        *o += v;
-                    }
-                    for (o, &v) in out[(i + 2) * n + j..(i + 2) * n + j + NR]
-                        .iter_mut()
-                        .zip(&acc2)
-                    {
-                        *o += v;
-                    }
-                    for (o, &v) in out[(i + 3) * n + j..(i + 3) * n + j + NR]
-                        .iter_mut()
-                        .zip(&acc3)
-                    {
-                        *o += v;
-                    }
-                } else {
-                    let mut acc = [[0.0f32; NR]; MR];
-                    for kk in 0..k {
-                        let a_row = &a[kk * m + i..kk * m + i + ib];
-                        let b_row = &b[kk * n + j..kk * n + j + jb];
-                        for (acc_r, &av) in acc.iter_mut().zip(a_row) {
-                            for (x, &bv) in acc_r[..jb].iter_mut().zip(b_row) {
-                                *x += av * bv;
-                            }
-                        }
-                    }
-                    for (r, acc_r) in acc.iter().enumerate().take(ib) {
-                        let o_row = &mut out[(i + r) * n + j..(i + r) * n + j + jb];
-                        for (o, &v) in o_row.iter_mut().zip(acc_r[..jb].iter()) {
-                            *o += v;
-                        }
-                    }
-                }
-                j += jb;
-            }
-            i += MR;
         }
     }
 }
@@ -968,6 +1022,143 @@ mod tests {
             })
             .collect();
         Tensor::from_vec(vec![rows, cols], data)
+    }
+
+    /// `out[i,j]` as one chain over increasing `k` from `+0.0`, no blocking,
+    /// no zero-skip: the order every kernel must reproduce.
+    fn reference_product(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (m, k, n) = (a.rows(), a.cols(), b.cols());
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    acc += a.at(i, kk) * b.at(kk, j);
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i} ({x} vs {y})");
+        }
+    }
+
+    proptest::proptest! {
+        /// Every remainder height (1..=3 rows past a 4-row band) and width
+        /// (any `n mod 16`) of every public kernel equals the reference chain
+        /// and `matmul_naive`, bit for bit.
+        #[test]
+        fn kernels_match_the_reference_chain_for_every_tile_shape(
+            m in 1usize..41,
+            k in 1usize..41,
+            n in 1usize..41,
+            seed in 0u64..1_000_000,
+        ) {
+            let a = lcg_matrix(m, k, seed);
+            let b = lcg_matrix(k, n, seed ^ 0x5bd1);
+            let want = reference_product(&a, &b);
+            assert_same_bits(a.matmul_naive(&b).data(), &want, "matmul_naive");
+
+            // wrong-shaped, NaN-filled output: every element must be written
+            let mut out = Tensor::full(&[3, 2], f32::NAN);
+            a.matmul_into(&b, &mut out);
+            assert_same_bits(out.data(), &want, "matmul_into");
+
+            let mut out = Tensor::full(&[m, n], f32::NAN);
+            a.matmul_nt_into(&b.t(), &mut out);
+            assert_same_bits(out.data(), &want, "matmul_nt_into");
+
+            let base = lcg_matrix(m, n, seed ^ 0x77);
+            let mut acc = base.clone();
+            a.t().matmul_tn_acc(&b, &mut acc);
+            let two_step: Vec<f32> = base.data().iter().zip(&want).map(|(o, c)| o + c).collect();
+            assert_same_bits(acc.data(), &two_step, "matmul_tn_acc");
+        }
+
+        /// The portable kernel and whichever wide path this CPU dispatches to
+        /// agree in every mode and for both lhs layouts.
+        #[test]
+        fn scalar_kernel_equals_dispatched_kernel(
+            m in 1usize..41,
+            k in 1usize..41,
+            n in 1usize..41,
+            seed in 0u64..1_000_000,
+        ) {
+            use kernels::{gemm, gemm_impl, ADD_AFTER, CONTINUE, OVERWRITE};
+            let a = lcg_matrix(m, k, seed);
+            let at = a.t();
+            let b = lcg_matrix(k, n, seed ^ 0x5bd1);
+            let start = lcg_matrix(m, n, seed ^ 0x77);
+            macro_rules! both {
+                ($ta:literal, $mode:expr, $lhs:expr) => {{
+                    let (mut wide, mut scalar) = (start.clone(), start.clone());
+                    gemm::<$ta, { $mode }>($lhs.data(), b.data(), wide.data_mut(), m, k, n);
+                    gemm_impl::<$ta, { $mode }>($lhs.data(), b.data(), scalar.data_mut(), m, k, n);
+                    assert_same_bits(wide.data(), scalar.data(), "dispatched vs scalar");
+                    wide
+                }};
+            }
+            let want = reference_product(&a, &b);
+            for out in [both!(false, OVERWRITE, a), both!(true, OVERWRITE, at)] {
+                assert_same_bits(out.data(), &want, "overwrite");
+            }
+            let added: Vec<f32> = start.data().iter().zip(&want).map(|(o, c)| o + c).collect();
+            for out in [both!(false, ADD_AFTER, a), both!(true, ADD_AFTER, at)] {
+                assert_same_bits(out.data(), &added, "add-after");
+            }
+            both!(false, CONTINUE, a);
+            both!(true, CONTINUE, at);
+        }
+
+        /// A product split along `k` into two `CONTINUE` calls on a zeroed
+        /// output has the bits of the unsplit product: the chain is not
+        /// broken at the seam.
+        #[test]
+        fn continue_mode_carries_the_chain_across_calls(
+            m in 1usize..21,
+            k in 2usize..41,
+            n in 1usize..21,
+            cut in 1usize..40,
+            seed in 0u64..1_000_000,
+        ) {
+            use kernels::{gemm, CONTINUE};
+            let cut = cut.min(k - 1);
+            let at = lcg_matrix(k, m, seed); // lhs stored [k, m]: rows split cleanly
+            let b = lcg_matrix(k, n, seed ^ 0x5bd1);
+            let mut out = vec![0.0f32; m * n];
+            gemm::<true, CONTINUE>(&at.data()[..cut * m], &b.data()[..cut * n], &mut out, m, cut, n);
+            gemm::<true, CONTINUE>(&at.data()[cut * m..], &b.data()[cut * n..], &mut out, m, k - cut, n);
+            assert_same_bits(&out, &reference_product(&at.t(), &b), "split chain");
+        }
+    }
+
+    #[test]
+    fn every_remainder_height_and_width_matches_the_reference() {
+        // exhaustive over the tile grid (the proptests above sample it)
+        for k in [1usize, 9, 33] {
+            for m in 1..=40 {
+                for n in 1..=40 {
+                    let a = lcg_matrix(m, k, (m * 41 + n) as u64);
+                    let b = lcg_matrix(k, n, (k * 7 + 3) as u64);
+                    let what = format!("{m}x{k}x{n}");
+                    assert_same_bits(a.matmul(&b).data(), &reference_product(&a, &b), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shapes_beyond_rank_four_round_trip() {
+        let t = Tensor::zeros(&[2, 1, 3, 1, 2]);
+        assert_eq!(t.shape(), &[2, 1, 3, 1, 2]);
+        assert_eq!(t.clone(), t);
+        assert_eq!(t.reshape(&[3, 4]).shape(), &[3, 4]);
+        assert_ne!(Tensor::zeros(&[2, 2]), Tensor::zeros(&[4]));
     }
 
     #[test]

@@ -139,6 +139,33 @@ fn conv2d_gradcheck() {
 }
 
 #[test]
+fn conv2d_gradcheck_across_kernels_paddings_and_shapes() {
+    // the grid `step_bits.rs` pins bit for bit, checked here against finite
+    // differences: kernel sizes, paddings, H != W, batch and channel counts
+    // that hit every remainder tile and both row-loop widths
+    let images = [(5usize, 8usize), (7, 4), (6, 9)];
+    let channels = [(1usize, 8usize), (3, 3), (8, 16), (16, 1)];
+    let mut case = 0u64;
+    for k in [1usize, 3, 5] {
+        for pad in [0usize, 1, 2] {
+            for &b in &[1usize, 3, 20] {
+                case += 1;
+                let (h, w) = images[case as usize % images.len()];
+                let (in_ch, out_ch) = channels[case as usize % channels.len()];
+                if h + 2 * pad < k || w + 2 * pad < k {
+                    continue;
+                }
+                let mut rng = StdRng::seed_from_u64(100 + case);
+                let mut l = Conv2d::new(in_ch, out_ch, k, pad, &mut rng);
+                let x = rand_input(&[b, in_ch, h, w], 200 + case);
+                check_input_grad(&mut l, &x, 3e-2, 300 + case);
+                check_param_grads(&mut l, &x, 3e-2, 300 + case);
+            }
+        }
+    }
+}
+
+#[test]
 fn avgpool_gradcheck() {
     let x = rand_input(&[2, 2, 6, 6], 13);
     check_input_grad(&mut AvgPool2d::new(), &x, 2e-2, 14);
