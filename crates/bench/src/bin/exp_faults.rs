@@ -20,7 +20,7 @@
 //! cargo run -p fs-bench --release --bin exp_faults -- --quick  # CI grid
 //! ```
 //!
-//! `--topology hier:TxF` runs the same grid through the fs-topo relay tree:
+//! `--topology hier:TxF` runs the same grid through the driver's relay tree:
 //! client faults then exercise the multi-hop dropout path. Gossip is
 //! rejected — the survivor arithmetic needs a server.
 
@@ -28,14 +28,15 @@ use fs_bench::args::ExpArgs;
 use fs_bench::output::render_table;
 use fs_core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fs_core::course::CourseBuilder;
-use fs_core::distributed::{BusRunOptions, TcpRunOptions};
+use fs_core::distributed::{
+    run_distributed_tcp_with, run_distributed_with, BusRunOptions, TcpRunOptions,
+};
 use fs_core::Server;
 use fs_data::synth::{twitter_like, TwitterConfig};
 use fs_monitor::{counters, MonitorHandle, RecordingMonitor};
 use fs_net::tcp::ReconnectPolicy;
 use fs_net::{FaultPlan, FaultSpec, ParticipantId, Topology};
 use fs_tensor::model::logistic_regression;
-use fs_topo::{run_hier_distributed_tcp_with, run_hier_distributed_with};
 use std::fs;
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -186,10 +187,10 @@ fn main() {
                 let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
                 let handle = MonitorHandle::from_shared(monitor.clone());
                 let start = Instant::now();
-                // fs-topo's entry points delegate star plans to the flat
-                // fs-core runners, so one call site covers both topologies
+                // the driver routes by `cfg.topology`, so one call per
+                // backend covers star and hierarchy alike
                 let result = match backend {
-                    Backend::Bus => run_hier_distributed_with(
+                    Backend::Bus => run_distributed_with(
                         server,
                         clients,
                         budget,
@@ -198,7 +199,7 @@ fn main() {
                             monitor: handle,
                         },
                     ),
-                    Backend::Tcp => run_hier_distributed_tcp_with(
+                    Backend::Tcp => run_distributed_tcp_with(
                         server,
                         clients,
                         budget,

@@ -30,16 +30,16 @@ use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{cifar, femnist, twitter, Workload};
 use fs_core::config::{CodecSpec, FlConfig};
 use fs_core::course::CourseBuilder;
-use fs_core::distributed::{distributed_report, BusRunOptions, TcpRunOptions};
+use fs_core::distributed::{
+    distributed_report, run_distributed_tcp_with, run_distributed_with, BusRunOptions,
+    TcpRunOptions,
+};
 use fs_core::runner::CourseReport;
 use fs_core::StandaloneRunner;
 use fs_monitor::export::{validate_topo_snapshot, TopoRow, TopoSnapshot};
 use fs_monitor::{MonitorHandle, RecordingMonitor};
 use fs_net::Topology;
-use fs_topo::{
-    bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed,
-    run_gossip_distributed_tcp, run_hier_distributed_tcp_with, run_hier_distributed_with,
-};
+use fs_topo::{bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed};
 use std::collections::HashMap;
 use std::fs;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -122,37 +122,28 @@ fn run_cell(
         Backend::Bus | Backend::Tcp => {
             let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
             let handle = MonitorHandle::from_shared(monitor.clone());
+            // the options type picks the transport; `cfg.topology` routes
+            let bus = BusRunOptions {
+                faults: None,
+                monitor: handle.clone(),
+            };
+            let tcp = TcpRunOptions {
+                monitor: handle,
+                ..Default::default()
+            };
             let report = if matches!(topology, Topology::Gossip { .. }) {
-                let r = match backend {
-                    Backend::Bus => run_gossip_distributed(runner, budget, handle),
-                    _ => run_gossip_distributed_tcp(runner, budget, handle),
-                };
-                r.expect("gossip cell")
+                match backend {
+                    Backend::Bus => run_gossip_distributed(runner, budget, bus),
+                    _ => run_gossip_distributed(runner, budget, tcp),
+                }
+                .expect("gossip cell")
             } else {
                 let clients: Vec<_> = runner.clients.into_values().collect();
                 let server = match backend {
-                    Backend::Bus => run_hier_distributed_with(
-                        runner.server,
-                        clients,
-                        budget,
-                        BusRunOptions {
-                            faults: None,
-                            monitor: handle,
-                        },
-                    ),
-                    _ => run_hier_distributed_tcp_with(
-                        runner.server,
-                        clients,
-                        budget,
-                        TcpRunOptions {
-                            addr: None,
-                            faults: None,
-                            reconnect: None,
-                            monitor: handle,
-                        },
-                    ),
+                    Backend::Bus => run_distributed_with(runner.server, clients, budget, bus),
+                    _ => run_distributed_tcp_with(runner.server, clients, budget, tcp),
                 };
-                distributed_report(&server.expect("hier cell"))
+                distributed_report(&server.expect("star/hier cell"))
             };
             // the distributed hierarchy meters tiers through the monitor
             let levels = match topology {

@@ -1,25 +1,42 @@
-//! The distributed runner: the same workers on real threads.
+//! The distributed driver: the same workers on real threads.
 //!
-//! Each participant runs on its own thread with a mailbox on the
-//! [`fs_net::bus::Bus`] (or a real socket via [`fs_net::tcp`]); every message
-//! crosses the transport as wire bytes, so the whole message-translation path
-//! (§3.5) is exercised. Virtual time does not apply here — `time_up` courses
-//! must use the standalone runner — but the `all_received` and
-//! `goal_achieved` strategies run unchanged, demonstrating that worker
+//! Each participant runs on its own thread behind a [`Link`]; every message
+//! crosses the [`Transport`] as wire bytes, so the whole message-translation
+//! path (§3.5) is exercised. There is one server loop ([`ServerLoop`], a
+//! state machine stepped by [`LoopEvent`]s), one client worker and one edge
+//! relay, generic over the transport (in-process bus or TCP, picked by the
+//! options type) and over the [`TopologyPlan`] built from `cfg.topology` — a
+//! star is simply the plan with no edges. Virtual time does not apply here —
+//! `time_up` courses must use the standalone runner — but the `all_received`
+//! and `goal_achieved` strategies run unchanged, demonstrating that worker
 //! behaviour is transport-independent.
+//!
+//! # Routing
+//!
+//! In a hierarchy every client frame bound for the server is re-addressed
+//! to the client's parent edge, and edges relay upstream frames to their own
+//! parent unchanged (lossless: the server still sees every update
+//! individually, so aggregation is exactly the star's). Downloads go
+//! point-to-point, server → client. Per-tier `topo.bytes_*` counters are
+//! emitted only when the plan has edges.
 //!
 //! # Fault tolerance
 //!
-//! Real cross-device clients are unreliable (§3.3.1): this runner survives
-//! them. A client whose connection dies is handled per the configured
-//! [`DropoutPolicy`] — either the course aborts with
-//! [`DistributedError::PeerDisconnected`], or the client is removed from the
-//! roster and the round completes with the survivors (the dropout is
-//! recorded in the server state and the course report). TCP clients may come
-//! back: a reconnect (capped exponential backoff + rejoin handshake) re-admits
-//! them. Deterministic fault injection for tests and the `exp_faults` grid
-//! comes from [`fs_net::FaultPlan`], threaded in through [`BusRunOptions`] /
-//! [`TcpRunOptions`].
+//! A client whose link dies is handled per the configured
+//! [`DropoutPolicy`] — the course aborts with
+//! [`DistributedError::PeerDisconnected`], or the client leaves the roster
+//! and the round completes with the survivors. TCP participants may come
+//! back through the rejoin handshake. An edge that is gone for good has its
+//! subtree *re-homed*: each direct child is told its new parent (the nearest
+//! live ancestor) with a [`REHOME`] control frame and every subtree client is
+//! re-armed; an edge that rejoins has its subtree re-armed in place.
+//!
+//! **The lost-report rule.** A finished client's report is lost exactly when
+//! the client's link has `Closed` and the report has not arrived — at once
+//! when the link led straight to the server (the transport orders `Closed`
+//! behind every direct frame), after [`RELAY_GRACE`] when the report travels
+//! through a relay. Every dropout, whatever noticed it, goes through one
+//! test-and-set on the `gone` set.
 //!
 //! Failures keep their identity: a bind failure, a codec failure, a client
 //! panic, and a true wall-budget timeout each surface as their own
@@ -29,27 +46,58 @@ use crate::client::Client;
 use crate::config::DropoutPolicy;
 use crate::ctx::Ctx;
 use crate::server::Server;
-use crate::verify::singleton_groups;
+use crate::verify::{refusal, singleton_groups};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use fs_monitor::MonitorHandle;
-use fs_net::bus::{Bus, BusError, Mailbox};
-use fs_net::fault::{FaultPlan, FaultyBus, SendOutcome};
-use fs_net::tcp::{HubEvent, ReconnectPolicy, ResilientPeer, TcpError, TcpHub};
-use fs_net::{ParticipantId, SERVER_ID};
+use fs_net::bus::BusError;
+use fs_net::tcp::TcpError;
+use fs_net::topology::{bytes_down_counter, bytes_up_counter};
+use fs_net::wire::payload_wire_len;
+use fs_net::{
+    Event, Message, MessageKind, ParticipantId, Payload, SendOutcome, Topology, TopologyPlan,
+    SERVER_ID,
+};
 use fs_sim::VirtualTime;
-use fs_verify::VerifyReport;
-use std::collections::{BTreeMap, BTreeSet};
+use fs_verify::{verify_topology_plan, Code, Diagnostic, HandlerSpec, VerifyReport};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
+
+use crate::transport::Dialer;
+pub use crate::transport::{
+    BusRunOptions, Link, LoopEvent, ServerPort, TcpRunOptions, Transport, RESERVED,
+};
+
+/// How long the server loop blocks on its port before it looks at worker
+/// exits and deadlines again.
+pub const POLL: Duration = Duration::from_millis(20);
+
+/// How long a finished client's *relayed* report may trail the close of the
+/// client's own link before it is declared lost (see the module docs).
+pub const RELAY_GRACE: Duration = Duration::from_millis(250);
+
+/// Ceiling on the wait for every participant to dial in.
+pub const ACCEPT_CAP: Duration = Duration::from_secs(30);
+
+/// Server → participant control frame: "your upstream parent is now the id
+/// in the payload". Sent when an edge is gone for good.
+pub const REHOME: MessageKind = MessageKind::Custom(0x71);
+
+/// Server → edge control frame: the course is over, exit the relay loop.
+pub const EDGE_SHUTDOWN: MessageKind = MessageKind::Custom(0x72);
 
 /// Errors from a distributed run, one variant per failure class.
 #[derive(Debug)]
 pub enum DistributedError {
-    /// The configured rule needs virtual time (e.g. `time_up`).
-    UnsupportedRule(&'static str),
-    /// The course failed static verification under
-    /// [`fs_verify::VerifyMode::Enforce`].
+    /// The threaded driver cannot run this course as configured: a rule
+    /// that needs virtual time (`time_up`), a handler on a reserved message
+    /// kind, a gossip course over a lossy transport.
+    Unsupported(String),
+    /// The course was refused before any thread was spawned: static
+    /// verification under [`fs_verify::VerifyMode::Enforce`], or — in every
+    /// mode — a topology this driver cannot realize (`FSV057` for gossip,
+    /// which has no server).
     Verification(Box<VerifyReport>),
     /// A bus operation failed.
     Bus(BusError),
@@ -74,8 +122,8 @@ pub enum DistributedError {
 impl fmt::Display for DistributedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DistributedError::UnsupportedRule(r) => {
-                write!(f, "rule {r} requires the standalone (virtual-time) runner")
+            DistributedError::Unsupported(what) => {
+                write!(f, "unsupported on the threaded driver: {what}")
             }
             DistributedError::Verification(report) => {
                 write!(f, "course rejected by static verification:\n{report}")
@@ -114,494 +162,664 @@ impl From<BusError> for DistributedError {
     }
 }
 
-/// Options for a bus-backed distributed run.
-#[derive(Default)]
-pub struct BusRunOptions {
-    /// Fault injection applied to every client's sends.
-    pub faults: Option<FaultPlan>,
-    /// Observability sink for the server's handler contexts.
-    pub monitor: MonitorHandle,
+impl From<TcpError> for DistributedError {
+    fn from(e: TcpError) -> Self {
+        DistributedError::Codec(match e {
+            TcpError::Codec(c) => c.to_string(),
+            other => other.to_string(),
+        })
+    }
 }
 
-/// Options for a TCP-backed distributed run.
-#[derive(Default)]
-pub struct TcpRunOptions {
-    /// Listening address; `None` binds an ephemeral localhost port.
-    pub addr: Option<SocketAddr>,
-    /// Fault injection applied to every client's socket sends.
-    pub faults: Option<FaultPlan>,
-    /// When set, clients survive outages: capped exponential backoff, then a
-    /// rejoin handshake.
-    pub reconnect: Option<ReconnectPolicy>,
-    /// Observability sink (server contexts + hub wire counters).
-    pub monitor: MonitorHandle,
-}
-
-/// Why a client worker thread stopped.
+/// Why a worker thread stopped.
 #[derive(Debug)]
-enum ClientOutcome {
-    /// Received Finish and reported metrics — the normal end.
+pub enum WorkerOutcome {
+    /// Clean end: a client received Finish and reported, an edge received
+    /// [`EDGE_SHUTDOWN`], a gossip peer shipped its final model.
     Finished,
-    /// Its (possibly fault-injected) connection died for good.
+    /// Its (possibly fault-injected) link died for good.
     Disconnected,
     /// A handler panicked.
     Panicked(String),
     /// A transport operation failed terminally.
-    Transport(String),
+    Failed(DistributedError),
 }
 
-/// One worker's exit report, delivered on the control channel.
-struct ClientExit {
-    id: ParticipantId,
-    outcome: ClientOutcome,
-}
-
-/// The message of a caught worker panic, when it was a string.
-pub fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-/// Shared server-loop bookkeeping: which clients are gone for good, and
-/// whether the course can be declared complete.
-#[derive(Default)]
-pub struct Completion {
-    /// The server terminated the course.
-    pub finished: bool,
-    /// Clients whose connection died terminally (their final report may be
-    /// legitimately lost). Cleanly finished clients are NOT in here: their
-    /// report is still in flight and must be awaited.
-    pub gone: BTreeSet<ParticipantId>,
-}
-
-impl Completion {
-    /// The course is complete when the server terminated it and every roster
-    /// member has either reported metrics or provably disconnected (so its
-    /// report can never arrive).
-    pub fn complete(&self, server: &Server) -> bool {
-        self.finished
-            && server
-                .state
-                .roster
-                .iter()
-                .all(|id| server.state.client_reports.contains_key(id) || self.gone.contains(id))
-    }
-}
-
-/// Applies the dropout policy for a dead client: `Ok(())` means the course
-/// continues with the survivors (the server re-evaluated its conditions).
-pub fn apply_dropout(
-    server: &mut Server,
-    id: ParticipantId,
-    ctx: &mut Ctx,
-) -> Result<(), DistributedError> {
-    match server.state.cfg.dropout {
-        DropoutPolicy::Fail => Err(DistributedError::PeerDisconnected(id)),
-        DropoutPolicy::Survivors { min_survivors } => {
-            let survivors = if server.state.roster_index.contains(&id) {
-                server.state.roster.len() - 1
-            } else {
-                server.state.roster.len()
-            };
-            if survivors < min_survivors {
-                return Err(DistributedError::PeerDisconnected(id));
-            }
-            server.notify_dropout(id, ctx);
-            Ok(())
+impl WorkerOutcome {
+    /// Surfaces the two failing outcomes as the course's error; `Ok(true)`
+    /// is a clean finish, `Ok(false)` a dead link.
+    pub fn settled(self, id: ParticipantId) -> Result<bool, DistributedError> {
+        match self {
+            WorkerOutcome::Finished => Ok(true),
+            WorkerOutcome::Disconnected => Ok(false),
+            WorkerOutcome::Panicked(detail) => Err(DistributedError::ClientPanic { id, detail }),
+            WorkerOutcome::Failed(e) => Err(e),
         }
     }
 }
 
+/// What the poll loop steps: the server-based [`ServerLoop`], or a gossip
+/// course's final-model collector.
+pub trait Course {
+    /// Applies one event. `now` is the loop's clock, passed in so the state
+    /// machine itself never reads one.
+    fn step(
+        &mut self,
+        event: LoopEvent,
+        now: Instant,
+        port: &mut dyn ServerPort,
+    ) -> Result<(), DistributedError>;
+
+    /// Whether the course is over and the loop may return.
+    fn complete(&self) -> bool;
+
+    /// Last words to still-running workers after a completed course.
+    fn wind_down(&mut self, _port: &mut dyn ServerPort) {}
+}
+
+/// One distributed run in flight: an opened transport, the worker threads
+/// spawned onto it, and the channel their exit reports arrive on.
+pub struct Session<P> {
+    /// The run's (sharded) monitor handle.
+    pub monitor: MonitorHandle,
+    dialers: BTreeMap<ParticipantId, Dialer>,
+    accept: Box<dyn FnOnce(Duration) -> Result<P, DistributedError>>,
+    wall_budget: Duration,
+    exit_tx: Sender<(ParticipantId, WorkerOutcome)>,
+    exits: Receiver<(ParticipantId, WorkerOutcome)>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+}
+
+impl<P: ServerPort> Session<P> {
+    /// Opens `transport` for participants `ids` (the server excluded).
+    pub fn open<T: Transport<Port = P>>(
+        transport: T,
+        ids: &[ParticipantId],
+        wall_budget: Duration,
+    ) -> Result<Self, DistributedError> {
+        let opened = transport.open(ids)?;
+        let (exit_tx, exits) = unbounded();
+        Ok(Session {
+            monitor: opened.monitor,
+            dialers: opened.dialers.into_iter().collect(),
+            accept: opened.accept,
+            wall_budget,
+            exit_tx,
+            exits,
+            handles: Vec::new(),
+        })
+    }
+
+    /// Spawns participant `id`'s worker. The thread dials its link, runs
+    /// `body`, reports the outcome — a caught panic included — and only then
+    /// lets the link close, so a `Closed` event can never overtake the exit
+    /// report that explains it. An `id` that was not given to
+    /// [`Session::open`], or is spawned twice, is an error.
+    pub fn spawn<F>(
+        &mut self,
+        id: ParticipantId,
+        announce: bool,
+        body: F,
+    ) -> Result<(), DistributedError>
+    where
+        F: FnOnce(&mut dyn Link) -> Result<WorkerOutcome, DistributedError> + Send + 'static,
+    {
+        let dial = self.dialers.remove(&id).ok_or_else(|| {
+            DistributedError::Unsupported(format!("participant {id} has no unspawned link"))
+        })?;
+        let exit_tx = self.exit_tx.clone();
+        self.handles.push(std::thread::spawn(move || {
+            let mut link = None;
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                body(link.insert(dial(announce)?).as_mut())
+            }));
+            let outcome = match result {
+                Ok(Ok(outcome)) => outcome,
+                Ok(Err(e)) => WorkerOutcome::Failed(e),
+                Err(payload) => {
+                    WorkerOutcome::Panicked(if let Some(s) = payload.downcast_ref::<&str>() {
+                        (*s).to_string()
+                    } else if let Some(s) = payload.downcast_ref::<String>() {
+                        s.clone()
+                    } else {
+                        "opaque panic payload".to_string()
+                    })
+                }
+            };
+            let _ = exit_tx.send((id, outcome));
+            drop(link);
+        }));
+        Ok(())
+    }
+
+    /// Waits for every participant to dial in, pumps `course` to completion
+    /// (or the wall budget), and tears the run down.
+    pub fn run(self, course: &mut impl Course) -> Result<(), DistributedError> {
+        // fsa::allow(FSA002, the distributed runtime's one wall-clock read: real threads and sockets are not on the virtual clock)
+        let start = Instant::now();
+        let mut port = match (self.accept)(self.wall_budget.min(ACCEPT_CAP)) {
+            Ok(port) => port,
+            Err(stalled) => {
+                // a worker that died while dialing explains the stalled
+                // accept better than a generic timeout does
+                while let Ok((id, outcome)) = self.exits.try_recv() {
+                    if !outcome.settled(id)? {
+                        return Err(DistributedError::PeerDisconnected(id));
+                    }
+                }
+                return Err(stalled);
+            }
+        };
+        let result = pump(&mut port, &self.exits, start, self.wall_budget, course);
+        if result.is_ok() {
+            course.wind_down(&mut port);
+        }
+        // closing the port unblocks any worker still mid-reconnect (its
+        // retries hit a dead listener and run out), so joins terminate
+        drop(port);
+        if result.is_ok() {
+            // error paths must not join: surviving workers may be blocked on
+            // their links and would deadlock the teardown
+            for h in self.handles {
+                let _ = h.join();
+            }
+        }
+        // every counter producer is done (or abandoned): fold the sharded
+        // bank into the monitor before anyone reads it back
+        self.monitor.flush_counters();
+        result
+    }
+}
+
+/// The one poll loop. Worker exits are drained before every port event is
+/// stepped — including between receiving it and stepping it — so an exit
+/// report (a panic above all) always outranks queued traffic, and the exit
+/// that causally precedes a `Closed` is always seen first.
+fn pump(
+    port: &mut dyn ServerPort,
+    exits: &Receiver<(ParticipantId, WorkerOutcome)>,
+    start: Instant,
+    wall_budget: Duration,
+    course: &mut impl Course,
+) -> Result<(), DistributedError> {
+    let mut pending = None;
+    loop {
+        let elapsed = start.elapsed();
+        let now = start + elapsed;
+        while let Ok((id, outcome)) = exits.try_recv() {
+            course.step(LoopEvent::Exit(id, outcome), now, port)?;
+        }
+        if let Some(event) = pending.take() {
+            course.step(event, now, port)?;
+        }
+        if course.complete() {
+            return Ok(());
+        }
+        let remaining = wall_budget.saturating_sub(elapsed);
+        if remaining.is_zero() {
+            return Err(DistributedError::Timeout);
+        }
+        pending = Some(
+            port.recv_event(remaining.min(POLL))?
+                .unwrap_or(LoopEvent::Idle),
+        );
+    }
+}
+
+/// The server's side of a distributed course as a state machine: feed it
+/// [`LoopEvent`]s and the time, it drives the [`Server`] and ships what the
+/// server wants sent.
+pub struct ServerLoop {
+    /// The server being driven; handed back when the course completes.
+    pub server: Server,
+    plan: TopologyPlan,
+    monitor: MonitorHandle,
+    /// The server terminated the course.
+    finished: bool,
+    /// Clients whose report can never arrive. Cleanly finished clients are
+    /// NOT in here: their report is still in flight and must be awaited.
+    gone: BTreeSet<ParticipantId>,
+    /// Clients whose worker ended cleanly.
+    finished_workers: BTreeSet<ParticipantId>,
+    dead_edges: BTreeSet<ParticipantId>,
+    /// Finished clients whose link closed ahead of their relayed report,
+    /// with the instant the report is declared lost.
+    watch: BTreeMap<ParticipantId, Instant>,
+}
+
+impl ServerLoop {
+    /// A loop over `server`, routed per `plan`.
+    pub fn new(server: Server, plan: TopologyPlan, monitor: MonitorHandle) -> Self {
+        ServerLoop {
+            server,
+            plan,
+            monitor,
+            finished: false,
+            gone: BTreeSet::new(),
+            finished_workers: BTreeSet::new(),
+            dead_edges: BTreeSet::new(),
+            watch: BTreeMap::new(),
+        }
+    }
+
+    fn ctx(&self) -> Ctx {
+        Ctx::with_monitor(VirtualTime::ZERO, self.monitor.clone())
+    }
+
+    fn reported(&self, id: ParticipantId) -> bool {
+        self.server.state.client_reports.contains_key(&id)
+    }
+
+    /// The single dropout path: the first caller to put `id` in `gone`
+    /// applies the dropout policy and gets the server's reaction to ship.
+    fn dropout(&mut self, id: ParticipantId) -> Result<Option<Ctx>, DistributedError> {
+        self.watch.remove(&id);
+        if !self.gone.insert(id) {
+            return Ok(None);
+        }
+        let state = &self.server.state;
+        let survivors = state.roster.len() - usize::from(state.roster_index.contains(&id));
+        match state.cfg.dropout {
+            DropoutPolicy::Survivors { min_survivors } if survivors >= min_survivors => {
+                let mut ctx = self.ctx();
+                self.server.notify_dropout(id, &mut ctx);
+                Ok(Some(ctx))
+            }
+            _ => Err(DistributedError::PeerDisconnected(id)),
+        }
+    }
+
+    fn drop_client(
+        &mut self,
+        id: ParticipantId,
+        port: &mut dyn ServerPort,
+    ) -> Result<(), DistributedError> {
+        match self.dropout(id)? {
+            Some(ctx) => self.ship(ctx, port),
+            None => Ok(()),
+        }
+    }
+
+    /// Ships a server context (downloads go point-to-point). A send that
+    /// finds its receiver gone is a dropout if the receiver is a client
+    /// still owed work, and a lost frame otherwise.
+    fn ship(&mut self, ctx: Ctx, port: &mut dyn ServerPort) -> Result<(), DistributedError> {
+        debug_assert!(
+            ctx.timers.is_empty(),
+            "timers require the standalone runner"
+        );
+        self.finished |= ctx.finished;
+        let mut pending = VecDeque::from(ctx.outbox);
+        while let Some(out) = pending.pop_front() {
+            let to = out.msg.receiver;
+            if port.send(&out.msg)? {
+                if !self.plan.edges.is_empty() {
+                    self.monitor.add(
+                        bytes_down_counter(self.plan.link_level(to)),
+                        payload_wire_len(&out.msg.payload) as u64,
+                    );
+                }
+            } else if !(self.plan.is_edge(to)
+                || self.finished
+                || self.reported(to)
+                || self.finished_workers.contains(&to))
+            {
+                if let Some(reaction) = self.dropout(to)? {
+                    self.finished |= reaction.finished;
+                    pending.extend(reaction.outbox);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Treats `id` as freshly reconnected: in-flight work is void, the
+    /// server re-arms it.
+    fn rearm(
+        &mut self,
+        id: ParticipantId,
+        port: &mut dyn ServerPort,
+    ) -> Result<(), DistributedError> {
+        let mut ctx = self.ctx();
+        self.server.notify_rejoin(id, &mut ctx);
+        self.ship(ctx, port)
+    }
+
+    fn rearm_subtree(
+        &mut self,
+        edge: ParticipantId,
+        port: &mut dyn ServerPort,
+    ) -> Result<(), DistributedError> {
+        for c in self.plan.subtree_clients(edge) {
+            if !self.gone.contains(&c) {
+                self.rearm(c, port)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// An edge is gone for good: re-home its direct children onto the
+    /// nearest live ancestor and re-arm every subtree client still in the
+    /// course, so the round recovers.
+    fn rehome(
+        &mut self,
+        dead: ParticipantId,
+        port: &mut dyn ServerPort,
+    ) -> Result<(), DistributedError> {
+        if !self.dead_edges.insert(dead) {
+            return Ok(());
+        }
+        let mut new_parent = self.plan.parent_of(dead).unwrap_or(SERVER_ID);
+        while self.dead_edges.contains(&new_parent) {
+            new_parent = self.plan.parent_of(new_parent).unwrap_or(SERVER_ID);
+        }
+        for &child in self.plan.children_of(dead) {
+            if !self.dead_edges.contains(&child) && !self.gone.contains(&child) {
+                // a freshly-dead child is moot — its own exit re-homes or
+                // drops it in turn
+                let _ = port.send(&rehome_msg(child, new_parent))?;
+            }
+        }
+        self.rearm_subtree(dead, port)
+    }
+}
+
+impl Course for ServerLoop {
+    fn step(
+        &mut self,
+        event: LoopEvent,
+        now: Instant,
+        port: &mut dyn ServerPort,
+    ) -> Result<(), DistributedError> {
+        match event {
+            LoopEvent::Message(msg) => {
+                let mut ctx = self.ctx();
+                self.server.handle(&msg, &mut ctx);
+                self.ship(ctx, port)?;
+            }
+            LoopEvent::Exit(id, outcome) => {
+                let finished = outcome.settled(id)?;
+                match (self.plan.is_edge(id), finished) {
+                    (true, true) => {} // shutdown acknowledged
+                    (true, false) => self.rehome(id, port)?,
+                    (false, true) => {
+                        self.finished_workers.insert(id);
+                    }
+                    (false, false) => self.drop_client(id, port)?,
+                }
+            }
+            // an edge's link closing decides nothing: the edge either
+            // rejoins, or its worker exits `Disconnected` and is re-homed
+            LoopEvent::Closed(id) if self.plan.is_edge(id) => {}
+            LoopEvent::Closed(id) if self.reported(id) || self.gone.contains(&id) => {}
+            LoopEvent::Closed(id) => {
+                // the lost-report rule (module docs)
+                let relayed = self.plan.parent_of(id).is_some_and(|p| p != SERVER_ID);
+                if relayed && self.finished_workers.contains(&id) {
+                    self.watch.entry(id).or_insert(now + RELAY_GRACE);
+                } else {
+                    self.drop_client(id, port)?;
+                }
+            }
+            LoopEvent::Rejoined(id) if self.plan.is_edge(id) => self.rearm_subtree(id, port)?,
+            LoopEvent::Rejoined(id) => {
+                // the link is live again: await this client's report normally
+                self.gone.remove(&id);
+                self.rearm(id, port)?;
+            }
+            LoopEvent::Codec(detail) => return Err(DistributedError::Codec(detail)),
+            LoopEvent::Idle => {}
+        }
+        let reports = &self.server.state.client_reports;
+        self.watch.retain(|id, _| !reports.contains_key(id));
+        let overdue: Vec<ParticipantId> = self
+            .watch
+            .iter()
+            .filter(|&(_, &lost_at)| lost_at <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        for id in overdue {
+            self.drop_client(id, port)?;
+        }
+        Ok(())
+    }
+
+    /// The course is complete when the server terminated it and every roster
+    /// member has either reported metrics or is provably gone.
+    fn complete(&self) -> bool {
+        let state = &self.server.state;
+        self.finished
+            && state
+                .roster
+                .iter()
+                .all(|id| state.client_reports.contains_key(id) || self.gone.contains(id))
+    }
+
+    fn wind_down(&mut self, port: &mut dyn ServerPort) {
+        for &e in &self.plan.edges {
+            if !self.dead_edges.contains(&e) {
+                let shutdown = Message::new(SERVER_ID, e, EDGE_SHUTDOWN, 0, Payload::Empty);
+                let _ = port.send(&shutdown);
+            }
+        }
+    }
+}
+
+fn rehome_msg(to: ParticipantId, new_parent: ParticipantId) -> Message {
+    let payload = Payload::Bytes(new_parent.to_le_bytes().to_vec());
+    Message::new(SERVER_ID, to, REHOME, 0, payload)
+}
+
+/// Decodes a [`REHOME`] frame's new-parent id; `None` for any other frame.
+fn rehome_target(msg: &Message) -> Option<ParticipantId> {
+    match &msg.payload {
+        Payload::Bytes(b) if msg.kind == REHOME && msg.sender == SERVER_ID => {
+            Some(ParticipantId::from_le_bytes(b.as_slice().try_into().ok()?))
+        }
+        _ => None,
+    }
+}
+
+/// A participant's way up: its current parent, and — when the plan has
+/// edges — the tier counter its upstream bytes are metered into.
+struct Uplink {
+    parent: ParticipantId,
+    meter: Option<(MonitorHandle, &'static str)>,
+}
+
+impl Uplink {
+    fn of(id: ParticipantId, plan: &TopologyPlan, monitor: &MonitorHandle) -> Self {
+        Uplink {
+            parent: plan.parent_of(id).unwrap_or(SERVER_ID),
+            meter: (!plan.edges.is_empty())
+                .then(|| (monitor.clone(), bytes_up_counter(plan.link_level(id)))),
+        }
+    }
+
+    fn send(&self, link: &mut dyn Link, msg: &Message) -> Result<SendOutcome, DistributedError> {
+        if let Some((monitor, counter)) = &self.meter {
+            monitor.add(counter, payload_wire_len(&msg.payload) as u64);
+        }
+        link.send(msg)
+    }
+}
+
+/// The client worker: the client's own handlers, with frames bound for the
+/// server re-addressed to the current parent and [`REHOME`] swapping that
+/// parent mid-course.
+fn client_worker(
+    mut client: Client,
+    mut up: Uplink,
+    link: &mut dyn Link,
+) -> Result<WorkerOutcome, DistributedError> {
+    let mut ctx = Ctx::at(VirtualTime::ZERO);
+    client.start(&mut ctx);
+    loop {
+        for mut out in ctx.outbox {
+            if out.msg.receiver == SERVER_ID {
+                out.msg.receiver = up.parent;
+            }
+            if up.send(link, &out.msg)? == SendOutcome::Disconnected {
+                return Ok(WorkerOutcome::Disconnected);
+            }
+        }
+        if ctx.finished {
+            return Ok(WorkerOutcome::Finished);
+        }
+        let Some(msg) = link.recv()? else {
+            return Ok(WorkerOutcome::Disconnected);
+        };
+        ctx = Ctx::at(VirtualTime::ZERO);
+        match rehome_target(&msg) {
+            Some(parent) => up.parent = parent,
+            None => client.handle(&msg, &mut ctx),
+        }
+    }
+}
+
+/// The edge relay: forwards every upstream frame to its parent unchanged
+/// (lossless), obeying [`REHOME`] / [`EDGE_SHUTDOWN`] control.
+fn edge_worker(mut up: Uplink, link: &mut dyn Link) -> Result<WorkerOutcome, DistributedError> {
+    loop {
+        let Some(mut msg) = link.recv()? else {
+            return Ok(WorkerOutcome::Disconnected);
+        };
+        if msg.kind == EDGE_SHUTDOWN {
+            return Ok(WorkerOutcome::Finished);
+        }
+        if let Some(parent) = rehome_target(&msg) {
+            up.parent = parent;
+            continue;
+        }
+        msg.receiver = up.parent;
+        if up.send(link, &msg)? == SendOutcome::Disconnected {
+            return Ok(WorkerOutcome::Disconnected);
+        }
+    }
+}
+
+/// The first event in a handler's table entry (the event it is registered
+/// for, then the ones it declares it emits) whose kind is [`RESERVED`].
+fn reserved_event(handler: HandlerSpec) -> Option<Event> {
+    let events = [handler.event].into_iter().chain(handler.emits);
+    events
+        .into_iter()
+        .find(|e| matches!(e, Event::Message(MessageKind::Custom(tag)) if RESERVED.contains(tag)))
+}
+
+/// Realizes the configured topology and statically verifies the assembled
+/// course together with the plan, before any thread is spawned.
+fn routed_plan(server: &Server, clients: &[Client]) -> Result<TopologyPlan, DistributedError> {
+    let cfg = &server.state.cfg;
+    if cfg.scheduler_uses_timer() {
+        let what = "the time_up rule needs virtual time (use the standalone runner)";
+        return Err(DistributedError::Unsupported(what.to_string()));
+    }
+    let tables = clients.iter().map(Client::specs).chain([server.specs()]);
+    if let Some(event) = tables.flatten().find_map(reserved_event) {
+        return Err(DistributedError::Unsupported(format!(
+            "a handler is registered for, or declares it emits, {event}; Custom kinds \
+             {RESERVED:#x?} carry the driver's own control frames"
+        )));
+    }
+    if let Topology::Gossip { .. } = cfg.topology {
+        // not a lint a verify mode can wave through: a gossip course has no
+        // server for this driver to run
+        let unrouted = Diagnostic::new(
+            Code::TopologyUnrouted,
+            "topology",
+            format!("{} is serverless; this driver runs a server", cfg.topology),
+        );
+        return Err(refusal(
+            unrouted.with_suggestion("run the course through fs_topo::run_gossip_distributed"),
+        )
+        .into());
+    }
+    let plan = TopologyPlan::build(cfg.topology, clients.len(), cfg.seed).map_err(|e| {
+        refusal(Diagnostic::new(
+            Code::TopologyInvalid,
+            "topology",
+            e.to_string(),
+        ))
+    })?;
+    crate::verify::preflight(
+        server,
+        &singleton_groups(clients),
+        verify_topology_plan(&plan).diagnostics,
+    )?;
+    Ok(plan)
+}
+
+fn drive<T: Transport>(
+    server: Server,
+    clients: Vec<Client>,
+    wall_budget: Duration,
+    transport: T,
+) -> Result<Server, DistributedError> {
+    let plan = routed_plan(&server, &clients)?;
+    let ids: Vec<ParticipantId> = plan
+        .edges
+        .iter()
+        .copied()
+        .chain(clients.iter().map(|c| c.state.id))
+        .collect();
+    let mut session = Session::open(transport, &ids, wall_budget)?;
+    for &edge in &plan.edges {
+        let up = Uplink::of(edge, &plan, &session.monitor);
+        session.spawn(edge, true, move |link| edge_worker(up, link))?;
+    }
+    for client in clients {
+        let id = client.state.id;
+        let up = Uplink::of(id, &plan, &session.monitor);
+        session.spawn(id, false, move |link| client_worker(client, up, link))?;
+    }
+    let mut course = ServerLoop::new(server, plan, session.monitor.clone());
+    session.run(&mut course)?;
+    Ok(course.server)
+}
+
 /// Runs a course over threads and the in-process bus, returning the server
-/// (with its histories and client reports) once the course finishes.
+/// (with its histories and client reports) once the course finishes. The
+/// course's `cfg.topology` decides the routing: star or hierarchy.
 pub fn run_distributed(
     server: Server,
     clients: Vec<Client>,
     wall_budget: Duration,
 ) -> Result<Server, DistributedError> {
-    run_distributed_with(server, clients, wall_budget, BusRunOptions::default())
+    drive(server, clients, wall_budget, BusRunOptions::default())
 }
 
 /// [`run_distributed`] with fault injection and observability options.
 pub fn run_distributed_with(
-    mut server: Server,
+    server: Server,
     clients: Vec<Client>,
     wall_budget: Duration,
-    mut opts: BusRunOptions,
+    opts: BusRunOptions,
 ) -> Result<Server, DistributedError> {
-    if server.state.cfg.scheduler_uses_timer() {
-        return Err(DistributedError::UnsupportedRule("time_up"));
-    }
-    // counter adds from the runner loop go to a lock-free sharded bank and
-    // are folded into the monitor once, at the flush below — commutative
-    // totals, so the deferred fold is observably identical
-    opts.monitor = opts.monitor.sharded();
-    // static verification, before any thread is spawned
-    crate::verify::preflight(&server, &singleton_groups(&clients), Vec::new())?;
-    let plan = opts.faults.unwrap_or_default();
-    let mut bus = Bus::new();
-    let server_mb = bus.register(SERVER_ID);
-    // register every mailbox BEFORE any thread clones the bus: Bus clones
-    // snapshot the sender map, so a clone taken mid-registration would
-    // silently lack the later participants' mailboxes
-    let mailboxes: Vec<Mailbox> = clients.iter().map(|c| bus.register(c.state.id)).collect();
-    let (exit_tx, exit_rx) = crossbeam::channel::unbounded::<ClientExit>();
-    let mut handles = Vec::new();
-    for (mut client, mb) in clients.into_iter().zip(mailboxes) {
-        let id = client.state.id;
-        let mut link = FaultyBus::new(bus.clone(), plan.state_for(id));
-        let exit_tx = exit_tx.clone();
-        handles.push(std::thread::spawn(move || {
-            let result = std::panic::catch_unwind(AssertUnwindSafe(
-                move || -> Result<ClientOutcome, BusError> {
-                    let mut ctx = Ctx::at(VirtualTime::ZERO);
-                    client.start(&mut ctx);
-                    let mut finished = ctx.finished;
-                    loop {
-                        for out in ctx.outbox {
-                            if link.send(&out.msg)? == SendOutcome::Disconnected {
-                                return Ok(ClientOutcome::Disconnected);
-                            }
-                        }
-                        if finished {
-                            return Ok(ClientOutcome::Finished);
-                        }
-                        let msg = mb.recv()?;
-                        ctx = Ctx::at(VirtualTime::ZERO);
-                        client.handle(&msg, &mut ctx);
-                        finished = ctx.finished;
-                    }
-                },
-            ));
-            let outcome = match result {
-                Ok(Ok(outcome)) => outcome,
-                Ok(Err(e)) => ClientOutcome::Transport(e.to_string()),
-                Err(payload) => ClientOutcome::Panicked(panic_detail(payload)),
-            };
-            let _ = exit_tx.send(ClientExit { id, outcome });
-        }));
-    }
-    drop(exit_tx);
-
-    // fsa::allow(FSA002, distributed runtime wall budget; real threads and sockets are not on the virtual clock)
-    let deadline = Instant::now() + wall_budget;
-    let mut done = Completion::default();
-    let mut finished_exits: BTreeSet<ParticipantId> = BTreeSet::new();
-    let result = loop {
-        // worker exits first: a panic must surface as ClientPanic even if a
-        // message from another client is also waiting
-        let exit = loop {
-            match exit_rx.try_recv() {
-                Ok(exit) => match exit.outcome {
-                    ClientOutcome::Finished => {
-                        finished_exits.insert(exit.id);
-                    }
-                    ClientOutcome::Disconnected => {
-                        done.gone.insert(exit.id);
-                        let mut ctx = Ctx::with_monitor(VirtualTime::ZERO, opts.monitor.clone());
-                        if let Err(e) = apply_dropout(&mut server, exit.id, &mut ctx) {
-                            break Some(Err(e));
-                        }
-                        if let Err(e) = drain_server_ctx(&bus, ctx, &mut done) {
-                            break Some(Err(e));
-                        }
-                    }
-                    ClientOutcome::Panicked(detail) => {
-                        break Some(Err(DistributedError::ClientPanic {
-                            id: exit.id,
-                            detail,
-                        }));
-                    }
-                    ClientOutcome::Transport(detail) => {
-                        break Some(Err(DistributedError::Codec(detail)));
-                    }
-                },
-                Err(_) => break None,
-            }
-        };
-        if let Some(res) = exit {
-            break res;
-        }
-        if done.complete(&server) {
-            break Ok(());
-        }
-        // fsa::allow(FSA002, measuring against the wall-clock deadline above)
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break Err(DistributedError::Timeout);
-        }
-        match server_mb.recv_timeout(remaining.min(Duration::from_millis(20))) {
-            Ok(Some(msg)) => {
-                let mut ctx = Ctx::with_monitor(VirtualTime::ZERO, opts.monitor.clone());
-                server.handle(&msg, &mut ctx);
-                if let Err(e) = drain_server_ctx(&bus, ctx, &mut done) {
-                    break Err(e);
-                }
-            }
-            Ok(None) => {
-                // the bus enqueues synchronously, so a Finished worker's
-                // report is already in our mailbox — or was fault-dropped.
-                // An empty mailbox after its exit proves the latter.
-                let lost: Vec<ParticipantId> = finished_exits
-                    .iter()
-                    .copied()
-                    .filter(|id| {
-                        !server.state.client_reports.contains_key(id) && !done.gone.contains(id)
-                    })
-                    .collect();
-                let mut failed = None;
-                for id in lost {
-                    done.gone.insert(id);
-                    let mut ctx = Ctx::with_monitor(VirtualTime::ZERO, opts.monitor.clone());
-                    if let Err(e) = apply_dropout(&mut server, id, &mut ctx) {
-                        failed = Some(e);
-                        break;
-                    }
-                    if let Err(e) = drain_server_ctx(&bus, ctx, &mut done) {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                if let Some(e) = failed {
-                    break Err(e);
-                }
-            }
-            Err(e) => break Err(e.into()),
-        }
-    };
-    // all counter producers are done (workers joined or abandoned): fold
-    // the sharded bank into the monitor before anyone reads it back
-    match result {
-        Ok(()) => {
-            for h in handles {
-                let _ = h.join();
-            }
-            opts.monitor.flush_counters();
-            Ok(server)
-        }
-        // error paths must not join: surviving workers may be blocked on
-        // their mailboxes and would deadlock the teardown
-        Err(e) => {
-            opts.monitor.flush_counters();
-            Err(e)
-        }
-    }
-}
-
-/// Ships a server context's outbox over the bus and folds its completion
-/// flag into the tracker.
-fn drain_server_ctx(bus: &Bus, ctx: Ctx, done: &mut Completion) -> Result<(), DistributedError> {
-    debug_assert!(
-        ctx.timers.is_empty(),
-        "timers require the standalone runner"
-    );
-    for out in ctx.outbox {
-        bus.send(&out.msg)?;
-    }
-    done.finished |= ctx.finished;
-    Ok(())
+    drive(server, clients, wall_budget, opts)
 }
 
 /// Runs a course over real TCP sockets on localhost: the server binds an
-/// ephemeral port, every client runs on its own thread with its own
+/// ephemeral port, every participant runs on its own thread with its own
 /// connection, and all traffic crosses the kernel as length-prefixed wire
-/// frames. Functionally equivalent to [`run_distributed`], but exercising the
-/// `fs_net::tcp` transport end to end.
+/// frames. The same driver as [`run_distributed`] over the other transport.
 pub fn run_distributed_tcp(
     server: Server,
     clients: Vec<Client>,
     wall_budget: Duration,
 ) -> Result<Server, DistributedError> {
-    run_distributed_tcp_with(server, clients, wall_budget, TcpRunOptions::default())
+    drive(server, clients, wall_budget, TcpRunOptions::default())
 }
 
 /// [`run_distributed_tcp`] with an explicit address, fault injection,
 /// reconnect policy, and observability options.
 pub fn run_distributed_tcp_with(
-    mut server: Server,
+    server: Server,
     clients: Vec<Client>,
     wall_budget: Duration,
-    mut opts: TcpRunOptions,
+    opts: TcpRunOptions,
 ) -> Result<Server, DistributedError> {
-    if server.state.cfg.scheduler_uses_timer() {
-        return Err(DistributedError::UnsupportedRule("time_up"));
-    }
-    // `wire.*` counters are bumped from every socket thread; route them to a
-    // lock-free sharded bank so frame I/O never serializes on the monitor
-    // mutex, and fold the totals back in at the flush below
-    opts.monitor = opts.monitor.sharded();
-    // static verification, before any thread is spawned
-    crate::verify::preflight(&server, &singleton_groups(&clients), Vec::new())?;
-    let bind_addr = opts
-        .addr
-        .unwrap_or_else(|| SocketAddr::from(([127, 0, 0, 1], 0)));
-    let pending = TcpHub::bind(bind_addr)
-        .map_err(tcp_to_bind)?
-        .with_monitor(opts.monitor.clone());
-    let addr = pending.local_addr().map_err(tcp_to_bind)?;
-    let plan = opts.faults.unwrap_or_default();
-    let n_clients = clients.len();
-    let (exit_tx, exit_rx) = crossbeam::channel::unbounded::<ClientExit>();
-    let mut handles = Vec::new();
-    for mut client in clients {
-        let id = client.state.id;
-        let faults = plan.state_for(id);
-        let reconnect = opts.reconnect;
-        let exit_tx = exit_tx.clone();
-        handles.push(std::thread::spawn(move || {
-            let result = std::panic::catch_unwind(AssertUnwindSafe(
-                move || -> Result<ClientOutcome, TcpError> {
-                    let mut peer = ResilientPeer::connect(addr, id)?.with_faults(faults);
-                    if let Some(policy) = reconnect {
-                        peer = peer.with_reconnect(policy);
-                    }
-                    let mut ctx = Ctx::at(VirtualTime::ZERO);
-                    client.start(&mut ctx);
-                    let mut finished = ctx.finished;
-                    loop {
-                        for out in ctx.outbox {
-                            if peer.send(&out.msg)? == SendOutcome::Disconnected
-                                && reconnect.is_none()
-                            {
-                                return Ok(ClientOutcome::Disconnected);
-                            }
-                        }
-                        if finished {
-                            return Ok(ClientOutcome::Finished);
-                        }
-                        let msg = match peer.recv() {
-                            Ok(m) => m,
-                            // link gone for good (no policy, or retries spent)
-                            Err(TcpError::Closed) | Err(TcpError::Io(_)) => {
-                                return Ok(ClientOutcome::Disconnected)
-                            }
-                            Err(e) => return Err(e),
-                        };
-                        ctx = Ctx::at(VirtualTime::ZERO);
-                        client.handle(&msg, &mut ctx);
-                        finished = ctx.finished;
-                    }
-                },
-            ));
-            let outcome = match result {
-                Ok(Ok(outcome)) => outcome,
-                Ok(Err(e)) => ClientOutcome::Transport(e.to_string()),
-                Err(payload) => ClientOutcome::Panicked(panic_detail(payload)),
-            };
-            let _ = exit_tx.send(ClientExit { id, outcome });
-        }));
-    }
-    drop(exit_tx);
-
-    // fsa::allow(FSA002, distributed runtime wall budget; real threads and sockets are not on the virtual clock)
-    let deadline = Instant::now() + wall_budget;
-    let mut exits: BTreeMap<ParticipantId, ClientOutcome> = BTreeMap::new();
-    let hub = match pending.accept_within(n_clients, wall_budget.min(Duration::from_secs(30))) {
-        Ok(hub) => hub,
-        Err(_) => {
-            // a worker that died during connect explains the stalled accept
-            // better than a generic timeout does
-            while let Ok(exit) = exit_rx.try_recv() {
-                exits.insert(exit.id, exit.outcome);
-            }
-            for (id, outcome) in exits {
-                match outcome {
-                    ClientOutcome::Panicked(detail) => {
-                        return Err(DistributedError::ClientPanic { id, detail })
-                    }
-                    ClientOutcome::Transport(detail) => {
-                        return Err(DistributedError::Codec(detail))
-                    }
-                    ClientOutcome::Disconnected => {
-                        return Err(DistributedError::PeerDisconnected(id))
-                    }
-                    ClientOutcome::Finished => {}
-                }
-            }
-            return Err(DistributedError::Timeout);
-        }
-    };
-
-    let mut done = Completion::default();
-    let result = loop {
-        while let Ok(exit) = exit_rx.try_recv() {
-            if matches!(exit.outcome, ClientOutcome::Disconnected) {
-                done.gone.insert(exit.id);
-            }
-            exits.insert(exit.id, exit.outcome);
-        }
-        // panics take priority over whatever else is queued
-        if let Some((id, detail)) = exits.iter().find_map(|(id, o)| match o {
-            ClientOutcome::Panicked(d) => Some((*id, d.clone())),
-            _ => None,
-        }) {
-            break Err(DistributedError::ClientPanic { id, detail });
-        }
-        if done.complete(&server) {
-            break Ok(());
-        }
-        // fsa::allow(FSA002, measuring against the wall-clock deadline above)
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break Err(DistributedError::Timeout);
-        }
-        let event = match hub.recv_event_timeout(remaining.min(Duration::from_millis(20))) {
-            Ok(Some(ev)) => ev,
-            Ok(None) => continue,
-            Err(_) => break Err(DistributedError::Timeout),
-        };
-        let step = match event {
-            HubEvent::Message(msg) => {
-                let mut ctx = Ctx::with_monitor(VirtualTime::ZERO, opts.monitor.clone());
-                server.handle(&msg, &mut ctx);
-                ship_tcp_ctx(&hub, &mut server, ctx, &mut done, &opts.monitor, &exits)
-            }
-            HubEvent::Disconnected(id) => handle_tcp_disconnect(
-                &hub,
-                &mut server,
-                id,
-                &mut done,
-                &opts.monitor,
-                &exit_rx,
-                &mut exits,
-            ),
-            HubEvent::Rejoined(id) => {
-                // the link is live again: await this client's report normally
-                done.gone.remove(&id);
-                let mut ctx = Ctx::with_monitor(VirtualTime::ZERO, opts.monitor.clone());
-                server.notify_rejoin(id, &mut ctx);
-                ship_tcp_ctx(&hub, &mut server, ctx, &mut done, &opts.monitor, &exits)
-            }
-            HubEvent::Codec(_, detail) => Err(DistributedError::Codec(detail)),
-        };
-        if let Err(e) = step {
-            break Err(e);
-        }
-    };
-    // socket threads bump `wire.*` until the hub drops and workers join;
-    // flush only after that, so the fold sees every frame
-    match result {
-        Ok(()) => {
-            // closing the hub unblocks any worker still mid-reconnect (its
-            // retries hit a dead listener and run out), so joins terminate
-            drop(hub);
-            for h in handles {
-                let _ = h.join();
-            }
-            opts.monitor.flush_counters();
-            Ok(server)
-        }
-        Err(e) => {
-            drop(hub);
-            opts.monitor.flush_counters();
-            Err(e)
-        }
-    }
+    drive(server, clients, wall_budget, opts)
 }
 
 /// Builds a [`crate::runner::CourseReport`] from a finished distributed
@@ -613,106 +831,337 @@ pub fn distributed_report(server: &Server) -> crate::runner::CourseReport {
     crate::runner::CourseReport::from_server(server, &[])
 }
 
-fn tcp_to_bind(e: TcpError) -> DistributedError {
-    match e {
-        TcpError::Io(io) => DistributedError::Bind(io),
-        other => DistributedError::Bind(std::io::Error::other(other.to_string())),
-    }
-}
+#[cfg(test)]
+mod tests {
+    //! The server loop without threads, sockets or sleeps: scripted events,
+    //! a scripted clock, and a port that records what the loop sends. Plus
+    //! one real threaded course at the end.
+    use super::*;
+    use crate::aggregator::FedAvg;
+    use crate::config::FlConfig;
+    use crate::course::CourseBuilder;
+    use crate::sampler::Sampler;
+    use fs_data::synth::{twitter_like, TwitterConfig};
+    use fs_tensor::model::{logistic_regression, Metrics};
+    use fs_tensor::{ParamMap, Tensor};
 
-/// A hub-reported disconnect: distinguish a clean exit (the client already
-/// reported and closed), a panic racing the event, and a genuine dropout.
-#[allow(clippy::too_many_arguments)]
-fn handle_tcp_disconnect(
-    hub: &TcpHub,
-    server: &mut Server,
-    id: ParticipantId,
-    done: &mut Completion,
-    monitor: &MonitorHandle,
-    exit_rx: &crossbeam::channel::Receiver<ClientExit>,
-    exits: &mut BTreeMap<ParticipantId, ClientOutcome>,
-) -> Result<(), DistributedError> {
-    if server.state.client_reports.contains_key(&id) {
-        return Ok(()); // finished client closing its socket — not a dropout
+    /// Records what the loop sends; receivers in `dead` are gone.
+    #[derive(Default)]
+    struct ScriptPort {
+        sent: Vec<Message>,
+        dead: BTreeSet<ParticipantId>,
+        queued: VecDeque<LoopEvent>,
     }
-    // brief grace window: if the socket died because the worker panicked, the
-    // exit report is microseconds behind the EOF — prefer ClientPanic
-    // fsa::allow(FSA002, wall-clock grace window for racing a real socket EOF against the exit report)
-    let grace = Instant::now() + Duration::from_millis(100);
-    while !exits.contains_key(&id) {
-        let left = grace.saturating_duration_since(Instant::now()); // fsa::allow(FSA002, same grace window)
-        if left.is_zero() {
-            break;
+
+    impl ServerPort for ScriptPort {
+        fn recv_event(&mut self, _: Duration) -> Result<Option<LoopEvent>, DistributedError> {
+            Ok(self.queued.pop_front())
         }
-        match exit_rx.recv_timeout(left) {
-            Ok(exit) => {
-                if matches!(exit.outcome, ClientOutcome::Disconnected) {
-                    done.gone.insert(exit.id);
-                }
-                exits.insert(exit.id, exit.outcome);
+
+        fn send(&mut self, msg: &Message) -> Result<bool, DistributedError> {
+            if self.dead.contains(&msg.receiver) {
+                return Ok(false);
             }
-            Err(_) => break,
+            self.sent.push(msg.clone());
+            Ok(true)
         }
     }
-    // a Finished exit does NOT settle this: the worker ended cleanly but its
-    // report never arrived (checked above) and the link is now dead, so the
-    // report is lost for good — fall through to the dropout path
-    if let Some(ClientOutcome::Panicked(detail)) = exits.get(&id) {
-        return Err(DistributedError::ClientPanic {
-            id,
-            detail: detail.clone(),
+
+    const HIER3: Topology = Topology::Hierarchical {
+        tiers: 3,
+        fanout: 2,
+    };
+
+    /// A loop over a bare server expecting `n` clients, routed per `topology`.
+    fn machine(n: usize, topology: Topology) -> ServerLoop {
+        let cfg = FlConfig {
+            concurrency: n,
+            total_rounds: 2,
+            topology,
+            ..Default::default()
+        };
+        let mut global = ParamMap::new();
+        global.insert("w", Tensor::zeros(&[2]));
+        let plan = TopologyPlan::build(topology, n, cfg.seed).expect("plan");
+        let aggregator = Box::new(FedAvg::new(0.0));
+        let server = Server::new(cfg, global, n, aggregator, Sampler::Uniform, None);
+        ServerLoop::new(server, plan, MonitorHandle::null())
+    }
+
+    fn from(id: ParticipantId, kind: MessageKind, payload: Payload) -> LoopEvent {
+        LoopEvent::Message(Message::new(id, SERVER_ID, kind, 0, payload))
+    }
+
+    fn join(id: ParticipantId) -> LoopEvent {
+        from(id, MessageKind::JoinIn, Payload::Empty)
+    }
+
+    fn report(id: ParticipantId) -> LoopEvent {
+        let metrics = Metrics {
+            loss: 0.5,
+            accuracy: 0.5,
+            n: 1,
+        };
+        from(id, MessageKind::MetricsReport, Payload::Report { metrics })
+    }
+
+    /// Steps `events` at `now`, all of which must succeed.
+    fn feed(m: &mut ServerLoop, port: &mut ScriptPort, now: Instant, events: Vec<LoopEvent>) {
+        for event in events {
+            m.step(event, now, port).expect("step");
+        }
+    }
+
+    fn joined(n: u32, topology: Topology) -> (ServerLoop, ScriptPort, Instant) {
+        let mut m = machine(n as usize, topology);
+        let mut port = ScriptPort::default();
+        let t0 = Instant::now();
+        feed(&mut m, &mut port, t0, (1..=n).map(join).collect());
+        assert!(m.server.state.ledger.models_sent > 0, "course started");
+        (m, port, t0)
+    }
+
+    #[test]
+    fn a_worker_panic_outranks_queued_messages() {
+        let mut m = machine(2, Topology::Star);
+        let mut port = ScriptPort::default();
+        port.queued.extend([join(1), join(2)]);
+        let (exit_tx, exits) = unbounded();
+        let panicked = WorkerOutcome::Panicked("boom".to_string());
+        exit_tx.send((2, panicked)).expect("exit report");
+        let err = pump(
+            &mut port,
+            &exits,
+            Instant::now(),
+            Duration::from_secs(5),
+            &mut m,
+        )
+        .expect_err("the panic ends the course");
+        assert!(
+            matches!(&err, DistributedError::ClientPanic { id: 2, detail } if detail == "boom"),
+            "wrong error: {err}"
+        );
+        assert!(
+            m.server.state.roster.is_empty(),
+            "no queued join was handled"
+        );
+    }
+
+    #[test]
+    fn a_relayed_report_disarms_the_grace_it_armed() {
+        let (mut m, mut port, t0) = joined(4, HIER3);
+        let finished = LoopEvent::Exit(1, WorkerOutcome::Finished);
+        feed(&mut m, &mut port, t0, vec![finished, LoopEvent::Closed(1)]);
+        assert_eq!(m.watch.get(&1), Some(&(t0 + RELAY_GRACE)), "grace armed");
+        assert!(m.server.state.dropouts.is_empty(), "in flight, not lost");
+        feed(&mut m, &mut port, t0 + RELAY_GRACE / 2, vec![report(1)]);
+        assert!(m.watch.is_empty(), "the report's arrival disarms it");
+        feed(
+            &mut m,
+            &mut port,
+            t0 + RELAY_GRACE * 4,
+            vec![LoopEvent::Idle],
+        );
+        assert!(m.server.state.dropouts.is_empty());
+        assert!(!m.gone.contains(&1));
+    }
+
+    #[test]
+    fn an_overdue_report_drops_its_client_exactly_once() {
+        let (mut m, mut port, t0) = joined(4, HIER3);
+        let finished = LoopEvent::Exit(2, WorkerOutcome::Finished);
+        feed(&mut m, &mut port, t0, vec![finished, LoopEvent::Closed(2)]);
+        let just_before = t0 + RELAY_GRACE - Duration::from_millis(1);
+        feed(&mut m, &mut port, just_before, vec![LoopEvent::Idle]);
+        assert!(m.server.state.dropouts.is_empty(), "not yet overdue");
+        let late = t0 + RELAY_GRACE;
+        let again = vec![LoopEvent::Idle, LoopEvent::Closed(2), LoopEvent::Idle];
+        feed(&mut m, &mut port, late, again);
+        assert_eq!(m.server.state.dropouts, vec![2]);
+        assert!(m.watch.is_empty() && m.gone.contains(&2));
+    }
+
+    #[test]
+    fn a_direct_link_has_no_grace() {
+        // star: `Closed` trails every frame the client sent, so a finished
+        // client's missing report is lost the moment its link closes
+        let (mut m, mut port, t0) = joined(3, Topology::Star);
+        let finished = LoopEvent::Exit(3, WorkerOutcome::Finished);
+        feed(&mut m, &mut port, t0, vec![finished, LoopEvent::Closed(3)]);
+        assert_eq!(m.server.state.dropouts, vec![3]);
+        // and a reported client's close is no event at all
+        let finished = LoopEvent::Exit(1, WorkerOutcome::Finished);
+        feed(
+            &mut m,
+            &mut port,
+            t0,
+            vec![report(1), finished, LoopEvent::Closed(1)],
+        );
+        assert_eq!(m.server.state.dropouts, vec![3]);
+    }
+
+    #[test]
+    fn an_edge_death_rehomes_to_the_nearest_live_ancestor() {
+        // hier:3x2 over 4 clients: leaf edges 5 and 6 under top edge 7
+        let (mut m, mut port, t0) = joined(4, HIER3);
+        assert_eq!(m.plan.edges, vec![5, 6, 7]);
+        let orphans = m.plan.children_of(5).to_vec();
+        let lost = orphans[0];
+        feed(
+            &mut m,
+            &mut port,
+            t0,
+            vec![LoopEvent::Exit(lost, WorkerOutcome::Disconnected)],
+        );
+        assert_eq!(m.server.state.dropouts, vec![lost]);
+
+        let rehomes = |port: &ScriptPort| -> Vec<(ParticipantId, ParticipantId)> {
+            let frames = port.sent.iter().filter(|msg| msg.kind == REHOME);
+            frames
+                .map(|msg| (msg.receiver, rehome_target(msg).expect("rehome payload")))
+                .collect()
+        };
+        // the top edge dies: its children (edges 5 and 6) move to the server,
+        // and all three surviving clients are re-armed
+        let dead = |id| LoopEvent::Exit(id, WorkerOutcome::Disconnected);
+        feed(&mut m, &mut port, t0, vec![dead(7)]);
+        assert_eq!(rehomes(&port), vec![(5, SERVER_ID), (6, SERVER_ID)]);
+        assert_eq!(
+            m.server.state.reconnects, 3,
+            "gone clients are not re-armed"
+        );
+
+        // then edge 5: its plan parent (7) is dead, so the nearest *live*
+        // ancestor is the server; only the child still in the course is told
+        port.sent.clear();
+        feed(&mut m, &mut port, t0, vec![dead(5), dead(5)]);
+        assert_eq!(rehomes(&port), vec![(orphans[1], SERVER_ID)]);
+        assert_eq!(m.server.state.reconnects, 4, "one live client under edge 5");
+        assert_eq!(
+            m.server.state.dropouts,
+            vec![lost],
+            "re-homing drops nobody"
+        );
+    }
+
+    #[test]
+    fn rejoined_clears_gone() {
+        let (mut m, mut port, t0) = joined(3, Topology::Star);
+        feed(&mut m, &mut port, t0, vec![LoopEvent::Closed(2)]);
+        assert!(m.gone.contains(&2));
+        assert_eq!(m.server.state.roster, vec![1, 3]);
+        feed(&mut m, &mut port, t0, vec![LoopEvent::Rejoined(2)]);
+        assert!(!m.gone.contains(&2), "its report is awaited again");
+        assert_eq!(m.server.state.roster, vec![1, 3, 2]);
+        assert_eq!(
+            m.server.state.dropouts,
+            vec![2],
+            "the outage stays on record"
+        );
+    }
+
+    #[test]
+    fn a_death_between_join_and_id_assignment_is_counted_once() {
+        // the reply to the join finds the client gone (first notification),
+        // then its link reports closed (second): one dropout, one seat
+        let mut m = machine(3, Topology::Star);
+        let mut port = ScriptPort::default();
+        port.dead.insert(2);
+        let t0 = Instant::now();
+        feed(
+            &mut m,
+            &mut port,
+            t0,
+            vec![join(1), join(2), LoopEvent::Closed(2)],
+        );
+        assert_eq!(m.server.state.dropouts, vec![2]);
+        assert_eq!(m.server.state.expected_clients, 2);
+        assert_eq!(m.server.state.ledger.models_sent, 0, "client 3 is awaited");
+        feed(&mut m, &mut port, t0, vec![join(3)]);
+        assert!(m.server.state.ledger.models_sent > 0, "starts with 1 and 3");
+    }
+
+    #[test]
+    fn rehome_frame_roundtrips() {
+        let msg = rehome_msg(7, 42);
+        assert_eq!(rehome_target(&msg), Some(42));
+        let other = Message::new(SERVER_ID, 7, MessageKind::Finish, 0, Payload::Empty);
+        assert_eq!(rehome_target(&other), None);
+    }
+
+    #[test]
+    fn control_kinds_are_distinct() {
+        use crate::transport::{HELLO, LINK_CLOSED};
+        let kinds = [HELLO, REHOME, EDGE_SHUTDOWN, LINK_CLOSED];
+        let tags: BTreeSet<u16> = kinds
+            .iter()
+            .map(|kind| match kind {
+                MessageKind::Custom(tag) => *tag,
+                other => panic!("{other:?} is not a Custom kind"),
+            })
+            .collect();
+        assert_eq!(tags.len(), kinds.len(), "a collision swallows a frame");
+        assert_eq!(tags, RESERVED.collect(), "RESERVED is exactly these four");
+    }
+
+    /// A four-client, two-round course.
+    fn small_course() -> (Server, Vec<Client>) {
+        let cfg = FlConfig {
+            total_rounds: 2,
+            concurrency: 4,
+            ..Default::default()
+        };
+        let data = twitter_like(&TwitterConfig {
+            num_clients: 4,
+            per_client: 12,
+            ..Default::default()
         });
+        let dim = data.input_dim();
+        let model = Box::new(move |rng: &mut _| {
+            Box::new(logistic_regression(dim, 2, rng)) as Box<dyn fs_tensor::model::Model>
+        });
+        let runner = CourseBuilder::new(data, model, cfg).build();
+        (runner.server, runner.clients.into_values().collect())
     }
-    done.gone.insert(id);
-    let mut ctx = Ctx::with_monitor(VirtualTime::ZERO, monitor.clone());
-    apply_dropout(server, id, &mut ctx)?;
-    ship_tcp_ctx(hub, server, ctx, done, monitor, exits)
-}
 
-/// Ships a server context over the hub. A send that fails because the
-/// receiver's connection just died is routed through the dropout policy
-/// instead of aborting the course.
-fn ship_tcp_ctx(
-    hub: &TcpHub,
-    server: &mut Server,
-    ctx: Ctx,
-    done: &mut Completion,
-    monitor: &MonitorHandle,
-    exits: &BTreeMap<ParticipantId, ClientOutcome>,
-) -> Result<(), DistributedError> {
-    debug_assert!(
-        ctx.timers.is_empty(),
-        "timers require the standalone runner"
-    );
-    done.finished |= ctx.finished;
-    let mut pending = std::collections::VecDeque::from(ctx.outbox);
-    while let Some(out) = pending.pop_front() {
-        match hub.send(&out.msg) {
-            Ok(()) => {}
-            Err(TcpError::UnknownReceiver(_)) | Err(TcpError::Io(_))
-                if out.msg.receiver != SERVER_ID =>
-            {
-                let rcv = out.msg.receiver;
-                if server.state.client_reports.contains_key(&rcv)
-                    || exits.contains_key(&rcv)
-                    || done.finished
-                {
-                    continue; // late send to a client that is already done
-                }
-                let mut dctx = Ctx::with_monitor(VirtualTime::ZERO, monitor.clone());
-                apply_dropout(server, rcv, &mut dctx)?;
-                done.finished |= dctx.finished;
-                for extra in dctx.outbox {
-                    pending.push_back(extra);
-                }
-            }
-            Err(e) => {
-                return Err(match e {
-                    TcpError::Codec(c) => DistributedError::Codec(c.to_string()),
-                    other => DistributedError::Codec(other.to_string()),
-                })
-            }
+    #[test]
+    fn a_handler_on_a_reserved_kind_is_refused_up_front() {
+        // on the bus a user frame of kind 0x73 would read as the sender's
+        // link closing; over TCP 0x70 would vanish as a hello
+        for tag in RESERVED {
+            let (mut server, clients) = small_course();
+            let event = Event::Message(MessageKind::Custom(tag));
+            let noop = Box::new(|_: &mut _, _: &Message, _: &mut Ctx| {});
+            server
+                .registry_mut()
+                .register_aux(event, "user_probe", vec![], noop);
+            let err = run_distributed(server, clients, Duration::from_secs(5))
+                .err()
+                .expect("refused");
+            assert!(
+                matches!(&err, DistributedError::Unsupported(what) if what.contains("Custom")),
+                "wrong error: {err}"
+            );
         }
+        let (server, mut clients) = small_course();
+        let emits = vec![Event::Message(REHOME)];
+        let noop = Box::new(|_: &mut _, _: &Message, _: &mut Ctx| {});
+        let event = Event::Message(MessageKind::Custom(1));
+        clients[2]
+            .registry_mut()
+            .register_aux(event, "user_probe", emits, noop);
+        let err = run_distributed_tcp(server, clients, Duration::from_secs(5))
+            .err()
+            .expect("refused");
+        assert!(matches!(err, DistributedError::Unsupported(_)), "{err}");
     }
-    Ok(())
+
+    #[test]
+    fn a_threaded_bus_course_completes() {
+        let (server, clients) = small_course();
+        let server = run_distributed(server, clients, Duration::from_secs(60)).expect("bus course");
+        assert_eq!(server.state.round, 2);
+        assert_eq!(server.state.client_reports.len(), 4);
+        assert!(server.state.dropouts.is_empty());
+    }
 }

@@ -45,6 +45,7 @@ pub mod sampler;
 pub mod scheduler;
 pub mod server;
 pub mod trainer;
+pub mod transport;
 pub mod verify;
 
 pub use aggregator::{Aggregator, ReceivedUpdate};

@@ -507,16 +507,14 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
     pub fn try_run(&mut self) -> Result<CourseReport, Box<VerifyReport>> {
         let topology = self.server.state.cfg.topology;
         if !self.router.routes(&topology) {
-            let mut report = VerifyReport::new();
-            report.push(
-                Diagnostic::new(
-                    Code::TopologyUnrouted,
-                    "topology",
-                    format!("{topology:?} is configured but this runner has no router for it"),
-                )
-                .with_suggestion("run the assembled course through fs_topo::run_course_auto"),
+            let unrouted = Diagnostic::new(
+                Code::TopologyUnrouted,
+                "topology",
+                format!("{topology:?} is configured but this runner has no router for it"),
             );
-            return Err(Box::new(report));
+            return Err(crate::verify::refusal(unrouted.with_suggestion(
+                "run the assembled course through fs_topo::run_course_auto",
+            )));
         }
         crate::verify::preflight(
             &self.server,

@@ -251,7 +251,10 @@ impl ServerState {
     pub fn drop_client(&mut self, id: ParticipantId, ctx: &mut Ctx) {
         let joining = self.ledger.models_sent == 0;
         let known = self.roster_index.remove(&id);
-        if !known && !joining {
+        // a not-yet-joined client may die while joins are still gathered,
+        // but only once: off the roster and in `dropouts` means this death
+        // is already counted (a rejoin would have put it back on the roster)
+        if !known && (!joining || self.dropouts.contains(&id)) {
             return; // unknown, or already dropped
         }
         if known {
@@ -1458,6 +1461,26 @@ mod tests {
             s.state.ledger.models_sent > 0,
             "course starts with the joiners"
         );
+    }
+
+    #[test]
+    fn a_death_during_the_join_phase_is_counted_once() {
+        let cfg = FlConfig {
+            concurrency: 2,
+            total_rounds: 5,
+            ..Default::default()
+        };
+        let mut s = make_server(cfg, 4);
+        let mut ctx = Ctx::at(VirtualTime::ZERO);
+        join_all(&mut s, 2, &mut ctx);
+        // two notifications for one death, before and after the join
+        s.notify_dropout(3, &mut ctx);
+        s.notify_dropout(3, &mut ctx);
+        s.notify_dropout(1, &mut ctx);
+        s.notify_dropout(1, &mut ctx);
+        assert_eq!(s.state.dropouts, vec![3, 1]);
+        assert_eq!(s.state.expected_clients, 2);
+        assert_eq!(s.state.ledger.models_sent, 0, "client 4 is still awaited");
     }
 
     #[test]

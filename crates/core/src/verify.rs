@@ -126,6 +126,14 @@ pub fn enforce(mode: VerifyMode, report: VerifyReport) -> Result<(), Box<VerifyR
     Ok(())
 }
 
+/// A refusal no [`VerifyMode`] can wave through (an un-routed topology, say):
+/// the one finding, boxed the way [`preflight`] reports its own.
+pub fn refusal(finding: Diagnostic) -> Box<VerifyReport> {
+    Box::new(VerifyReport {
+        diagnostics: vec![finding],
+    })
+}
+
 /// One singleton group per client — the shape [`preflight`] and the grouped
 /// lowering take when every client is materialized.
 pub fn singleton_groups<'a>(

@@ -217,6 +217,11 @@ impl FaultyBus {
     pub fn is_dead(&self) -> bool {
         self.dead
     }
+
+    /// The underlying bus, past the fault model.
+    pub fn bus(&self) -> &Bus {
+        &self.bus
+    }
 }
 
 #[cfg(test)]

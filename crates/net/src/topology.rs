@@ -361,6 +361,38 @@ impl TopologyPlan {
     }
 }
 
+/// Deepest tier that gets its own monitor counter; deeper links clamp here.
+pub const TIER_LEVELS: usize = 4;
+
+/// Per-tier upstream byte counters (`&'static str` as `fs-monitor` requires).
+/// Index 0 is the root link (server ↔ top tier), matching
+/// [`TopologyPlan::link_level`] minus one.
+const BYTES_UP: [&str; TIER_LEVELS] = [
+    "topo.bytes_up.l1",
+    "topo.bytes_up.l2",
+    "topo.bytes_up.l3",
+    "topo.bytes_up.l4",
+];
+
+/// Per-tier downstream byte counters.
+const BYTES_DOWN: [&str; TIER_LEVELS] = [
+    "topo.bytes_down.l1",
+    "topo.bytes_down.l2",
+    "topo.bytes_down.l3",
+    "topo.bytes_down.l4",
+];
+
+/// Monitor counter name for upstream bytes on tier `level` (1-based; levels
+/// past [`TIER_LEVELS`] clamp onto the deepest bucket).
+pub fn bytes_up_counter(level: usize) -> &'static str {
+    BYTES_UP[level.clamp(1, TIER_LEVELS) - 1]
+}
+
+/// Monitor counter name for downstream bytes on tier `level` (1-based).
+pub fn bytes_down_counter(level: usize) -> &'static str {
+    BYTES_DOWN[level.clamp(1, TIER_LEVELS) - 1]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,5 +587,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn counter_names_clamp() {
+        assert_eq!(bytes_up_counter(1), "topo.bytes_up.l1");
+        assert_eq!(bytes_up_counter(4), "topo.bytes_up.l4");
+        assert_eq!(bytes_up_counter(9), "topo.bytes_up.l4");
+        assert_eq!(bytes_down_counter(0), "topo.bytes_down.l1");
+        assert_eq!(bytes_down_counter(2), "topo.bytes_down.l2");
     }
 }

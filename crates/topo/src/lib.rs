@@ -24,9 +24,10 @@
 //!   [`router::TopoReport`]).
 //! * [`gossip::GossipRunner`] — serverless peer-to-peer averaging with
 //!   deterministic per-round neighbor sampling shared by every peer.
-//! * [`distributed`] — the same shapes on real threads over the in-process
-//!   bus and real TCP sockets, including edge failover through the
-//!   generation-stamped reconnect path.
+//! * [`distributed`] — gossip on real threads over `fs-core`'s distributed
+//!   transports (bus and TCP). The threaded star and hierarchy need nothing
+//!   from this crate: `fs_core::distributed` routes by the course's
+//!   [`fs_net::TopologyPlan`], edge relays and failover included.
 //!
 //! The star topology stays byte-for-byte what `fs-core` ships; everything
 //! here is additive routing policy around it.
@@ -41,56 +42,8 @@ pub mod gossip;
 pub mod router;
 
 pub use course::{run_course_auto, TopoCourse};
-pub use distributed::{
-    run_gossip_distributed, run_gossip_distributed_tcp, run_hier_distributed,
-    run_hier_distributed_tcp, run_hier_distributed_tcp_with, run_hier_distributed_with,
-};
+pub use distributed::run_gossip_distributed;
 pub use edge::{EdgeAction, EdgeAggregator, EdgeError, EdgeMerge};
+pub use fs_net::topology::{bytes_down_counter, bytes_up_counter, TIER_LEVELS};
 pub use gossip::{GossipOutcome, GossipRunner};
 pub use router::{TopoReport, TopoRunError, TopoRunner, TreeRouter};
-
-/// Deepest tier that gets its own monitor counter; deeper links clamp here.
-pub const TIER_LEVELS: usize = 4;
-
-/// Per-tier upstream byte counters (`&'static str` as `fs-monitor` requires).
-/// Index 0 is the root link (server ↔ top tier), matching
-/// [`fs_net::TopologyPlan::link_level`] minus one.
-const BYTES_UP: [&str; TIER_LEVELS] = [
-    "topo.bytes_up.l1",
-    "topo.bytes_up.l2",
-    "topo.bytes_up.l3",
-    "topo.bytes_up.l4",
-];
-
-/// Per-tier downstream byte counters.
-const BYTES_DOWN: [&str; TIER_LEVELS] = [
-    "topo.bytes_down.l1",
-    "topo.bytes_down.l2",
-    "topo.bytes_down.l3",
-    "topo.bytes_down.l4",
-];
-
-/// Monitor counter name for upstream bytes on tier `level` (1-based; levels
-/// past [`TIER_LEVELS`] clamp onto the deepest bucket).
-pub fn bytes_up_counter(level: usize) -> &'static str {
-    BYTES_UP[level.clamp(1, TIER_LEVELS) - 1]
-}
-
-/// Monitor counter name for downstream bytes on tier `level` (1-based).
-pub fn bytes_down_counter(level: usize) -> &'static str {
-    BYTES_DOWN[level.clamp(1, TIER_LEVELS) - 1]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_names_clamp() {
-        assert_eq!(bytes_up_counter(1), "topo.bytes_up.l1");
-        assert_eq!(bytes_up_counter(4), "topo.bytes_up.l4");
-        assert_eq!(bytes_up_counter(9), "topo.bytes_up.l4");
-        assert_eq!(bytes_down_counter(0), "topo.bytes_down.l1");
-        assert_eq!(bytes_down_counter(2), "topo.bytes_down.l2");
-    }
-}

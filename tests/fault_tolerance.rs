@@ -267,6 +267,15 @@ fn bus_clients_can_message_each_other() {
     //   server Finish -> client 1 relays Custom(8) to client 2
     //   client 2 finishes only once it has BOTH its own Finish and the relay
     //   (either may arrive first) -> reports to server
+    // Over TCP the same chain needs the hub to forward the peer-addressed
+    // frame to client 2 (the flat TCP driver used to hand it to the server's
+    // handlers instead), so both transports run the one body.
+    for tcp in [false, true] {
+        peer_message_chain_completes(tcp);
+    }
+}
+
+fn peer_message_chain_completes(tcp: bool) {
     use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::Arc;
     let mut runner = course(2, 29);
@@ -335,8 +344,12 @@ fn bus_clients_can_message_each_other() {
             other => panic!("unexpected client id {other}"),
         }
     }
-    let server = run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default())
-        .expect("relayed finish must complete");
+    let server = if tcp {
+        run_distributed_tcp_with(runner.server, clients, BUDGET, TcpRunOptions::default())
+    } else {
+        run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default())
+    }
+    .expect("relayed finish must complete");
     assert_eq!(server.state.round, 3);
     assert!(
         server.state.client_reports.contains_key(&2),

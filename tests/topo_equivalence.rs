@@ -5,7 +5,10 @@
 
 use fedscope::core::config::{CodecSpec, CompressionConfig, FlConfig};
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::distributed::{distributed_report, run_distributed, run_distributed_tcp};
+use fedscope::core::distributed::{
+    distributed_report, run_distributed, run_distributed_tcp, run_distributed_with, BusRunOptions,
+    DistributedError, TcpRunOptions,
+};
 use fedscope::core::StandaloneRunner;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::monitor::{MonitorHandle, RecordingMonitor};
@@ -13,8 +16,8 @@ use fedscope::net::Topology;
 use fedscope::sim::FleetConfig;
 use fedscope::tensor::model::logistic_regression;
 use fedscope::topo::{
-    bytes_down_counter, bytes_up_counter, run_course_auto, run_hier_distributed,
-    run_hier_distributed_tcp, TopoCourse, TIER_LEVELS,
+    bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed, TopoCourse,
+    TIER_LEVELS,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -169,6 +172,59 @@ fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
     assert!(panicked.is_err(), "run() panics with the diagnostic");
 }
 
+#[test]
+fn threaded_driver_routes_by_topology_instead_of_running_a_silent_star() {
+    // regression: `run_distributed*_with` never looked at `cfg.topology`, so
+    // a hier course handed to it ran as a flat star without a word and a
+    // gossip course got a server it should not have
+    let star = {
+        let runner = course_no_eval(8, 45, Topology::Star);
+        let clients: Vec<_> = runner.clients.into_values().collect();
+        let server = run_distributed(runner.server, clients, BUDGET).expect("star bus run");
+        distributed_report(&server)
+    };
+    let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
+    let runner = course_no_eval(8, 45, HIER2);
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    let opts = BusRunOptions {
+        monitor: MonitorHandle::from_shared(monitor.clone()),
+        ..Default::default()
+    };
+    let server = run_distributed_with(runner.server, clients, BUDGET, opts).expect("hier bus run");
+    let relayed = monitor
+        .lock()
+        .expect("monitor")
+        .counter(bytes_up_counter(2));
+    assert!(relayed > 0, "uploads must climb the tree: topo.bytes_up.l2");
+    assert_eq!(
+        distributed_report(&server),
+        star,
+        "routed, yet the star's course"
+    );
+
+    let gossip = Topology::Gossip {
+        degree: 2,
+        rounds: 0,
+    };
+    use fedscope::verify::VerifyMode;
+    for mode in [VerifyMode::Enforce, VerifyMode::Warn, VerifyMode::Skip] {
+        let mut runner = course_no_eval(6, 45, gossip);
+        runner.server.state.cfg.verify = mode;
+        let clients: Vec<_> = runner.clients.into_values().collect();
+        match run_distributed(runner.server, clients, BUDGET) {
+            Err(DistributedError::Verification(refused)) => assert!(
+                refused
+                    .diagnostics
+                    .iter()
+                    .any(|d| d.code.as_str() == "FSV057"),
+                "{mode:?}: expected FSV057, got {refused}"
+            ),
+            Err(other) => panic!("{mode:?}: expected FSV057, got {other}"),
+            Ok(_) => panic!("{mode:?}: a gossip course must not get a server"),
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // absolute pins (captured before the one-event-loop refactor)
 // ---------------------------------------------------------------------------
@@ -274,7 +330,7 @@ fn bus_hier_identity_matches_star_report() {
     let hier = {
         let runner = course_no_eval(8, 45, HIER2);
         let clients: Vec<_> = runner.clients.into_values().collect();
-        let server = run_hier_distributed(runner.server, clients, BUDGET).expect("hier bus run");
+        let server = run_distributed(runner.server, clients, BUDGET).expect("hier bus run");
         distributed_report(&server)
     };
     assert_eq!(star, hier, "relayed uploads must not change the course");
@@ -300,8 +356,7 @@ fn tcp_hier_identity_matches_star_report() {
             },
         );
         let clients: Vec<_> = runner.clients.into_values().collect();
-        let server =
-            run_hier_distributed_tcp(runner.server, clients, BUDGET).expect("hier tcp run");
+        let server = run_distributed_tcp(runner.server, clients, BUDGET).expect("hier tcp run");
         distributed_report(&server)
     };
     assert_eq!(star, hier, "relayed uploads must not change the course");
@@ -315,12 +370,8 @@ fn bus_gossip_collects_every_peer_and_scores_once() {
         rounds: 0,
     };
     let runner = course(6, 48, g); // central evaluator kept: one final score
-    let report = fedscope::topo::run_gossip_distributed(
-        runner,
-        BUDGET,
-        fedscope::monitor::MonitorHandle::null(),
-    )
-    .expect("gossip bus run");
+    let report =
+        run_gossip_distributed(runner, BUDGET, BusRunOptions::default()).expect("gossip bus run");
     assert_eq!(report.rounds, 3);
     assert_eq!(report.total_updates, 6, "every peer lands its final model");
     assert_eq!(report.finish_reason, "gossip rounds complete");
@@ -338,25 +389,47 @@ fn tcp_gossip_collects_every_peer() {
         rounds: 0,
     };
     let runner = course_no_eval(5, 49, g);
-    let report = fedscope::topo::run_gossip_distributed_tcp(
-        runner,
-        BUDGET,
-        fedscope::monitor::MonitorHandle::null(),
-    )
-    .expect("gossip tcp run");
+    let report =
+        run_gossip_distributed(runner, BUDGET, TcpRunOptions::default()).expect("gossip tcp run");
     assert_eq!(report.rounds, 3);
     assert_eq!(report.total_updates, 5);
     assert!(report.history.is_empty(), "no evaluator, no history");
 }
 
 #[test]
-fn distributed_hier_with_star_topology_delegates_to_flat_runner() {
-    // `run_hier_distributed` on a star plan must behave exactly like the
-    // fs-core entry point (it delegates), so callers can route every
-    // topology through one function
-    let runner = course_no_eval(4, 47, Topology::Star);
-    let clients: Vec<_> = runner.clients.into_values().collect();
-    let server = run_hier_distributed(runner.server, clients, BUDGET).expect("star via topo");
-    assert_eq!(server.state.round, 3);
-    assert_eq!(server.state.client_reports.len(), 4);
+fn gossip_over_a_lossy_transport_is_refused_up_front() {
+    // no dropout policy, no retransmission: a share lost to an outage would
+    // stall its receiver until the wall budget ran out
+    use fedscope::net::tcp::ReconnectPolicy;
+    use fedscope::net::FaultPlan;
+    use fedscope::topo::TopoRunError;
+    let g = Topology::Gossip {
+        degree: 2,
+        rounds: 0,
+    };
+    let refused = |outcome: Result<_, TopoRunError>| match outcome {
+        Err(TopoRunError::Distributed(DistributedError::Unsupported(what))) => {
+            assert!(what.contains("gossip"), "{what}")
+        }
+        Err(other) => panic!("expected Unsupported, got {other}"),
+        Ok(_) => panic!("a lossy gossip course ran"),
+    };
+    let bus = BusRunOptions {
+        faults: Some(FaultPlan::new(1)),
+        ..Default::default()
+    };
+    refused(run_gossip_distributed(
+        course_no_eval(4, 50, g),
+        BUDGET,
+        bus,
+    ));
+    let tcp = TcpRunOptions {
+        reconnect: Some(ReconnectPolicy::default()),
+        ..Default::default()
+    };
+    refused(run_gossip_distributed(
+        course_no_eval(4, 50, g),
+        BUDGET,
+        tcp,
+    ));
 }

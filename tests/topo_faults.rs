@@ -5,13 +5,14 @@
 
 use fedscope::core::config::{DropoutPolicy, FlConfig};
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::distributed::{BusRunOptions, TcpRunOptions};
+use fedscope::core::distributed::{
+    run_distributed_tcp_with, run_distributed_with, BusRunOptions, TcpRunOptions,
+};
 use fedscope::core::StandaloneRunner;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::tcp::ReconnectPolicy;
 use fedscope::net::{FaultPlan, FaultSpec, Topology, TopologyPlan};
 use fedscope::tensor::model::logistic_regression;
-use fedscope::topo::{run_hier_distributed_tcp_with, run_hier_distributed_with};
 use std::time::Duration;
 
 const BUDGET: Duration = Duration::from_secs(60);
@@ -65,7 +66,7 @@ fn tcp_edge_crash_rejoins_subtree_through_reconnect_path() {
         reconnect: Some(ReconnectPolicy::default()),
         ..Default::default()
     };
-    let server = run_hier_distributed_tcp_with(runner.server, clients, BUDGET, opts)
+    let server = run_distributed_tcp_with(runner.server, clients, BUDGET, opts)
         .expect("edge crash with reconnect must not sink the course");
     assert_eq!(server.state.round, 3, "course must finish all rounds");
     assert_eq!(
@@ -96,7 +97,7 @@ fn tcp_edge_permanent_death_rehomes_subtree() {
         faults: Some(FaultPlan::new(seed).with(edge, FaultSpec::dies_after(3))),
         ..Default::default()
     };
-    let server = run_hier_distributed_tcp_with(runner.server, clients, BUDGET, opts)
+    let server = run_distributed_tcp_with(runner.server, clients, BUDGET, opts)
         .expect("a permanently dead edge must be routed around");
     assert_eq!(server.state.round, 3);
     assert_eq!(server.state.client_reports.len(), 6);
@@ -117,7 +118,7 @@ fn bus_edge_death_rehomes_subtree() {
         faults: Some(FaultPlan::new(seed).with(edge, FaultSpec::dies_after(3))),
         ..Default::default()
     };
-    let server = run_hier_distributed_with(runner.server, clients, BUDGET, opts)
+    let server = run_distributed_with(runner.server, clients, BUDGET, opts)
         .expect("bus edge death must re-home, not abort");
     assert_eq!(server.state.round, 3);
     assert_eq!(server.state.client_reports.len(), 6);
@@ -135,7 +136,7 @@ fn client_dropout_semantics_survive_the_relay_path() {
         faults: Some(FaultPlan::new(seed).with(2, FaultSpec::dies_after(2))),
         ..Default::default()
     };
-    let server = run_hier_distributed_with(runner.server, clients, BUDGET, opts)
+    let server = run_distributed_with(runner.server, clients, BUDGET, opts)
         .expect("survivor policy must carry the course");
     assert_eq!(server.state.round, 3);
     assert!(
