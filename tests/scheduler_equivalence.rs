@@ -207,6 +207,12 @@ const GOLDEN_STANDALONE: &[(&str, u64)] = &[
     ("femnist/time_ar", 0x1b4d40e61b57694e),
     // remedial-heavy: crashing deliveries force the time_up remedial measure
     ("twitter/time_remedial", 0x7a9bbec540cb9f6f),
+    // the two modes selected outside `rule` at pin time (captured on the
+    // commit before they were folded into `AggregationRule`)
+    ("twitter/buffered:3", 0x581b44529b0a4970),
+    ("twitter/tiered:2", 0x11c13c54bb1a8aa5),
+    ("femnist/buffered:3", 0x11f4276bb44296d7),
+    ("femnist/tiered:2", 0xd34efc10cfb5c92b),
 ];
 
 const GOLDEN_DISTRIBUTED: &[(&str, u64)] = &[
@@ -297,11 +303,12 @@ fn run_distributed_cell(tcp: bool, cfg: FlConfig) -> (u64, usize, u64, u64) {
 }
 
 /// The two new modes ride the same trait: quick courses complete, the
-/// scheduler gauges move, and the serial/parallel bit-identicality the
-/// legacy modes enjoy carries over.
+/// scheduler gauges move, the report + monitor stream match their absolute
+/// pins, and the serial/parallel bit-identicality the legacy modes enjoy
+/// carries over.
 #[test]
 fn new_scheduler_modes_complete_and_are_deterministic() {
-    for wl in [Wl::Twitter, Wl::Femnist] {
+    for (wname, wl) in [("twitter", Wl::Twitter), ("femnist", Wl::Femnist)] {
         // buffered-async (FedBuff): aggregate every 3 buffered updates with
         // staleness-discounted weights
         let cfg = FlConfig {
@@ -319,6 +326,7 @@ fn new_scheduler_modes_complete_and_are_deterministic() {
             "buffer-occupancy gauge must move on every aggregation"
         );
         let fp1 = fingerprint(&report, &mon);
+        check(&format!("{wname}/buffered:3"), fp1, GOLDEN_STANDALONE);
         let fp4 = run_cell(
             &wl,
             FlConfig {
@@ -345,6 +353,7 @@ fn new_scheduler_modes_complete_and_are_deterministic() {
             "tier-merge gauge must move"
         );
         let fp1 = fingerprint(&report, &mon);
+        check(&format!("{wname}/tiered:2"), fp1, GOLDEN_STANDALONE);
         let fp4 = run_cell(
             &wl,
             FlConfig {
