@@ -4,12 +4,13 @@
 //! fsa --check [--root DIR]             # lint + ratchet against ANALYZE_baseline.json (CI gate)
 //! fsa --list [--notes] [--root DIR]    # print every finding, baselined or not
 //! fsa --update-baseline [--root DIR]   # freeze current gating findings into the baseline
+//! fsa --loc PATH...                    # non-test, non-comment, non-blank lines per file + total
 //! ```
 //!
 //! Exit codes: 0 clean / ratchet holds, 1 new findings or invalid baseline,
 //! 2 usage error.
 
-use fs_analyze::{analyze_workspace, ratchet, AnalyzeReport, Baseline, Severity};
+use fs_analyze::{analyze_workspace, count_loc, ratchet, walk, AnalyzeReport, Baseline, Severity};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -31,6 +32,7 @@ fn main() -> ExitCode {
             "--check" => mode = Some(Mode::Check),
             "--list" => mode = Some(Mode::List),
             "--update-baseline" => mode = Some(Mode::UpdateBaseline),
+            "--loc" => return loc(args.map(PathBuf::from).collect()),
             "--notes" => notes = true,
             "--root" => match args.next() {
                 Some(r) => root = PathBuf::from(r),
@@ -40,7 +42,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(mode) = mode else {
-        return usage("one of --check, --list, --update-baseline is required");
+        return usage("one of --check, --list, --update-baseline, --loc is required");
     };
     if !root.join("Cargo.toml").is_file() {
         eprintln!(
@@ -141,6 +143,37 @@ fn check(root: &Path, report: &AnalyzeReport, notes: bool) -> ExitCode {
     }
 }
 
+/// `--loc`: counts the code lines of every `.rs` file under `paths` (files
+/// or directories), `#[cfg(test)]` items excluded.
+fn loc(paths: Vec<PathBuf>) -> ExitCode {
+    if paths.is_empty() {
+        return usage("--loc needs at least one file or directory");
+    }
+    let mut files = Vec::new();
+    for p in paths {
+        if !p.is_dir() {
+            files.push(p);
+        } else if let Err(e) = walk::collect_rs(&p, &mut files) {
+            eprintln!("fsa: scanning {}: {e}", p.display());
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut total = 0;
+    for f in &files {
+        let n = match std::fs::read_to_string(f) {
+            Ok(src) => count_loc(&src),
+            Err(e) => {
+                eprintln!("fsa: reading {}: {e}", f.display());
+                return ExitCode::FAILURE;
+            }
+        };
+        println!("{n:>7}  {}", f.display());
+        total += n;
+    }
+    println!("{total:>7}  total ({} files)", files.len());
+    ExitCode::SUCCESS
+}
+
 fn print_tally(report: &AnalyzeReport) {
     let (e, w, n) = report.tally();
     println!("{e} error(s), {w} warning(s), {n} note(s)");
@@ -149,5 +182,6 @@ fn print_tally(report: &AnalyzeReport) {
 fn usage(msg: &str) -> ExitCode {
     eprintln!("fsa: {msg}");
     eprintln!("usage: fsa (--check | --list | --update-baseline) [--root DIR] [--notes]");
+    eprintln!("       fsa --loc PATH...");
     ExitCode::from(2)
 }

@@ -33,7 +33,7 @@ pub mod walk;
 
 pub use baseline::{ratchet, Baseline, BaselineEntry, RatchetOutcome};
 pub use diag::{AnalyzeReport, Code, Finding, Severity, ALL_CODES};
-pub use lints::{analyze_source, FileContext};
+pub use lints::{analyze_source, count_loc, FileContext};
 pub use policy::{charged_crate, grade, tier_for_crate, Tier};
 
 use std::fs;

@@ -48,7 +48,9 @@ pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(rel)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Appends every `.rs` file under `dir` (recursively, sorted, dot-entries
+/// skipped) to `out`.
+pub fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())

@@ -6,7 +6,9 @@
 //! tree, so neither rustc nor the analyzer's own workspace walk compiles or
 //! scans them.
 
-use fs_analyze::{analyze_source, ratchet, Baseline, Code, FileContext, Finding, Severity, Tier};
+use fs_analyze::{
+    analyze_source, count_loc, ratchet, Baseline, Code, FileContext, Finding, Severity, Tier,
+};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -33,6 +35,13 @@ fn triples(name: &str, c: &FileContext) -> Vec<(Code, u32, Severity)> {
         .into_iter()
         .map(|f| (f.code, f.line, f.severity))
         .collect()
+}
+
+/// `fsa --loc`: comments, blank lines and `#[cfg(test)]` items are not
+/// counted; a multi-line string counts every line it spans.
+#[test]
+fn loc_counts_non_test_code_lines_only() {
+    assert_eq!(count_loc(&fixture("loc_counting.rs")), 7);
 }
 
 #[test]

@@ -21,9 +21,9 @@
 
 use fs_bench::args::ExpArgs;
 use fs_bench::output::render_table;
+use fs_bench::snapshot::{validate_file, BenchRow, Snapshot};
 use fs_bench::strategies::Strategy;
-use fs_bench::workloads::{cifar, femnist, twitter, Workload};
-use fs_monitor::export::{validate_bench_snapshot, BenchRow, BenchSnapshot};
+use fs_bench::workloads::workload_by_name;
 use fs_monitor::trace::{chrome_trace_json, validate_chrome_trace};
 use fs_monitor::{counters, MonitorHandle, RecordingMonitor};
 use serde::Serialize;
@@ -33,25 +33,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 const BENCH_PATH: &str = "BENCH_monitor.json";
 
-fn workload_by_name(name: &str, seed: u64) -> Workload {
-    match name {
-        "femnist" => femnist(seed),
-        "cifar" => cifar(seed),
-        "twitter" => twitter(seed),
-        other => unreachable!("args module vets workload names, got {other}"),
-    }
-}
-
 fn main() {
     let args = ExpArgs::parse();
 
     // --validate: CI gate mode — parse the existing snapshot and exit
     if args.has_flag("validate") {
-        let text = fs::read_to_string(BENCH_PATH)
-            .unwrap_or_else(|e| panic!("cannot read {BENCH_PATH}: {e}"));
-        let snap = validate_bench_snapshot(&text)
-            .unwrap_or_else(|e| panic!("{BENCH_PATH} failed validation: {e}"));
-        println!("{BENCH_PATH} valid: {} rows", snap.rows.len());
+        validate_file::<BenchRow>(BENCH_PATH);
         return;
     }
 
@@ -74,7 +61,7 @@ fn main() {
     let mut csv = fs::File::create("results/monitor_summary.csv").expect("create csv");
     writeln!(csv, "workload,strategy,counter,value").expect("write csv header");
 
-    let mut snapshot = BenchSnapshot::new("exp_monitor");
+    let mut snapshot = Snapshot::<BenchRow>::new("exp_monitor");
     let mut table: Vec<Vec<String>> = Vec::new();
     let mut first_trace: Option<String> = None;
 
@@ -182,9 +169,7 @@ fn main() {
     let n_events = validate_chrome_trace(&trace).expect("trace must validate");
     fs::write("results/trace_monitor.json", &trace).expect("write trace");
 
-    let json = snapshot.to_json();
-    validate_bench_snapshot(&json).expect("snapshot must validate before writing");
-    fs::write(BENCH_PATH, &json).expect("write bench snapshot");
+    snapshot.store(BENCH_PATH).expect("write bench snapshot");
 
     println!("\nexp_monitor grid (seed {seed}, {rounds} sync-equivalent rounds)\n");
     println!(

@@ -38,11 +38,11 @@
 
 use fs_bench::args::ExpArgs;
 use fs_bench::output::render_table;
+use fs_bench::snapshot::{validate_file, MatmulRow, PerfRow, Snapshot};
 use fs_bench::strategies::Strategy;
-use fs_bench::sys::{peak_rss_mb, usable_cores};
-use fs_bench::workloads::{cifar, femnist, twitter, Workload};
+use fs_bench::sys::peak_rss_mb;
+use fs_bench::workloads::{workload_by_name, Workload};
 use fs_core::runner::CourseReport;
-use fs_monitor::export::{validate_perf_snapshot, MatmulRow, PerfRow, PerfSnapshot};
 use fs_monitor::trace::{chrome_trace_json, validate_chrome_trace};
 use fs_monitor::{MonitorHandle, RecordingMonitor};
 use fs_net::Topology;
@@ -55,15 +55,6 @@ use std::time::Instant;
 
 const BENCH_PATH: &str = "BENCH_perf.json";
 const TRACE_PATH: &str = "results/trace_perf.json";
-
-fn workload_by_name(name: &str, seed: u64) -> Workload {
-    match name {
-        "femnist" => femnist(seed),
-        "cifar" => cifar(seed),
-        "twitter" => twitter(seed),
-        other => unreachable!("args module vets workload names, got {other}"),
-    }
-}
 
 /// Runs one seeded course at the given parallelism and times it. A non-star
 /// `--topology` routes through the fs-topo course; timings then measure the
@@ -158,15 +149,11 @@ fn main() {
 
     // --validate: CI gate mode — parse the existing snapshot and exit
     if args.has_flag("validate") {
-        let text = fs::read_to_string(BENCH_PATH)
-            .unwrap_or_else(|e| panic!("cannot read {BENCH_PATH}: {e}"));
-        let snap = validate_perf_snapshot(&text)
-            .unwrap_or_else(|e| panic!("{BENCH_PATH} failed validation: {e}"));
+        let snap = validate_file::<PerfRow>(BENCH_PATH);
         println!(
-            "{BENCH_PATH} valid: {} engine rows, {} matmul rows ({} cores)",
-            snap.rows.len(),
-            snap.matmul.len(),
-            snap.cores
+            "  {} matmul rows ({} cores)",
+            snap.extra.matmul.len(),
+            snap.extra.cores
         );
         return;
     }
@@ -194,8 +181,7 @@ fn main() {
     let rounds = args.rounds_or(if quick { 6 } else { 30 });
     let topology = args.topology_or(Topology::Star);
 
-    let mut snapshot = PerfSnapshot::new("exp_perf");
-    snapshot.cores = usable_cores();
+    let mut snapshot = Snapshot::<PerfRow>::new("exp_perf");
     let mut table: Vec<Vec<String>> = Vec::new();
 
     for wl_name in &workload_names {
@@ -250,8 +236,8 @@ fn main() {
         }
     }
 
-    snapshot.matmul = bench_matmul(quick);
-    for r in &snapshot.matmul {
+    snapshot.extra.matmul = bench_matmul(quick);
+    for r in &snapshot.extra.matmul {
         eprintln!(
             "  matmul {}x{}x{}: naive {:.0} ns, blocked {:.0} ns ({:.2}x)",
             r.m, r.k, r.n, r.naive_ns, r.blocked_ns, r.speedup
@@ -274,6 +260,7 @@ fn main() {
         )
     );
     let matmul_table: Vec<Vec<String>> = snapshot
+        .extra
         .matmul
         .iter()
         .map(|r| {
@@ -298,12 +285,10 @@ fn main() {
         // never decrease, and a host with enough cores tightens them to 90%
         // of its worst observed cell. A v1 (pre-floor) baseline fails to
         // parse and simply seeds fresh floors.
-        let previous = fs::read_to_string(BENCH_PATH)
-            .ok()
-            .and_then(|text| validate_perf_snapshot(&text).ok());
+        let previous = Snapshot::<PerfRow>::load(BENCH_PATH).ok();
         snapshot.ratchet_floors(previous.as_ref());
-        for f in &snapshot.speedup_floors {
-            let enforced = snapshot.cores >= f.threads;
+        for f in &snapshot.extra.speedup_floors {
+            let enforced = snapshot.extra.cores >= f.threads;
             eprintln!(
                 "  floor @ {} threads: {:.2}x ({})",
                 f.threads,
@@ -315,14 +300,12 @@ fn main() {
                 }
             );
         }
-        fs::write(BENCH_PATH, snapshot.to_json()).expect("write BENCH_perf.json");
-        let reread = fs::read_to_string(BENCH_PATH).expect("re-read BENCH_perf.json");
-        validate_perf_snapshot(&reread).expect("snapshot round-trips through its own validator");
+        snapshot.store(BENCH_PATH).expect("write BENCH_perf.json");
         println!(
             "wrote {BENCH_PATH}: {} engine rows, {} matmul rows ({} cores)",
             snapshot.rows.len(),
-            snapshot.matmul.len(),
-            snapshot.cores
+            snapshot.extra.matmul.len(),
+            snapshot.extra.cores
         );
     } else {
         // the persisted baseline is the star's; an exploratory topology run

@@ -25,10 +25,10 @@
 
 use fs_bench::args::ExpArgs;
 use fs_bench::output::render_table;
+use fs_bench::snapshot::{validate_file, ScaleRow, Snapshot};
 use fs_bench::sys::{peak_rss, peak_rss_mb};
 use fs_core::config::FlConfig;
 use fs_data::{ClientData, ClientSplit};
-use fs_monitor::export::{validate_scale_snapshot, ScaleRow, ScaleSnapshot};
 use fs_scale::ScaleCourseBuilder;
 use fs_tensor::loss::Target;
 use fs_tensor::model::logistic_regression;
@@ -36,7 +36,6 @@ use fs_tensor::optim::SgdConfig;
 use fs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fs;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,9 +46,6 @@ const DIM: usize = 64;
 const CLASSES: usize = 10;
 /// Examples per client (8 train / 2 val / 2 test).
 const PER_CLIENT: usize = 12;
-/// Minimum fraction of baseline `clients_per_sec` a row must retain under
-/// `SCALE_BASELINE` comparison.
-const REGRESSION_FLOOR: f64 = 0.75;
 
 /// Deterministic femnist-style split for client index `idx`: Gaussian-ish
 /// clusters around per-class feature bumps, derived purely from
@@ -79,44 +75,26 @@ fn synth_split(seed: u64, idx: usize) -> ClientSplit {
 /// baseline file, fail on a >25% `clients_per_sec` regression at any
 /// matching (clients, rounds) point.
 fn validate() {
-    let text =
-        fs::read_to_string(BENCH_PATH).unwrap_or_else(|e| panic!("cannot read {BENCH_PATH}: {e}"));
-    let snap = validate_scale_snapshot(&text)
-        .unwrap_or_else(|e| panic!("{BENCH_PATH} failed validation: {e}"));
-    println!("{BENCH_PATH} valid: {} rows", snap.rows.len());
+    let snap = validate_file::<ScaleRow>(BENCH_PATH);
     let Some(baseline_path) = std::env::var_os("SCALE_BASELINE") else {
         return;
     };
-    let baseline_text = fs::read_to_string(&baseline_path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path:?}: {e}"));
-    let baseline = validate_scale_snapshot(&baseline_text)
-        .unwrap_or_else(|e| panic!("baseline {baseline_path:?} failed validation: {e}"));
-    let mut compared = 0usize;
-    for row in &snap.rows {
-        let Some(base) = baseline
-            .rows
-            .iter()
-            .find(|b| b.clients == row.clients && b.rounds == row.rounds)
-        else {
-            continue;
-        };
-        compared += 1;
-        let floor = REGRESSION_FLOOR * base.clients_per_sec;
-        assert!(
-            row.clients_per_sec >= floor,
-            "throughput regression at {} clients x {} rounds: {:.0} clients/sec \
-             < 75% of baseline {:.0}",
-            row.clients,
-            row.rounds,
-            row.clients_per_sec,
-            base.clients_per_sec
-        );
+    let baseline_path = baseline_path.to_string_lossy();
+    let baseline =
+        Snapshot::<ScaleRow>::load(&baseline_path).unwrap_or_else(|e| panic!("baseline: {e}"));
+    let compared = snap
+        .check_against(&baseline)
+        .unwrap_or_else(|e| panic!("{e}"));
+    for (row, base) in &compared {
         println!(
             "  {} clients: {:.0} clients/sec vs baseline {:.0} — ok",
             row.clients, row.clients_per_sec, base.clients_per_sec
         );
     }
-    println!("baseline comparison: {compared} matching rows checked");
+    println!(
+        "baseline comparison: {} matching rows checked",
+        compared.len()
+    );
 }
 
 fn main() {
@@ -135,7 +113,7 @@ fn main() {
     };
     let budget_mb = args.mem_budget_mb_or(4096);
 
-    let mut snapshot = ScaleSnapshot::new("exp_scale");
+    let mut snapshot = Snapshot::<ScaleRow>::new("exp_scale");
     let mut table: Vec<Vec<String>> = Vec::new();
 
     for &n in &clients_list {
@@ -214,8 +192,6 @@ fn main() {
         )
     );
 
-    fs::write(BENCH_PATH, snapshot.to_json()).expect("write BENCH_scale.json");
-    let reread = fs::read_to_string(BENCH_PATH).expect("re-read BENCH_scale.json");
-    validate_scale_snapshot(&reread).expect("snapshot round-trips through its own validator");
+    snapshot.store(BENCH_PATH).expect("write BENCH_scale.json");
     println!("wrote {BENCH_PATH}: {} rows", snapshot.rows.len());
 }

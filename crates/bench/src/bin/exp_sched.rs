@@ -14,7 +14,7 @@
 //! the staleness-gate drop count.
 //!
 //! Two contracts are checked by the `--validate` CI gate (see
-//! `fs_monitor::export::validate_sched_snapshot`):
+//! `fs_bench::snapshot::SchedRow`):
 //!
 //! * **fresh sync** — the synchronous baseline must aggregate only
 //!   staleness-zero updates (any recorded staleness means the scheduler
@@ -30,23 +30,13 @@
 
 use fs_bench::args::ExpArgs;
 use fs_bench::output::render_table;
+use fs_bench::snapshot::{validate_file, SchedRow, Snapshot};
 use fs_bench::strategies::Strategy;
-use fs_bench::workloads::{cifar, femnist, twitter, Workload};
+use fs_bench::workloads::{workload_by_name, Workload};
 use fs_core::config::FlConfig;
-use fs_monitor::export::{validate_sched_snapshot, SchedRow, SchedSnapshot};
-use std::fs;
 use std::time::Instant;
 
 const BENCH_PATH: &str = "BENCH_sched.json";
-
-fn workload_by_name(name: &str, seed: u64) -> Workload {
-    match name {
-        "femnist" => femnist(seed),
-        "cifar" => cifar(seed),
-        "twitter" => twitter(seed),
-        other => unreachable!("args module vets workload names, got {other}"),
-    }
-}
 
 #[derive(Clone, Copy)]
 enum SchedMode {
@@ -118,11 +108,7 @@ fn main() {
 
     // --validate: CI gate mode — parse the existing snapshot and exit
     if args.has_flag("validate") {
-        let text = fs::read_to_string(BENCH_PATH)
-            .unwrap_or_else(|e| panic!("cannot read {BENCH_PATH}: {e}"));
-        let snap = validate_sched_snapshot(&text)
-            .unwrap_or_else(|e| panic!("{BENCH_PATH} failed validation: {e}"));
-        println!("{BENCH_PATH} valid: {} rows", snap.rows.len());
+        validate_file::<SchedRow>(BENCH_PATH);
         return;
     }
 
@@ -135,7 +121,7 @@ fn main() {
         &["femnist", "twitter"]
     });
 
-    let mut snapshot = SchedSnapshot::new("exp_sched");
+    let mut snapshot = Snapshot::<SchedRow>::new("exp_sched");
     let mut table: Vec<Vec<String>> = Vec::new();
 
     for wl_name in &workload_names {
@@ -222,8 +208,6 @@ fn main() {
         )
     );
 
-    fs::write(BENCH_PATH, snapshot.to_json()).expect("write BENCH_sched.json");
-    let reread = fs::read_to_string(BENCH_PATH).expect("re-read BENCH_sched.json");
-    validate_sched_snapshot(&reread).expect("snapshot round-trips through its own validator");
+    snapshot.store(BENCH_PATH).expect("write BENCH_sched.json");
     println!("wrote {BENCH_PATH}: {} rows", snapshot.rows.len());
 }

@@ -17,7 +17,7 @@
 use fs_bench::args::ExpArgs;
 use fs_bench::output::{render_table, write_json};
 use fs_bench::strategies::Strategy;
-use fs_bench::workloads::{cifar, femnist, twitter, Workload};
+use fs_bench::workloads::{workload_by_name, Workload};
 use fs_net::Topology;
 use fs_topo::run_course_auto;
 use serde::Serialize;
@@ -82,11 +82,7 @@ fn main() {
     let seed = args.seed_or(7);
     let mut rows = Vec::new();
     for name in args.workloads_or(&["femnist", "cifar", "twitter"]) {
-        let wl = match name.as_str() {
-            "femnist" => femnist(seed),
-            "cifar" => cifar(seed),
-            _ => twitter(seed),
-        };
+        let wl = workload_by_name(&name, seed);
         eprintln!("== {} (target {:.0}%)", wl.name, wl.target_accuracy * 100.0);
         run_workload(
             &wl,

@@ -9,8 +9,9 @@
 //! byte vectors where the backend meters tiers, and whether the cell's
 //! report compared bit-identical to the star cell at the same seed.
 //!
-//! Two contracts are checked here *and* re-checked by the `--validate` CI
-//! gate (see `fs_monitor::export::validate_topo_snapshot`):
+//! Two contracts are checked by `fs_bench::snapshot::TopoRow` — before the
+//! snapshot is written (a grid that breaks one never replaces the committed
+//! file) and again by the `--validate` CI gate:
 //!
 //! * **lossless equivalence** — a standalone hierarchy under the identity
 //!   codec must reproduce the star course bit for bit;
@@ -26,8 +27,9 @@
 
 use fs_bench::args::ExpArgs;
 use fs_bench::output::render_table;
+use fs_bench::snapshot::{validate_file, Snapshot, TopoRow};
 use fs_bench::strategies::Strategy;
-use fs_bench::workloads::{cifar, femnist, twitter, Workload};
+use fs_bench::workloads::{workload_by_name, Workload};
 use fs_core::config::{CodecSpec, FlConfig};
 use fs_core::course::CourseBuilder;
 use fs_core::distributed::{
@@ -36,12 +38,9 @@ use fs_core::distributed::{
 };
 use fs_core::runner::CourseReport;
 use fs_core::StandaloneRunner;
-use fs_monitor::export::{validate_topo_snapshot, TopoRow, TopoSnapshot};
 use fs_monitor::{MonitorHandle, RecordingMonitor};
 use fs_net::Topology;
 use fs_topo::{bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed};
-use std::collections::HashMap;
-use std::fs;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -61,15 +60,6 @@ impl Backend {
             Backend::Bus => "bus",
             Backend::Tcp => "tcp",
         }
-    }
-}
-
-fn workload_by_name(name: &str, seed: u64) -> Workload {
-    match name {
-        "femnist" => femnist(seed),
-        "cifar" => cifar(seed),
-        "twitter" => twitter(seed),
-        other => unreachable!("args module vets workload names, got {other}"),
     }
 }
 
@@ -167,11 +157,7 @@ fn main() {
 
     // --validate: CI gate mode — parse the existing snapshot and exit
     if args.has_flag("validate") {
-        let text = fs::read_to_string(BENCH_PATH)
-            .unwrap_or_else(|e| panic!("cannot read {BENCH_PATH}: {e}"));
-        let snap = validate_topo_snapshot(&text)
-            .unwrap_or_else(|e| panic!("{BENCH_PATH} failed validation: {e}"));
-        println!("{BENCH_PATH} valid: {} rows", snap.rows.len());
+        validate_file::<TopoRow>(BENCH_PATH);
         return;
     }
 
@@ -195,7 +181,7 @@ fn main() {
     let codecs = [CodecSpec::Identity, CodecSpec::TopK { ratio: 0.25 }];
     let backends = [Backend::Standalone, Backend::Bus, Backend::Tcp];
 
-    let mut snapshot = TopoSnapshot::new("exp_topo");
+    let mut snapshot = Snapshot::<TopoRow>::new("exp_topo");
     let mut table: Vec<Vec<String>> = Vec::new();
 
     for wl_name in &workload_names {
@@ -270,52 +256,6 @@ fn main() {
         }
     }
 
-    // cross-cell sanity before persisting: the lossless standalone hierarchy
-    // must have reproduced the star, and the lossy one must have paid off
-    let by_key: HashMap<(String, String, String, String), &TopoRow> = snapshot
-        .rows
-        .iter()
-        .map(|r| {
-            (
-                (
-                    r.workload.clone(),
-                    r.topology.clone(),
-                    r.compressor.clone(),
-                    r.backend.clone(),
-                ),
-                r,
-            )
-        })
-        .collect();
-    for wl_name in &workload_names {
-        let key = |topo: &str, codec: &str| {
-            (
-                wl_name.to_string(),
-                topo.to_string(),
-                codec.to_string(),
-                "standalone".to_string(),
-            )
-        };
-        if let Some(hier) = by_key.get(&key("hier:2x4", "identity")) {
-            assert!(
-                hier.star_equivalent,
-                "{wl_name}: lossless standalone hierarchy diverged from the star"
-            );
-        }
-        if let (Some(hier), Some(star)) = (
-            by_key.get(&key("hier:2x4", "topk")),
-            by_key.get(&key("star", "topk")),
-        ) {
-            let root = hier.bytes_up_per_tier.first().copied().unwrap_or(u64::MAX);
-            assert!(
-                root < star.uploaded_bytes,
-                "{wl_name}: hierarchy did not reduce root-link bytes \
-                 ({root} >= {})",
-                star.uploaded_bytes
-            );
-        }
-    }
-
     println!("\nexp_topo grid (seed {seed}, {rounds} rounds)\n");
     println!(
         "{}",
@@ -335,8 +275,6 @@ fn main() {
         )
     );
 
-    fs::write(BENCH_PATH, snapshot.to_json()).expect("write BENCH_topo.json");
-    let reread = fs::read_to_string(BENCH_PATH).expect("re-read BENCH_topo.json");
-    validate_topo_snapshot(&reread).expect("snapshot round-trips through its own validator");
+    snapshot.store(BENCH_PATH).expect("write BENCH_topo.json");
     println!("wrote {BENCH_PATH}: {} rows", snapshot.rows.len());
 }

@@ -12,7 +12,9 @@
 //! * [`args`] — the shared `--seed/--rounds/--strategies/--workloads/--quick`
 //!   command-line vocabulary;
 //! * [`output`] — human-readable tables plus machine-readable JSON dumped
-//!   under `results/`.
+//!   under `results/`;
+//! * [`snapshot`] — the one `BENCH_*.json` document type, its five row
+//!   schemas and the `--validate` gate the snapshot-writing binaries share.
 //!
 //! Absolute numbers differ from the paper (different hardware model, data,
 //! and scale); the *shape* of each result — who wins, by roughly what factor,
@@ -20,6 +22,7 @@
 
 pub mod args;
 pub mod output;
+pub mod snapshot;
 pub mod strategies;
 pub mod sys;
 pub mod workloads;

@@ -165,6 +165,17 @@ pub fn twitter(seed: u64) -> Workload {
     }
 }
 
+/// The workload behind a `--workloads` name ([`crate::args::WORKLOAD_NAMES`],
+/// which the args parser has already vetted).
+pub fn workload_by_name(name: &str, seed: u64) -> Workload {
+    match name {
+        "femnist" => femnist(seed),
+        "cifar" => cifar(seed),
+        "twitter" => twitter(seed),
+        other => unreachable!("args module vets workload names, got {other}"),
+    }
+}
+
 impl Workload {
     /// Builds a runner for this workload under `cfg`.
     pub fn build(&self, cfg: FlConfig) -> StandaloneRunner {

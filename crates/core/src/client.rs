@@ -248,9 +248,7 @@ impl Client {
                     }
                     state.last_val = Some(val);
                 }
-                let wall = fs_monitor::wallprof::start();
                 let update = state.trainer.local_train(params, msg.round);
-                wall.stop(&ctx.monitor, fs_monitor::wallprof::WALL_TRAIN_NS);
                 state.rounds_trained += 1;
                 let payload = match state.compressor.as_mut() {
                     Some(codec) => {

@@ -3,7 +3,7 @@
 use fs_compress::{Compressor, DeltaEncode, Identity, TopK, UniformQuant};
 use fs_net::Topology;
 use fs_tensor::optim::SgdConfig;
-use fs_verify::{CodecFacts, ConfigFacts, RuleFacts, SchedFacts, VerifyMode};
+use fs_verify::{CodecFacts, ConfigFacts, RuleFacts, VerifyMode};
 
 /// Which codec compresses a parameter payload (see `fs-compress`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,7 +79,9 @@ impl CompressionConfig {
 }
 
 /// When the server performs federated aggregation — the condition-checking
-/// event family of §3.3.
+/// event family of §3.3. Each variant selects one
+/// [`Scheduler`](crate::scheduler::Scheduler) policy; this is the only
+/// "when to aggregate" setting a course has.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AggregationRule {
     /// Wait for every sampled client (vanilla synchronous FL).
@@ -97,6 +99,25 @@ pub enum AggregationRule {
         /// Minimum usable updates required; fewer triggers a remedial
         /// measure (the budget is extended, §3.3.2).
         min_feedback: usize,
+    },
+    /// FedBuff-style buffered async: aggregate every `k` buffered updates,
+    /// weighting each by the staleness discount.
+    Buffered {
+        /// Buffer size that triggers aggregation (clamped to the live
+        /// roster, like `goal_achieved`'s effective goal).
+        k: usize,
+        /// Staleness discount exponent used for the buffered average; this
+        /// overrides `FlConfig::staleness_discount` so the FedBuff-style
+        /// weighting can be tuned independently of the legacy async modes.
+        discount: f32,
+    },
+    /// Tiered semi-async (FedModule-style): clients are partitioned into
+    /// `tiers` speed tiers by a seeded hash; each tier aggregates
+    /// synchronously (waits for its own sampled cohort), and tiers merge
+    /// into the global model asynchronously with respect to each other.
+    Tiered {
+        /// Number of speed tiers.
+        tiers: usize,
     },
 }
 
@@ -142,40 +163,6 @@ impl Default for DropoutPolicy {
     }
 }
 
-/// Which [`Scheduler`](crate::scheduler::Scheduler) policy drives the
-/// server's when-to-aggregate decisions.
-///
-/// `FromRule` (the default) preserves the classic behaviour: the policy is
-/// derived from [`AggregationRule`], reproducing the paper's three regimes
-/// bit-for-bit. The other variants are execution modes the rule enum cannot
-/// express; when one is selected, `FlConfig::rule` is ignored (fs-verify
-/// warns if a non-default rule is left set).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum SchedulerKind {
-    /// Derive the policy from `FlConfig::rule` (sync / goal / time_up).
-    #[default]
-    FromRule,
-    /// FedBuff-style buffered async: aggregate every `k` buffered updates,
-    /// weighting each by the staleness discount.
-    BufferedAsync {
-        /// Buffer size that triggers aggregation (clamped to the live
-        /// roster, like `goal_achieved`'s effective goal).
-        k: usize,
-        /// Staleness discount exponent used for the buffered average; this
-        /// overrides `FlConfig::staleness_discount` so the FedBuff-style
-        /// weighting can be tuned independently of the legacy async modes.
-        discount: f32,
-    },
-    /// Tiered semi-async (FedModule-style): clients are partitioned into
-    /// `tiers` speed tiers by a seeded hash; each tier aggregates
-    /// synchronously (waits for its own sampled cohort), and tiers merge
-    /// into the global model asynchronously with respect to each other.
-    Tiered {
-        /// Number of speed tiers.
-        tiers: usize,
-    },
-}
-
 /// Full configuration of an FL course.
 #[derive(Clone, Debug)]
 pub struct FlConfig {
@@ -183,11 +170,9 @@ pub struct FlConfig {
     pub total_rounds: u64,
     /// Target number of clients training concurrently.
     pub concurrency: usize,
-    /// Aggregation trigger (consulted when `scheduler` is `FromRule`).
+    /// When to aggregate: the one selector of the server's scheduler
+    /// policy (sync / goal / time_up / buffered async / tiered semi-async).
     pub rule: AggregationRule,
-    /// Execution-mode policy. `FromRule` derives it from `rule`; the other
-    /// variants select the new buffered-async / tiered semi-async modes.
-    pub scheduler: SchedulerKind,
     /// Broadcast manner.
     pub broadcast: BroadcastManner,
     /// Sampling strategy.
@@ -240,7 +225,6 @@ impl Default for FlConfig {
             total_rounds: 50,
             concurrency: 10,
             rule: AggregationRule::AllReceived,
-            scheduler: SchedulerKind::FromRule,
             broadcast: BroadcastManner::AfterAggregating,
             sampler: SamplerKind::Uniform,
             staleness_tolerance: 20,
@@ -283,9 +267,12 @@ impl FlConfig {
     /// virtual clock, so distributed (wall-clock) runners reject such
     /// configurations.
     pub fn scheduler_uses_timer(&self) -> bool {
-        match self.scheduler {
-            SchedulerKind::FromRule => matches!(self.rule, AggregationRule::TimeUp { .. }),
-            SchedulerKind::BufferedAsync { .. } | SchedulerKind::Tiered { .. } => false,
+        match self.rule {
+            AggregationRule::TimeUp { .. } => true,
+            AggregationRule::AllReceived
+            | AggregationRule::GoalAchieved { .. }
+            | AggregationRule::Buffered { .. }
+            | AggregationRule::Tiered { .. } => false,
         }
     }
 
@@ -294,9 +281,12 @@ impl FlConfig {
     /// updates down independently of the legacy async knob); every other
     /// mode uses the course-wide `staleness_discount`.
     pub fn effective_staleness_discount(&self) -> f32 {
-        match self.scheduler {
-            SchedulerKind::BufferedAsync { discount, .. } => discount,
-            _ => self.staleness_discount,
+        match self.rule {
+            AggregationRule::Buffered { discount, .. } => discount,
+            AggregationRule::AllReceived
+            | AggregationRule::GoalAchieved { .. }
+            | AggregationRule::TimeUp { .. }
+            | AggregationRule::Tiered { .. } => self.staleness_discount,
         }
     }
 
@@ -318,6 +308,8 @@ impl FlConfig {
                     budget_secs,
                     min_feedback,
                 },
+                AggregationRule::Buffered { k, .. } => RuleFacts::Buffered { k },
+                AggregationRule::Tiered { tiers } => RuleFacts::Tiered { tiers },
             },
             after_receiving_broadcast: self.broadcast == BroadcastManner::AfterReceiving,
             staleness_tolerance: self.staleness_tolerance,
@@ -333,11 +325,6 @@ impl FlConfig {
             upload_delta: self.compression.upload_delta,
             download: self.compression.download.map(CodecSpec::facts),
             topology: Some(self.topology),
-            scheduler: match self.scheduler {
-                SchedulerKind::FromRule => SchedFacts::FromRule,
-                SchedulerKind::BufferedAsync { k, .. } => SchedFacts::Buffered { k },
-                SchedulerKind::Tiered { tiers } => SchedFacts::Tiered { tiers },
-            },
         }
     }
 
@@ -395,7 +382,7 @@ impl FlConfig {
     /// buffered updates with staleness-discounted weights, topping
     /// concurrency up per receive so the buffer keeps filling.
     pub fn buffered_async(mut self, k: usize, discount: f32) -> Self {
-        self.scheduler = SchedulerKind::BufferedAsync { k, discount };
+        self.rule = AggregationRule::Buffered { k, discount };
         self.broadcast = BroadcastManner::AfterReceiving;
         self
     }
@@ -404,7 +391,7 @@ impl FlConfig {
     /// aggregating synchronously within itself and merging asynchronously
     /// into the global model.
     pub fn tiered(mut self, tiers: usize) -> Self {
-        self.scheduler = SchedulerKind::Tiered { tiers };
+        self.rule = AggregationRule::Tiered { tiers };
         self.broadcast = BroadcastManner::AfterAggregating;
         self
     }

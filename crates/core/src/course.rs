@@ -13,7 +13,7 @@
 
 use crate::aggregator::{Aggregator, FedAvg};
 use crate::client::Client;
-use crate::config::{AggregationRule, FlConfig, SamplerKind, SchedulerKind};
+use crate::config::{AggregationRule, FlConfig, SamplerKind};
 use crate::eval::GlobalEvaluator;
 use crate::runner::{Runner, StandaloneRunner};
 use crate::sampler::Sampler;
@@ -135,16 +135,13 @@ impl CourseWiring {
                     self.cfg.sample_target()
                 );
             }
-            AggregationRule::AllReceived => {}
-        }
-        match self.cfg.scheduler {
-            SchedulerKind::BufferedAsync { k, .. } => {
+            AggregationRule::Buffered { k, .. } => {
                 assert!(k >= 1, "buffer threshold k must be >= 1");
             }
-            SchedulerKind::Tiered { tiers } => {
+            AggregationRule::Tiered { tiers } => {
                 assert!(tiers >= 1, "tier count must be >= 1");
             }
-            SchedulerKind::FromRule => {}
+            AggregationRule::AllReceived => {}
         }
     }
 
@@ -463,6 +460,34 @@ mod tests {
             ..Default::default()
         };
         let _ = tiny_course(cfg);
+    }
+
+    /// The last rule setter wins: a goal the buffered scheduler never reads
+    /// must not fail validation (it used to, while `rule` and the scheduler
+    /// override were separate fields).
+    #[test]
+    fn buffered_course_ignores_a_replaced_goal() {
+        let cfg = FlConfig {
+            total_rounds: 3,
+            concurrency: 4,
+            sgd: SgdConfig::with_lr(0.5),
+            ..Default::default()
+        }
+        .async_goal(
+            1000,
+            crate::config::BroadcastManner::AfterReceiving,
+            SamplerKind::Uniform,
+        )
+        .buffered_async(3, 0.5);
+        assert_eq!(
+            cfg.rule,
+            AggregationRule::Buffered {
+                k: 3,
+                discount: 0.5
+            }
+        );
+        let report = tiny_course(cfg).run();
+        assert_eq!(report.rounds, 3);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!   global model asynchronously with respect to each other.
 
 use crate::aggregator::ReceivedUpdate;
-use crate::config::{AggregationRule, FlConfig, SchedulerKind};
+use crate::config::{AggregationRule, FlConfig};
 use crate::event::Condition;
 use fs_net::ParticipantId;
 use std::collections::BTreeSet;
@@ -126,23 +126,20 @@ pub trait Scheduler: Send {
     }
 }
 
-/// Builds the policy selected by `cfg.scheduler` (falling back to the
-/// classic rule-derived regimes for [`SchedulerKind::FromRule`]).
+/// Builds the policy selected by `cfg.rule`.
 pub fn build_scheduler(cfg: &FlConfig) -> Box<dyn Scheduler> {
-    match cfg.scheduler {
-        SchedulerKind::FromRule => match cfg.rule {
-            AggregationRule::AllReceived => Box::new(SyncScheduler),
-            AggregationRule::GoalAchieved { goal } => Box::new(GoalScheduler { goal }),
-            AggregationRule::TimeUp {
-                budget_secs,
-                min_feedback,
-            } => Box::new(TimeUpScheduler {
-                budget_secs,
-                min_feedback,
-            }),
-        },
-        SchedulerKind::BufferedAsync { k, .. } => Box::new(BufferedScheduler { k }),
-        SchedulerKind::Tiered { tiers } => Box::new(TieredScheduler::new(tiers, cfg.seed)),
+    match cfg.rule {
+        AggregationRule::AllReceived => Box::new(SyncScheduler),
+        AggregationRule::GoalAchieved { goal } => Box::new(GoalScheduler { goal }),
+        AggregationRule::TimeUp {
+            budget_secs,
+            min_feedback,
+        } => Box::new(TimeUpScheduler {
+            budget_secs,
+            min_feedback,
+        }),
+        AggregationRule::Buffered { k, .. } => Box::new(BufferedScheduler { k }),
+        AggregationRule::Tiered { tiers } => Box::new(TieredScheduler::new(tiers, cfg.seed)),
     }
 }
 

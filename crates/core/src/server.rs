@@ -200,10 +200,8 @@ impl ServerState {
             self.outstanding.insert(c);
         }
         self.scheduler.on_sampled(targets);
-        let wall = fs_monitor::wallprof::start();
         let payload = self.broadcast_payload();
         ctx.broadcast(MessageKind::ModelParams, self.round, payload, targets);
-        wall.stop(&ctx.monitor, fs_monitor::wallprof::WALL_BROADCAST_NS);
         self.ledger.models_sent += targets.len() as u64;
     }
 
@@ -232,13 +230,6 @@ impl ServerState {
         if let Some(budget_secs) = self.scheduler.round_timer() {
             ctx.arm_timer(budget_secs, Condition::TimeUp, self.round);
         }
-    }
-
-    /// The aggregation goal actually reachable with the current roster: a
-    /// course that lost clients must not wait for more updates than the
-    /// survivors can produce.
-    pub fn effective_goal(&self, goal: usize) -> usize {
-        goal.min(self.roster.len()).max(1)
     }
 
     /// Removes a disconnected client from the course (§ fault model): it
@@ -367,9 +358,7 @@ impl ServerState {
                 occupancy as u64,
             );
         }
-        let wall = fs_monitor::wallprof::start();
         self.global = self.aggregator.aggregate(&self.global, &buffer);
-        wall.stop(&ctx.monitor, fs_monitor::wallprof::WALL_AGGREGATE_NS);
         self.version += 1;
         self.record_history();
         self.round += 1;

@@ -15,10 +15,7 @@
 //!   construction invariant rather than a convention;
 //! * [`trace`] — Chrome trace-event JSON (loadable in `chrome://tracing` or
 //!   [Perfetto](https://ui.perfetto.dev)) with one named track per
-//!   participant;
-//! * [`export`] — JSONL round log, CSV counter summary, and the
-//!   [`export::BenchSnapshot`] that seeds `BENCH_monitor.json` (rounds/sec
-//!   wall-clock, virtual-time-to-target-accuracy, bytes-on-wire).
+//!   participant.
 //!
 //! Counter *names* are centralized in [`counters`] so producers (fs-core's
 //! runner, fs-net's TCP backend) and consumers (exporters, tests) agree on
@@ -30,17 +27,11 @@
 
 pub mod api;
 pub mod buffer;
-pub mod export;
 pub mod recording;
 pub mod sharded;
 pub mod trace;
-pub mod wallprof;
 
 pub use api::{counters, Monitor, MonitorHandle, NullMonitor, TrackId, SERVER_TRACK};
 pub use buffer::{BufferMonitor, MonitorOp};
-pub use export::{
-    BenchRow, BenchSnapshot, MatmulRow, PerfRow, PerfSnapshot, ScaleRow, ScaleSnapshot, TopoRow,
-    TopoSnapshot,
-};
 pub use recording::{RecordingMonitor, RoundRecord, SpanRecord};
 pub use sharded::ShardedCounters;

@@ -128,13 +128,15 @@ impl TopoReport {
 /// `all_received`; everything else relays losslessly.
 fn auto_merge(cfg: &FlConfig) -> EdgeMerge {
     let compressing = !matches!(cfg.compression.upload, None | Some(CodecSpec::Identity));
-    if compressing
-        && !cfg.compression.upload_delta
-        && matches!(cfg.rule, AggregationRule::AllReceived)
-    {
-        EdgeMerge::Partial
-    } else {
-        EdgeMerge::Lossless
+    match cfg.rule {
+        AggregationRule::AllReceived if compressing && !cfg.compression.upload_delta => {
+            EdgeMerge::Partial
+        }
+        AggregationRule::AllReceived
+        | AggregationRule::GoalAchieved { .. }
+        | AggregationRule::TimeUp { .. }
+        | AggregationRule::Buffered { .. }
+        | AggregationRule::Tiered { .. } => EdgeMerge::Lossless,
     }
 }
 
@@ -318,5 +320,33 @@ pub fn run_routed(
     match runner.router.take_error() {
         Some(e) => Err(TopoRunError::Edge(e)),
         None => Ok((report, runner.router.report())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fs_core::config::{BroadcastManner, CompressionConfig, SamplerKind};
+
+    /// Merging edges need `all_received`; every other rule relays. A
+    /// buffered course used to merge here, because its unread `rule` field
+    /// still held the `AllReceived` default.
+    #[test]
+    fn only_all_received_with_a_lossy_codec_merges() {
+        let topk = FlConfig {
+            compression: CompressionConfig {
+                upload: Some(CodecSpec::TopK { ratio: 0.1 }),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_eq!(auto_merge(&topk), EdgeMerge::Partial);
+        assert_eq!(auto_merge(&FlConfig::default()), EdgeMerge::Lossless);
+        let goal =
+            topk.clone()
+                .async_goal(3, BroadcastManner::AfterAggregating, SamplerKind::Uniform);
+        for cfg in [goal, topk.clone().buffered_async(3, 0.5), topk.tiered(2)] {
+            assert_eq!(auto_merge(&cfg), EdgeMerge::Lossless, "{:?}", cfg.rule);
+        }
     }
 }

@@ -26,14 +26,6 @@ pub enum RuleFacts {
         /// Minimum usable updates before remedial measures.
         min_feedback: usize,
     },
-}
-
-/// The scheduler selection, reduced to what the lints need.
-#[derive(Clone, Copy, Debug, PartialEq, Default)]
-pub enum SchedFacts {
-    /// Policy derived from the aggregation rule (the classic regimes).
-    #[default]
-    FromRule,
     /// FedBuff-style buffered async: aggregate every `k` buffered updates.
     Buffered {
         /// Buffer size that triggers aggregation.
@@ -104,8 +96,6 @@ pub struct ConfigFacts {
     pub download: Option<CodecFacts>,
     /// Communication topology (`None` is treated as the plain star).
     pub topology: Option<Topology>,
-    /// Scheduler selection (execution-mode policy).
-    pub scheduler: SchedFacts,
 }
 
 impl Default for ConfigFacts {
@@ -131,7 +121,6 @@ impl Default for ConfigFacts {
             upload_delta: false,
             download: None,
             topology: None,
-            scheduler: SchedFacts::FromRule,
         }
     }
 }
@@ -196,11 +185,7 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         );
     }
 
-    // scheduler-aware: the check is about the *resolved* scheduler, not the
-    // rule field alone — a buffered/tiered override consults the tolerance
-    // on every cross-version update, so the note must not fire there
-    if matches!(facts.scheduler, SchedFacts::FromRule)
-        && matches!(facts.rule, RuleFacts::AllReceived)
+    if facts.rule == RuleFacts::AllReceived
         && (facts.staleness_tolerance > 0 || facts.staleness_discount != 0.0)
     {
         out.push(Diagnostic::new(
@@ -251,12 +236,7 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         );
     }
 
-    // scheduler-aware: a buffered/tiered override never consults the rule,
-    // so the never-closing-round hazard only exists under FromRule
-    if matches!(facts.scheduler, SchedFacts::FromRule)
-        && facts.after_receiving_broadcast
-        && matches!(facts.rule, RuleFacts::AllReceived)
-    {
+    if facts.after_receiving_broadcast && facts.rule == RuleFacts::AllReceived {
         out.push(
             Diagnostic::new(
                 Code::AfterReceivingUnderAllReceived,
@@ -353,6 +333,48 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         );
     }
 
+    if let Some(n) = facts.num_clients {
+        if facts.sample_target > n {
+            out.push(
+                Diagnostic::new(
+                    Code::SampleTargetExceedsClients,
+                    "concurrency",
+                    format!(
+                        "the sample target ({}) exceeds the client population ({n})",
+                        facts.sample_target
+                    ),
+                )
+                .with_suggestion("lower concurrency/over_selection or add clients"),
+            );
+        }
+    }
+
+    lint_topology(facts, &mut out);
+    lint_scheduler(facts, &mut out);
+
+    out
+}
+
+/// The buffered-async / tiered modes drive one central server loop (FSV060).
+fn lint_star_only(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
+    if !matches!(facts.topology, None | Some(Topology::Star)) {
+        out.push(
+            Diagnostic::new(
+                Code::SchedTopologyUnsupported,
+                "rule",
+                "buffered-async / tiered schedulers drive one central server \
+                 loop and require the star topology (gossip has no server; \
+                 hierarchical edges close their rounds with all_received \
+                 semantics)",
+            )
+            .with_suggestion("use topology = star, or one of the classic rules"),
+        );
+    }
+}
+
+/// Per-rule config lints: the classic rules' thresholds (FSV036/037/039)
+/// and the buffered / tiered modes (FSV060–FSV063).
+fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
     match facts.rule {
         RuleFacts::AllReceived => {}
         RuleFacts::GoalAchieved { goal } => {
@@ -409,67 +431,13 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
                 );
             }
         }
-    }
-
-    if let Some(n) = facts.num_clients {
-        if facts.sample_target > n {
-            out.push(
-                Diagnostic::new(
-                    Code::SampleTargetExceedsClients,
-                    "concurrency",
-                    format!(
-                        "the sample target ({}) exceeds the client population ({n})",
-                        facts.sample_target
-                    ),
-                )
-                .with_suggestion("lower concurrency/over_selection or add clients"),
-            );
-        }
-    }
-
-    lint_topology(facts, &mut out);
-    lint_scheduler(facts, &mut out);
-
-    out
-}
-
-/// Scheduler-specific config lints (FSV060–FSV064).
-fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
-    let overridden = !matches!(facts.scheduler, SchedFacts::FromRule);
-    if overridden {
-        if !matches!(facts.topology, None | Some(Topology::Star)) {
-            out.push(
-                Diagnostic::new(
-                    Code::SchedTopologyUnsupported,
-                    "scheduler",
-                    "buffered-async / tiered schedulers drive one central server \
-                     loop and require the star topology (gossip has no server; \
-                     hierarchical edges close their rounds with all_received \
-                     semantics)",
-                )
-                .with_suggestion("use topology = star, or a FromRule scheduler"),
-            );
-        }
-        if !matches!(facts.rule, RuleFacts::AllReceived) {
-            out.push(
-                Diagnostic::new(
-                    Code::SchedRuleIgnored,
-                    "rule",
-                    "an explicit scheduler override is set, so the configured \
-                     aggregation rule is never consulted",
-                )
-                .with_suggestion("drop the rule customization, or select SchedulerKind::FromRule"),
-            );
-        }
-    }
-    match facts.scheduler {
-        SchedFacts::FromRule => {}
-        SchedFacts::Buffered { k } => {
+        RuleFacts::Buffered { k } => {
+            lint_star_only(facts, out);
             if k == 0 {
                 out.push(
                     Diagnostic::new(
                         Code::SchedBufferInvalid,
-                        "scheduler.k",
+                        "rule.k",
                         "buffered-async with a buffer size of zero fires before \
                          any update arrives",
                     )
@@ -481,7 +449,7 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                 out.push(
                     Diagnostic::new(
                         Code::ThresholdExceedsSampleTarget,
-                        "scheduler.k",
+                        "rule.k",
                         format!(
                             "buffer size ({k}) exceeds the sample target ({}): with \
                              after_aggregating broadcast the buffer can never fill",
@@ -495,12 +463,13 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        SchedFacts::Tiered { tiers } => {
+        RuleFacts::Tiered { tiers } => {
+            lint_star_only(facts, out);
             if tiers == 0 {
                 out.push(
                     Diagnostic::new(
                         Code::SchedTiersInvalid,
-                        "scheduler.tiers",
+                        "rule.tiers",
                         "tiered scheduler with zero tiers partitions nobody",
                     )
                     .with_suggestion("set tiers >= 2"),
@@ -508,14 +477,14 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
             } else if tiers == 1 {
                 out.push(Diagnostic::new(
                     Code::SchedTiersDegenerate,
-                    "scheduler.tiers",
+                    "rule.tiers",
                     "a single tier contains every client, so the tiered scheduler \
                      degenerates to plain synchronous aggregation",
                 ));
             } else if facts.num_clients.is_some_and(|n| tiers > n) {
                 out.push(Diagnostic::new(
                     Code::SchedTiersDegenerate,
-                    "scheduler.tiers",
+                    "rule.tiers",
                     format!(
                         "more tiers ({tiers}) than clients ({}): some tiers are \
                          permanently empty",
@@ -564,7 +533,7 @@ fn lint_topology(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     .with_suggestion("disable upload_delta or run the star topology"),
                 );
             }
-            if !matches!(facts.rule, RuleFacts::AllReceived) {
+            if facts.rule != RuleFacts::AllReceived {
                 out.push(
                     Diagnostic::new(
                         Code::TopologyRuleUnsupported,
@@ -752,9 +721,9 @@ mod tests {
 
     #[test]
     fn scheduler_lints() {
-        // a scheduler override off the star topology is an error
+        // a buffered / tiered rule off the star topology is an error
         let facts = ConfigFacts {
-            scheduler: SchedFacts::Buffered { k: 3 },
+            rule: RuleFacts::Buffered { k: 3 },
             topology: Some(Topology::Gossip {
                 degree: 2,
                 rounds: 3,
@@ -765,26 +734,16 @@ mod tests {
         assert!(ds
             .iter()
             .any(|d| d.code == Code::SchedTopologyUnsupported && d.severity == Severity::Error));
-        // an override plus a customized rule: the rule is dead config
-        let facts = ConfigFacts {
-            scheduler: SchedFacts::Tiered { tiers: 3 },
-            rule: RuleFacts::GoalAchieved { goal: 4 },
-            ..Default::default()
-        };
-        let ds = lint_config(&facts);
-        assert!(ds
-            .iter()
-            .any(|d| d.code == Code::SchedRuleIgnored && d.severity == Severity::Warning));
         // zero-sized buffer / tier counts are errors
         let facts = ConfigFacts {
-            scheduler: SchedFacts::Buffered { k: 0 },
+            rule: RuleFacts::Buffered { k: 0 },
             ..Default::default()
         };
         assert!(lint_config(&facts)
             .iter()
             .any(|d| d.code == Code::SchedBufferInvalid && d.severity == Severity::Error));
         let facts = ConfigFacts {
-            scheduler: SchedFacts::Tiered { tiers: 0 },
+            rule: RuleFacts::Tiered { tiers: 0 },
             ..Default::default()
         };
         assert!(lint_config(&facts)
@@ -792,7 +751,7 @@ mod tests {
             .any(|d| d.code == Code::SchedTiersInvalid && d.severity == Severity::Error));
         // k beyond the sample target can never fill under after_aggregating
         let facts = ConfigFacts {
-            scheduler: SchedFacts::Buffered { k: 9 },
+            rule: RuleFacts::Buffered { k: 9 },
             concurrency: 4,
             sample_target: 4,
             after_receiving_broadcast: false,
@@ -803,7 +762,7 @@ mod tests {
             .any(|d| d.code == Code::ThresholdExceedsSampleTarget));
         // ...but may legitimately exceed it under after_receiving
         let facts = ConfigFacts {
-            scheduler: SchedFacts::Buffered { k: 9 },
+            rule: RuleFacts::Buffered { k: 9 },
             concurrency: 4,
             sample_target: 4,
             after_receiving_broadcast: true,
@@ -814,14 +773,14 @@ mod tests {
             .any(|d| d.code == Code::ThresholdExceedsSampleTarget));
         // degenerate tier shapes are notes, not errors
         let facts = ConfigFacts {
-            scheduler: SchedFacts::Tiered { tiers: 1 },
+            rule: RuleFacts::Tiered { tiers: 1 },
             ..Default::default()
         };
         assert!(lint_config(&facts)
             .iter()
             .any(|d| d.code == Code::SchedTiersDegenerate && d.severity == Severity::Note));
         let facts = ConfigFacts {
-            scheduler: SchedFacts::Tiered { tiers: 40 },
+            rule: RuleFacts::Tiered { tiers: 40 },
             num_clients: Some(10),
             ..Default::default()
         };
@@ -831,8 +790,8 @@ mod tests {
     }
 
     #[test]
-    fn staleness_inert_lint_is_scheduler_aware() {
-        // under all_received + FromRule the settings are never consulted
+    fn staleness_inert_lint_fires_only_under_all_received() {
+        // under all_received the settings are never consulted
         let facts = ConfigFacts {
             staleness_tolerance: 4,
             staleness_discount: 0.5,
@@ -841,11 +800,11 @@ mod tests {
         assert!(lint_config(&facts)
             .iter()
             .any(|d| d.code == Code::StalenessInertUnderSync));
-        // a buffered-async override consults them — the lint must not fire
+        // buffered-async consults them — the lint must not fire
         let facts = ConfigFacts {
             staleness_tolerance: 4,
             staleness_discount: 0.5,
-            scheduler: SchedFacts::Buffered { k: 3 },
+            rule: RuleFacts::Buffered { k: 3 },
             ..Default::default()
         };
         assert!(!lint_config(&facts)
@@ -854,9 +813,9 @@ mod tests {
     }
 
     #[test]
-    fn after_receiving_lint_is_scheduler_aware() {
-        // after_receiving + all_received under FromRule: the round may
-        // never close, the warning fires
+    fn after_receiving_lint_fires_only_under_all_received() {
+        // after_receiving + all_received: the round may never close, the
+        // warning fires
         let facts = ConfigFacts {
             after_receiving_broadcast: true,
             ..Default::default()
@@ -864,11 +823,10 @@ mod tests {
         assert!(lint_config(&facts)
             .iter()
             .any(|d| d.code == Code::AfterReceivingUnderAllReceived));
-        // a buffered override ignores the rule field entirely (this is the
-        // exact shape `FlConfig::buffered_async` produces) — no hazard
+        // the exact shape `FlConfig::buffered_async` produces — no hazard
         let facts = ConfigFacts {
             after_receiving_broadcast: true,
-            scheduler: SchedFacts::Buffered { k: 4 },
+            rule: RuleFacts::Buffered { k: 4 },
             ..Default::default()
         };
         assert!(!lint_config(&facts)

@@ -142,9 +142,6 @@ pub enum Code {
     /// FSV063: a degenerate tier count — one tier behaves like plain sync,
     /// more tiers than clients leaves some tiers permanently empty.
     SchedTiersDegenerate,
-    /// FSV064: an explicit scheduler override is set, so the configured
-    /// `AggregationRule` is never consulted.
-    SchedRuleIgnored,
 }
 
 impl Code {
@@ -192,7 +189,6 @@ impl Code {
             Code::SchedBufferInvalid => "FSV061",
             Code::SchedTiersInvalid => "FSV062",
             Code::SchedTiersDegenerate => "FSV063",
-            Code::SchedRuleIgnored => "FSV064",
         }
     }
 
@@ -234,8 +230,7 @@ impl Code {
             | Code::ZeroPatience
             | Code::TargetAccuracyUnreachable
             | Code::UndeclaredEmit
-            | Code::TopologyRuleUnsupported
-            | Code::SchedRuleIgnored => Severity::Warning,
+            | Code::TopologyRuleUnsupported => Severity::Warning,
             Code::DeadEndEvent
             | Code::RegistryOverwrite
             | Code::StalenessInertUnderSync

@@ -35,7 +35,7 @@ pub mod diag;
 pub mod graph;
 pub mod topo;
 
-pub use config::{lint_config, CodecFacts, ConfigFacts, RuleFacts, SchedFacts};
+pub use config::{lint_config, CodecFacts, ConfigFacts, RuleFacts};
 pub use course::{union_graph, verify_course, CourseIr, HandlerSpec, ParticipantSpec};
 pub use diag::{Code, Diagnostic, Severity, VerifyReport};
 pub use graph::FlowGraph;
