@@ -1,0 +1,318 @@
+//! Forces both ways a speculation is undone, instead of hoping a grid
+//! happens to reach them.
+//!
+//! At `parallelism > 1` the runner starts a client's handler when the server
+//! *emits* a message, predicting that nothing else reaches the client before
+//! that delivery pops. Two things falsify the prediction, and each must leave
+//! the course bit-identical to the serial run:
+//!
+//! * **recall** — an earlier delivery reaches the client first. A server
+//!   handler here sends a `ModelParams` and then an empty `EvalRequest` to
+//!   the same client in one dispatch; the one-byte request overtakes the
+//!   model on every link, so every such speculation is recalled;
+//! * **crash** — the delivery's crash draw says the broadcast was lost, so
+//!   the training that already ran must be rolled back.
+//!
+//! Both run over the eager and the lazy client store and compare the report
+//! and the whole monitor stream at `parallelism` 1 vs 2.
+
+mod common;
+
+use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
+use fedscope::core::course::{CourseBuilder, ModelFactory};
+use fedscope::core::ctx::Ctx;
+use fedscope::core::event::{Condition, Event};
+use fedscope::core::runner::CourseReport;
+use fedscope::core::server::{Server, ServerState};
+use fedscope::core::{ClientStore, Runner};
+use fedscope::data::synth::{twitter_like, TwitterConfig};
+use fedscope::data::FedDataset;
+use fedscope::monitor::{MonitorHandle, RecordingMonitor};
+use fedscope::net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
+use fedscope::scale::ScaleCourseBuilder;
+use fedscope::sim::FleetConfig;
+use fedscope::tensor::model::logistic_regression;
+use fedscope::tensor::optim::SgdConfig;
+use std::sync::{Arc, Mutex};
+
+const CLIENTS: usize = 30;
+
+/// The operator hook's condition: "chase what was just sent".
+const CHASE: Condition = Condition::Custom(1);
+/// Virtual seconds between two chases.
+const CHASE_EVERY_SECS: f64 = 0.05;
+/// Timer-driven chases per course.
+const CHASES: u32 = 40;
+
+fn dataset() -> FedDataset {
+    twitter_like(&TwitterConfig {
+        num_clients: CLIENTS,
+        per_client: 6,
+        vocab: 60,
+        seed: 21,
+        ..Default::default()
+    })
+}
+
+fn factory(dim: usize) -> ModelFactory {
+    Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng)))
+}
+
+fn base_cfg(parallelism: usize) -> FlConfig {
+    FlConfig {
+        total_rounds: 5,
+        concurrency: 8,
+        local_steps: 4,
+        batch_size: 4,
+        sgd: SgdConfig::with_lr(0.3),
+        seed: 11,
+        parallelism,
+        ..Default::default()
+    }
+}
+
+fn fleet(cfg: &FlConfig, crash_prob: f64) -> FleetConfig {
+    FleetConfig {
+        num_clients: CLIENTS,
+        speed_sigma: 1.0,
+        crash_prob,
+        seed: cfg.seed ^ 0xf1ee,
+        ..Default::default()
+    }
+}
+
+/// What a course lets an observer see: its report, its monitor stream, and
+/// how many rounds each client ended up having trained (a crashed client is
+/// never sampled again, so a missed rollback shows nowhere else).
+type Observed = (CourseReport, RecordingMonitor, Vec<u64>);
+
+/// Runs `runner` (after `prepare` customized it) under a recording monitor.
+fn observe<S: ClientStore>(mut runner: Runner<S>, prepare: fn(&mut Server)) -> Observed {
+    prepare(&mut runner.server);
+    let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
+    let mut runner = runner.with_monitor(MonitorHandle::from_shared(monitor.clone()));
+    let report = runner.run();
+    let ids = runner.clients.ids();
+    let trained = ids
+        .into_iter()
+        .map(|id| {
+            let client = runner.clients.take(id);
+            client
+                .expect("every client is back in its store")
+                .state
+                .rounds_trained
+        })
+        .collect();
+    drop(runner);
+    (report, common::extract(monitor), trained)
+}
+
+fn eager(cfg: FlConfig, crash_prob: f64, prepare: fn(&mut Server)) -> Observed {
+    let data = dataset();
+    let dim = data.input_dim();
+    let fleet = fleet(&cfg, crash_prob);
+    observe(
+        CourseBuilder::new(data, factory(dim), cfg)
+            .fleet_config(fleet)
+            .build(),
+        prepare,
+    )
+}
+
+fn lazy(cfg: FlConfig, crash_prob: f64, prepare: fn(&mut Server)) -> Observed {
+    let data = Arc::new(dataset());
+    let dim = data.input_dim();
+    let fleet = fleet(&cfg, crash_prob);
+    observe(
+        ScaleCourseBuilder::from_dataset(data, factory(dim), cfg)
+            .fleet_config(fleet)
+            .build(),
+        prepare,
+    )
+}
+
+/// Report, counters, round records and span sequence.
+fn assert_same_stream(label: &str, serial: &Observed, parallel: &Observed) {
+    assert_eq!(serial.0, parallel.0, "{label}: CourseReport diverged");
+    assert_eq!(
+        serial.1.counters(),
+        parallel.1.counters(),
+        "{label}: monitor counters diverged"
+    );
+    assert_eq!(
+        serial.1.rounds(),
+        parallel.1.rounds(),
+        "{label}: round records diverged"
+    );
+    assert_eq!(
+        serial.1.spans(),
+        parallel.1.spans(),
+        "{label}: span sequences diverged"
+    );
+}
+
+/// The same stream and the same clients left behind. Only meaningful within
+/// one store: the lazy store drops a finished client's state.
+fn assert_same_course(label: &str, serial: &Observed, parallel: &Observed) {
+    assert_same_stream(label, serial, parallel);
+    assert_eq!(
+        serial.2, parallel.2,
+        "{label}: per-client rounds_trained diverged"
+    );
+}
+
+fn eval_request(to: ParticipantId, round: u64) -> Message {
+    Message::new(
+        SERVER_ID,
+        to,
+        MessageKind::EvalRequest,
+        round,
+        Payload::Empty,
+    )
+}
+
+/// Installs the chasing operator hook on `server`.
+///
+/// * `register_client` is the default join handler, which additionally
+///   raises [`CHASE`] right behind `all_joined_in` — so the chase runs in the
+///   same dispatch as the first round's broadcast, after it.
+/// * `chase` sends an empty `EvalRequest` after every `ModelParams` the
+///   dispatch has broadcast so far (the batched-broadcast path), and, when
+///   fired by its own timer, over-selects one idle client the way
+///   `broadcast_to` would and chases that individual send too.
+fn install_chase(server: &mut Server) {
+    server.registry_mut().register(
+        Event::Message(MessageKind::JoinIn),
+        "register_client_then_chase",
+        vec![
+            Event::Message(MessageKind::IdAssignment),
+            Event::Condition(Condition::AllJoinedIn),
+            Event::Condition(CHASE),
+        ],
+        Box::new(|state: &mut ServerState, msg: &Message, ctx: &mut Ctx| {
+            if state.roster_index.insert(msg.sender) {
+                state.roster.push(msg.sender);
+            }
+            ctx.send(Message::new(
+                SERVER_ID,
+                msg.sender,
+                MessageKind::IdAssignment,
+                0,
+                Payload::Empty,
+            ));
+            if state.roster.len() >= state.expected_clients && state.ledger.models_sent == 0 {
+                ctx.raise(Condition::AllJoinedIn);
+                ctx.raise(CHASE);
+            }
+        }),
+    );
+    let mut chases_left = CHASES;
+    server.registry_mut().register(
+        Event::Condition(CHASE),
+        "chase",
+        vec![
+            Event::Message(MessageKind::ModelParams),
+            Event::Message(MessageKind::EvalRequest),
+            Event::Condition(CHASE),
+        ],
+        Box::new(
+            move |state: &mut ServerState, _msg: &Message, ctx: &mut Ctx| {
+                if state.done || chases_left == 0 {
+                    return;
+                }
+                chases_left -= 1;
+                let broadcast_to: Vec<ParticipantId> = ctx
+                    .broadcasts
+                    .iter()
+                    .filter(|b| b.kind == MessageKind::ModelParams)
+                    .flat_map(|b| b.targets.iter().copied())
+                    .collect();
+                if broadcast_to.is_empty() {
+                    let idle = state
+                        .roster
+                        .iter()
+                        .copied()
+                        .find(|c| !state.busy.contains(c));
+                    if let Some(c) = idle {
+                        state.busy.insert(c);
+                        state.outstanding.insert(c);
+                        state.scheduler.on_sampled(&[c]);
+                        state.ledger.models_sent += 1;
+                        let payload = Payload::Model {
+                            params: state.global.clone(),
+                            version: state.version,
+                        };
+                        ctx.send(Message::new(
+                            SERVER_ID,
+                            c,
+                            MessageKind::ModelParams,
+                            state.round,
+                            payload,
+                        ));
+                        ctx.send(eval_request(c, state.round));
+                    }
+                }
+                for c in broadcast_to {
+                    ctx.send(eval_request(c, state.round));
+                }
+                ctx.arm_timer(CHASE_EVERY_SECS, CHASE, state.round);
+            },
+        ),
+    );
+}
+
+/// How many `eval_request` dispatches overtook a `model_para` dispatch that
+/// was sent before them: per client track, an `eval_request` span directly
+/// followed by a `model_para` span. (The request is always sent second.)
+fn overtakes(mon: &RecordingMonitor) -> usize {
+    let mut last: std::collections::BTreeMap<u32, &str> = std::collections::BTreeMap::new();
+    let mut n = 0;
+    for s in mon.spans().iter().filter(|s| s.cat == "dispatch") {
+        if s.name == "model_para" && last.get(&s.track).copied() == Some("eval_request") {
+            n += 1;
+        }
+        last.insert(s.track, s.name.as_str());
+    }
+    n
+}
+
+#[test]
+fn an_overtaking_message_recalls_the_speculation_on_both_stores() {
+    let cfg = |parallelism| {
+        base_cfg(parallelism).async_goal(5, BroadcastManner::AfterAggregating, SamplerKind::Uniform)
+    };
+    let serial = eager(cfg(1), 0.0, install_chase);
+    assert_eq!(serial.0.rounds, 5, "the chased course completes");
+    assert!(
+        overtakes(&serial.1) >= 12,
+        "only {} requests overtook their model: the test is vacuous",
+        overtakes(&serial.1)
+    );
+    assert_same_course("eager/2", &serial, &eager(cfg(2), 0.0, install_chase));
+    let lazy_serial = lazy(cfg(1), 0.0, install_chase);
+    assert_same_stream("lazy/1", &serial, &lazy_serial);
+    assert_same_course("lazy/2", &lazy_serial, &lazy(cfg(2), 0.0, install_chase));
+}
+
+#[test]
+fn a_speculated_delivery_lost_to_a_crash_is_rolled_back_on_both_stores() {
+    let cfg = |parallelism| {
+        base_cfg(parallelism).async_time(
+            60.0,
+            2,
+            BroadcastManner::AfterReceiving,
+            SamplerKind::Uniform,
+        )
+    };
+    let untouched: fn(&mut Server) = |_| {};
+    let serial = eager(cfg(1), 0.2, untouched);
+    assert!(
+        serial.0.crashed_deliveries >= 5,
+        "only {} deliveries crashed: the test is vacuous",
+        serial.0.crashed_deliveries
+    );
+    assert_same_course("eager/2", &serial, &eager(cfg(2), 0.2, untouched));
+    let lazy_serial = lazy(cfg(1), 0.2, untouched);
+    assert_same_stream("lazy/1", &serial, &lazy_serial);
+    assert_same_course("lazy/2", &lazy_serial, &lazy(cfg(2), 0.2, untouched));
+}
