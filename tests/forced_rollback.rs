@@ -9,7 +9,7 @@
 //! * **recall** — an earlier delivery reaches the client first. A server
 //!   handler here sends a `ModelParams` and then an empty `EvalRequest` to
 //!   the same client in one dispatch; the one-byte request overtakes the
-//!   model on every link, so every such speculation is recalled;
+//!   model on every link, so every such speculation has to be undone;
 //! * **crash** — the delivery's crash draw says the broadcast was lost, so
 //!   the training that already ran must be rolled back.
 //!
