@@ -1,13 +1,8 @@
 //! Criterion: federated aggregation scaling in client count and model size,
-//! plus the PR-9 hot-path kernels — fused accumulate vs the two-step form,
-//! shard-count sweep of `accumulate_deltas`, and zero-copy view aggregation
-//! vs decode-then-aggregate.
+//! plus the fused accumulate kernel against the two-step form it replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fs_core::aggregator::{
-    accumulate_deltas, Aggregator, CoordinateMedian, FedAvg, Krum, ReceivedUpdate,
-};
-use fs_net::wire::{decode_params, decode_params_view, encode_params};
+use fs_core::aggregator::{Aggregator, CoordinateMedian, FedAvg, Krum, ReceivedUpdate};
 use fs_tensor::{ParamMap, Tensor};
 
 fn updates(n_clients: usize, numel: usize) -> (ParamMap, Vec<ReceivedUpdate>) {
@@ -82,61 +77,5 @@ fn bench_fused_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-/// `accumulate_deltas` across shard counts. On a single-core host shards > 1
-/// cannot win wall-clock; the bench still verifies the handoff overhead is
-/// bounded and gives multi-core hosts the real curve.
-fn bench_sharded_accumulate(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sharded_accumulate");
-    let numel = 1 << 20;
-    let (global, ups) = updates(20, numel);
-    let weighted: Vec<(f32, &ParamMap)> = ups.iter().map(|u| (0.05, &u.params)).collect();
-    for shards in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::from_parameter(shards), &shards, |b, &s| {
-            let mut delta = global.zeros_like();
-            b.iter(|| {
-                delta.zero();
-                accumulate_deltas(&mut delta, &global, std::hint::black_box(&weighted), s);
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Aggregating straight from wire bytes (zero-copy view) against the owned
-/// path (decode to a fresh `ParamMap`, then accumulate).
-fn bench_view_aggregation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("wire_aggregate");
-    let numel = 1 << 18;
-    let (global, ups) = updates(8, numel);
-    let frames: Vec<_> = ups.iter().map(|u| encode_params(&u.params)).collect();
-    group.bench_function("view_fused", |b| {
-        let mut delta = global.zeros_like();
-        b.iter(|| {
-            delta.zero();
-            for f in &frames {
-                let view = decode_params_view(std::hint::black_box(f)).unwrap();
-                view.accumulate_scaled_diff_into(&mut delta, 0.125, &global);
-            }
-        })
-    });
-    group.bench_function("owned_decode_then_fused", |b| {
-        let mut delta = global.zeros_like();
-        b.iter(|| {
-            delta.zero();
-            for f in &frames {
-                let owned = decode_params(std::hint::black_box(f)).unwrap();
-                delta.acc_scaled_diff(0.125, &owned, &global);
-            }
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_aggregation,
-    bench_fused_kernel,
-    bench_sharded_accumulate,
-    bench_view_aggregation
-);
+criterion_group!(benches, bench_aggregation, bench_fused_kernel);
 criterion_main!(benches);

@@ -24,7 +24,7 @@ pub trait Compressor: Send {
     /// Duplicates this codec *including its per-sender state* (error-feedback
     /// residuals, delta references). The parallel runner snapshots a client's
     /// codec through this before speculatively executing its handler, so a
-    /// recalled speculation can restore the exact pre-dispatch state.
+    /// rolled-back speculation can restore the exact pre-dispatch state.
     fn clone_box(&self) -> Box<dyn Compressor>;
 }
 

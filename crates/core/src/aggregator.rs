@@ -42,108 +42,18 @@ pub trait Aggregator: Send {
 
     /// Human-readable rule name for course logs.
     fn name(&self) -> &'static str;
-
-    /// Hints how many shards the rule may split its numeric work across.
-    /// Sharding is an execution detail: implementations must produce
-    /// bit-identical results at every shard count (the determinism suite
-    /// enforces this through the serial == parallel report invariant).
-    /// Default: ignore the hint.
-    fn set_shards(&mut self, _shards: usize) {}
 }
 
-/// Minimum accumulator size (total scalar elements) before sharded
-/// accumulation pays for its thread handoff; below this the serial loop wins.
-const SHARD_MIN_NUMEL: usize = 1 << 14;
-
-/// Accumulates `delta[k] += w_i * (u_i[k] - global[k])` for every update in
-/// order, optionally sharded across `shards` OS threads.
-///
-/// Sharding splits the *accumulator* into contiguous coordinate ranges
-/// (tensors may be split mid-buffer) and runs the same update-ordered fused
-/// loop on each range. Every coordinate is accumulated by exactly one shard
-/// in exactly the same order as the serial loop, so the result is
-/// bit-identical at every shard count — the hard invariant behind the
-/// serial == parallel `CourseReport` guarantee.
+/// Accumulates `delta[k] += w_i * (u_i[k] - global[k])` for every update, in
+/// update order — the order is part of the result's bits.
 ///
 /// The accumulator is owned by the calling aggregator (preallocated, reused
 /// across rounds); `updates` borrows the wire-decoded client maps without
 /// copying them.
-pub fn accumulate_deltas(
-    delta: &mut ParamMap,
-    global: &ParamMap,
-    updates: &[(f32, &ParamMap)],
-    shards: usize,
-) {
-    let total = delta.numel();
-    if shards <= 1 || total < SHARD_MIN_NUMEL || updates.len() < 2 {
-        for (w, u) in updates {
-            delta.acc_scaled_diff(*w, u, global);
-        }
-        return;
+fn accumulate_deltas(delta: &mut ParamMap, global: &ParamMap, updates: &[(f32, &ParamMap)]) {
+    for (w, u) in updates {
+        delta.acc_scaled_diff(*w, u, global);
     }
-
-    /// One contiguous coordinate range of one accumulator tensor, with the
-    /// matching global anchor range and per-update source ranges.
-    struct Piece<'a> {
-        dst: &'a mut [f32],
-        anchor: &'a [f32],
-        ups: Vec<(f32, &'a [f32])>,
-    }
-
-    fn run_shard(pieces: &mut [Piece<'_>]) {
-        for p in pieces.iter_mut() {
-            for (w, u) in &p.ups {
-                fs_tensor::acc_scaled_diff_slice(p.dst, *w, u, p.anchor);
-            }
-        }
-    }
-
-    // Plan: walk accumulator keys in order, carving off ranges until each
-    // shard holds ~total/shards coordinates. The plan is a pure function of
-    // (structure, shards), but the math is range-local, so even a different
-    // plan would produce the same bits.
-    let target = total.div_ceil(shards);
-    let mut work: Vec<Vec<Piece<'_>>> = (0..shards).map(|_| Vec::new()).collect();
-    let (mut cur, mut filled) = (0usize, 0usize);
-    for (k, dt) in delta.iter_mut() {
-        let Some(gt) = global.get(k) else { continue };
-        let ups: Vec<(f32, &[f32])> = updates
-            .iter()
-            .filter_map(|(w, u)| u.get(k).map(|t| (*w, t.data())))
-            .collect();
-        if ups.is_empty() {
-            continue;
-        }
-        let anchor = gt.data();
-        let mut rest = dt.data_mut();
-        let mut off = 0usize;
-        while !rest.is_empty() {
-            let take = (target - filled).min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            work[cur].push(Piece {
-                dst: head,
-                anchor: &anchor[off..off + take],
-                ups: ups.iter().map(|(w, s)| (*w, &s[off..off + take])).collect(),
-            });
-            off += take;
-            rest = tail;
-            filled += take;
-            if filled >= target && cur + 1 < shards {
-                cur += 1;
-                filled = 0;
-            }
-        }
-    }
-
-    std::thread::scope(|s| {
-        let (first, others) = work.split_at_mut(1);
-        for shard in others.iter_mut() {
-            let _ = s.spawn(move || run_shard(shard));
-        }
-        // shard 0 runs on the calling thread; the scope joins the rest (a
-        // shard panic propagates instead of being lost)
-        run_shard(&mut first[0]);
-    });
 }
 
 /// Weight multiplier for a staled update: `1 / (1 + tau)^a`.
@@ -162,8 +72,6 @@ pub struct FedAvg {
     pub server_opt: ServerOpt,
     /// Staleness discount exponent `a`.
     pub staleness_discount: f32,
-    /// Shard-count hint for the accumulate loop (1 = serial).
-    shards: usize,
     /// Preallocated delta accumulator, reused across rounds. Owned here:
     /// updates only ever *read into* it, and it never escapes `aggregate`.
     scratch: Option<ParamMap>,
@@ -175,7 +83,6 @@ impl FedAvg {
         Self {
             server_opt: ServerOpt::fedavg(),
             staleness_discount,
-            shards: 1,
             scratch: None,
         }
     }
@@ -185,7 +92,6 @@ impl FedAvg {
         Self {
             server_opt,
             staleness_discount,
-            shards: 1,
             scratch: None,
         }
     }
@@ -225,7 +131,7 @@ impl Aggregator for FedAvg {
             self.scratch = Some(delta);
             return global.clone();
         }
-        accumulate_deltas(&mut delta, global, &weighted, self.shards);
+        accumulate_deltas(&mut delta, global, &weighted);
         delta.scale(1.0 / total_w);
         let mut next = global.clone();
         self.server_opt.apply(&mut next, &delta);
@@ -236,10 +142,6 @@ impl Aggregator for FedAvg {
     fn name(&self) -> &'static str {
         "fedavg"
     }
-
-    fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
 }
 
 /// FedNova: each client's delta is normalized by its local step count, and
@@ -248,8 +150,6 @@ impl Aggregator for FedAvg {
 pub struct FedNova {
     /// Staleness discount exponent.
     pub staleness_discount: f32,
-    /// Shard-count hint for the accumulate loop (1 = serial).
-    shards: usize,
     /// Preallocated accumulator, reused across rounds.
     scratch: Option<ParamMap>,
 }
@@ -259,7 +159,6 @@ impl FedNova {
     pub fn new(staleness_discount: f32) -> Self {
         Self {
             staleness_discount,
-            shards: 1,
             scratch: None,
         }
     }
@@ -288,7 +187,7 @@ impl Aggregator for FedNova {
             self.scratch = Some(norm_delta);
             return global.clone();
         }
-        accumulate_deltas(&mut norm_delta, global, &weighted, self.shards);
+        accumulate_deltas(&mut norm_delta, global, &weighted);
         // tau_eff = weighted mean step count; delta = tau_eff * weighted mean normalized delta
         let tau_eff = eff_steps / total_w;
         norm_delta.scale(tau_eff / total_w);
@@ -300,10 +199,6 @@ impl Aggregator for FedNova {
 
     fn name(&self) -> &'static str {
         "fednova"
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
     }
 }
 
@@ -718,86 +613,6 @@ mod tests {
         let next = agg.aggregate(&global, &ups);
         assert_eq!(next.get("extra").unwrap().data(), &[5.0]);
         assert!((next.get("w").unwrap().data()[0] - 2.0).abs() < 1e-6);
-    }
-
-    /// Deterministic pseudo-random map big enough to clear SHARD_MIN_NUMEL,
-    /// with several tensors so shard boundaries fall mid-tensor.
-    fn big_map(seed: u64, scale: f32) -> ParamMap {
-        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
-        let mut next = move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (((s >> 33) as f32 / (1u64 << 31) as f32) - 1.0) * scale
-        };
-        let mut p = ParamMap::new();
-        for (name, numel) in [
-            ("conv.weight", 5000usize),
-            ("fc.bias", 37),
-            ("fc.weight", 16000),
-            ("head.weight", 900),
-        ] {
-            p.insert(
-                name,
-                fs_tensor::Tensor::from_vec(vec![numel], (0..numel).map(|_| next()).collect()),
-            );
-        }
-        p
-    }
-
-    #[test]
-    fn sharded_accumulate_is_bit_identical_to_serial() {
-        let global = big_map(1, 1.0);
-        let ups: Vec<ParamMap> = (0..7).map(|i| big_map(i + 2, 0.5)).collect();
-        let weighted: Vec<(f32, &ParamMap)> = ups
-            .iter()
-            .enumerate()
-            .map(|(i, u)| (0.1 + i as f32, u))
-            .collect();
-
-        let mut serial = global.zeros_like();
-        accumulate_deltas(&mut serial, &global, &weighted, 1);
-
-        for shards in [2usize, 3, 4, 8] {
-            let mut sharded = global.zeros_like();
-            accumulate_deltas(&mut sharded, &global, &weighted, shards);
-            for (k, t) in sharded.iter() {
-                let r = serial.get(k).unwrap();
-                for (x, y) in t.data().iter().zip(r.data()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "shards={shards} key={k} diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fedavg_result_is_invariant_under_shard_count() {
-        let global = big_map(10, 1.0);
-        let ups: Vec<ReceivedUpdate> = (0..5)
-            .map(|i| ReceivedUpdate {
-                client: i as u32 + 1,
-                params: big_map(i + 20, 0.8),
-                staleness: i % 3,
-                n_samples: 10 + i,
-                n_steps: 4,
-            })
-            .collect();
-        let mut serial = FedAvg::new(0.5);
-        let reference = serial.aggregate(&global, &ups);
-        for shards in [2usize, 4] {
-            let mut agg = FedAvg::new(0.5);
-            agg.set_shards(shards);
-            // two rounds, so the second exercises the reused scratch buffer
-            for _ in 0..2 {
-                let next = agg.aggregate(&global, &ups);
-                for (k, t) in next.iter() {
-                    let r = reference.get(k).unwrap();
-                    for (x, y) in t.data().iter().zip(r.data()) {
-                        assert_eq!(x.to_bits(), y.to_bits(), "shards={shards} key={k}");
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -16,6 +16,7 @@ use fs_compress::{decompress, Compressor};
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
 use fs_tensor::model::Metrics;
 use fs_tensor::ParamMap;
+use std::borrow::Cow;
 
 /// Mutable client state shared by all handlers.
 pub struct ClientState {
@@ -43,16 +44,29 @@ pub struct ClientState {
     pub final_test: Option<Metrics>,
 }
 
-/// Incorporates a shipped global model (dense or compressed) into the
-/// trainer, if the payload carries one.
-fn incorporate_shipped_model(state: &mut ClientState, payload: &Payload) {
+/// The global model a payload ships, dense or compressed, and its version;
+/// `None` when the payload carries no model.
+fn shipped_model(payload: &Payload) -> Option<(Cow<'_, ParamMap>, u64)> {
     match payload {
-        Payload::Model { params, .. } => state.trainer.incorporate(params),
-        Payload::CompressedModel { block, .. } => match decompress(block, None) {
-            Ok(params) => state.trainer.incorporate(&params),
-            Err(e) => debug_assert!(false, "shipped model decompress failed: {e}"),
+        Payload::Model { params, version } => Some((Cow::Borrowed(params), *version)),
+        // broadcasts are never delta-encoded (a sampled client may have
+        // missed any number of earlier models), so no reference is needed
+        Payload::CompressedModel { block, version } => match decompress(block, None) {
+            Ok(params) => Some((Cow::Owned(params), *version)),
+            Err(e) => {
+                debug_assert!(false, "shipped model decompress failed: {e}");
+                None
+            }
         },
-        _ => {}
+        _ => None,
+    }
+}
+
+/// Incorporates a shipped global model into the trainer, if the payload
+/// carries one.
+fn incorporate_shipped_model(state: &mut ClientState, payload: &Payload) {
+    if let Some((params, _)) = shipped_model(payload) {
+        state.trainer.incorporate(&params);
     }
 }
 
@@ -64,8 +78,8 @@ pub struct Client {
 }
 
 /// A restorable image of a client's mutable state, taken just before a
-/// speculative dispatch on a worker thread (`parallelism > 1`). If the
-/// speculation is recalled — an out-of-order delivery or a simulated device
+/// speculative dispatch on a worker thread (`parallelism > 1`). If a recall
+/// undoes the speculation — an out-of-order delivery or a simulated device
 /// crash invalidates it — [`Client::restore`] rewinds the client to this
 /// image and the message is re-dispatched serially at its proper queue
 /// position, reproducing serial execution bit for bit.
@@ -215,29 +229,11 @@ impl Client {
                 Event::Condition(Condition::PerformanceDrop),
             ],
             Box::new(|state, msg, ctx| {
-                let decoded: ParamMap;
-                let (params, version): (&ParamMap, u64) = match &msg.payload {
-                    Payload::Model { params, version } => (params, *version),
-                    Payload::CompressedModel { block, version } => {
-                        // broadcasts are never delta-encoded (a sampled client
-                        // may have missed any number of earlier models), so no
-                        // reference is needed
-                        match decompress(block, None) {
-                            Ok(p) => {
-                                decoded = p;
-                                (&decoded, *version)
-                            }
-                            Err(e) => {
-                                debug_assert!(false, "broadcast decompress failed: {e}");
-                                return;
-                            }
-                        }
-                    }
-                    other => {
-                        debug_assert!(false, "ModelParams carried {other:?}");
-                        return;
-                    }
+                let Some((params, version)) = shipped_model(&msg.payload) else {
+                    debug_assert!(false, "ModelParams carried {:?}", msg.payload);
+                    return;
                 };
+                let params: &ParamMap = &params;
                 if state.detect_perf_drop {
                     state.trainer.incorporate(params);
                     let val = state.trainer.evaluate_val();
@@ -250,25 +246,20 @@ impl Client {
                 }
                 let update = state.trainer.local_train(params, msg.round);
                 state.rounds_trained += 1;
-                let payload = match state.compressor.as_mut() {
-                    Some(codec) => {
-                        // the broadcast just received is the delta reference;
-                        // the server holds the same model under `version`
-                        codec.set_reference(params, version);
-                        Payload::CompressedUpdate {
-                            block: codec.compress(&update.params),
-                            start_version: version,
-                            n_samples: update.n_samples,
-                            n_steps: update.n_steps,
-                        }
-                    }
-                    None => Payload::Update {
-                        params: update.params,
-                        start_version: version,
-                        n_samples: update.n_samples,
-                        n_steps: update.n_steps,
-                    },
-                };
+                let mut codec = state.compressor.as_deref_mut();
+                if let Some(codec) = codec.as_deref_mut() {
+                    // the broadcast just received is the delta reference;
+                    // the server holds the same model under `version`
+                    codec.set_reference(params, version);
+                }
+                let payload = Payload::update(
+                    update.params,
+                    codec,
+                    version,
+                    update.n_samples,
+                    update.n_steps,
+                    None,
+                );
                 let reply = Message::new(
                     state.id,
                     SERVER_ID,

@@ -207,12 +207,8 @@ impl CourseWiring {
             (!y.is_empty()).then(|| GlobalEvaluator::new(template.clone_model(), x, y))
         });
 
-        let mut aggregator =
+        let aggregator =
             aggregator.unwrap_or_else(|| Box::new(FedAvg::new(cfg.effective_staleness_discount())));
-        // sharded aggregation reuses the course's parallelism budget; the
-        // result is bit-identical at every shard count, so this only affects
-        // wall-clock, never the report
-        aggregator.set_shards(cfg.parallelism.max(1));
         let server = Server::new(cfg.clone(), global, n, aggregator, sampler, evaluator);
         Wired {
             server,

@@ -42,13 +42,15 @@
 //! and the delivery pop no other event can touch the client *in the common
 //! case* — so the client is taken out of the store into a worker job that
 //! snapshots its state and runs the handler immediately, in parallel with
-//! the rest of the simulation. When the delivery pops, the loop either
-//! *adopts* the precomputed result (re-emitting its outputs and monitor
-//! records at exactly the serial program point, so queue sequence numbers,
-//! RNG draws, timestamps, and report fields all match serially produced
-//! ones) or *recalls* the speculation — rolling the client back to its
-//! snapshot — when the prediction was wrong: an earlier delivery reached the
-//! same client first, or the broadcast was lost to a simulated device crash.
+//! the rest of the simulation. The speculation is remembered under the client
+//! it borrowed together with the `seq` of the delivery it predicts. When a
+//! delivery to that client pops with that `seq`, the loop *adopts* the
+//! precomputed result (re-emitting its outputs and monitor records at exactly
+//! the serial program point, so queue sequence numbers, RNG draws,
+//! timestamps, and report fields all match serially produced ones); a
+//! delivery with any other `seq` got there first, so a *recall* undoes the
+//! speculation — the client is rolled back to its snapshot — as does losing
+//! the predicted broadcast to a simulated device crash.
 //! Because speculation only uses `take`/`put_back`, it works over any store.
 //! See DESIGN.md ("Determinism contract") for the full argument.
 
@@ -64,8 +66,7 @@ use fs_sim::{Fleet, IndexedEventQueue, VirtualTime};
 use fs_verify::{Code, Diagnostic, VerifyReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeMap;
-use std::num::NonZeroU32;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Arc, Mutex};
 
 /// Outcome summary of a finished course.
@@ -289,11 +290,6 @@ impl Router for Star {
     }
 }
 
-/// Identifies one outstanding speculation. Non-zero so a batch member's
-/// `Option<SpecId>` costs four bytes; if the counter ever wraps, the affected
-/// sends simply run serially.
-type SpecId = NonZeroU32;
-
 /// Which way a batched message fan travels.
 #[derive(Clone, Copy)]
 enum BatchDir {
@@ -309,9 +305,6 @@ struct BatchMember {
     at: VirtualTime,
     seq: u64,
     client: ParticipantId,
-    /// Set when this member's handling was speculatively started at send
-    /// time (the message then travels inside the speculation job).
-    spec: Option<SpecId>,
 }
 
 /// A message fan scheduled as a single heap entry, re-armed member by
@@ -342,16 +335,6 @@ enum SimEvent {
     },
     /// Deliver the next member of a batch.
     Batch(Box<Batch>),
-    /// Deliver a message whose handling was speculatively started on a
-    /// worker when the message was emitted. The message itself travels
-    /// inside the speculation job; this entry holds just enough to run the
-    /// serial bookkeeping (crash draw, counters) at the right queue
-    /// position.
-    SpecDeliver {
-        receiver: ParticipantId,
-        kind: MessageKind,
-        spec: SpecId,
-    },
     /// Fire a timer-armed condition on a participant.
     Timer {
         /// The participant the timer belongs to (only the server's fire).
@@ -367,9 +350,6 @@ struct SpecResult {
     /// The client, moved back. Post-dispatch state when `run` is `Some`,
     /// untouched when `None`.
     client: Client,
-    /// The message the speculation was created for (needed to dispatch
-    /// serially on recall or ineligibility).
-    msg: Message,
     /// The executed speculation, or `None` when the client's trainer could
     /// not be snapshotted (it then runs serially at the delivery pop).
     run: Option<SpecRun>,
@@ -387,13 +367,22 @@ struct SpecRun {
 
 impl SpecResult {
     /// The client as it was before the speculation touched it.
-    fn rolled_back(self) -> (Client, Message) {
+    fn rolled_back(self) -> Client {
         let mut client = self.client;
         if let Some(run) = self.run {
             client.restore(run.snapshot);
         }
-        (client, self.msg)
+        client
     }
+}
+
+/// A client handler started ahead of its delivery.
+struct Speculation {
+    /// Queue sequence number of the delivery the job predicts. The message
+    /// itself stays in its ordinary queue entry; a delivery to the client
+    /// under any other `seq` falsifies the prediction.
+    seq: u64,
+    job: JobHandle<SpecResult>,
 }
 
 /// Runs an FL course under virtual time.
@@ -421,14 +410,8 @@ pub struct Runner<S, R = Star> {
     monitor: MonitorHandle,
     /// Worker pool for speculative client execution; `None` runs serially.
     pool: Option<WorkerPool>,
-    /// In-flight speculations by id.
-    pending: BTreeMap<SpecId, JobHandle<SpecResult>>,
-    /// The (single) outstanding speculation per client, if any.
-    spec_by_client: BTreeMap<ParticipantId, SpecId>,
-    /// Messages recovered from recalled speculations, dispatched serially
-    /// when their delivery entry pops.
-    recalled: BTreeMap<SpecId, Message>,
-    spec_seq: u32,
+    /// The (single) outstanding speculation per borrowed client.
+    speculations: BTreeMap<ParticipantId, Speculation>,
 }
 
 /// The runner over eagerly built clients — what `CourseBuilder::build`
@@ -474,10 +457,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             events_processed: 0,
             monitor: MonitorHandle::null(),
             pool: None,
-            pending: BTreeMap::new(),
-            spec_by_client: BTreeMap::new(),
-            recalled: BTreeMap::new(),
-            spec_seq: 0,
+            speculations: BTreeMap::new(),
         }
     }
 
@@ -552,7 +532,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         }
         self.kickoff();
         let mut events = 0u64;
-        while let Some((at, _seq, ev)) = self.queue.pop() {
+        while let Some((at, seq, ev)) = self.queue.pop() {
             events += 1;
             if events > self.max_events {
                 self.server.state.finish_reason =
@@ -560,7 +540,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
                 break;
             }
             self.now = at;
-            if let Err(why) = self.handle_event(at, ev) {
+            if let Err(why) = self.handle_event(at, seq, ev) {
                 self.server.state.finish_reason = Some(why);
                 break;
             }
@@ -596,13 +576,12 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
                 at,
                 seq: seq0 + i as u64,
                 client: id,
-                spec: None,
             });
         }
         self.schedule_batch(template, members, BatchDir::ToServer);
     }
 
-    fn handle_event(&mut self, at: VirtualTime, ev: SimEvent) -> Result<(), String> {
+    fn handle_event(&mut self, at: VirtualTime, seq: u64, ev: SimEvent) -> Result<(), String> {
         if !matches!(ev, SimEvent::Timer { .. }) {
             self.monitor.add(counters::MESSAGES_DELIVERED, 1);
         }
@@ -611,34 +590,25 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
                 if msg.receiver == SERVER_ID {
                     self.deliver_server(at, &msg)?;
                 } else {
-                    self.deliver_client(at, &msg);
+                    self.deliver_client(at, seq, &msg);
                 }
             }
             SimEvent::Unread { receiver, kind } => {
                 let header = Message::new(SERVER_ID, receiver, kind, 0, Payload::Empty);
-                self.deliver_client(at, &header);
+                self.deliver_client(at, seq, &header);
             }
-            SimEvent::SpecDeliver {
-                receiver,
-                kind,
-                spec,
-            } => self.deliver_speculated(at, receiver, kind, spec),
             SimEvent::Batch(mut batch) => {
                 let m = batch.members[batch.next];
                 batch.next += 1;
                 batch.template.timestamp = m.at.as_secs();
-                let delivered = match (batch.dir, m.spec) {
-                    (BatchDir::ToServer, _) => {
+                let delivered = match batch.dir {
+                    BatchDir::ToServer => {
                         batch.template.sender = m.client;
                         self.deliver_server(at, &batch.template)
                     }
-                    (BatchDir::ToClients, Some(spec)) => {
-                        self.deliver_speculated(at, m.client, batch.template.kind, spec);
-                        Ok(())
-                    }
-                    (BatchDir::ToClients, None) => {
+                    BatchDir::ToClients => {
                         batch.template.receiver = m.client;
-                        self.deliver_client(at, &batch.template);
+                        self.deliver_client(at, seq, &batch.template);
                         Ok(())
                     }
                 };
@@ -715,12 +685,22 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         lost
     }
 
-    /// The serial client-delivery path: crash draw, then dispatch.
-    fn deliver_client(&mut self, at: VirtualTime, msg: &Message) {
-        // a lost broadcast never reaches the client (and any speculation on
-        // it stays valid — the client handles nothing)
-        if !self.lost_to_crash(msg.receiver, msg.kind) {
-            self.dispatch_client(at, msg);
+    /// Delivers a client-bound message popped under `seq`: adopts the
+    /// speculation that predicted exactly this delivery, otherwise takes the
+    /// serial path — crash draw, then dispatch.
+    fn deliver_client(&mut self, at: VirtualTime, seq: u64, msg: &Message) {
+        match self.speculations.entry(msg.receiver) {
+            Entry::Occupied(spec) if spec.get().seq == seq => {
+                let res = spec.remove().job.join();
+                self.deliver_speculated(at, msg, res);
+            }
+            // a lost broadcast never reaches the client (and any speculation
+            // on it stays valid — the client handles nothing)
+            _ => {
+                if !self.lost_to_crash(msg.receiver, msg.kind) {
+                    self.dispatch_client(at, msg);
+                }
+            }
         }
     }
 
@@ -746,35 +726,15 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         }
     }
 
-    /// Handles the delivery of a speculated message: adopt the precomputed
-    /// dispatch, or fall back to the serial path for recalled/ineligible
-    /// speculations, or roll back on a crash draw.
-    fn deliver_speculated(
-        &mut self,
-        at: VirtualTime,
-        receiver: ParticipantId,
-        kind: MessageKind,
-        spec: SpecId,
-    ) {
-        if let Some(msg) = self.recalled.remove(&spec) {
-            // recalled earlier by an out-of-order delivery: the client was
-            // already rolled back, dispatch serially at this (correct) point
-            self.deliver_client(at, &msg);
-            return;
-        }
-        // every speculated delivery is backed by a pending job until
-        // recalled, and the recalled case returned above — a missing job
-        // means the speculation was already resolved, so this entry is stale
-        let Some(handle) = self.pending.remove(&spec) else {
-            return;
-        };
-        self.spec_by_client.remove(&receiver);
-        let res = handle.join();
+    /// The delivery a speculation predicted has popped: adopt the
+    /// precomputed dispatch, roll it back on a crash draw, or dispatch
+    /// serially when nothing could be precomputed.
+    fn deliver_speculated(&mut self, at: VirtualTime, msg: &Message, res: SpecResult) {
+        let (receiver, kind) = (msg.receiver, msg.kind);
         if self.lost_to_crash(receiver, kind) {
             // the crash draw says this broadcast was lost: undo the
             // speculative training
-            let (client, _) = res.rolled_back();
-            self.clients.put_back(client, &self.server);
+            self.clients.put_back(res.rolled_back(), &self.server);
             return;
         }
         self.clients.put_back(res.client, &self.server);
@@ -788,7 +748,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
                 self.realize(receiver, run.ctx);
             }
             // trainer not snapshotable: nothing ran, dispatch serially now
-            None => self.dispatch_client(at, &res.msg),
+            None => self.dispatch_client(at, msg),
         }
     }
 
@@ -874,21 +834,14 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         let at = self.charge_send(from, &msg, msg.payload_bytes(), out.compute_work, now);
         msg.timestamp = at.as_secs();
         let (receiver, kind) = (msg.receiver, msg.kind);
+        let seq = self.queue.reserve_seqs(1);
         let ev = if receiver != SERVER_ID && !self.clients.handles(kind) {
             SimEvent::Unread { receiver, kind }
-        } else if !self.can_speculate(from, &msg) {
-            SimEvent::Deliver(Box::new(msg))
         } else {
-            match self.speculate(at, msg) {
-                Ok(spec) => SimEvent::SpecDeliver {
-                    receiver,
-                    kind,
-                    spec,
-                },
-                Err(msg) => SimEvent::Deliver(Box::new(msg)),
-            }
+            self.speculate(from, at, seq, &msg);
+            SimEvent::Deliver(Box::new(msg))
         };
-        self.queue.push(at, ev);
+        self.queue.push_at_seq(at, seq, ev);
     }
 
     /// One cohort broadcast: per-target counters, spans, and delivery keys
@@ -902,19 +855,10 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         for (j, &c) in b.targets.iter().enumerate() {
             template.receiver = c;
             let at = self.charge_send(SERVER_ID, &template, payload_bytes, 0.0, now);
-            let spec = if self.can_speculate(SERVER_ID, &template) {
-                let mut copy = template.clone();
-                copy.timestamp = at.as_secs();
-                self.speculate(at, copy).ok()
-            } else {
-                None
-            };
-            members.push(BatchMember {
-                at,
-                seq: seq0 + j as u64,
-                client: c,
-                spec,
-            });
+            let seq = seq0 + j as u64;
+            template.timestamp = at.as_secs();
+            self.speculate(SERVER_ID, at, seq, &template);
+            members.push(BatchMember { at, seq, client: c });
         }
         self.schedule_batch(template, members, BatchDir::ToClients);
     }
@@ -936,43 +880,37 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             .push_at_seq(first.at, first.seq, SimEvent::Batch(batch));
     }
 
-    /// Whether handling `msg` may start now on a worker. Only server → client
+    /// Starts handling `msg` — which will be delivered at `deliver_at` under
+    /// queue key `seq` — on a worker now, if it may: only server → client
     /// traffic of the kinds that trigger real work (training, evaluation) is
-    /// worth speculating, and only one speculation per client at a time.
-    fn can_speculate(&self, from: ParticipantId, msg: &Message) -> bool {
-        self.pool.is_some()
-            && from == SERVER_ID
-            && msg.receiver != SERVER_ID
-            && matches!(
-                msg.kind,
-                MessageKind::ModelParams | MessageKind::EvalRequest | MessageKind::Finish
-            )
-            && !self.spec_by_client.contains_key(&msg.receiver)
-    }
-
-    /// Takes the receiver out of its store into a worker job that snapshots
-    /// it and runs the handler at the (already known) delivery time. Hands
-    /// the message back when the client is not there to take.
-    fn speculate(&mut self, deliver_at: VirtualTime, msg: Message) -> Result<SpecId, Message> {
+    /// worth speculating, only one speculation per client at a time, and
+    /// only when the receiver is there to take. The client moves into a job
+    /// that snapshots it and runs the handler on a copy of the message
+    /// (tensor storage is shared, copy-on-write).
+    fn speculate(&mut self, from: ParticipantId, deliver_at: VirtualTime, seq: u64, msg: &Message) {
         let Some(pool) = self.pool.as_ref() else {
-            return Err(msg);
+            return;
         };
-        let Some(spec) = NonZeroU32::new(self.spec_seq.wrapping_add(1)) else {
-            return Err(msg);
+        let worthwhile = matches!(
+            msg.kind,
+            MessageKind::ModelParams | MessageKind::EvalRequest | MessageKind::Finish
+        );
+        if from != SERVER_ID
+            || msg.receiver == SERVER_ID
+            || !worthwhile
+            || self.speculations.contains_key(&msg.receiver)
+        {
+            return;
+        }
+        let Some(mut client) = self.clients.take(msg.receiver) else {
+            return;
         };
-        let receiver = msg.receiver;
-        let Some(mut client) = self.clients.take(receiver) else {
-            return Err(msg);
-        };
-        self.spec_seq = spec.get();
         let live = self.monitor.is_live();
-        let handle = pool.spawn(move || {
+        let msg = msg.clone();
+        let receiver = msg.receiver;
+        let job = pool.spawn(move || {
             let Some(snapshot) = client.snapshot() else {
-                return SpecResult {
-                    client,
-                    msg,
-                    run: None,
-                };
+                return SpecResult { client, run: None };
             };
             // handlers must not write to the shared monitor from a worker:
             // record into a buffer, replayed in order at adopt time
@@ -991,41 +929,31 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
                 .unwrap_or_default();
             SpecResult {
                 client,
-                msg,
                 run: Some(SpecRun { snapshot, ctx, ops }),
             }
         });
-        self.pending.insert(spec, handle);
-        self.spec_by_client.insert(receiver, spec);
-        Ok(spec)
+        self.speculations.insert(receiver, Speculation { seq, job });
     }
 
-    /// Recalls the outstanding speculation on `id`, if any: joins the job,
-    /// rolls the client back to its pre-dispatch snapshot, and stashes the
-    /// message so the pending delivery entry dispatches it serially.
+    /// Recalls the outstanding speculation on `id`, if any: joins the job
+    /// and rolls the client back to its pre-dispatch snapshot. The predicted
+    /// delivery is still queued with its message; it finds no speculation
+    /// under its `seq` and dispatches serially.
     fn recall(&mut self, id: ParticipantId) {
-        let Some(spec) = self.spec_by_client.remove(&id) else {
-            return;
-        };
-        // spec_by_client and pending move in lockstep; nothing to roll back
-        // if the job is somehow already gone
-        let Some(handle) = self.pending.remove(&spec) else {
-            return;
-        };
-        let (client, msg) = handle.join().rolled_back();
-        self.clients.put_back(client, &self.server);
-        self.recalled.insert(spec, msg);
+        if let Some(spec) = self.speculations.remove(&id) {
+            self.clients
+                .put_back(spec.job.join().rolled_back(), &self.server);
+        }
     }
 
     /// Rolls back every outstanding speculation (used when the run stops
     /// with queued events still pending, e.g. at the event cap, so client
     /// state matches a serial run that never dispatched them).
     fn drain_speculations(&mut self) {
-        let ids: Vec<ParticipantId> = self.spec_by_client.keys().copied().collect();
+        let ids: Vec<ParticipantId> = self.speculations.keys().copied().collect();
         for id in ids {
             self.recall(id);
         }
-        self.recalled.clear();
     }
 
     /// Builds the course report from the current state.

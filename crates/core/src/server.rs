@@ -19,7 +19,7 @@ use crate::event::{Condition, Event};
 use crate::registry::Registry;
 use crate::sampler::Sampler;
 use crate::scheduler::{build_scheduler, RosterVerdict, Scheduler, SchedulerObs, Selection};
-use fs_compress::{decompress, CompressedBlock, Compressor};
+use fs_compress::{CompressedBlock, Compressor};
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
 use fs_tensor::model::Metrics;
 use fs_tensor::ParamMap;
@@ -60,7 +60,7 @@ pub struct RoundLedger {
 impl RoundLedger {
     /// Records one aggregation's worth of updates, returning the staleness
     /// sum for the monitor counter. Pure bookkeeping: runs before the
-    /// (possibly sharded) aggregation math and touches none of its inputs.
+    /// aggregation math and touches none of its inputs.
     pub fn record_aggregation(&mut self, updates: &[ReceivedUpdate]) -> u64 {
         let mut staleness_sum = 0u64;
         for u in updates {
@@ -636,82 +636,17 @@ impl Server {
             "save_update_check_condition",
             update_emits,
             Box::new(|state, msg, ctx| {
+                let Some(update) = msg.payload.as_update() else {
+                    debug_assert!(false, "Updates carried {:?}", msg.payload);
+                    return;
+                };
                 // `params` stays None when a delta upload's reference model
                 // has been pruned from history — such an update is over-stale
                 // by construction and falls through to the drop path below.
-                // Partial updates (hierarchical topologies) carry the list of
-                // clients an edge aggregator merged; `constituents` is None
-                // for a plain single-client update.
-                let (params, start_version, n_samples, n_steps, constituents) = match &msg.payload {
-                    Payload::Update {
-                        params,
-                        start_version,
-                        n_samples,
-                        n_steps,
-                    } => (
-                        Some(params.clone()),
-                        *start_version,
-                        *n_samples,
-                        *n_steps,
-                        None,
-                    ),
-                    Payload::CompressedUpdate {
-                        block,
-                        start_version,
-                        n_samples,
-                        n_steps,
-                    } => {
-                        let reference = if block.delta {
-                            state.global_history.get(&block.ref_version)
-                        } else {
-                            None
-                        };
-                        let params = decompress(block, reference).ok();
-                        (params, *start_version, *n_samples, *n_steps, None)
-                    }
-                    Payload::PartialUpdate {
-                        params,
-                        start_version,
-                        n_samples,
-                        n_steps,
-                        constituents,
-                    } => (
-                        Some(params.clone()),
-                        *start_version,
-                        *n_samples,
-                        *n_steps,
-                        Some(constituents.clone()),
-                    ),
-                    Payload::CompressedPartialUpdate {
-                        block,
-                        start_version,
-                        n_samples,
-                        n_steps,
-                        constituents,
-                    } => {
-                        let reference = if block.delta {
-                            state.global_history.get(&block.ref_version)
-                        } else {
-                            None
-                        };
-                        let params = decompress(block, reference).ok();
-                        (
-                            params,
-                            *start_version,
-                            *n_samples,
-                            *n_steps,
-                            Some(constituents.clone()),
-                        )
-                    }
-                    other => {
-                        debug_assert!(false, "Updates carried {other:?}");
-                        return;
-                    }
-                };
+                let params = update.to_params(|v| state.global_history.get(&v)).ok();
                 // per-client bookkeeping runs over the merged constituents so
-                // rounds close on the same client set as the star course; a
-                // plain update is its own single constituent
-                let contributors = constituents.unwrap_or_else(|| vec![msg.sender]);
+                // rounds close on the same client set as the star course
+                let contributors = update.contributors(msg.sender);
                 for c in &contributors {
                     state.busy.remove(c);
                 }
@@ -731,15 +666,15 @@ impl Server {
                         state.ledger.received_this_round += 1;
                     }
                 }
-                let staleness = state.version.saturating_sub(start_version);
+                let staleness = state.version.saturating_sub(update.start_version);
                 match params {
                     Some(params) if staleness <= state.cfg.staleness_tolerance => {
                         state.buffer.push(ReceivedUpdate {
                             client: msg.sender,
                             params,
                             staleness,
-                            n_samples,
-                            n_steps,
+                            n_samples: update.n_samples,
+                            n_steps: update.n_steps,
                         });
                     }
                     _ => {

@@ -166,11 +166,6 @@ impl LocalTrainer {
         self.model.as_ref()
     }
 
-    /// Mutable access to the local model.
-    pub fn model_mut(&mut self) -> &mut dyn Model {
-        self.model.as_mut()
-    }
-
     /// The local dataset.
     pub fn data(&self) -> &ClientSplit {
         &self.data

@@ -155,11 +155,6 @@ impl FedDataset {
         self.clients.len()
     }
 
-    /// Total training examples across clients (the paper's `n`).
-    pub fn total_train(&self) -> usize {
-        self.clients.iter().map(|c| c.train.len()).sum()
-    }
-
     /// Per-example feature element count.
     pub fn input_dim(&self) -> usize {
         self.feature_shape.iter().product()

@@ -72,11 +72,6 @@ impl RowMajorF32Store {
     pub fn params(&self) -> &ParamMap {
         &self.params
     }
-
-    /// Mutable native view.
-    pub fn params_mut(&mut self) -> &mut ParamMap {
-        &mut self.params
-    }
 }
 
 impl Backend for RowMajorF32Store {

@@ -37,5 +37,5 @@ pub mod wire;
 
 pub use event::{Condition, Event};
 pub use fault::{FaultAction, FaultPlan, FaultSpec, FaultState, SendOutcome};
-pub use message::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
+pub use message::{Message, MessageKind, ParticipantId, Payload, UpdateBody, UpdateRef, SERVER_ID};
 pub use topology::{Topology, TopologyError, TopologyPlan};

@@ -1,6 +1,6 @@
 //! The message envelope exchanged by FL participants.
 
-use fs_compress::CompressedBlock;
+use fs_compress::{decompress, CompressedBlock, Compressor, DecompressError};
 use fs_tensor::model::Metrics;
 use fs_tensor::ParamMap;
 
@@ -183,6 +183,175 @@ pub enum Payload {
         /// Client ids folded into this partial aggregate, ascending.
         constituents: Vec<ParticipantId>,
     },
+}
+
+/// The parameters an update carries: dense values or a compressed block.
+/// Generic over how each is held — borrowed from a [`Payload`]
+/// ([`UpdateRef`]), owned on the way into one, or a wire view.
+#[derive(Clone, Debug, PartialEq)]
+pub enum UpdateBody<P, B> {
+    /// Named parameters, one `f32` per value.
+    Dense(P),
+    /// An `fs-compress` block (possibly a delta against `ref_version`).
+    Compressed(B),
+}
+
+/// The one shape behind [`Payload::Update`], [`Payload::CompressedUpdate`],
+/// [`Payload::PartialUpdate`] and [`Payload::CompressedPartialUpdate`]:
+/// *(dense params | compressed block)*, *(start_version, n_samples,
+/// n_steps)* and *optional constituents*. Consumers read any of the four
+/// through [`Payload::as_update`]; producers build the right one with
+/// [`Payload::update`].
+#[derive(Clone, Debug)]
+pub struct UpdateRef<'a> {
+    /// The parameters, as shipped.
+    pub body: UpdateBody<&'a ParamMap, &'a CompressedBlock>,
+    /// The global model version the work started from.
+    pub start_version: u64,
+    /// Training examples behind the update (FedAvg weighting).
+    pub n_samples: u64,
+    /// Local SGD steps taken (FedNova weighting).
+    pub n_steps: u64,
+    /// The clients an edge aggregator merged into this update; `None` for a
+    /// plain single-client update.
+    pub constituents: Option<&'a [ParticipantId]>,
+}
+
+impl UpdateRef<'_> {
+    /// The update's dense parameters: a copy of the dense body, or the
+    /// decompressed block. `reference` looks up the model a delta block was
+    /// encoded against, by version.
+    pub fn to_params<'r>(
+        &self,
+        reference: impl FnOnce(u64) -> Option<&'r ParamMap>,
+    ) -> Result<ParamMap, DecompressError> {
+        match self.body {
+            UpdateBody::Dense(params) => Ok(params.clone()),
+            UpdateBody::Compressed(block) => decompress(block, reference(block.ref_version)),
+        }
+    }
+
+    /// The clients whose work this update from `sender` carries: the merged
+    /// constituents of a partial update; a plain update is its own single
+    /// constituent.
+    pub fn contributors(&self, sender: ParticipantId) -> Vec<ParticipantId> {
+        self.constituents
+            .map_or_else(|| vec![sender], <[ParticipantId]>::to_vec)
+    }
+}
+
+impl Payload {
+    /// Reads any of the four update variants as the one shape they share;
+    /// `None` for every other payload.
+    pub fn as_update(&self) -> Option<UpdateRef<'_>> {
+        let (body, constituents) = match self {
+            Payload::Update { params, .. } => (UpdateBody::Dense(params), None),
+            Payload::CompressedUpdate { block, .. } => (UpdateBody::Compressed(block), None),
+            Payload::PartialUpdate {
+                params,
+                constituents,
+                ..
+            } => (UpdateBody::Dense(params), Some(&constituents[..])),
+            Payload::CompressedPartialUpdate {
+                block,
+                constituents,
+                ..
+            } => (UpdateBody::Compressed(block), Some(&constituents[..])),
+            _ => return None,
+        };
+        let (Payload::Update {
+            start_version,
+            n_samples,
+            n_steps,
+            ..
+        }
+        | Payload::CompressedUpdate {
+            start_version,
+            n_samples,
+            n_steps,
+            ..
+        }
+        | Payload::PartialUpdate {
+            start_version,
+            n_samples,
+            n_steps,
+            ..
+        }
+        | Payload::CompressedPartialUpdate {
+            start_version,
+            n_samples,
+            n_steps,
+            ..
+        }) = self
+        else {
+            return None;
+        };
+        Some(UpdateRef {
+            body,
+            start_version: *start_version,
+            n_samples: *n_samples,
+            n_steps: *n_steps,
+            constituents,
+        })
+    }
+
+    /// Builds the update payload for `params`: compressed by the sender's
+    /// upload `codec` when it has one, partial when `constituents` lists the
+    /// clients merged into it.
+    pub fn update(
+        params: ParamMap,
+        codec: Option<&mut (dyn Compressor + 'static)>,
+        start_version: u64,
+        n_samples: u64,
+        n_steps: u64,
+        constituents: Option<Vec<ParticipantId>>,
+    ) -> Payload {
+        let body = match codec {
+            Some(codec) => UpdateBody::Compressed(codec.compress(&params)),
+            None => UpdateBody::Dense(params),
+        };
+        Payload::from_update_body(body, start_version, n_samples, n_steps, constituents)
+    }
+
+    /// The variant that holds an already-encoded `body`.
+    pub(crate) fn from_update_body(
+        body: UpdateBody<ParamMap, CompressedBlock>,
+        start_version: u64,
+        n_samples: u64,
+        n_steps: u64,
+        constituents: Option<Vec<ParticipantId>>,
+    ) -> Payload {
+        match (body, constituents) {
+            (UpdateBody::Dense(params), None) => Payload::Update {
+                params,
+                start_version,
+                n_samples,
+                n_steps,
+            },
+            (UpdateBody::Compressed(block), None) => Payload::CompressedUpdate {
+                block,
+                start_version,
+                n_samples,
+                n_steps,
+            },
+            (UpdateBody::Dense(params), Some(constituents)) => Payload::PartialUpdate {
+                params,
+                start_version,
+                n_samples,
+                n_steps,
+                constituents,
+            },
+            (UpdateBody::Compressed(block), Some(constituents)) => {
+                Payload::CompressedPartialUpdate {
+                    block,
+                    start_version,
+                    n_samples,
+                    n_steps,
+                    constituents,
+                }
+            }
+        }
+    }
 }
 
 /// A message in flight between participants.

@@ -16,9 +16,9 @@
 //!            u8 payload_tag, payload_body
 //! ```
 
-use crate::message::{Message, MessageKind, Payload};
+use crate::message::{Message, MessageKind, Payload, UpdateBody, UpdateRef};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use fs_compress::{put_block, take_block, BlockCodecError};
+use fs_compress::{put_block, take_block, BlockCodecError, CompressedBlock};
 use fs_tensor::model::Metrics;
 use fs_tensor::{ParamMap, Tensor};
 use std::fmt;
@@ -84,22 +84,21 @@ pub fn payload_wire_len(payload: &Payload) -> usize {
     1 + match payload {
         Payload::Empty => 0,
         Payload::Model { params, .. } => 8 + params_wire_len(params),
-        Payload::Update { params, .. } => 24 + params_wire_len(params),
         Payload::Report { .. } => 16,
         Payload::Bytes(b) => 4 + b.len(),
         Payload::CompressedModel { block, .. } => 8 + block.encoded_len(),
-        Payload::CompressedUpdate { block, .. } => 24 + block.encoded_len(),
-        Payload::PartialUpdate {
-            params,
-            constituents,
-            ..
-        } => 24 + 4 + 4 * constituents.len() + params_wire_len(params),
-        Payload::CompressedPartialUpdate {
-            block,
-            constituents,
-            ..
-        } => 24 + 4 + 4 * constituents.len() + block.encoded_len(),
+        update => update.as_update().map_or(0, |u| update_wire_len(&u)),
     }
+}
+
+/// Body size of any update variant: the three counters, the constituent list
+/// of a partial update, then the dense or compressed parameters.
+fn update_wire_len(u: &UpdateRef<'_>) -> usize {
+    24 + u.constituents.map_or(0, |ids| 4 + 4 * ids.len())
+        + match u.body {
+            UpdateBody::Dense(params) => params_wire_len(params),
+            UpdateBody::Compressed(block) => block.encoded_len(),
+        }
 }
 
 fn need(buf: &impl Buf, n: usize) -> Result<(), CodecError> {
@@ -132,47 +131,10 @@ fn put_params(buf: &mut BytesMut, params: &ParamMap) {
     }
 }
 
-/// Decodes a [`ParamMap`] from the neutral format.
-pub fn decode_params(mut buf: &[u8]) -> Result<ParamMap, CodecError> {
-    take_params(&mut buf)
-}
-
-fn take_params(buf: &mut &[u8]) -> Result<ParamMap, CodecError> {
-    need(buf, 4)?;
-    let count = buf.get_u32_le() as usize;
-    let mut out = ParamMap::new();
-    for _ in 0..count {
-        need(buf, 2)?;
-        let name_len = buf.get_u16_le() as usize;
-        need(buf, name_len)?;
-        let name = std::str::from_utf8(&buf[..name_len])
-            .map_err(|_| CodecError::BadName)?
-            .to_string();
-        buf.advance(name_len);
-        need(buf, 1)?;
-        let ndim = buf.get_u8() as usize;
-        need(buf, 4 * ndim)?;
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(buf.get_u32_le() as usize);
-        }
-        // checked product: a crafted frame must yield a decode error, not an
-        // overflow panic or huge allocation
-        let numel = shape
-            .iter()
-            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-            .ok_or(CodecError::BadShape)?;
-        let bytes = numel.checked_mul(4).ok_or(CodecError::BadShape)?;
-        need(buf, bytes)?;
-        // bulk conversion over 4-byte chunks: one pass, no per-element
-        // cursor bookkeeping (the wire layout gives no alignment guarantee,
-        // so a safe &[u8] -> &[f32] cast is not available)
-        let mut data = Vec::with_capacity(numel);
-        data.extend(le_f32s(&buf[..bytes]));
-        buf.advance(bytes);
-        out.insert(name, Tensor::from_vec(shape, data));
-    }
-    Ok(out)
+/// Decodes a [`ParamMap`] from the neutral format: the owned form of
+/// [`decode_params_view`].
+pub fn decode_params(buf: &[u8]) -> Result<ParamMap, CodecError> {
+    Ok(decode_params_view(buf)?.to_params())
 }
 
 /// Iterates the `f32` values stored little-endian in `raw`
@@ -197,18 +159,6 @@ pub fn encode_message(msg: &Message) -> Bytes {
             buf.put_u64_le(*version);
             put_params(&mut buf, params);
         }
-        Payload::Update {
-            params,
-            start_version,
-            n_samples,
-            n_steps,
-        } => {
-            buf.put_u8(2);
-            buf.put_u64_le(*start_version);
-            buf.put_u64_le(*n_samples);
-            buf.put_u64_le(*n_steps);
-            put_params(&mut buf, params);
-        }
         Payload::Report { metrics } => {
             buf.put_u8(3);
             buf.put_f32_le(metrics.loss);
@@ -225,54 +175,42 @@ pub fn encode_message(msg: &Message) -> Bytes {
             buf.put_u64_le(*version);
             put_block(&mut buf, block);
         }
-        Payload::CompressedUpdate {
-            block,
-            start_version,
-            n_samples,
-            n_steps,
-        } => {
-            buf.put_u8(6);
-            buf.put_u64_le(*start_version);
-            buf.put_u64_le(*n_samples);
-            buf.put_u64_le(*n_steps);
-            put_block(&mut buf, block);
-        }
-        Payload::PartialUpdate {
-            params,
-            start_version,
-            n_samples,
-            n_steps,
-            constituents,
-        } => {
-            buf.put_u8(7);
-            buf.put_u64_le(*start_version);
-            buf.put_u64_le(*n_samples);
-            buf.put_u64_le(*n_steps);
-            put_constituents(&mut buf, constituents);
-            put_params(&mut buf, params);
-        }
-        Payload::CompressedPartialUpdate {
-            block,
-            start_version,
-            n_samples,
-            n_steps,
-            constituents,
-        } => {
-            buf.put_u8(8);
-            buf.put_u64_le(*start_version);
-            buf.put_u64_le(*n_samples);
-            buf.put_u64_le(*n_steps);
-            put_constituents(&mut buf, constituents);
-            put_block(&mut buf, block);
-        }
+        update => match update.as_update() {
+            Some(u) => put_update(&mut buf, &u),
+            None => debug_assert!(false, "{update:?} has no wire encoding"),
+        },
     }
     buf.freeze()
 }
 
-fn put_constituents(buf: &mut BytesMut, ids: &[u32]) {
-    buf.put_u32_le(ids.len() as u32);
-    for &id in ids {
-        buf.put_u32_le(id);
+/// Payload tag of an update, by what it carries. [`take_update`] reads the
+/// same table backwards.
+fn update_tag(dense: bool, partial: bool) -> u8 {
+    match (dense, partial) {
+        (true, false) => 2,
+        (false, false) => 6,
+        (true, true) => 7,
+        (false, true) => 8,
+    }
+}
+
+/// Writes any update variant: tag, the three counters, the constituent list
+/// of a partial update, then the dense or compressed parameters.
+fn put_update(buf: &mut BytesMut, u: &UpdateRef<'_>) {
+    let dense = matches!(u.body, UpdateBody::Dense(_));
+    buf.put_u8(update_tag(dense, u.constituents.is_some()));
+    buf.put_u64_le(u.start_version);
+    buf.put_u64_le(u.n_samples);
+    buf.put_u64_le(u.n_steps);
+    if let Some(ids) = u.constituents {
+        buf.put_u32_le(ids.len() as u32);
+        for &id in ids {
+            buf.put_u32_le(id);
+        }
+    }
+    match u.body {
+        UpdateBody::Dense(params) => put_params(buf, params),
+        UpdateBody::Compressed(block) => put_block(buf, block),
     }
 }
 
@@ -287,126 +225,23 @@ fn take_constituents(buf: &mut &[u8]) -> Result<Vec<u32>, CodecError> {
     Ok(ids)
 }
 
-/// Decodes a whole [`Message`] from transport bytes.
-pub fn decode_message(mut buf: &[u8]) -> Result<Message, CodecError> {
-    need(&buf, 4 + 4 + 2 + 8 + 8 + 1)?;
-    let sender = buf.get_u32_le();
-    let receiver = buf.get_u32_le();
-    let kind_tag = buf.get_u16_le();
-    let kind = MessageKind::from_tag(kind_tag).ok_or(CodecError::BadTag(kind_tag))?;
-    let round = buf.get_u64_le();
-    let timestamp = buf.get_f64_le();
-    let payload_tag = buf.get_u8();
-    let payload = match payload_tag {
-        0 => Payload::Empty,
-        1 => {
-            need(&buf, 8)?;
-            let version = buf.get_u64_le();
-            let params = take_params(&mut buf)?;
-            Payload::Model { params, version }
-        }
-        2 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let params = take_params(&mut buf)?;
-            Payload::Update {
-                params,
-                start_version,
-                n_samples,
-                n_steps,
-            }
-        }
-        3 => {
-            need(&buf, 16)?;
-            let loss = buf.get_f32_le();
-            let accuracy = buf.get_f32_le();
-            let n = buf.get_u64_le() as usize;
-            Payload::Report {
-                metrics: Metrics { loss, accuracy, n },
-            }
-        }
-        4 => {
-            need(&buf, 4)?;
-            let len = buf.get_u32_le() as usize;
-            need(&buf, len)?;
-            let b = buf[..len].to_vec();
-            buf.advance(len);
-            Payload::Bytes(b)
-        }
-        5 => {
-            need(&buf, 8)?;
-            let version = buf.get_u64_le();
-            let block = take_block(&mut buf)?;
-            Payload::CompressedModel { block, version }
-        }
-        6 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let block = take_block(&mut buf)?;
-            Payload::CompressedUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-            }
-        }
-        7 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let constituents = take_constituents(&mut buf)?;
-            let params = take_params(&mut buf)?;
-            Payload::PartialUpdate {
-                params,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            }
-        }
-        8 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let constituents = take_constituents(&mut buf)?;
-            let block = take_block(&mut buf)?;
-            Payload::CompressedPartialUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            }
-        }
-        t => return Err(CodecError::BadTag(t as u16)),
-    };
-    Ok(Message {
-        sender,
-        receiver,
-        kind,
-        round,
-        timestamp,
-        payload,
-    })
+/// Decodes a whole [`Message`] from transport bytes: the owned form of
+/// [`decode_message_view`].
+pub fn decode_message(buf: &[u8]) -> Result<Message, CodecError> {
+    Ok(decode_message_view(buf)?.to_message())
 }
 
 // ---------------------------------------------------------------------------
-// Zero-copy views
+// The parser: zero-copy views
 // ---------------------------------------------------------------------------
 //
-// The owned decoders above copy every tensor value out of the receive buffer
-// into fresh `Vec<f32>` allocations. On the server's update-heavy hot path
-// that copy is pure overhead when the values are consumed exactly once (fed
-// into an aggregation accumulator) or copied into storage that already
-// exists (a backend store refreshing its parameters in place). The view
-// decoders parse the same format but keep tensor payloads as borrowed
-// little-endian byte slices into the receive buffer.
+// The view decoders are the only code that reads the format. They keep
+// tensor payloads as borrowed little-endian byte slices into the receive
+// buffer, so a consumer that uses the values exactly once (a backend store
+// refreshing its parameters in place) never copies them into fresh
+// `Vec<f32>`s; a consumer that needs ownership materializes it with one
+// `to_params` / `to_message` — which is all `decode_params` and
+// `decode_message` are.
 //
 // Invariants:
 // * A view borrows the receive buffer: it must be consumed before the buffer
@@ -414,9 +249,10 @@ pub fn decode_message(mut buf: &[u8]) -> Result<Message, CodecError> {
 //   `'static`).
 // * The wire layout gives no alignment guarantee, so views hold `&[u8]` and
 //   decode `f32`s on the fly via `from_le_bytes` — never an unsafe cast to
-//   `&[f32]`. Decoding a value from bytes is exact (same bits), so any
-//   computation over view values is bit-identical to the same computation
-//   over an owned decode.
+//   `&[f32]`. Decoding a value from bytes is exact (same bits).
+// * The whole-buffer entry points (`decode_params_view`,
+//   `decode_message_view`) reject bytes left over after a complete
+//   structure: a length-prefixed frame longer than its message is corrupt.
 
 /// A tensor parsed without copying its values: the shape is owned (tiny),
 /// the values remain little-endian bytes borrowed from the receive buffer.
@@ -436,11 +272,6 @@ impl<'a> TensorView<'a> {
     /// Number of values.
     pub fn numel(&self) -> usize {
         self.data.len() / 4
-    }
-
-    /// The raw little-endian value bytes (length `4 * numel`).
-    pub fn raw_le_bytes(&self) -> &'a [u8] {
-        self.data
     }
 
     /// Iterates the values, decoding each `f32` from the wire bytes.
@@ -467,25 +298,6 @@ impl<'a> TensorView<'a> {
         }
         true
     }
-
-    /// Fused accumulate straight from the wire bytes:
-    /// `dst[i] += alpha * (self[i] - anchor[i])`.
-    ///
-    /// Per-coordinate this is the exact operation
-    /// [`fs_tensor::acc_scaled_diff_slice`] performs, so aggregating from a
-    /// view is bit-identical to decoding an owned tensor first — without the
-    /// intermediate allocation.
-    pub fn accumulate_scaled_diff(&self, dst: &mut [f32], alpha: f32, anchor: &[f32]) {
-        assert_eq!(dst.len(), self.numel(), "accumulate_scaled_diff: dst len");
-        assert_eq!(
-            anchor.len(),
-            self.numel(),
-            "accumulate_scaled_diff: anchor len"
-        );
-        for ((d, u), g) in dst.iter_mut().zip(self.values()).zip(anchor.iter()) {
-            *d += alpha * (u - *g);
-        }
-    }
 }
 
 /// A [`ParamMap`] parsed without copying tensor values — the borrowed
@@ -507,23 +319,10 @@ impl<'a> ParamsView<'a> {
         self.entries.is_empty()
     }
 
-    /// Total number of values across all entries.
-    pub fn numel(&self) -> usize {
-        self.entries.iter().map(|(_, t)| t.numel()).sum()
-    }
-
     /// Iterates entries in wire order (the encoder writes [`ParamMap`]
     /// entries in sorted-name order, so this matches `ParamMap::iter`).
     pub fn iter(&self) -> impl Iterator<Item = (&'a str, &TensorView<'a>)> {
         self.entries.iter().map(|(n, t)| (*n, t))
-    }
-
-    /// Looks up one entry by name.
-    pub fn get(&self, name: &str) -> Option<&TensorView<'a>> {
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, t)| t)
     }
 
     /// Materializes an owned [`ParamMap`].
@@ -553,36 +352,23 @@ impl<'a> ParamsView<'a> {
         }
         true
     }
-
-    /// Fused aggregation step consuming the view: for every entry present in
-    /// both the view and `delta`, `delta[k][i] += alpha * (view[k][i] -
-    /// global[k][i])`. Entries missing from the view are skipped (partial
-    /// updates contribute only what they carry); a key present in `delta`
-    /// and the view but missing from `global` panics — the accumulator is
-    /// always built from the global model, so that is a caller bug.
-    ///
-    /// Bit-identical to materializing the view with
-    /// [`to_params`](Self::to_params) and calling
-    /// `ParamMap::acc_scaled_diff`, coordinate for coordinate.
-    pub fn accumulate_scaled_diff_into(&self, delta: &mut ParamMap, alpha: f32, global: &ParamMap) {
-        for (name, dt) in delta.iter_mut() {
-            let Some(uv) = self.get(name) else {
-                continue;
-            };
-            let g = global
-                .get(name)
-                // fsa::allow(FSA022, caller contract: global must cover every accumulator key — same invariant panic as ParamMap::acc_scaled_diff; continuing would silently corrupt aggregation)
-                .unwrap_or_else(|| panic!("accumulate_scaled_diff_into: {name} not in global"));
-            assert_eq!(uv.shape(), dt.shape(), "shape mismatch for {name}");
-            uv.accumulate_scaled_diff(dt.data_mut(), alpha, g.data());
-        }
-    }
 }
 
-/// Borrowed counterpart of [`decode_params`]: parses the neutral format,
-/// keeping tensor values in the buffer.
+/// Parses the neutral format, keeping tensor values in the buffer. `buf`
+/// must hold exactly one parameter map.
 pub fn decode_params_view(mut buf: &[u8]) -> Result<ParamsView<'_>, CodecError> {
-    take_params_view(&mut buf)
+    let params = take_params_view(&mut buf)?;
+    exhausted(buf)?;
+    Ok(params)
+}
+
+/// Bytes left over after a complete structure mean the frame is corrupt.
+fn exhausted(rest: &[u8]) -> Result<(), CodecError> {
+    if rest.is_empty() {
+        Ok(())
+    } else {
+        Err(CodecError::BadShape)
+    }
 }
 
 fn take_params_view<'a>(buf: &mut &'a [u8]) -> Result<ParamsView<'a>, CodecError> {
@@ -602,6 +388,8 @@ fn take_params_view<'a>(buf: &mut &'a [u8]) -> Result<ParamsView<'a>, CodecError
         for _ in 0..ndim {
             shape.push(buf.get_u32_le() as usize);
         }
+        // checked product: a crafted frame must yield a decode error, not an
+        // overflow panic or huge allocation
         let numel = shape
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
@@ -631,16 +419,18 @@ pub enum PayloadView<'a> {
         /// Model version.
         version: u64,
     },
-    /// A client update.
+    /// Any of the four update variants (see [`UpdateRef`] for the shape).
     Update {
-        /// Borrowed parameters.
-        params: ParamsView<'a>,
-        /// Version the client trained from.
+        /// Borrowed dense parameters, or the decoded block.
+        body: UpdateBody<ParamsView<'a>, CompressedBlock>,
+        /// Version the work started from.
         start_version: u64,
-        /// Local sample count.
+        /// Sample count behind the update.
         n_samples: u64,
         /// Local step count.
         n_steps: u64,
+        /// Contributing client ids of a partial update.
+        constituents: Option<Vec<u32>>,
     },
     /// Evaluation metrics.
     Report {
@@ -652,46 +442,9 @@ pub enum PayloadView<'a> {
     /// Compressed model broadcast.
     CompressedModel {
         /// The decoded block (owned; see type docs).
-        block: fs_compress::CompressedBlock,
+        block: CompressedBlock,
         /// Model version.
         version: u64,
-    },
-    /// Compressed client update.
-    CompressedUpdate {
-        /// The decoded block (owned; see type docs).
-        block: fs_compress::CompressedBlock,
-        /// Version the client trained from.
-        start_version: u64,
-        /// Local sample count.
-        n_samples: u64,
-        /// Local step count.
-        n_steps: u64,
-    },
-    /// Partial (secure-sharded) update.
-    PartialUpdate {
-        /// Borrowed parameters.
-        params: ParamsView<'a>,
-        /// Version the clients trained from.
-        start_version: u64,
-        /// Combined sample count.
-        n_samples: u64,
-        /// Combined step count.
-        n_steps: u64,
-        /// Contributing client ids.
-        constituents: Vec<u32>,
-    },
-    /// Compressed partial update.
-    CompressedPartialUpdate {
-        /// The decoded block (owned; see type docs).
-        block: fs_compress::CompressedBlock,
-        /// Version the clients trained from.
-        start_version: u64,
-        /// Combined sample count.
-        n_samples: u64,
-        /// Combined step count.
-        n_steps: u64,
-        /// Contributing client ids.
-        constituents: Vec<u32>,
     },
 }
 
@@ -705,58 +458,24 @@ impl PayloadView<'_> {
                 version: *version,
             },
             PayloadView::Update {
-                params,
+                body,
                 start_version,
                 n_samples,
                 n_steps,
-            } => Payload::Update {
-                params: params.to_params(),
-                start_version: *start_version,
-                n_samples: *n_samples,
-                n_steps: *n_steps,
-            },
+                constituents,
+            } => {
+                let body = match body {
+                    UpdateBody::Dense(params) => UpdateBody::Dense(params.to_params()),
+                    UpdateBody::Compressed(block) => UpdateBody::Compressed(block.clone()),
+                };
+                let constituents = constituents.clone();
+                Payload::from_update_body(body, *start_version, *n_samples, *n_steps, constituents)
+            }
             PayloadView::Report { metrics } => Payload::Report { metrics: *metrics },
             PayloadView::Bytes(b) => Payload::Bytes(b.to_vec()),
             PayloadView::CompressedModel { block, version } => Payload::CompressedModel {
                 block: block.clone(),
                 version: *version,
-            },
-            PayloadView::CompressedUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-            } => Payload::CompressedUpdate {
-                block: block.clone(),
-                start_version: *start_version,
-                n_samples: *n_samples,
-                n_steps: *n_steps,
-            },
-            PayloadView::PartialUpdate {
-                params,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            } => Payload::PartialUpdate {
-                params: params.to_params(),
-                start_version: *start_version,
-                n_samples: *n_samples,
-                n_steps: *n_steps,
-                constituents: constituents.clone(),
-            },
-            PayloadView::CompressedPartialUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            } => Payload::CompressedPartialUpdate {
-                block: block.clone(),
-                start_version: *start_version,
-                n_samples: *n_samples,
-                n_steps: *n_steps,
-                constituents: constituents.clone(),
             },
         }
     }
@@ -794,8 +513,8 @@ impl MessageView<'_> {
     }
 }
 
-/// Borrowed counterpart of [`decode_message`]: parses the header and wraps
-/// the payload as a view, copying nothing but shapes and names.
+/// Parses the header and wraps the payload as a view, copying nothing but
+/// shapes and names. `buf` must hold exactly one message.
 pub fn decode_message_view(mut buf: &[u8]) -> Result<MessageView<'_>, CodecError> {
     need(&buf, HEADER_LEN + 1)?;
     let sender = buf.get_u32_le();
@@ -812,19 +531,6 @@ pub fn decode_message_view(mut buf: &[u8]) -> Result<MessageView<'_>, CodecError
             let version = buf.get_u64_le();
             let params = take_params_view(&mut buf)?;
             PayloadView::Model { params, version }
-        }
-        2 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let params = take_params_view(&mut buf)?;
-            PayloadView::Update {
-                params,
-                start_version,
-                n_samples,
-                n_steps,
-            }
         }
         3 => {
             need(&buf, 16)?;
@@ -849,51 +555,10 @@ pub fn decode_message_view(mut buf: &[u8]) -> Result<MessageView<'_>, CodecError
             let block = take_block(&mut buf)?;
             PayloadView::CompressedModel { block, version }
         }
-        6 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let block = take_block(&mut buf)?;
-            PayloadView::CompressedUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-            }
-        }
-        7 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let constituents = take_constituents(&mut buf)?;
-            let params = take_params_view(&mut buf)?;
-            PayloadView::PartialUpdate {
-                params,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            }
-        }
-        8 => {
-            need(&buf, 24)?;
-            let start_version = buf.get_u64_le();
-            let n_samples = buf.get_u64_le();
-            let n_steps = buf.get_u64_le();
-            let constituents = take_constituents(&mut buf)?;
-            let block = take_block(&mut buf)?;
-            PayloadView::CompressedPartialUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            }
-        }
+        2 | 6 | 7 | 8 => take_update(payload_tag, &mut buf)?,
         t => return Err(CodecError::BadTag(t as u16)),
     };
+    exhausted(buf)?;
     Ok(MessageView {
         sender,
         receiver,
@@ -901,6 +566,29 @@ pub fn decode_message_view(mut buf: &[u8]) -> Result<MessageView<'_>, CodecError
         round,
         timestamp,
         payload,
+    })
+}
+
+/// Reads the body [`put_update`] wrote under `tag`.
+fn take_update<'a>(tag: u8, buf: &mut &'a [u8]) -> Result<PayloadView<'a>, CodecError> {
+    let dense = tag == update_tag(true, false) || tag == update_tag(true, true);
+    let partial = tag == update_tag(dense, true);
+    need(buf, 24)?;
+    let start_version = buf.get_u64_le();
+    let n_samples = buf.get_u64_le();
+    let n_steps = buf.get_u64_le();
+    let constituents = partial.then(|| take_constituents(buf)).transpose()?;
+    let body = if dense {
+        UpdateBody::Dense(take_params_view(buf)?)
+    } else {
+        UpdateBody::Compressed(take_block(buf)?)
+    };
+    Ok(PayloadView::Update {
+        body,
+        start_version,
+        n_samples,
+        n_steps,
+        constituents,
     })
 }
 
@@ -960,18 +648,36 @@ mod tests {
         assert_eq!(decode_params(&encode_params(&p)).unwrap(), p);
     }
 
-    #[test]
-    fn truncated_params_rejected() {
-        let bytes = encode_params(&sample_params());
-        for cut in [0, 3, 10, bytes.len() - 1] {
-            let r = decode_params(&bytes[..cut]);
-            assert_eq!(r, Err(CodecError::Truncated), "cut={cut}");
+    /// The corrupt-length table: every strict prefix of a valid encoding is
+    /// `Truncated`, and a buffer longer than the structure it holds is
+    /// `BadShape`.
+    fn assert_only_the_exact_length_decodes(
+        bytes: &[u8],
+        decode: impl Fn(&[u8]) -> Result<(), CodecError>,
+    ) {
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                decode(&bytes[..cut]).err(),
+                Some(CodecError::Truncated),
+                "cut={cut}"
+            );
         }
+        assert!(decode(bytes).is_ok());
+        let mut longer = bytes.to_vec();
+        longer.push(0);
+        assert_eq!(decode(&longer).err(), Some(CodecError::BadShape));
     }
 
     #[test]
-    fn message_roundtrip_all_payloads() {
-        let payloads = vec![
+    fn params_of_any_other_length_are_rejected() {
+        let bytes = encode_params(&sample_params());
+        assert_only_the_exact_length_decodes(&bytes, |b| decode_params(b).map(drop));
+        assert_only_the_exact_length_decodes(&bytes, |b| decode_params_view(b).map(drop));
+    }
+
+    /// One payload per wire tag 0–8.
+    fn every_payload() -> Vec<Payload> {
+        vec![
             Payload::Empty,
             Payload::Model {
                 params: sample_params(),
@@ -1015,8 +721,12 @@ mod tests {
                 n_steps: 4,
                 constituents: vec![1, 4],
             },
-        ];
-        for payload in payloads {
+        ]
+    }
+
+    #[test]
+    fn message_roundtrip_all_payloads() {
+        for payload in every_payload() {
             let mut m = Message::new(3, 0, MessageKind::Updates, 5, payload);
             m.timestamp = 123.456;
             let bytes = encode_message(&m);
@@ -1029,26 +739,11 @@ mod tests {
     }
 
     #[test]
-    fn truncated_compressed_payload_rejected() {
-        let m = Message::new(
-            1,
-            0,
-            MessageKind::Updates,
-            2,
-            Payload::CompressedUpdate {
-                block: sample_block(),
-                start_version: 1,
-                n_samples: 8,
-                n_steps: 2,
-            },
-        );
-        let bytes = encode_message(&m);
-        for cut in [HEADER_LEN + 1, HEADER_LEN + 25, bytes.len() - 1] {
-            assert_eq!(
-                decode_message(&bytes[..cut]),
-                Err(CodecError::Truncated),
-                "cut={cut}"
-            );
+    fn messages_of_any_other_length_are_rejected() {
+        for payload in every_payload() {
+            let bytes = encode_message(&Message::new(1, 0, MessageKind::Updates, 2, payload));
+            assert_only_the_exact_length_decodes(&bytes, |b| decode_message(b).map(drop));
+            assert_only_the_exact_length_decodes(&bytes, |b| decode_message_view(b).map(drop));
         }
     }
 
@@ -1076,44 +771,18 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    // -- zero-copy views ----------------------------------------------------
-
     #[test]
     fn params_view_matches_owned_decode() {
         let p = sample_params();
         let bytes = encode_params(&p);
         let view = decode_params_view(&bytes).unwrap();
         assert_eq!(view.len(), p.len());
-        assert_eq!(view.numel(), p.numel());
         assert_eq!(view.to_params(), p);
         // entries come out in the same (sorted-name) order as ParamMap::iter
         for ((vn, vt), (pn, pt)) in view.iter().zip(p.iter()) {
             assert_eq!(vn, pn);
             assert_eq!(vt.shape(), pt.shape());
             assert_eq!(vt.values().collect::<Vec<_>>(), pt.data());
-        }
-    }
-
-    #[test]
-    fn params_view_borrows_the_buffer() {
-        let p = sample_params();
-        let bytes = encode_params(&p);
-        let view = decode_params_view(&bytes).unwrap();
-        let w = view.get("fc.weight").unwrap();
-        // the view's value bytes alias the encoded buffer — zero copies
-        let buf_range = bytes.as_ptr() as usize..bytes.as_ptr() as usize + bytes.len();
-        assert!(buf_range.contains(&(w.raw_le_bytes().as_ptr() as usize)));
-    }
-
-    #[test]
-    fn params_view_rejects_what_owned_decode_rejects() {
-        let bytes = encode_params(&sample_params());
-        for cut in [0, 3, 10, bytes.len() - 1] {
-            assert_eq!(
-                decode_params_view(&bytes[..cut]).err(),
-                decode_params(&bytes[..cut]).err(),
-                "cut={cut}"
-            );
         }
     }
 
@@ -1135,112 +804,5 @@ mod tests {
         short.insert("fc.bias", Tensor::zeros(&[3]));
         assert!(!short.iter().eq(p.iter()));
         assert!(!view.copy_into(&mut short));
-    }
-
-    #[test]
-    fn view_accumulate_is_bit_identical_to_owned_path() {
-        let global = sample_params();
-        let mut update = sample_params();
-        for (_, t) in update.iter_mut() {
-            for v in t.data_mut() {
-                *v = *v * 1.25 + 0.125;
-            }
-        }
-        let bytes = encode_params(&update);
-        let view = decode_params_view(&bytes).unwrap();
-        let alpha = 0.3741f32;
-
-        let mut from_view = global.zeros_like();
-        view.accumulate_scaled_diff_into(&mut from_view, alpha, &global);
-
-        let mut from_owned = global.zeros_like();
-        let owned = decode_params(&bytes).unwrap();
-        from_owned.acc_scaled_diff(alpha, &owned, &global);
-
-        for ((_, a), (_, b)) in from_view.iter().zip(from_owned.iter()) {
-            let ab: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ab, bb);
-        }
-    }
-
-    #[test]
-    fn message_view_matches_owned_decode_for_every_payload() {
-        let payloads = vec![
-            Payload::Empty,
-            Payload::Model {
-                params: sample_params(),
-                version: 9,
-            },
-            Payload::Update {
-                params: sample_params(),
-                start_version: 7,
-                n_samples: 123,
-                n_steps: 4,
-            },
-            Payload::Report {
-                metrics: Metrics {
-                    loss: 0.5,
-                    accuracy: 0.9,
-                    n: 42,
-                },
-            },
-            Payload::Bytes(vec![1, 2, 3, 4, 5]),
-            Payload::CompressedModel {
-                block: sample_block(),
-                version: 9,
-            },
-            Payload::CompressedUpdate {
-                block: sample_block(),
-                start_version: 7,
-                n_samples: 123,
-                n_steps: 4,
-            },
-            Payload::PartialUpdate {
-                params: sample_params(),
-                start_version: 6,
-                n_samples: 246,
-                n_steps: 4,
-                constituents: vec![2, 5, 9],
-            },
-            Payload::CompressedPartialUpdate {
-                block: sample_block(),
-                start_version: 6,
-                n_samples: 246,
-                n_steps: 4,
-                constituents: vec![1, 4],
-            },
-        ];
-        for payload in payloads {
-            let mut m = Message::new(3, 0, MessageKind::Updates, 5, payload);
-            m.timestamp = 123.456;
-            let bytes = encode_message(&m);
-            let view = decode_message_view(&bytes).unwrap();
-            assert_eq!(view.to_message(), m);
-        }
-    }
-
-    #[test]
-    fn message_view_rejects_what_owned_decode_rejects() {
-        let m = Message::new(
-            1,
-            0,
-            MessageKind::Updates,
-            2,
-            Payload::Update {
-                params: sample_params(),
-                start_version: 1,
-                n_samples: 8,
-                n_steps: 2,
-            },
-        );
-        let bytes = encode_message(&m);
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                decode_message_view(&bytes[..cut]).err(),
-                decode_message(&bytes[..cut]).err(),
-                "cut={cut}"
-            );
-        }
     }
 }

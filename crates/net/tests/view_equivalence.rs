@@ -1,15 +1,19 @@
-//! Property tests: the borrowed-view decoders agree with the owned decoders
-//! on every payload kind and every compression codec.
+//! Property tests over the one wire parser: every payload kind and every
+//! compression codec survives `encode → decode → encode` byte for byte, and
+//! a buffer of any length other than the encoding's is rejected.
 //!
-//! Equivalence is checked bit-exactly by re-encoding both decodes — encoding
-//! is a bijection on decoded values (each `f32` is written back as the same
-//! four little-endian bytes), so byte-equal re-encodings mean bit-equal
-//! values even for NaN payloads, where `PartialEq` would lie.
+//! The view parser is the only code that reads the format (`decode_message`
+//! and `decode_params` are its owned forms), so there is no second decoder to
+//! agree with; `wire_golden.rs` pins the bytes themselves. Round trips are
+//! compared as re-encoded bytes — encoding is a bijection on decoded values
+//! (each `f32` is written back as the same four little-endian bytes), so
+//! byte-equal re-encodings mean bit-equal values even for NaN payloads, where
+//! `PartialEq` would lie.
 
 use fs_compress::{Compressor, DeltaEncode, Identity, TopK, UniformQuant};
 use fs_net::wire::{
     decode_message, decode_message_view, decode_params, decode_params_view, encode_message,
-    encode_params,
+    encode_params, CodecError,
 };
 use fs_net::{Message, MessageKind, Payload};
 use fs_tensor::model::Metrics;
@@ -63,48 +67,69 @@ fn finite_params_strategy() -> impl Strategy<Value = ParamMap> {
     })
 }
 
-fn assert_view_matches_owned(msg: &Message) {
+/// `encode → decode → encode` is the identity on bytes, through the view and
+/// through its owned form.
+fn assert_roundtrips(msg: &Message) {
     let bytes = encode_message(msg);
-    let owned = decode_message(&bytes).expect("owned decode");
     let view = decode_message_view(&bytes).expect("view decode");
+    assert_eq!(encode_message(&view.to_message()), bytes);
+    let owned = decode_message(&bytes).expect("owned decode");
+    assert_eq!(encode_message(&owned), bytes);
+}
+
+/// A strict prefix is `Truncated`; a buffer with bytes left over after the
+/// complete structure is `BadShape`.
+fn assert_wrong_length_rejected(
+    bytes: &[u8],
+    frac: f64,
+    extra: u8,
+    decode: impl Fn(&[u8]) -> Result<(), CodecError>,
+) {
+    let cut = ((bytes.len() as f64) * frac) as usize;
     assert_eq!(
-        encode_message(&owned),
-        encode_message(&view.to_message()),
-        "view decode diverged from owned decode"
+        decode(&bytes[..cut]),
+        Err(CodecError::Truncated),
+        "cut={cut}"
     );
+    let mut longer = bytes.to_vec();
+    longer.push(extra);
+    assert_eq!(decode(&longer), Err(CodecError::BadShape));
 }
 
 proptest! {
-    /// `decode_params_view(..).to_params()` is bit-identical to
-    /// `decode_params`, including non-finite values.
+    /// Any parameter map re-encodes to the bytes it was decoded from,
+    /// including non-finite values.
     #[test]
-    fn params_view_equals_owned_decode(p in params_strategy()) {
+    fn params_roundtrip_to_the_same_bytes(p in params_strategy()) {
         let bytes = encode_params(&p);
-        let owned = decode_params(&bytes).unwrap();
         let view = decode_params_view(&bytes).unwrap();
-        prop_assert_eq!(encode_params(&owned), encode_params(&view.to_params()));
-        prop_assert_eq!(view.numel(), owned.numel());
+        prop_assert_eq!(encode_params(&view.to_params()), bytes.clone());
+        prop_assert_eq!(encode_params(&decode_params(&bytes).unwrap()), bytes);
     }
 
-    /// Truncating the buffer anywhere produces the same error from both
-    /// decoders.
+    /// Cutting the buffer anywhere, or appending to it, is an error.
     #[test]
-    fn params_view_and_owned_agree_on_errors(p in params_strategy(), frac in 0.0f64..1.0) {
+    fn params_of_any_other_length_are_rejected(
+        p in params_strategy(),
+        frac in 0.0f64..1.0,
+        extra in any::<u8>(),
+    ) {
         let bytes = encode_params(&p);
-        let cut = ((bytes.len() as f64) * frac) as usize;
-        let owned = decode_params(&bytes[..cut]);
-        let view = decode_params_view(&bytes[..cut]);
-        prop_assert_eq!(owned.err(), view.err());
+        assert_wrong_length_rejected(&bytes, frac, extra, |b| decode_params_view(b).map(drop));
+        assert_wrong_length_rejected(&bytes, frac, extra, |b| decode_params(b).map(drop));
     }
 
-    /// Every uncompressed payload kind decodes identically through the view.
+    /// Every uncompressed payload kind round-trips, and is rejected at any
+    /// other length.
     #[test]
-    fn message_view_equals_owned_for_plain_payloads(
+    fn plain_payloads_roundtrip_and_reject_other_lengths(
         p in params_strategy(),
         raw in proptest::collection::vec(any::<u8>(), 0..64),
         version in any::<u64>(),
         n_samples in any::<u64>(),
         n_steps in any::<u64>(),
+        frac in 0.0f64..1.0,
+        extra in any::<u8>(),
     ) {
         let payloads = vec![
             Payload::Empty,
@@ -130,14 +155,16 @@ proptest! {
         for payload in payloads {
             let mut m = Message::new(2, 0, MessageKind::Updates, 4, payload);
             m.timestamp = 9.5;
-            assert_view_matches_owned(&m);
+            assert_roundtrips(&m);
+            let bytes = encode_message(&m);
+            assert_wrong_length_rejected(&bytes, frac, extra, |b| decode_message_view(b).map(drop));
+            assert_wrong_length_rejected(&bytes, frac, extra, |b| decode_message(b).map(drop));
         }
     }
 
-    /// Every compressed payload kind × codec decodes identically through the
-    /// view.
+    /// Every compressed payload kind × codec round-trips.
     #[test]
-    fn message_view_equals_owned_for_compressed_payloads(p in finite_params_strategy()) {
+    fn compressed_payloads_roundtrip(p in finite_params_strategy()) {
         let codecs: Vec<Box<dyn Compressor>> = vec![
             Box::new(Identity),
             Box::new(UniformQuant::new(8)),
@@ -165,39 +192,8 @@ proptest! {
                 },
             ];
             for payload in payloads {
-                let m = Message::new(1, 0, MessageKind::Updates, 3, payload);
-                assert_view_matches_owned(&m);
+                assert_roundtrips(&Message::new(1, 0, MessageKind::Updates, 3, payload));
             }
-        }
-    }
-
-    /// The fused view-side accumulate is bit-identical to materializing the
-    /// update and running the owned fused kernel.
-    #[test]
-    fn view_accumulate_equals_owned_accumulate(
-        p in finite_params_strategy(),
-        alpha in -2.0f32..2.0,
-    ) {
-        let global = p.clone();
-        let mut update = p;
-        for (_, t) in update.iter_mut() {
-            for v in t.data_mut() {
-                *v = *v * 0.5 + 1.0;
-            }
-        }
-        let bytes = encode_params(&update);
-        let view = decode_params_view(&bytes).unwrap();
-
-        let mut from_view = global.zeros_like();
-        view.accumulate_scaled_diff_into(&mut from_view, alpha, &global);
-
-        let mut from_owned = global.zeros_like();
-        from_owned.acc_scaled_diff(alpha, &decode_params(&bytes).unwrap(), &global);
-
-        for ((_, a), (_, b)) in from_view.iter().zip(from_owned.iter()) {
-            let ab: Vec<u32> = a.data().iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.data().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(ab, bb);
         }
     }
 }

@@ -60,11 +60,6 @@ impl DittoTrainer {
         }
     }
 
-    /// The personal model (for inspection).
-    pub fn personal_model(&self) -> &dyn Model {
-        self.personal.as_ref()
-    }
-
     fn sgd_steps(
         model: &mut Box<dyn Model>,
         opt: &mut Sgd,

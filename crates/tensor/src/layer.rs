@@ -1195,11 +1195,6 @@ impl Sequential {
         self
     }
 
-    /// Names of the contained layers, in order.
-    pub fn layer_names(&self) -> Vec<&str> {
-        self.layers.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Buffer keys (fully prefixed) across all layers.
     pub fn buffer_keys(&self) -> Vec<String> {
         let mut out = Vec::new();

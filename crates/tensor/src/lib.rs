@@ -38,4 +38,4 @@ pub mod scratch;
 pub mod tensor;
 
 pub use params::ParamMap;
-pub use tensor::{acc_scaled_diff_slice, Tensor};
+pub use tensor::Tensor;

@@ -124,11 +124,6 @@ impl NetModel {
         Self { net, loss }
     }
 
-    /// The loss this model trains with.
-    pub fn loss_kind(&self) -> LossKind {
-        self.loss
-    }
-
     /// The wrapped network (for inspection and layer-level tests).
     pub fn net(&self) -> &Sequential {
         &self.net

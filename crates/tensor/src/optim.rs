@@ -158,11 +158,6 @@ impl Sgd {
             }
         }
     }
-
-    /// Clears momentum state.
-    pub fn reset_state(&mut self) {
-        self.velocity = None;
-    }
 }
 
 /// Server-side optimizer family for FedOpt.

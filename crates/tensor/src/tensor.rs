@@ -599,19 +599,6 @@ impl Tensor {
     }
 }
 
-/// Slice-level form of [`Tensor::acc_scaled_diff`]: `dst[i] += alpha *
-/// (u[i] - g[i])` over raw slices. Sharded aggregation splits a tensor's
-/// storage into contiguous coordinate ranges and calls this on each range;
-/// because every coordinate is independent, the split cannot change any bit.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-pub fn acc_scaled_diff_slice(dst: &mut [f32], alpha: f32, u: &[f32], g: &[f32]) {
-    assert_eq!(dst.len(), u.len(), "acc_scaled_diff_slice length mismatch");
-    assert_eq!(dst.len(), g.len(), "acc_scaled_diff_slice length mismatch");
-    kernels::acc_scaled_diff(dst, alpha, u, g);
-}
-
 /// Register-blocked matmul micro-kernels.
 ///
 /// Every kernel computes each output element with a *single accumulator in

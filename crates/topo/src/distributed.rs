@@ -9,7 +9,7 @@
 
 use crate::bytes_up_counter;
 use crate::router::{check_plan, TopoRunError};
-use fs_compress::{decompress, Compressor};
+use fs_compress::Compressor;
 use fs_core::distributed::{
     Course, DistributedError, Link, LoopEvent, ServerPort, Session, Transport, WorkerOutcome,
 };
@@ -42,40 +42,24 @@ impl GossipPeer {
     fn train(&mut self, round: u64) -> (Payload, Vec<ParticipantId>) {
         let update = self.trainer.local_train(&self.model, round);
         self.model = update.params;
-        let payload = match self.codec.as_mut() {
-            Some(codec) => {
-                let block = codec.compress(&self.model);
-                Payload::CompressedUpdate {
-                    block,
-                    start_version: round,
-                    n_samples: update.n_samples,
-                    n_steps: update.n_steps,
-                }
-            }
-            None => Payload::Update {
-                params: self.model.clone(),
-                start_version: round,
-                n_samples: update.n_samples,
-                n_steps: update.n_steps,
-            },
-        };
+        let payload = Payload::update(
+            self.model.clone(),
+            self.codec.as_deref_mut(),
+            round,
+            update.n_samples,
+            update.n_steps,
+            None,
+        );
         (payload, self.plan.neighbors(round, self.id))
     }
 
     /// Buffers an inbound share (decoding a compressed one).
     fn absorb(&mut self, msg: Message) -> Result<(), String> {
-        let (params, n_samples) = match msg.payload {
-            Payload::Update {
-                params, n_samples, ..
-            } => (params, n_samples),
-            Payload::CompressedUpdate {
-                block, n_samples, ..
-            } => (
-                decompress(&block, None).map_err(|e| e.to_string())?,
-                n_samples,
-            ),
-            _ => return Ok(()), // not a model share — ignore
+        let Some(update) = msg.payload.as_update() else {
+            return Ok(()); // not a model share — ignore
         };
+        let params = update.to_params(|_| None).map_err(|e| e.to_string())?;
+        let n_samples = update.n_samples;
         self.buffer
             .entry(msg.round)
             .or_default()

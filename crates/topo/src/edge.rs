@@ -21,7 +21,7 @@
 //! back would deadlock the course — `fs-verify` flags those combinations
 //! (`FSV054`) and the course builder falls back to lossless relaying.
 
-use fs_compress::{decompress, Compressor};
+use fs_compress::Compressor;
 use fs_net::{Message, MessageKind, ParticipantId, Payload, TopologyPlan, SERVER_ID};
 use fs_tensor::ParamMap;
 use std::collections::{BTreeMap, BTreeSet};
@@ -215,70 +215,25 @@ impl EdgeAggregator {
             sender: msg.sender,
             detail,
         };
-        match &msg.payload {
-            Payload::Update {
-                params,
-                start_version,
-                n_samples,
-                n_steps,
-            } => Ok(Constituent {
-                params: params.clone(),
-                start_version: *start_version,
-                n_samples: *n_samples,
-                n_steps: *n_steps,
-                clients: vec![msg.sender],
-            }),
-            Payload::CompressedUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-            } => {
-                // delta blocks need the sender's reference model, which the
-                // edge does not track — fs-verify rejects `upload_delta`
-                // hierarchies up front (FSV056)
-                let params = decompress(block, None).map_err(|e| fail(e.to_string()))?;
-                Ok(Constituent {
-                    params,
-                    start_version: *start_version,
-                    n_samples: *n_samples,
-                    n_steps: *n_steps,
-                    clients: vec![msg.sender],
-                })
-            }
-            Payload::PartialUpdate {
-                params,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            } => Ok(Constituent {
-                params: params.clone(),
-                start_version: *start_version,
-                n_samples: *n_samples,
-                n_steps: *n_steps,
-                clients: constituents.clone(),
-            }),
-            Payload::CompressedPartialUpdate {
-                block,
-                start_version,
-                n_samples,
-                n_steps,
-                constituents,
-            } => {
-                let params = decompress(block, None).map_err(|e| fail(e.to_string()))?;
-                Ok(Constituent {
-                    params,
-                    start_version: *start_version,
-                    n_samples: *n_samples,
-                    n_steps: *n_steps,
-                    clients: constituents.clone(),
-                })
-            }
-            other => Err(fail(format!(
-                "unsupported Updates payload variant {other:?}"
-            ))),
-        }
+        let update = msg.payload.as_update().ok_or_else(|| {
+            fail(format!(
+                "unsupported Updates payload variant {:?}",
+                msg.payload
+            ))
+        })?;
+        // delta blocks need the sender's reference model, which the edge does
+        // not track — fs-verify rejects `upload_delta` hierarchies up front
+        // (FSV056)
+        let params = update
+            .to_params(|_| None)
+            .map_err(|e| fail(e.to_string()))?;
+        Ok(Constituent {
+            params,
+            start_version: update.start_version,
+            n_samples: update.n_samples,
+            n_steps: update.n_steps,
+            clients: update.contributors(msg.sender),
+        })
     }
 
     /// Merges the buffered cohort into one message addressed to the root.
@@ -301,22 +256,14 @@ impl EdgeAggregator {
             acc.iter().flat_map(|c| c.clients.iter().copied()).collect();
         constituents.sort_unstable();
         constituents.dedup();
-        let payload = match self.codec.as_mut() {
-            Some(codec) => Payload::CompressedPartialUpdate {
-                block: codec.compress(&merged),
-                start_version,
-                n_samples: total,
-                n_steps,
-                constituents,
-            },
-            None => Payload::PartialUpdate {
-                params: merged,
-                start_version,
-                n_samples: total,
-                n_steps,
-                constituents,
-            },
-        };
+        let payload = Payload::update(
+            merged,
+            self.codec.as_deref_mut(),
+            start_version,
+            total,
+            n_steps,
+            Some(constituents),
+        );
         Message::new(
             self.id,
             SERVER_ID,

@@ -22,7 +22,7 @@
 
 use crate::bytes_up_counter;
 use crate::router::{check_plan, TopoReport, TopoRunError};
-use fs_compress::{decompress, Compressor};
+use fs_compress::Compressor;
 use fs_core::config::FlConfig;
 use fs_core::eval::{EvalRecord, GlobalEvaluator};
 use fs_core::runner::{CourseReport, StandaloneRunner};
@@ -120,12 +120,6 @@ impl GossipRunner {
         self
     }
 
-    /// Overrides the number of gossip rounds.
-    pub fn with_rounds(mut self, rounds: u64) -> Self {
-        self.rounds = rounds;
-        self
-    }
-
     /// Runs the gossip course: train → exchange → merge, round-synchronous.
     pub fn run(&mut self) -> Result<GossipOutcome, TopoRunError> {
         check_plan(self.cfg.verify, &self.plan)?;
@@ -143,37 +137,27 @@ impl GossipRunner {
                 peer.model = update.params;
                 // encode once per round; every neighbor hears the same
                 // radio-style broadcast transmission
-                let (shared, bytes) = match peer.codec.as_mut() {
-                    Some(codec) => {
-                        let block = codec.compress(&peer.model);
-                        // what the neighbors actually hear: the decoded,
-                        // possibly lossy reconstruction
-                        let params = decompress(&block, None).map_err(|e| {
-                            TopoRunError::Edge(crate::edge::EdgeError::Decode {
-                                edge: peer.id,
-                                sender: peer.id,
-                                detail: e.to_string(),
-                            })
-                        })?;
-                        let payload = Payload::CompressedUpdate {
-                            block,
-                            start_version: r,
-                            n_samples: update.n_samples,
-                            n_steps: update.n_steps,
-                        };
-                        (params, payload_wire_len(&payload))
-                    }
-                    None => {
-                        let payload = Payload::Update {
-                            params: peer.model.clone(),
-                            start_version: r,
-                            n_samples: update.n_samples,
-                            n_steps: update.n_steps,
-                        };
-                        let bytes = payload_wire_len(&payload);
-                        (peer.model.clone(), bytes)
-                    }
-                };
+                let payload = Payload::update(
+                    peer.model.clone(),
+                    peer.codec.as_deref_mut(),
+                    r,
+                    update.n_samples,
+                    update.n_steps,
+                    None,
+                );
+                let bytes = payload_wire_len(&payload);
+                // what the neighbors actually hear: the decoded, possibly
+                // lossy reconstruction (the model itself without a codec)
+                let shared = payload
+                    .as_update()
+                    .map_or_else(|| Ok(peer.model.clone()), |u| u.to_params(|_| None))
+                    .map_err(|e| {
+                        TopoRunError::Edge(crate::edge::EdgeError::Decode {
+                            edge: peer.id,
+                            sender: peer.id,
+                            detail: e.to_string(),
+                        })
+                    })?;
                 let fanout = self.plan.neighbors(r, peer.id).len() as u64;
                 let comm = profile.comm_secs(bytes);
                 let sent_at = peer.clock + comm;

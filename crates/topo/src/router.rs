@@ -116,11 +116,6 @@ impl TopoReport {
     pub fn leaf_bytes_up(&self) -> u64 {
         self.bytes_up.last().copied().unwrap_or(0)
     }
-
-    /// Bytes crossing the leaf (client) tier toward the clients.
-    pub fn leaf_bytes_down(&self) -> u64 {
-        self.bytes_down.last().copied().unwrap_or(0)
-    }
 }
 
 /// The merge discipline a config implies: partial aggregation only pays off
