@@ -127,14 +127,15 @@ fn standalone_star_route_is_the_unchanged_runner() {
     assert!(topo.is_none(), "the star has no per-tier report");
 }
 
+const GOSSIP2: Topology = Topology::Gossip {
+    degree: 2,
+    rounds: 0,
+};
+
 #[test]
 fn standalone_gossip_is_deterministic() {
-    let g = Topology::Gossip {
-        degree: 2,
-        rounds: 0,
-    };
-    let (r1, t1) = run_course_auto(course(6, 44, g)).expect("gossip run 1");
-    let (r2, t2) = run_course_auto(course(6, 44, g)).expect("gossip run 2");
+    let (r1, t1) = run_course_auto(course(6, 44, GOSSIP2)).expect("gossip run 1");
+    let (r2, t2) = run_course_auto(course(6, 44, GOSSIP2)).expect("gossip run 2");
     assert_eq!(r1, r2, "same seed, same gossip course");
     assert_eq!(
         t1.expect("gossip topo report"),
@@ -144,15 +145,55 @@ fn standalone_gossip_is_deterministic() {
     assert!(r1.uploaded_bytes > 0, "peers exchanged models");
 }
 
+/// `CourseReport` + monitor stream + tier-1 counter + `TopoReport` of
+/// [`standalone_gossip_is_deterministic`]'s course, folded like
+/// [`hier_fingerprint`].
+fn gossip_fingerprint(upload: Option<CodecSpec>) -> u64 {
+    let mut runner = course(6, 44, GOSSIP2);
+    // the gossip runner builds its per-peer codecs from the course config
+    runner.server.state.cfg.compression.upload = upload;
+    let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
+    let mut course = TopoCourse::assemble(runner)
+        .expect("gossip plan")
+        .with_monitor(MonitorHandle::from_shared(monitor.clone()));
+    let (report, topo) = course.run().expect("gossip course");
+    drop(course);
+    let mon = extract(monitor);
+    assert_eq!(report.history.len(), 3, "scored every round");
+    let mut h = Fnv::new();
+    fold_course(&mut h, &report, &mon);
+    let tier = bytes_up_counter(1);
+    h.field(tier, &mon.counter(tier).to_string());
+    h.field("topo", &format!("{:?}", topo.expect("one-tier report")));
+    h.finish()
+}
+
+/// Captured before the two gossip runners were folded onto one peer
+/// (`SCHED_EQ_CAPTURE=1 cargo test --test topo_equivalence -- --nocapture`
+/// re-captures). The TopK cell runs the per-sender codec and the lossy
+/// reconstruction every neighbor merges.
+const GOLDEN_GOSSIP: &[(&str, u64)] = &[
+    ("gossip:2/identity", 0xa8113c6b883abd12),
+    ("gossip:2/topk", 0xa01153a196a294aa),
+];
+
+#[test]
+fn gossip_courses_match_pre_fold_pin() {
+    let codecs = [
+        ("identity", None),
+        ("topk", Some(CodecSpec::TopK { ratio: 0.25 })),
+    ];
+    for (cname, upload) in codecs {
+        let label = format!("gossip:2/{cname}");
+        check(&label, gossip_fingerprint(upload), GOLDEN_GOSSIP);
+    }
+}
+
 #[test]
 fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
     // regression: `CourseBuilder::new(.., hier/gossip cfg).build().run()` used
     // to ignore the topology and quietly run a star
-    let gossip = Topology::Gossip {
-        degree: 2,
-        rounds: 0,
-    };
-    for topology in [HIER2, gossip] {
+    for topology in [HIER2, GOSSIP2] {
         let mut runner = course(8, 41, topology);
         // not a lint a verify mode can wave through
         runner.server.state.cfg.verify = fedscope::verify::VerifyMode::Skip;
@@ -202,13 +243,9 @@ fn threaded_driver_routes_by_topology_instead_of_running_a_silent_star() {
         "routed, yet the star's course"
     );
 
-    let gossip = Topology::Gossip {
-        degree: 2,
-        rounds: 0,
-    };
     use fedscope::verify::VerifyMode;
     for mode in [VerifyMode::Enforce, VerifyMode::Warn, VerifyMode::Skip] {
-        let mut runner = course_no_eval(6, 45, gossip);
+        let mut runner = course_no_eval(6, 45, GOSSIP2);
         runner.server.state.cfg.verify = mode;
         let clients: Vec<_> = runner.clients.into_values().collect();
         match run_distributed(runner.server, clients, BUDGET) {
@@ -365,11 +402,7 @@ fn tcp_hier_identity_matches_star_report() {
 
 #[test]
 fn bus_gossip_collects_every_peer_and_scores_once() {
-    let g = Topology::Gossip {
-        degree: 2,
-        rounds: 0,
-    };
-    let runner = course(6, 48, g); // central evaluator kept: one final score
+    let runner = course(6, 48, GOSSIP2); // central evaluator kept: one final score
     let report =
         run_gossip_distributed(runner, BUDGET, BusRunOptions::default()).expect("gossip bus run");
     assert_eq!(report.rounds, 3);
@@ -380,15 +413,17 @@ fn bus_gossip_collects_every_peer_and_scores_once() {
         1,
         "one central score of the consensus"
     );
+    // the threaded peers do the virtual-time runner's arithmetic: the final
+    // consensus scores bit for bit what that runner scored after its last round
+    let (virtual_time, _) = run_course_auto(course(6, 48, GOSSIP2)).expect("virtual-time gossip");
+    let last = virtual_time.history.last().expect("scored every round");
+    assert_eq!(last.round, 3);
+    assert_eq!(report.history[0].metrics, last.metrics);
 }
 
 #[test]
 fn tcp_gossip_collects_every_peer() {
-    let g = Topology::Gossip {
-        degree: 2,
-        rounds: 0,
-    };
-    let runner = course_no_eval(5, 49, g);
+    let runner = course_no_eval(5, 49, GOSSIP2);
     let report =
         run_gossip_distributed(runner, BUDGET, TcpRunOptions::default()).expect("gossip tcp run");
     assert_eq!(report.rounds, 3);
@@ -403,10 +438,6 @@ fn gossip_over_a_lossy_transport_is_refused_up_front() {
     use fedscope::net::tcp::ReconnectPolicy;
     use fedscope::net::FaultPlan;
     use fedscope::topo::TopoRunError;
-    let g = Topology::Gossip {
-        degree: 2,
-        rounds: 0,
-    };
     let refused = |outcome: Result<_, TopoRunError>| match outcome {
         Err(TopoRunError::Distributed(DistributedError::Unsupported(what))) => {
             assert!(what.contains("gossip"), "{what}")
@@ -419,7 +450,7 @@ fn gossip_over_a_lossy_transport_is_refused_up_front() {
         ..Default::default()
     };
     refused(run_gossip_distributed(
-        course_no_eval(4, 50, g),
+        course_no_eval(4, 50, GOSSIP2),
         BUDGET,
         bus,
     ));
@@ -428,7 +459,7 @@ fn gossip_over_a_lossy_transport_is_refused_up_front() {
         ..Default::default()
     };
     refused(run_gossip_distributed(
-        course_no_eval(4, 50, g),
+        course_no_eval(4, 50, GOSSIP2),
         BUDGET,
         tcp,
     ));
