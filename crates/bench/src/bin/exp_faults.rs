@@ -8,6 +8,8 @@
 //!   casualties named in the dropout record;
 //! * `flaky_rejoin` (TCP only) — one client bounces under a reconnect policy;
 //!   the course must finish and the server must count at least one rejoin.
+//!   The cell runs [`FLAKY_ROUNDS_FACTOR`]× the grid's rounds with a 1 ms
+//!   backoff, so the rejoin never depends on a round outlasting a backoff.
 //!
 //! Each cell also cross-checks the monitor's `clients.dropouts` /
 //! `clients.reconnects` counters against the server's own record.
@@ -133,6 +135,10 @@ fn build_course(
     (runner.server, runner.clients.into_values().collect())
 }
 
+/// How many times the grid's round count a `flaky_rejoin` cell runs: on
+/// loopback the plain course is over before one reconnect backoff elapses.
+const FLAKY_ROUNDS_FACTOR: u64 = 100;
+
 /// The first `k` client ids, which the profile condemns to a mid-course
 /// disconnect.
 fn condemned(k: usize) -> Vec<ParticipantId> {
@@ -170,6 +176,12 @@ fn main() {
             }
             for profile in profiles {
                 let cell = format!("{}/{}/{}", backend.label(), strat.label(), profile.label());
+                let flaky = matches!(profile, Profile::FlakyRejoin);
+                let rounds = if flaky {
+                    rounds * FLAKY_ROUNDS_FACTOR
+                } else {
+                    rounds
+                };
                 let (server, clients) = build_course(n, rounds, seed, strat, topology);
                 let faults = match profile {
                     Profile::None => None,
@@ -206,8 +218,10 @@ fn main() {
                         TcpRunOptions {
                             addr: None,
                             faults,
-                            reconnect: matches!(profile, Profile::FlakyRejoin)
-                                .then(ReconnectPolicy::default),
+                            reconnect: flaky.then(|| ReconnectPolicy {
+                                base_delay: Duration::from_millis(1),
+                                ..Default::default()
+                            }),
                             monitor: handle,
                         },
                     ),

@@ -103,6 +103,9 @@ pub enum DistributedError {
     Bus(BusError),
     /// The server could not bind its listening address.
     Bind(std::io::Error),
+    /// A socket operation failed terminally: a refused dial, a link lost
+    /// with no reconnect policy or with its retries spent.
+    Io(String),
     /// A participant sent bytes the wire codec rejects.
     Codec(String),
     /// A client worker panicked.
@@ -130,6 +133,7 @@ impl fmt::Display for DistributedError {
             }
             DistributedError::Bus(e) => write!(f, "bus error: {e}"),
             DistributedError::Bind(e) => write!(f, "failed to bind server address: {e}"),
+            DistributedError::Io(e) => write!(f, "socket failure: {e}"),
             DistributedError::Codec(e) => write!(f, "wire codec failure: {e}"),
             DistributedError::ClientPanic { id, detail } => {
                 write!(f, "client {id} panicked: {detail}")
@@ -164,10 +168,12 @@ impl From<BusError> for DistributedError {
 
 impl From<TcpError> for DistributedError {
     fn from(e: TcpError) -> Self {
-        DistributedError::Codec(match e {
-            TcpError::Codec(c) => c.to_string(),
-            other => other.to_string(),
-        })
+        match e {
+            TcpError::Codec(c) => DistributedError::Codec(c.to_string()),
+            TcpError::FrameTooLarge(_) => DistributedError::Codec(e.to_string()),
+            TcpError::Io(io) => DistributedError::Io(io.to_string()),
+            TcpError::Closed | TcpError::UnknownReceiver(_) => DistributedError::Io(e.to_string()),
+        }
     }
 }
 
@@ -1058,6 +1064,58 @@ mod tests {
             vec![2],
             "the outage stays on record"
         );
+    }
+
+    #[test]
+    fn a_client_rejoining_after_finish_is_told_the_course_is_over() {
+        // the `Finish` broadcast was written to the connection that had just
+        // died; without a second one the rejoiner blocks in `recv` and the
+        // course waits for its report until the wall budget
+        let finishes = |port: &ScriptPort, id: ParticipantId| {
+            let to_id = port.sent.iter().filter(|msg| msg.receiver == id);
+            to_id.filter(|msg| msg.kind == MessageKind::Finish).count()
+        };
+        for reports_after_rejoin in [true, false] {
+            let (mut m, mut port, t0) = joined(3, Topology::Star);
+            port.dead.insert(2);
+            feed(&mut m, &mut port, t0, vec![LoopEvent::Closed(2)]);
+            // clients 1 and 3 carry both rounds; the server terminates
+            for round in 0..2u64 {
+                let update = |id| {
+                    let payload = Payload::Update {
+                        params: m.server.state.global.clone(),
+                        start_version: round,
+                        n_samples: 1,
+                        n_steps: 1,
+                    };
+                    let msg = Message::new(id, SERVER_ID, MessageKind::Updates, round, payload);
+                    LoopEvent::Message(msg)
+                };
+                let updates = vec![update(1), update(3)];
+                feed(&mut m, &mut port, t0, updates);
+            }
+            assert!(m.finished, "the server terminated the course");
+            assert_eq!((finishes(&port, 1), finishes(&port, 2)), (1, 0));
+            feed(&mut m, &mut port, t0, vec![report(1), report(3)]);
+            assert!(m.complete(), "2 is gone, everyone else reported");
+
+            port.dead.clear();
+            feed(&mut m, &mut port, t0, vec![LoopEvent::Rejoined(2)]);
+            assert!(!m.complete(), "the rejoiner's report is awaited again");
+            assert_eq!(finishes(&port, 2), 1, "and it is told to send it");
+            assert_eq!(finishes(&port, 1), 1, "nobody else hears it twice");
+            let settles = if reports_after_rejoin {
+                report(2)
+            } else {
+                LoopEvent::Closed(2)
+            };
+            feed(&mut m, &mut port, t0, vec![settles]);
+            assert!(m.complete());
+            assert_eq!(
+                m.server.state.client_reports.len(),
+                2 + usize::from(reports_after_rejoin)
+            );
+        }
     }
 
     #[test]

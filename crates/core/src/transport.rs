@@ -289,9 +289,8 @@ impl ServerPort for TcpPort {
 
 struct TcpLink {
     peer: ResilientPeer,
-    addr: SocketAddr,
-    id: ParticipantId,
-    reconnect: Option<ReconnectPolicy>,
+    /// A reconnect policy is set: an outage is survivable.
+    recovers: bool,
     /// Announced participants are infrastructure processes (relays, peers):
     /// an injected disconnect models the process crashing, and under a
     /// reconnect policy it restarts on a fresh, healthy connection.
@@ -312,9 +311,7 @@ impl TcpLink {
         }
         let mut link = TcpLink {
             peer,
-            addr,
-            id,
-            reconnect,
+            recovers: reconnect.is_some(),
             announced,
         };
         if announced {
@@ -328,21 +325,18 @@ impl TcpLink {
 
 impl Link for TcpLink {
     fn send(&mut self, msg: &Message) -> Result<SendOutcome, DistributedError> {
-        match (self.peer.send(msg)?, self.reconnect) {
-            (SendOutcome::Disconnected, Some(policy)) => {
+        match self.peer.send(msg)? {
+            SendOutcome::Disconnected if self.recovers => {
                 if self.announced {
                     // the first frame of the fresh connection is the rejoin
                     // handshake, so the hub swaps generations and the server
                     // sees `Rejoined`
-                    self.peer = ResilientPeer::connect(self.addr, self.id)?.with_reconnect(policy);
-                    let rejoin =
-                        Message::new(self.id, SERVER_ID, MessageKind::Rejoin, 0, Payload::Empty);
-                    self.peer.send(&rejoin)?;
+                    self.peer.restart()?;
                 }
                 // otherwise the peer's next operation reconnects by itself
                 Ok(SendOutcome::Dropped)
             }
-            (outcome, _) => Ok(outcome),
+            outcome => Ok(outcome),
         }
     }
 

@@ -8,201 +8,68 @@
 //! one central evaluation of the consensus.
 
 use crate::bytes_up_counter;
+use crate::gossip::{consensus, GossipRunner, Peer, Share};
 use crate::router::{check_plan, TopoRunError};
-use fs_compress::Compressor;
 use fs_core::distributed::{
     Course, DistributedError, Link, LoopEvent, ServerPort, Session, Transport, WorkerOutcome,
 };
-use fs_core::eval::EvalRecord;
+use fs_core::eval::{EvalRecord, GlobalEvaluator};
 use fs_core::runner::{CourseReport, StandaloneRunner};
-use fs_core::trainer::Trainer;
 use fs_monitor::MonitorHandle;
 use fs_net::wire::payload_wire_len;
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SendOutcome, TopologyPlan, SERVER_ID};
 use fs_sim::VirtualTime;
+use fs_tensor::ParamMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One gossip participant's threaded state: train, share, buffer, merge.
-struct GossipPeer {
-    id: ParticipantId,
-    trainer: Box<dyn Trainer>,
-    model: fs_tensor::ParamMap,
-    codec: Option<Box<dyn Compressor>>,
-    plan: Arc<TopologyPlan>,
-    /// Inbound models buffered by round: sender → (params, n_samples).
-    buffer: BTreeMap<u64, BTreeMap<ParticipantId, (fs_tensor::ParamMap, u64)>>,
+/// The final frame: the peer's model, shipped to the harness for the central
+/// observation of the decentralized consensus.
+fn final_report(peer: &Peer, rounds: u64) -> Message {
+    let payload = Payload::Update {
+        params: peer.model.clone(),
+        start_version: rounds,
+        n_samples: peer.trainer.num_train_samples() as u64,
+        n_steps: 0,
+    };
+    Message::new(peer.id, SERVER_ID, MessageKind::Updates, rounds, payload)
 }
 
-impl GossipPeer {
-    /// Trains one round and returns the payload to share plus the neighbor
-    /// sample. Compressed payloads are decoded back locally so the sender
-    /// buffers exactly what its neighbors will hear.
-    fn train(&mut self, round: u64) -> (Payload, Vec<ParticipantId>) {
-        let update = self.trainer.local_train(&self.model, round);
-        self.model = update.params;
-        let payload = Payload::update(
-            self.model.clone(),
-            self.codec.as_deref_mut(),
-            round,
-            update.n_samples,
-            update.n_steps,
-            None,
-        );
-        (payload, self.plan.neighbors(round, self.id))
-    }
-
-    /// Buffers an inbound share (decoding a compressed one).
-    fn absorb(&mut self, msg: Message) -> Result<(), String> {
-        let Some(update) = msg.payload.as_update() else {
-            return Ok(()); // not a model share — ignore
-        };
-        let params = update.to_params(|_| None).map_err(|e| e.to_string())?;
-        let n_samples = update.n_samples;
-        self.buffer
-            .entry(msg.round)
-            .or_default()
-            .insert(msg.sender, (params, n_samples));
-        Ok(())
-    }
-
-    /// Whether every share the schedule promises for `round` has arrived.
-    fn ready(&self, round: u64) -> bool {
-        let have = self.buffer.get(&round);
-        self.plan
-            .inbound(round, self.id)
-            .iter()
-            .all(|src| have.is_some_and(|m| m.contains_key(src)))
-    }
-
-    /// Sample-weighted merge of the own model with the round's inbound
-    /// shares (the standalone gossip runner's arithmetic).
-    fn merge(&mut self, round: u64) {
-        let inbound = self.plan.inbound(round, self.id);
-        let shares = self.buffer.remove(&round).unwrap_or_default();
-        let own_weight = self.trainer.num_train_samples() as u64;
-        let mut total = own_weight;
-        for src in &inbound {
-            if let Some((_, n)) = shares.get(src) {
-                total += *n;
-            }
-        }
-        let contributions = 1 + inbound.len();
-        let weight_of = |n: u64| {
-            if total > 0 {
-                n as f32 / total as f32
-            } else {
-                1.0 / contributions as f32
-            }
-        };
-        let mut merged = self.model.zeros_like();
-        merged.add_scaled(weight_of(own_weight), &self.model);
-        for src in &inbound {
-            if let Some((params, n)) = shares.get(src) {
-                merged.add_scaled(weight_of(*n), params);
-            }
-        }
-        self.model = merged;
-    }
-
-    /// The final frame: the peer's model, shipped to the harness for the
-    /// central observation of the decentralized consensus.
-    fn final_report(&self, rounds: u64) -> Message {
-        Message::new(
-            self.id,
-            SERVER_ID,
-            MessageKind::Updates,
-            rounds,
-            Payload::Update {
-                params: self.model.clone(),
-                start_version: rounds,
-                n_samples: self.trainer.num_train_samples() as u64,
-                n_steps: 0,
-            },
-        )
-    }
-}
-
-/// Shared post-run assembly: uniform-average the final models, score them
-/// centrally once, and shape the familiar report.
+/// Post-run assembly: score the consensus of the final models centrally,
+/// once, and shape the familiar report.
 fn gossip_report(
-    finals: BTreeMap<ParticipantId, fs_tensor::ParamMap>,
-    evaluator: &mut Option<fs_core::eval::GlobalEvaluator>,
+    finals: BTreeMap<ParticipantId, ParamMap>,
+    evaluator: Option<GlobalEvaluator>,
     rounds: u64,
     eval_every: u64,
     monitor: &MonitorHandle,
 ) -> CourseReport {
-    let n = finals.len();
     let mut history: Vec<EvalRecord> = Vec::new();
-    if let Some(ev) = evaluator.as_mut() {
-        if eval_every > 0 && n > 0 {
-            let mut avg = None;
-            let w = 1.0 / n as f32;
-            for params in finals.values() {
-                let acc = avg.get_or_insert_with(|| params.zeros_like());
-                acc.add_scaled(w, params);
-            }
-            if let Some(avg) = avg {
-                let metrics = ev.eval_at(rounds, &avg);
-                history.push(EvalRecord {
-                    round: rounds,
-                    time_secs: 0.0,
-                    metrics,
-                });
-                monitor.round(rounds, VirtualTime::ZERO, &metrics);
-            }
+    if let Some(mut ev) = evaluator.filter(|_| eval_every > 0) {
+        if let Some(avg) = consensus(finals.values()) {
+            let metrics = ev.eval_at(rounds, &avg);
+            history.push(EvalRecord {
+                round: rounds,
+                time_secs: 0.0,
+                metrics,
+            });
+            monitor.round(rounds, VirtualTime::ZERO, &metrics);
         }
     }
     CourseReport {
         rounds,
         history,
         finish_reason: "gossip rounds complete".to_string(),
-        total_updates: n as u64,
+        total_updates: finals.len() as u64,
         ..Default::default()
     }
-}
-
-/// What [`gossip_parts`] extracts from a star course: the peers, the round
-/// count, the eval cadence, and the server's evaluator.
-type GossipParts = (
-    Vec<GossipPeer>,
-    u64,
-    u64,
-    Option<fs_core::eval::GlobalEvaluator>,
-);
-
-/// Dismantles an assembled star course into threaded gossip peers.
-fn gossip_parts(runner: StandaloneRunner) -> Result<GossipParts, TopoRunError> {
-    let server = runner.server;
-    let clients = runner.clients;
-    let cfg = server.state.cfg.clone();
-    let plan = Arc::new(TopologyPlan::build(cfg.topology, clients.len(), cfg.seed)?);
-    check_plan(cfg.verify, &plan)?;
-    let rounds = match cfg.topology {
-        fs_net::Topology::Gossip { rounds, .. } if rounds > 0 => rounds as u64,
-        _ => cfg.total_rounds,
-    };
-    let global = server.state.global.clone();
-    let upload = cfg.compression.upload;
-    let peers = clients
-        .into_values()
-        .map(|c| GossipPeer {
-            id: c.state.id,
-            trainer: c.state.trainer,
-            model: global.clone(),
-            codec: upload.map(fs_core::config::CodecSpec::build),
-            plan: Arc::clone(&plan),
-            buffer: BTreeMap::new(),
-        })
-        .collect();
-    Ok((peers, rounds, cfg.eval_every, server.state.evaluator))
 }
 
 /// The harness's side of a gossip course: collect every peer's final model.
 struct Finals {
     expected: usize,
-    models: BTreeMap<ParticipantId, fs_tensor::ParamMap>,
+    models: BTreeMap<ParticipantId, ParamMap>,
 }
 
 impl Course for Finals {
@@ -255,38 +122,46 @@ pub fn run_gossip_distributed<T: Transport>(
         let what = "gossip over a transport with fault injection or reconnect";
         return Err(DistributedError::Unsupported(what.to_string()).into());
     }
-    let (peers, rounds, eval_every, mut evaluator) = gossip_parts(runner)?;
-    let ids: Vec<ParticipantId> = peers.iter().map(|p| p.id).collect();
+    let course = GossipRunner::from_standalone(runner)?;
+    check_plan(course.cfg.verify, &course.plan)?;
+    let (rounds, plan) = (course.rounds, Arc::new(course.plan));
+    let ids: Vec<ParticipantId> = course.peers.iter().map(|p| p.id).collect();
     let mut session = Session::open(transport, &ids, wall_budget)?;
     let monitor = session.monitor.clone();
     let mut finals = Finals {
-        expected: peers.len(),
+        expected: ids.len(),
         models: BTreeMap::new(),
     };
-    for peer in peers {
-        let monitor = monitor.clone();
+    for peer in course.peers {
+        let (plan, monitor) = (Arc::clone(&plan), monitor.clone());
         session.spawn(peer.id, true, move |link| {
-            gossip_worker(peer, rounds, link, monitor)
+            gossip_worker(peer, &plan, rounds, link, monitor)
         })?;
     }
     session.run(&mut finals)?;
     Ok(gossip_report(
         finals.models,
-        &mut evaluator,
+        course.evaluator,
         rounds,
-        eval_every,
+        course.cfg.eval_every,
         &monitor,
     ))
 }
 
+/// One threaded peer: train, share with the round's neighbors, buffer
+/// inbound shares by round until every one the schedule promises has arrived,
+/// merge — then ship the final model.
 fn gossip_worker(
-    mut peer: GossipPeer,
+    mut peer: Peer,
+    plan: &TopologyPlan,
     rounds: u64,
     link: &mut dyn Link,
     monitor: MonitorHandle,
 ) -> Result<WorkerOutcome, DistributedError> {
+    let mut buffer: BTreeMap<u64, BTreeMap<ParticipantId, Share>> = BTreeMap::new();
     for r in 0..rounds {
-        let (payload, neighbors) = peer.train(r);
+        let (payload, _examples) = peer.train(r);
+        let neighbors = plan.neighbors(r, peer.id);
         let bytes = payload_wire_len(&payload) as u64;
         monitor.add(bytes_up_counter(1), bytes * neighbors.len() as u64);
         for nb in neighbors {
@@ -297,17 +172,29 @@ fn gossip_worker(
                 return Ok(WorkerOutcome::Disconnected);
             }
         }
-        while !peer.ready(r) {
+        let inbound = plan.inbound(r, peer.id);
+        let heard = |shares: Option<&BTreeMap<_, _>>| {
+            inbound
+                .iter()
+                .all(|src| shares.is_some_and(|m| m.contains_key(src)))
+        };
+        while !heard(buffer.get(&r)) {
             let Some(msg) = link.recv()? else {
                 return Ok(WorkerOutcome::Disconnected);
             };
-            if msg.kind == MessageKind::Updates {
-                peer.absorb(msg).map_err(DistributedError::Codec)?;
+            if msg.kind != MessageKind::Updates {
+                continue;
+            }
+            if let Some(share) = Share::decode(&msg.payload).map_err(DistributedError::Codec)? {
+                buffer
+                    .entry(msg.round)
+                    .or_default()
+                    .insert(msg.sender, share);
             }
         }
-        peer.merge(r);
+        peer.merge(&inbound, &buffer.remove(&r).unwrap_or_default());
     }
-    if link.send(&peer.final_report(rounds))? == SendOutcome::Disconnected {
+    if link.send(&final_report(&peer, rounds))? == SendOutcome::Disconnected {
         return Ok(WorkerOutcome::Disconnected);
     }
     Ok(WorkerOutcome::Finished)

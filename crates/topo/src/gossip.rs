@@ -34,22 +34,97 @@ use fs_sim::{Fleet, VirtualTime};
 use fs_tensor::ParamMap;
 use std::collections::BTreeMap;
 
-/// One gossip participant: its trainer, model, codec, and local clock.
-struct Peer {
-    id: ParticipantId,
-    trainer: Box<dyn Trainer>,
-    model: ParamMap,
+/// One gossip participant: its trainer, model, codec, and local clock. Both
+/// runners drive this one peer — virtual time here, real threads in
+/// [`crate::distributed`] (which leaves the clock alone).
+pub(crate) struct Peer {
+    pub(crate) id: ParticipantId,
+    pub(crate) trainer: Box<dyn Trainer>,
+    pub(crate) model: ParamMap,
     codec: Option<Box<dyn Compressor>>,
     /// Local virtual clock, seconds.
     clock: f64,
 }
 
-/// What one peer shares in a round: its (possibly lossy) model and weight.
-struct Share {
+/// What one peer shares in a round, as its neighbors hear it: the decoded —
+/// possibly lossy — model and its weight.
+pub(crate) struct Share {
     params: ParamMap,
     n_samples: u64,
-    /// When the sender's radio finished transmitting.
-    sent_at: f64,
+}
+
+impl Share {
+    /// Decodes a shared update payload; `Ok(None)` for any other payload.
+    pub(crate) fn decode(payload: &Payload) -> Result<Option<Share>, String> {
+        let Some(update) = payload.as_update() else {
+            return Ok(None);
+        };
+        let params = update.to_params(|_| None).map_err(|e| e.to_string())?;
+        Ok(Some(Share {
+            params,
+            n_samples: update.n_samples,
+        }))
+    }
+}
+
+impl Peer {
+    /// Trains one round on the peer's own model and encodes the result once —
+    /// every neighbor hears the same radio-style broadcast. Returns the
+    /// payload to share and the examples processed (the compute charge).
+    pub(crate) fn train(&mut self, round: u64) -> (Payload, usize) {
+        let update = self.trainer.local_train(&self.model, round);
+        self.model = update.params;
+        let payload = Payload::update(
+            self.model.clone(),
+            self.codec.as_deref_mut(),
+            round,
+            update.n_samples,
+            update.n_steps,
+            None,
+        );
+        (payload, update.examples_processed)
+    }
+
+    /// Sample-weighted merge of the own model with the shares of `inbound`
+    /// (the senders the schedule promises, in schedule order); returns how
+    /// many were folded in.
+    pub(crate) fn merge(
+        &mut self,
+        inbound: &[ParticipantId],
+        shares: &BTreeMap<ParticipantId, Share>,
+    ) -> u64 {
+        let heard: Vec<&Share> = inbound.iter().filter_map(|src| shares.get(src)).collect();
+        let own_weight = self.trainer.num_train_samples() as u64;
+        let total = own_weight + heard.iter().map(|s| s.n_samples).sum::<u64>();
+        let weight_of = |n: u64| {
+            if total > 0 {
+                n as f32 / total as f32
+            } else {
+                1.0 / (1 + inbound.len()) as f32
+            }
+        };
+        let mut merged = self.model.zeros_like();
+        merged.add_scaled(weight_of(own_weight), &self.model);
+        for share in &heard {
+            merged.add_scaled(weight_of(share.n_samples), &share.params);
+        }
+        self.model = merged;
+        heard.len() as u64
+    }
+}
+
+/// The uniform average of the peers' models — the decentralized consensus a
+/// central observer scores. `None` without peers.
+pub(crate) fn consensus<'a>(
+    models: impl ExactSizeIterator<Item = &'a ParamMap>,
+) -> Option<ParamMap> {
+    let w = 1.0 / models.len() as f32;
+    let mut avg: Option<ParamMap> = None;
+    for model in models {
+        avg.get_or_insert_with(|| model.zeros_like())
+            .add_scaled(w, model);
+    }
+    avg
 }
 
 /// Outcome of a gossip course: the familiar report shape plus per-tier
@@ -62,17 +137,18 @@ pub struct GossipOutcome {
     pub topo: TopoReport,
 }
 
-/// Runs a serverless gossip course under virtual time.
+/// A gossip course: the peers a star course was dismantled into, run under
+/// virtual time by [`GossipRunner::run`] or handed to the threaded runner.
 pub struct GossipRunner {
     /// The realized topology (carries degree and the neighbor schedule).
     pub plan: TopologyPlan,
     /// Device profiles.
     pub fleet: Fleet,
-    cfg: FlConfig,
-    peers: Vec<Peer>,
-    evaluator: Option<GlobalEvaluator>,
+    pub(crate) cfg: FlConfig,
+    pub(crate) peers: Vec<Peer>,
+    pub(crate) evaluator: Option<GlobalEvaluator>,
     monitor: MonitorHandle,
-    rounds: u64,
+    pub(crate) rounds: u64,
 }
 
 impl GossipRunner {
@@ -128,107 +204,54 @@ impl GossipRunner {
         let mut uploaded_bytes = 0u64;
         let mut msgs = 0u64;
         for r in 0..self.rounds {
-            // 1. local training: every peer refines its own model
+            // 1. local training: every peer refines its own model and puts
+            // it on the air; `sent_at` is when its radio finished
             let mut shares: BTreeMap<ParticipantId, Share> = BTreeMap::new();
+            let mut sent_at: BTreeMap<ParticipantId, f64> = BTreeMap::new();
             for peer in self.peers.iter_mut() {
-                let update = peer.trainer.local_train(&peer.model, r);
+                let (payload, examples) = peer.train(r);
                 let profile = self.fleet.profile(peer.id);
-                peer.clock += profile.compute_secs(update.examples_processed);
-                peer.model = update.params;
-                // encode once per round; every neighbor hears the same
-                // radio-style broadcast transmission
-                let payload = Payload::update(
-                    peer.model.clone(),
-                    peer.codec.as_deref_mut(),
-                    r,
-                    update.n_samples,
-                    update.n_steps,
-                    None,
-                );
                 let bytes = payload_wire_len(&payload);
+                peer.clock += profile.compute_secs(examples);
+                peer.clock += profile.comm_secs(bytes);
+                sent_at.insert(peer.id, peer.clock);
                 // what the neighbors actually hear: the decoded, possibly
                 // lossy reconstruction (the model itself without a codec)
-                let shared = payload
-                    .as_update()
-                    .map_or_else(|| Ok(peer.model.clone()), |u| u.to_params(|_| None))
-                    .map_err(|e| {
-                        TopoRunError::Edge(crate::edge::EdgeError::Decode {
-                            edge: peer.id,
-                            sender: peer.id,
-                            detail: e.to_string(),
-                        })
-                    })?;
+                let share = Share::decode(&payload).map_err(|detail| {
+                    TopoRunError::Edge(crate::edge::EdgeError::Decode {
+                        edge: peer.id,
+                        sender: peer.id,
+                        detail,
+                    })
+                })?;
+                if let Some(share) = share {
+                    shares.insert(peer.id, share);
+                }
                 let fanout = self.plan.neighbors(r, peer.id).len() as u64;
-                let comm = profile.comm_secs(bytes);
-                let sent_at = peer.clock + comm;
-                peer.clock = sent_at;
                 uploaded_bytes += bytes as u64 * fanout;
                 msgs += fanout;
                 self.monitor.add(counters::MESSAGES_SENT, fanout);
                 self.monitor
                     .add(counters::UPLOADED_BYTES, bytes as u64 * fanout);
                 self.monitor.add(bytes_up_counter(1), bytes as u64 * fanout);
-                shares.insert(
-                    peer.id,
-                    Share {
-                        params: shared,
-                        n_samples: update.n_samples,
-                        sent_at,
-                    },
-                );
             }
             // 2. merge: each peer folds in exactly the inbound models the
             // shared schedule promises it, waiting for the slowest sender
             for peer in self.peers.iter_mut() {
                 let inbound = self.plan.inbound(r, peer.id);
-                let own_weight = peer.trainer.num_train_samples() as u64;
-                let mut total = own_weight;
-                let mut ready_at = peer.clock;
-                for &src in &inbound {
-                    if let Some(share) = shares.get(&src) {
-                        total += share.n_samples;
-                        ready_at = ready_at.max(share.sent_at);
-                    }
-                }
-                let mut merged = peer.model.zeros_like();
-                let contributions = 1 + inbound.len();
-                let weight_of = |n: u64| {
-                    if total > 0 {
-                        n as f32 / total as f32
-                    } else {
-                        1.0 / contributions as f32
-                    }
-                };
-                merged.add_scaled(weight_of(own_weight), &peer.model);
-                for &src in &inbound {
-                    if let Some(share) = shares.get(&src) {
-                        merged.add_scaled(weight_of(share.n_samples), &share.params);
-                        exchanges += 1;
-                        self.monitor.add(counters::MESSAGES_DELIVERED, 1);
-                    }
-                }
-                peer.model = merged;
-                peer.clock = ready_at;
+                let merged = peer.merge(&inbound, &shares);
+                exchanges += merged;
+                self.monitor.add(counters::MESSAGES_DELIVERED, merged);
+                let arrivals = inbound.iter().filter_map(|src| sent_at.get(src));
+                peer.clock = arrivals.fold(peer.clock, |at, &sent| at.max(sent));
             }
             // 3. central observation of the decentralized consensus
-            if let Some(ev) = self.evaluator.as_mut() {
-                let round = r + 1;
-                if self.cfg.eval_every > 0 && round % self.cfg.eval_every == 0 {
-                    let mut avg = match self.peers.first() {
-                        Some(p) => p.model.zeros_like(),
-                        None => ParamMap::new(),
-                    };
-                    let w = 1.0 / self.peers.len().max(1) as f32;
-                    for peer in &self.peers {
-                        avg.add_scaled(w, &peer.model);
-                    }
+            let round = r + 1;
+            let due = self.cfg.eval_every > 0 && round % self.cfg.eval_every == 0;
+            if let Some(ev) = self.evaluator.as_mut().filter(|_| due) {
+                if let Some(avg) = consensus(self.peers.iter().map(|p| &p.model)) {
                     let metrics = ev.eval_at(round, &avg);
-                    let time_secs = self
-                        .peers
-                        .iter()
-                        .map(|p| p.clock)
-                        // fsa::allow(FSA004, max is order-independent for the finite clocks)
-                        .fold(0.0f64, f64::max);
+                    let time_secs = latest(&self.peers);
                     history.push(EvalRecord {
                         round,
                         time_secs,
@@ -239,10 +262,8 @@ impl GossipRunner {
                 }
             }
         }
-        // fsa::allow(FSA004, max is order-independent for the finite clocks)
-        let final_time_secs = self.peers.iter().map(|p| p.clock).fold(0.0f64, f64::max);
         let report = CourseReport {
-            final_time_secs,
+            final_time_secs: latest(&self.peers),
             rounds: self.rounds,
             history,
             finish_reason: "gossip rounds complete".to_string(),
@@ -260,4 +281,10 @@ impl GossipRunner {
         };
         Ok(GossipOutcome { report, topo })
     }
+}
+
+/// The latest local clock: the course's virtual time so far.
+fn latest(peers: &[Peer]) -> f64 {
+    // fsa::allow(FSA004, max is order-independent for the finite clocks)
+    peers.iter().map(|p| p.clock).fold(0.0f64, f64::max)
 }

@@ -10,7 +10,7 @@ use fedscope::core::distributed::{
 };
 use fedscope::core::{Event, StandaloneRunner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
-use fedscope::net::tcp::ReconnectPolicy;
+use fedscope::net::tcp::{ReconnectPolicy, TcpError, TcpPeer};
 use fedscope::net::{FaultPlan, FaultSpec, Message, MessageKind, Payload, SERVER_ID};
 use fedscope::tensor::model::logistic_regression;
 use fedscope::verify::VerifyMode;
@@ -111,16 +111,24 @@ fn dropout_policy_fail_aborts_the_course() {
 
 #[test]
 fn tcp_flaky_client_rejoins_and_reconnects_are_counted() {
-    let runner = course(4, 24);
+    // the rejoin must not depend on how long a round takes: the course runs
+    // hundreds of rounds and the backoff is 1 ms, so the flapping client
+    // redials hundreds of backoffs before the course can end — on loopback a
+    // 3-round course is over before a 10 ms backoff elapses even once
+    let mut runner = course(4, 24);
+    runner.server.state.cfg.total_rounds = 300;
     let clients: Vec<_> = runner.clients.into_values().collect();
     let opts = TcpRunOptions {
         faults: Some(FaultPlan::new(24).with(2, FaultSpec::dies_after(2))),
-        reconnect: Some(ReconnectPolicy::default()),
+        reconnect: Some(ReconnectPolicy {
+            base_delay: Duration::from_millis(1),
+            ..Default::default()
+        }),
         ..Default::default()
     };
     let server = run_distributed_tcp_with(runner.server, clients, BUDGET, opts)
         .expect("rejoining client must not sink the course");
-    assert_eq!(server.state.round, 3);
+    assert_eq!(server.state.round, 300);
     assert!(
         server.state.reconnects >= 1,
         "the flaky client must have rejoined at least once"
@@ -155,6 +163,26 @@ fn occupied_address_surfaces_as_bind_error() {
     };
     assert!(
         matches!(err, DistributedError::Bind(_)),
+        "wrong error: {err}"
+    );
+}
+
+#[test]
+fn refused_dial_surfaces_as_io_error_not_codec() {
+    // reserve a port and free it: nothing listens there
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").expect("probe bind");
+    let addr = probe.local_addr().expect("probe addr");
+    drop(probe);
+    let Err(refused) = TcpPeer::connect(addr) else {
+        panic!("nothing listens on {addr}")
+    };
+    let err = DistributedError::from(refused);
+    assert!(matches!(err, DistributedError::Io(_)), "wrong error: {err}");
+    assert!(!err.to_string().contains("codec"), "misfiled: {err}");
+    // bytes the transport rejects stay codec failures
+    let err = DistributedError::from(TcpError::FrameTooLarge(u32::MAX));
+    assert!(
+        matches!(err, DistributedError::Codec(_)),
         "wrong error: {err}"
     );
 }
@@ -225,9 +253,8 @@ fn rogue_peer_garbage_surfaces_as_codec_error() {
                 Ok(mut s) => {
                     let mut frame = 16u32.to_le_bytes().to_vec();
                     frame.extend_from_slice(&[0xFF; 16]);
+                    // the hub reads the frame before the EOF behind it
                     let _ = s.write_all(&frame);
-                    // hold the socket open so the frame is read before EOF
-                    std::thread::sleep(Duration::from_secs(2));
                     return;
                 }
                 Err(_) if std::time::Instant::now() < deadline => {
@@ -237,8 +264,17 @@ fn rogue_peer_garbage_surfaces_as_codec_error() {
             }
         }
     });
-    let runner = course(3, 28);
-    let clients: Vec<_> = runner.clients.into_values().collect();
+    let mut runner = course(3, 28);
+    runner.server.state.cfg.verify = VerifyMode::Skip;
+    let mut clients: Vec<_> = runner.clients.into_values().collect();
+    // client 1 never answers a broadcast, so no round can complete: the
+    // course cannot end before the rogue gets through, however late it dials
+    clients[0].registry_mut().register(
+        Event::Message(MessageKind::ModelParams),
+        "mute",
+        vec![],
+        Box::new(|_, _, _| {}),
+    );
     let opts = TcpRunOptions {
         addr: Some(addr),
         ..Default::default()
