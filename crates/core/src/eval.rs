@@ -56,9 +56,7 @@ impl GlobalEvaluator {
     /// Does not touch the history; use [`GlobalEvaluator::eval_at`] for
     /// curve-building evaluations.
     pub fn eval(&mut self, params: &ParamMap) -> Metrics {
-        let mut p = self.model.get_params();
-        p.merge_from(params);
-        self.model.set_params(&p);
+        self.model.set_params(params);
         self.model.evaluate(&self.x, &self.y)
     }
 

@@ -39,6 +39,7 @@ pub mod ctx;
 pub mod distributed;
 pub mod eval;
 pub mod event;
+pub mod idset;
 pub mod registry;
 pub mod runner;
 pub mod sampler;
@@ -57,6 +58,7 @@ pub use config::{
 pub use course::{CourseBuilder, CourseWiring};
 pub use ctx::Ctx;
 pub use event::{Condition, Event};
+pub use idset::IdSet;
 pub use runner::{Ascent, ClientStore, CourseReport, Router, Runner, StandaloneRunner, Star};
 pub use scheduler::{build_scheduler, RosterVerdict, Scheduler, SchedulerObs, Selection};
 pub use server::{Server, ServerState};

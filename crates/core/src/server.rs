@@ -16,6 +16,7 @@ use crate::config::{BroadcastManner, FlConfig};
 use crate::ctx::Ctx;
 use crate::eval::{EvalRecord, GlobalEvaluator};
 use crate::event::{Condition, Event};
+use crate::idset::IdSet;
 use crate::registry::Registry;
 use crate::sampler::Sampler;
 use crate::scheduler::{build_scheduler, RosterVerdict, Scheduler, SchedulerObs, Selection};
@@ -91,11 +92,11 @@ pub struct ServerState {
     /// Clients the course waits for before starting.
     pub expected_clients: usize,
     /// Clients currently training (sampled, not yet replied).
-    pub busy: BTreeSet<ParticipantId>,
+    pub busy: IdSet,
     /// Buffered usable updates for the next aggregation.
     pub buffer: Vec<ReceivedUpdate>,
     /// Clients sampled for the current synchronous round.
-    pub outstanding: BTreeSet<ParticipantId>,
+    pub outstanding: IdSet,
     /// The aggregation rule's executor.
     pub aggregator: Box<dyn Aggregator>,
     /// The execution-mode policy: when to aggregate, which buffered updates
@@ -140,7 +141,12 @@ pub struct ServerState {
 }
 
 impl ServerState {
+    /// The clients not in `busy`, in roster (join) order. The order is
+    /// contractual: the sampler's draw sequence is a function of it.
     fn idle_clients(&self) -> Vec<ParticipantId> {
+        if self.busy.is_empty() {
+            return self.roster.clone();
+        }
         self.roster
             .iter()
             .copied()
@@ -473,9 +479,9 @@ impl Server {
             roster: Vec::new(),
             roster_index: BTreeSet::new(),
             expected_clients,
-            busy: BTreeSet::new(),
+            busy: IdSet::new(),
             buffer: Vec::new(),
-            outstanding: BTreeSet::new(),
+            outstanding: IdSet::new(),
             aggregator,
             scheduler,
             sampler,
@@ -909,6 +915,29 @@ mod tests {
     }
 
     #[test]
+    fn idle_clients_come_in_join_order_not_id_order() {
+        let cfg = FlConfig {
+            concurrency: 2,
+            total_rounds: 5,
+            ..Default::default()
+        };
+        let joins = [70, 3, 64, 1, 200, 65, 2];
+        let mut s = make_server(cfg, joins.len() + 1); // one short: no round yet
+        let mut ctx = Ctx::at(VirtualTime::ZERO);
+        for id in joins {
+            let m = Message::new(id, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
+            s.handle(&m, &mut ctx);
+        }
+        assert_eq!(s.state.idle_clients(), joins, "nobody busy: the roster");
+        for id in [64, 1, 2] {
+            s.state.busy.insert(id);
+        }
+        assert_eq!(s.state.idle_clients(), [70, 3, 200, 65]);
+        // the set itself iterates by id, whatever the insertion order
+        assert_eq!(s.state.busy.iter().collect::<Vec<_>>(), [1, 2, 64]);
+    }
+
+    #[test]
     fn all_received_aggregates_and_rebroadcasts() {
         let cfg = FlConfig {
             concurrency: 2,
@@ -1066,7 +1095,7 @@ mod tests {
         join_all(&mut s, 3, &mut ctx);
         ctx.outbox.clear();
         // reply must come from the client actually sampled
-        let sampled = *s.state.busy.iter().next().expect("one client sampled");
+        let sampled = s.state.busy.iter().next().expect("one client sampled");
         s.handle(&update_msg(sampled, &[1.0, 1.0], 0), &mut ctx);
         // no aggregation (goal 5), but exactly one new model handed out
         assert_eq!(s.state.version, 0);
@@ -1350,7 +1379,7 @@ mod tests {
         let mut s = make_server(cfg, 2);
         let mut ctx = Ctx::at(VirtualTime::ZERO);
         join_all(&mut s, 2, &mut ctx);
-        let sampled = *s.state.busy.iter().next().expect("one sampled");
+        let sampled = s.state.busy.iter().next().expect("one sampled");
         let survivor = if sampled == 1 { 2 } else { 1 };
         ctx.outbox.clear();
         s.notify_dropout(sampled, &mut ctx);

@@ -192,11 +192,8 @@ impl LocalTrainer {
             if batch.is_empty() {
                 break;
             }
-            let loss = self.model.loss_grad_into(&batch.x, &batch.y, &mut grads);
-            let mut params = self.model.get_params();
-            self.opt.step(&mut params, &grads, anchor);
-            self.model.set_params(&params);
-            total += loss;
+            total += self.model.loss_grad_into(&batch.x, &batch.y, &mut grads);
+            self.model.step(&mut self.opt, &grads, anchor);
         }
         total / steps.max(1) as f32
     }
@@ -220,22 +217,17 @@ enum Split {
 
 impl Trainer for LocalTrainer {
     fn incorporate(&mut self, global: &ParamMap) {
-        let mut params = self.model.get_params();
-        params.merge_from(global);
-        self.model.set_params(&params);
+        // names absent from `global` keep their local values
+        self.model.set_params(global);
     }
 
     fn local_train(&mut self, global: &ParamMap, _round: u64) -> LocalUpdate {
         self.incorporate(global);
-        let anchor = if self.cfg.sgd.prox_mu > 0.0 {
-            Some(global.clone())
-        } else {
-            None
-        };
+        let anchor = (self.cfg.sgd.prox_mu > 0.0).then_some(global);
         let steps = self.cfg.local_steps;
-        self.run_sgd(steps, anchor.as_ref());
-        let share = self.share.clone();
-        let params = self.model.get_params().filter(|k| share(k));
+        self.run_sgd(steps, anchor);
+        let mut params = self.model.get_params();
+        params.retain(|k| (self.share)(k));
         LocalUpdate {
             params,
             n_samples: self.data.train.len() as u64,

@@ -1,51 +1,73 @@
-//! After one warm step, a local SGD pass performs no heap allocation inside
-//! the model's `loss_grad_into` — forward, loss, backward and the gradient
-//! hand-off all run on recycled worker scratch.
+//! After one warm step, a local SGD step performs no heap allocation in the
+//! model or the optimizer: `loss_grad_into` (forward, loss, backward and the
+//! gradient hand-off, all on recycled worker scratch) and `Model::step` (the
+//! optimizer writing the network's own tensors, momentum buffers included).
 //!
-//! What `run_sgd` allocates *around* that call is left as it was and is
-//! excluded here by construction (the counter is armed only inside the
-//! model): the sampled batch (`fs-data`), the `get_params` map with its key
-//! strings, the copy-on-write parameter buffers `Sgd::step` detaches, and
-//! `set_params`. The benchmark prices all of it at under 2 µs per step.
+//! The one thing `run_sgd` still allocates per step is the sampled batch
+//! (`fs-data` builds a fresh `[B, ..]` tensor and label vector). It is
+//! excluded here by construction: the counter is armed only inside the two
+//! model calls.
 //!
-//! This file holds one test on purpose: the counter is process-wide.
+//! The same counter prices the server's busy/idle bookkeeping against an id
+//! off the wire: a join from `u32::MAX - 1` must cost a set entry, not a
+//! bitmap sized by the id.
+//!
+//! The counters are per thread, so the tests here do not see each other.
 
+use fs_core::aggregator::FedAvg;
+use fs_core::sampler::Sampler;
 use fs_core::trainer::{share_all, LocalTrainer, TrainConfig};
+use fs_core::{Ctx, FlConfig, Server};
 use fs_data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fs_data::ClientSplit;
+use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
+use fs_sim::VirtualTime;
 use fs_tensor::loss::Target;
 use fs_tensor::model::{convnet2, logistic_regression, Model};
-use fs_tensor::optim::SgdConfig;
+use fs_tensor::optim::{Sgd, SgdConfig};
 use fs_tensor::{ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Counts allocations (and reallocations) made while the calling thread has
-/// armed it.
+/// Counts the allocations (and reallocations) the calling thread makes while
+/// it has armed it, and the bytes they asked for.
 struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
-fn note() {
+fn note(bytes: usize) {
     if ARMED.with(Cell::get) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + bytes));
     }
 }
 
-// SAFETY: every method forwards to `System` unchanged; the counter touches
-// only an atomic and a const-initialised thread-local `Cell`, neither of
-// which allocates.
+/// Runs `call` with the counter armed; returns its result, the allocations
+/// it made and the bytes they requested.
+fn counting<R>(call: impl FnOnce() -> R) -> (R, usize, usize) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    ARMED.with(|a| a.set(true));
+    let out = call();
+    ARMED.with(|a| a.set(false));
+    (
+        out,
+        ALLOCATIONS.with(Cell::get) - before.0,
+        BYTES.with(Cell::get) - before.1,
+    )
+}
+
+// SAFETY: every method forwards to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s, which allocate nothing.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: same contract as the caller's
         unsafe { System.alloc(layout) }
     }
@@ -56,13 +78,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: same contract as the caller's
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from `System` with this layout
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -72,10 +94,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Delegates to the wrapped model, counting the allocations of each
-/// `loss_grad_into` call.
+/// `loss_grad_into` and each `step` call.
 struct Counted {
     inner: Box<dyn Model>,
     per_call: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Counted {
+    /// Runs `call` on the wrapped model with the counter armed and records
+    /// what it allocated.
+    fn counted<R>(&mut self, call: impl FnOnce(&mut dyn Model) -> R) -> R {
+        let (out, made, _) = counting(|| call(self.inner.as_mut()));
+        self.per_call.lock().expect("no panic holds it").push(made);
+        out
+    }
 }
 
 impl Model for Counted {
@@ -96,13 +128,11 @@ impl Model for Counted {
     }
 
     fn loss_grad_into(&mut self, x: &Tensor, y: &Target, grads: &mut ParamMap) -> f32 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        ARMED.with(|a| a.set(true));
-        let loss = self.inner.loss_grad_into(x, y, grads);
-        ARMED.with(|a| a.set(false));
-        let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        self.per_call.lock().expect("no panic holds it").push(made);
-        loss
+        self.counted(|m| m.loss_grad_into(x, y, grads))
+    }
+
+    fn step(&mut self, opt: &mut Sgd, grads: &ParamMap, anchor: Option<&ParamMap>) {
+        self.counted(|m| m.step(opt, grads, anchor));
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
@@ -113,8 +143,14 @@ impl Model for Counted {
     }
 }
 
-/// Allocations inside each `loss_grad_into` of one six-step `run_sgd`.
-fn allocations_per_step(model: Box<dyn Model>, data: ClientSplit, batch_size: usize) -> Vec<usize> {
+/// Allocations inside the model and optimizer calls of each step of one
+/// six-step `run_sgd`.
+fn allocations_per_step(
+    model: Box<dyn Model>,
+    data: ClientSplit,
+    batch_size: usize,
+    momentum: f32,
+) -> Vec<usize> {
     let per_call = Arc::new(Mutex::new(Vec::new()));
     let counted = Counted {
         inner: model,
@@ -123,53 +159,101 @@ fn allocations_per_step(model: Box<dyn Model>, data: ClientSplit, batch_size: us
     let cfg = TrainConfig {
         local_steps: 6,
         batch_size,
-        sgd: SgdConfig::with_lr(0.25),
+        sgd: SgdConfig {
+            momentum,
+            ..SgdConfig::with_lr(0.25)
+        },
     };
     let mut trainer = LocalTrainer::new(Box::new(counted), data, cfg, share_all(), 3);
     let loss = trainer.run_sgd(6, None);
     assert!(loss.is_finite());
     let calls = per_call.lock().expect("no panic holds it").clone();
-    assert_eq!(calls.len(), 6, "one loss_grad_into per step");
-    calls
+    assert_eq!(calls.len(), 12, "one loss_grad_into and one step per step");
+    calls.chunks(2).map(|pair| pair[0] + pair[1]).collect()
 }
 
 #[test]
-fn steps_after_the_first_allocate_nothing_inside_loss_grad() {
+fn steps_after_the_first_allocate_nothing_in_the_model_or_the_optimizer() {
     let mut rng = StdRng::seed_from_u64(1);
-
-    // the benchmark's CNN step: convnet2(1, 8, 32, 10), batch 20
     let images = femnist_like(&ImageConfig {
         num_clients: 2,
         ..Default::default()
     });
-    let cnn = convnet2(1, 8, 32, 10, 0.0, &mut rng);
-    let calls = allocations_per_step(Box::new(cnn), images.clients[0].clone(), 20);
-    assert!(
-        calls[0] > 0,
-        "the counter saw nothing on the warm step: {calls:?}"
-    );
-    assert_eq!(calls[1..], [0; 5], "convnet2 steps allocated: {calls:?}");
-
-    // with dropout: the mask is scratch too
-    let cnn = convnet2(1, 8, 32, 10, 0.3, &mut rng);
-    let calls = allocations_per_step(Box::new(cnn), images.clients[1].clone(), 20);
-    assert_eq!(
-        calls[1..],
-        [0; 5],
-        "convnet2+dropout steps allocated: {calls:?}"
-    );
-
-    // the logistic-regression step of the twitter and scale courses
     let tweets = twitter_like(&TwitterConfig {
         num_clients: 2,
         per_client: 20,
         ..Default::default()
     });
-    let lr = logistic_regression(tweets.input_dim(), 2, &mut rng);
-    let calls = allocations_per_step(Box::new(lr), tweets.clients[0].clone(), 4);
-    assert_eq!(
-        calls[1..],
-        [0; 5],
-        "logistic-regression steps allocated: {calls:?}"
+    for momentum in [0.0, 0.9] {
+        // the benchmark's CNN step: convnet2(1, 8, 32, 10), batch 20
+        let cnn = convnet2(1, 8, 32, 10, 0.0, &mut rng);
+        let steps = allocations_per_step(Box::new(cnn), images.clients[0].clone(), 20, momentum);
+        assert!(
+            steps[0] > 0,
+            "the counter saw nothing on the warm step: {steps:?}"
+        );
+        assert_eq!(
+            steps[1..],
+            [0; 5],
+            "convnet2 steps allocated (momentum {momentum}): {steps:?}"
+        );
+
+        // with dropout: the mask is scratch too
+        let cnn = convnet2(1, 8, 32, 10, 0.3, &mut rng);
+        let steps = allocations_per_step(Box::new(cnn), images.clients[1].clone(), 20, momentum);
+        assert_eq!(
+            steps[1..],
+            [0; 5],
+            "convnet2+dropout steps allocated (momentum {momentum}): {steps:?}"
+        );
+
+        // the logistic-regression step of the twitter and scale courses
+        let lr = logistic_regression(tweets.input_dim(), 2, &mut rng);
+        let steps = allocations_per_step(Box::new(lr), tweets.clients[0].clone(), 4, momentum);
+        assert_eq!(
+            steps[1..],
+            [0; 5],
+            "logistic-regression steps allocated (momentum {momentum}): {steps:?}"
+        );
+    }
+}
+
+#[test]
+fn a_join_from_a_huge_id_is_sampled_without_sizing_anything_by_the_id() {
+    let hostile: ParticipantId = u32::MAX - 1;
+    let cfg = FlConfig {
+        concurrency: 3,
+        total_rounds: 5,
+        ..Default::default()
+    };
+    let mut global = ParamMap::new();
+    global.insert("w", Tensor::zeros(&[2]));
+    let mut server = Server::new(
+        cfg,
+        global,
+        3,
+        Box::new(FedAvg::new(0.0)),
+        Sampler::Uniform,
+        None,
+    );
+    let mut ctx = Ctx::at(VirtualTime::ZERO);
+    let ((), _, bytes) = counting(|| {
+        for id in [1, hostile, 2] {
+            let join = Message::new(id, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
+            server.handle(&join, &mut ctx);
+        }
+    });
+    // the third join started the round: everyone is sampled, busy and
+    // outstanding, the stranger included
+    assert_eq!(server.state.roster, vec![1, hostile, 2]);
+    assert!(server.state.busy.contains(&hostile));
+    assert!(server.state.outstanding.contains(&hostile));
+    assert!(ctx
+        .outbox
+        .iter()
+        .any(|o| o.msg.kind == MessageKind::ModelParams && o.msg.receiver == hostile));
+    assert!(
+        bytes < 1 << 20,
+        "joining and sampling id {hostile} allocated {bytes} bytes"
     );
 }

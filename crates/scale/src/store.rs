@@ -129,17 +129,10 @@ impl ClientStore for LazyStore {
             .pop()
             .unwrap_or_else(|| blueprint.template.clone_model());
         let data = (self.factory.data)(idx);
-        let restore_private = |model: &mut Box<dyn Model>, private: &ParamMap| {
-            if !private.is_empty() {
-                let mut params = model.get_params();
-                params.merge_from(private);
-                model.set_params(&params);
-            }
-        };
         Some(match slot {
             SlotState::Dormant(d) => {
                 let d = *d;
-                restore_private(&mut model, &d.private);
+                model.set_params(&d.private);
                 let fresh = blueprint.local_trainer(idx, model, data).into_parts();
                 let trainer = LocalTrainer::from_parts(TrainerParts {
                     opt: d.opt,
@@ -159,7 +152,7 @@ impl ClientStore for LazyStore {
             // client is only ever rematerialized by a delivery the server
             // can no longer produce)
             _ => {
-                restore_private(&mut model, &self.factory.template_private);
+                model.set_params(&self.factory.template_private);
                 blueprint.client(idx, Box::new(blueprint.local_trainer(idx, model, data)))
             }
         })

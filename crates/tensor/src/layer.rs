@@ -13,6 +13,7 @@
 //! All gradients are checked against central finite differences in the crate's
 //! integration tests.
 
+use crate::optim::ParamsMut;
 use crate::tensor::kernels::{gemm, transpose, CONTINUE, OVERWRITE};
 use crate::{init, scratch, ParamMap, Tensor};
 use rand::rngs::StdRng;
@@ -57,6 +58,14 @@ pub trait Layer: Send {
     /// local batch-norm parameters while loading the shared global rest).
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
         let _ = (prefix, src);
+    }
+
+    /// The parameter or buffer this layer stores under `leaf` (the name
+    /// [`Layer::collect_params`] gives it, without the prefix), so an
+    /// optimizer can step it where it lives. Parameter-free layers have none.
+    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
+        let _ = leaf;
+        None
     }
 
     /// Resets accumulated gradients to zero.
@@ -161,13 +170,21 @@ impl Layer for Linear {
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
-        if let Some(w) = src.get(&format!("{prefix}.weight")) {
+        if let Some(w) = src.get_in(prefix, "weight") {
             assert_eq!(w.shape(), self.w.shape(), "Linear weight shape");
             self.w = w.clone();
         }
-        if let Some(b) = src.get(&format!("{prefix}.bias")) {
+        if let Some(b) = src.get_in(prefix, "bias") {
             assert_eq!(b.shape(), self.b.shape(), "Linear bias shape");
             self.b = b.clone();
+        }
+    }
+
+    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
+        match leaf {
+            "weight" => Some(&mut self.w),
+            "bias" => Some(&mut self.b),
+            _ => None,
         }
     }
 
@@ -642,17 +659,20 @@ impl Layer for BatchNorm1d {
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
-        if let Some(t) = src.get(&format!("{prefix}.gamma")) {
-            self.gamma = t.clone();
+        for leaf in ["gamma", "beta", "running_mean", "running_var"] {
+            if let (Some(t), Some(slot)) = (src.get_in(prefix, leaf), self.param_mut(leaf)) {
+                *slot = t.clone();
+            }
         }
-        if let Some(t) = src.get(&format!("{prefix}.beta")) {
-            self.beta = t.clone();
-        }
-        if let Some(t) = src.get(&format!("{prefix}.running_mean")) {
-            self.running_mean = t.clone();
-        }
-        if let Some(t) = src.get(&format!("{prefix}.running_var")) {
-            self.running_var = t.clone();
+    }
+
+    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
+        match leaf {
+            "gamma" => Some(&mut self.gamma),
+            "beta" => Some(&mut self.beta),
+            "running_mean" => Some(&mut self.running_mean),
+            "running_var" => Some(&mut self.running_var),
+            _ => None,
         }
     }
 
@@ -998,13 +1018,21 @@ impl Layer for Conv2d {
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
-        if let Some(w) = src.get(&format!("{prefix}.weight")) {
+        if let Some(w) = src.get_in(prefix, "weight") {
             assert_eq!(w.shape(), self.w.shape(), "Conv2d weight shape");
             self.w = w.clone();
         }
-        if let Some(b) = src.get(&format!("{prefix}.bias")) {
+        if let Some(b) = src.get_in(prefix, "bias") {
             assert_eq!(b.shape(), self.b.shape(), "Conv2d bias shape");
             self.b = b.clone();
+        }
+    }
+
+    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
+        match leaf {
+            "weight" => Some(&mut self.w),
+            "bias" => Some(&mut self.b),
+            _ => None,
         }
     }
 
@@ -1167,6 +1195,14 @@ impl Layer for Sequential {
         }
     }
 
+    /// Resolves `"<layer>.<rest>"` through the layer of that name.
+    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
+        self.layers.iter_mut().find_map(|(name, layer)| {
+            let rest = leaf.strip_prefix(name.as_str())?.strip_prefix('.')?;
+            layer.param_mut(rest)
+        })
+    }
+
     fn zero_grad(&mut self) {
         for (_, layer) in &mut self.layers {
             layer.zero_grad();
@@ -1225,6 +1261,12 @@ impl Sequential {
                 .map(|(n, l)| (n.clone(), l.clone_layer()))
                 .collect(),
         }
+    }
+}
+
+impl ParamsMut for Sequential {
+    fn param_mut(&mut self, name: &str) -> Option<&mut Tensor> {
+        Layer::param_mut(self, name)
     }
 }
 

@@ -10,6 +10,7 @@ use crate::layer::{
     BatchNorm1d, Conv2d, Dropout, Flatten, Layer, Linear, MaxPool2d, Relu, Sequential,
 };
 use crate::loss::{accuracy, mse, softmax_cross_entropy, LossKind, Target};
+use crate::optim::Sgd;
 use crate::{init, scratch, ParamMap, Tensor};
 use rand::Rng;
 
@@ -72,6 +73,17 @@ pub trait Model: Send {
         let (loss, fresh) = self.loss_grad(x, y);
         *grads = fresh;
         loss
+    }
+
+    /// One optimizer step on this model's parameters with `grads`.
+    ///
+    /// The default goes through a [`ParamMap`] copy; a model that can hand
+    /// out its own tensors ([`NetModel`]) is stepped where it lives, with
+    /// the same bits and no copy.
+    fn step(&mut self, opt: &mut Sgd, grads: &ParamMap, anchor: Option<&ParamMap>) {
+        let mut params = self.get_params();
+        opt.step(&mut params, grads, anchor);
+        self.set_params(&params);
     }
 
     /// Keys of non-trained buffers (e.g. batch-norm running statistics).
@@ -167,6 +179,10 @@ impl Model for NetModel {
         scratch::give(grad_logits);
         self.net.collect_grads("", grads);
         loss
+    }
+
+    fn step(&mut self, opt: &mut Sgd, grads: &ParamMap, anchor: Option<&ParamMap>) {
+        opt.step(&mut self.net, grads, anchor);
     }
 
     fn buffer_keys(&self) -> Vec<String> {

@@ -8,7 +8,7 @@
 //!   (Reddi et al.): the aggregated client delta is treated as a
 //!   pseudo-gradient and applied with SGD, Adam, or Yogi.
 
-use crate::ParamMap;
+use crate::{ParamMap, Tensor};
 
 /// Configuration for client-side SGD.
 #[derive(Clone, Copy, Debug)]
@@ -47,7 +47,21 @@ impl SgdConfig {
     }
 }
 
-/// Stochastic gradient descent over a [`ParamMap`].
+/// Name-addressed parameter storage an optimizer can step in place: a
+/// [`ParamMap`], or a network's own tensors
+/// ([`Sequential`](crate::layer::Sequential)).
+pub trait ParamsMut {
+    /// The tensor stored under `name`, if any.
+    fn param_mut(&mut self, name: &str) -> Option<&mut Tensor>;
+}
+
+impl ParamsMut for ParamMap {
+    fn param_mut(&mut self, name: &str) -> Option<&mut Tensor> {
+        self.get_mut(name)
+    }
+}
+
+/// Stochastic gradient descent over name-addressed parameters.
 #[derive(Clone, Debug)]
 pub struct Sgd {
     cfg: SgdConfig,
@@ -74,90 +88,134 @@ impl Sgd {
         self.cfg = cfg;
     }
 
+    /// The momentum buffers, once a step with momentum has run.
+    pub fn velocity(&self) -> Option<&ParamMap> {
+        self.velocity.as_ref()
+    }
+
     /// Performs one SGD step on `params` given `grads`.
     ///
     /// `anchor`, when present, adds the proximal term
     /// `prox_mu * (params - anchor)` to the gradient *before* momentum.
-    /// Only keys present in `grads` are updated, so buffers (batch-norm
-    /// running statistics) are never touched.
-    pub fn step(&mut self, params: &mut ParamMap, grads: &ParamMap, anchor: Option<&ParamMap>) {
+    /// Only names present in both `grads` and `params` are updated, so
+    /// buffers (batch-norm running statistics) are never touched.
+    ///
+    /// `params` is written where it lives: stepping a network's own tensors
+    /// and stepping a [`ParamMap`] copy of them run this one loop and one
+    /// per-tensor rule, so the two agree bit for bit.
+    pub fn step<P: ParamsMut + ?Sized>(
+        &mut self,
+        params: &mut P,
+        grads: &ParamMap,
+        anchor: Option<&ParamMap>,
+    ) {
         let cfg = self.cfg;
-        // Gradient transforms (decay / proximal / clip) need a scratch copy;
-        // the common training configuration needs none, so the hot paths
-        // below apply `grads` (or the velocity) directly — no per-step
-        // allocation, and numerically identical to the scratch-copy route.
-        let needs_scratch = cfg.weight_decay != 0.0
-            || (cfg.prox_mu != 0.0 && anchor.is_some())
-            || cfg.max_grad_norm.is_some();
-        if !needs_scratch {
-            if cfg.momentum == 0.0 {
-                for (k, g) in grads.iter() {
-                    if let Some(p) = params.get_mut(k) {
-                        p.add_scaled(-cfg.lr, g);
-                    }
-                }
-            } else {
-                let vel = self.velocity.get_or_insert_with(|| grads.zeros_like());
-                // ensure velocity covers all grad keys
-                for (k, g) in grads.iter() {
-                    if !vel.contains(k) {
-                        vel.insert(k.to_string(), g.zeros_like());
-                    }
-                }
-                for (k, g) in grads.iter() {
-                    let v = vel.get_mut(k).expect("velocity key");
-                    v.scale(cfg.momentum);
-                    v.add_scaled(1.0, g);
-                    if let Some(p) = params.get_mut(k) {
-                        p.add_scaled(-cfg.lr, v);
-                    }
-                }
-            }
-            return;
-        }
-        let mut eff = grads.clone();
-        if self.cfg.weight_decay != 0.0 {
-            for (k, g) in eff.iter_mut() {
-                if let Some(p) = params.get(k) {
-                    g.add_scaled(self.cfg.weight_decay, p);
-                }
-            }
-        }
-        if self.cfg.prox_mu != 0.0 {
-            if let Some(anchor) = anchor {
-                for (k, g) in eff.iter_mut() {
-                    if let (Some(p), Some(a)) = (params.get(k), anchor.get(k)) {
-                        let mut diff = p.clone();
-                        diff.add_scaled(-1.0, a);
-                        g.add_scaled(self.cfg.prox_mu, &diff);
-                    }
-                }
-            }
-        }
-        if let Some(max) = self.cfg.max_grad_norm {
-            eff.clip_norm(max);
-        }
-        if self.cfg.momentum != 0.0 {
-            let vel = self.velocity.get_or_insert_with(|| eff.zeros_like());
-            // ensure velocity covers all grad keys (e.g. after key-set change)
-            for (k, g) in eff.iter() {
+        let anchor = anchor.filter(|_| cfg.prox_mu != 0.0);
+        // the clip factor needs the norm of the whole effective gradient
+        // before any parameter moves: a read-only pass, tensors in name order
+        let clip = cfg.max_grad_norm.and_then(|max| {
+            let norm = grads
+                .iter()
+                .filter_map(|(k, g)| {
+                    let p = params.param_mut(k)?;
+                    let n = Self::effective_norm(&cfg, p, g, anchor.and_then(|a| a.get(k)));
+                    Some(n * n)
+                })
+                .sum::<f32>()
+                .sqrt();
+            (norm > max && norm > 0.0).then(|| max / norm)
+        });
+        for (k, g) in grads.iter() {
+            let Some(p) = params.param_mut(k) else {
+                continue;
+            };
+            let v = (cfg.momentum != 0.0).then(|| {
+                let vel = self.velocity.get_or_insert_with(ParamMap::new);
                 if !vel.contains(k) {
-                    vel.insert(k.to_string(), g.zeros_like());
+                    vel.insert(k, g.zeros_like());
                 }
-            }
-            for (k, g) in eff.iter_mut() {
-                let v = vel.get_mut(k).expect("velocity key");
-                v.scale(self.cfg.momentum);
-                v.add_scaled(1.0, g);
-                *g = v.clone();
-            }
-        }
-        for (k, g) in eff.iter() {
-            if let Some(p) = params.get_mut(k) {
-                p.add_scaled(-self.cfg.lr, g);
-            }
+                vel.get_mut(k).expect("inserted above")
+            });
+            Self::update(&cfg, clip, p, g, anchor.and_then(|a| a.get(k)), v);
         }
     }
+
+    /// The per-tensor update rule. Per coordinate, in this order:
+    /// `e = g`; weight decay `e += wd·p`; proximal term `e += mu·(p − a)`;
+    /// clip `e *= clip`; momentum `v = v·m + e, e = v`; then `p += −lr·e`.
+    /// Each stage runs only when configured, and each is the floating-point
+    /// operation the tensor-at-a-time form performs (whose `p + (−1)·a` and
+    /// `v + 1·e` are `p − a` and `v + e` exactly), so fusing them moves no
+    /// bit (rustc does not contract to FMA).
+    fn update(
+        cfg: &SgdConfig,
+        clip: Option<f32>,
+        p: &mut Tensor,
+        g: &Tensor,
+        a: Option<&Tensor>,
+        v: Option<&mut Tensor>,
+    ) {
+        let (g, a) = operands(p, g, a);
+        let mut v = v.map(|v| {
+            assert_eq!(v.shape(), p.shape(), "sgd: velocity shape");
+            v.data_mut()
+        });
+        for (i, p) in p.data_mut().iter_mut().enumerate() {
+            let mut e = effective(cfg, g[i], *p, a.map(|a| a[i]));
+            if let Some(s) = clip {
+                e *= s;
+            }
+            if let Some(v) = v.as_deref_mut() {
+                v[i] *= cfg.momentum;
+                v[i] += e;
+                e = v[i];
+            }
+            *p += -cfg.lr * e;
+        }
+    }
+
+    /// Euclidean norm of one tensor's effective gradient, nothing written.
+    fn effective_norm(cfg: &SgdConfig, p: &Tensor, g: &Tensor, a: Option<&Tensor>) -> f32 {
+        let (g, a) = operands(p, g, a);
+        p.data()
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let e = effective(cfg, g[i], p, a.map(|a| a[i]));
+                e * e
+            })
+            .sum::<f32>()
+            .sqrt()
+    }
+}
+
+/// The gradient and anchor of `p` as slices, shapes checked against it.
+fn operands<'a>(
+    p: &Tensor,
+    g: &'a Tensor,
+    a: Option<&'a Tensor>,
+) -> (&'a [f32], Option<&'a [f32]>) {
+    assert_eq!(g.shape(), p.shape(), "sgd: gradient shape");
+    let a = a.map(|a| {
+        assert_eq!(a.shape(), p.shape(), "sgd: anchor shape");
+        a.data()
+    });
+    (g.data(), a)
+}
+
+/// One coordinate's gradient after weight decay and the proximal term:
+/// `(g + wd·p) + mu·(p − a)`, each term only when configured (`a` is `None`
+/// unless a proximal anchor applies).
+#[inline]
+fn effective(cfg: &SgdConfig, g: f32, p: f32, a: Option<f32>) -> f32 {
+    let mut e = g;
+    if cfg.weight_decay != 0.0 {
+        e += cfg.weight_decay * p;
+    }
+    if let Some(a) = a {
+        e += cfg.prox_mu * (p - a);
+    }
+    e
 }
 
 /// Server-side optimizer family for FedOpt.

@@ -40,18 +40,12 @@ impl ParamMap {
     /// first store deep-copies, so the entry never aliases the layer's
     /// accumulator.
     pub fn store(&mut self, prefix: &str, leaf: &str, t: &Tensor) {
-        let is_key = |k: &str| {
-            k.len() == prefix.len() + 1 + leaf.len()
-                && k.starts_with(prefix)
-                && k.as_bytes()[prefix.len()] == b'.'
-                && k.ends_with(leaf)
-        };
         // keys that start with `prefix` sort together from `prefix` on
         let existing = self
             .entries
             .range_mut::<str, _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
-            .find(|(k, _)| is_key(k));
+            .find(|(k, _)| is_joined(k, prefix, leaf));
         match existing {
             Some((_, slot)) if slot.shape() == t.shape() => slot.copy_from(t),
             _ => {
@@ -59,6 +53,16 @@ impl ParamMap {
                 self.entries.insert(format!("{prefix}.{leaf}"), owned);
             }
         }
+    }
+
+    /// Looks up `"{prefix}.{leaf}"` without building the key — what a layer
+    /// loading its parameters step after step asks.
+    pub fn get_in(&self, prefix: &str, leaf: &str) -> Option<&Tensor> {
+        self.entries
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .find(|(k, _)| is_joined(k, prefix, leaf))
+            .map(|(_, t)| t)
     }
 
     /// Looks up a tensor by name.
@@ -245,6 +249,12 @@ impl ParamMap {
         ParamMap { entries }
     }
 
+    /// [`ParamMap::filter`] in place: drops the entries whose name fails
+    /// `pred`, building no second map.
+    pub fn retain(&mut self, mut pred: impl FnMut(&str) -> bool) {
+        self.entries.retain(|k, _| pred(k));
+    }
+
     /// Copies every entry of `src` into `self`, replacing same-named entries
     /// and inserting new ones. This is the "load the shared part of the
     /// global model" operation: keys in `self` but not in `src` (e.g. local
@@ -284,6 +294,14 @@ impl ParamMap {
     pub fn is_finite(&self) -> bool {
         self.entries.values().all(Tensor::is_finite)
     }
+}
+
+/// `true` when `key` is `"{prefix}.{leaf}"`.
+fn is_joined(key: &str, prefix: &str, leaf: &str) -> bool {
+    key.len() == prefix.len() + 1 + leaf.len()
+        && key.starts_with(prefix)
+        && key.as_bytes()[prefix.len()] == b'.'
+        && key.ends_with(leaf)
 }
 
 impl FromIterator<(String, Tensor)> for ParamMap {
@@ -430,6 +448,22 @@ mod tests {
         p.zero();
         assert_eq!(p.norm(), 0.0);
         assert_eq!(p.len(), 3);
+    }
+
+    #[test]
+    fn get_in_finds_exactly_the_joined_key() {
+        let mut p = sample();
+        // neighbours that share the prefix's bytes but are other keys
+        p.insert("fc-x.weight", Tensor::zeros(&[1]));
+        p.insert("fc1.weight", Tensor::zeros(&[1]));
+        p.insert("fc.weights", Tensor::zeros(&[1]));
+        for (name, t) in p.iter() {
+            let (prefix, leaf) = name.rsplit_once('.').unwrap();
+            assert!(std::ptr::eq(p.get_in(prefix, leaf).unwrap(), t), "{name}");
+        }
+        assert!(p.get_in("fc", "gamma").is_none());
+        assert!(p.get_in("f", "c.bias").is_none());
+        assert!(p.get_in("", "fc.bias").is_none());
     }
 
     #[test]
