@@ -1080,6 +1080,21 @@ mod tests {
         std::fs::remove_file(path).expect("remove temp snapshot");
     }
 
+    /// A top-level field the schema does not name (the header of an older
+    /// or newer writer) is ignored, not rejected: the document is read for
+    /// the fields this version knows, and writing it back drops the rest.
+    #[test]
+    fn unknown_top_level_fields_are_ignored() {
+        let json = scale_doc().to_json().expect("serializes").replacen(
+            "\"rows\"",
+            "\"cores\": 1,\n  \"speedup_floors\": [{\"threads\": 2}],\n  \"rows\"",
+            1,
+        );
+        assert!(json.contains("speedup_floors"));
+        let parsed = Snapshot::<ScaleRow>::parse(&json).expect("parses");
+        assert_eq!(parsed, scale_doc());
+    }
+
     /// Each committed snapshot validates through the one generic path and
     /// re-serialises to its exact bytes.
     #[test]

@@ -10,11 +10,14 @@ use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{run_distributed, DistributedError};
 use fedscope::core::{verify_assembled, Client, Condition, Event, StandaloneRunner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
-use fedscope::net::MessageKind;
+use fedscope::net::{MessageKind, Topology};
 use fedscope::tensor::model::logistic_regression;
 use fedscope::verify::{lint_config, Code, Severity, VerifyMode, VerifyReport};
 use proptest::prelude::*;
 use std::time::Duration;
+
+mod common;
+use common::{check, Fnv};
 
 fn course(num_clients: usize, cfg: FlConfig) -> StandaloneRunner {
     let data = twitter_like(&TwitterConfig {
@@ -516,6 +519,367 @@ fn undeclared_runtime_emission_is_reported() {
         "expected a conformance violation: {:?}",
         report.conformance_violations
     );
+}
+
+// ---------------------------------------------------------------------------
+// Pins: the full diagnostic text per config, and the builder's refusals
+// against the lints.
+// ---------------------------------------------------------------------------
+
+/// What verification says about `cfg` on a valid `n`-client course. The
+/// course is assembled from a config that always builds, so configs the
+/// builder itself refuses can still be linted.
+fn report_for(cfg: &FlConfig, n: usize) -> VerifyReport {
+    let runner = course(
+        n,
+        FlConfig {
+            concurrency: 1,
+            ..small_cfg()
+        },
+    );
+    let clients: Vec<&Client> = runner.clients.values().collect();
+    verify_assembled(&runner.server, &clients, Some(cfg))
+}
+
+fn with_compression(compression: CompressionConfig) -> FlConfig {
+    FlConfig {
+        compression,
+        ..small_cfg()
+    }
+}
+
+fn with_rule(rule: AggregationRule) -> FlConfig {
+    FlConfig {
+        rule,
+        ..small_cfg()
+    }
+}
+
+/// FNV-1a fingerprints of every diagnostic (code, severity, subject,
+/// message, suggestion, in report order) per config of
+/// `lint_output_matches_pre_fold_pin`, taken before the config lints moved
+/// next to `FlConfig`. Never edit an entry to make the test pass.
+const GOLDEN_LINTS: &[(&str, u64)] = &[
+    ("default", 0xd788f18a659dba32),
+    ("preset/sync_vanilla", 0xd788f18a659dba32),
+    ("preset/sync_over_selection", 0xad0066240f4f309e),
+    ("preset/async_goal", 0xad0066240f4f309e),
+    ("preset/async_time", 0xad0066240f4f309e),
+    ("preset/buffered_async", 0xad0066240f4f309e),
+    ("preset/tiered", 0xad0066240f4f309e),
+    ("mutation/0", 0x4c8482c744132928),
+    ("mutation/1", 0xa76f12930e719803),
+    ("mutation/2", 0xbf597d29d9d35345),
+    ("mutation/3", 0xd3a4b561623f92c7),
+    ("mutation/4", 0x495847c9c2d5cc13),
+    ("mutation/5", 0x78fd4f1b0773b984),
+    ("mutation/6", 0xdb417d400730bd39),
+    ("mutation/7", 0xdecd04cb3585a942),
+    ("mutation/8", 0xb121a761da76613c),
+    ("mutation/9", 0x124964177a18514a),
+    ("codec/upload/quant3", 0x37602eb889b5df20),
+    ("codec/download/quant3", 0x5680ec5336ee37eb),
+    ("codec/upload/topk0", 0xe6ad2c2812ae1a19),
+    ("codec/download/topk0", 0x686fe858b09c08e0),
+    ("codec/upload/topk_nan", 0x3bf11c6a82e24952),
+    ("codec/download/topk_nan", 0xaf5d843d69d72edf),
+    ("hier:2x4/delta_upload", 0x1b788f1a7c395835),
+    ("gossip:2/two_peers", 0x591ba9127eea29ca),
+    ("buffered/k0", 0x12e8455f7fbdfce3),
+    ("tiered/tiers0", 0x7791d8ceabea4734),
+    ("after_receiving/all_received", 0x09a10fb8145d02bd),
+    ("over_selection/1.3", 0xdc6855e6fcb29b31),
+    ("delta_without_codec", 0x5d1454eff4734bcc),
+    ("eval_every/exceeds_rounds", 0xc255594a11c5302a),
+    ("target_accuracy/90", 0xe14c35f9ec45ed05),
+    ("sample_target/exceeds_clients", 0x2ad0126cf8e63da9),
+    ("goal/exceeds_target", 0x73d265f8ee7fc282),
+    ("time_up/bad_budget_and_feedback", 0xb3dfdf863ed7a195),
+    ("buffered/k_exceeds_target", 0x5c909f226da5f1bc),
+    ("buffered/on_gossip", 0xcc0d8cc7b6774979),
+    ("tiered/on_hier", 0x59846b509b821c20),
+    ("tiered/tiers1", 0x715cf4ab6f62a783),
+    ("tiered/tiers40", 0xa0df90061457b9fc),
+    ("hier:1x0", 0xc0f59e052d9118c0),
+    ("hier:2x4/goal", 0x21165ae805893574),
+    ("gossip:0", 0x8f0a70bd047aacbc),
+];
+
+#[test]
+fn lint_output_matches_pre_fold_pin() {
+    let mut table: Vec<(String, FlConfig, usize)> = vec![
+        ("default".into(), FlConfig::default(), 16),
+        ("preset/sync_vanilla".into(), small_cfg().sync_vanilla(), 16),
+        (
+            "preset/sync_over_selection".into(),
+            small_cfg().sync_over_selection(0.3),
+            16,
+        ),
+        (
+            "preset/async_goal".into(),
+            small_cfg().async_goal(3, BroadcastManner::AfterReceiving, SamplerKind::Uniform),
+            16,
+        ),
+        (
+            "preset/async_time".into(),
+            small_cfg().async_time(
+                5.0,
+                2,
+                BroadcastManner::AfterAggregating,
+                SamplerKind::Responsiveness,
+            ),
+            16,
+        ),
+        (
+            "preset/buffered_async".into(),
+            small_cfg().buffered_async(3, 0.5),
+            16,
+        ),
+        ("preset/tiered".into(), small_cfg().tiered(2), 16),
+    ];
+    for which in 0..10u8 {
+        let mut cfg = small_cfg();
+        apply_breaking_mutation(&mut cfg, which);
+        table.push((format!("mutation/{which}"), cfg, 16));
+    }
+    let codecs = [
+        ("quant3", CodecSpec::UniformQuant { bits: 3 }),
+        ("topk0", CodecSpec::TopK { ratio: 0.0 }),
+        ("topk_nan", CodecSpec::TopK { ratio: f32::NAN }),
+    ];
+    for (name, codec) in codecs {
+        table.push((
+            format!("codec/upload/{name}"),
+            with_compression(CompressionConfig {
+                upload: Some(codec),
+                ..Default::default()
+            }),
+            16,
+        ));
+        table.push((
+            format!("codec/download/{name}"),
+            with_compression(CompressionConfig {
+                download: Some(codec),
+                ..Default::default()
+            }),
+            16,
+        ));
+    }
+    table.push((
+        "hier:2x4/delta_upload".into(),
+        FlConfig {
+            topology: Topology::Hierarchical {
+                tiers: 2,
+                fanout: 4,
+            },
+            ..with_compression(CompressionConfig {
+                upload: Some(CodecSpec::UniformQuant { bits: 8 }),
+                upload_delta: true,
+                download: None,
+            })
+        },
+        16,
+    ));
+    table.push((
+        "gossip:2/two_peers".into(),
+        FlConfig {
+            topology: Topology::Gossip {
+                degree: 2,
+                rounds: 3,
+            },
+            ..small_cfg()
+        },
+        2,
+    ));
+    table.push((
+        "buffered/k0".into(),
+        with_rule(AggregationRule::Buffered {
+            k: 0,
+            discount: 0.5,
+        }),
+        16,
+    ));
+    table.push((
+        "tiered/tiers0".into(),
+        with_rule(AggregationRule::Tiered { tiers: 0 }),
+        16,
+    ));
+
+    // the lints the cases above do not reach
+    let hier = |tiers, fanout| Topology::Hierarchical { tiers, fanout };
+    let gossip = |degree| Topology::Gossip { degree, rounds: 3 };
+    let rest: Vec<(&str, FlConfig)> = vec![
+        (
+            "after_receiving/all_received",
+            FlConfig {
+                broadcast: BroadcastManner::AfterReceiving,
+                ..small_cfg()
+            },
+        ),
+        (
+            "over_selection/1.3",
+            FlConfig {
+                over_selection: 1.3,
+                ..small_cfg()
+            },
+        ),
+        (
+            "delta_without_codec",
+            with_compression(CompressionConfig {
+                upload_delta: true,
+                ..Default::default()
+            }),
+        ),
+        (
+            "eval_every/exceeds_rounds",
+            FlConfig {
+                eval_every: 3,
+                ..small_cfg()
+            },
+        ),
+        (
+            "target_accuracy/90",
+            FlConfig {
+                target_accuracy: Some(90.0),
+                ..small_cfg()
+            },
+        ),
+        (
+            "sample_target/exceeds_clients",
+            FlConfig {
+                concurrency: 17,
+                ..small_cfg()
+            },
+        ),
+        (
+            "goal/exceeds_target",
+            with_rule(AggregationRule::GoalAchieved { goal: 5 }),
+        ),
+        (
+            "time_up/bad_budget_and_feedback",
+            with_rule(AggregationRule::TimeUp {
+                budget_secs: f64::NAN,
+                min_feedback: 5,
+            }),
+        ),
+        (
+            "buffered/k_exceeds_target",
+            with_rule(AggregationRule::Buffered {
+                k: 9,
+                discount: 0.5,
+            }),
+        ),
+        (
+            "buffered/on_gossip",
+            FlConfig {
+                topology: gossip(2),
+                ..small_cfg().buffered_async(3, 0.5)
+            },
+        ),
+        (
+            "tiered/on_hier",
+            FlConfig {
+                topology: hier(2, 4),
+                ..small_cfg().tiered(2)
+            },
+        ),
+        ("tiered/tiers1", small_cfg().tiered(1)),
+        ("tiered/tiers40", small_cfg().tiered(40)),
+        (
+            "hier:1x0",
+            FlConfig {
+                topology: hier(1, 0),
+                ..small_cfg()
+            },
+        ),
+        (
+            "hier:2x4/goal",
+            FlConfig {
+                topology: hier(2, 4),
+                ..small_cfg().async_goal(3, BroadcastManner::AfterAggregating, SamplerKind::Uniform)
+            },
+        ),
+        (
+            "gossip:0",
+            FlConfig {
+                topology: gossip(0),
+                ..small_cfg()
+            },
+        ),
+    ];
+    table.extend(rest.into_iter().map(|(l, cfg)| (l.to_string(), cfg, 16)));
+
+    for (label, cfg, n) in &table {
+        let mut h = Fnv::new();
+        for d in &report_for(cfg, *n).diagnostics {
+            h.field("code", d.code.as_str());
+            h.field("severity", &d.severity.to_string());
+            h.field("subject", &d.subject);
+            h.field("message", &d.message);
+            h.field("suggestion", d.suggestion.as_deref().unwrap_or("-"));
+        }
+        check(label, h.finish(), GOLDEN_LINTS);
+    }
+}
+
+/// Every config the course builder refuses (`CourseWiring::validate` panics)
+/// is also a lint `Error`: the two validators may differ in what else they
+/// catch, never on these.
+#[test]
+fn builder_refusals_are_lint_errors() {
+    let goal = |goal| with_rule(AggregationRule::GoalAchieved { goal });
+    let time_up = |budget_secs, min_feedback| {
+        with_rule(AggregationRule::TimeUp {
+            budget_secs,
+            min_feedback,
+        })
+    };
+    let refused: Vec<(&str, FlConfig, Code)> = vec![
+        ("goal 0", goal(0), Code::ZeroGoal),
+        (
+            "goal > sample target",
+            goal(5),
+            Code::ThresholdExceedsSampleTarget,
+        ),
+        ("budget 0", time_up(0.0, 1), Code::NonPositiveBudget),
+        ("budget < 0", time_up(-2.0, 1), Code::NonPositiveBudget),
+        (
+            "min_feedback > sample target",
+            time_up(5.0, 5),
+            Code::ThresholdExceedsSampleTarget,
+        ),
+        (
+            "k 0",
+            with_rule(AggregationRule::Buffered {
+                k: 0,
+                discount: 0.5,
+            }),
+            Code::SchedBufferInvalid,
+        ),
+        (
+            "tiers 0",
+            with_rule(AggregationRule::Tiered { tiers: 0 }),
+            Code::SchedTiersInvalid,
+        ),
+        (
+            "sample target > clients",
+            FlConfig {
+                concurrency: 9,
+                ..small_cfg()
+            },
+            Code::SampleTargetExceedsClients,
+        ),
+    ];
+    for (what, cfg, code) in &refused {
+        let built = {
+            let cfg = cfg.clone();
+            std::panic::catch_unwind(move || course(8, cfg)).is_ok()
+        };
+        assert!(!built, "{what}: the builder no longer refuses this config");
+        let report = report_for(cfg, 8);
+        assert!(report.has_code(*code), "{what}:\n{report}");
+        assert_eq!(code.severity(), Severity::Error, "{what}");
+    }
 }
 
 // ---------------------------------------------------------------------------
