@@ -95,18 +95,6 @@ impl FedExPolicy {
             *l -= max;
         }
     }
-
-    /// The most probable arm's configuration.
-    pub fn best_arm(&self) -> SgdConfig {
-        let p = self.probabilities();
-        let mut best = 0;
-        for i in 1..p.len() {
-            if p[i] > p[best] {
-                best = i;
-            }
-        }
-        self.arms[best]
-    }
 }
 
 /// A trainer wrapper that re-specifies its configuration from the shared
@@ -250,7 +238,6 @@ mod tests {
         }
         let probs = p.probabilities();
         assert!(probs[2] > 0.5, "reinforced arm at {probs:?}");
-        assert!((p.best_arm().lr - 0.1).abs() < 1e-6);
     }
 
     #[test]

@@ -1,13 +1,34 @@
 //! Criterion: the blocked matmul kernels against the naive baseline, on the
-//! shapes of [`fs_bench::MATMUL_SHAPES`] — the full-tile squares and the
-//! ragged products courses actually run; `exp_perf` re-measures the same
-//! list outside criterion and persists it in `BENCH_perf.json`.
+//! shapes of [`MATMUL_SHAPES`] — the full-tile squares and the ragged
+//! products courses actually run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fs_bench::MATMUL_SHAPES;
 use fs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The products timed, as `(lhs stored transposed, m, k, n)`.
+///
+/// Two square-ish full-tile shapes, then the shapes courses actually run —
+/// which mostly are *not* multiples of the 4x16 tile, and went unmeasured
+/// while only the first two were here: the whole-batch convolution products
+/// of the old row-major lowering (kept as the remainder-tile stress: n = 8,
+/// 9, 10 and 72, m = 8), the per-image products of the current lowering
+/// (`femnist` `convnet2`, batch 20 on 8x8), and the classifier head.
+const MATMUL_SHAPES: [(bool, usize, usize, usize); 10] = [
+    (false, 64, 64, 64),
+    (false, 128, 256, 128),
+    (false, 1280, 9, 8),
+    (false, 320, 72, 16),
+    (true, 8, 1280, 9),
+    (true, 16, 320, 72),
+    (false, 20, 32, 10),
+    // conv1 / conv2 forward for one image: W [OC, C·K·K] x cols [C·K·K, OH·OW]
+    (false, 8, 9, 64),
+    (false, 16, 72, 16),
+    // conv2 weight gradient for one image: cols [C·K·K, OH·OW] x g^T [OH·OW, OC]
+    (false, 72, 16, 16),
+];
 
 fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
     let data = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();

@@ -25,12 +25,9 @@ pub struct ExpArgs {
     pub workloads: Option<Vec<String>>,
     /// `--quick` — shrink the run to a seconds-scale smoke test.
     pub quick: bool,
-    /// `--threads N[,M,...]` — worker-thread counts for the standalone
-    /// runner's parallel client execution (`FlConfig::parallelism`): 1
-    /// serial, 0 all cores. Most experiments use a single count
-    /// ([`ExpArgs::threads_or`]); sweep-style experiments read the whole
-    /// list ([`ExpArgs::threads_sweep_or`]).
-    pub threads: Option<Vec<usize>>,
+    /// `--threads N` — worker threads for the standalone runner's parallel
+    /// client execution (`FlConfig::parallelism`): 1 serial, 0 all cores.
+    pub threads: Option<usize>,
     /// `--clients a,b,c` — client counts to sweep (scale experiments).
     pub clients: Option<Vec<u64>>,
     /// `--mem-budget-mb N` — peak-RSS budget; experiments that track memory
@@ -57,7 +54,7 @@ impl ExpArgs {
                 eprintln!("error: {e}");
                 eprintln!(
                     "usage: [--seed N] [--rounds N] [--strategies a,b,c] \
-                     [--workloads femnist,cifar,twitter] [--threads N[,M,...]] \
+                     [--workloads femnist,cifar,twitter] [--threads N] \
                      [--clients a,b,c] [--mem-budget-mb N] \
                      [--topology star|hier:TxF|gossip:D] [--quick]"
                 );
@@ -113,14 +110,7 @@ impl ExpArgs {
                 }
                 "--threads" => {
                     let v = value_for("--threads")?;
-                    let mut out = Vec::new();
-                    for n in v.split(',').filter(|s| !s.is_empty()) {
-                        out.push(n.parse().map_err(|_| format!("bad threads {n:?}"))?);
-                    }
-                    if out.is_empty() {
-                        return Err("--threads needs at least one count".to_string());
-                    }
-                    args.threads = Some(out);
+                    args.threads = Some(v.parse().map_err(|_| format!("bad threads {v:?}"))?);
                 }
                 "--clients" => {
                     let v = value_for("--clients")?;
@@ -185,19 +175,10 @@ impl ExpArgs {
             .unwrap_or_else(|| default.iter().map(|s| s.to_string()).collect())
     }
 
-    /// The (first) worker-thread count, or an experiment-specific default
+    /// The worker-thread count, or an experiment-specific default
     /// (experiments pass 1: serial remains the default everywhere).
     pub fn threads_or(&self, default: usize) -> usize {
-        self.threads
-            .as_ref()
-            .and_then(|list| list.first().copied())
-            .unwrap_or(default)
-    }
-
-    /// The full worker-thread sweep, or an experiment-specific default
-    /// (sweep experiments pass the whole ladder, e.g. `[1, 2, 4, 8]`).
-    pub fn threads_sweep_or(&self, default: &[usize]) -> Vec<usize> {
-        self.threads.clone().unwrap_or_else(|| default.to_vec())
+        self.threads.unwrap_or(default)
     }
 
     /// The client-count sweep, or an experiment-specific default.
@@ -286,23 +267,13 @@ mod tests {
         assert!(ExpArgs::parse_from(&argv(&["--seed"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--seed", "x"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--threads", "x"])).is_err());
-        assert!(ExpArgs::parse_from(&argv(&["--threads", "1,x"])).is_err());
-        assert!(ExpArgs::parse_from(&argv(&["--threads", ""])).is_err());
+        assert!(ExpArgs::parse_from(&argv(&["--threads", "1,2"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--strategies", "nope"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--workloads", "mnist"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--clients", "abc"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--clients", ""])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--mem-budget-mb", "x"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["stray"])).is_err());
-    }
-
-    #[test]
-    fn threads_accepts_a_sweep() {
-        let a = ExpArgs::parse_from(&argv(&["--threads", "1,2,4,8"])).unwrap();
-        assert_eq!(a.threads_or(1), 1, "scalar accessor takes the first count");
-        assert_eq!(a.threads_sweep_or(&[4]), vec![1, 2, 4, 8]);
-        let a = ExpArgs::parse_from(&[]).unwrap();
-        assert_eq!(a.threads_sweep_or(&[1, 2, 4, 8]), vec![1, 2, 4, 8]);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! client exists only while that client is materialized, which is the whole
 //! point of the scale runner. Each sweep point records wall-clock time,
 //! events processed, `clients/sec`, `events/sec`, and the process peak RSS,
-//! written to `BENCH_scale.json` (repo root) following the `BENCH_perf.json`
-//! pattern: schema-versioned, self-validated after writing, gated in CI.
+//! written to `BENCH_scale.json` (repo root): schema-versioned,
+//! self-validated after writing, gated in CI.
 //!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_scale               # full sweep
@@ -15,10 +15,9 @@
 //! cargo run -p fs-bench --release --bin exp_scale -- --validate # gate only
 //! ```
 //!
-//! `--validate` additionally compares against a baseline snapshot when
-//! `SCALE_BASELINE=<path>` is set: any row matching a baseline row on
-//! (clients, rounds) must retain at least 75% of the baseline's
-//! `clients_per_sec`, so CI catches throughput regressions.
+//! `--validate` checks the committed document's schema and rows; whether the
+//! runner got slower is the course benchmark's `scale_lr` workload, measured
+//! against the parent commit on the same host.
 //!
 //! `--mem-budget-mb N` (default 4096) fails the run when peak RSS exceeds
 //! the budget — the acceptance bar for "a million clients fit in memory".
@@ -71,36 +70,10 @@ fn synth_split(seed: u64, idx: usize) -> ClientSplit {
     ClientSplit::from_fractions(&all, 8.0 / 12.0, 2.0 / 12.0)
 }
 
-/// Validate mode: parse the snapshot, and when `SCALE_BASELINE` names a
-/// baseline file, fail on a >25% `clients_per_sec` regression at any
-/// matching (clients, rounds) point.
-fn validate() {
-    let snap = validate_file::<ScaleRow>(BENCH_PATH);
-    let Some(baseline_path) = std::env::var_os("SCALE_BASELINE") else {
-        return;
-    };
-    let baseline_path = baseline_path.to_string_lossy();
-    let baseline =
-        Snapshot::<ScaleRow>::load(&baseline_path).unwrap_or_else(|e| panic!("baseline: {e}"));
-    let compared = snap
-        .check_against(&baseline)
-        .unwrap_or_else(|e| panic!("{e}"));
-    for (row, base) in &compared {
-        println!(
-            "  {} clients: {:.0} clients/sec vs baseline {:.0} — ok",
-            row.clients, row.clients_per_sec, base.clients_per_sec
-        );
-    }
-    println!(
-        "baseline comparison: {} matching rows checked",
-        compared.len()
-    );
-}
-
 fn main() {
     let args = ExpArgs::parse();
     if args.has_flag("validate") {
-        validate();
+        validate_file::<ScaleRow>(BENCH_PATH);
         return;
     }
 

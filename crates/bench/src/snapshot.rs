@@ -1,17 +1,17 @@
 //! The `BENCH_*.json` regression snapshots.
 //!
-//! Every snapshot is the same document — `schema_version`, `bench`, an
-//! optional extra header, `rows` — so there is one [`Snapshot`] type generic
-//! over its [`Row`], one parse-and-header check ([`Snapshot::parse`]) and one
-//! `--validate` / write-reread-validate pair ([`validate_file`],
-//! [`Snapshot::store`]) shared by `exp_monitor`, `exp_perf`, `exp_scale`,
-//! `exp_topo` and `exp_sched`. A row type holds only its fields, its per-row
-//! [`Row::check`] and, where the bench has one, its cross-row contract
-//! ([`Row::check_document`]).
+//! Every snapshot is the same document — `schema_version`, `bench`, `rows` —
+//! so there is one [`Snapshot`] type generic over its [`Row`], one
+//! parse-and-header check ([`Snapshot::parse`]) and one `--validate` /
+//! write-reread-validate pair ([`validate_file`], [`Snapshot::store`]) shared
+//! by `exp_monitor`, `exp_scale`, `exp_topo` and `exp_sched`. A row type
+//! holds only its fields, its per-row [`Row::check`] and, where the bench has
+//! one, its cross-row contract ([`Row::check_document`]). The snapshots gate
+//! what a course *did* (schema, counts, contracts between rows); how fast it
+//! ran is the course benchmark's question (`BENCHMARK.json`), asked of parent
+//! and change on one host.
 
-use crate::sys::usable_cores;
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt::Debug;
+use serde::{Deserialize, Serialize};
 use std::fs;
 
 /// One row of a `BENCH_*.json` document.
@@ -19,69 +19,25 @@ pub trait Row: Serialize + Deserialize + Sized {
     /// Schema version of the documents holding this row; bump on
     /// incompatible changes.
     const SCHEMA_VERSION: u64;
-    /// Header fields beyond `schema_version` and `bench` ([`NoExtra`] for
-    /// every bench but `exp_perf`).
-    type Extra: Serialize + Deserialize + Default + Clone + Debug + PartialEq;
-    /// How many of `Extra`'s fields are written before `rows`; the rest
-    /// follow it (the committed `BENCH_perf.json` puts `matmul` last).
-    const EXTRA_BEFORE_ROWS: usize = 0;
-
     /// Field-level checks of one row.
     fn check(&self) -> Result<(), String>;
 
-    /// Checks that need the whole document: the extra header and the
-    /// bench's cross-row contract.
+    /// Checks that need the whole document: the bench's cross-row contract.
     fn check_document(_doc: &Snapshot<Self>) -> Result<(), String> {
         Ok(())
     }
 }
 
-/// The extra header of a bench that has none.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct NoExtra {}
-
-/// A `BENCH_*.json` document.
-#[derive(Clone, Debug, PartialEq)]
+/// A `BENCH_*.json` document. A top-level field it does not name is ignored
+/// on read.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot<R: Row> {
     /// Must equal [`Row::SCHEMA_VERSION`].
     pub schema_version: u64,
     /// Name of the binary that wrote the document (e.g. `"exp_topo"`).
     pub bench: String,
-    /// Bench-specific header fields, flattened into the document.
-    pub extra: R::Extra,
     /// One row per measured cell.
     pub rows: Vec<R>,
-}
-
-impl<R: Row> Serialize for Snapshot<R> {
-    fn to_value(&self) -> Value {
-        let Value::Object(mut after_rows) = self.extra.to_value() else {
-            panic!("a snapshot's extra header is a struct with named fields");
-        };
-        let mut doc = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("bench".to_string(), self.bench.to_value()),
-        ];
-        doc.extend(after_rows.drain(..R::EXTRA_BEFORE_ROWS));
-        doc.push(("rows".to_string(), self.rows.to_value()));
-        doc.extend(after_rows);
-        Value::Object(doc)
-    }
-}
-
-impl<R: Row> Deserialize for Snapshot<R> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let field = |name: &str| v.get(name).unwrap_or(&Value::Null);
-        Ok(Self {
-            schema_version: u64::from_value(field("schema_version"))
-                .map_err(|e| e.in_field("Snapshot", "schema_version"))?,
-            bench: String::from_value(field("bench"))
-                .map_err(|e| e.in_field("Snapshot", "bench"))?,
-            // the extra header's fields sit beside `rows` at the top level
-            extra: R::Extra::from_value(v)?,
-            rows: Vec::from_value(field("rows")).map_err(|e| e.in_field("Snapshot", "rows"))?,
-        })
-    }
 }
 
 impl<R: Row> Snapshot<R> {
@@ -90,7 +46,6 @@ impl<R: Row> Snapshot<R> {
         Self {
             schema_version: R::SCHEMA_VERSION,
             bench: bench.to_string(),
-            extra: R::Extra::default(),
             rows: Vec::new(),
         }
     }
@@ -147,10 +102,9 @@ impl<R: Row> Snapshot<R> {
 
 /// The `--validate` mode of a bench binary: loads the committed snapshot at
 /// `path` or panics with the reason.
-pub fn validate_file<R: Row>(path: &str) -> Snapshot<R> {
+pub fn validate_file<R: Row>(path: &str) {
     let snap = Snapshot::<R>::load(path).unwrap_or_else(|e| panic!("{e}"));
     println!("{path} valid: {} rows", snap.rows.len());
-    snap
 }
 
 fn named(fields: &[(&str, &str)]) -> Result<(), String> {
@@ -212,7 +166,6 @@ pub struct BenchRow {
 
 impl Row for BenchRow {
     const SCHEMA_VERSION: u64 = 1;
-    type Extra = NoExtra;
 
     fn check(&self) -> Result<(), String> {
         named(&[
@@ -226,216 +179,6 @@ impl Row for BenchRow {
         finite("best_accuracy", self.best_accuracy)?;
         finite("final_virtual_secs", self.final_virtual_secs)?;
         finite("virtual_secs_to_target", self.virtual_secs_to_target)
-    }
-}
-
-/// One serial-vs-parallel grid cell in `BENCH_perf.json`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PerfRow {
-    /// Workload name (e.g. `"femnist"`).
-    pub workload: String,
-    /// Training-strategy name (e.g. `"sync_vanilla"`).
-    pub strategy: String,
-    /// Aggregation rounds completed (identical for both runs by contract).
-    pub rounds: u64,
-    /// Worker threads used for the parallel run (`FlConfig::parallelism`).
-    pub threads: usize,
-    /// Wall-clock milliseconds of the serial (`parallelism = 1`) run.
-    pub serial_ms: f64,
-    /// Wall-clock milliseconds of the parallel run.
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`.
-    pub speedup: f64,
-    /// Whether the serial and parallel `CourseReport`s compared equal —
-    /// the determinism contract; the validator rejects `false`.
-    pub reports_identical: bool,
-}
-
-/// One matmul micro-measurement in `BENCH_perf.json`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MatmulRow {
-    /// Left operand rows.
-    pub m: usize,
-    /// Inner (contraction) dimension.
-    pub k: usize,
-    /// Right operand columns.
-    pub n: usize,
-    /// Best-of-N nanoseconds for the naive triple loop.
-    pub naive_ns: f64,
-    /// Best-of-N nanoseconds for the blocked/SIMD kernel.
-    pub blocked_ns: f64,
-    /// `naive_ns / blocked_ns`.
-    pub speedup: f64,
-}
-
-/// A ratcheted minimum parallel speedup for one thread count.
-///
-/// Floors are persisted in the snapshot itself rather than hardcoded in CI:
-/// every regeneration carries the old floor forward (it can only rise, never
-/// fall) and tightens it when the measuring host actually demonstrates a
-/// better worst-case. The validator enforces a floor **only when the host
-/// has at least `threads` cores** — a single-core container physically
-/// cannot show a 4-thread win, and gating on it there would just encode
-/// noise.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SpeedupFloor {
-    /// Worker-thread count the floor applies to.
-    pub threads: usize,
-    /// Minimum `speedup` an engine row at this thread count must reach when
-    /// the floor is enforceable (`cores >= threads`).
-    pub min_speedup: f64,
-}
-
-/// The extra header of `BENCH_perf.json`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PerfExtra {
-    /// CPU cores available on the measurement host. Wall-clock speedup is
-    /// bounded by this — a single-core host cannot show a parallel win, so
-    /// readers must interpret `speedup` relative to `cores`, and the
-    /// [`SpeedupFloor`] gate is enforced only where `cores >= threads`.
-    pub cores: usize,
-    /// Ratcheted per-thread-count speedup floors (see [`SpeedupFloor`]).
-    pub speedup_floors: Vec<SpeedupFloor>,
-    /// One row per benchmarked matmul shape.
-    pub matmul: Vec<MatmulRow>,
-}
-
-impl Default for PerfExtra {
-    /// This host's usable cores and the seed floors of a fresh baseline: the
-    /// PR-9 target of ≥2.5× at four threads, plus conservative entries for
-    /// the rest of the sweep. They only ratchet upward from here.
-    fn default() -> Self {
-        let floor = |threads, min_speedup| SpeedupFloor {
-            threads,
-            min_speedup,
-        };
-        Self {
-            cores: usable_cores(),
-            speedup_floors: vec![floor(2, 1.3), floor(4, 2.5), floor(8, 2.5)],
-            matmul: Vec::new(),
-        }
-    }
-}
-
-impl Row for PerfRow {
-    /// v2 added `speedup_floors` and the thread-count sweep (multiple rows
-    /// per grid cell).
-    const SCHEMA_VERSION: u64 = 2;
-    type Extra = PerfExtra;
-    const EXTRA_BEFORE_ROWS: usize = 2;
-
-    fn check(&self) -> Result<(), String> {
-        named(&[("workload", &self.workload), ("strategy", &self.strategy)])?;
-        nonzero("rounds", self.rounds)?;
-        nonzero("threads", self.threads as u64)?;
-        positive("serial_ms", self.serial_ms)?;
-        positive("parallel_ms", self.parallel_ms)?;
-        positive("speedup", self.speedup)?;
-        if !self.reports_identical {
-            return Err("serial and parallel reports differ — determinism violated".to_string());
-        }
-        Ok(())
-    }
-
-    fn check_document(doc: &Snapshot<Self>) -> Result<(), String> {
-        let extra = &doc.extra;
-        nonzero("cores", extra.cores as u64)?;
-        if extra.matmul.is_empty() {
-            return Err("snapshot has no matmul rows".to_string());
-        }
-        if extra.speedup_floors.is_empty() {
-            return Err("snapshot has no speedup floors".to_string());
-        }
-        for (i, floor) in extra.speedup_floors.iter().enumerate() {
-            if floor.threads < 2 {
-                return Err(format!(
-                    "floor {i}: thread count {} below 2 (serial has no speedup)",
-                    floor.threads
-                ));
-            }
-            positive("min_speedup", floor.min_speedup).map_err(|e| format!("floor {i}: {e}"))?;
-        }
-        for (i, row) in extra.matmul.iter().enumerate() {
-            let at = |e: String| format!("matmul row {i}: {e}");
-            if row.m == 0 || row.k == 0 || row.n == 0 {
-                return Err(at("zero dimension".to_string()));
-            }
-            positive("naive_ns", row.naive_ns).map_err(at)?;
-            positive("blocked_ns", row.blocked_ns).map_err(at)?;
-            positive("speedup", row.speedup).map_err(at)?;
-        }
-        // the ratcheted speedup gate — enforceable only where the host has
-        // at least as many cores as the row used threads
-        for (i, row) in doc.rows.iter().enumerate() {
-            if extra.cores < row.threads {
-                continue;
-            }
-            if let Some(floor) = doc.floor_for(row.threads) {
-                if row.speedup < floor {
-                    return Err(format!(
-                        "row {i} ({}/{} @ {} threads): speedup {:.2} below \
-                         ratcheted floor {floor:.2}",
-                        row.workload, row.strategy, row.threads, row.speedup
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Snapshot<PerfRow> {
-    /// The floor for `threads`, if one is set.
-    pub fn floor_for(&self, threads: usize) -> Option<f64> {
-        self.extra
-            .speedup_floors
-            .iter()
-            .find(|f| f.threads == threads)
-            .map(|f| f.min_speedup)
-    }
-
-    /// Ratchets `speedup_floors` against a previous baseline and this
-    /// snapshot's own measurements.
-    ///
-    /// Two monotone moves, in order:
-    /// 1. every floor from `previous` is carried forward at no less than its
-    ///    old value (floors never decrease across regenerations);
-    /// 2. for each thread count this host can genuinely exercise
-    ///    (`cores >= threads`), the floor rises to 90% of the *worst*
-    ///    speedup observed across the grid at that thread count, rounded
-    ///    down to two decimals — so a future regression below today's
-    ///    demonstrated performance fails the gate, with 10% noise headroom.
-    ///
-    /// On a host with fewer cores than the thread count the measurement is
-    /// meaningless, so the floor is carried unchanged.
-    pub fn ratchet_floors(&mut self, previous: Option<&Self>) {
-        let floors = &mut self.extra.speedup_floors;
-        if let Some(prev) = previous {
-            for old in &prev.extra.speedup_floors {
-                match floors.iter_mut().find(|f| f.threads == old.threads) {
-                    Some(cur) => cur.min_speedup = cur.min_speedup.max(old.min_speedup),
-                    None => floors.push(old.clone()),
-                }
-            }
-            floors.sort_by_key(|f| f.threads);
-        }
-        for floor in floors {
-            if self.extra.cores < floor.threads {
-                continue;
-            }
-            let worst = self
-                .rows
-                .iter()
-                .filter(|r| r.threads == floor.threads)
-                .map(|r| r.speedup)
-                .fold(f64::INFINITY, f64::min);
-            if worst.is_finite() {
-                let candidate = (worst * 0.9 * 100.0).floor() / 100.0;
-                if candidate > floor.min_speedup {
-                    floor.min_speedup = candidate;
-                }
-            }
-        }
     }
 }
 
@@ -462,7 +205,6 @@ pub struct ScaleRow {
 
 impl Row for ScaleRow {
     const SCHEMA_VERSION: u64 = 1;
-    type Extra = NoExtra;
 
     fn check(&self) -> Result<(), String> {
         nonzero("clients", self.clients)?;
@@ -471,40 +213,6 @@ impl Row for ScaleRow {
         positive("wall_secs", self.wall_secs)?;
         positive("clients_per_sec", self.clients_per_sec)?;
         positive("events_per_sec", self.events_per_sec)
-    }
-}
-
-impl Snapshot<ScaleRow> {
-    /// Minimum fraction of a baseline row's `clients_per_sec` the matching
-    /// row must retain.
-    pub const REGRESSION_FLOOR: f64 = 0.75;
-
-    /// Compares against `baseline`: every row matching a baseline row on
-    /// (clients, rounds) must retain [`Self::REGRESSION_FLOOR`] of its
-    /// `clients_per_sec`. Returns the matched `(row, baseline row)` pairs.
-    pub fn check_against<'a>(
-        &'a self,
-        baseline: &'a Self,
-    ) -> Result<Vec<(&'a ScaleRow, &'a ScaleRow)>, String> {
-        let mut matched = Vec::new();
-        for row in &self.rows {
-            let Some(base) = baseline
-                .rows
-                .iter()
-                .find(|b| b.clients == row.clients && b.rounds == row.rounds)
-            else {
-                continue;
-            };
-            if row.clients_per_sec < Self::REGRESSION_FLOOR * base.clients_per_sec {
-                return Err(format!(
-                    "throughput regression at {} clients x {} rounds: {:.0} clients/sec \
-                     < 75% of baseline {:.0}",
-                    row.clients, row.rounds, row.clients_per_sec, base.clients_per_sec
-                ));
-            }
-            matched.push((row, base));
-        }
-        Ok(matched)
     }
 }
 
@@ -553,7 +261,6 @@ impl TopoRow {
 /// where it claims to).
 impl Row for TopoRow {
     const SCHEMA_VERSION: u64 = 1;
-    type Extra = NoExtra;
 
     fn check(&self) -> Result<(), String> {
         named(&[
@@ -639,7 +346,6 @@ pub struct SchedRow {
 /// completing a course (they are the point of the bench).
 impl Row for SchedRow {
     const SCHEMA_VERSION: u64 = 1;
-    type Extra = NoExtra;
 
     fn check(&self) -> Result<(), String> {
         named(&[("workload", &self.workload), ("scheduler", &self.scheduler)])?;
@@ -682,6 +388,7 @@ impl Row for SchedRow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Debug;
 
     fn bench_row() -> BenchRow {
         BenchRow {
@@ -696,30 +403,6 @@ mod tests {
             uploaded_bytes: 1 << 20,
             downloaded_bytes: 1 << 21,
             final_virtual_secs: 3600.0,
-        }
-    }
-
-    fn perf_row() -> PerfRow {
-        PerfRow {
-            workload: "femnist".into(),
-            strategy: "sync_vanilla".into(),
-            rounds: 8,
-            threads: 4,
-            serial_ms: 812.0,
-            parallel_ms: 233.0,
-            speedup: 812.0 / 233.0,
-            reports_identical: true,
-        }
-    }
-
-    fn matmul_row() -> MatmulRow {
-        MatmulRow {
-            m: 128,
-            k: 256,
-            n: 128,
-            naive_ns: 3.1e6,
-            blocked_ns: 0.9e6,
-            speedup: 3.1 / 0.9,
         }
     }
 
@@ -779,15 +462,6 @@ mod tests {
         snap
     }
 
-    fn perf_doc() -> Snapshot<PerfRow> {
-        let mut snap = Snapshot::<PerfRow>::new("exp_perf");
-        // a 1-core host: the sample's speedups are not gated by the floors
-        snap.extra.cores = 1;
-        snap.rows.push(perf_row());
-        snap.extra.matmul.push(matmul_row());
-        snap
-    }
-
     fn scale_doc() -> Snapshot<ScaleRow> {
         let mut snap = Snapshot::<ScaleRow>::new("exp_scale");
         snap.rows.push(scale_row());
@@ -831,7 +505,6 @@ mod tests {
     #[test]
     fn every_schema_shares_the_header_checks() {
         header_cases(bench_doc());
-        header_cases(perf_doc());
         header_cases(scale_doc());
         header_cases(sched_doc());
         header_cases(topo_doc());
@@ -876,95 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn perf_rows_header_and_floors_are_checked() {
-        rejects(
-            perf_doc,
-            &[
-                ("zero cores", |s| s.extra.cores = 0),
-                ("no matmul rows", |s| s.extra.matmul.clear()),
-                ("no speedup floors", |s| s.extra.speedup_floors.clear()),
-                ("floor 0: bad min_speedup", |s| {
-                    s.extra.speedup_floors[0].min_speedup = f64::NAN
-                }),
-                ("floor 0: thread count 1 below 2", |s| {
-                    s.extra.speedup_floors[0].threads = 1
-                }),
-                ("matmul row 0: zero dimension", |s| s.extra.matmul[0].k = 0),
-                ("matmul row 0: bad blocked_ns", |s| {
-                    s.extra.matmul[0].blocked_ns = 0.0
-                }),
-                ("zero threads", |s| s.rows[0].threads = 0),
-                ("bad parallel_ms", |s| s.rows[0].parallel_ms = -1.0),
-                // the determinism contract is load-bearing: a cell whose
-                // serial and parallel reports differ must fail the gate
-                ("determinism violated", |s| {
-                    s.rows[0].reports_identical = false
-                }),
-            ],
-        );
-        // a v1 document (no speedup_floors) must not validate as v2
-        let v1 = r#"{
-            "schema_version": 1, "bench": "exp_perf", "cores": 1,
-            "rows": [], "matmul": []
-        }"#;
-        assert!(Snapshot::<PerfRow>::parse(v1).is_err());
-    }
-
-    #[test]
-    fn perf_floor_gate_is_core_aware() {
-        // speedup 0.95 at 4 threads, well below the 2.5 floor
-        let mut snap = perf_doc();
-        snap.rows[0].speedup = 0.95;
-        // single-core host: the floor is not enforceable, snapshot passes
-        snap.extra.cores = 1;
-        snap.check()
-            .expect("1-core host cannot be gated on a 4-thread floor");
-        // 4-core host: the same numbers must now fail the gate
-        snap.extra.cores = 4;
-        let err = snap.check().unwrap_err();
-        assert!(err.contains("below ratcheted floor"), "got: {err}");
-    }
-
-    #[test]
-    fn perf_floors_ratchet_up_never_down() {
-        // previous baseline raised the 4-thread floor to 3.0
-        let mut prev = perf_doc();
-        prev.extra.speedup_floors = vec![SpeedupFloor {
-            threads: 4,
-            min_speedup: 3.0,
-        }];
-
-        let mut snap = perf_doc(); // speedup ≈ 3.49 @ 4 threads, 1 core
-        snap.ratchet_floors(Some(&prev));
-        // 1-core host: carried forward, measurement cannot tighten it
-        assert_eq!(snap.floor_for(4), Some(3.0));
-        // the seeded 2-thread floor survives the merge
-        assert_eq!(snap.floor_for(2), Some(1.3));
-
-        // 8-core host: 90% of the worst observed cell (3.2 → 2.88) is below
-        // the carried 3.0, which therefore wins (never decreases)
-        let mut snap = perf_doc();
-        let mut slow = perf_row();
-        slow.speedup = 3.2;
-        snap.rows.push(slow);
-        snap.extra.cores = 8;
-        snap.ratchet_floors(Some(&prev));
-        assert_eq!(snap.floor_for(4), Some(3.0));
-
-        // with a stronger measurement the floor does tighten
-        let mut fast = perf_doc();
-        fast.rows[0].speedup = 3.6;
-        fast.extra.cores = 8;
-        fast.ratchet_floors(Some(&prev));
-        let floor = fast.floor_for(4).unwrap();
-        assert!(
-            floor > 3.0 && floor <= 3.6 * 0.9,
-            "floor {floor} should tighten to ~90% of the observed 3.6"
-        );
-    }
-
-    #[test]
-    fn scale_rows_and_the_baseline_rule_are_checked() {
+    fn scale_rows_are_checked() {
         rejects(
             scale_doc,
             &[
@@ -980,18 +565,6 @@ mod tests {
         let mut no_rss = scale_doc();
         no_rss.rows[0].peak_rss_bytes = 0;
         no_rss.check().expect("rss 0 is the unavailable sentinel");
-
-        // SCALE_BASELINE: a matching row keeps >= 75% of the baseline rate
-        let baseline = scale_doc();
-        let mut now = scale_doc();
-        now.rows[0].clients_per_sec = 0.8 * baseline.rows[0].clients_per_sec;
-        assert_eq!(now.check_against(&baseline).expect("within 25%").len(), 1);
-        now.rows[0].clients_per_sec = 0.7 * baseline.rows[0].clients_per_sec;
-        let err = now.check_against(&baseline).unwrap_err();
-        assert!(err.contains("throughput regression"), "got: {err}");
-        // rows without a baseline counterpart are not compared
-        now.rows[0].clients = 7;
-        assert!(now.check_against(&baseline).expect("no match").is_empty());
     }
 
     #[test]
@@ -1104,7 +677,6 @@ mod tests {
             assert_eq!(snap.to_json().expect("serializes"), text);
         }
         round_trip::<BenchRow>(include_str!("../../../BENCH_monitor.json"));
-        round_trip::<PerfRow>(include_str!("../../../BENCH_perf.json"));
         round_trip::<ScaleRow>(include_str!("../../../BENCH_scale.json"));
         round_trip::<SchedRow>(include_str!("../../../BENCH_sched.json"));
         round_trip::<TopoRow>(include_str!("../../../BENCH_topo.json"));

@@ -32,32 +32,6 @@ fn bytes_to_mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
-/// CPU cores this process can actually use.
-///
-/// [`std::thread::available_parallelism`] is the primary source — it honors
-/// cgroup CPU quotas and affinity masks, which is exactly the number that
-/// bounds wall-clock speedup in a container. When it is unavailable the
-/// Linux fallback counts `processor` stanzas in `/proc/cpuinfo`; the final
-/// fallback is 1. Perf snapshots persist this so readers (and the ratcheted
-/// speedup gate) can interpret parallel timings relative to what the host
-/// could ever deliver.
-pub fn usable_cores() -> usize {
-    if let Ok(n) = std::thread::available_parallelism() {
-        return n.get();
-    }
-    #[cfg(target_os = "linux")]
-    if let Ok(cpuinfo) = std::fs::read_to_string("/proc/cpuinfo") {
-        let n = cpuinfo
-            .lines()
-            .filter(|l| l.starts_with("processor"))
-            .count();
-        if n > 0 {
-            return n;
-        }
-    }
-    1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -71,13 +45,6 @@ mod tests {
         let rss = peak_rss().expect("VmHWM available on Linux");
         assert!(rss > 1 << 20, "peak RSS {rss} implausibly small");
         assert!(rss < 1 << 42, "peak RSS {rss} implausibly large");
-    }
-
-    #[test]
-    fn usable_cores_is_at_least_one() {
-        let n = usable_cores();
-        assert!(n >= 1);
-        assert!(n < 1 << 16, "usable_cores {n} implausibly large");
     }
 
     #[test]

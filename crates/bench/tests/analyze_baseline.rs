@@ -1,5 +1,5 @@
 //! Guards the committed static-analysis debt baseline, the same way the
-//! perf suite guards `results/BENCH_perf.json`: `ANALYZE_baseline.json` must
+//! snapshot suite guards the `BENCH_*.json` files: `ANALYZE_baseline.json` must
 //! stay well-formed, and the live workspace must not owe more findings than
 //! it records. This puts the FSA ratchet inside plain `cargo test`, so a
 //! regression fails locally before CI's dedicated `fsa --check` step sees it.

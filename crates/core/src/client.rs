@@ -132,11 +132,6 @@ impl Client {
         self.registry.effective_handlers()
     }
 
-    /// Message-flow edges for the completeness checker.
-    pub fn flow_edges(&self) -> Vec<(Event, Event)> {
-        self.registry.flow_edges()
-    }
-
     /// Registration-conflict warnings.
     pub fn warnings(&self) -> &[String] {
         self.registry.warnings()

@@ -3,7 +3,7 @@
 use fs_compress::{Compressor, DeltaEncode, Identity, TopK, UniformQuant};
 use fs_net::Topology;
 use fs_tensor::optim::SgdConfig;
-use fs_verify::{CodecFacts, ConfigFacts, RuleFacts, VerifyMode};
+use fs_verify::VerifyMode;
 
 /// Which codec compresses a parameter payload (see `fs-compress`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -189,8 +189,6 @@ pub struct FlConfig {
     pub eval_every: u64,
     /// Stop as soon as global test accuracy reaches this value.
     pub target_accuracy: Option<f32>,
-    /// Early-stop patience in evaluations without improvement.
-    pub patience: Option<u64>,
     /// Local training steps per round (the paper's `Q`).
     pub local_steps: usize,
     /// Local minibatch size.
@@ -232,7 +230,6 @@ impl Default for FlConfig {
             over_selection: 0.0,
             eval_every: 1,
             target_accuracy: None,
-            patience: None,
             local_steps: 4,
             batch_size: 20,
             sgd: SgdConfig::with_lr(0.1),
@@ -242,16 +239,6 @@ impl Default for FlConfig {
             seed: 42,
             parallelism: 1,
             topology: Topology::Star,
-        }
-    }
-}
-
-impl CodecSpec {
-    fn facts(self) -> CodecFacts {
-        match self {
-            CodecSpec::Identity => CodecFacts::Identity,
-            CodecSpec::UniformQuant { bits } => CodecFacts::Quantize { bits },
-            CodecSpec::TopK { ratio } => CodecFacts::TopK { ratio },
         }
     }
 }
@@ -287,44 +274,6 @@ impl FlConfig {
             | AggregationRule::GoalAchieved { .. }
             | AggregationRule::TimeUp { .. }
             | AggregationRule::Tiered { .. } => self.staleness_discount,
-        }
-    }
-
-    /// Lowers the config into the verifier's backend-neutral facts.
-    /// `num_clients` is the population size when the course is assembled.
-    pub fn facts(&self, num_clients: Option<usize>) -> ConfigFacts {
-        ConfigFacts {
-            total_rounds: self.total_rounds,
-            concurrency: self.concurrency,
-            sample_target: self.sample_target(),
-            num_clients,
-            rule: match self.rule {
-                AggregationRule::AllReceived => RuleFacts::AllReceived,
-                AggregationRule::GoalAchieved { goal } => RuleFacts::GoalAchieved { goal },
-                AggregationRule::TimeUp {
-                    budget_secs,
-                    min_feedback,
-                } => RuleFacts::TimeUp {
-                    budget_secs,
-                    min_feedback,
-                },
-                AggregationRule::Buffered { k, .. } => RuleFacts::Buffered { k },
-                AggregationRule::Tiered { tiers } => RuleFacts::Tiered { tiers },
-            },
-            after_receiving_broadcast: self.broadcast == BroadcastManner::AfterReceiving,
-            staleness_tolerance: self.staleness_tolerance,
-            staleness_discount: self.staleness_discount,
-            over_selection: self.over_selection,
-            eval_every: self.eval_every,
-            target_accuracy: self.target_accuracy,
-            patience: self.patience,
-            local_steps: self.local_steps,
-            batch_size: self.batch_size,
-            lr: self.sgd.lr,
-            upload: self.compression.upload.map(CodecSpec::facts),
-            upload_delta: self.compression.upload_delta,
-            download: self.compression.download.map(CodecSpec::facts),
-            topology: Some(self.topology),
         }
     }
 

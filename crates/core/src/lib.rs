@@ -32,7 +32,6 @@
 
 pub mod aggregator;
 pub mod client;
-pub mod completeness;
 pub mod config;
 pub mod course;
 pub mod ctx;
@@ -40,6 +39,7 @@ pub mod distributed;
 pub mod eval;
 pub mod event;
 pub mod idset;
+pub mod lint;
 pub mod registry;
 pub mod runner;
 pub mod sampler;
@@ -59,6 +59,7 @@ pub use course::{CourseBuilder, CourseWiring};
 pub use ctx::Ctx;
 pub use event::{Condition, Event};
 pub use idset::IdSet;
+pub use lint::lint_config;
 pub use runner::{Ascent, ClientStore, CourseReport, Router, Runner, StandaloneRunner, Star};
 pub use scheduler::{build_scheduler, RosterVerdict, Scheduler, SchedulerObs, Selection};
 pub use server::{Server, ServerState};

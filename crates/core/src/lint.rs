@@ -1,134 +1,19 @@
-//! Config lints over a backend-neutral projection of `FlConfig`.
+//! Config lints: range and consistency checks over [`FlConfig`]
+//! (`FSV02x`–`FSV03x`, `FSV05x`, `FSV06x`).
 //!
-//! `fs-verify` sits *below* `fs-core` in the dependency graph, so it cannot
-//! name `FlConfig` directly. Instead the engine lowers its config into
-//! [`ConfigFacts`] — the handful of primitives the lints need — via
-//! `FlConfig::facts()`. Keeping the lint input this small also makes the
-//! lints trivially testable without building a course.
+//! They live next to the config they read, so a new [`AggregationRule`] or
+//! [`CodecSpec`] variant is spelled once; `fs-verify` keeps the vocabulary
+//! they report in ([`Code`], [`Diagnostic`]) and the protocol checks over the
+//! flow graph. [`crate::verify`] appends these findings to a course's report.
 
-use crate::diag::{Code, Diagnostic};
+use crate::config::{AggregationRule, BroadcastManner, CodecSpec, FlConfig};
 use fs_net::Topology;
+use fs_verify::{Code, Diagnostic};
 
-/// The aggregation rule, reduced to what the lints need.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RuleFacts {
-    /// Wait for every sampled client.
-    AllReceived,
-    /// Aggregate once `goal` usable updates arrive.
-    GoalAchieved {
-        /// The update-count trigger.
-        goal: usize,
-    },
-    /// Aggregate when the round budget runs out.
-    TimeUp {
-        /// Per-round virtual-time budget, seconds.
-        budget_secs: f64,
-        /// Minimum usable updates before remedial measures.
-        min_feedback: usize,
-    },
-    /// FedBuff-style buffered async: aggregate every `k` buffered updates.
-    Buffered {
-        /// Buffer size that triggers aggregation.
-        k: usize,
-    },
-    /// Tiered semi-async over seeded speed tiers.
-    Tiered {
-        /// Number of speed tiers.
-        tiers: usize,
-    },
-}
-
-/// One direction's codec, reduced to what the lints need.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum CodecFacts {
-    /// Dense passthrough.
-    Identity,
-    /// Uniform quantization at `bits` per value.
-    Quantize {
-        /// Quantization width.
-        bits: u8,
-    },
-    /// Top-k sparsification keeping `ratio` of entries.
-    TopK {
-        /// Keep fraction, expected in `(0, 1]`.
-        ratio: f32,
-    },
-}
-
-/// Backend-neutral projection of an FL course configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ConfigFacts {
-    /// Maximum number of aggregation rounds.
-    pub total_rounds: u64,
-    /// Target number of concurrently training clients.
-    pub concurrency: usize,
-    /// Clients sampled per refill (concurrency × (1 + over_selection)).
-    pub sample_target: usize,
-    /// Population size, when the course is already assembled.
-    pub num_clients: Option<usize>,
-    /// Aggregation trigger.
-    pub rule: RuleFacts,
-    /// Whether broadcast happens after each *receive* (FedBuff style).
-    pub after_receiving_broadcast: bool,
-    /// Maximum tolerated staleness.
-    pub staleness_tolerance: u64,
-    /// Staleness discount exponent.
-    pub staleness_discount: f32,
-    /// Extra sampled fraction beyond concurrency.
-    pub over_selection: f32,
-    /// Evaluate every this many rounds.
-    pub eval_every: u64,
-    /// Early-stop accuracy target.
-    pub target_accuracy: Option<f32>,
-    /// Early-stop patience, in evaluations.
-    pub patience: Option<u64>,
-    /// Local steps per round.
-    pub local_steps: usize,
-    /// Local minibatch size.
-    pub batch_size: usize,
-    /// Local learning rate.
-    pub lr: f32,
-    /// Upload codec, if compression is on.
-    pub upload: Option<CodecFacts>,
-    /// Whether uploads are delta-encoded against the broadcast model.
-    pub upload_delta: bool,
-    /// Download codec, if compression is on.
-    pub download: Option<CodecFacts>,
-    /// Communication topology (`None` is treated as the plain star).
-    pub topology: Option<Topology>,
-}
-
-impl Default for ConfigFacts {
-    /// Mirrors `FlConfig::default()`.
-    fn default() -> Self {
-        Self {
-            total_rounds: 50,
-            concurrency: 10,
-            sample_target: 10,
-            num_clients: None,
-            rule: RuleFacts::AllReceived,
-            after_receiving_broadcast: false,
-            staleness_tolerance: 20,
-            staleness_discount: 0.5,
-            over_selection: 0.0,
-            eval_every: 1,
-            target_accuracy: None,
-            patience: None,
-            local_steps: 4,
-            batch_size: 20,
-            lr: 0.1,
-            upload: None,
-            upload_delta: false,
-            download: None,
-            topology: None,
-        }
-    }
-}
-
-fn lint_codec(direction: &str, codec: CodecFacts, out: &mut Vec<Diagnostic>) {
+fn lint_codec(direction: &str, codec: CodecSpec, out: &mut Vec<Diagnostic>) {
     match codec {
-        CodecFacts::Identity => {}
-        CodecFacts::Quantize { bits } => {
+        CodecSpec::Identity => {}
+        CodecSpec::UniformQuant { bits } => {
             if bits != 4 && bits != 8 {
                 out.push(
                     Diagnostic::new(
@@ -140,7 +25,7 @@ fn lint_codec(direction: &str, codec: CodecFacts, out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        CodecFacts::TopK { ratio } => {
+        CodecSpec::TopK { ratio } => {
             if !(ratio > 0.0 && ratio <= 1.0) {
                 out.push(
                     Diagnostic::new(
@@ -156,10 +41,12 @@ fn lint_codec(direction: &str, codec: CodecFacts, out: &mut Vec<Diagnostic>) {
 }
 
 /// Runs every config lint, returning the findings in field order.
-pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
+/// `num_clients` is the population size when the course is assembled.
+pub fn lint_config(cfg: &FlConfig, num_clients: Option<usize>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
+    let sample_target = cfg.sample_target();
 
-    if facts.total_rounds == 0 {
+    if cfg.total_rounds == 0 {
         out.push(
             Diagnostic::new(
                 Code::ZeroRounds,
@@ -170,7 +57,7 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         );
     }
 
-    if facts.concurrency == 0 || facts.sample_target == 0 {
+    if cfg.concurrency == 0 || sample_target == 0 {
         out.push(
             Diagnostic::new(
                 Code::EmptySampleTarget,
@@ -178,15 +65,15 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
                 format!(
                     "the sampler target is empty (concurrency = {}, sample_target = {}): \
                      no client is ever asked to train",
-                    facts.concurrency, facts.sample_target
+                    cfg.concurrency, sample_target
                 ),
             )
             .with_suggestion("set concurrency >= 1"),
         );
     }
 
-    if facts.rule == RuleFacts::AllReceived
-        && (facts.staleness_tolerance > 0 || facts.staleness_discount != 0.0)
+    if cfg.rule == AggregationRule::AllReceived
+        && (cfg.staleness_tolerance > 0 || cfg.staleness_discount != 0.0)
     {
         out.push(Diagnostic::new(
             Code::StalenessInertUnderSync,
@@ -197,19 +84,19 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         ));
     }
 
-    if facts.over_selection.is_nan() || facts.over_selection < 0.0 {
+    if cfg.over_selection.is_nan() || cfg.over_selection < 0.0 {
         out.push(
             Diagnostic::new(
                 Code::OverSelectionNegative,
                 "over_selection",
                 format!(
                     "over_selection must be a non-negative fraction, got {}",
-                    facts.over_selection
+                    cfg.over_selection
                 ),
             )
             .with_suggestion("the paper's Sync-OS uses 0.3"),
         );
-    } else if facts.over_selection >= 1.0 {
+    } else if cfg.over_selection >= 1.0 {
         out.push(
             Diagnostic::new(
                 Code::OverSelectionHuge,
@@ -217,14 +104,14 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
                 format!(
                     "over_selection = {} looks like a multiplicative factor; it is the \
                      *extra* fraction sampled beyond concurrency",
-                    facts.over_selection
+                    cfg.over_selection
                 ),
             )
             .with_suggestion("for 30% extra clients use 0.3, not 1.3"),
         );
     }
 
-    if facts.upload_delta && facts.upload.is_none() {
+    if cfg.compression.upload_delta && cfg.compression.upload.is_none() {
         out.push(
             Diagnostic::new(
                 Code::DeltaWithoutUploadCodec,
@@ -236,7 +123,8 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         );
     }
 
-    if facts.after_receiving_broadcast && facts.rule == RuleFacts::AllReceived {
+    if cfg.broadcast == BroadcastManner::AfterReceiving && cfg.rule == AggregationRule::AllReceived
+    {
         out.push(
             Diagnostic::new(
                 Code::AfterReceivingUnderAllReceived,
@@ -249,14 +137,14 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         );
     }
 
-    if let Some(codec) = facts.upload {
+    if let Some(codec) = cfg.compression.upload {
         lint_codec("upload", codec, &mut out);
     }
-    if let Some(codec) = facts.download {
+    if let Some(codec) = cfg.compression.download {
         lint_codec("download", codec, &mut out);
     }
 
-    if facts.eval_every == 0 {
+    if cfg.eval_every == 0 {
         out.push(
             Diagnostic::new(
                 Code::ZeroEvalEvery,
@@ -265,7 +153,7 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
             )
             .with_suggestion("set eval_every >= 1"),
         );
-    } else if facts.total_rounds > 0 && facts.eval_every > facts.total_rounds {
+    } else if cfg.total_rounds > 0 && cfg.eval_every > cfg.total_rounds {
         out.push(
             Diagnostic::new(
                 Code::EvalEveryExceedsRounds,
@@ -273,25 +161,14 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
                 format!(
                     "eval_every ({}) exceeds total_rounds ({}): the model is never \
                      evaluated during the course",
-                    facts.eval_every, facts.total_rounds
+                    cfg.eval_every, cfg.total_rounds
                 ),
             )
             .with_suggestion("set eval_every <= total_rounds"),
         );
     }
 
-    if facts.patience == Some(0) {
-        out.push(
-            Diagnostic::new(
-                Code::ZeroPatience,
-                "patience",
-                "patience of zero early-stops at the very first evaluation",
-            )
-            .with_suggestion("use patience >= 1, or None to disable early stopping"),
-        );
-    }
-
-    if let Some(acc) = facts.target_accuracy {
+    if let Some(acc) = cfg.target_accuracy {
         if !(acc > 0.0 && acc <= 1.0) {
             out.push(
                 Diagnostic::new(
@@ -304,25 +181,25 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         }
     }
 
-    if facts.lr.is_nan() || facts.lr <= 0.0 {
+    if cfg.sgd.lr.is_nan() || cfg.sgd.lr <= 0.0 {
         out.push(
             Diagnostic::new(
                 Code::NonPositiveLr,
                 "sgd.lr",
-                format!("learning rate must be positive, got {}", facts.lr),
+                format!("learning rate must be positive, got {}", cfg.sgd.lr),
             )
             .with_suggestion("a typical range is 0.01–1.0 for the in-repo models"),
         );
     }
 
-    if facts.batch_size == 0 {
+    if cfg.batch_size == 0 {
         out.push(
             Diagnostic::new(Code::ZeroBatchSize, "batch_size", "batch size of zero")
                 .with_suggestion("set batch_size >= 1"),
         );
     }
 
-    if facts.local_steps == 0 {
+    if cfg.local_steps == 0 {
         out.push(
             Diagnostic::new(
                 Code::ZeroLocalSteps,
@@ -333,15 +210,15 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         );
     }
 
-    if let Some(n) = facts.num_clients {
-        if facts.sample_target > n {
+    if let Some(n) = num_clients {
+        if sample_target > n {
             out.push(
                 Diagnostic::new(
                     Code::SampleTargetExceedsClients,
                     "concurrency",
                     format!(
                         "the sample target ({}) exceeds the client population ({n})",
-                        facts.sample_target
+                        sample_target
                     ),
                 )
                 .with_suggestion("lower concurrency/over_selection or add clients"),
@@ -349,15 +226,15 @@ pub fn lint_config(facts: &ConfigFacts) -> Vec<Diagnostic> {
         }
     }
 
-    lint_topology(facts, &mut out);
-    lint_scheduler(facts, &mut out);
+    lint_topology(cfg, num_clients, &mut out);
+    lint_scheduler(cfg, num_clients, &mut out);
 
     out
 }
 
 /// The buffered-async / tiered modes drive one central server loop (FSV060).
-fn lint_star_only(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
-    if !matches!(facts.topology, None | Some(Topology::Star)) {
+fn lint_star_only(cfg: &FlConfig, out: &mut Vec<Diagnostic>) {
+    if !cfg.topology.is_star() {
         out.push(
             Diagnostic::new(
                 Code::SchedTopologyUnsupported,
@@ -374,10 +251,11 @@ fn lint_star_only(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
 
 /// Per-rule config lints: the classic rules' thresholds (FSV036/037/039)
 /// and the buffered / tiered modes (FSV060–FSV063).
-fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
-    match facts.rule {
-        RuleFacts::AllReceived => {}
-        RuleFacts::GoalAchieved { goal } => {
+fn lint_scheduler(cfg: &FlConfig, num_clients: Option<usize>, out: &mut Vec<Diagnostic>) {
+    let sample_target = cfg.sample_target();
+    match cfg.rule {
+        AggregationRule::AllReceived => {}
+        AggregationRule::GoalAchieved { goal } => {
             if goal == 0 {
                 out.push(
                     Diagnostic::new(
@@ -387,7 +265,7 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     )
                     .with_suggestion("set goal >= 1"),
                 );
-            } else if goal > facts.sample_target {
+            } else if goal > sample_target {
                 out.push(
                     Diagnostic::new(
                         Code::ThresholdExceedsSampleTarget,
@@ -395,14 +273,14 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                         format!(
                             "goal ({goal}) exceeds the sample target ({}): with \
                              after_aggregating broadcast the condition can never fire",
-                            facts.sample_target
+                            sample_target
                         ),
                     )
                     .with_suggestion("keep goal <= concurrency × (1 + over_selection)"),
                 );
             }
         }
-        RuleFacts::TimeUp {
+        AggregationRule::TimeUp {
             budget_secs,
             min_feedback,
         } => {
@@ -416,7 +294,7 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     .with_suggestion("give each round a positive virtual-time budget"),
                 );
             }
-            if min_feedback > facts.sample_target {
+            if min_feedback > sample_target {
                 out.push(
                     Diagnostic::new(
                         Code::ThresholdExceedsSampleTarget,
@@ -424,15 +302,15 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                         format!(
                             "min_feedback ({min_feedback}) exceeds the sample target ({}): \
                              every round triggers the remedial measure",
-                            facts.sample_target
+                            sample_target
                         ),
                     )
                     .with_suggestion("keep min_feedback <= the number of sampled clients"),
                 );
             }
         }
-        RuleFacts::Buffered { k } => {
-            lint_star_only(facts, out);
+        AggregationRule::Buffered { k, .. } => {
+            lint_star_only(cfg, out);
             if k == 0 {
                 out.push(
                     Diagnostic::new(
@@ -443,7 +321,7 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     )
                     .with_suggestion("set k >= 1"),
                 );
-            } else if k > facts.sample_target && !facts.after_receiving_broadcast {
+            } else if k > sample_target && cfg.broadcast != BroadcastManner::AfterReceiving {
                 // under after_receiving the buffer keeps filling between
                 // aggregations, so k may legitimately exceed the sample target
                 out.push(
@@ -453,7 +331,7 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                         format!(
                             "buffer size ({k}) exceeds the sample target ({}): with \
                              after_aggregating broadcast the buffer can never fill",
-                            facts.sample_target
+                            sample_target
                         ),
                     )
                     .with_suggestion(
@@ -463,8 +341,8 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        RuleFacts::Tiered { tiers } => {
-            lint_star_only(facts, out);
+        AggregationRule::Tiered { tiers } => {
+            lint_star_only(cfg, out);
             if tiers == 0 {
                 out.push(
                     Diagnostic::new(
@@ -481,14 +359,14 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     "a single tier contains every client, so the tiered scheduler \
                      degenerates to plain synchronous aggregation",
                 ));
-            } else if facts.num_clients.is_some_and(|n| tiers > n) {
+            } else if num_clients.is_some_and(|n| tiers > n) {
                 out.push(Diagnostic::new(
                     Code::SchedTiersDegenerate,
                     "rule.tiers",
                     format!(
                         "more tiers ({tiers}) than clients ({}): some tiers are \
                          permanently empty",
-                        facts.num_clients.unwrap_or(0)
+                        num_clients.unwrap_or(0)
                     ),
                 ));
             }
@@ -497,10 +375,10 @@ fn lint_scheduler(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
 }
 
 /// Topology-specific config lints (FSV050–FSV056).
-fn lint_topology(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
-    match facts.topology {
-        None | Some(Topology::Star) => {}
-        Some(Topology::Hierarchical { tiers, fanout }) => {
+fn lint_topology(cfg: &FlConfig, num_clients: Option<usize>, out: &mut Vec<Diagnostic>) {
+    match cfg.topology {
+        Topology::Star => {}
+        Topology::Hierarchical { tiers, fanout } => {
             if tiers < 2 {
                 out.push(
                     Diagnostic::new(
@@ -521,7 +399,7 @@ fn lint_topology(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     .with_suggestion("set fanout >= 1"),
                 );
             }
-            if facts.upload_delta {
+            if cfg.compression.upload_delta {
                 out.push(
                     Diagnostic::new(
                         Code::DeltaUploadUnsupportedInHier,
@@ -533,7 +411,7 @@ fn lint_topology(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     .with_suggestion("disable upload_delta or run the star topology"),
                 );
             }
-            if facts.rule != RuleFacts::AllReceived {
+            if cfg.rule != AggregationRule::AllReceived {
                 out.push(
                     Diagnostic::new(
                         Code::TopologyRuleUnsupported,
@@ -546,7 +424,7 @@ fn lint_topology(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                 );
             }
         }
-        Some(Topology::Gossip { degree, .. }) => {
+        Topology::Gossip { degree, .. } => {
             if degree == 0 {
                 out.push(
                     Diagnostic::new(
@@ -556,7 +434,7 @@ fn lint_topology(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
                     )
                     .with_suggestion("set degree >= 1"),
                 );
-            } else if let Some(n) = facts.num_clients {
+            } else if let Some(n) = num_clients {
                 if degree >= n {
                     out.push(
                         Diagnostic::new(
@@ -584,11 +462,35 @@ fn lint_topology(facts: &ConfigFacts, out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::Severity;
+    use crate::config::CompressionConfig;
+    use fs_verify::Severity;
+
+    const HIER_2X4: Topology = Topology::Hierarchical {
+        tiers: 2,
+        fanout: 4,
+    };
+
+    fn codes(cfg: &FlConfig, num_clients: Option<usize>) -> Vec<Code> {
+        lint_config(cfg, num_clients)
+            .iter()
+            .map(|d| d.code)
+            .collect()
+    }
+
+    fn with_rule(rule: AggregationRule) -> FlConfig {
+        FlConfig {
+            rule,
+            ..Default::default()
+        }
+    }
+
+    fn buffered(k: usize) -> AggregationRule {
+        AggregationRule::Buffered { k, discount: 0.5 }
+    }
 
     #[test]
-    fn default_facts_lint_to_notes_only() {
-        let ds = lint_config(&ConfigFacts::default());
+    fn default_config_lints_to_notes_only() {
+        let ds = lint_config(&FlConfig::default(), None);
         // default FlConfig keeps staleness settings under all_received → Note
         assert!(ds.iter().all(|d| d.severity == Severity::Note), "{ds:?}");
         assert!(ds.iter().any(|d| d.code == Code::StalenessInertUnderSync));
@@ -596,254 +498,192 @@ mod tests {
 
     #[test]
     fn zero_rounds_and_empty_target_are_errors() {
-        let facts = ConfigFacts {
+        let cfg = FlConfig {
             total_rounds: 0,
             concurrency: 0,
-            sample_target: 0,
             ..Default::default()
         };
-        let ds = lint_config(&facts);
-        assert!(ds.iter().any(|d| d.code == Code::ZeroRounds));
-        assert!(ds.iter().any(|d| d.code == Code::EmptySampleTarget));
+        let found = codes(&cfg, None);
+        assert!(found.contains(&Code::ZeroRounds));
+        assert!(found.contains(&Code::EmptySampleTarget));
     }
 
     #[test]
     fn codec_range_lints() {
-        let facts = ConfigFacts {
-            upload: Some(CodecFacts::Quantize { bits: 3 }),
-            download: Some(CodecFacts::TopK { ratio: 1.5 }),
+        let cfg = FlConfig {
+            compression: CompressionConfig {
+                upload: Some(CodecSpec::UniformQuant { bits: 3 }),
+                download: Some(CodecSpec::TopK { ratio: 1.5 }),
+                ..Default::default()
+            },
             ..Default::default()
         };
-        let ds = lint_config(&facts);
-        assert!(ds.iter().any(|d| d.code == Code::QuantBitsInvalid));
-        assert!(ds.iter().any(|d| d.code == Code::TopKRatioInvalid));
-        let nan = ConfigFacts {
-            upload: Some(CodecFacts::TopK { ratio: f32::NAN }),
+        let found = codes(&cfg, None);
+        assert!(found.contains(&Code::QuantBitsInvalid));
+        assert!(found.contains(&Code::TopKRatioInvalid));
+        let nan = FlConfig {
+            compression: CompressionConfig {
+                upload: Some(CodecSpec::TopK { ratio: f32::NAN }),
+                ..Default::default()
+            },
             ..Default::default()
         };
-        assert!(lint_config(&nan)
-            .iter()
-            .any(|d| d.code == Code::TopKRatioInvalid));
+        assert!(codes(&nan, None).contains(&Code::TopKRatioInvalid));
     }
 
     #[test]
     fn threshold_lints_respect_sample_target() {
-        let facts = ConfigFacts {
-            rule: RuleFacts::GoalAchieved { goal: 40 },
-            concurrency: 10,
-            sample_target: 10,
-            ..Default::default()
-        };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::ThresholdExceedsSampleTarget));
-        let facts = ConfigFacts {
-            rule: RuleFacts::TimeUp {
-                budget_secs: -1.0,
-                min_feedback: 99,
-            },
-            ..Default::default()
-        };
-        let ds = lint_config(&facts);
-        assert!(ds.iter().any(|d| d.code == Code::NonPositiveBudget));
-        assert!(ds
-            .iter()
-            .any(|d| d.code == Code::ThresholdExceedsSampleTarget));
+        let cfg = with_rule(AggregationRule::GoalAchieved { goal: 40 });
+        assert!(codes(&cfg, None).contains(&Code::ThresholdExceedsSampleTarget));
+        let cfg = with_rule(AggregationRule::TimeUp {
+            budget_secs: -1.0,
+            min_feedback: 99,
+        });
+        let found = codes(&cfg, None);
+        assert!(found.contains(&Code::NonPositiveBudget));
+        assert!(found.contains(&Code::ThresholdExceedsSampleTarget));
     }
 
     #[test]
     fn topology_lints() {
         // invalid shapes are errors
-        let facts = ConfigFacts {
-            topology: Some(Topology::Hierarchical {
+        let cfg = FlConfig {
+            topology: Topology::Hierarchical {
                 tiers: 1,
                 fanout: 0,
-            }),
+            },
             ..Default::default()
         };
-        let ds = lint_config(&facts);
-        assert_eq!(
-            ds.iter()
-                .filter(|d| d.code == Code::TopologyInvalid)
-                .count(),
-            2
-        );
-        // delta uploads cannot cross intermediate tiers
-        let facts = ConfigFacts {
-            topology: Some(Topology::Hierarchical {
-                tiers: 2,
-                fanout: 4,
-            }),
-            upload: Some(CodecFacts::Quantize { bits: 8 }),
-            upload_delta: true,
-            ..Default::default()
-        };
-        assert!(lint_config(&facts)
+        let invalid = codes(&cfg, None)
             .iter()
-            .any(|d| d.code == Code::DeltaUploadUnsupportedInHier));
-        // non-all_received demotes edges to relays (warning, not error)
-        let facts = ConfigFacts {
-            topology: Some(Topology::Hierarchical {
-                tiers: 2,
-                fanout: 4,
-            }),
-            rule: RuleFacts::GoalAchieved { goal: 5 },
+            .filter(|&&c| c == Code::TopologyInvalid)
+            .count();
+        assert_eq!(invalid, 2);
+        // delta uploads cannot cross intermediate tiers
+        let cfg = FlConfig {
+            topology: HIER_2X4,
+            compression: CompressionConfig {
+                upload: Some(CodecSpec::UniformQuant { bits: 8 }),
+                upload_delta: true,
+                download: None,
+            },
             ..Default::default()
         };
-        let ds = lint_config(&facts);
-        assert!(ds
+        assert!(codes(&cfg, None).contains(&Code::DeltaUploadUnsupportedInHier));
+        // non-all_received demotes edges to relays (warning, not error)
+        let cfg = FlConfig {
+            topology: HIER_2X4,
+            ..with_rule(AggregationRule::GoalAchieved { goal: 5 })
+        };
+        assert!(lint_config(&cfg, None)
             .iter()
             .any(|d| d.code == Code::TopologyRuleUnsupported && d.severity == Severity::Warning));
         // gossip degree must leave room for distinct peers
-        let facts = ConfigFacts {
-            topology: Some(Topology::Gossip {
+        let cfg = FlConfig {
+            topology: Topology::Gossip {
                 degree: 8,
                 rounds: 5,
-            }),
-            num_clients: Some(8),
+            },
             ..Default::default()
         };
-        let ds = lint_config(&facts);
-        assert!(ds.iter().any(|d| d.code == Code::GossipDegreeTooLarge));
-        assert!(ds.iter().any(|d| d.code == Code::GossipIgnoresStrategy));
+        let found = codes(&cfg, Some(8));
+        assert!(found.contains(&Code::GossipDegreeTooLarge));
+        assert!(found.contains(&Code::GossipIgnoresStrategy));
         // a valid hierarchy under defaults adds nothing beyond the usual notes
-        let facts = ConfigFacts {
-            topology: Some(Topology::Hierarchical {
-                tiers: 2,
-                fanout: 4,
-            }),
+        let cfg = FlConfig {
+            topology: HIER_2X4,
             ..Default::default()
         };
-        assert!(lint_config(&facts)
+        assert!(lint_config(&cfg, None)
             .iter()
             .all(|d| d.severity == Severity::Note));
     }
 
     #[test]
     fn scheduler_lints() {
+        let has = |cfg: &FlConfig, n, code: Code, severity: Severity| {
+            lint_config(cfg, n)
+                .iter()
+                .any(|d| d.code == code && d.severity == severity)
+        };
         // a buffered / tiered rule off the star topology is an error
-        let facts = ConfigFacts {
-            rule: RuleFacts::Buffered { k: 3 },
-            topology: Some(Topology::Gossip {
+        let cfg = FlConfig {
+            topology: Topology::Gossip {
                 degree: 2,
                 rounds: 3,
-            }),
-            ..Default::default()
+            },
+            ..with_rule(buffered(3))
         };
-        let ds = lint_config(&facts);
-        assert!(ds
-            .iter()
-            .any(|d| d.code == Code::SchedTopologyUnsupported && d.severity == Severity::Error));
+        assert!(has(
+            &cfg,
+            None,
+            Code::SchedTopologyUnsupported,
+            Severity::Error
+        ));
         // zero-sized buffer / tier counts are errors
-        let facts = ConfigFacts {
-            rule: RuleFacts::Buffered { k: 0 },
-            ..Default::default()
-        };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::SchedBufferInvalid && d.severity == Severity::Error));
-        let facts = ConfigFacts {
-            rule: RuleFacts::Tiered { tiers: 0 },
-            ..Default::default()
-        };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::SchedTiersInvalid && d.severity == Severity::Error));
+        let cfg = with_rule(buffered(0));
+        assert!(has(&cfg, None, Code::SchedBufferInvalid, Severity::Error));
+        let cfg = with_rule(AggregationRule::Tiered { tiers: 0 });
+        assert!(has(&cfg, None, Code::SchedTiersInvalid, Severity::Error));
         // k beyond the sample target can never fill under after_aggregating
-        let facts = ConfigFacts {
-            rule: RuleFacts::Buffered { k: 9 },
+        let cfg = FlConfig {
             concurrency: 4,
-            sample_target: 4,
-            after_receiving_broadcast: false,
-            ..Default::default()
+            ..with_rule(buffered(9))
         };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::ThresholdExceedsSampleTarget));
+        assert!(codes(&cfg, None).contains(&Code::ThresholdExceedsSampleTarget));
         // ...but may legitimately exceed it under after_receiving
-        let facts = ConfigFacts {
-            rule: RuleFacts::Buffered { k: 9 },
+        let cfg = FlConfig {
             concurrency: 4,
-            sample_target: 4,
-            after_receiving_broadcast: true,
-            ..Default::default()
+            broadcast: BroadcastManner::AfterReceiving,
+            ..with_rule(buffered(9))
         };
-        assert!(!lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::ThresholdExceedsSampleTarget));
+        assert!(!codes(&cfg, None).contains(&Code::ThresholdExceedsSampleTarget));
         // degenerate tier shapes are notes, not errors
-        let facts = ConfigFacts {
-            rule: RuleFacts::Tiered { tiers: 1 },
-            ..Default::default()
-        };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::SchedTiersDegenerate && d.severity == Severity::Note));
-        let facts = ConfigFacts {
-            rule: RuleFacts::Tiered { tiers: 40 },
-            num_clients: Some(10),
-            ..Default::default()
-        };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::SchedTiersDegenerate));
+        let cfg = with_rule(AggregationRule::Tiered { tiers: 1 });
+        assert!(has(&cfg, None, Code::SchedTiersDegenerate, Severity::Note));
+        let cfg = with_rule(AggregationRule::Tiered { tiers: 40 });
+        assert!(codes(&cfg, Some(10)).contains(&Code::SchedTiersDegenerate));
     }
 
     #[test]
     fn staleness_inert_lint_fires_only_under_all_received() {
         // under all_received the settings are never consulted
-        let facts = ConfigFacts {
+        let cfg = FlConfig {
             staleness_tolerance: 4,
             staleness_discount: 0.5,
             ..Default::default()
         };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::StalenessInertUnderSync));
+        assert!(codes(&cfg, None).contains(&Code::StalenessInertUnderSync));
         // buffered-async consults them — the lint must not fire
-        let facts = ConfigFacts {
+        let cfg = FlConfig {
             staleness_tolerance: 4,
             staleness_discount: 0.5,
-            rule: RuleFacts::Buffered { k: 3 },
-            ..Default::default()
+            ..with_rule(buffered(3))
         };
-        assert!(!lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::StalenessInertUnderSync));
+        assert!(!codes(&cfg, None).contains(&Code::StalenessInertUnderSync));
     }
 
     #[test]
     fn after_receiving_lint_fires_only_under_all_received() {
         // after_receiving + all_received: the round may never close, the
         // warning fires
-        let facts = ConfigFacts {
-            after_receiving_broadcast: true,
+        let cfg = FlConfig {
+            broadcast: BroadcastManner::AfterReceiving,
             ..Default::default()
         };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::AfterReceivingUnderAllReceived));
+        assert!(codes(&cfg, None).contains(&Code::AfterReceivingUnderAllReceived));
         // the exact shape `FlConfig::buffered_async` produces — no hazard
-        let facts = ConfigFacts {
-            after_receiving_broadcast: true,
-            rule: RuleFacts::Buffered { k: 4 },
-            ..Default::default()
-        };
-        assert!(!lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::AfterReceivingUnderAllReceived));
+        let cfg = FlConfig::default().buffered_async(4, 0.5);
+        assert!(!codes(&cfg, None).contains(&Code::AfterReceivingUnderAllReceived));
     }
 
     #[test]
     fn population_bound() {
-        let facts = ConfigFacts {
-            num_clients: Some(8),
+        let cfg = FlConfig {
             concurrency: 10,
-            sample_target: 13,
+            over_selection: 0.3,
             ..Default::default()
         };
-        assert!(lint_config(&facts)
-            .iter()
-            .any(|d| d.code == Code::SampleTargetExceedsClients));
+        assert!(codes(&cfg, Some(8)).contains(&Code::SampleTargetExceedsClients));
     }
 }

@@ -173,15 +173,6 @@ impl<S> Registry<S> {
             .collect()
     }
 
-    /// The declared message-flow edges `(event, emitted-event)`, consumed by
-    /// the completeness checker.
-    pub fn flow_edges(&self) -> Vec<(Event, Event)> {
-        self.entries
-            .iter()
-            .flat_map(|(e, en)| en.emits.iter().map(move |t| (*e, *t)))
-            .collect()
-    }
-
     /// Lowers the registry into the verifier's handler specs.
     pub fn specs(&self) -> Vec<fs_verify::HandlerSpec> {
         self.entries
@@ -261,15 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_edges_reflect_declarations() {
-        let mut reg: Registry<u32> = Registry::new();
-        let a = Event::Message(MessageKind::Updates);
-        let b = Event::Condition(Condition::AllReceived);
-        reg.register(a, "save", vec![b], Box::new(|_, _, _| {}));
-        assert_eq!(reg.flow_edges(), vec![(a, b)]);
-    }
-
-    #[test]
     fn specs_carry_aux_flag() {
         let mut reg: Registry<u32> = Registry::new();
         reg.register(
@@ -291,6 +273,7 @@ mod tests {
             .find(|s| s.event == Event::Message(MessageKind::EvalRequest))
             .expect("eval spec");
         assert!(eval.aux);
+        assert_eq!(eval.emits, vec![Event::Message(MessageKind::MetricsReport)]);
         assert!(
             !specs
                 .iter()

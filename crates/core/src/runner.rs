@@ -533,12 +533,12 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         self.kickoff();
         let mut events = 0u64;
         while let Some((at, seq, ev)) = self.queue.pop() {
-            events += 1;
-            if events > self.max_events {
+            if events == self.max_events {
                 self.server.state.finish_reason =
                     Some(format!("event cap {} reached", self.max_events));
                 break;
             }
+            events += 1;
             self.now = at;
             if let Err(why) = self.handle_event(at, seq, ev) {
                 self.server.state.finish_reason = Some(why);

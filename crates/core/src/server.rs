@@ -112,10 +112,6 @@ pub struct ServerState {
     pub history: Vec<EvalRecord>,
     /// Round/staleness bookkeeping (its own state shard).
     pub ledger: RoundLedger,
-    /// Best observed eval accuracy (early stopping).
-    pub best_accuracy: f32,
-    /// Evaluations since the best accuracy improved.
-    pub evals_since_best: u64,
     /// Why the course ended, once it has.
     pub finish_reason: Option<String>,
     /// Per-client final metrics reported at Finish.
@@ -414,20 +410,6 @@ impl ServerState {
                         return;
                     }
                 }
-                if metrics.accuracy > self.best_accuracy + 1e-4 {
-                    self.best_accuracy = metrics.accuracy;
-                    self.evals_since_best = 0;
-                } else {
-                    self.evals_since_best += 1;
-                    if let Some(patience) = self.cfg.patience {
-                        if self.evals_since_best >= patience {
-                            self.finish_reason =
-                                Some(format!("early stop: no improvement for {patience} evals"));
-                            ctx.raise(Condition::EarlyStop);
-                            return;
-                        }
-                    }
-                }
             }
         }
         if self.round >= self.cfg.total_rounds {
@@ -489,8 +471,6 @@ impl Server {
             evaluator,
             history: Vec::new(),
             ledger: RoundLedger::default(),
-            best_accuracy: f32::NEG_INFINITY,
-            evals_since_best: 0,
             finish_reason: None,
             client_reports: BTreeMap::new(),
             dropouts: Vec::new(),
@@ -523,11 +503,6 @@ impl Server {
     /// Registration-conflict warnings.
     pub fn warnings(&self) -> &[String] {
         self.registry.warnings()
-    }
-
-    /// Message-flow edges for the completeness checker.
-    pub fn flow_edges(&self) -> Vec<(Event, Event)> {
-        self.registry.flow_edges()
     }
 
     /// Emit-conformance violations observed during dispatch.

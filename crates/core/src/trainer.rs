@@ -306,18 +306,6 @@ impl LocalTrainer {
     }
 }
 
-/// Flattens image-shaped features for dense models when needed: returns a
-/// `[N, D]` view of `[N, C, H, W]` data (identity for already-flat data).
-pub fn flatten_features(x: &Tensor) -> Tensor {
-    if x.shape().len() == 2 {
-        x.clone()
-    } else {
-        let n = x.shape()[0];
-        let d: usize = x.shape()[1..].iter().product();
-        x.reshape(&[n, d])
-    }
-}
-
 /// Builds a pooled evaluation set from every client's split (used by the
 /// central global-model evaluator).
 pub fn pooled_test_set(dataset: &fs_data::FedDataset, max_per_client: usize) -> (Tensor, Target) {
@@ -485,14 +473,5 @@ mod tests {
         assert_eq!(x.shape()[0], y.len());
         assert!(x.shape()[0] <= 8);
         assert!(x.shape()[0] > 0);
-    }
-
-    #[test]
-    fn flatten_features_reshapes_images() {
-        let x = Tensor::zeros(&[3, 1, 4, 4]);
-        let f = flatten_features(&x);
-        assert_eq!(f.shape(), &[3, 16]);
-        let flat = Tensor::zeros(&[3, 16]);
-        assert_eq!(flatten_features(&flat).shape(), &[3, 16]);
     }
 }

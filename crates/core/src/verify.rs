@@ -1,24 +1,25 @@
-//! Lowering an assembled course into the `fs-verify` IR.
+//! Verifying an assembled course: the `fs-verify` protocol checks over its
+//! lowered handler tables, plus the config lints.
 //!
-//! The static-analysis engine lives in the `fs-verify` crate and knows
-//! nothing about `Server`/`Client`/`FlConfig`; this module bridges the gap:
-//! it collects handler specs from every participant (collapsing clients with
-//! identical handler tables into one group, so a 10k-client course lowers to
-//! a couple of specs), gathers registry overwrite warnings, projects the
-//! config into [`fs_verify::ConfigFacts`], and hands the result to
-//! [`fs_verify::verify_course`]. Every runner — virtual-time, bus, TCP, star
+//! The protocol checks live in the `fs-verify` crate and know nothing about
+//! `Server`/`Client`; this module bridges the gap: it collects handler specs
+//! from every participant (collapsing clients with identical handler tables
+//! into one group, so a 10k-client course lowers to a couple of specs),
+//! gathers registry overwrite warnings, hands the result to
+//! [`fs_verify::verify_course`] and, when the caller has a config, appends
+//! [`lint_config`]'s findings. Every runner — virtual-time, bus, TCP, star
 //! or routed — calls [`preflight`] before starting a course.
 
 use crate::client::Client;
 use crate::config::FlConfig;
+use crate::lint::lint_config;
 use crate::server::Server;
 use fs_net::ParticipantId;
 use fs_verify::{CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyMode, VerifyReport};
 
-/// Lowers a course into the verifier's IR. `config` is optional so callers
-/// can verify a hand-assembled server/client set without a full `FlConfig`.
-pub fn course_ir(server: &Server, clients: &[&Client], config: Option<&FlConfig>) -> CourseIr {
-    course_ir_grouped(server, &singleton_groups(clients.iter().copied()), config)
+/// Lowers a course into the verifier's IR.
+pub fn course_ir(server: &Server, clients: &[&Client]) -> CourseIr {
+    course_ir_grouped(server, &singleton_groups(clients.iter().copied()))
 }
 
 /// Lowers a course given as representative clients plus the id sets they
@@ -26,11 +27,7 @@ pub fn course_ir(server: &Server, clients: &[&Client], config: Option<&FlConfig>
 /// million-client course through one representative without building the
 /// other 999,999; the result is identical to [`course_ir`] over fully
 /// materialized clients with the same handler tables.
-pub fn course_ir_grouped(
-    server: &Server,
-    reps: &[(&Client, Vec<ParticipantId>)],
-    config: Option<&FlConfig>,
-) -> CourseIr {
+pub fn course_ir_grouped(server: &Server, reps: &[(&Client, Vec<ParticipantId>)]) -> CourseIr {
     let mut groups: Vec<(Vec<HandlerSpec>, Vec<ParticipantId>)> = Vec::new();
     for (c, ids) in reps {
         let specs = c.specs();
@@ -39,7 +36,6 @@ pub fn course_ir_grouped(
             None => groups.push((specs, ids.clone())),
         }
     }
-    let total: usize = groups.iter().map(|(_, ids)| ids.len()).sum();
     let mut registry_warnings: Vec<String> = server.warnings().to_vec();
     for (c, _) in reps {
         registry_warnings.extend(c.warnings().iter().cloned());
@@ -65,17 +61,18 @@ pub fn course_ir_grouped(
         },
         client_groups,
         registry_warnings,
-        config: config.map(|cfg| cfg.facts(Some(total))),
     }
 }
 
-/// Runs the full static analysis over an assembled course.
+/// Runs the full static analysis over an assembled course. `config` is
+/// optional so callers can verify a hand-assembled server/client set without
+/// a full `FlConfig`.
 pub fn verify_assembled(
     server: &Server,
     clients: &[&Client],
     config: Option<&FlConfig>,
 ) -> VerifyReport {
-    fs_verify::verify_course(&course_ir(server, clients, config))
+    verify_assembled_grouped(server, &singleton_groups(clients.iter().copied()), config)
 }
 
 /// [`verify_assembled`] over representative clients (see
@@ -85,7 +82,12 @@ pub fn verify_assembled_grouped(
     reps: &[(&Client, Vec<ParticipantId>)],
     config: Option<&FlConfig>,
 ) -> VerifyReport {
-    fs_verify::verify_course(&course_ir_grouped(server, reps, config))
+    let mut report = fs_verify::verify_course(&course_ir_grouped(server, reps));
+    if let Some(cfg) = config {
+        let total = reps.iter().map(|(_, ids)| ids.len()).sum();
+        report.extend(lint_config(cfg, Some(total)));
+    }
+    report
 }
 
 /// Verifies an assembled course per its configured [`VerifyMode`] before it
@@ -154,7 +156,7 @@ pub fn effective_handler_log_grouped(
     server: &Server,
     reps: &[(&Client, Vec<ParticipantId>)],
 ) -> Vec<String> {
-    let ir = course_ir_grouped(server, reps, None);
+    let ir = course_ir_grouped(server, reps);
     let mut lines = Vec::new();
     for spec in std::iter::once(&ir.server).chain(ir.client_groups.iter()) {
         for h in &spec.handlers {
@@ -204,7 +206,7 @@ mod tests {
     fn identical_clients_collapse_to_one_group() {
         let runner = tiny_course();
         let clients: Vec<&Client> = runner.clients.values().collect();
-        let ir = course_ir(&runner.server, &clients, None);
+        let ir = course_ir(&runner.server, &clients);
         assert_eq!(ir.client_groups.len(), 1);
         assert!(ir.client_groups[0].label.contains("6 of them"));
     }

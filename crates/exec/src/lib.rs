@@ -167,11 +167,6 @@ impl WorkerPool {
         self.threads
     }
 
-    /// `true` when jobs run inline on the submitting thread.
-    pub fn is_inline(&self) -> bool {
-        self.tx.is_none()
-    }
-
     /// Submits a job and returns a handle to its eventual result.
     ///
     /// In inline mode the job runs right here, before `spawn` returns —
@@ -249,7 +244,6 @@ mod tests {
     #[test]
     fn inline_mode_runs_jobs_at_spawn_time() {
         let pool = WorkerPool::new(1);
-        assert!(pool.is_inline());
         assert_eq!(pool.threads(), 1);
         let ran = Arc::new(AtomicUsize::new(0));
         let r = ran.clone();

@@ -121,13 +121,6 @@ impl ColMajorF64Store {
         Self::default()
     }
 
-    /// Loads from a row-major `f32` [`ParamMap`] (e.g. model initialization).
-    pub fn from_params(params: &ParamMap) -> Self {
-        let mut s = Self::new();
-        s.load(params);
-        s
-    }
-
     fn load(&mut self, params: &ParamMap) {
         self.entries.clear();
         for (name, t) in params.iter() {
@@ -217,7 +210,8 @@ mod tests {
 
     #[test]
     fn col_major_native_layout_differs() {
-        let s = ColMajorF64Store::from_params(&sample());
+        let mut s = ColMajorF64Store::new();
+        s.load(&sample());
         let (_, col) = s.native("w").unwrap();
         // row-major [1,2,3,4,5,6] -> col-major [1,4,2,5,3,6]
         assert_eq!(col, &vec![1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);

@@ -25,8 +25,8 @@ pub enum Condition {
     TimeUp,
     /// Every expected client has joined the course.
     AllJoinedIn,
-    /// A pre-defined stop condition is satisfied (target accuracy reached,
-    /// patience exhausted, or the round limit hit).
+    /// A pre-defined stop condition is satisfied (target accuracy reached or
+    /// the round limit hit).
     EarlyStop,
     /// The received global model made local performance worse — clients can
     /// use this to trigger personalization (§3.2).

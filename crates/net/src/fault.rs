@@ -75,7 +75,6 @@ pub enum FaultAction {
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     seed: u64,
-    default: FaultSpec,
     overrides: BTreeMap<ParticipantId, FaultSpec>,
 }
 
@@ -84,15 +83,8 @@ impl FaultPlan {
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            default: FaultSpec::healthy(),
             overrides: BTreeMap::new(),
         }
-    }
-
-    /// Sets the spec applied to participants without an override.
-    pub fn with_default(mut self, spec: FaultSpec) -> Self {
-        self.default = spec;
-        self
     }
 
     /// Sets one participant's spec.
@@ -103,13 +95,7 @@ impl FaultPlan {
 
     /// The spec governing `id`.
     pub fn spec_for(&self, id: ParticipantId) -> FaultSpec {
-        self.overrides.get(&id).copied().unwrap_or(self.default)
-    }
-
-    /// Ids with an explicit override (the "interesting" participants), in
-    /// id order — the `BTreeMap` guarantees it without an explicit sort.
-    pub fn overridden(&self) -> Vec<ParticipantId> {
-        self.overrides.keys().copied().collect()
+        self.overrides.get(&id).copied().unwrap_or_default()
     }
 
     /// Builds `id`'s fault state: an independent RNG stream keyed by
@@ -230,7 +216,8 @@ mod tests {
 
     #[test]
     fn schedules_are_deterministic_per_participant() {
-        let plan = FaultPlan::new(7).with_default(FaultSpec::lossy(0.5));
+        let lossy = FaultSpec::lossy(0.5);
+        let plan = FaultPlan::new(7).with(3, lossy).with(4, lossy);
         let mut a1 = plan.state_for(3);
         let mut a2 = plan.state_for(3);
         let seq1: Vec<FaultAction> = (0..64).map(|_| a1.next_action()).collect();

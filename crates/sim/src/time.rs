@@ -31,11 +31,6 @@ impl VirtualTime {
     pub fn as_secs(self) -> f64 {
         self.0
     }
-
-    /// Hours since the course origin (the unit Table 1 reports).
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
-    }
 }
 
 impl Eq for VirtualTime {}
@@ -113,12 +108,6 @@ mod tests {
         assert_eq!(b.as_secs(), 3.5);
         assert!((b - a - 2.5).abs() < 1e-12);
         assert_eq!(VirtualTime::ZERO.as_secs(), 0.0);
-    }
-
-    #[test]
-    fn hours_conversion() {
-        let t = VirtualTime::from_secs(7200.0);
-        assert!((t.as_hours() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -30,14 +30,6 @@ pub fn xavier_uniform(
     Tensor::from_vec(shape.to_vec(), data)
 }
 
-/// Standard-normal tensor scaled by `std`.
-pub fn normal(shape: &[usize], std: f64, rng: &mut impl Rng) -> Tensor {
-    let dist = Normal::new(0.0, std).expect("valid std");
-    let numel: usize = shape.iter().product();
-    let data = (0..numel).map(|_| dist.sample(rng) as f32).collect();
-    Tensor::from_vec(shape.to_vec(), data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,6 +57,9 @@ mod tests {
     fn deterministic_given_seed() {
         let mut r1 = StdRng::seed_from_u64(42);
         let mut r2 = StdRng::seed_from_u64(42);
-        assert_eq!(normal(&[16], 1.0, &mut r1), normal(&[16], 1.0, &mut r2));
+        assert_eq!(
+            kaiming_normal(&[16], 4, &mut r1),
+            kaiming_normal(&[16], 4, &mut r2)
+        );
     }
 }

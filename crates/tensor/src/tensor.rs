@@ -169,12 +169,6 @@ impl Tensor {
         Arc::ptr_eq(&self.data, &other.data)
     }
 
-    /// Consumes the tensor, returning its backing data (cloning only if the
-    /// storage is still shared with another tensor).
-    pub fn into_data(self) -> Vec<f32> {
-        Arc::try_unwrap(self.data).unwrap_or_else(|shared| (*shared).clone())
-    }
-
     /// Number of rows of a 2-D tensor.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -238,8 +232,8 @@ impl Tensor {
     }
 
     /// Reference kernel: the original cache-friendly i-k-j triple loop with
-    /// a zero-skip. Kept as the baseline the criterion benches (and the
-    /// `BENCH_perf.json` micro-bench) compare the blocked kernel against.
+    /// a zero-skip. Kept as the baseline the criterion benches and the kernel
+    /// proptests compare the blocked kernel against.
     pub fn matmul_naive(&self, rhs: &Tensor) -> Tensor {
         assert_eq!(self.shape.len(), 2, "matmul lhs must be 2-D");
         assert_eq!(rhs.shape.len(), 2, "matmul rhs must be 2-D");
@@ -457,16 +451,6 @@ impl Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: Arc::new(self.data.iter().map(|&v| f(v)).collect()),
-        }
-    }
-
-    /// Applies `f` to every element in place — the allocation-free [`map`]
-    /// the optimizer hot loops use.
-    ///
-    /// [`map`]: Tensor::map
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data_mut() {
-            *v = f(*v);
         }
     }
 
@@ -1209,14 +1193,6 @@ mod tests {
     }
 
     #[test]
-    fn map_inplace_matches_map() {
-        let a = lcg_matrix(3, 4, 8);
-        let mut b = a.clone();
-        b.map_inplace(|v| v * 2.0 - 1.0);
-        assert_eq!(b.data(), a.map(|v| v * 2.0 - 1.0).data());
-    }
-
-    #[test]
     fn copy_from_copies() {
         let a = lcg_matrix(3, 4, 9);
         let mut b = Tensor::zeros(&[3, 4]);
@@ -1258,14 +1234,6 @@ mod tests {
         b.copy_from(&a);
         assert!(a.shares_storage(&b));
         assert_eq!(b.data(), a.data());
-    }
-
-    #[test]
-    fn into_data_on_shared_buffer_clones() {
-        let a = lcg_matrix(2, 2, 13);
-        let b = a.clone();
-        let v = b.into_data();
-        assert_eq!(v.as_slice(), a.data());
     }
 
     #[test]

@@ -153,11 +153,6 @@ impl EdgeAggregator {
         self.cover.keys().copied().collect()
     }
 
-    /// Whether `client` sits anywhere beneath this edge.
-    pub fn covers(&self, client: ParticipantId) -> bool {
-        self.cover.contains_key(&client)
-    }
-
     /// Observes a server → client message transiting downstream. Model
     /// broadcasts arm the partial cohort: the direct child covering the
     /// target is awaited until its update comes back.
@@ -202,11 +197,6 @@ impl EdgeAggregator {
         } else {
             Ok(EdgeAction::Absorbed)
         }
-    }
-
-    /// Whether a partial cohort is currently buffered.
-    pub fn has_pending(&self) -> bool {
-        !self.acc.is_empty() || !self.pending.is_empty()
     }
 
     fn decode(&self, msg: &Message) -> Result<Constituent, EdgeError> {
@@ -322,7 +312,7 @@ mod tests {
         let c = plan.subtree_clients(edge.id)[0];
         let action = edge.on_upstream(&update(c, 1.0, 10)).expect("decodes");
         assert!(matches!(action, EdgeAction::Relay));
-        assert!(!edge.has_pending());
+        assert!(edge.acc.is_empty() && edge.pending.is_empty());
     }
 
     #[test]
@@ -365,7 +355,7 @@ mod tests {
             }
             other => panic!("expected partial update, got {other:?}"),
         }
-        assert!(!edge.has_pending());
+        assert!(edge.acc.is_empty() && edge.pending.is_empty());
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The engine lowers an assembled course into a [`CourseIr`]: the server's
 //! handler table, one [`ParticipantSpec`] per *distinct* client handler set
-//! (most courses have exactly one), the registry's overwrite log, and
-//! optionally the config facts. [`verify_course`] then runs every analysis
-//! family and returns a [`VerifyReport`].
+//! (most courses have exactly one) and the registry's overwrite log.
+//! [`verify_course`] then runs the protocol checks and returns a
+//! [`VerifyReport`]; the engine appends its config lints to it.
 
-use crate::config::{lint_config, ConfigFacts};
 use crate::diag::{Code, Diagnostic, VerifyReport};
 use crate::graph::FlowGraph;
 use fs_net::{Condition, Event, MessageKind};
@@ -51,8 +50,6 @@ pub struct CourseIr {
     pub client_groups: Vec<ParticipantSpec>,
     /// Registry overwrite warnings collected while assembling the course.
     pub registry_warnings: Vec<String>,
-    /// Config facts, when available.
-    pub config: Option<ConfigFacts>,
 }
 
 /// The event an FL course starts from: a client asking to join.
@@ -78,7 +75,7 @@ fn subject(spec: &ParticipantSpec, h: &HandlerSpec) -> String {
     format!("{} handler '{}' ({})", spec.label, h.name, h.event)
 }
 
-/// Runs all protocol checks and config lints over the lowered course.
+/// Runs all protocol checks over the lowered course.
 pub fn verify_course(ir: &CourseIr) -> VerifyReport {
     let mut report = VerifyReport::new();
     let graph = union_graph(ir);
@@ -248,11 +245,6 @@ pub fn verify_course(ir: &CourseIr) -> VerifyReport {
         }
     }
 
-    // ---- config lints (FSV02x/FSV03x) ------------------------------------
-    if let Some(facts) = &ir.config {
-        report.extend(lint_config(facts));
-    }
-
     report
 }
 
@@ -328,7 +320,6 @@ mod tests {
                 ],
             }],
             registry_warnings: vec![],
-            config: None,
         }
     }
 

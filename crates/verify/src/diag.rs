@@ -82,8 +82,6 @@ pub enum Code {
     EvalEveryExceedsRounds,
     /// FSV030: `eval_every` is zero.
     ZeroEvalEvery,
-    /// FSV031: `patience = Some(0)` stops at the first evaluation.
-    ZeroPatience,
     /// FSV032: `target_accuracy` outside `(0, 1]` (or NaN) can never stop
     /// the course.
     TargetAccuracyUnreachable,
@@ -167,7 +165,6 @@ impl Code {
             Code::TopKRatioInvalid => "FSV028",
             Code::EvalEveryExceedsRounds => "FSV029",
             Code::ZeroEvalEvery => "FSV030",
-            Code::ZeroPatience => "FSV031",
             Code::TargetAccuracyUnreachable => "FSV032",
             Code::NonPositiveLr => "FSV033",
             Code::ZeroBatchSize => "FSV034",
@@ -227,7 +224,6 @@ impl Code {
             | Code::DeltaWithoutUploadCodec
             | Code::AfterReceivingUnderAllReceived
             | Code::EvalEveryExceedsRounds
-            | Code::ZeroPatience
             | Code::TargetAccuracyUnreachable
             | Code::UndeclaredEmit
             | Code::TopologyRuleUnsupported => Severity::Warning,
@@ -335,14 +331,6 @@ impl VerifyReport {
         self.count(Severity::Error) == 0 && self.count(Severity::Warning) == 0
     }
 
-    /// The distinct codes present, for test assertions.
-    pub fn codes(&self) -> Vec<Code> {
-        let mut v: Vec<Code> = self.diagnostics.iter().map(|d| d.code).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// True if any finding carries the given code.
     pub fn has_code(&self, code: Code) -> bool {
         self.diagnostics.iter().any(|d| d.code == code)
@@ -430,7 +418,6 @@ mod tests {
             Code::TopKRatioInvalid,
             Code::EvalEveryExceedsRounds,
             Code::ZeroEvalEvery,
-            Code::ZeroPatience,
             Code::TargetAccuracyUnreachable,
             Code::NonPositiveLr,
             Code::ZeroBatchSize,

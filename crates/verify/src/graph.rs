@@ -38,11 +38,6 @@ impl FlowGraph {
         self.nodes.iter().copied()
     }
 
-    /// Node count.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Successors of a node.
     pub fn successors(&self, e: Event) -> impl Iterator<Item = Event> + '_ {
         self.edges.get(&e).into_iter().flatten().copied()
@@ -154,7 +149,7 @@ mod tests {
         let r = g.reachable_from(m(MessageKind::JoinIn));
         assert!(r.contains(&m(MessageKind::Updates)));
         assert!(!r.contains(&m(MessageKind::EvalRequest)));
-        assert_eq!(g.num_nodes(), 4);
+        assert_eq!(g.nodes().count(), 4);
     }
 
     #[test]

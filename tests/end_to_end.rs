@@ -1,12 +1,13 @@
 //! Workspace integration tests: full FL courses across crates.
 
-use fedscope::core::completeness::FlowGraph;
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::run_distributed;
+use fedscope::core::{course_ir, verify_assembled, Event};
 use fedscope::data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fedscope::tensor::model::{convnet2, logistic_regression};
 use fedscope::tensor::optim::SgdConfig;
+use fedscope::verify::{course::START, union_graph, Code};
 use std::time::Duration;
 
 fn twitter_course(cfg: FlConfig) -> fedscope::core::StandaloneRunner {
@@ -34,19 +35,19 @@ fn default_course_is_complete_and_terminates() {
     };
     let mut runner = twitter_course(cfg);
     let clients: Vec<&fedscope::core::Client> = runner.clients.values().collect();
-    let check = FlowGraph::from_course(&runner.server, &clients).check();
     assert!(
-        check.complete,
+        !verify_assembled(&runner.server, &clients, None).has_code(Code::Incomplete),
         "default course must have a start-to-finish path"
     );
     // the default client carries an EvalRequest handler that nothing triggers
-    // in a plain FedAvg course — the checker flags exactly that node as
-    // redundant (the paper's Appendix-E warning for unreachable nodes)
+    // in a plain FedAvg course — exactly that node is unreachable from the
+    // join-in (the paper's Appendix-E warning for redundant nodes)
+    let graph = union_graph(&course_ir(&runner.server, &clients));
+    let reachable = graph.reachable_from(START);
+    let redundant: Vec<Event> = graph.nodes().filter(|n| !reachable.contains(n)).collect();
     assert_eq!(
-        check.redundant,
-        vec![fedscope::core::Event::Message(
-            fedscope::net::MessageKind::EvalRequest
-        )],
+        redundant,
+        vec![Event::Message(fedscope::net::MessageKind::EvalRequest)],
         "unexpected redundancy report"
     );
     let report = runner.run();

@@ -170,7 +170,7 @@ fn low_bandwidth_client_skips_rounds_without_stalling_goal_courses() {
 /// surface: the completeness check fails before any message flows.
 #[test]
 fn removing_the_aggregation_handler_breaks_completeness() {
-    use fedscope::core::completeness::FlowGraph;
+    use fedscope::verify::Code;
     let cfg = FlConfig {
         total_rounds: 2,
         concurrency: 5,
@@ -183,9 +183,9 @@ fn removing_the_aggregation_handler_breaks_completeness() {
         .registry_mut()
         .unregister(Event::Condition(Condition::AllReceived));
     let clients: Vec<&fedscope::core::Client> = runner.clients.values().collect();
-    let check = FlowGraph::from_course(&runner.server, &clients).check();
+    let report = fedscope::core::verify_assembled(&runner.server, &clients, None);
     assert!(
-        !check.complete,
-        "no aggregation handler -> no path to Finish"
+        report.has_code(Code::Incomplete),
+        "no aggregation handler -> no path to Finish:\n{report}"
     );
 }

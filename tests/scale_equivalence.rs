@@ -280,6 +280,13 @@ fn run_capped<S: ClientStore, R: Router>(
 ) -> (CourseReport, Vec<u64>) {
     let mut runner = runner.with_max_events(cap);
     let report = runner.run();
+    if report.finish_reason.starts_with("event cap") {
+        assert_eq!(
+            runner.events_processed(),
+            cap,
+            "a capped run handles exactly `cap` events and counts those"
+        );
+    }
     let trained = runner
         .clients
         .ids()

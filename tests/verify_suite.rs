@@ -8,11 +8,11 @@ use fedscope::core::config::{
 };
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{run_distributed, DistributedError};
-use fedscope::core::{verify_assembled, Client, Condition, Event, StandaloneRunner};
+use fedscope::core::{lint_config, verify_assembled, Client, Condition, Event, StandaloneRunner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::{MessageKind, Topology};
 use fedscope::tensor::model::logistic_regression;
-use fedscope::verify::{lint_config, Code, Severity, VerifyMode, VerifyReport};
+use fedscope::verify::{Code, Severity, VerifyMode, VerifyReport};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -223,7 +223,7 @@ fn handler_overwrite_is_a_note_only() {
 // ---------------------------------------------------------------------------
 
 fn lint_codes(cfg: &FlConfig, num_clients: usize) -> Vec<Code> {
-    lint_config(&cfg.facts(Some(num_clients)))
+    lint_config(cfg, Some(num_clients))
         .into_iter()
         .map(|d| d.code)
         .collect()
@@ -923,7 +923,7 @@ proptest! {
             ..Default::default()
         };
         apply_breaking_mutation(&mut cfg, which);
-        let diags = lint_config(&cfg.facts(Some(64)));
+        let diags = lint_config(&cfg, Some(64));
         prop_assert!(
             diags.iter().any(|d| d.severity == Severity::Error),
             "mutation {} produced no error: {:?}",
@@ -958,7 +958,7 @@ proptest! {
             ),
         };
         // Population comfortably larger than any sample target.
-        let diags = lint_config(&cfg.facts(Some(256)));
+        let diags = lint_config(&cfg, Some(256));
         prop_assert!(
             !diags.iter().any(|d| d.severity == Severity::Error),
             "preset {} linted errors: {:?}",
