@@ -1,25 +1,21 @@
 //! `fsa` — the fs-analyze CLI.
 //!
 //! ```text
-//! fsa --check [--root DIR]             # lint + ratchet against ANALYZE_baseline.json (CI gate)
-//! fsa --list [--notes] [--root DIR]    # print every finding, baselined or not
-//! fsa --update-baseline [--root DIR]   # freeze current gating findings into the baseline
+//! fsa --check [--notes] [--root DIR]   # fail on any Error / Warning finding (CI gate)
+//! fsa --list [--notes] [--root DIR]    # print every finding
 //! fsa --loc PATH...                    # non-test, non-comment, non-blank lines per file + total
 //! ```
 //!
-//! Exit codes: 0 clean / ratchet holds, 1 new findings or invalid baseline,
+//! Exit codes: 0 no gating finding, 1 gating findings or a failed scan,
 //! 2 usage error.
 
-use fs_analyze::{analyze_workspace, count_loc, ratchet, walk, AnalyzeReport, Baseline, Severity};
-use std::path::{Path, PathBuf};
+use fs_analyze::{analyze_workspace, count_loc, walk, AnalyzeReport, Severity};
+use std::path::PathBuf;
 use std::process::ExitCode;
-
-const BASELINE_FILE: &str = "ANALYZE_baseline.json";
 
 enum Mode {
     Check,
     List,
-    UpdateBaseline,
 }
 
 fn main() -> ExitCode {
@@ -31,7 +27,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--check" => mode = Some(Mode::Check),
             "--list" => mode = Some(Mode::List),
-            "--update-baseline" => mode = Some(Mode::UpdateBaseline),
             "--loc" => return loc(args.map(PathBuf::from).collect()),
             "--notes" => notes = true,
             "--root" => match args.next() {
@@ -42,7 +37,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(mode) = mode else {
-        return usage("one of --check, --list, --update-baseline, --loc is required");
+        return usage("one of --check, --list, --loc is required");
     };
     if !root.join("Cargo.toml").is_file() {
         eprintln!(
@@ -70,46 +65,12 @@ fn main() -> ExitCode {
             print_tally(&report);
             ExitCode::SUCCESS
         }
-        Mode::UpdateBaseline => {
-            let b = Baseline::from_findings(report.findings.iter());
-            let path = root.join(BASELINE_FILE);
-            let mut json = b.to_json();
-            json.push('\n');
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("fsa: writing {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!(
-                "froze {} finding(s) across {} (file, code) pair(s) into {}",
-                b.total,
-                b.entries.len(),
-                path.display()
-            );
-            ExitCode::SUCCESS
-        }
-        Mode::Check => check(&root, &report, notes),
+        Mode::Check => check(&report, notes),
     }
 }
 
-fn check(root: &Path, report: &AnalyzeReport, notes: bool) -> ExitCode {
-    let path = root.join(BASELINE_FILE);
-    let baseline = match std::fs::read_to_string(&path) {
-        Ok(s) => match Baseline::from_json(&s) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("fsa: {} is invalid: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!(
-                "fsa: cannot read {} ({e}); run `fsa --update-baseline` once and commit it",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = ratchet(&report.findings, &baseline);
+/// `--check`: the gate. Any Error or Warning finding fails it.
+fn check(report: &AnalyzeReport, notes: bool) -> ExitCode {
     if notes {
         for f in &report.findings {
             if f.severity == Severity::Note {
@@ -117,30 +78,17 @@ fn check(root: &Path, report: &AnalyzeReport, notes: bool) -> ExitCode {
             }
         }
     }
-    for (file, code, was, now) in &outcome.improved {
-        println!(
-            "improved: {file} {code}: {was} -> {now} (re-freeze with --update-baseline to lock in)"
-        );
-    }
     print_tally(report);
-    if outcome.passes() {
-        println!(
-            "ratchet holds: {} gating finding(s), all within {}",
-            report.gating().len(),
-            BASELINE_FILE
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("new findings exceed the baseline:");
-        for f in &outcome.new {
-            eprintln!("  {}", f.render());
-        }
-        eprintln!(
-            "fix them, add an `// fsa::allow(CODE, reason)` pragma, or (for accepted debt) \
-             re-freeze with `fsa --update-baseline`"
-        );
-        ExitCode::FAILURE
+    let gating = report.gating();
+    if gating.is_empty() {
+        return ExitCode::SUCCESS;
     }
+    eprintln!("{} gating finding(s):", gating.len());
+    for f in gating {
+        eprintln!("  {}", f.render());
+    }
+    eprintln!("fix them, or add an `// fsa::allow(CODE, reason)` pragma");
+    ExitCode::FAILURE
 }
 
 /// `--loc`: counts the code lines of every `.rs` file under `paths` (files
@@ -181,7 +129,7 @@ fn print_tally(report: &AnalyzeReport) {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("fsa: {msg}");
-    eprintln!("usage: fsa (--check | --list | --update-baseline) [--root DIR] [--notes]");
+    eprintln!("usage: fsa (--check | --list) [--root DIR] [--notes]");
     eprintln!("       fsa --loc PATH...");
     ExitCode::from(2)
 }

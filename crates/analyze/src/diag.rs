@@ -20,9 +20,9 @@ use std::fmt;
 pub enum Severity {
     /// Informational; printed with `--notes`, never gates CI.
     Note,
-    /// Counts against the debt ratchet.
+    /// Fails `fsa --check`.
     Warning,
-    /// Counts against the debt ratchet.
+    /// Fails `fsa --check`.
     Error,
 }
 
@@ -151,7 +151,7 @@ impl Finding {
         s
     }
 
-    /// Whether the finding counts against the debt ratchet.
+    /// Whether the finding fails `fsa --check`.
     pub fn gates(&self) -> bool {
         self.severity > Severity::Note
     }
@@ -182,7 +182,7 @@ impl AnalyzeReport {
         self.findings.iter().filter(|f| f.severity == sev).count()
     }
 
-    /// The findings that gate the ratchet (Error + Warning).
+    /// The findings that fail `fsa --check` (Error + Warning).
     pub fn gating(&self) -> Vec<&Finding> {
         self.findings.iter().filter(|f| f.gates()).collect()
     }

@@ -3,7 +3,7 @@
 //! Scans the first-party source trees only: the root crate's `src/`,
 //! `tests/`, `examples/`, and every `crates/*/{src,tests,benches,examples}`.
 //! `vendored/` (external code), `target/`, and fixture corpora are out of
-//! scope. Results are sorted so reports and baselines are stable across
+//! scope. Results are sorted so reports are stable across
 //! platforms and filesystems.
 
 use std::fs;

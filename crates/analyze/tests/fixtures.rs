@@ -1,14 +1,12 @@
 //! Fixture corpus: every FSA code reproduced from a known-bad snippet with
 //! its exact `(code, line, severity)` set, plus clean / suppressed /
-//! test-context fixtures and an end-to-end ratchet round trip.
+//! test-context fixtures.
 //!
 //! The fixtures live in `crates/analyze/fixtures/` — outside any `src/`
 //! tree, so neither rustc nor the analyzer's own workspace walk compiles or
 //! scans them.
 
-use fs_analyze::{
-    analyze_source, count_loc, ratchet, Baseline, Code, FileContext, Finding, Severity, Tier,
-};
+use fs_analyze::{analyze_source, count_loc, Code, FileContext, Severity, Tier};
 
 fn fixture(name: &str) -> String {
     let path = format!("{}/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
@@ -134,7 +132,7 @@ fn fsa023_slice_index_is_note_only() {
     let got = triples("fsa023_index.rs", &runtime());
     assert_eq!(got, vec![(Code::SliceIndex, 3, Severity::Note)]);
     let finding = &analyze_source(&fixture("fsa023_index.rs"), &runtime())[0];
-    assert!(!finding.gates(), "notes must not gate the ratchet");
+    assert!(!finding.gates(), "notes must not gate the check");
 }
 
 #[test]
@@ -234,40 +232,4 @@ fn every_code_is_reproduced_by_the_corpus() {
             code.as_str()
         );
     }
-}
-
-#[test]
-fn ratchet_round_trip_over_fixture_findings() {
-    let current = analyze_source(&fixture("fsa020_unwrap.rs"), &runtime());
-    let frozen = Baseline::from_findings(current.iter());
-    assert!(frozen.validate().is_ok());
-
-    // baseline-equal: passes with nothing new and nothing improved
-    let same = ratchet(&current, &frozen);
-    assert!(same.passes());
-    assert!(same.improved.is_empty());
-
-    // one synthetic new finding in a different file: fails
-    let mut grown = current.clone();
-    grown.push(Finding {
-        code: Code::Unwrap,
-        severity: Severity::Error,
-        file: "crates/fixture/src/other.rs".into(),
-        line: 1,
-        message: "synthetic".into(),
-        suggestion: None,
-    });
-    let fail = ratchet(&grown, &frozen);
-    assert!(!fail.passes());
-    assert_eq!(fail.new.len(), 1);
-    assert_eq!(fail.new[0].file, "crates/fixture/src/other.rs");
-
-    // debt paid down: passes, and the improvement is reported for re-freeze
-    let improved = ratchet(&[], &frozen);
-    assert!(improved.passes());
-    assert_eq!(improved.improved.len(), 1);
-
-    // the frozen baseline survives a JSON round trip bit-identically
-    let reparsed = Baseline::from_json(&frozen.to_json()).expect("round trip");
-    assert_eq!(reparsed.to_json(), frozen.to_json());
 }

@@ -356,9 +356,10 @@ mod tests {
         let (mut c, _) = make_client(1);
         let mut ctx = Ctx::at(VirtualTime::ZERO);
         c.start(&mut ctx);
-        assert_eq!(ctx.outbox.len(), 1);
-        assert_eq!(ctx.outbox[0].msg.kind, MessageKind::JoinIn);
-        assert_eq!(ctx.outbox[0].msg.receiver, SERVER_ID);
+        let sent = ctx.take_messages();
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].msg.kind, MessageKind::JoinIn);
+        assert_eq!(sent[0].msg.receiver, SERVER_ID);
     }
 
     #[test]
@@ -377,8 +378,9 @@ mod tests {
         );
         c.handle(&msg, &mut ctx);
         assert_eq!(c.state.rounds_trained, 1);
-        assert_eq!(ctx.outbox.len(), 1);
-        let out = &ctx.outbox[0];
+        let sent = ctx.take_messages();
+        assert_eq!(sent.len(), 1);
+        let out = &sent[0];
         assert_eq!(out.msg.kind, MessageKind::Updates);
         assert!(out.compute_work > 0.0, "training must report compute work");
         match &out.msg.payload {
@@ -412,7 +414,7 @@ mod tests {
         assert!(c.state.done);
         assert!(ctx.finished);
         assert!(c.state.final_test.is_some());
-        assert_eq!(ctx.outbox[0].msg.kind, MessageKind::MetricsReport);
+        assert_eq!(ctx.take_messages()[0].msg.kind, MessageKind::MetricsReport);
     }
 
     #[test]

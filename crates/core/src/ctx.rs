@@ -40,53 +40,52 @@ pub struct Timer {
     pub round: u64,
 }
 
-/// A server-side broadcast recorded at cohort granularity: one payload, many
-/// targets, scheduled by the virtual-time loop as a single heap entry instead
-/// of per-client owned messages.
+/// One payload from the server to a cohort of clients.
 #[derive(Clone, Debug)]
-pub struct BatchedBroadcast {
-    /// `outbox.len()` at record time: the broadcast happened after this many
-    /// individual sends, so a runner replaying the dispatch interleaves it at
-    /// exactly this point to preserve the global message order.
-    pub anchor: usize,
+pub struct Broadcast {
     /// Message kind shared by every copy.
     pub kind: MessageKind,
     /// Round stamp shared by every copy.
     pub round: u64,
     /// Payload shared by every copy (cloned per target on delivery).
     pub payload: Payload,
-    /// Recipients, in broadcast order.
+    /// Recipients, in broadcast order; never empty.
     pub targets: Vec<ParticipantId>,
+}
+
+/// One send a handler asked for. The virtual-time loop schedules a cohort as
+/// a single heap entry; the threaded drivers ship it per target
+/// ([`Ctx::take_messages`]).
+#[derive(Clone, Debug)]
+pub enum Intent {
+    /// One message to one receiver.
+    Send(Outgoing),
+    /// One server payload to many clients.
+    Broadcast(Broadcast),
 }
 
 /// Mutable per-dispatch context handed to every handler.
 pub struct Ctx {
     /// Current virtual time (arrival time of the triggering message).
     pub now: VirtualTime,
-    /// Messages queued for sending.
-    pub outbox: Vec<Outgoing>,
+    /// Sends recorded during this dispatch, in emission order.
+    pub outbox: Vec<Intent>,
     /// Timers armed during this dispatch.
     pub timers: Vec<Timer>,
     /// Condition events raised during this dispatch, processed FIFO
     /// immediately after the current handler returns.
     pub raised: VecDeque<Condition>,
-    /// Every event emitted through this context, in order — sends, raises,
-    /// and timers alike. [`crate::registry::Registry::dispatch`] diffs this
-    /// log against the handler's declared `emits` to catch undeclared
-    /// emissions (`FSV040`).
+    /// Every event emitted through this context, in order — sends (one per
+    /// broadcast), raises, and timers alike.
+    /// [`crate::registry::Registry::dispatch`] diffs this log, by membership,
+    /// against the handler's declared `emits` to catch undeclared emissions
+    /// (`FSV040`).
     pub emitted: Vec<Event>,
     /// Set when the participant considers the course finished.
     pub finished: bool,
     /// Observability sink. Null (free) unless the runner attached a monitor;
     /// handlers record domain counters and round metrics through it.
     pub monitor: MonitorHandle,
-    /// When set (by the virtual-time loop, on server dispatches),
-    /// [`Ctx::broadcast`] records a single [`BatchedBroadcast`] instead of
-    /// expanding into per-target outbox entries. Defaults to `false`: the
-    /// distributed runners ship one owned message per client.
-    pub batch_broadcasts: bool,
-    /// Broadcasts recorded while `batch_broadcasts` was set, in order.
-    pub broadcasts: Vec<BatchedBroadcast>,
 }
 
 impl Ctx {
@@ -100,8 +99,6 @@ impl Ctx {
             emitted: Vec::new(),
             finished: false,
             monitor: MonitorHandle::null(),
-            batch_broadcasts: false,
-            broadcasts: Vec::new(),
         }
     }
 
@@ -115,18 +112,15 @@ impl Ctx {
 
     /// Queues a message with zero local compute work.
     pub fn send(&mut self, msg: Message) {
-        self.emitted.push(Event::Message(msg.kind));
-        self.outbox.push(Outgoing {
-            msg,
-            compute_work: 0.0,
-        });
+        self.send_after_compute(msg, 0.0);
     }
 
     /// Queues a message preceded by `compute_work` examples of local
     /// computation (e.g. local training).
     pub fn send_after_compute(&mut self, msg: Message, compute_work: f64) {
         self.emitted.push(Event::Message(msg.kind));
-        self.outbox.push(Outgoing { msg, compute_work });
+        self.outbox
+            .push(Intent::Send(Outgoing { msg, compute_work }));
     }
 
     /// Raises a condition event, to be handled right after the current
@@ -136,14 +130,9 @@ impl Ctx {
         self.raised.push_back(condition);
     }
 
-    /// Broadcasts `payload` from the server to every client in `targets`.
-    ///
-    /// By default this expands into one [`Ctx::send`] per target, which is
-    /// what the distributed runners ship. Under the virtual-time loop
-    /// (`batch_broadcasts` set) it records a single
-    /// [`BatchedBroadcast`] and one emitted event; registry conformance diffs
-    /// emissions by membership, not count, so the two paths are
-    /// conformance-equivalent. Empty target lists are a no-op either way.
+    /// Broadcasts `payload` from the server to every client in `targets`:
+    /// one recorded intent and one emitted event, whatever the cohort size.
+    /// An empty target list records nothing.
     pub fn broadcast(
         &mut self,
         kind: MessageKind,
@@ -154,21 +143,30 @@ impl Ctx {
         if targets.is_empty() {
             return;
         }
-        if self.batch_broadcasts {
-            self.emitted.push(Event::Message(kind));
-            self.broadcasts.push(BatchedBroadcast {
-                anchor: self.outbox.len(),
-                kind,
-                round,
-                payload,
-                targets: targets.to_vec(),
-            });
-        } else {
-            self.outbox.reserve(targets.len());
-            for &c in targets {
-                self.send(Message::new(SERVER_ID, c, kind, round, payload.clone()));
+        self.emitted.push(Event::Message(kind));
+        self.outbox.push(Intent::Broadcast(Broadcast {
+            kind,
+            round,
+            payload,
+            targets: targets.to_vec(),
+        }));
+    }
+
+    /// Takes the recorded sends out as one owned message per receiver, in
+    /// emission order — what a driver that ships frames needs. A broadcast
+    /// expands here, its payload cloned per target.
+    pub fn take_messages(&mut self) -> Vec<Outgoing> {
+        let mut out = Vec::with_capacity(self.outbox.len());
+        for intent in self.outbox.drain(..) {
+            match intent {
+                Intent::Send(one) => out.push(one),
+                Intent::Broadcast(b) => out.extend(b.targets.iter().map(|&c| Outgoing {
+                    msg: Message::new(SERVER_ID, c, b.kind, b.round, b.payload.clone()),
+                    compute_work: 0.0,
+                })),
             }
         }
+        out
     }
 
     /// Arms a timer that will raise `condition` after `delay_secs`.
@@ -197,56 +195,60 @@ mod tests {
         );
         ctx.raise(Condition::GoalAchieved);
         ctx.arm_timer(10.0, Condition::TimeUp, 3);
-        assert_eq!(ctx.outbox.len(), 2);
-        assert_eq!(ctx.outbox[1].compute_work, 2.5);
         assert_eq!(ctx.raised.len(), 1);
         assert_eq!(ctx.timers.len(), 1);
         assert!(!ctx.finished);
+        let sent = ctx.take_messages();
+        assert_eq!(sent.len(), 2);
+        assert_eq!(sent[1].compute_work, 2.5);
+        assert!(
+            ctx.outbox.is_empty(),
+            "taking the messages empties the list"
+        );
     }
 
     #[test]
-    fn broadcast_expands_per_target_by_default() {
+    fn sends_and_a_broadcast_keep_emission_order_listed_and_expanded() {
         let mut ctx = Ctx::at(VirtualTime::ZERO);
+        let one = |to, kind| Message::new(0, to, kind, 2, Payload::Empty);
+        ctx.send(one(9, MessageKind::IdAssignment));
         ctx.broadcast(MessageKind::ModelParams, 2, Payload::Empty, &[1, 2, 3]);
+        ctx.send(one(2, MessageKind::EvalRequest));
+        // the list: one entry per intent, the cohort between the two sends
         assert_eq!(ctx.outbox.len(), 3);
-        assert!(ctx.broadcasts.is_empty());
-        assert_eq!(ctx.emitted.len(), 3);
-        for (i, out) in ctx.outbox.iter().enumerate() {
-            assert_eq!(out.msg.receiver, (i + 1) as u32);
-            assert_eq!(out.msg.kind, MessageKind::ModelParams);
-            assert_eq!(out.msg.round, 2);
-        }
-    }
-
-    #[test]
-    fn broadcast_batches_when_enabled() {
-        let mut ctx = Ctx::at(VirtualTime::ZERO);
-        ctx.batch_broadcasts = true;
-        ctx.send(Message::new(
-            0,
-            9,
-            MessageKind::IdAssignment,
-            0,
-            Payload::Empty,
+        assert!(matches!(&ctx.outbox[0], Intent::Send(o) if o.msg.receiver == 9));
+        assert!(matches!(
+            &ctx.outbox[1],
+            Intent::Broadcast(b)
+                if b.kind == MessageKind::ModelParams && b.round == 2 && b.targets == [1, 2, 3]
         ));
-        ctx.broadcast(MessageKind::ModelParams, 2, Payload::Empty, &[1, 2, 3]);
-        assert_eq!(ctx.outbox.len(), 1);
-        assert_eq!(ctx.broadcasts.len(), 1);
-        let b = &ctx.broadcasts[0];
-        assert_eq!(b.anchor, 1);
-        assert_eq!(b.targets, vec![1, 2, 3]);
-        // One emitted event per batch: conformance diffs by membership.
-        assert_eq!(ctx.emitted.len(), 2);
+        assert!(matches!(&ctx.outbox[2], Intent::Send(o) if o.msg.receiver == 2));
+        // one emitted event per intent: conformance diffs by membership
+        assert_eq!(ctx.emitted.len(), 3);
+        // the accessor: one message per receiver, same order
+        let shipped: Vec<_> = ctx
+            .take_messages()
+            .into_iter()
+            .map(|o| (o.msg.sender, o.msg.receiver, o.msg.kind, o.msg.round))
+            .collect();
+        assert_eq!(
+            shipped,
+            vec![
+                (0, 9, MessageKind::IdAssignment, 2),
+                (0, 1, MessageKind::ModelParams, 2),
+                (0, 2, MessageKind::ModelParams, 2),
+                (0, 3, MessageKind::ModelParams, 2),
+                (0, 2, MessageKind::EvalRequest, 2),
+            ]
+        );
     }
 
     #[test]
-    fn broadcast_to_nobody_is_a_no_op() {
+    fn broadcast_to_nobody_records_nothing() {
         let mut ctx = Ctx::at(VirtualTime::ZERO);
-        ctx.broadcast(MessageKind::Finish, 1, Payload::Empty, &[]);
-        ctx.batch_broadcasts = true;
         ctx.broadcast(MessageKind::Finish, 1, Payload::Empty, &[]);
         assert!(ctx.outbox.is_empty());
-        assert!(ctx.broadcasts.is_empty());
         assert!(ctx.emitted.is_empty());
+        assert!(ctx.take_messages().is_empty());
     }
 }

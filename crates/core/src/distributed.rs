@@ -449,13 +449,13 @@ impl ServerLoop {
     /// Ships a server context (downloads go point-to-point). A send that
     /// finds its receiver gone is a dropout if the receiver is a client
     /// still owed work, and a lost frame otherwise.
-    fn ship(&mut self, ctx: Ctx, port: &mut dyn ServerPort) -> Result<(), DistributedError> {
+    fn ship(&mut self, mut ctx: Ctx, port: &mut dyn ServerPort) -> Result<(), DistributedError> {
         debug_assert!(
             ctx.timers.is_empty(),
             "timers require the standalone runner"
         );
         self.finished |= ctx.finished;
-        let mut pending = VecDeque::from(ctx.outbox);
+        let mut pending = VecDeque::from(ctx.take_messages());
         while let Some(out) = pending.pop_front() {
             let to = out.msg.receiver;
             if port.send(&out.msg)? {
@@ -470,9 +470,9 @@ impl ServerLoop {
                 || self.reported(to)
                 || self.finished_workers.contains(&to))
             {
-                if let Some(reaction) = self.dropout(to)? {
+                if let Some(mut reaction) = self.dropout(to)? {
                     self.finished |= reaction.finished;
-                    pending.extend(reaction.outbox);
+                    pending.extend(reaction.take_messages());
                 }
             }
         }
@@ -661,7 +661,7 @@ fn client_worker(
     let mut ctx = Ctx::at(VirtualTime::ZERO);
     client.start(&mut ctx);
     loop {
-        for mut out in ctx.outbox {
+        for mut out in ctx.take_messages() {
             if out.msg.receiver == SERVER_ID {
                 out.msg.receiver = up.parent;
             }

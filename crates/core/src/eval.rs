@@ -31,63 +31,25 @@ impl std::fmt::Display for EvalRecord {
     }
 }
 
-/// Evaluates global parameters on a fixed pooled test set, keeping a
-/// round-indexed history of what it measured.
+/// Evaluates global parameters on a fixed pooled test set. The learning
+/// curve is the caller's: whoever evaluates pushes its own [`EvalRecord`].
 pub struct GlobalEvaluator {
     model: Box<dyn Model>,
     x: Tensor,
     y: Target,
-    history: Vec<(u64, Metrics)>,
 }
 
 impl GlobalEvaluator {
     /// Creates an evaluator from a template model and a pooled test set.
     pub fn new(model: Box<dyn Model>, x: Tensor, y: Target) -> Self {
-        Self {
-            model,
-            x,
-            y,
-            history: Vec::new(),
-        }
+        Self { model, x, y }
     }
 
     /// Loads `params` into the template (missing keys keep template values,
     /// which matters when only a shared subset is federated) and evaluates.
-    /// Does not touch the history; use [`GlobalEvaluator::eval_at`] for
-    /// curve-building evaluations.
     pub fn eval(&mut self, params: &ParamMap) -> Metrics {
         self.model.set_params(params);
         self.model.evaluate(&self.x, &self.y)
-    }
-
-    /// Evaluates `params` and records the result against `round`.
-    pub fn eval_at(&mut self, round: u64, params: &ParamMap) -> Metrics {
-        let metrics = self.eval(params);
-        self.history.push((round, metrics));
-        metrics
-    }
-
-    /// Every recorded `(round, metrics)` evaluation, in evaluation order.
-    pub fn history(&self) -> &[(u64, Metrics)] {
-        &self.history
-    }
-
-    /// The recorded evaluation with the highest accuracy, if any.
-    pub fn best(&self) -> Option<(u64, Metrics)> {
-        self.history
-            .iter()
-            .max_by(|a, b| a.1.accuracy.total_cmp(&b.1.accuracy))
-            .copied()
-    }
-
-    /// Size of the evaluation set.
-    pub fn len(&self) -> usize {
-        self.y.len()
-    }
-
-    /// `true` when the evaluation set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -106,7 +68,6 @@ mod tests {
         let x = Tensor::from_vec(vec![2, 2], vec![5.0, 0.0, 0.0, 5.0]);
         let y = Target::Classes(vec![0, 1]);
         let mut ev = GlobalEvaluator::new(Box::new(model), x, y);
-        assert_eq!(ev.len(), 2);
         // identity weights solve the problem perfectly
         let mut good = ParamMap::new();
         good.insert(
@@ -125,37 +86,6 @@ mod tests {
         bad.insert("fc.bias", Tensor::zeros(&[2]));
         let m = ev.eval(&bad);
         assert_eq!(m.accuracy, 0.0);
-    }
-
-    #[test]
-    fn history_records_rounds_and_finds_best() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let model = logistic_regression(2, 2, &mut rng);
-        let x = Tensor::from_vec(vec![2, 2], vec![5.0, 0.0, 0.0, 5.0]);
-        let y = Target::Classes(vec![0, 1]);
-        let mut ev = GlobalEvaluator::new(Box::new(model), x, y);
-        let mut good = ParamMap::new();
-        good.insert(
-            "fc.weight",
-            Tensor::from_vec(vec![2, 2], vec![1.0, 0.0, 0.0, 1.0]),
-        );
-        good.insert("fc.bias", Tensor::zeros(&[2]));
-        let mut bad = ParamMap::new();
-        bad.insert(
-            "fc.weight",
-            Tensor::from_vec(vec![2, 2], vec![0.0, 1.0, 1.0, 0.0]),
-        );
-        bad.insert("fc.bias", Tensor::zeros(&[2]));
-        // plain eval leaves no trace; eval_at records
-        ev.eval(&bad);
-        assert!(ev.history().is_empty());
-        ev.eval_at(1, &bad);
-        ev.eval_at(2, &good);
-        ev.eval_at(3, &bad);
-        assert_eq!(ev.history().len(), 3);
-        let (round, best) = ev.best().unwrap();
-        assert_eq!(round, 2);
-        assert_eq!(best.accuracy, 1.0);
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! See DESIGN.md ("Determinism contract") for the full argument.
 
 use crate::client::{Client, ClientSnapshot};
-use crate::ctx::{BatchedBroadcast, Ctx, Outgoing};
+use crate::ctx::{Broadcast, Ctx, Intent, Outgoing};
 use crate::eval::EvalRecord;
 use crate::event::Condition;
 use crate::server::Server;
@@ -651,8 +651,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         Ok(())
     }
 
-    /// Runs one server dispatch and realizes its intents. The server records
-    /// broadcasts at cohort granularity (one payload, many targets).
+    /// Runs one server dispatch and realizes its intents.
     fn dispatch_server(
         &mut self,
         at: VirtualTime,
@@ -660,7 +659,6 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         dispatch: impl FnOnce(&mut Server, &mut Ctx),
     ) {
         let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
-        ctx.batch_broadcasts = true;
         self.monitor.enter(SERVER_ID, label, "dispatch", at);
         dispatch(&mut self.server, &mut ctx);
         self.monitor.exit(SERVER_ID, at);
@@ -752,20 +750,16 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         }
     }
 
-    /// Realizes one dispatch's intents: individual sends and cohort
-    /// broadcasts interleaved at their recorded anchors (so sequence numbers
-    /// are assigned in emission order), then timers.
+    /// Realizes one dispatch's intents: sends and cohort broadcasts in
+    /// emission order (so sequence numbers are assigned in that order), then
+    /// timers.
     fn realize(&mut self, from: ParticipantId, ctx: Ctx) {
         let now = ctx.now;
-        let mut broadcasts = ctx.broadcasts.into_iter().peekable();
-        for (i, out) in ctx.outbox.into_iter().enumerate() {
-            while let Some(b) = broadcasts.next_if(|b| b.anchor <= i) {
-                self.send_batch(now, b);
+        for intent in ctx.outbox {
+            match intent {
+                Intent::Send(out) => self.send_one(from, now, out),
+                Intent::Broadcast(b) => self.send_batch(now, b),
             }
-            self.send_one(from, now, out);
-        }
-        for b in broadcasts {
-            self.send_batch(now, b);
         }
         for t in ctx.timers {
             self.queue.push(
@@ -847,7 +841,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
     /// One cohort broadcast: per-target counters, spans, and delivery keys
     /// exactly as if each copy had been sent individually, stored as a single
     /// [`Batch`] occupying one heap entry.
-    fn send_batch(&mut self, now: VirtualTime, b: BatchedBroadcast) {
+    fn send_batch(&mut self, now: VirtualTime, b: Broadcast) {
         let mut template = Message::new(SERVER_ID, SERVER_ID, b.kind, b.round, b.payload);
         let payload_bytes = template.payload_bytes();
         let seq0 = self.queue.reserve_seqs(b.targets.len() as u64);

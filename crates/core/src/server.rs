@@ -190,9 +190,8 @@ impl ServerState {
     /// Broadcasts the current global model to `targets`, marking them busy.
     ///
     /// The payload is computed once (the per-version cache already made every
-    /// copy identical) and handed to [`Ctx::broadcast`], which either expands
-    /// it per target (the distributed runners) or records one cohort-granular
-    /// batch (the virtual-time loop).
+    /// copy identical) and handed to [`Ctx::broadcast`], which records one
+    /// cohort-granular intent.
     fn broadcast_to(&mut self, targets: &[ParticipantId], ctx: &mut Ctx) {
         if targets.is_empty() {
             return;
@@ -393,7 +392,7 @@ impl ServerState {
         // centralized evaluation + stop checks
         if self.round.is_multiple_of(self.cfg.eval_every) {
             if let Some(ev) = self.evaluator.as_mut() {
-                let metrics = ev.eval_at(self.round, &self.global);
+                let metrics = ev.eval(&self.global);
                 self.history.push(EvalRecord {
                     round: self.round,
                     time_secs: ctx.now.as_secs(),
@@ -871,7 +870,7 @@ mod tests {
         let mut ctx = Ctx::at(VirtualTime::ZERO);
         join_all(&mut s, 3, &mut ctx);
         // 3 id assignments + 2 model broadcasts (concurrency 2)
-        let kinds: Vec<MessageKind> = ctx.outbox.iter().map(|o| o.msg.kind).collect();
+        let kinds: Vec<MessageKind> = ctx.take_messages().iter().map(|o| o.msg.kind).collect();
         assert_eq!(
             kinds
                 .iter()
@@ -930,7 +929,7 @@ mod tests {
         assert_eq!(s.state.global.get("w").unwrap().data(), &[2.0, 2.0]);
         // next round broadcast happened
         let models = ctx
-            .outbox
+            .take_messages()
             .iter()
             .filter(|o| o.msg.kind == MessageKind::ModelParams)
             .count();
@@ -1075,7 +1074,7 @@ mod tests {
         // no aggregation (goal 5), but exactly one new model handed out
         assert_eq!(s.state.version, 0);
         let models = ctx
-            .outbox
+            .take_messages()
             .iter()
             .filter(|o| o.msg.kind == MessageKind::ModelParams)
             .count();
@@ -1098,7 +1097,7 @@ mod tests {
         assert!(s.state.done);
         assert!(ctx.finished);
         let finishes = ctx
-            .outbox
+            .take_messages()
             .iter()
             .filter(|o| o.msg.kind == MessageKind::Finish)
             .count();
@@ -1308,7 +1307,7 @@ mod tests {
         let mut ctx = Ctx::at(VirtualTime::ZERO);
         join_all(&mut s, 2, &mut ctx);
         let blocks: Vec<_> = ctx
-            .outbox
+            .take_messages()
             .iter()
             .filter(|o| o.msg.kind == MessageKind::ModelParams)
             .map(|o| match &o.msg.payload {
@@ -1362,7 +1361,7 @@ mod tests {
         assert_eq!(s.state.version, 0);
         assert!(s.state.busy.contains(&survivor));
         let models = ctx
-            .outbox
+            .take_messages()
             .iter()
             .filter(|o| o.msg.kind == MessageKind::ModelParams)
             .count();

@@ -5,7 +5,7 @@
 //! "A Trainer can be implemented as if a machine learning model is trained on
 //! the local data owned by a client."
 
-use fs_data::ClientSplit;
+use fs_data::{ClientData, ClientSplit};
 use fs_tensor::loss::Target;
 use fs_tensor::model::{Metrics, Model};
 use fs_tensor::optim::{Sgd, SgdConfig};
@@ -116,6 +116,44 @@ impl Default for TrainConfig {
     }
 }
 
+/// One pass of local SGD, the loop every trainer shares: up to `steps`
+/// minibatches of `batch_size` drawn from `train`, each a gradient into one
+/// reused map (so from the second step on `loss_grad_into` allocates
+/// nothing) and an optimizer step on the model where it lives, with an
+/// optional proximal `anchor`. Stops at the first empty batch. Returns the
+/// loss summed over the steps taken and the examples actually drawn.
+pub fn sgd_pass(
+    model: &mut dyn Model,
+    opt: &mut Sgd,
+    train: &ClientData,
+    steps: usize,
+    batch_size: usize,
+    anchor: Option<&ParamMap>,
+    rng: &mut StdRng,
+) -> (f32, usize) {
+    let (mut loss, mut drawn) = (0.0f32, 0usize);
+    let mut grads = ParamMap::new();
+    for _ in 0..steps {
+        let batch = train.sample_batch(batch_size, rng);
+        if batch.is_empty() {
+            break;
+        }
+        loss += model.loss_grad_into(&batch.x, &batch.y, &mut grads);
+        model.step(opt, &grads, anchor);
+        drawn += batch.len();
+    }
+    (loss, drawn)
+}
+
+/// Evaluates `model` on one split of the local data; an empty split scores
+/// [`Metrics::default`].
+pub fn eval_split(model: &mut dyn Model, split: &ClientData) -> Metrics {
+    if split.is_empty() {
+        return Metrics::default();
+    }
+    model.evaluate(&split.x, &split.y)
+}
+
 /// The standard trainer: plain local SGD on the client's model, sharing the
 /// keys selected by the [`ShareFilter`]. When `sgd.prox_mu > 0` the received
 /// global model is used as the proximal anchor (FedProx).
@@ -176,43 +214,6 @@ impl LocalTrainer {
     pub fn data_mut(&mut self) -> &mut ClientSplit {
         &mut self.data
     }
-
-    /// Runs `steps` of SGD on the local training split with an optional
-    /// proximal anchor, returning the mean loss over steps.
-    pub fn run_sgd(&mut self, steps: usize, anchor: Option<&ParamMap>) -> f32 {
-        let mut total = 0.0f32;
-        // one gradient map for the whole pass: the model refreshes it in
-        // place, so from the second step on `loss_grad_into` allocates nothing
-        let mut grads = ParamMap::new();
-        for _ in 0..steps {
-            let batch = self
-                .data
-                .train
-                .sample_batch(self.cfg.batch_size, &mut self.rng);
-            if batch.is_empty() {
-                break;
-            }
-            total += self.model.loss_grad_into(&batch.x, &batch.y, &mut grads);
-            self.model.step(&mut self.opt, &grads, anchor);
-        }
-        total / steps.max(1) as f32
-    }
-
-    fn eval_split(&mut self, which: Split) -> Metrics {
-        let data = match which {
-            Split::Val => &self.data.val,
-            Split::Test => &self.data.test,
-        };
-        if data.is_empty() {
-            return Metrics::default();
-        }
-        self.model.evaluate(&data.x, &data.y)
-    }
-}
-
-enum Split {
-    Val,
-    Test,
 }
 
 impl Trainer for LocalTrainer {
@@ -225,7 +226,15 @@ impl Trainer for LocalTrainer {
         self.incorporate(global);
         let anchor = (self.cfg.sgd.prox_mu > 0.0).then_some(global);
         let steps = self.cfg.local_steps;
-        self.run_sgd(steps, anchor);
+        sgd_pass(
+            self.model.as_mut(),
+            &mut self.opt,
+            &self.data.train,
+            steps,
+            self.cfg.batch_size,
+            anchor,
+            &mut self.rng,
+        );
         let mut params = self.model.get_params();
         params.retain(|k| (self.share)(k));
         LocalUpdate {
@@ -237,11 +246,11 @@ impl Trainer for LocalTrainer {
     }
 
     fn evaluate_val(&mut self) -> Metrics {
-        self.eval_split(Split::Val)
+        eval_split(self.model.as_mut(), &self.data.val)
     }
 
     fn evaluate_test(&mut self) -> Metrics {
-        self.eval_split(Split::Test)
+        eval_split(self.model.as_mut(), &self.data.test)
     }
 
     fn num_train_samples(&self) -> usize {

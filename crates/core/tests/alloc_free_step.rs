@@ -3,7 +3,7 @@
 //! gradient hand-off, all on recycled worker scratch) and `Model::step` (the
 //! optimizer writing the network's own tensors, momentum buffers included).
 //!
-//! The one thing `run_sgd` still allocates per step is the sampled batch
+//! The one thing `sgd_pass` still allocates per step is the sampled batch
 //! (`fs-data` builds a fresh `[B, ..]` tensor and label vector). It is
 //! excluded here by construction: the counter is armed only inside the two
 //! model calls.
@@ -16,7 +16,7 @@
 
 use fs_core::aggregator::FedAvg;
 use fs_core::sampler::Sampler;
-use fs_core::trainer::{share_all, LocalTrainer, TrainConfig};
+use fs_core::trainer::sgd_pass;
 use fs_core::{Ctx, FlConfig, Server};
 use fs_data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fs_data::ClientSplit;
@@ -144,7 +144,7 @@ impl Model for Counted {
 }
 
 /// Allocations inside the model and optimizer calls of each step of one
-/// six-step `run_sgd`.
+/// six-step `sgd_pass`.
 fn allocations_per_step(
     model: Box<dyn Model>,
     data: ClientSplit,
@@ -152,20 +152,24 @@ fn allocations_per_step(
     momentum: f32,
 ) -> Vec<usize> {
     let per_call = Arc::new(Mutex::new(Vec::new()));
-    let counted = Counted {
+    let mut counted = Counted {
         inner: model,
         per_call: Arc::clone(&per_call),
     };
-    let cfg = TrainConfig {
-        local_steps: 6,
-        batch_size,
-        sgd: SgdConfig {
-            momentum,
-            ..SgdConfig::with_lr(0.25)
-        },
+    let sgd = SgdConfig {
+        momentum,
+        ..SgdConfig::with_lr(0.25)
     };
-    let mut trainer = LocalTrainer::new(Box::new(counted), data, cfg, share_all(), 3);
-    let loss = trainer.run_sgd(6, None);
+    let mut rng = StdRng::seed_from_u64(3);
+    let (loss, _) = sgd_pass(
+        &mut counted,
+        &mut Sgd::new(sgd),
+        &data.train,
+        6,
+        batch_size,
+        None,
+        &mut rng,
+    );
     assert!(loss.is_finite());
     let calls = per_call.lock().expect("no panic holds it").clone();
     assert_eq!(calls.len(), 12, "one loss_grad_into and one step per step");
@@ -249,7 +253,7 @@ fn a_join_from_a_huge_id_is_sampled_without_sizing_anything_by_the_id() {
     assert!(server.state.busy.contains(&hostile));
     assert!(server.state.outstanding.contains(&hostile));
     assert!(ctx
-        .outbox
+        .take_messages()
         .iter()
         .any(|o| o.msg.kind == MessageKind::ModelParams && o.msg.receiver == hostile));
     assert!(

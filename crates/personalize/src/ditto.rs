@@ -7,7 +7,7 @@
 //! the paper notes Ditto costs extra local computation but no extra
 //! communication (§5.3.2).
 
-use fs_core::trainer::{LocalUpdate, ShareFilter, TrainConfig, Trainer};
+use fs_core::trainer::{eval_split, sgd_pass, LocalUpdate, ShareFilter, TrainConfig, Trainer};
 use fs_data::ClientSplit;
 use fs_tensor::model::{Metrics, Model};
 use fs_tensor::optim::{Sgd, SgdConfig};
@@ -59,80 +59,49 @@ impl DittoTrainer {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    fn sgd_steps(
-        model: &mut Box<dyn Model>,
-        opt: &mut Sgd,
-        data: &ClientSplit,
-        steps: usize,
-        batch: usize,
-        anchor: Option<&ParamMap>,
-        rng: &mut StdRng,
-    ) {
-        for _ in 0..steps {
-            let b = data.train.sample_batch(batch, rng);
-            if b.is_empty() {
-                return;
-            }
-            let (_, grads) = model.loss_grad(&b.x, &b.y);
-            let mut params = model.get_params();
-            opt.step(&mut params, &grads, anchor);
-            model.set_params(&params);
-        }
-    }
 }
 
 impl Trainer for DittoTrainer {
     fn incorporate(&mut self, global: &ParamMap) {
-        let mut p = self.global_track.get_params();
-        p.merge_from(global);
-        self.global_track.set_params(&p);
+        self.global_track.set_params(global);
     }
 
     fn local_train(&mut self, global: &ParamMap, _round: u64) -> LocalUpdate {
         self.incorporate(global);
-        // (1) global-track update: plain local SGD, shared with the server
-        Self::sgd_steps(
-            &mut self.global_track,
-            &mut self.opt_global,
-            &self.data,
-            self.cfg.local_steps,
-            self.cfg.batch_size,
-            None,
-            &mut self.rng,
-        );
+        // (1) global-track update: plain local SGD, shared with the server;
         // (2) personal update: proximal pull toward the *received* global
-        Self::sgd_steps(
-            &mut self.personal,
-            &mut self.opt_personal,
-            &self.data,
-            self.cfg.local_steps,
-            self.cfg.batch_size,
-            Some(global),
-            &mut self.rng,
-        );
+        let mut drawn = 0;
+        for (model, opt, anchor) in [
+            (&mut self.global_track, &mut self.opt_global, None),
+            (&mut self.personal, &mut self.opt_personal, Some(global)),
+        ] {
+            let (_, examples) = sgd_pass(
+                model.as_mut(),
+                opt,
+                &self.data.train,
+                self.cfg.local_steps,
+                self.cfg.batch_size,
+                anchor,
+                &mut self.rng,
+            );
+            drawn += examples;
+        }
         let share = self.share.clone();
         LocalUpdate {
             params: self.global_track.get_params().filter(|k| share(k)),
             n_samples: self.data.train.len() as u64,
             n_steps: self.cfg.local_steps as u64,
-            // Ditto doubles local computation
-            examples_processed: 2 * self.cfg.local_steps * self.cfg.batch_size,
+            // Ditto doubles local computation: both passes are charged
+            examples_processed: drawn,
         }
     }
 
     fn evaluate_val(&mut self) -> Metrics {
-        if self.data.val.is_empty() {
-            return Metrics::default();
-        }
-        self.personal.evaluate(&self.data.val.x, &self.data.val.y)
+        eval_split(self.personal.as_mut(), &self.data.val)
     }
 
     fn evaluate_test(&mut self) -> Metrics {
-        if self.data.test.is_empty() {
-            return Metrics::default();
-        }
-        self.personal.evaluate(&self.data.test.x, &self.data.test.y)
+        eval_split(self.personal.as_mut(), &self.data.test)
     }
 
     fn num_train_samples(&self) -> usize {
@@ -210,6 +179,27 @@ mod tests {
         let global = t.global_track.get_params();
         let up = t.local_train(&global, 0);
         assert_eq!(up.examples_processed, 2 * 6 * 4);
+    }
+
+    #[test]
+    fn a_split_shorter_than_a_batch_is_charged_for_what_it_holds() {
+        let d = twitter_like(&TwitterConfig {
+            num_clients: 1,
+            per_client: 30,
+            ..Default::default()
+        });
+        let mut split = d.clients[0].clone();
+        split.train = split.train.batch(&[0, 1, 2]);
+        let model = logistic_regression(d.input_dim(), 2, &mut StdRng::seed_from_u64(0));
+        let cfg = TrainConfig {
+            local_steps: 2,
+            batch_size: 8,
+            sgd: SgdConfig::with_lr(0.5),
+        };
+        let mut t = DittoTrainer::new(Box::new(model), split, cfg, 0.5, share_all(), 3);
+        let global = t.global_track.get_params();
+        // two passes of two steps, each step drawing the three examples
+        assert_eq!(t.local_train(&global, 0).examples_processed, 2 * 2 * 3);
     }
 
     #[test]

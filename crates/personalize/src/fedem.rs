@@ -7,7 +7,7 @@
 //! component). All `K` components are federated — parameter names are
 //! prefixed `comp<k>.` — while `pi` never leaves the client.
 
-use fs_core::trainer::{LocalUpdate, ShareFilter, TrainConfig, Trainer};
+use fs_core::trainer::{eval_split, sgd_pass, LocalUpdate, ShareFilter, TrainConfig, Trainer};
 use fs_data::ClientSplit;
 use fs_tensor::loss::Target;
 use fs_tensor::model::{Metrics, Model};
@@ -207,9 +207,7 @@ impl FedEmTrainer {
 
 impl Trainer for FedEmTrainer {
     fn incorporate(&mut self, global: &ParamMap) {
-        let mut p = self.mixture.get_params();
-        p.merge_from(global);
-        self.mixture.set_params(&p);
+        self.mixture.set_params(global);
     }
 
     fn local_train(&mut self, global: &ParamMap, _round: u64) -> LocalUpdate {
@@ -229,19 +227,15 @@ impl Trainer for FedEmTrainer {
             }
         }
         // M-step: responsibility-weighted SGD on all components
-        for _ in 0..self.cfg.local_steps {
-            let b = self
-                .data
-                .train
-                .sample_batch(self.cfg.batch_size, &mut self.rng);
-            if b.is_empty() {
-                break;
-            }
-            let (_, grads) = self.mixture.loss_grad(&b.x, &b.y);
-            let mut params = self.mixture.get_params();
-            self.opt.step(&mut params, &grads, None);
-            self.mixture.set_params(&params);
-        }
+        let (_, drawn) = sgd_pass(
+            &mut self.mixture,
+            &mut self.opt,
+            &self.data.train,
+            self.cfg.local_steps,
+            self.cfg.batch_size,
+            None,
+            &mut self.rng,
+        );
         let share = self.share.clone();
         let k = self.mixture.num_components();
         LocalUpdate {
@@ -249,22 +243,16 @@ impl Trainer for FedEmTrainer {
             n_samples: self.data.train.len() as u64,
             n_steps: self.cfg.local_steps as u64,
             // every component trains on every batch
-            examples_processed: k * self.cfg.local_steps * self.cfg.batch_size,
+            examples_processed: k * drawn,
         }
     }
 
     fn evaluate_val(&mut self) -> Metrics {
-        if self.data.val.is_empty() {
-            return Metrics::default();
-        }
-        self.mixture.evaluate(&self.data.val.x, &self.data.val.y)
+        eval_split(&mut self.mixture, &self.data.val)
     }
 
     fn evaluate_test(&mut self) -> Metrics {
-        if self.data.test.is_empty() {
-            return Metrics::default();
-        }
-        self.mixture.evaluate(&self.data.test.x, &self.data.test.y)
+        eval_split(&mut self.mixture, &self.data.test)
     }
 
     fn num_train_samples(&self) -> usize {
@@ -374,6 +362,26 @@ mod tests {
         // the mixture should do something useful
         let metrics = t.evaluate_test();
         assert!(metrics.n > 0);
+    }
+
+    #[test]
+    fn a_split_shorter_than_a_batch_is_charged_for_what_it_holds() {
+        let d = twitter_like(&TwitterConfig {
+            num_clients: 1,
+            per_client: 30,
+            ..Default::default()
+        });
+        let mut split = d.clients[0].clone();
+        split.train = split.train.batch(&[0, 1, 2]);
+        let cfg = TrainConfig {
+            local_steps: 2,
+            batch_size: 8,
+            sgd: SgdConfig::with_lr(0.5),
+        };
+        let mut t = FedEmTrainer::new(mixture(2, d.input_dim()), split, cfg, share_all(), 11);
+        let global = t.mixture.get_params();
+        // two components, two steps, each step drawing the three examples
+        assert_eq!(t.local_train(&global, 0).examples_processed, 2 * 2 * 3);
     }
 
     #[test]

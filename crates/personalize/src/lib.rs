@@ -3,7 +3,10 @@
 //! Heterogeneous local data makes one global model sub-optimal; the paper
 //! ships several representative personalization algorithms, all of which are
 //! *trainer-level* customizations in the event-driven architecture — the
-//! server and message flow stay untouched:
+//! server and message flow stay untouched, and a trainer states only what
+//! differs (a second model, an anchor, mixture weights): the local-SGD pass
+//! and the split evaluation are [`fs_core::trainer::sgd_pass`] and
+//! [`fs_core::trainer::eval_split`]:
 //!
 //! * [`fedbn`] — FedBN (Li et al.): share everything except batch-norm
 //!   parameters. A pure [`fs_core::trainer::ShareFilter`].

@@ -6,7 +6,7 @@
 //! copy toward the personalized solution: `w <- w - eta * lambda * (w -
 //! theta*)`. The client shares `w`; `theta*` is its personal model.
 
-use fs_core::trainer::{LocalUpdate, ShareFilter, TrainConfig, Trainer};
+use fs_core::trainer::{eval_split, sgd_pass, LocalUpdate, ShareFilter, TrainConfig, Trainer};
 use fs_data::ClientSplit;
 use fs_tensor::model::{Metrics, Model};
 use fs_tensor::optim::{Sgd, SgdConfig};
@@ -82,27 +82,20 @@ impl Trainer for PFedMeTrainer {
     fn local_train(&mut self, global: &ParamMap, _round: u64) -> LocalUpdate {
         self.incorporate(global);
         // the personal model warm-starts each round from the local iterate
-        let mut p = self.personal.get_params();
-        p.merge_from(&self.w);
-        self.personal.set_params(&p);
+        self.personal.set_params(&self.w);
         let mut examples = 0usize;
         for _ in 0..self.cfg.local_steps {
             // inner: approximately solve argmin f(theta) + lambda/2 ||theta-w||^2
-            let anchor = self.w.clone();
-            for _ in 0..self.k_inner {
-                let b = self
-                    .data
-                    .train
-                    .sample_batch(self.cfg.batch_size, &mut self.rng);
-                if b.is_empty() {
-                    break;
-                }
-                let (_, grads) = self.personal.loss_grad(&b.x, &b.y);
-                let mut theta = self.personal.get_params();
-                self.inner_opt.step(&mut theta, &grads, Some(&anchor));
-                self.personal.set_params(&theta);
-                examples += b.len();
-            }
+            let (_, drawn) = sgd_pass(
+                self.personal.as_mut(),
+                &mut self.inner_opt,
+                &self.data.train,
+                self.k_inner,
+                self.cfg.batch_size,
+                Some(&self.w),
+                &mut self.rng,
+            );
+            examples += drawn;
             // outer: w <- w - eta * lambda * (w - theta)
             let theta = self.personal.get_params();
             let mut diff = self.w.clone();
@@ -119,17 +112,11 @@ impl Trainer for PFedMeTrainer {
     }
 
     fn evaluate_val(&mut self) -> Metrics {
-        if self.data.val.is_empty() {
-            return Metrics::default();
-        }
-        self.personal.evaluate(&self.data.val.x, &self.data.val.y)
+        eval_split(self.personal.as_mut(), &self.data.val)
     }
 
     fn evaluate_test(&mut self) -> Metrics {
-        if self.data.test.is_empty() {
-            return Metrics::default();
-        }
-        self.personal.evaluate(&self.data.test.x, &self.data.test.y)
+        eval_split(self.personal.as_mut(), &self.data.test)
     }
 
     fn num_train_samples(&self) -> usize {

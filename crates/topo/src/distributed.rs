@@ -48,7 +48,7 @@ fn gossip_report(
     let mut history: Vec<EvalRecord> = Vec::new();
     if let Some(mut ev) = evaluator.filter(|_| eval_every > 0) {
         if let Some(avg) = consensus(finals.values()) {
-            let metrics = ev.eval_at(rounds, &avg);
+            let metrics = ev.eval(&avg);
             history.push(EvalRecord {
                 round: rounds,
                 time_secs: 0.0,

@@ -250,7 +250,7 @@ impl GossipRunner {
             let due = self.cfg.eval_every > 0 && round % self.cfg.eval_every == 0;
             if let Some(ev) = self.evaluator.as_mut().filter(|_| due) {
                 if let Some(avg) = consensus(self.peers.iter().map(|p| &p.model)) {
-                    let metrics = ev.eval_at(round, &avg);
+                    let metrics = ev.eval(&avg);
                     let time_secs = latest(&self.peers);
                     history.push(EvalRecord {
                         round,

@@ -20,7 +20,7 @@ mod common;
 
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::{CourseBuilder, ModelFactory};
-use fedscope::core::ctx::Ctx;
+use fedscope::core::ctx::{Ctx, Intent};
 use fedscope::core::event::{Condition, Event};
 use fedscope::core::runner::CourseReport;
 use fedscope::core::server::{Server, ServerState};
@@ -222,9 +222,12 @@ fn install_chase(server: &mut Server) {
                 }
                 chases_left -= 1;
                 let broadcast_to: Vec<ParticipantId> = ctx
-                    .broadcasts
+                    .outbox
                     .iter()
-                    .filter(|b| b.kind == MessageKind::ModelParams)
+                    .filter_map(|intent| match intent {
+                        Intent::Broadcast(b) if b.kind == MessageKind::ModelParams => Some(b),
+                        _ => None,
+                    })
                     .flat_map(|b| b.targets.iter().copied())
                     .collect();
                 if broadcast_to.is_empty() {
