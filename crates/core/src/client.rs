@@ -79,8 +79,8 @@ pub struct Client {
 
 /// A restorable image of a client's mutable state, taken just before a
 /// speculative dispatch on a worker thread (`parallelism > 1`). If a recall
-/// undoes the speculation — an out-of-order delivery or a simulated device
-/// crash invalidates it — [`Client::restore`] rewinds the client to this
+/// undoes the speculation — an out-of-order delivery invalidates it —
+/// [`Client::restore`] rewinds the client to this
 /// image and the message is re-dispatched serially at its proper queue
 /// position, reproducing serial execution bit for bit.
 ///

@@ -30,8 +30,8 @@
 //! front — one per recipient, in send order — and is re-armed member by
 //! member at those reserved keys. Every recipient therefore pops at exactly
 //! the `(at, seq)` an individual push would have given it, so batching
-//! changes memory, never order: crash-RNG draws, sampler draws, timestamps
-//! and monitor records are the same bit for bit.
+//! changes memory, never order: sampler draws, timestamps and monitor
+//! records are the same bit for bit.
 //!
 //! # Parallel execution (`FlConfig::parallelism`)
 //!
@@ -49,8 +49,10 @@
 //! the serial program point, so queue sequence numbers, RNG draws,
 //! timestamps, and report fields all match serially produced ones); a
 //! delivery with any other `seq` got there first, so a *recall* undoes the
-//! speculation — the client is rolled back to its snapshot — as does losing
-//! the predicted broadcast to a simulated device crash.
+//! speculation — the client is rolled back to its snapshot. That is the one
+//! reason work is ever undone: whether a broadcast is lost to a simulated
+//! device crash is a function of (seed, receiver, delivery time), known when
+//! the delivery is scheduled, so a doomed delivery is never started.
 //! Because speculation only uses `take`/`put_back`, it works over any store.
 //! See DESIGN.md ("Determinism contract") for the full argument.
 
@@ -64,8 +66,6 @@ use fs_monitor::{counters, BufferMonitor, MonitorHandle, MonitorOp};
 use fs_net::{Message, MessageKind, ParticipantId, Payload, Topology, SERVER_ID};
 use fs_sim::{Fleet, IndexedEventQueue, VirtualTime};
 use fs_verify::{Code, Diagnostic, VerifyReport};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Arc, Mutex};
 
@@ -404,7 +404,6 @@ pub struct Runner<S, R = Star> {
     /// Payload bytes sent toward clients so far.
     pub downloaded_bytes: u64,
     queue: IndexedEventQueue<SimEvent>,
-    crash_rng: StdRng,
     max_events: u64,
     events_processed: u64,
     monitor: MonitorHandle,
@@ -441,7 +440,6 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             clients.ids().len(),
             "fleet size must match client count"
         );
-        let crash_rng = StdRng::seed_from_u64(server.state.cfg.seed ^ 0xc4a5);
         Self {
             server,
             clients,
@@ -452,7 +450,6 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             uploaded_bytes: 0,
             downloaded_bytes: 0,
             queue: IndexedEventQueue::new(),
-            crash_rng,
             max_events: 50_000_000,
             events_processed: 0,
             monitor: MonitorHandle::null(),
@@ -665,15 +662,28 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         self.realize(SERVER_ID, ctx);
     }
 
-    /// The device-crash draw every `ModelParams` delivery makes, and the
-    /// crash/participation counter that follows from it. The serial and the
-    /// speculated delivery path both come through here, so they consume the
-    /// crash RNG identically.
-    fn lost_to_crash(&mut self, receiver: ParticipantId, kind: MessageKind) -> bool {
+    /// Whether a `ModelParams` broadcast reaching `receiver` at `at` is lost
+    /// to a device crash: keyed by (course seed, receiver, delivery time), so
+    /// the answer is the same when the delivery is scheduled as when it pops.
+    fn doomed(&self, receiver: ParticipantId, at: VirtualTime) -> bool {
+        self.fleet
+            .delivery_lost(self.server.state.cfg.seed, receiver, at)
+    }
+
+    /// The crash outcome of a popped delivery and the crash/participation
+    /// counter that follows from it. The serial and the speculated delivery
+    /// path both come through here, at the pop, so the monitor stream is the
+    /// same on both.
+    fn lost_to_crash(
+        &mut self,
+        receiver: ParticipantId,
+        kind: MessageKind,
+        at: VirtualTime,
+    ) -> bool {
         if kind != MessageKind::ModelParams {
             return false;
         }
-        let lost = self.fleet.crashes(receiver, &mut self.crash_rng);
+        let lost = self.doomed(receiver, at);
         if lost {
             self.crashed_deliveries += 1;
             self.monitor.add(counters::CRASHED_DELIVERIES, 1);
@@ -685,7 +695,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
 
     /// Delivers a client-bound message popped under `seq`: adopts the
     /// speculation that predicted exactly this delivery, otherwise takes the
-    /// serial path — crash draw, then dispatch.
+    /// serial path — crash outcome, then dispatch.
     fn deliver_client(&mut self, at: VirtualTime, seq: u64, msg: &Message) {
         match self.speculations.entry(msg.receiver) {
             Entry::Occupied(spec) if spec.get().seq == seq => {
@@ -695,7 +705,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             // a lost broadcast never reaches the client (and any speculation
             // on it stays valid — the client handles nothing)
             _ => {
-                if !self.lost_to_crash(msg.receiver, msg.kind) {
+                if !self.lost_to_crash(msg.receiver, msg.kind, at) {
                     self.dispatch_client(at, msg);
                 }
             }
@@ -725,16 +735,13 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
     }
 
     /// The delivery a speculation predicted has popped: adopt the
-    /// precomputed dispatch, roll it back on a crash draw, or dispatch
-    /// serially when nothing could be precomputed.
+    /// precomputed dispatch, or dispatch serially when nothing could be
+    /// precomputed. A doomed delivery is never speculated on, so there is no
+    /// crash to undo here.
     fn deliver_speculated(&mut self, at: VirtualTime, msg: &Message, res: SpecResult) {
         let (receiver, kind) = (msg.receiver, msg.kind);
-        if self.lost_to_crash(receiver, kind) {
-            // the crash draw says this broadcast was lost: undo the
-            // speculative training
-            self.clients.put_back(res.rolled_back(), &self.server);
-            return;
-        }
+        let lost = self.lost_to_crash(receiver, kind, at);
+        debug_assert!(!lost, "a doomed delivery was speculated on");
         self.clients.put_back(res.client, &self.server);
         match res.run {
             Some(run) => {
@@ -877,8 +884,9 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
     /// Starts handling `msg` — which will be delivered at `deliver_at` under
     /// queue key `seq` — on a worker now, if it may: only server → client
     /// traffic of the kinds that trigger real work (training, evaluation) is
-    /// worth speculating, only one speculation per client at a time, and
-    /// only when the receiver is there to take. The client moves into a job
+    /// worth speculating, only one speculation per client at a time, never
+    /// a broadcast a device crash will eat, and only when the receiver is
+    /// there to take. The client moves into a job
     /// that snapshots it and runs the handler on a copy of the message
     /// (tensor storage is shared, copy-on-write).
     fn speculate(&mut self, from: ParticipantId, deliver_at: VirtualTime, seq: u64, msg: &Message) {
@@ -893,6 +901,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             || msg.receiver == SERVER_ID
             || !worthwhile
             || self.speculations.contains_key(&msg.receiver)
+            || (msg.kind == MessageKind::ModelParams && self.doomed(msg.receiver, deliver_at))
         {
             return;
         }

@@ -7,8 +7,9 @@
 //! (device failures / dropouts) and a *responsiveness group* (speed quantile)
 //! used by the group sampler.
 
+use crate::time::VirtualTime;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_distr::{Distribution, StandardNormal};
 
 /// Static system profile of one client device.
@@ -146,9 +147,16 @@ impl Fleet {
         &self.profiles
     }
 
-    /// Samples whether client `client_id` crashes this round.
-    pub fn crashes(&self, client_id: u32, rng: &mut impl Rng) -> bool {
-        rng.gen::<f64>() < self.profile(client_id).crash_prob
+    /// Whether the broadcast reaching `client_id` at `at` is lost to a device
+    /// crash: a pure function of `(seed, receiver, delivery time)`, so the
+    /// outcome is known when the delivery is scheduled and moves only when
+    /// that delivery itself moves — never because some other message was
+    /// added, dropped or reordered. Two broadcasts to one receiver at the
+    /// same instant share a fate.
+    pub fn delivery_lost(&self, seed: u64, client_id: u32, at: VirtualTime) -> bool {
+        let crash_prob = self.profile(client_id).crash_prob;
+        crash_prob > 0.0
+            && keyed_u01(seed ^ CRASH, u64::from(client_id), at.as_secs().to_bits()) < crash_prob
     }
 
     /// Client ids belonging to responsiveness group `g`.
@@ -178,6 +186,23 @@ impl Fleet {
             .map(|p| 1.0 / p.round_secs(examples, payload_bytes).max(1e-9))
             .collect()
     }
+}
+
+/// Domain tag separating the crash draw from any other keyed draw.
+const CRASH: u64 = 0xc4a5;
+
+/// A uniform draw in `[0, 1)` that is a function of its key alone: each key
+/// word is folded through the SplitMix64 step (golden-ratio increment, then
+/// the finaliser), and the top 53 bits become the fraction.
+fn keyed_u01(seed: u64, a: u64, b: u64) -> f64 {
+    let mut h = seed;
+    for word in [a, b] {
+        h = (h ^ word).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        h ^= h >> 31;
+    }
+    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -242,27 +267,101 @@ mod tests {
         );
     }
 
+    fn uniform_fleet(clients: usize, crash_prob: f64) -> Fleet {
+        Fleet::from_profiles(vec![
+            DeviceProfile {
+                compute_speed: 1.0,
+                bandwidth: 1.0,
+                crash_prob,
+                group: 0,
+            };
+            clients
+        ])
+    }
+
+    /// 20 receivers × 10 delivery times per seed.
+    fn keys() -> impl Iterator<Item = (u32, VirtualTime)> {
+        (1..=20u32).flat_map(|c| {
+            (0..10).map(move |k| {
+                (
+                    c,
+                    VirtualTime::from_secs(0.37 * k as f64 + 0.011 * c as f64),
+                )
+            })
+        })
+    }
+
     #[test]
     fn crash_probability_extremes() {
-        let mut profiles = vec![
-            DeviceProfile {
-                compute_speed: 1.0,
-                bandwidth: 1.0,
-                crash_prob: 0.0,
-                group: 0,
-            },
-            DeviceProfile {
-                compute_speed: 1.0,
-                bandwidth: 1.0,
-                crash_prob: 1.0,
-                group: 0,
-            },
-        ];
-        profiles[0].group = 0;
-        let f = Fleet::from_profiles(profiles);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(!f.crashes(1, &mut rng));
-        assert!(f.crashes(2, &mut rng));
+        let (never, always) = (uniform_fleet(20, 0.0), uniform_fleet(20, 1.0));
+        for seed in 0..50 {
+            for (c, at) in keys() {
+                assert!(!never.delivery_lost(seed, c, at));
+                assert!(always.delivery_lost(seed, c, at));
+            }
+        }
+    }
+
+    #[test]
+    fn realised_loss_rate_is_inside_the_binomial_99_percent_interval() {
+        for p in [0.15, 0.35] {
+            let fleet = uniform_fleet(20, p);
+            let (mut lost, mut n) = (0u64, 0u64);
+            for seed in 0..1000u64 {
+                for (c, at) in keys() {
+                    lost += u64::from(fleet.delivery_lost(seed, c, at));
+                    n += 1;
+                }
+            }
+            assert_eq!(n, 200_000);
+            let (rate, half_width) = (
+                lost as f64 / n as f64,
+                2.576 * (p * (1.0 - p) / n as f64).sqrt(),
+            );
+            assert!(
+                (rate - p).abs() <= half_width,
+                "crash_prob {p}: realised {rate} is outside ±{half_width}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_outcome_depends_on_its_own_key_not_on_what_was_asked_before() {
+        let fleet = uniform_fleet(20, 0.35);
+        let forward: Vec<bool> = keys()
+            .map(|(c, at)| fleet.delivery_lost(9, c, at))
+            .collect();
+        assert!(forward.contains(&true) && forward.contains(&false));
+        // reverse order, with unrelated keys (other seeds, other times) asked in between
+        let all: Vec<_> = keys().collect();
+        let mut backward: Vec<bool> = all
+            .iter()
+            .rev()
+            .map(|&(c, at)| {
+                fleet.delivery_lost(10, c, at);
+                fleet.delivery_lost(9, c, at + 1e-9);
+                fleet.delivery_lost(9, c, at)
+            })
+            .collect();
+        backward.reverse();
+        assert_eq!(forward, backward);
+        // and the key is the whole key: another seed, receiver or instant re-rolls
+        let differs = |other: Vec<bool>| other != forward;
+        assert!(differs(
+            keys()
+                .map(|(c, at)| fleet.delivery_lost(10, c, at))
+                .collect()
+        ));
+        assert!(differs(
+            keys()
+                .map(|(c, at)| fleet.delivery_lost(9, c % 20 + 1, at))
+                .collect()
+        ));
+        assert!(differs(
+            keys()
+                .map(|(c, at)| fleet.delivery_lost(9, c, at + 1e-9))
+                .collect()
+        ));
     }
 
     #[test]

@@ -1,17 +1,21 @@
-//! Forces both ways a speculation is undone, instead of hoping a grid
-//! happens to reach them.
+//! Forces the one way a speculation is undone, and shows the other way is
+//! gone, instead of hoping a grid happens to reach them.
 //!
 //! At `parallelism > 1` the runner starts a client's handler when the server
 //! *emits* a message, predicting that nothing else reaches the client before
-//! that delivery pops. Two things falsify the prediction, and each must leave
-//! the course bit-identical to the serial run:
+//! that delivery pops.
 //!
-//! * **recall** — an earlier delivery reaches the client first. A server
-//!   handler here sends a `ModelParams` and then an empty `EvalRequest` to
-//!   the same client in one dispatch; the one-byte request overtakes the
-//!   model on every link, so every such speculation has to be undone;
-//! * **crash** — the delivery's crash draw says the broadcast was lost, so
-//!   the training that already ran must be rolled back.
+//! * **recall** — an earlier delivery reaches the client first and falsifies
+//!   the prediction. A server handler here sends a `ModelParams` and then an
+//!   empty `EvalRequest` to the same client in one dispatch; the one-byte
+//!   request overtakes the model on every link, so every such speculation
+//!   has to be undone, leaving the course bit-identical to the serial run;
+//! * **crash** — a broadcast a device crash eats. Whether it is lost is a
+//!   function of (seed, receiver, delivery time), known when the delivery is
+//!   scheduled, so the runner never starts training on it: a trainer double
+//!   counts exactly as many `local_train` calls at `parallelism` 2 as at 1.
+//!   (While the crash was drawn at the pop, doomed deliveries were trained
+//!   and then rolled back, and the parallel count was higher.)
 //!
 //! Both run over the eager and the lazy client store and compare the report
 //! and the whole monitor stream at `parallelism` 1 vs 2.
@@ -24,6 +28,7 @@ use fedscope::core::ctx::{Ctx, Intent};
 use fedscope::core::event::{Condition, Event};
 use fedscope::core::runner::CourseReport;
 use fedscope::core::server::{Server, ServerState};
+use fedscope::core::trainer::{share_all, LocalTrainer, LocalUpdate, TrainConfig, Trainer};
 use fedscope::core::{ClientStore, Runner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::data::FedDataset;
@@ -31,8 +36,10 @@ use fedscope::monitor::{MonitorHandle, RecordingMonitor};
 use fedscope::net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
 use fedscope::scale::ScaleCourseBuilder;
 use fedscope::sim::FleetConfig;
-use fedscope::tensor::model::logistic_regression;
+use fedscope::tensor::model::{logistic_regression, Metrics};
 use fedscope::tensor::optim::SgdConfig;
+use fedscope::tensor::ParamMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 const CLIENTS: usize = 30;
@@ -83,7 +90,7 @@ fn fleet(cfg: &FlConfig, crash_prob: f64) -> FleetConfig {
 
 /// What a course lets an observer see: its report, its monitor stream, and
 /// how many rounds each client ended up having trained (a crashed client is
-/// never sampled again, so a missed rollback shows nowhere else).
+/// never sampled again, so training it shows nowhere else).
 type Observed = (CourseReport, RecordingMonitor, Vec<u64>);
 
 /// Runs `runner` (after `prepare` customized it) under a recording monitor.
@@ -297,8 +304,66 @@ fn an_overtaking_message_recalls_the_speculation_on_both_stores() {
     assert_same_course("lazy/2", &lazy_serial, &lazy(cfg(2), 0.0, install_chase));
 }
 
+/// A [`LocalTrainer`] that counts its `local_train` calls in a cell every
+/// clone of it shares — outside the snapshot, so training that is later
+/// rolled back still counts.
+struct CountingTrainer {
+    inner: LocalTrainer,
+    calls: Arc<AtomicUsize>,
+}
+
+impl Trainer for CountingTrainer {
+    fn incorporate(&mut self, global: &ParamMap) {
+        self.inner.incorporate(global);
+    }
+    fn local_train(&mut self, global: &ParamMap, round: u64) -> LocalUpdate {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.local_train(global, round)
+    }
+    fn evaluate_val(&mut self) -> Metrics {
+        self.inner.evaluate_val()
+    }
+    fn evaluate_test(&mut self) -> Metrics {
+        self.inner.evaluate_test()
+    }
+    fn num_train_samples(&self) -> usize {
+        self.inner.num_train_samples()
+    }
+    fn try_clone(&self) -> Option<Box<dyn Trainer>> {
+        Some(Box::new(CountingTrainer {
+            inner: self.inner.clone(),
+            calls: self.calls.clone(),
+        }))
+    }
+}
+
+/// `local_train` calls made by the whole eager course, undone ones included.
+fn local_train_calls(cfg: FlConfig, crash_prob: f64) -> (CourseReport, usize) {
+    let data = dataset();
+    let dim = data.input_dim();
+    let fleet = fleet(&cfg, crash_prob);
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counted = calls.clone();
+    let mut runner = CourseBuilder::new(data, factory(dim), cfg)
+        .fleet_config(fleet)
+        .trainer_factory(Box::new(move |i, model, split, cfg| {
+            let train = TrainConfig {
+                local_steps: cfg.local_steps,
+                batch_size: cfg.batch_size,
+                sgd: cfg.sgd,
+            };
+            Box::new(CountingTrainer {
+                inner: LocalTrainer::new(model, split, train, share_all(), cfg.seed ^ i as u64),
+                calls: counted.clone(),
+            })
+        }))
+        .build();
+    let report = runner.run();
+    (report, calls.load(Ordering::Relaxed))
+}
+
 #[test]
-fn a_speculated_delivery_lost_to_a_crash_is_rolled_back_on_both_stores() {
+fn a_delivery_lost_to_a_crash_is_never_trained_on_either_store() {
     let cfg = |parallelism| {
         base_cfg(parallelism).async_time(
             60.0,
@@ -318,4 +383,16 @@ fn a_speculated_delivery_lost_to_a_crash_is_rolled_back_on_both_stores() {
     let lazy_serial = lazy(cfg(1), 0.2, untouched);
     assert_same_stream("lazy/1", &serial, &lazy_serial);
     assert_same_course("lazy/2", &lazy_serial, &lazy(cfg(2), 0.2, untouched));
+
+    // nothing overtakes on this course, so a crash was the only thing that
+    // could have undone a speculation: the parallel run trains exactly the
+    // deliveries the serial run trains, and no doomed one
+    let (report, calls) = local_train_calls(cfg(1), 0.2);
+    assert!(report.crashed_deliveries >= 5 && calls > 0);
+    let (parallel_report, parallel_calls) = local_train_calls(cfg(2), 0.2);
+    assert_eq!(report, parallel_report);
+    assert_eq!(
+        calls, parallel_calls,
+        "parallelism 2 started training it then had to undo"
+    );
 }
