@@ -2,9 +2,9 @@
 //! `BENCH_sched.json`.
 //!
 //! Every cell runs the same seeded standalone course under one execution
-//! mode of the server's `Scheduler` trait: the three legacy regimes
+//! mode, i.e. one `AggregationRule`: the three legacy regimes
 //! (`sync` = all_received, `goal` = goal_achieved, `time` = time_up) plus
-//! the two new modes this trait made possible — FedBuff-style buffered
+//! the two later modes — FedBuff-style buffered
 //! async (`buffered:K`, aggregate every K buffered updates with
 //! staleness-discounted weights) and tiered semi-async (`tiered:T`, seeded
 //! speed tiers aggregating synchronously within a tier and merging

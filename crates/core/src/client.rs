@@ -44,6 +44,26 @@ pub struct ClientState {
     pub final_test: Option<Metrics>,
 }
 
+impl ClientState {
+    /// A full copy of this state — the trainer through
+    /// [`Trainer::try_clone`], the codec (residuals and delta reference
+    /// included) through `clone_box` — or `None` when the trainer cannot be
+    /// duplicated. One struct literal, so a new field cannot be left out.
+    pub(crate) fn try_clone(&self) -> Option<Self> {
+        Some(Self {
+            id: self.id,
+            trainer: self.trainer.try_clone()?,
+            rounds_trained: self.rounds_trained,
+            last_val: self.last_val,
+            perf_drop_count: self.perf_drop_count,
+            detect_perf_drop: self.detect_perf_drop,
+            compressor: self.compressor.as_ref().map(|c| c.clone_box()),
+            done: self.done,
+            final_test: self.final_test,
+        })
+    }
+}
+
 /// The global model a payload ships, dense or compressed, and its version;
 /// `None` when the payload carries no model.
 fn shipped_model(payload: &Payload) -> Option<(Cow<'_, ParamMap>, u64)> {
@@ -88,14 +108,7 @@ pub struct Client {
 /// capture nothing, and custom handlers that capture external mutable state
 /// should run with `parallelism = 1` (the default).
 pub struct ClientSnapshot {
-    trainer: Box<dyn Trainer>,
-    rounds_trained: u64,
-    last_val: Option<Metrics>,
-    perf_drop_count: u64,
-    detect_perf_drop: bool,
-    compressor: Option<Box<dyn Compressor>>,
-    done: bool,
-    final_test: Option<Metrics>,
+    state: ClientState,
     registry_log: (std::collections::BTreeSet<(Event, Event)>, usize),
 }
 
@@ -164,30 +177,15 @@ impl Client {
     /// ([`Trainer::try_clone`]); such clients are never speculated and always
     /// run serially.
     pub fn snapshot(&self) -> Option<ClientSnapshot> {
-        let trainer = self.state.trainer.try_clone()?;
         Some(ClientSnapshot {
-            trainer,
-            rounds_trained: self.state.rounds_trained,
-            last_val: self.state.last_val,
-            perf_drop_count: self.state.perf_drop_count,
-            detect_perf_drop: self.state.detect_perf_drop,
-            compressor: self.state.compressor.as_ref().map(|c| c.clone_box()),
-            done: self.state.done,
-            final_test: self.state.final_test,
+            state: self.state.try_clone()?,
             registry_log: self.registry.log_snapshot(),
         })
     }
 
     /// Rewinds this client to a state captured by [`Client::snapshot`].
     pub fn restore(&mut self, snap: ClientSnapshot) {
-        self.state.trainer = snap.trainer;
-        self.state.rounds_trained = snap.rounds_trained;
-        self.state.last_val = snap.last_val;
-        self.state.perf_drop_count = snap.perf_drop_count;
-        self.state.detect_perf_drop = snap.detect_perf_drop;
-        self.state.compressor = snap.compressor;
-        self.state.done = snap.done;
-        self.state.final_test = snap.final_test;
+        self.state = snap.state;
         self.registry.log_restore(snap.registry_log);
     }
 

@@ -79,9 +79,12 @@ impl CompressionConfig {
 }
 
 /// When the server performs federated aggregation — the condition-checking
-/// event family of §3.3. Each variant selects one
-/// [`Scheduler`](crate::scheduler::Scheduler) policy; this is the only
-/// "when to aggregate" setting a course has.
+/// event family of §3.3. The rule *is* the scheduling policy: the server
+/// asks it (one `match` per decision, in `scheduler.rs`) which condition
+/// triggers aggregation, whether rounds are timed, when aggregation is due
+/// and which buffered updates it consumes. This is the only "when to
+/// aggregate" setting a course has; a different behaviour is a different
+/// `<event, handler>` pair (§3.6), not a new policy object.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum AggregationRule {
     /// Wait for every sampled client (vanilla synchronous FL).
@@ -170,8 +173,8 @@ pub struct FlConfig {
     pub total_rounds: u64,
     /// Target number of clients training concurrently.
     pub concurrency: usize,
-    /// When to aggregate: the one selector of the server's scheduler
-    /// policy (sync / goal / time_up / buffered async / tiered semi-async).
+    /// When to aggregate (sync / goal / time_up / buffered async / tiered
+    /// semi-async): every per-rule decision the server takes reads it.
     pub rule: AggregationRule,
     /// Broadcast manner.
     pub broadcast: BroadcastManner,
@@ -250,21 +253,8 @@ impl FlConfig {
         ((self.concurrency as f32) * (1.0 + self.over_selection)).round() as usize
     }
 
-    /// Whether the selected scheduler arms a per-round timer. Timers need a
-    /// virtual clock, so distributed (wall-clock) runners reject such
-    /// configurations.
-    pub fn scheduler_uses_timer(&self) -> bool {
-        match self.rule {
-            AggregationRule::TimeUp { .. } => true,
-            AggregationRule::AllReceived
-            | AggregationRule::GoalAchieved { .. }
-            | AggregationRule::Buffered { .. }
-            | AggregationRule::Tiered { .. } => false,
-        }
-    }
-
     /// The staleness-discount exponent the aggregator should use: the
-    /// buffered-async scheduler carries its own (FedBuff weights stale
+    /// buffered-async rule carries its own (FedBuff weights stale
     /// updates down independently of the legacy async knob); every other
     /// mode uses the course-wide `staleness_discount`.
     pub fn effective_staleness_discount(&self) -> f32 {

@@ -166,9 +166,9 @@ impl CourseWiring {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let fleet = fleet.unwrap_or_else(|| Fleet::generate(&fleet_cfg));
         // crashed broadcasts leave clients busy forever; only a timer-armed
-        // scheduler has a remedial measure for that, so reject the
-        // combination up front instead of silently deadlocking mid-course
-        if !cfg.scheduler_uses_timer() {
+        // rule has a remedial measure for that, so reject the combination up
+        // front instead of silently deadlocking mid-course
+        if cfg.rule.round_timer().is_none() {
             assert!(
                 fleet.profiles().iter().all(|p| p.crash_prob == 0.0),
                 "client crashes require a timer-armed scheduler (its remedial \

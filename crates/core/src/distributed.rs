@@ -717,7 +717,7 @@ fn reserved_event(handler: HandlerSpec) -> Option<Event> {
 /// course together with the plan, before any thread is spawned.
 fn routed_plan(server: &Server, clients: &[Client]) -> Result<TopologyPlan, DistributedError> {
     let cfg = &server.state.cfg;
-    if cfg.scheduler_uses_timer() {
+    if cfg.rule.round_timer().is_some() {
         let what = "the time_up rule needs virtual time (use the standalone runner)";
         return Err(DistributedError::Unsupported(what.to_string()));
     }
@@ -786,16 +786,9 @@ fn drive<T: Transport>(
 
 /// Runs a course over threads and the in-process bus, returning the server
 /// (with its histories and client reports) once the course finishes. The
-/// course's `cfg.topology` decides the routing: star or hierarchy.
-pub fn run_distributed(
-    server: Server,
-    clients: Vec<Client>,
-    wall_budget: Duration,
-) -> Result<Server, DistributedError> {
-    drive(server, clients, wall_budget, BusRunOptions::default())
-}
-
-/// [`run_distributed`] with fault injection and observability options.
+/// course's `cfg.topology` decides the routing: star or hierarchy; `opts`
+/// carries fault injection and observability (`BusRunOptions::default()`
+/// for neither).
 pub fn run_distributed_with(
     server: Server,
     clients: Vec<Client>,
@@ -806,19 +799,11 @@ pub fn run_distributed_with(
 }
 
 /// Runs a course over real TCP sockets on localhost: the server binds an
-/// ephemeral port, every participant runs on its own thread with its own
-/// connection, and all traffic crosses the kernel as length-prefixed wire
-/// frames. The same driver as [`run_distributed`] over the other transport.
-pub fn run_distributed_tcp(
-    server: Server,
-    clients: Vec<Client>,
-    wall_budget: Duration,
-) -> Result<Server, DistributedError> {
-    drive(server, clients, wall_budget, TcpRunOptions::default())
-}
-
-/// [`run_distributed_tcp`] with an explicit address, fault injection,
-/// reconnect policy, and observability options.
+/// ephemeral port (or `opts`' address), every participant runs on its own
+/// thread with its own connection, and all traffic crosses the kernel as
+/// length-prefixed wire frames. The same driver as
+/// [`run_distributed_with`] over the other transport; `opts` also carries
+/// fault injection, the reconnect policy and observability.
 pub fn run_distributed_tcp_with(
     server: Server,
     clients: Vec<Client>,
@@ -1193,9 +1178,14 @@ mod tests {
             server
                 .registry_mut()
                 .register_aux(event, "user_probe", vec![], noop);
-            let err = run_distributed(server, clients, Duration::from_secs(5))
-                .err()
-                .expect("refused");
+            let err = run_distributed_with(
+                server,
+                clients,
+                Duration::from_secs(5),
+                BusRunOptions::default(),
+            )
+            .err()
+            .expect("refused");
             assert!(
                 matches!(&err, DistributedError::Unsupported(what) if what.contains("Custom")),
                 "wrong error: {err}"
@@ -1208,16 +1198,27 @@ mod tests {
         clients[2]
             .registry_mut()
             .register_aux(event, "user_probe", emits, noop);
-        let err = run_distributed_tcp(server, clients, Duration::from_secs(5))
-            .err()
-            .expect("refused");
+        let err = run_distributed_tcp_with(
+            server,
+            clients,
+            Duration::from_secs(5),
+            TcpRunOptions::default(),
+        )
+        .err()
+        .expect("refused");
         assert!(matches!(err, DistributedError::Unsupported(_)), "{err}");
     }
 
     #[test]
     fn a_threaded_bus_course_completes() {
         let (server, clients) = small_course();
-        let server = run_distributed(server, clients, Duration::from_secs(60)).expect("bus course");
+        let server = run_distributed_with(
+            server,
+            clients,
+            Duration::from_secs(60),
+            BusRunOptions::default(),
+        )
+        .expect("bus course");
         assert_eq!(server.state.round, 2);
         assert_eq!(server.state.client_reports.len(), 4);
         assert!(server.state.dropouts.is_empty());

@@ -43,7 +43,7 @@ pub mod lint;
 pub mod registry;
 pub mod runner;
 pub mod sampler;
-pub mod scheduler;
+mod scheduler;
 pub mod server;
 pub mod trainer;
 pub mod transport;
@@ -61,7 +61,6 @@ pub use event::{Condition, Event};
 pub use idset::IdSet;
 pub use lint::lint_config;
 pub use runner::{Ascent, ClientStore, CourseReport, Router, Runner, StandaloneRunner, Star};
-pub use scheduler::{build_scheduler, RosterVerdict, Scheduler, SchedulerObs, Selection};
 pub use server::{Server, ServerState};
 pub use trainer::{LocalTrainer, ShareFilter, TrainConfig, Trainer, TrainerParts};
 pub use verify::{

@@ -1,377 +1,150 @@
-//! Pluggable execution modes: the `Scheduler` trait.
+//! The aggregation rule is the scheduling policy.
 //!
-//! The paper's event-driven design (§3.3) treats the aggregation regime —
-//! vanilla sync (`all_received`), goal-conditioned async (`goal_achieved`),
-//! and budgeted async (`time_up`) — as interchangeable policies. This module
-//! makes that decomposition first-class: a [`Scheduler`] decides *when* the
-//! server aggregates, *which* buffered updates participate, and *what* a
-//! round timer means. The server loop (`server.rs`) holds exactly one
-//! policy object and contains no per-regime match arms; runners (standalone,
-//! fs-scale, fs-topo, distributed) dispatch through the same trait without
-//! knowing which mode is active.
-//!
-//! The three classic regimes are reimplemented as [`SyncScheduler`],
-//! [`GoalScheduler`], and [`TimeUpScheduler`] — bit-identical to the old
-//! inline logic (proved by `tests/scheduler_equivalence.rs`, a golden
-//! fingerprint pin captured against the pre-refactor server loop). Two modes
-//! the old structure could not express ride on the same trait:
-//!
-//! * [`BufferedScheduler`] — FedBuff-style buffered async: aggregate every
-//!   `K` buffered updates with staleness-discounted weights.
-//! * [`TieredScheduler`] — FedModule-style tiered semi-async: clients are
-//!   partitioned into seeded speed tiers; a tier aggregates synchronously
-//!   (when its whole sampled cohort has replied), and tiers merge into the
-//!   global model asynchronously with respect to each other.
+//! The paper's strategies differ only in which condition-checking event
+//! triggers aggregation (§3.3): `all_received` (vanilla sync),
+//! `goal_achieved` (FedBuff-style async, Sync-OS) and `time_up` (budgeted
+//! async with remedial measures), joined here by buffered async (FedBuff's
+//! every-`k`) and tiered semi-async (FedModule-style: seeded speed tiers,
+//! each synchronous within itself, merging asynchronously). `FlConfig::rule`
+//! names the one in force, and every decision the server takes on its behalf
+//! is one exhaustive `match` on [`AggregationRule`] below, over a borrowed
+//! [`SchedulerObs`] view of server state. No decision keeps state of its
+//! own: a tier is ready when it has a buffered update and none of its
+//! clients is in `ServerState::busy`, so a handler that hands out models
+//! itself (§3.6) only has to keep `busy` / `outstanding` right.
 
 use crate::aggregator::ReceivedUpdate;
-use crate::config::{AggregationRule, FlConfig};
+use crate::config::AggregationRule;
 use crate::event::Condition;
+use crate::idset::IdSet;
 use fs_net::ParticipantId;
-use std::collections::BTreeSet;
 
-/// A read-only snapshot of the server state a scheduling decision may
-/// consult. Kept to primitives + the buffer slice so policies cannot reach
-/// into (and accidentally mutate or depend on) unrelated server internals.
-pub struct SchedulerObs<'a> {
+/// What a scheduling decision may consult: primitives and borrowed views of
+/// server state, nothing it could mutate.
+pub(crate) struct SchedulerObs<'a> {
     /// Buffered usable updates awaiting aggregation.
     pub buffer: &'a [ReceivedUpdate],
-    /// Updates received from the current round's sampled cohort
-    /// (including dropped ones).
+    /// Clients training right now (sampled, not yet replied).
+    pub busy: &'a IdSet,
+    /// Updates received from the current round's sampled cohort (including
+    /// dropped ones).
     pub received_this_round: usize,
     /// Whether the current round's sampled cohort has fully replied.
     pub outstanding_empty: bool,
     /// Live roster size (after dropouts).
     pub roster_len: usize,
+    /// Course seed (the tier partition's key).
+    pub seed: u64,
 }
 
-/// What to do after the roster shrank (or a rejoined client was reset to
-/// idle) — the scheduler's answer to "is a condition the dead client was
-/// blocking now true?".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RosterVerdict {
-    /// Nothing unblocked; keep waiting.
-    Wait,
-    /// The aggregation condition now holds; raise it.
-    Aggregate(Condition),
-    /// The whole sampled cohort is gone with nothing received: resample.
-    RestartRound,
-}
-
-/// Which buffered updates one aggregation consumes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Selection {
-    /// Drain the whole buffer (every classic regime).
-    All,
-    /// Consume exactly these buffer indices (ascending); the rest stay
-    /// buffered for a later aggregation (tiered merges).
-    Indices(Vec<usize>),
-}
-
-/// An execution-mode policy: decides when to aggregate, which buffered
-/// updates participate, and what to do on timer events.
-///
-/// Hook order per arriving update: `on_received` (contributors left the
-/// busy set) → `on_update` (should aggregation fire?). Sampling calls
-/// `on_sampled`; transports call `on_client_reset` for dropouts/rejoins,
-/// followed by `on_roster_change`. `select` runs at the start of every
-/// aggregation.
-pub trait Scheduler: Send {
-    /// Stable mode name (config parsing, reports, bench rows).
-    fn name(&self) -> &'static str;
-
-    /// The condition this policy raises to trigger aggregation, or `None`
-    /// when aggregation is driven purely by the round timer.
-    fn trigger(&self) -> Option<Condition>;
-
-    /// Per-round virtual-time budget: `Some` arms a [`Condition::TimeUp`]
-    /// timer at round start (and re-arms it per remedial measure).
-    fn round_timer(&self) -> Option<f64> {
-        None
+impl AggregationRule {
+    /// The condition that triggers aggregation, or `None` when the round
+    /// timer alone does.
+    pub(crate) fn trigger(&self) -> Option<Condition> {
+        match self {
+            Self::AllReceived => Some(Condition::AllReceived),
+            Self::GoalAchieved { .. } => Some(Condition::GoalAchieved),
+            Self::TimeUp { .. } => None,
+            Self::Buffered { .. } => Some(Condition::BufferFull),
+            Self::Tiered { .. } => Some(Condition::TierReady),
+        }
     }
 
-    /// Minimum usable updates a timer-driven aggregation needs before the
-    /// remedial measure fires instead. Only consulted when
-    /// [`round_timer`](Self::round_timer) is `Some`.
-    fn min_feedback(&self) -> usize {
-        1
+    /// Per-round virtual-time budget: `Some` arms a `time_up` timer at round
+    /// start and per remedial measure. Timers need a virtual clock, so the
+    /// threaded drivers refuse a rule that has one.
+    pub(crate) fn round_timer(&self) -> Option<f64> {
+        match *self {
+            Self::TimeUp { budget_secs, .. } => Some(budget_secs),
+            Self::AllReceived | Self::GoalAchieved { .. } => None,
+            Self::Buffered { .. } | Self::Tiered { .. } => None,
+        }
     }
 
-    /// Clients that were just sampled and broadcast to.
-    fn on_sampled(&mut self, _targets: &[ParticipantId]) {}
-
-    /// Contributors of an arrived update (called right after they leave the
-    /// busy set, before the staleness gate).
-    fn on_received(&mut self, _contributors: &[ParticipantId]) {}
-
-    /// A client dropped out or rejoined: forget any in-flight expectation.
-    fn on_client_reset(&mut self, _id: ParticipantId) {}
-
-    /// After an update was saved (or dropped): the condition to raise when
-    /// aggregation should fire now.
-    fn on_update(&mut self, obs: &SchedulerObs<'_>) -> Option<Condition>;
-
-    /// After the roster changed.
-    fn on_roster_change(&mut self, obs: &SchedulerObs<'_>) -> RosterVerdict;
-
-    /// Which buffered updates the imminent aggregation consumes.
-    fn select(&mut self, _buffer: &[ReceivedUpdate]) -> Selection {
-        Selection::All
+    /// Fewest usable updates a timer-driven aggregation needs before the
+    /// remedial measure fires instead.
+    pub(crate) fn min_feedback(&self) -> usize {
+        match *self {
+            Self::TimeUp { min_feedback, .. } => min_feedback.max(1),
+            Self::AllReceived | Self::GoalAchieved { .. } => 1,
+            Self::Buffered { .. } | Self::Tiered { .. } => 1,
+        }
     }
 
-    /// Whether this policy maintains the `sched.*` monitor gauges (buffer
-    /// occupancy, tier merges). The classic regimes return `false` so their
-    /// counter streams stay bit-identical to the pre-refactor server loop.
-    fn gauges(&self) -> bool {
-        false
+    /// Whether the server maintains the `sched.*` monitor gauges (buffer
+    /// occupancy, tier merges). The classic regimes keep the counter stream
+    /// they always had.
+    pub(crate) fn gauges(&self) -> bool {
+        match self {
+            Self::Buffered { .. } | Self::Tiered { .. } => true,
+            Self::AllReceived | Self::GoalAchieved { .. } | Self::TimeUp { .. } => false,
+        }
     }
-}
 
-/// Builds the policy selected by `cfg.rule`.
-pub fn build_scheduler(cfg: &FlConfig) -> Box<dyn Scheduler> {
-    match cfg.rule {
-        AggregationRule::AllReceived => Box::new(SyncScheduler),
-        AggregationRule::GoalAchieved { goal } => Box::new(GoalScheduler { goal }),
-        AggregationRule::TimeUp {
-            budget_secs,
-            min_feedback,
-        } => Box::new(TimeUpScheduler {
-            budget_secs,
-            min_feedback,
-        }),
-        AggregationRule::Buffered { k, .. } => Box::new(BufferedScheduler { k }),
-        AggregationRule::Tiered { tiers } => Box::new(TieredScheduler::new(tiers, cfg.seed)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// classic regimes
-// ---------------------------------------------------------------------------
-
-/// `all_received`: wait for every sampled client (vanilla synchronous FL).
-pub struct SyncScheduler;
-
-impl Scheduler for SyncScheduler {
-    fn name(&self) -> &'static str {
-        "sync"
-    }
-    fn trigger(&self) -> Option<Condition> {
-        Some(Condition::AllReceived)
-    }
-    fn on_update(&mut self, obs: &SchedulerObs<'_>) -> Option<Condition> {
-        (obs.received_this_round > 0 && obs.outstanding_empty).then_some(Condition::AllReceived)
-    }
-    fn on_roster_change(&mut self, obs: &SchedulerObs<'_>) -> RosterVerdict {
-        if obs.outstanding_empty {
-            if obs.received_this_round > 0 {
-                RosterVerdict::Aggregate(Condition::AllReceived)
-            } else {
-                // the whole round's cohort is gone: resample survivors
-                RosterVerdict::RestartRound
+    /// After an update was saved or dropped, or the roster changed: the
+    /// condition to raise when aggregation is due now. A count threshold is
+    /// clamped to the live roster, so a course that lost clients never waits
+    /// for more updates than the survivors can produce.
+    pub(crate) fn aggregation_due(&self, obs: &SchedulerObs<'_>) -> Option<Condition> {
+        let due = match *self {
+            Self::AllReceived => obs.received_this_round > 0 && obs.outstanding_empty,
+            Self::GoalAchieved { goal: k } | Self::Buffered { k, .. } => {
+                obs.buffer.len() >= k.min(obs.roster_len).max(1)
             }
-        } else {
-            RosterVerdict::Wait
-        }
+            Self::TimeUp { .. } => false,
+            Self::Tiered { tiers } => ready_tier(tiers, obs).is_some(),
+        };
+        self.trigger().filter(|_| due)
     }
-}
 
-/// The aggregation threshold actually reachable with the current roster: a
-/// course that lost clients must not wait for more updates than the
-/// survivors can produce.
-fn effective_threshold(goal: usize, roster_len: usize) -> usize {
-    goal.min(roster_len).max(1)
-}
-
-/// `goal_achieved`: aggregate once `goal` usable updates are buffered
-/// (FedBuff-style async, also Sync-OS when tolerance = 0).
-pub struct GoalScheduler {
-    /// The update-count trigger.
-    pub goal: usize,
-}
-
-impl Scheduler for GoalScheduler {
-    fn name(&self) -> &'static str {
-        "goal"
-    }
-    fn trigger(&self) -> Option<Condition> {
-        Some(Condition::GoalAchieved)
-    }
-    fn on_update(&mut self, obs: &SchedulerObs<'_>) -> Option<Condition> {
-        (obs.buffer.len() >= effective_threshold(self.goal, obs.roster_len))
-            .then_some(Condition::GoalAchieved)
-    }
-    fn on_roster_change(&mut self, obs: &SchedulerObs<'_>) -> RosterVerdict {
-        match self.on_update(obs) {
-            Some(c) => RosterVerdict::Aggregate(c),
-            None => RosterVerdict::Wait,
-        }
-    }
-}
-
-/// `time_up`: aggregate when the round's virtual-time budget runs out,
-/// with remedial measures (§3.3.2) when feedback is insufficient.
-pub struct TimeUpScheduler {
-    /// Per-round virtual-time budget, seconds.
-    pub budget_secs: f64,
-    /// Minimum usable updates required at the timer; fewer triggers the
-    /// remedial measure.
-    pub min_feedback: usize,
-}
-
-impl Scheduler for TimeUpScheduler {
-    fn name(&self) -> &'static str {
-        "time_up"
-    }
-    fn trigger(&self) -> Option<Condition> {
-        None
-    }
-    fn round_timer(&self) -> Option<f64> {
-        Some(self.budget_secs)
-    }
-    fn min_feedback(&self) -> usize {
-        self.min_feedback
-    }
-    fn on_update(&mut self, _obs: &SchedulerObs<'_>) -> Option<Condition> {
-        None // aggregation is driven by the round timer alone
-    }
-    fn on_roster_change(&mut self, _obs: &SchedulerObs<'_>) -> RosterVerdict {
-        RosterVerdict::Wait // the timer fires regardless of the roster
-    }
-}
-
-// ---------------------------------------------------------------------------
-// new modes
-// ---------------------------------------------------------------------------
-
-/// FedBuff-style buffered async: aggregate every `k` buffered updates.
-/// Staleness weighting comes from the aggregator, built with the
-/// scheduler's own discount (`FlConfig::effective_staleness_discount`).
-pub struct BufferedScheduler {
-    /// Buffer size that triggers aggregation (clamped to the live roster).
-    pub k: usize,
-}
-
-impl Scheduler for BufferedScheduler {
-    fn name(&self) -> &'static str {
-        "buffered"
-    }
-    fn trigger(&self) -> Option<Condition> {
-        Some(Condition::BufferFull)
-    }
-    fn on_update(&mut self, obs: &SchedulerObs<'_>) -> Option<Condition> {
-        (obs.buffer.len() >= effective_threshold(self.k, obs.roster_len))
-            .then_some(Condition::BufferFull)
-    }
-    fn on_roster_change(&mut self, obs: &SchedulerObs<'_>) -> RosterVerdict {
-        match self.on_update(obs) {
-            Some(c) => RosterVerdict::Aggregate(c),
-            None => RosterVerdict::Wait,
-        }
-    }
-    fn gauges(&self) -> bool {
-        true
-    }
-}
-
-/// FedModule-style tiered semi-async.
-///
-/// Clients are partitioned into `tiers` speed tiers by a seeded
-/// multiplicative hash (stable for the course, independent of join order).
-/// The scheduler tracks, per tier, the sampled clients that have not yet
-/// replied; when a tier's in-flight set empties and the buffer holds at
-/// least one usable update from that tier, the tier merges — consuming
-/// exactly its own buffered updates and leaving other tiers' in flight.
-pub struct TieredScheduler {
-    tiers: usize,
-    seed: u64,
-    /// Per-tier sampled-but-not-replied sets.
-    in_flight: Vec<BTreeSet<ParticipantId>>,
-    /// The tier whose merge the raised `TierReady` belongs to.
-    pending: Option<usize>,
-}
-
-impl TieredScheduler {
-    /// Builds the policy; `tiers` is clamped to at least 1.
-    pub fn new(tiers: usize, seed: u64) -> Self {
-        let tiers = tiers.max(1);
-        Self {
-            tiers,
-            seed,
-            in_flight: vec![BTreeSet::new(); tiers],
-            pending: None,
+    /// After a roster change that made no aggregation due: whether the round
+    /// restarts, because its whole sampled cohort is gone with nothing
+    /// received. Only `all_received` waits on a cohort; every other rule
+    /// keeps waiting on its own condition (or its timer).
+    pub(crate) fn restarts_round(&self, obs: &SchedulerObs<'_>) -> bool {
+        match self {
+            Self::AllReceived => obs.outstanding_empty && obs.received_this_round == 0,
+            Self::GoalAchieved { .. } | Self::TimeUp { .. } => false,
+            Self::Buffered { .. } | Self::Tiered { .. } => false,
         }
     }
 
-    /// The speed tier a client belongs to — a seeded multiplicative hash,
-    /// so the partition is deterministic and roughly balanced.
-    pub fn tier_of(&self, id: ParticipantId) -> usize {
-        let x = (u64::from(id) ^ self.seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((x >> 32) as usize) % self.tiers
-    }
-
-    /// The first tier that can merge right now: empty in-flight set and at
-    /// least one buffered update of its own.
-    fn ready_tier(&self, buffer: &[ReceivedUpdate]) -> Option<usize> {
-        let mut has_buffered = vec![false; self.tiers];
-        for u in buffer {
-            has_buffered[self.tier_of(u.client)] = true;
-        }
-        (0..self.tiers).find(|&t| has_buffered[t] && self.in_flight[t].is_empty())
+    /// Which buffered updates the imminent aggregation consumes: `Some`
+    /// membership test of the ready tier under `tiered` (the rest stay
+    /// buffered), `None` for the whole buffer.
+    pub(crate) fn merge_tier(
+        &self,
+        obs: &SchedulerObs<'_>,
+    ) -> Option<impl Fn(ParticipantId) -> bool> {
+        let tiers = match *self {
+            Self::Tiered { tiers } => tiers,
+            Self::AllReceived | Self::GoalAchieved { .. } | Self::TimeUp { .. } => return None,
+            Self::Buffered { .. } => return None,
+        };
+        let (tier, seed) = (ready_tier(tiers, obs)?, obs.seed);
+        Some(move |id| tier_of(id, tiers, seed) == tier)
     }
 }
 
-impl Scheduler for TieredScheduler {
-    fn name(&self) -> &'static str {
-        "tiered"
+/// The speed tier of client `id` among `tiers` (at least 1): a seeded
+/// multiplicative hash, so the partition is deterministic for the course,
+/// independent of join order, and roughly balanced.
+pub(crate) fn tier_of(id: ParticipantId, tiers: usize, seed: u64) -> usize {
+    let x = (u64::from(id) ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    ((x >> 32) as usize) % tiers.max(1)
+}
+
+/// The first tier that can merge now: one with a buffered update and no
+/// busy client.
+fn ready_tier(tiers: usize, obs: &SchedulerObs<'_>) -> Option<usize> {
+    let mut ready = vec![false; tiers.max(1)];
+    for u in obs.buffer {
+        ready[tier_of(u.client, tiers, obs.seed)] = true;
     }
-    fn trigger(&self) -> Option<Condition> {
-        Some(Condition::TierReady)
+    for c in obs.busy.iter() {
+        ready[tier_of(c, tiers, obs.seed)] = false;
     }
-    fn on_sampled(&mut self, targets: &[ParticipantId]) {
-        for &id in targets {
-            let t = self.tier_of(id);
-            self.in_flight[t].insert(id);
-        }
-    }
-    fn on_received(&mut self, contributors: &[ParticipantId]) {
-        for &id in contributors {
-            let t = self.tier_of(id);
-            self.in_flight[t].remove(&id);
-        }
-    }
-    fn on_client_reset(&mut self, id: ParticipantId) {
-        let t = self.tier_of(id);
-        self.in_flight[t].remove(&id);
-    }
-    fn on_update(&mut self, obs: &SchedulerObs<'_>) -> Option<Condition> {
-        self.pending = self.ready_tier(obs.buffer);
-        self.pending.map(|_| Condition::TierReady)
-    }
-    fn on_roster_change(&mut self, obs: &SchedulerObs<'_>) -> RosterVerdict {
-        self.pending = self.ready_tier(obs.buffer);
-        match self.pending {
-            Some(_) => RosterVerdict::Aggregate(Condition::TierReady),
-            None => RosterVerdict::Wait,
-        }
-    }
-    fn select(&mut self, buffer: &[ReceivedUpdate]) -> Selection {
-        // the tier recorded at trigger time; recompute as a fallback so a
-        // custom handler raising tier_ready by hand still merges something
-        let tier = self.pending.take().or_else(|| self.ready_tier(buffer));
-        match tier {
-            Some(t) => Selection::Indices(
-                buffer
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, u)| self.tier_of(u.client) == t)
-                    .map(|(i, _)| i)
-                    .collect(),
-            ),
-            None => Selection::All,
-        }
-    }
-    fn gauges(&self) -> bool {
-        true
-    }
+    ready.iter().position(|&r| r)
 }
 
 #[cfg(test)]
@@ -391,48 +164,69 @@ mod tests {
 
     fn obs<'a>(
         buffer: &'a [ReceivedUpdate],
+        busy: &'a IdSet,
         received: usize,
         outstanding_empty: bool,
         roster: usize,
     ) -> SchedulerObs<'a> {
         SchedulerObs {
             buffer,
+            busy,
             received_this_round: received,
             outstanding_empty,
             roster_len: roster,
+            seed: 7,
         }
+    }
+
+    fn busy(ids: &[ParticipantId]) -> IdSet {
+        let mut set = IdSet::new();
+        for &id in ids {
+            set.insert(id);
+        }
+        set
+    }
+
+    /// The buffer indices the imminent aggregation consumes.
+    fn merged(rule: AggregationRule, obs: &SchedulerObs<'_>) -> Option<Vec<usize>> {
+        let in_tier = rule.merge_tier(obs)?;
+        let idx = obs
+            .buffer
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| in_tier(u.client));
+        Some(idx.map(|(i, _)| i).collect())
     }
 
     #[test]
     fn sync_triggers_only_when_cohort_complete() {
-        let mut s = SyncScheduler;
-        assert_eq!(s.on_update(&obs(&[], 0, true, 10)), None);
-        assert_eq!(s.on_update(&obs(&[], 2, false, 10)), None);
+        let s = AggregationRule::AllReceived;
+        let none = IdSet::new();
+        assert_eq!(s.aggregation_due(&obs(&[], &none, 0, true, 10)), None);
+        assert_eq!(s.aggregation_due(&obs(&[], &none, 2, false, 10)), None);
         assert_eq!(
-            s.on_update(&obs(&[], 2, true, 10)),
+            s.aggregation_due(&obs(&[], &none, 2, true, 10)),
             Some(Condition::AllReceived)
         );
-        assert_eq!(
-            s.on_roster_change(&obs(&[], 0, true, 10)),
-            RosterVerdict::RestartRound
-        );
+        assert!(s.restarts_round(&obs(&[], &none, 0, true, 10)));
     }
 
     #[test]
     fn goal_clamps_to_roster() {
-        let mut s = GoalScheduler { goal: 5 };
+        let s = AggregationRule::GoalAchieved { goal: 5 };
+        let none = IdSet::new();
         let buf: Vec<_> = (0..3).map(upd).collect();
-        assert_eq!(s.on_update(&obs(&buf, 3, false, 10)), None);
+        assert_eq!(s.aggregation_due(&obs(&buf, &none, 3, false, 10)), None);
         // roster shrank to 3 survivors: the effective goal follows
         assert_eq!(
-            s.on_update(&obs(&buf, 3, false, 3)),
+            s.aggregation_due(&obs(&buf, &none, 3, false, 3)),
             Some(Condition::GoalAchieved)
         );
     }
 
     #[test]
     fn time_up_is_timer_driven() {
-        let mut s = TimeUpScheduler {
+        let s = AggregationRule::TimeUp {
             budget_secs: 2.5,
             min_feedback: 3,
         };
@@ -440,29 +234,33 @@ mod tests {
         assert_eq!(s.round_timer(), Some(2.5));
         assert_eq!(s.min_feedback(), 3);
         let buf: Vec<_> = (0..20).map(upd).collect();
-        assert_eq!(s.on_update(&obs(&buf, 20, true, 20)), None);
+        let none = IdSet::new();
+        assert_eq!(s.aggregation_due(&obs(&buf, &none, 20, true, 20)), None);
     }
 
     #[test]
     fn buffered_fires_every_k() {
-        let mut s = BufferedScheduler { k: 4 };
+        let s = AggregationRule::Buffered {
+            k: 4,
+            discount: 0.5,
+        };
+        let none = IdSet::new();
         let buf: Vec<_> = (0..3).map(upd).collect();
-        assert_eq!(s.on_update(&obs(&buf, 3, false, 30)), None);
+        assert_eq!(s.aggregation_due(&obs(&buf, &none, 3, false, 30)), None);
         let buf: Vec<_> = (0..4).map(upd).collect();
         assert_eq!(
-            s.on_update(&obs(&buf, 4, false, 30)),
+            s.aggregation_due(&obs(&buf, &none, 4, false, 30)),
             Some(Condition::BufferFull)
         );
-        assert_eq!(s.select(&buf), Selection::All);
+        assert_eq!(merged(s, &obs(&buf, &none, 4, false, 30)), None);
     }
 
     #[test]
     fn tiered_partition_is_deterministic_and_total() {
-        let s = TieredScheduler::new(3, 42);
         let mut seen = vec![0usize; 3];
         for id in 1..200u32 {
-            let t = s.tier_of(ParticipantId::from(id));
-            assert_eq!(t, s.tier_of(ParticipantId::from(id)));
+            let t = tier_of(ParticipantId::from(id), 3, 42);
+            assert_eq!(t, tier_of(ParticipantId::from(id), 3, 42));
             seen[t] += 1;
         }
         // a multiplicative hash over 199 ids should touch every tier
@@ -471,87 +269,71 @@ mod tests {
 
     #[test]
     fn tiered_merges_exactly_the_ready_tier() {
-        let mut s = TieredScheduler::new(2, 7);
+        let s = AggregationRule::Tiered { tiers: 2 };
         // find ids mapping to each tier
-        let mut t0 = Vec::new();
-        let mut t1 = Vec::new();
-        for id in 1..50u32 {
-            let pid = ParticipantId::from(id);
-            if s.tier_of(pid) == 0 {
-                t0.push(pid)
-            } else {
-                t1.push(pid)
-            }
-        }
-        let sampled = [t0[0], t0[1], t1[0]];
-        s.on_sampled(&sampled);
-        // tier 0 incomplete: one of its two sampled clients replied
+        let (t0, t1): (Vec<ParticipantId>, Vec<ParticipantId>) =
+            (1..50u32).partition(|&id| tier_of(id, 2, 7) == 0);
+        // sampled: t0[0], t0[1], t1[0]; tier 0 incomplete: one of its two
+        // sampled clients replied
         let buf = vec![upd(t0[0])];
-        s.on_received(&[t0[0]]);
-        assert_eq!(s.on_update(&obs(&buf, 1, false, 49)), None);
+        let training = busy(&[t0[1], t1[0]]);
+        assert_eq!(s.aggregation_due(&obs(&buf, &training, 1, false, 49)), None);
         // tier 0 completes; tier 1 still in flight
         let buf = vec![upd(t0[0]), upd(t0[1])];
-        s.on_received(&[t0[1]]);
-        assert_eq!(
-            s.on_update(&obs(&buf, 2, false, 49)),
-            Some(Condition::TierReady)
-        );
-        assert_eq!(s.select(&buf), Selection::Indices(vec![0, 1]));
+        let training = busy(&[t1[0]]);
+        let o = obs(&buf, &training, 2, false, 49);
+        assert_eq!(s.aggregation_due(&o), Some(Condition::TierReady));
+        assert_eq!(merged(s, &o), Some(vec![0, 1]));
         // tier 1's reply then completes its own (singleton) cohort
         let buf = vec![upd(t1[0])];
-        s.on_received(&[t1[0]]);
-        assert_eq!(
-            s.on_update(&obs(&buf, 3, false, 49)),
-            Some(Condition::TierReady)
-        );
-        assert_eq!(s.select(&buf), Selection::Indices(vec![0]));
+        let o = obs(&buf, &training, 3, false, 49);
+        assert_eq!(s.aggregation_due(&o), None, "busy until it replies");
+        let none = IdSet::new();
+        let o = obs(&buf, &none, 3, false, 49);
+        assert_eq!(s.aggregation_due(&o), Some(Condition::TierReady));
+        assert_eq!(merged(s, &o), Some(vec![0]));
     }
 
     #[test]
     fn tiered_client_reset_unblocks_tier() {
-        let mut s = TieredScheduler::new(2, 7);
-        let mut ids = 1..50u32;
-        let a = ids.by_ref().find(|&p| s.tier_of(p) == 0).unwrap();
-        let b = ids.by_ref().find(|&p| s.tier_of(p) == 0).unwrap();
-        s.on_sampled(&[a, b]);
+        let s = AggregationRule::Tiered { tiers: 2 };
+        let mut ids = (1..50u32).filter(|&p| tier_of(p, 2, 7) == 0);
+        let (a, b) = (ids.next().unwrap(), ids.next().unwrap());
+        // a and b sampled, a replied
         let buf = vec![upd(a)];
-        s.on_received(&[a]);
-        assert_eq!(s.on_update(&obs(&buf, 1, false, 49)), None);
-        // b drops out: its tier no longer waits for it
-        s.on_client_reset(b);
-        assert_eq!(
-            s.on_roster_change(&obs(&buf, 1, false, 48)),
-            RosterVerdict::Aggregate(Condition::TierReady)
-        );
+        let mut training = busy(&[b]);
+        assert_eq!(s.aggregation_due(&obs(&buf, &training, 1, false, 49)), None);
+        // b drops out (leaves busy): its tier no longer waits for it
+        training.remove(&b);
+        let o = obs(&buf, &training, 1, false, 48);
+        assert_eq!(s.aggregation_due(&o), Some(Condition::TierReady));
+        assert!(!s.restarts_round(&o));
     }
 
     #[test]
-    fn build_scheduler_maps_config() {
-        use crate::config::FlConfig;
+    fn config_presets_map_to_their_rule_decisions() {
+        use crate::config::{BroadcastManner, FlConfig, SamplerKind};
         let cfg = FlConfig::default();
-        assert_eq!(build_scheduler(&cfg).name(), "sync");
+        assert_eq!(cfg.rule.trigger(), Some(Condition::AllReceived));
         let cfg = FlConfig::default().async_goal(
             5,
-            crate::config::BroadcastManner::AfterReceiving,
-            crate::config::SamplerKind::Uniform,
+            BroadcastManner::AfterReceiving,
+            SamplerKind::Uniform,
         );
-        assert_eq!(build_scheduler(&cfg).name(), "goal");
+        assert_eq!(cfg.rule.trigger(), Some(Condition::GoalAchieved));
         let cfg = FlConfig::default().async_time(
             1.0,
             1,
-            crate::config::BroadcastManner::AfterAggregating,
-            crate::config::SamplerKind::Uniform,
+            BroadcastManner::AfterAggregating,
+            SamplerKind::Uniform,
         );
-        let s = build_scheduler(&cfg);
-        assert_eq!(s.name(), "time_up");
-        assert_eq!(s.round_timer(), Some(1.0));
+        assert_eq!(cfg.rule.trigger(), None);
+        assert_eq!(cfg.rule.round_timer(), Some(1.0));
         let cfg = FlConfig::default().buffered_async(6, 0.5);
-        let s = build_scheduler(&cfg);
-        assert_eq!(s.name(), "buffered");
-        assert_eq!(s.trigger(), Some(Condition::BufferFull));
+        assert_eq!(cfg.rule.trigger(), Some(Condition::BufferFull));
+        assert!(cfg.rule.gauges());
         let cfg = FlConfig::default().tiered(3);
-        let s = build_scheduler(&cfg);
-        assert_eq!(s.name(), "tiered");
-        assert_eq!(s.trigger(), Some(Condition::TierReady));
+        assert_eq!(cfg.rule.trigger(), Some(Condition::TierReady));
+        assert!(cfg.rule.gauges());
     }
 }

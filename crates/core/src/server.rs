@@ -1,15 +1,15 @@
 //! The server worker.
 //!
-//! The server holds the global model, the aggregator, the sampler, and one
-//! [`Scheduler`] policy object that decides when aggregation fires, which
-//! buffered updates it consumes, and what round timers mean. The default
-//! handlers implement every strategy of §3.3 — `all_received` (vanilla
-//! sync), `goal_achieved` (FedBuff-style async and Sync-OS), and `time_up`
-//! (budgeted async with remedial measures) — plus the buffered-async and
-//! tiered semi-async modes, combined with the *after-aggregating* /
-//! *after-receiving* broadcast manners and the uniform / responsiveness /
-//! group samplers. The server loop itself contains no per-regime logic:
-//! every mode-specific decision dispatches through the scheduler trait.
+//! The server holds the global model, the aggregator and the sampler. The
+//! default handlers implement every strategy of §3.3 — `all_received`
+//! (vanilla sync), `goal_achieved` (FedBuff-style async and Sync-OS), and
+//! `time_up` (budgeted async with remedial measures) — plus the
+//! buffered-async and tiered semi-async modes, combined with the
+//! *after-aggregating* / *after-receiving* broadcast manners and the
+//! uniform / responsiveness / group samplers. The server loop itself
+//! contains no per-regime logic: when aggregation fires, which buffered
+//! updates it consumes and what a round timer means are asked of
+//! `cfg.rule` (`scheduler.rs`), over a view of this state.
 
 use crate::aggregator::{Aggregator, ReceivedUpdate};
 use crate::config::{BroadcastManner, FlConfig};
@@ -19,7 +19,7 @@ use crate::event::{Condition, Event};
 use crate::idset::IdSet;
 use crate::registry::Registry;
 use crate::sampler::Sampler;
-use crate::scheduler::{build_scheduler, RosterVerdict, Scheduler, SchedulerObs, Selection};
+use crate::scheduler::SchedulerObs;
 use fs_compress::{CompressedBlock, Compressor};
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
 use fs_tensor::model::Metrics;
@@ -99,9 +99,6 @@ pub struct ServerState {
     pub outstanding: IdSet,
     /// The aggregation rule's executor.
     pub aggregator: Box<dyn Aggregator>,
-    /// The execution-mode policy: when to aggregate, which buffered updates
-    /// participate, what timers mean.
-    pub scheduler: Box<dyn Scheduler>,
     /// Client sampler.
     pub sampler: Sampler,
     /// Course RNG.
@@ -148,6 +145,18 @@ impl ServerState {
             .copied()
             .filter(|c| !self.busy.contains(c))
             .collect()
+    }
+
+    /// The view of this state that `cfg.rule` decides over.
+    fn obs(&self) -> SchedulerObs<'_> {
+        SchedulerObs {
+            buffer: &self.buffer,
+            busy: &self.busy,
+            received_this_round: self.ledger.received_this_round,
+            outstanding_empty: self.outstanding.is_empty(),
+            roster_len: self.roster.len(),
+            seed: self.cfg.seed,
+        }
     }
 
     /// The broadcast payload for the current global model, compressed when a
@@ -200,7 +209,6 @@ impl ServerState {
             self.busy.insert(c);
             self.outstanding.insert(c);
         }
-        self.scheduler.on_sampled(targets);
         let payload = self.broadcast_payload();
         ctx.broadcast(MessageKind::ModelParams, self.round, payload, targets);
         self.ledger.models_sent += targets.len() as u64;
@@ -217,7 +225,7 @@ impl ServerState {
     }
 
     /// Refills concurrency to the configured target and re-arms the round
-    /// timer when the scheduler is timer-driven.
+    /// timer when the rule is timer-driven.
     fn start_round(&mut self, ctx: &mut Ctx) {
         self.outstanding.clear();
         self.ledger.received_this_round = 0;
@@ -228,7 +236,7 @@ impl ServerState {
             .reserve(target.saturating_sub(self.buffer.len()));
         let need = target.saturating_sub(self.busy.len());
         self.sample_and_broadcast(need, ctx);
-        if let Some(budget_secs) = self.scheduler.round_timer() {
+        if let Some(budget_secs) = self.cfg.rule.round_timer() {
             ctx.arm_timer(budget_secs, Condition::TimeUp, self.round);
         }
     }
@@ -256,7 +264,6 @@ impl ServerState {
         }
         self.busy.remove(&id);
         self.outstanding.remove(&id);
-        self.scheduler.on_client_reset(id);
         self.dropouts.push(id);
         ctx.monitor.add(fs_monitor::counters::DROPOUTS, 1);
         if joining {
@@ -283,7 +290,6 @@ impl ServerState {
         }
         self.busy.remove(&id);
         self.outstanding.remove(&id);
-        self.scheduler.on_client_reset(id);
         if self.done {
             self.send_finish(Some(id), ctx);
         }
@@ -326,16 +332,11 @@ impl ServerState {
             }
             return;
         }
-        let verdict = self.scheduler.on_roster_change(&SchedulerObs {
-            buffer: &self.buffer,
-            received_this_round: self.ledger.received_this_round,
-            outstanding_empty: self.outstanding.is_empty(),
-            roster_len: self.roster.len(),
-        });
-        match verdict {
-            RosterVerdict::Wait => {}
-            RosterVerdict::Aggregate(cond) => ctx.raise(cond),
-            RosterVerdict::RestartRound => self.start_round(ctx),
+        let obs = self.obs();
+        match self.cfg.rule.aggregation_due(&obs) {
+            Some(cond) => ctx.raise(cond),
+            None if self.cfg.rule.restarts_round(&obs) => self.start_round(ctx),
+            None => {}
         }
     }
 
@@ -344,28 +345,19 @@ impl ServerState {
         if self.done {
             return;
         }
-        // the scheduler picks which buffered updates this aggregation
-        // consumes (every classic regime drains the whole buffer; tiered
-        // merges take only the ready tier's updates and leave the rest)
+        // the rule picks which buffered updates this aggregation consumes:
+        // the whole buffer, or (tiered) the ready tier's, in buffer order,
+        // the rest staying buffered
         let occupancy = self.buffer.len();
-        let buffer = match self.scheduler.select(&self.buffer) {
-            Selection::All => std::mem::take(&mut self.buffer),
-            Selection::Indices(indices) => {
-                let chosen: BTreeSet<usize> = indices.into_iter().collect();
-                let mut selected = Vec::with_capacity(chosen.len());
-                let mut rest = Vec::with_capacity(occupancy - chosen.len());
-                for (i, u) in std::mem::take(&mut self.buffer).into_iter().enumerate() {
-                    if chosen.contains(&i) {
-                        selected.push(u);
-                    } else {
-                        rest.push(u);
-                    }
-                }
+        let buffer = match self.cfg.rule.merge_tier(&self.obs()) {
+            None => std::mem::take(&mut self.buffer),
+            Some(in_tier) => {
+                let (merged, rest) = std::mem::take(&mut self.buffer)
+                    .into_iter()
+                    .partition(|u| in_tier(u.client));
                 self.buffer = rest;
-                if self.scheduler.gauges() {
-                    ctx.monitor.add(fs_monitor::counters::SCHED_TIER_MERGES, 1);
-                }
-                selected
+                ctx.monitor.add(fs_monitor::counters::SCHED_TIER_MERGES, 1);
+                merged
             }
         };
         let staleness_sum = self.ledger.record_aggregation(&buffer);
@@ -376,7 +368,7 @@ impl ServerState {
         );
         ctx.monitor
             .add(fs_monitor::counters::STALENESS_SUM, staleness_sum);
-        if self.scheduler.gauges() {
+        if self.cfg.rule.gauges() {
             ctx.monitor.add(
                 fs_monitor::counters::SCHED_BUFFER_OCCUPANCY,
                 occupancy as u64,
@@ -423,7 +415,7 @@ impl ServerState {
                 let target = self.cfg.sample_target();
                 let need = target.saturating_sub(self.busy.len());
                 self.sample_and_broadcast(need, ctx);
-                if let Some(budget_secs) = self.scheduler.round_timer() {
+                if let Some(budget_secs) = self.cfg.rule.round_timer() {
                     ctx.arm_timer(budget_secs, Condition::TimeUp, self.round);
                 }
             }
@@ -451,7 +443,6 @@ impl Server {
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed);
         let download_codec = cfg.compression.build_download();
         let track_history = cfg.compression.upload.is_some() && cfg.compression.upload_delta;
-        let scheduler = build_scheduler(&cfg);
         let state = ServerState {
             cfg,
             global,
@@ -464,7 +455,6 @@ impl Server {
             buffer: Vec::new(),
             outstanding: IdSet::new(),
             aggregator,
-            scheduler,
             sampler,
             rng,
             evaluator,
@@ -579,12 +569,12 @@ impl Server {
     }
 
     fn install_default_handlers(&mut self) {
-        // the scheduler decides which condition (if any) triggers aggregation
-        // and whether rounds are timer-driven; handler names and emit lists
-        // are derived from that so the effective-handler log and the
+        // the rule decides which condition (if any) triggers aggregation and
+        // whether rounds are timer-driven; handler names and emit lists are
+        // derived from that so the effective-handler log and the
         // completeness graph describe the actual course
-        let trigger = self.state.scheduler.trigger();
-        let timed = self.state.scheduler.round_timer().is_some();
+        let trigger = self.state.cfg.rule.trigger();
+        let timed = self.state.cfg.rule.round_timer().is_some();
         // receiving_join_in: register the client, assign its id, start when
         // everyone has joined.
         self.registry.register(
@@ -653,7 +643,6 @@ impl Server {
                 for c in &contributors {
                     state.busy.remove(c);
                 }
-                state.scheduler.on_received(&contributors);
                 if state.done {
                     return; // late update after termination
                 }
@@ -698,12 +687,7 @@ impl Server {
                         }
                     }
                 }
-                let cond = state.scheduler.on_update(&SchedulerObs {
-                    buffer: &state.buffer,
-                    received_this_round: state.ledger.received_this_round,
-                    outstanding_empty: state.outstanding.is_empty(),
-                    roster_len: state.roster.len(),
-                });
+                let cond = state.cfg.rule.aggregation_due(&state.obs());
                 let aggregating = cond.is_some();
                 if let Some(cond) = cond {
                     ctx.raise(cond);
@@ -722,7 +706,7 @@ impl Server {
         );
 
         // aggregation trigger: perform federated aggregation and push the
-        // course forward. Only the scheduler's trigger condition is linked,
+        // course forward. Only the rule's trigger condition is linked,
         // so the effective-handler log and the completeness graph describe
         // the actual course.
         let mut agg_emits = vec![
@@ -754,7 +738,7 @@ impl Server {
                     if msg.round != state.round {
                         return; // stale timer from a finished round
                     }
-                    if state.buffer.len() >= state.scheduler.min_feedback().max(1) {
+                    if state.buffer.len() >= state.cfg.rule.min_feedback() {
                         state.aggregate_and_continue(ctx);
                     } else {
                         state.ledger.remedial_count += 1;
@@ -770,7 +754,7 @@ impl Server {
                             let target = state.cfg.sample_target();
                             let need = target.saturating_sub(state.busy.len()).max(1);
                             state.sample_and_broadcast(need, ctx);
-                            if let Some(budget_secs) = state.scheduler.round_timer() {
+                            if let Some(budget_secs) = state.cfg.rule.round_timer() {
                                 ctx.arm_timer(budget_secs, Condition::TimeUp, state.round);
                             }
                         }
@@ -1496,7 +1480,6 @@ mod tests {
         }
         .buffered_async(2, 0.5);
         let mut s = make_server(cfg, 4);
-        assert_eq!(s.state.scheduler.name(), "buffered");
         let mut ctx = Ctx::at(VirtualTime::ZERO);
         join_all(&mut s, 4, &mut ctx);
         s.handle(&update_msg(1, &[1.0, 1.0], 0), &mut ctx);
@@ -1520,16 +1503,14 @@ mod tests {
         }
         .tiered(2);
         let mut s = make_server(cfg, 4);
-        assert_eq!(s.state.scheduler.name(), "tiered");
         let mut ctx = Ctx::at(VirtualTime::ZERO);
         join_all(&mut s, 4, &mut ctx);
-        // all four clients sampled; group them by the scheduler's partition
+        // all four clients sampled; group them by the rule's partition
+        // (replies from one tier must not complete the other)
         let tier_of: Vec<(u32, String)> = (1..=4u32)
             .map(|id| {
-                // replies from one tier must not complete the other; probe
-                // via a throwaway scheduler with the same seed/tiers
-                let probe = crate::scheduler::TieredScheduler::new(2, s.state.cfg.seed);
-                (id, probe.tier_of(id).to_string())
+                let tier = crate::scheduler::tier_of(id, 2, s.state.cfg.seed);
+                (id, tier.to_string())
             })
             .collect();
         let (t0, t1): (Vec<_>, Vec<_>) = tier_of.iter().partition(|(_, t)| t == "0");

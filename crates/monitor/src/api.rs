@@ -101,20 +101,6 @@ pub trait Monitor: Send {
     fn round(&mut self, round: u64, time: VirtualTime, metrics: &Metrics);
 }
 
-/// A monitor that records nothing. Exists so `dyn Monitor` call sites have a
-/// default; the even cheaper path is a null [`MonitorHandle`], which skips
-/// the virtual call entirely.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullMonitor;
-
-impl Monitor for NullMonitor {
-    fn enter(&mut self, _: TrackId, _: &'static str, _: &'static str, _: VirtualTime) {}
-    fn exit(&mut self, _: TrackId, _: VirtualTime) {}
-    fn span(&mut self, _: TrackId, _: &'static str, _: &'static str, _: VirtualTime, _: f64) {}
-    fn add(&mut self, _: &'static str, _: u64) {}
-    fn round(&mut self, _: u64, _: VirtualTime, _: &Metrics) {}
-}
-
 /// The handle instrumented code carries: `Clone`, cheap, and allocation-free
 /// when null.
 ///

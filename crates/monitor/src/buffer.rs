@@ -6,12 +6,10 @@
 //! order (and per-track span nesting) that serial execution produces. A
 //! [`BufferMonitor`] solves this by *recording* every operation the handler
 //! issues; once the runner adopts the speculation — at the exact point the
-//! serial simulator would have run the handler — it [`replay`]s the buffer
-//! into the real monitor, between the runner's own `enter`/`exit` calls.
-//! The replayed stream is byte-for-byte the stream a serial run would have
-//! produced.
-//!
-//! [`replay`]: BufferMonitor::replay
+//! serial simulator would have run the handler — it replays the buffered
+//! ops ([`BufferMonitor::replay_ops`]) into the real monitor, between the
+//! runner's own `enter`/`exit` calls. The replayed stream is byte-for-byte
+//! the stream a serial run would have produced.
 
 use crate::api::{Monitor, MonitorHandle, TrackId};
 use fs_sim::VirtualTime;
@@ -84,19 +82,9 @@ impl BufferMonitor {
         Self::default()
     }
 
-    /// The recorded operations, in issue order.
-    pub fn ops(&self) -> &[MonitorOp] {
-        &self.ops
-    }
-
-    /// Consumes the buffer, yielding the recorded operations.
+    /// Consumes the buffer, yielding the recorded operations in issue order.
     pub fn into_ops(self) -> Vec<MonitorOp> {
         self.ops
-    }
-
-    /// Replays the recorded operations into `target`, preserving order.
-    pub fn replay(&self, target: &MonitorHandle) {
-        Self::replay_ops(&self.ops, target);
     }
 
     /// Replays an operation list into `target`, preserving order.
@@ -199,7 +187,7 @@ mod tests {
 
         let buf = Arc::new(Mutex::new(BufferMonitor::new()));
         drive(&MonitorHandle::from_shared(buf.clone()));
-        buf.lock().unwrap().replay(&buffered_handle);
+        BufferMonitor::replay_ops(&buf.lock().unwrap().ops, &buffered_handle);
 
         let direct = direct.lock().unwrap();
         let buffered = buffered.lock().unwrap();
@@ -222,7 +210,7 @@ mod tests {
         buf.add("b", 2);
         buf.exit(1, VirtualTime::ZERO);
         let kinds: Vec<&str> = buf
-            .ops()
+            .into_ops()
             .iter()
             .map(|op| match op {
                 MonitorOp::Add { .. } => "add",

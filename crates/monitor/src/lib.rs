@@ -31,7 +31,7 @@ pub mod recording;
 pub mod sharded;
 pub mod trace;
 
-pub use api::{counters, Monitor, MonitorHandle, NullMonitor, TrackId, SERVER_TRACK};
+pub use api::{counters, Monitor, MonitorHandle, TrackId, SERVER_TRACK};
 pub use buffer::{BufferMonitor, MonitorOp};
 pub use recording::{RecordingMonitor, RoundRecord, SpanRecord};
 pub use sharded::ShardedCounters;

@@ -73,16 +73,6 @@ impl Bus {
         tx.send(encode_message(msg))
             .map_err(|_| BusError::Disconnected(msg.receiver))
     }
-
-    /// Registered participant count.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// `true` when no participants are registered.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
 }
 
 /// A participant's receive side.
@@ -92,11 +82,6 @@ pub struct Mailbox {
 }
 
 impl Mailbox {
-    /// The owning participant's id.
-    pub fn id(&self) -> ParticipantId {
-        self.id
-    }
-
     /// Blocks until a message arrives, decoding it.
     pub fn recv(&self) -> Result<Message, BusError> {
         let bytes = self

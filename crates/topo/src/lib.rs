@@ -41,7 +41,7 @@ pub mod edge;
 pub mod gossip;
 pub mod router;
 
-pub use course::{run_course_auto, TopoCourse};
+pub use course::run_course_auto;
 pub use distributed::run_gossip_distributed;
 pub use edge::{EdgeAction, EdgeAggregator, EdgeError, EdgeMerge};
 pub use fs_net::topology::{bytes_down_counter, bytes_up_counter, TIER_LEVELS};

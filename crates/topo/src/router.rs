@@ -299,7 +299,7 @@ pub(crate) fn check_plan(mode: VerifyMode, plan: &TopologyPlan) -> Result<(), To
 }
 
 /// Re-routes an assembled course over the hierarchy named in its config.
-pub fn route(runner: StandaloneRunner) -> Result<TopoRunner, TopoRunError> {
+pub(crate) fn route(runner: StandaloneRunner) -> Result<TopoRunner, TopoRunError> {
     let cfg = &runner.server.state.cfg;
     let plan = TopologyPlan::build(cfg.topology, runner.clients.ids().len(), cfg.seed)?;
     let router = TreeRouter::new(plan, cfg);
@@ -308,7 +308,7 @@ pub fn route(runner: StandaloneRunner) -> Result<TopoRunner, TopoRunError> {
 
 /// Runs a routed course. Unlike `Runner::run` this never panics: refusals
 /// and edge failures come back as typed errors.
-pub fn run_routed(
+pub(crate) fn run_routed(
     runner: &mut TopoRunner,
 ) -> Result<(fs_core::CourseReport, TopoReport), TopoRunError> {
     let report = runner.try_run().map_err(TopoRunError::Verification)?;

@@ -7,7 +7,7 @@
 
 use fedscope::core::config::FlConfig;
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::distributed::run_distributed;
+use fedscope::core::distributed::{run_distributed_with, BusRunOptions};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::backend::{Backend, ColMajorF64Store, RowMajorF32Store};
 use fedscope::tensor::model::{logistic_regression, Model};
@@ -66,8 +66,13 @@ fn main() {
     // split the assembled course into its participants and run distributed
     let server = runner.server;
     let clients: Vec<_> = runner.clients.into_values().collect();
-    let server =
-        run_distributed(server, clients, Duration::from_secs(30)).expect("distributed run");
+    let server = run_distributed_with(
+        server,
+        clients,
+        Duration::from_secs(30),
+        BusRunOptions::default(),
+    )
+    .expect("distributed run");
     println!(
         "distributed course finished: {} rounds, {} client reports, reason: {}",
         server.state.round,

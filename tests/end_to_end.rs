@@ -2,7 +2,7 @@
 
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::distributed::run_distributed;
+use fedscope::core::distributed::{run_distributed_with, BusRunOptions};
 use fedscope::core::{course_ir, verify_assembled, Event};
 use fedscope::data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fedscope::tensor::model::{convnet2, logistic_regression};
@@ -252,7 +252,13 @@ fn distributed_runner_matches_participant_counts() {
     .build();
     let server = runner.server;
     let clients: Vec<_> = runner.clients.into_values().collect();
-    let server = run_distributed(server, clients, Duration::from_secs(60)).expect("run");
+    let server = run_distributed_with(
+        server,
+        clients,
+        Duration::from_secs(60),
+        BusRunOptions::default(),
+    )
+    .expect("run");
     assert_eq!(server.state.round, 3);
     assert_eq!(server.state.client_reports.len(), 6);
 }
@@ -285,7 +291,12 @@ fn distributed_rejects_time_up_rule() {
     .build();
     let server = runner.server;
     let clients: Vec<_> = runner.clients.into_values().collect();
-    let err = run_distributed(server, clients, Duration::from_secs(5));
+    let err = run_distributed_with(
+        server,
+        clients,
+        Duration::from_secs(5),
+        BusRunOptions::default(),
+    );
     assert!(
         err.is_err(),
         "time_up needs virtual time and must be rejected"
@@ -322,7 +333,7 @@ fn handler_override_changes_course_behaviour() {
 
 #[test]
 fn tcp_distributed_course_completes() {
-    use fedscope::core::distributed::run_distributed_tcp;
+    use fedscope::core::distributed::{run_distributed_tcp_with, TcpRunOptions};
     let data = twitter_like(&TwitterConfig {
         num_clients: 5,
         per_client: 12,
@@ -343,7 +354,13 @@ fn tcp_distributed_course_completes() {
     .build();
     let server = runner.server;
     let clients: Vec<_> = runner.clients.into_values().collect();
-    let server = run_distributed_tcp(server, clients, Duration::from_secs(60)).expect("tcp run");
+    let server = run_distributed_tcp_with(
+        server,
+        clients,
+        Duration::from_secs(60),
+        TcpRunOptions::default(),
+    )
+    .expect("tcp run");
     assert_eq!(server.state.round, 3);
     assert_eq!(server.state.client_reports.len(), 5);
 }

@@ -246,7 +246,6 @@ fn install_chase(server: &mut Server) {
                     if let Some(c) = idle {
                         state.busy.insert(c);
                         state.outstanding.insert(c);
-                        state.scheduler.on_sampled(&[c]);
                         state.ledger.models_sent += 1;
                         let payload = Payload::Model {
                             params: state.global.clone(),

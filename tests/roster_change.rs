@@ -207,3 +207,62 @@ fn time_up_losing_the_whole_cohort_raises_nothing_and_the_timer_decides() {
     s.handle_timer(Condition::TimeUp, 0, &mut ctx);
     assert_eq!(s.state.version, 1, "the timer decides");
 }
+
+/// The paper's extension path (§3.6): a handler that hands a client a model
+/// itself — here on a client's pull request — keeps `busy` / `outstanding`
+/// like the default handlers do, and nothing else. The client's tier must
+/// then wait for it like for any sampled client.
+#[test]
+fn a_tier_waits_for_a_client_a_custom_handler_sampled() {
+    use fedscope::core::Event;
+    const PULL: MessageKind = MessageKind::Custom(0x42);
+    let cfg = FlConfig {
+        concurrency: 2,
+        total_rounds: 100,
+        ..Default::default()
+    }
+    .tiered(2);
+    let seed = cfg.seed;
+    let (mut s, mut ctx) = server(cfg, 8);
+    s.registry_mut().register(
+        Event::Message(PULL),
+        "hand_out_model",
+        vec![Event::Message(MessageKind::ModelParams)],
+        Box::new(|state, msg, ctx| {
+            state.busy.insert(msg.sender);
+            state.outstanding.insert(msg.sender);
+            state.ledger.models_sent += 1;
+            let payload = Payload::Model {
+                params: state.global.clone(),
+                version: state.version,
+            };
+            let model = Message::new(
+                SERVER_ID,
+                msg.sender,
+                MessageKind::ModelParams,
+                state.round,
+                payload,
+            );
+            ctx.send(model);
+        }),
+    );
+    let sampled: Vec<ParticipantId> = s.state.busy.iter().collect();
+    let tier = tier_of(sampled[0], 2, seed);
+    let c = (1..=8)
+        .find(|id| tier_of(*id, 2, seed) == tier && !s.state.busy.contains(id))
+        .expect("an idle client in the sampled tier");
+    s.handle(
+        &Message::new(c, SERVER_ID, PULL, 0, Payload::Empty),
+        &mut ctx,
+    );
+    assert!(s.state.busy.contains(&c), "hand-sampled");
+    for &id in sampled.iter().filter(|&&id| tier_of(id, 2, seed) == tier) {
+        reply(&mut s, id, 0, &mut ctx);
+    }
+    assert_eq!(
+        s.state.version, 0,
+        "the tier waits for the hand-sampled client"
+    );
+    reply(&mut s, c, 0, &mut ctx);
+    assert_eq!(s.state.version, 1, "and merges once it replied");
+}

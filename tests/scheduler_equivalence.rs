@@ -1,7 +1,9 @@
-//! Scheduler-equivalence suite: the refactor that moved the aggregation
-//! regimes (`all_received` / `goal_achieved` / `time_up`) out of inline
-//! match arms in `server.rs` and behind the `Scheduler` trait must be
-//! **bit-identical** to the pre-refactor inline logic.
+//! Scheduler-equivalence suite: every move of the aggregation regimes
+//! (`all_received` / `goal_achieved` / `time_up`, then buffered and tiered)
+//! — out of inline match arms in `server.rs`, behind a `Scheduler` trait
+//! object, and (PR 25) back to one `match` on `AggregationRule` per decision
+//! with no policy object at all — must be **bit-identical** to the
+//! pre-refactor inline logic.
 //!
 //! The proof is a golden-fingerprint pin: every cell of the
 //! strategy × workload grid below was run against the pre-refactor server
@@ -9,8 +11,8 @@
 //! monitor counter bank, the round records, and the complete virtual-time
 //! span stream — was folded into an FNV-1a fingerprint. The constants in
 //! `GOLDEN_*` are those pre-refactor fingerprints, committed before the
-//! refactor landed; the suite re-runs the cells through the scheduler
-//! policies and asserts the fingerprints still match, at `parallelism` 1
+//! refactor landed; the suite re-runs the cells through the rule's
+//! decisions and asserts the fingerprints still match, at `parallelism` 1
 //! *and* 4 (speculative execution must not change a single bit either).
 //!
 //! Distributed courses run on wall-clock threads, so message arrival order
@@ -25,7 +27,10 @@
 
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::distributed::{distributed_report, run_distributed, run_distributed_tcp};
+use fedscope::core::distributed::{
+    distributed_report, run_distributed_tcp_with, run_distributed_with, BusRunOptions,
+    TcpRunOptions,
+};
 use fedscope::core::runner::CourseReport;
 use fedscope::data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fedscope::data::FedDataset;
@@ -292,9 +297,10 @@ fn run_distributed_cell(tcp: bool, cfg: FlConfig) -> (u64, usize, u64, u64) {
     let clients: Vec<_> = runner.clients.into_values().collect();
     let budget = Duration::from_secs(120);
     let server = if tcp {
-        run_distributed_tcp(server, clients, budget).expect("tcp run")
+        run_distributed_tcp_with(server, clients, budget, TcpRunOptions::default())
+            .expect("tcp run")
     } else {
-        run_distributed(server, clients, budget).expect("bus run")
+        run_distributed_with(server, clients, budget, BusRunOptions::default()).expect("bus run")
     };
     let report = distributed_report(&server);
     (
@@ -305,7 +311,7 @@ fn run_distributed_cell(tcp: bool, cfg: FlConfig) -> (u64, usize, u64, u64) {
     )
 }
 
-/// The two new modes ride the same trait: quick courses complete, the
+/// The two new modes ride the same server loop: quick courses complete, the
 /// scheduler gauges move, the report + monitor stream match their absolute
 /// pins, and the serial/parallel bit-identicality the legacy modes enjoy
 /// carries over.
@@ -369,8 +375,8 @@ fn new_scheduler_modes_complete_and_are_deterministic() {
     }
 }
 
-/// Timer-free schedulers are legal on the wall-clock transports; the same
-/// trait drives the distributed server loop.
+/// Timer-free rules are legal on the wall-clock transports; the same rule
+/// decisions drive the distributed server loop.
 #[test]
 fn new_scheduler_modes_run_distributed() {
     let cfg = FlConfig {
@@ -388,8 +394,13 @@ fn new_scheduler_modes_run_distributed() {
     .build();
     let server = runner.server;
     let clients: Vec<_> = runner.clients.into_values().collect();
-    let server =
-        run_distributed(server, clients, Duration::from_secs(120)).expect("buffered bus run");
+    let server = run_distributed_with(
+        server,
+        clients,
+        Duration::from_secs(120),
+        BusRunOptions::default(),
+    )
+    .expect("buffered bus run");
     let report = distributed_report(&server);
     assert_eq!(report.rounds, 3, "buffered distributed course completes");
     assert!(report

@@ -6,7 +6,7 @@
 use fedscope::core::config::{CodecSpec, CompressionConfig, FlConfig};
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{
-    distributed_report, run_distributed, run_distributed_tcp, run_distributed_with, BusRunOptions,
+    distributed_report, run_distributed_tcp_with, run_distributed_with, BusRunOptions,
     DistributedError, TcpRunOptions,
 };
 use fedscope::core::StandaloneRunner;
@@ -16,8 +16,8 @@ use fedscope::net::Topology;
 use fedscope::sim::FleetConfig;
 use fedscope::tensor::model::logistic_regression;
 use fedscope::topo::{
-    bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed, TopoCourse,
-    TIER_LEVELS,
+    bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed, GossipOutcome,
+    GossipRunner, TIER_LEVELS,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -153,18 +153,18 @@ fn gossip_fingerprint(upload: Option<CodecSpec>) -> u64 {
     // the gossip runner builds its per-peer codecs from the course config
     runner.server.state.cfg.compression.upload = upload;
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
-    let mut course = TopoCourse::assemble(runner)
+    let GossipOutcome { report, topo } = GossipRunner::from_standalone(runner)
         .expect("gossip plan")
-        .with_monitor(MonitorHandle::from_shared(monitor.clone()));
-    let (report, topo) = course.run().expect("gossip course");
-    drop(course);
+        .with_monitor(MonitorHandle::from_shared(monitor.clone()))
+        .run()
+        .expect("gossip course");
     let mon = extract(monitor);
     assert_eq!(report.history.len(), 3, "scored every round");
     let mut h = Fnv::new();
     fold_course(&mut h, &report, &mon);
     let tier = bytes_up_counter(1);
     h.field(tier, &mon.counter(tier).to_string());
-    h.field("topo", &format!("{:?}", topo.expect("one-tier report")));
+    h.field("topo", &format!("{topo:?}"));
     h.finish()
 }
 
@@ -221,7 +221,8 @@ fn threaded_driver_routes_by_topology_instead_of_running_a_silent_star() {
     let star = {
         let runner = course_no_eval(8, 45, Topology::Star);
         let clients: Vec<_> = runner.clients.into_values().collect();
-        let server = run_distributed(runner.server, clients, BUDGET).expect("star bus run");
+        let server = run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default())
+            .expect("star bus run");
         distributed_report(&server)
     };
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
@@ -248,7 +249,7 @@ fn threaded_driver_routes_by_topology_instead_of_running_a_silent_star() {
         let mut runner = course_no_eval(6, 45, GOSSIP2);
         runner.server.state.cfg.verify = mode;
         let clients: Vec<_> = runner.clients.into_values().collect();
-        match run_distributed(runner.server, clients, BUDGET) {
+        match run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default()) {
             Err(DistributedError::Verification(refused)) => assert!(
                 refused
                     .diagnostics
@@ -303,11 +304,8 @@ fn hier_fingerprint(topology: Topology, upload: Option<CodecSpec>) -> u64 {
     .fleet_config(fleet)
     .build();
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
-    let mut course = TopoCourse::assemble(runner)
-        .expect("hier plan")
-        .with_monitor(MonitorHandle::from_shared(monitor.clone()));
-    let (report, topo) = course.run().expect("hier course");
-    drop(course);
+    let runner = runner.with_monitor(MonitorHandle::from_shared(monitor.clone()));
+    let (report, topo) = run_course_auto(runner).expect("hier course");
     let mon = extract(monitor);
     let topo = topo.expect("hierarchies report per-tier traffic");
     assert_eq!(
@@ -361,13 +359,15 @@ fn bus_hier_identity_matches_star_report() {
     let star = {
         let runner = course_no_eval(8, 45, Topology::Star);
         let clients: Vec<_> = runner.clients.into_values().collect();
-        let server = run_distributed(runner.server, clients, BUDGET).expect("star bus run");
+        let server = run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default())
+            .expect("star bus run");
         distributed_report(&server)
     };
     let hier = {
         let runner = course_no_eval(8, 45, HIER2);
         let clients: Vec<_> = runner.clients.into_values().collect();
-        let server = run_distributed(runner.server, clients, BUDGET).expect("hier bus run");
+        let server = run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default())
+            .expect("hier bus run");
         distributed_report(&server)
     };
     assert_eq!(star, hier, "relayed uploads must not change the course");
@@ -380,7 +380,9 @@ fn tcp_hier_identity_matches_star_report() {
     let star = {
         let runner = course_no_eval(6, 46, Topology::Star);
         let clients: Vec<_> = runner.clients.into_values().collect();
-        let server = run_distributed_tcp(runner.server, clients, BUDGET).expect("star tcp run");
+        let server =
+            run_distributed_tcp_with(runner.server, clients, BUDGET, TcpRunOptions::default())
+                .expect("star tcp run");
         distributed_report(&server)
     };
     let hier = {
@@ -393,7 +395,9 @@ fn tcp_hier_identity_matches_star_report() {
             },
         );
         let clients: Vec<_> = runner.clients.into_values().collect();
-        let server = run_distributed_tcp(runner.server, clients, BUDGET).expect("hier tcp run");
+        let server =
+            run_distributed_tcp_with(runner.server, clients, BUDGET, TcpRunOptions::default())
+                .expect("hier tcp run");
         distributed_report(&server)
     };
     assert_eq!(star, hier, "relayed uploads must not change the course");

@@ -7,7 +7,7 @@ use fedscope::core::config::{
     AggregationRule, BroadcastManner, CodecSpec, CompressionConfig, FlConfig, SamplerKind,
 };
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::distributed::{run_distributed, DistributedError};
+use fedscope::core::distributed::{run_distributed_with, BusRunOptions, DistributedError};
 use fedscope::core::{lint_config, verify_assembled, Client, Condition, Event, StandaloneRunner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::{MessageKind, Topology};
@@ -463,7 +463,12 @@ fn distributed_runner_refuses_broken_course() {
     server
         .registry_mut()
         .unregister(Event::Condition(Condition::AllReceived));
-    let err = run_distributed(server, clients, Duration::from_secs(5));
+    let err = run_distributed_with(
+        server,
+        clients,
+        Duration::from_secs(5),
+        BusRunOptions::default(),
+    );
     match err {
         Err(DistributedError::Verification(report)) => {
             assert!(report.has_code(Code::Incomplete), "{report}")
