@@ -1,6 +1,14 @@
-//! Criterion: forward/backward cost of the evaluation models.
+//! Criterion: forward/backward cost of the evaluation models, and of each
+//! layer of `convnet2` on `femnist_sync`'s shapes (batch 20 of 1x8x8 images),
+//! so a change to one layer of the training step is measured on its own.
+//!
+//! `layers/<layer>/forward` is an eval-mode forward; `forward_backward` is a
+//! training forward and the backward pass the model runs for that layer
+//! (parameter gradients only for `conv1`, the model's first layer). The
+//! backward half is the difference of the two.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fs_tensor::layer::{Conv2d, Layer, Linear, MaxPool2d, Relu, ReluMaxPool2d, Sequential};
 use fs_tensor::loss::Target;
 use fs_tensor::model::{convnet2, logistic_regression, mlp, Model};
 use fs_tensor::Tensor;
@@ -44,5 +52,145 @@ fn bench_models(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_models);
+/// Stands before the timed layer: hands the input on as a shared clone and
+/// takes the layer's input gradient, so the enclosing [`Sequential`] recycles
+/// that gradient into the scratch pool as it does inside a model.
+struct Source;
+
+impl Layer for Source {
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        x.clone()
+    }
+
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        Tensor::zeros(&[0])
+    }
+
+    fn clone_layer(&self) -> Box<dyn Layer> {
+        Box::new(Source)
+    }
+}
+
+/// Stands after the timed layer: takes its output (which the enclosing
+/// [`Sequential`] then recycles) and starts the backward pass from a fixed
+/// gradient of the output's shape.
+struct Sink {
+    grad: Tensor,
+}
+
+impl Layer for Sink {
+    fn forward(&mut self, _x: &Tensor, _train: bool) -> Tensor {
+        Tensor::zeros(&[0])
+    }
+
+    fn backward(&mut self, _grad_out: &Tensor) -> Tensor {
+        self.grad.clone()
+    }
+
+    fn clone_layer(&self) -> Box<dyn Layer> {
+        Box::new(Sink {
+            grad: self.grad.clone(),
+        })
+    }
+}
+
+/// Times `layers` (run in order, as in the model) on input `x`, starting
+/// the backward pass from `grad`; `first` marks the model's first layer,
+/// which is asked for parameter gradients only.
+fn bench_layer(
+    c: &mut Criterion,
+    name: &str,
+    layers: Vec<Box<dyn Layer>>,
+    x: &Tensor,
+    grad: Tensor,
+    first: bool,
+) {
+    let mut net = Sequential::new();
+    if !first {
+        net.push("source", Box::new(Source));
+    }
+    for (i, layer) in layers.into_iter().enumerate() {
+        net.push(format!("l{i}"), layer);
+    }
+    net.push("sink", Box::new(Sink { grad }));
+    let none = Tensor::zeros(&[0]);
+    let mut group = c.benchmark_group("layers");
+    group.bench_function(&format!("{name}/forward")[..], |b| {
+        b.iter(|| net.forward(std::hint::black_box(x), false))
+    });
+    group.bench_function(&format!("{name}/forward_backward")[..], |b| {
+        b.iter(|| {
+            net.forward(std::hint::black_box(x), true);
+            if first {
+                net.backward_params(&none);
+            } else {
+                net.backward(&none);
+            }
+        })
+    });
+    group.finish();
+}
+
+/// `convnet2(1, 8, 32, 10)` layer by layer at batch 20, in model order, plus
+/// the unfused ReLU-then-pool pair the fused layer is pinned against.
+fn bench_convnet2_layers(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(2);
+    let b = 20;
+    // (name, the layers in model order, input shape, output shape)
+    type Case = (&'static str, Vec<Box<dyn Layer>>, Vec<usize>, Vec<usize>);
+    let cases: Vec<Case> = vec![
+        (
+            "conv1",
+            vec![Box::new(Conv2d::new(1, 8, 3, 1, &mut rng))],
+            vec![b, 1, 8, 8],
+            vec![b, 8, 8, 8],
+        ),
+        (
+            "relu_pool1",
+            vec![Box::new(ReluMaxPool2d::new())],
+            vec![b, 8, 8, 8],
+            vec![b, 8, 4, 4],
+        ),
+        (
+            "relu_then_pool1",
+            vec![Box::new(Relu::new()), Box::new(MaxPool2d::new())],
+            vec![b, 8, 8, 8],
+            vec![b, 8, 4, 4],
+        ),
+        (
+            "conv2",
+            vec![Box::new(Conv2d::new(8, 16, 3, 1, &mut rng))],
+            vec![b, 8, 4, 4],
+            vec![b, 16, 4, 4],
+        ),
+        (
+            "relu_pool2",
+            vec![Box::new(ReluMaxPool2d::new())],
+            vec![b, 16, 4, 4],
+            vec![b, 16, 2, 2],
+        ),
+        (
+            "fc1_relu",
+            vec![
+                Box::new(Linear::new(64, 32, &mut rng)),
+                Box::new(Relu::new()),
+            ],
+            vec![b, 64],
+            vec![b, 32],
+        ),
+        (
+            "fc2",
+            vec![Box::new(Linear::new(32, 10, &mut rng))],
+            vec![b, 32],
+            vec![b, 10],
+        ),
+    ];
+    for (i, (name, layers, input, output)) in cases.into_iter().enumerate() {
+        let x = random_tensor(&input, &mut rng);
+        let grad = random_tensor(&output, &mut rng);
+        bench_layer(c, name, layers, &x, grad, i == 0);
+    }
+}
+
+criterion_group!(benches, bench_models, bench_convnet2_layers);
 criterion_main!(benches);

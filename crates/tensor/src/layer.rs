@@ -3,18 +3,19 @@
 //! Each layer caches whatever it needs during `forward` and consumes the cache
 //! in `backward`, accumulating parameter gradients internally. The caches and
 //! every temporary of the layers a course trains (`Linear`, `Conv2d`, `Relu`,
-//! `MaxPool2d`, `Flatten`) come from the worker's [`scratch`] pool and go back
-//! to it, so a layer at rest holds parameters and gradients only. The layers here
-//! are exactly those needed by the paper's ModelZoo subset used in the
-//! evaluation: `Linear`, `Conv2d` (the "ConvNet2" building block), `Relu`,
-//! `MaxPool2d`, `Flatten`, `Dropout`, and `BatchNorm1d` (FedBN personalizes
-//! batch-norm parameters, §3.4.1).
+//! `MaxPool2d`, `ReluMaxPool2d`, `Flatten`) come from the worker's [`scratch`]
+//! pool and go back to it, so a layer at rest holds parameters and gradients
+//! only. The layers here are exactly those needed by the paper's ModelZoo
+//! subset used in the evaluation: `Linear`, `Conv2d` (the "ConvNet2" building
+//! block), `Relu`, `MaxPool2d`, `ReluMaxPool2d` (the two in one pass),
+//! `Flatten`, `Dropout`, and `BatchNorm1d` (FedBN personalizes batch-norm
+//! parameters, §3.4.1).
 //!
 //! All gradients are checked against central finite differences in the crate's
 //! integration tests.
 
 use crate::optim::ParamsMut;
-use crate::tensor::kernels::{gemm, transpose, CONTINUE, OVERWRITE};
+use crate::tensor::kernels::{gemm, CONTINUE, OVERWRITE};
 use crate::{init, scratch, ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,6 +205,17 @@ impl Layer for Linear {
     }
 }
 
+/// The rectifier every layer here applies: `v` where `v > 0`, else `+0.0`
+/// (so `−0.0` and NaN both give `+0.0`).
+#[inline(always)]
+fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
 /// Rectified linear unit, applied elementwise.
 #[derive(Default)]
 pub struct Relu {
@@ -223,7 +235,7 @@ impl Layer for Relu {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         let mut y = scratch::take(x.shape());
         for (o, &v) in y.data_mut().iter_mut().zip(x.data()) {
-            *o = v.max(0.0);
+            *o = relu(v);
         }
         if train {
             self.out = Some(y.clone());
@@ -788,6 +800,11 @@ impl ConvGeom {
     /// *descending* `(ky, kx)`, which is how the taps are walked here — an
     /// ascending walk would silently change the sums.
     fn col2im(&self, gcols: &[f32], gp: &mut [f32], img: &mut [f32]) {
+        match (self.k, self.pad, self.w, self.ow) {
+            (3, 1, 4, 4) => return self.col2im_in_registers::<3, 1, 4, 4>(gcols, img),
+            (3, 1, 8, 8) => return self.col2im_in_registers::<3, 1, 8, 8>(gcols, img),
+            _ => {}
+        }
         let ConvGeom { c, k, oh, .. } = *self;
         let (hp, wp) = (self.h + 2 * self.pad, self.w + 2 * self.pad);
         gp.fill(0.0);
@@ -820,6 +837,42 @@ impl ConvGeom {
             }
         })
     }
+
+    /// [`ConvGeom::col2im`] for the 3x3, pad-1 kernel on the widths small
+    /// images have, with every bound but the row count known at compile
+    /// time: each image row is summed in registers, tap by tap in the same
+    /// descending order, and stored once — no bordered tile to clear, fold
+    /// into and copy out of.
+    fn col2im_in_registers<const K: usize, const PAD: usize, const W: usize, const OW: usize>(
+        &self,
+        gcols: &[f32],
+        img: &mut [f32],
+    ) {
+        let mut rows = img.chunks_exact_mut(W);
+        for ci in 0..self.c {
+            for iy in 0..self.h {
+                let mut acc = [0.0f32; W];
+                for ky in (0..K).rev() {
+                    let oy = iy + PAD;
+                    if oy < ky || oy - ky >= self.oh {
+                        continue;
+                    }
+                    for kx in (0..K).rev() {
+                        let at = (((ci * K + ky) * K + kx) * self.oh + oy - ky) * OW;
+                        let src: &[f32; OW] = gcols[at..at + OW].try_into().expect("one row");
+                        for (ix, a) in acc.iter_mut().enumerate() {
+                            if ix + PAD >= kx && ix + PAD - kx < OW {
+                                *a += src[ix + PAD - kx];
+                            }
+                        }
+                    }
+                }
+                rows.next()
+                    .expect("the image holds C*H rows")
+                    .copy_from_slice(&acc);
+            }
+        }
+    }
 }
 
 /// 2-D convolution over `[B, C, H, W]` inputs.
@@ -828,12 +881,12 @@ impl ConvGeom {
 ///
 /// One lowering serves every pass: an image is unfolded to the
 /// feature-major matrix `cols[f, p]` (`f = (ci, ky, kx)`, `p = (oy, ox)`),
-/// `[C·K·K, OH·OW]`, in a scratch tile that is refilled per image. Forward
-/// is `W [OC, C·K·K] x cols`, which *is* the image's `[OC, OH, OW]` block of
-/// the NCHW output; the weight gradient is `cols x g^T` with the `k` chain
-/// running on across images; the input gradient is `W^T x g` folded back by
-/// [`ConvGeom::col2im`]. The accumulation orders these fix are part of the
-/// determinism contract (DESIGN.md, "training step").
+/// `[C·K·K, OH·OW]`. Forward is `W [OC, C·K·K] x cols`, which *is* the
+/// image's `[OC, OH, OW]` block of the NCHW output; the weight gradient is
+/// `cols x g^T` with the `k` chain running on across images; the input
+/// gradient is `W^T x g` folded back by [`ConvGeom::col2im`]. The
+/// accumulation orders these fix are part of the determinism contract
+/// (DESIGN.md, "training step").
 pub struct Conv2d {
     in_ch: usize,
     out_ch: usize,
@@ -844,9 +897,40 @@ pub struct Conv2d {
     b: Tensor,
     gw: Tensor,
     gb: Tensor,
-    /// The training input (a storage-sharing clone); `backward` lowers it
-    /// again image by image instead of keeping the whole batch unfolded.
-    x_cache: Option<Tensor>,
+    /// The training batch's lowering, `[B, C·K·K, OH·OW]`, and the input's
+    /// `(H, W)`: `backward` reads the columns forward already built.
+    cache: Option<(Tensor, usize, usize)>,
+}
+
+/// `gt [P, OC] = g [OC, P]ᵀ`, and `gb[o] += g[o, p]` over increasing `p` —
+/// the bias gradient's order — in the same pass. `convnet2`'s channel
+/// counts keep the bias row in registers across the pass.
+fn transpose_fold_bias(g: &[f32], p: usize, gt: &mut [f32], gb: &mut [f32]) {
+    match gb.len() {
+        8 => transpose_fold_bias_const::<8>(g, p, gt, gb),
+        16 => transpose_fold_bias_const::<16>(g, p, gt, gb),
+        oc => {
+            for (pi, row) in gt.chunks_exact_mut(oc).enumerate() {
+                for (o, (t, acc)) in row.iter_mut().zip(gb.iter_mut()).enumerate() {
+                    *t = g[o * p + pi];
+                    *acc += *t;
+                }
+            }
+        }
+    }
+}
+
+/// [`transpose_fold_bias`] for `OC` output channels.
+fn transpose_fold_bias_const<const OC: usize>(g: &[f32], p: usize, gt: &mut [f32], gb: &mut [f32]) {
+    let rows: [&[f32]; OC] = std::array::from_fn(|o| &g[o * p..(o + 1) * p]);
+    let mut acc: [f32; OC] = gb.try_into().expect("one bias per output channel");
+    for (pi, row) in gt.chunks_exact_mut(OC).take(p).enumerate() {
+        for o in 0..OC {
+            row[o] = rows[o][pi];
+            acc[o] += row[o];
+        }
+    }
+    gb.copy_from_slice(&acc);
 }
 
 impl Conv2d {
@@ -863,7 +947,7 @@ impl Conv2d {
             b: Tensor::zeros(&[out_ch]),
             gw: Tensor::zeros(&[out_ch, fan_in]),
             gb: Tensor::zeros(&[out_ch]),
-            x_cache: None,
+            cache: None,
         }
     }
 
@@ -901,50 +985,40 @@ impl Conv2d {
     /// Shared backward pass; the input gradient (one more product and the
     /// fold per image) is computed only when `want_input`.
     fn backprop(&mut self, grad_out: &Tensor, want_input: bool) -> Option<Tensor> {
-        let x = self
-            .x_cache
+        let (cols, h, w) = self
+            .cache
             .take()
             .expect("Conv2d::backward without forward(train)");
-        let (bsz, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let geom = self.geom(h, w);
+        let (bsz, c) = (cols.shape()[0], self.in_ch);
         let (oc, fan_in, p) = (self.out_ch, c * self.k * self.k, geom.oh * geom.ow);
         assert_eq!(
             grad_out.shape(),
             &[bsz, oc, geom.oh, geom.ow],
             "Conv2d grad shape"
         );
-        let mut cols = scratch::take(&[fan_in, p]);
         let mut gt = scratch::take(&[p, oc]);
         // gw^T as one chain per element over every (b, oy, ox), from +0.0
         let mut gwt = scratch::take(&[fan_in, oc]);
         gwt.fill(0.0);
-        let mut xp = scratch::take(&[geom.padded_len()]);
-        xp.fill(0.0);
         // the input gradient and the two tiles only its fold needs
         let mut input_side = want_input.then(|| {
-            let grad_in = scratch::take(x.shape());
+            let grad_in = scratch::take(&[bsz, c, h, w]);
             let gcols = scratch::take(&[fan_in, p]);
             let gp = scratch::take(&[geom.padded_len()]);
             (grad_in, gcols, gp)
         });
-        let gb = self.gb.data_mut();
-        for bi in 0..bsz {
-            let g = &grad_out.data()[bi * oc * p..(bi + 1) * oc * p];
+        let images = grad_out.data().chunks_exact(oc * p);
+        let lowerings = cols.data().chunks_exact(fan_in * p);
+        for (bi, (g, lowered)) in images.zip(lowerings).enumerate() {
             // g^T [P, OC]: the rhs of the weight-gradient product
-            transpose(g, oc, p, gt.data_mut());
-            for row in gt.data().chunks_exact(oc) {
-                for (gbv, &v) in gb.iter_mut().zip(row) {
-                    *gbv += v;
-                }
-            }
-            let img = bi * c * h * w..(bi + 1) * c * h * w;
-            geom.pad_image(&x.data()[img.clone()], xp.data_mut());
-            geom.im2col(xp.data(), cols.data_mut());
-            gemm::<false, CONTINUE>(cols.data(), gt.data(), gwt.data_mut(), fan_in, p, oc);
+            transpose_fold_bias(g, p, gt.data_mut(), self.gb.data_mut());
+            gemm::<false, CONTINUE>(lowered, gt.data(), gwt.data_mut(), fan_in, p, oc);
             if let Some((grad_in, gcols, gp)) = input_side.as_mut() {
                 // gcols [F, P] = W^T g, each element over increasing oc
                 gemm::<true, OVERWRITE>(self.w.data(), g, gcols.data_mut(), fan_in, oc, p);
-                geom.col2im(gcols.data(), gp.data_mut(), &mut grad_in.data_mut()[img]);
+                let img = &mut grad_in.data_mut()[bi * c * h * w..(bi + 1) * c * h * w];
+                geom.col2im(gcols.data(), gp.data_mut(), img);
             }
         }
         // the finished chains are added to the gradient once
@@ -953,7 +1027,7 @@ impl Conv2d {
                 *gv += gwt.data()[f * oc + o];
             }
         }
-        for t in [x, cols, gt, gwt, xp] {
+        for t in [cols, gt, gwt] {
             scratch::give(t);
         }
         input_side.map(|(grad_in, gcols, gp)| {
@@ -972,28 +1046,38 @@ impl Layer for Conv2d {
         let geom = self.geom(h, w);
         let (oc, fan_in, p) = (self.out_ch, c * self.k * self.k, geom.oh * geom.ow);
         let mut y = scratch::take(&[bsz, oc, geom.oh, geom.ow]);
-        let mut cols = scratch::take(&[fan_in, p]);
+        // training keeps every image's columns for backward (in place of any
+        // a backward never consumed); eval refills one
+        if train {
+            if let Some((stale, _, _)) = self.cache.take() {
+                scratch::give(stale);
+            }
+        }
+        let mut cols = scratch::take(&[if train { bsz } else { 1 }, fan_in, p]);
         let mut xp = scratch::take(&[geom.padded_len()]);
         xp.fill(0.0);
-        for (img, y_img) in x
-            .data()
-            .chunks_exact(c * h * w)
+        let images = x.data().chunks_exact(c * h * w);
+        for (bi, (img, y_img)) in images
             .zip(y.data_mut().chunks_exact_mut(oc * p))
+            .enumerate()
         {
+            let tile = if train { bi } else { 0 };
+            let lowered = &mut cols.data_mut()[tile * fan_in * p..(tile + 1) * fan_in * p];
             geom.pad_image(img, xp.data_mut());
-            geom.im2col(xp.data(), cols.data_mut());
+            geom.im2col(xp.data(), lowered);
             // y[oc, p] = sum over increasing f of w[oc, f] * cols[f, p], + bias
-            gemm::<false, OVERWRITE>(self.w.data(), cols.data(), y_img, oc, fan_in, p);
+            gemm::<false, OVERWRITE>(self.w.data(), lowered, y_img, oc, fan_in, p);
             for (row, &bv) in y_img.chunks_exact_mut(p).zip(self.b.data()) {
                 for v in row {
                     *v += bv;
                 }
             }
         }
-        scratch::give(cols);
         scratch::give(xp);
         if train {
-            self.x_cache = Some(x.clone());
+            self.cache = Some((cols, h, w));
+        } else {
+            scratch::give(cols);
         }
         y
     }
@@ -1051,7 +1135,7 @@ impl Layer for Conv2d {
             b: self.b.clone(),
             gw: self.gw.clone(),
             gb: self.gb.clone(),
-            x_cache: None,
+            cache: None,
         })
     }
 }
@@ -1059,77 +1143,140 @@ impl Layer for Conv2d {
 /// 2x2 max pooling with stride 2 over `[B, C, H, W]`.
 ///
 /// Odd trailing rows/columns are dropped (floor semantics, as in PyTorch).
+pub type MaxPool2d = MaxPool<false>;
+
+/// ReLU followed by 2x2/stride-2 max pooling, in one pass over `[B, C, H, W]`.
+///
+/// Bit for bit the composition [`Relu`] then [`MaxPool2d`], values and
+/// input gradient: ReLU is monotone and sends every non-positive value (and
+/// NaN) to the same `+0.0`, so the first largest cell of a window is the
+/// first largest cell after ReLU, the pooled value is the rectified maximum,
+/// and a window whose maximum is not positive passes no gradient. The
+/// rectifier then touches one value per window instead of four, and there is
+/// no activation tensor to write, cache and mask.
+pub type ReluMaxPool2d = MaxPool<true>;
+
+/// The pooling layer behind [`MaxPool2d`] (`RELU = false`) and
+/// [`ReluMaxPool2d`] (`RELU = true`).
 #[derive(Default)]
-pub struct MaxPool2d {
-    /// The training input (a storage-sharing clone); `backward` finds each
-    /// window's winner again instead of keeping an index per output.
-    x_cache: Option<Tensor>,
+pub struct MaxPool<const RELU: bool> {
+    /// The training input's shape and, per output, its window's winner
+    /// (see [`MaxPool::scan`]): `backward` routes without searching again.
+    cache: Option<([usize; 4], Tensor)>,
 }
 
-impl MaxPool2d {
-    /// Creates a 2x2/stride-2 max-pool layer.
+/// A window that routes no gradient (its rectified maximum is `+0.0`).
+const NO_WINNER: f32 = -1.0;
+
+impl<const RELU: bool> MaxPool<RELU> {
+    /// Creates the layer.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Calls `visit(output index, winning input index, its value)` for every
-    /// 2x2 window of `x`, in output order. The first of equal maxima wins.
-    fn for_each_window(x: &Tensor, mut visit: impl FnMut(usize, usize, f32)) {
-        let (planes, h, w) = (x.shape()[0] * x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = (h / 2, w / 2);
-        let xd = x.data();
-        let mut o = 0;
-        for plane in 0..planes {
-            let base = plane * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0usize;
-                    for dy in 0..2 {
-                        for dx in 0..2 {
-                            let idx = base + (oy * 2 + dy) * w + (ox * 2 + dx);
-                            if xd[idx] > best {
-                                best = xd[idx];
-                                best_idx = idx;
+    /// Pools every 2x2 window of `x` into `y`, in output order, and records
+    /// its winner in `winners`: the first of the window's largest cells, as
+    /// its offset `2·dy + dx`. The scan is `>` against a running best that
+    /// starts at −∞ and at the first cell, so NaN never wins and a window
+    /// with no cell above −∞ goes to its first cell. Under `RELU` the value
+    /// is rectified and a window whose value is `+0.0` has [`NO_WINNER`].
+    fn scan(x: &Tensor, y: &mut [f32], winners: &mut [f32]) {
+        let (h, w) = (x.shape()[2], x.shape()[3]);
+        if h < 2 || w < 2 {
+            return; // no window
+        }
+        let mut outputs = y
+            .chunks_exact_mut(w / 2)
+            .zip(winners.chunks_exact_mut(w / 2));
+        with_const_width!(w, |w| {
+            for plane in x.data().chunks_exact(h * w) {
+                // `chunks_exact` drops an odd last row here and an odd last column below
+                for pair in plane.chunks_exact(2 * w) {
+                    let (top, bottom) = pair.split_at(w);
+                    let (y_row, win_row) = outputs.next().expect("an output row per row pair");
+                    let windows = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+                    for ((t, b), (v, win)) in windows.zip(y_row.iter_mut().zip(win_row)) {
+                        let (mut best, mut winner) = (f32::NEG_INFINITY, 0.0);
+                        for (offset, cell) in [t[0], t[1], b[0], b[1]].into_iter().enumerate() {
+                            if cell > best {
+                                best = cell;
+                                winner = offset as f32;
                             }
                         }
+                        *v = if RELU { relu(best) } else { best };
+                        *win = if !RELU || *v > 0.0 { winner } else { NO_WINNER };
                     }
-                    visit(o, best_idx, best);
-                    o += 1;
                 }
             }
+        })
+    }
+
+    /// Writes every cell of every window of `grad_in` (`[B, C, H, W]`): the
+    /// winner of output `o` gets `+0.0 + grad_out[o]` — what adding into a
+    /// zeroed cell gives — and the other three `+0.0`. Cells of an odd last
+    /// row or column belong to no window and are left as they are.
+    fn route(winners: &[f32], grad_out: &[f32], grad_in: &mut Tensor) {
+        let (h, w) = (grad_in.shape()[2], grad_in.shape()[3]);
+        if h < 2 || w < 2 {
+            return; // no window
         }
+        let mut outputs = winners
+            .chunks_exact(w / 2)
+            .zip(grad_out.chunks_exact(w / 2));
+        with_const_width!(w, |w| {
+            for plane in grad_in.data_mut().chunks_exact_mut(h * w) {
+                for pair in plane.chunks_exact_mut(2 * w) {
+                    let (top, bottom) = pair.split_at_mut(w);
+                    let (win_row, g_row) = outputs.next().expect("an output row per row pair");
+                    let windows = top.chunks_exact_mut(2).zip(bottom.chunks_exact_mut(2));
+                    for ((t, b), (&winner, &g)) in windows.zip(win_row.iter().zip(g_row)) {
+                        let routed = |offset: f32| if winner == offset { 0.0 + g } else { 0.0 };
+                        [t[0], t[1], b[0], b[1]] =
+                            [routed(0.0), routed(1.0), routed(2.0), routed(3.0)];
+                    }
+                }
+            }
+        })
     }
 }
 
-impl Layer for MaxPool2d {
+impl<const RELU: bool> Layer for MaxPool<RELU> {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 4, "MaxPool2d expects [B, C, H, W]");
         let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let mut y = scratch::take(&[b, c, h / 2, w / 2]);
-        let yd = y.data_mut();
-        Self::for_each_window(x, |o, _, best| yd[o] = best);
         if train {
-            self.x_cache = Some(x.clone());
+            if let Some((_, stale)) = self.cache.take() {
+                scratch::give(stale);
+            }
+        }
+        let mut winners = scratch::take(&[b, c, h / 2, w / 2]);
+        Self::scan(x, y.data_mut(), winners.data_mut());
+        if train {
+            self.cache = Some(([b, c, h, w], winners));
+        } else {
+            scratch::give(winners);
         }
         y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .x_cache
+        let (in_shape, winners) = self
+            .cache
             .take()
             .expect("MaxPool2d::backward without forward(train)");
-        let mut grad_in = scratch::take(x.shape());
-        grad_in.fill(0.0);
-        let (gi, gd) = (grad_in.data_mut(), grad_out.data());
-        Self::for_each_window(&x, |o, idx, _| gi[idx] += gd[o]);
-        scratch::give(x);
+        assert_eq!(grad_out.shape(), winners.shape(), "MaxPool2d grad shape");
+        let mut grad_in = scratch::take(&in_shape);
+        if in_shape[2] % 2 == 1 || in_shape[3] % 2 == 1 {
+            grad_in.fill(0.0); // for the cells no window covers
+        }
+        Self::route(winners.data(), grad_out.data(), &mut grad_in);
+        scratch::give(winners);
         grad_in
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(MaxPool2d::default())
+        Box::new(Self::default())
     }
 }
 
@@ -1327,6 +1474,24 @@ mod tests {
         assert_eq!(y.data(), &[5.0]);
         let g = p.backward(&Tensor::ones(&[1, 1, 1, 1]));
         assert_eq!(g.data(), &[0.0, 1.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn maxpool_routes_a_window_without_a_max_to_its_own_first_cell() {
+        // no cell of these windows beats the running best's −∞ start, so
+        // each window's gradient belongs at its own first cell, not at
+        // element 0 of the batch
+        for fill in [f32::NEG_INFINITY, f32::NAN] {
+            let mut p = MaxPool2d::new();
+            let y = p.forward(&Tensor::full(&[1, 2, 4, 4], fill), true);
+            assert!(y.data().iter().all(|&v| v == f32::NEG_INFINITY));
+            let g = p.backward(&Tensor::ones(&[1, 2, 2, 2]));
+            for (i, &v) in g.data().iter().enumerate() {
+                let (row, col) = (i / 4 % 4, i % 4);
+                let first_cell = row % 2 == 0 && col % 2 == 0;
+                assert_eq!(v, if first_cell { 1.0 } else { 0.0 }, "{fill} at {i}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   layers require (matmul, transpose, elementwise ops, reductions);
 //! * [`layer`] — neural-network layers with **manual analytic gradients**
 //!   (`Linear`, `Conv2d` via a per-image feature-major im2col, `BatchNorm1d`,
-//!   `Relu`, `Dropout`, `MaxPool2d`, `Flatten`), composed by
+//!   `Relu`, `Dropout`, `MaxPool2d` and the fused `ReluMaxPool2d`,
+//!   `Flatten`), composed by
 //!   [`layer::Sequential`];
 //! * [`scratch`] — the per-thread pool every temporary of a training step
 //!   comes from and returns to, so a warm step allocates nothing and a model

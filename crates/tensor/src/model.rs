@@ -7,7 +7,7 @@
 //! workhorse), and a dense GCN for the multi-goal graph scenarios (§3.4.2).
 
 use crate::layer::{
-    BatchNorm1d, Conv2d, Dropout, Flatten, Layer, Linear, MaxPool2d, Relu, Sequential,
+    BatchNorm1d, Conv2d, Dropout, Flatten, Layer, Linear, Relu, ReluMaxPool2d, Sequential,
 };
 use crate::loss::{accuracy, mse, softmax_cross_entropy, LossKind, Target};
 use crate::optim::Sgd;
@@ -259,11 +259,9 @@ pub fn convnet2(
 ) -> NetModel {
     let mut net = Sequential::new();
     net.push("conv1", Box::new(Conv2d::new(in_ch, 8, 3, 1, rng)));
-    net.push("act1", Box::new(Relu::new()));
-    net.push("pool1", Box::new(MaxPool2d::new()));
+    net.push("pool1", Box::new(ReluMaxPool2d::new()));
     net.push("conv2", Box::new(Conv2d::new(8, 16, 3, 1, rng)));
-    net.push("act2", Box::new(Relu::new()));
-    net.push("pool2", Box::new(MaxPool2d::new()));
+    net.push("pool2", Box::new(ReluMaxPool2d::new()));
     net.push("flat", Box::new(Flatten::new()));
     let side = img / 4;
     let feat = 16 * side * side;

@@ -2,12 +2,15 @@
 //! convolution lowering, the kernels or the scratch pool is caught here and
 //! not first by a course fingerprint.
 //!
-//! The reference convolution below is written straight from the accumulation
-//! orders the determinism contract fixes (DESIGN.md, "training step"); every
-//! comparison is on `f32::to_bits`.
+//! The reference convolution and window scan below are written straight from
+//! the accumulation orders and tie rule the determinism contract fixes
+//! (DESIGN.md, "training step"), and the fused ReLU + max-pool layer is held
+//! to the two layers it replaces; every comparison is on `f32::to_bits`.
 
-use fs_tensor::layer::{Conv2d, Layer, Sequential};
-use fs_tensor::loss::{softmax_cross_entropy, Target};
+use fs_tensor::layer::{
+    Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, ReluMaxPool2d, Sequential,
+};
+use fs_tensor::loss::{softmax_cross_entropy, LossKind, Target};
 use fs_tensor::model::{convnet2, logistic_regression, mlp, Model, NetModel};
 use fs_tensor::{scratch, ParamMap, Tensor};
 use rand::rngs::StdRng;
@@ -15,23 +18,48 @@ use rand::{Rng, SeedableRng};
 
 fn random_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
     let n: usize = shape.iter().product();
-    // exact zeros sprinkled in: a skipped or reordered zero term must not show
+    // exact zeros of both signs sprinkled in: a skipped or reordered zero
+    // term must not show
     let data = (0..n)
-        .map(|_| {
-            if rng.gen_range(0..11) == 0 {
-                0.0
-            } else {
-                rng.gen_range(-1.0f32..1.0)
-            }
+        .map(|_| match rng.gen_range(0..22) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0f32..1.0),
         })
         .collect();
     Tensor::from_vec(shape.to_vec(), data)
 }
 
+/// Mostly the values a pooling window can disagree about: ties, both zeros,
+/// NaN and both infinities.
+fn special_tensor(shape: &[usize], rng: &mut StdRng) -> Tensor {
+    let n: usize = shape.iter().product();
+    let palette = [
+        -0.0,
+        0.0,
+        f32::NAN,
+        f32::NEG_INFINITY,
+        f32::INFINITY,
+        0.5,
+        -0.5,
+    ];
+    let data = (0..n)
+        .map(|_| match rng.gen_range(0..palette.len() + 4) {
+            i if i < palette.len() => palette[i],
+            _ => rng.gen_range(-1.0f32..1.0),
+        })
+        .collect();
+    Tensor::from_vec(shape.to_vec(), data)
+}
+
+/// Equal bits, where a NaN only has to meet a NaN: the payload of a NaN that
+/// arithmetic produces is not something Rust's float semantics fix.
 fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length");
     for (i, (x, y)) in got.iter().zip(want).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i} ({x} vs {y})");
+        if !(x.is_nan() && y.is_nan()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i} ({x} vs {y})");
+        }
     }
 }
 
@@ -146,6 +174,21 @@ fn direct_conv(
 /// the direct convolution; `backward_params` must leave the same parameter
 /// gradients as `backward`.
 fn check_conv(in_ch: usize, out_ch: usize, k: usize, pad: usize, b: usize, h: usize, w: usize) {
+    check_conv_on(random_tensor, in_ch, out_ch, k, pad, b, h, w);
+}
+
+/// [`check_conv`] on an input drawn by `input`.
+#[allow(clippy::too_many_arguments)]
+fn check_conv_on(
+    input: fn(&[usize], &mut StdRng) -> Tensor,
+    in_ch: usize,
+    out_ch: usize,
+    k: usize,
+    pad: usize,
+    b: usize,
+    h: usize,
+    w: usize,
+) {
     let what = format!("in{in_ch} out{out_ch} k{k} pad{pad} b{b} {h}x{w}");
     let mut rng = StdRng::seed_from_u64((in_ch * 31 + out_ch * 7 + k * 3 + pad + b + h * w) as u64);
     let mut conv = Conv2d::new(in_ch, out_ch, k, pad, &mut rng);
@@ -156,7 +199,7 @@ fn check_conv(in_ch: usize, out_ch: usize, k: usize, pad: usize, b: usize, h: us
     conv.load_params("c", &params);
     let weight = params.get("c.weight").unwrap().clone();
     let (oh, ow) = conv.out_hw(h, w);
-    let x = random_tensor(&[b, in_ch, h, w], &mut rng);
+    let x = input(&[b, in_ch, h, w], &mut rng);
     let g = random_tensor(&[b, out_ch, oh, ow], &mut rng);
     let want = direct_conv(&x, &weight, &bias, &g, k, pad, oh, ow);
 
@@ -193,6 +236,8 @@ fn check_conv(in_ch: usize, out_ch: usize, k: usize, pad: usize, b: usize, h: us
 
     conv.zero_grad();
     conv.forward(&x, true);
+    // an eval forward in between leaves the training lowering in place
+    conv.forward(&x, false);
     conv.backward_params(&g);
     let skipped = grads_of(&conv);
     assert_same_bits(
@@ -217,7 +262,9 @@ fn conv2d_matches_direct_convolution_bit_for_bit() {
         for pad in [0usize, 1, 2] {
             for (i, &b) in [1usize, 3, 20].iter().enumerate() {
                 for (j, &in_ch) in [1usize, 3, 8, 16].iter().enumerate() {
-                    for (l, &out_ch) in [1usize, 3, 8, 16].iter().enumerate() {
+                    // 8 and 16 take the bias fold's register arms, the rest
+                    // its generic one
+                    for (l, &out_ch) in [1usize, 3, 5, 8, 16].iter().enumerate() {
                         let (h, w) = images[(i + j + l + k + pad) % images.len()];
                         if h + 2 * pad < k || w + 2 * pad < k {
                             continue;
@@ -233,6 +280,139 @@ fn conv2d_matches_direct_convolution_bit_for_bit() {
     // the course's own shapes
     check_conv(1, 8, 3, 1, 20, 8, 8);
     check_conv(8, 16, 3, 1, 20, 4, 4);
+    // NaN, infinities and ties in the input reach every output through the
+    // same operations in the same order
+    for out_ch in [3, 5, 8, 16] {
+        check_conv_on(special_tensor, 2, out_ch, 3, 1, 2, 5, 4);
+    }
+}
+
+/// What 2x2/stride-2 max pooling must produce: per window, in output order,
+/// the first of its largest cells by `>` against a best that starts at −∞
+/// and at the window's first cell; the gradient goes to that cell.
+fn direct_max_pool(x: &Tensor, g: &Tensor) -> (Vec<f32>, Vec<f32>) {
+    let (planes, h, w) = (x.shape()[0] * x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (oh, ow) = (h / 2, w / 2);
+    let mut y = Vec::new();
+    let mut gx = vec![0.0f32; x.numel()];
+    for plane in 0..planes {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let at = |dy: usize, dx: usize| (plane * h + 2 * oy + dy) * w + 2 * ox + dx;
+                let (mut best, mut winner) = (f32::NEG_INFINITY, at(0, 0));
+                for (dy, dx) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                    if x.data()[at(dy, dx)] > best {
+                        best = x.data()[at(dy, dx)];
+                        winner = at(dy, dx);
+                    }
+                }
+                gx[winner] += g.data()[y.len()];
+                y.push(best);
+            }
+        }
+    }
+    (y, gx)
+}
+
+/// Pooling shapes: even and odd sides (an odd last row or column belongs to
+/// no window), the course's two widths, and inputs too small for a window.
+const POOL_SHAPES: [(usize, usize, usize, usize); 10] = [
+    (1, 1, 2, 2),
+    (3, 4, 8, 8),
+    (2, 3, 4, 4),
+    (1, 2, 5, 7),
+    (2, 1, 7, 5),
+    (1, 3, 6, 3),
+    (2, 2, 3, 3),
+    (1, 1, 1, 4),
+    (1, 2, 4, 1),
+    (20, 8, 8, 8),
+];
+
+/// Eval output, training output and input gradient of `layer` on `x`; the
+/// eval forward runs between the training forward and its backward, which
+/// must not disturb what the training forward kept.
+fn pool_pass(layer: &mut dyn Layer, x: &Tensor, g: &Tensor) -> [Tensor; 3] {
+    let train = layer.forward(x, true);
+    let eval = layer.forward(x, false);
+    [eval, train, layer.backward(g)]
+}
+
+#[test]
+fn max_pool_matches_the_direct_window_scan_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(17);
+    for (b, c, h, w) in POOL_SHAPES {
+        let what = format!("{b}x{c}x{h}x{w}");
+        let x = special_tensor(&[b, c, h, w], &mut rng);
+        let g = special_tensor(&[b, c, h / 2, w / 2], &mut rng);
+        let (want_y, want_gx) = direct_max_pool(&x, &g);
+        let [eval, train, gx] = pool_pass(&mut MaxPool2d::new(), &x, &g);
+        assert_same_bits(eval.data(), &want_y, &format!("{what}: eval forward"));
+        assert_same_bits(train.data(), &want_y, &format!("{what}: forward"));
+        assert_eq!(gx.shape(), x.shape());
+        assert_same_bits(gx.data(), &want_gx, &format!("{what}: input grad"));
+    }
+}
+
+#[test]
+fn relu_max_pool_matches_relu_then_max_pool_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(23);
+    for (b, c, h, w) in POOL_SHAPES {
+        let what = format!("{b}x{c}x{h}x{w}");
+        let x = special_tensor(&[b, c, h, w], &mut rng);
+        let g = special_tensor(&[b, c, h / 2, w / 2], &mut rng);
+        let mut unfused = Sequential::new();
+        unfused.push("act", Box::new(Relu::new()));
+        unfused.push("pool", Box::new(MaxPool2d::new()));
+        let want = pool_pass(&mut unfused, &x, &g);
+        let got = pool_pass(&mut ReluMaxPool2d::new(), &x, &g);
+        for ((got, want), part) in
+            got.iter()
+                .zip(&want)
+                .zip(["eval forward", "forward", "input grad"])
+        {
+            assert_eq!(got.shape(), want.shape(), "{what}: {part} shape");
+            assert_same_bits(got.data(), want.data(), &format!("{what}: {part}"));
+        }
+    }
+}
+
+#[test]
+fn convnet2_equals_its_unfused_composition() {
+    // the model's fused ReLU + pool layers against separate Relu and
+    // MaxPool2d layers carrying the same parameters
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut model = convnet2(1, 8, 32, 10, 0.0, &mut rng);
+    let mut net = Sequential::new();
+    net.push("conv1", Box::new(Conv2d::new(1, 8, 3, 1, &mut rng)));
+    net.push("act1", Box::new(Relu::new()));
+    net.push("pool1", Box::new(MaxPool2d::new()));
+    net.push("conv2", Box::new(Conv2d::new(8, 16, 3, 1, &mut rng)));
+    net.push("act2", Box::new(Relu::new()));
+    net.push("pool2", Box::new(MaxPool2d::new()));
+    net.push("flat", Box::new(Flatten::new()));
+    net.push("fc1", Box::new(Linear::new(64, 32, &mut rng)));
+    net.push("act3", Box::new(Relu::new()));
+    net.push("fc2", Box::new(Linear::new(32, 10, &mut rng)));
+    let mut unfused = NetModel::new(net, LossKind::SoftmaxCrossEntropy);
+    unfused.set_params(&model.get_params());
+    let x = random_tensor(&[20, 1, 8, 8], &mut rng);
+    let y = Target::Classes((0..20).map(|i| i % 10).collect());
+    for step in 0..3 {
+        let (want_loss, want) = unfused.loss_grad(&x, &y);
+        let (loss, grads) = model.loss_grad(&x, &y);
+        assert_eq!(loss.to_bits(), want_loss.to_bits(), "step {step}: loss");
+        assert_same_grads(&grads, &want, &format!("step {step}"));
+        assert_same_bits(
+            model.predict(&x).data(),
+            unfused.predict(&x).data(),
+            &format!("step {step}: predict"),
+        );
+        let mut params = model.get_params();
+        params.add_scaled(-0.5, &grads);
+        model.set_params(&params);
+        unfused.set_params(&params);
+    }
 }
 
 /// The gradients of the mean loss, the long way round: un-skipped
