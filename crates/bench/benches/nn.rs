@@ -8,7 +8,7 @@
 //! backward half is the difference of the two.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fs_tensor::layer::{Conv2d, Layer, Linear, MaxPool2d, Relu, ReluMaxPool2d, Sequential};
+use fs_tensor::layer::{Conv2d, Layer, Linear, Relu, ReluMaxPool2d, Sequential};
 use fs_tensor::loss::Target;
 use fs_tensor::model::{convnet2, logistic_regression, mlp, Model};
 use fs_tensor::Tensor;
@@ -131,8 +131,7 @@ fn bench_layer(
     group.finish();
 }
 
-/// `convnet2(1, 8, 32, 10)` layer by layer at batch 20, in model order, plus
-/// the unfused ReLU-then-pool pair the fused layer is pinned against.
+/// `convnet2(1, 8, 32, 10)` layer by layer at batch 20, in model order.
 fn bench_convnet2_layers(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let b = 20;
@@ -148,12 +147,6 @@ fn bench_convnet2_layers(c: &mut Criterion) {
         (
             "relu_pool1",
             vec![Box::new(ReluMaxPool2d::new())],
-            vec![b, 8, 8, 8],
-            vec![b, 8, 4, 4],
-        ),
-        (
-            "relu_then_pool1",
-            vec![Box::new(Relu::new()), Box::new(MaxPool2d::new())],
             vec![b, 8, 8, 8],
             vec![b, 8, 4, 4],
         ),

@@ -793,20 +793,20 @@ impl ConvGeom {
     }
 
     /// Folds `gcols [C·K·K, OH·OW]` back onto one `[C, H, W]` image,
-    /// overwriting it; `gp` is a zero-bordered image's worth of scratch.
+    /// overwriting it, through a zero-bordered tile.
     ///
     /// An input pixel receives one contribution per tap; they must be added
     /// in increasing `(oy, ox)`. With `oy = iy - ky + pad` that is
     /// *descending* `(ky, kx)`, which is how the taps are walked here — an
     /// ascending walk would silently change the sums.
-    fn col2im(&self, gcols: &[f32], gp: &mut [f32], img: &mut [f32]) {
-        match (self.k, self.pad, self.w, self.ow) {
-            (3, 1, 4, 4) => return self.col2im_in_registers::<3, 1, 4, 4>(gcols, img),
-            (3, 1, 8, 8) => return self.col2im_in_registers::<3, 1, 8, 8>(gcols, img),
-            _ => {}
+    fn col2im(&self, gcols: &[f32], img: &mut [f32]) {
+        if (self.k, self.pad, self.w, self.ow) == (3, 1, 4, 4) {
+            return self.col2im_in_registers::<3, 1, 4, 4>(gcols, img);
         }
         let ConvGeom { c, k, oh, .. } = *self;
         let (hp, wp) = (self.h + 2 * self.pad, self.w + 2 * self.pad);
+        let mut tile = scratch::take(&[self.padded_len()]);
+        let gp = tile.data_mut();
         gp.fill(0.0);
         with_const_width!(self.ow, |ow| {
             for ci in 0..c {
@@ -835,11 +835,12 @@ impl ConvGeom {
                     row.copy_from_slice(&padded_row[self.pad..self.pad + w]);
                 }
             }
-        })
+        });
+        scratch::give(tile);
     }
 
-    /// [`ConvGeom::col2im`] for the 3x3, pad-1 kernel on the widths small
-    /// images have, with every bound but the row count known at compile
+    /// [`ConvGeom::col2im`] for the 3x3, pad-1 kernel on `convnet2`'s second
+    /// layer (width 4), with every bound but the row count known at compile
     /// time: each image row is summed in registers, tap by tap in the same
     /// descending order, and stored once — no bordered tile to clear, fold
     /// into and copy out of.
@@ -1001,24 +1002,20 @@ impl Conv2d {
         // gw^T as one chain per element over every (b, oy, ox), from +0.0
         let mut gwt = scratch::take(&[fan_in, oc]);
         gwt.fill(0.0);
-        // the input gradient and the two tiles only its fold needs
-        let mut input_side = want_input.then(|| {
-            let grad_in = scratch::take(&[bsz, c, h, w]);
-            let gcols = scratch::take(&[fan_in, p]);
-            let gp = scratch::take(&[geom.padded_len()]);
-            (grad_in, gcols, gp)
-        });
+        // the input gradient and the column gradient its fold reads
+        let mut input_side =
+            want_input.then(|| (scratch::take(&[bsz, c, h, w]), scratch::take(&[fan_in, p])));
         let images = grad_out.data().chunks_exact(oc * p);
         let lowerings = cols.data().chunks_exact(fan_in * p);
         for (bi, (g, lowered)) in images.zip(lowerings).enumerate() {
             // g^T [P, OC]: the rhs of the weight-gradient product
             transpose_fold_bias(g, p, gt.data_mut(), self.gb.data_mut());
             gemm::<false, CONTINUE>(lowered, gt.data(), gwt.data_mut(), fan_in, p, oc);
-            if let Some((grad_in, gcols, gp)) = input_side.as_mut() {
+            if let Some((grad_in, gcols)) = input_side.as_mut() {
                 // gcols [F, P] = W^T g, each element over increasing oc
                 gemm::<true, OVERWRITE>(self.w.data(), g, gcols.data_mut(), fan_in, oc, p);
                 let img = &mut grad_in.data_mut()[bi * c * h * w..(bi + 1) * c * h * w];
-                geom.col2im(gcols.data(), gp.data_mut(), img);
+                geom.col2im(gcols.data(), img);
             }
         }
         // the finished chains are added to the gradient once
@@ -1030,9 +1027,8 @@ impl Conv2d {
         for t in [cols, gt, gwt] {
             scratch::give(t);
         }
-        input_side.map(|(grad_in, gcols, gp)| {
+        input_side.map(|(grad_in, gcols)| {
             scratch::give(gcols);
-            scratch::give(gp);
             grad_in
         })
     }
