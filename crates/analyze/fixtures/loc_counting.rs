@@ -1,4 +1,4 @@
-//! Fixture for `fsa --loc`: 7 lines count, everything else does not.
+//! Fixture for `fsa --loc`: 12 lines count, everything else does not.
 
 /// Doc comments and blank lines are not code.
 pub fn answer() -> u32 {
@@ -12,6 +12,19 @@ three lines";
 }
 
 pub const URL: &str = "http://example.com/*not-a-comment*/";
+
+/* an outer comment /* with a nested one */
+   that the inner close does not end */
+
+pub const RAW: &str = r#"a lone " and a /* are text
+// and so is this second line"#;
+
+#[cfg(test)]
+use std::collections::BTreeMap;
+
+pub fn after_the_test_use() -> u32 {
+    answer()
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,52 +1,9 @@
-//! Deterministic workspace traversal.
-//!
-//! Scans the first-party source trees only: the root crate's `src/`,
-//! `tests/`, `examples/`, and every `crates/*/{src,tests,benches,examples}`.
-//! `vendored/` (external code), `target/`, and fixture corpora are out of
-//! scope. Results are sorted so reports are stable across
-//! platforms and filesystems.
+//! Deterministic directory traversal for `fsa --loc`. Results are sorted so
+//! the per-file listing is stable across platforms and filesystems.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-
-/// All `.rs` files to analyze under `root`, workspace-relative, sorted.
-pub fn workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut roots: Vec<PathBuf> = Vec::new();
-    for top in ["src", "tests", "examples", "benches"] {
-        let p = root.join(top);
-        if p.is_dir() {
-            roots.push(p);
-        }
-    }
-    let crates = root.join("crates");
-    if crates.is_dir() {
-        let mut dirs: Vec<PathBuf> = fs::read_dir(&crates)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        for d in dirs {
-            for sub in ["src", "tests", "benches", "examples"] {
-                let p = d.join(sub);
-                if p.is_dir() {
-                    roots.push(p);
-                }
-            }
-        }
-    }
-    let mut files = Vec::new();
-    for r in &roots {
-        collect_rs(r, &mut files)?;
-    }
-    let mut rel: Vec<PathBuf> = files
-        .into_iter()
-        .filter_map(|p| p.strip_prefix(root).ok().map(PathBuf::from))
-        .collect();
-    rel.sort();
-    Ok(rel)
-}
 
 /// Appends every `.rs` file under `dir` (recursively, sorted, dot-entries
 /// skipped) to `out`.
@@ -75,23 +32,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scans_this_workspace_deterministically() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let files = workspace_files(&root).expect("walk");
-        assert!(files
+    fn lists_this_crate_sorted_and_recursively() {
+        let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let mut files = Vec::new();
+        collect_rs(&src, &mut files).expect("walk");
+        let names: Vec<_> = files
             .iter()
-            .any(|p| p.ends_with("crates/analyze/src/walk.rs")));
-        assert!(files.iter().any(|p| p.starts_with("tests")));
-        assert!(!files.iter().any(|p| p.starts_with("vendored")));
-        assert!(!files.iter().any(|p| p.starts_with("target")));
-        assert!(
-            !files
-                .iter()
-                .any(|p| p.components().any(|c| c.as_os_str() == "fixtures")),
-            "the known-bad corpus must not be linted as workspace source"
+            .map(|p| p.strip_prefix(&src).unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            ["bin/fsa.rs", "lexer.rs", "lib.rs", "walk.rs"].map(Path::new)
         );
-        let mut sorted = files.clone();
-        sorted.sort();
-        assert_eq!(files, sorted);
     }
 }

@@ -23,6 +23,8 @@
 //!   any of the above during an FL course (the `MaliciousClient` of the
 //!   paper's Figure 7).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod backdoor;
 pub mod dlg;
 pub mod malicious;

@@ -191,7 +191,8 @@ impl FedExHook {
                 let mut slot = slot.lock().expect("slot lock");
                 slot.get_or_insert_with(|| {
                     let p = Arc::new(Mutex::new(FedExPolicy::lr_grid(cfg.sgd, eta)));
-                    // fsa::allow(FSA040, distinct mutexes (slot vs observer) always taken in this order; no reverse path exists)
+                    // distinct mutexes (slot vs observer) always taken in this
+                    // order; no reverse path exists
                     *observer.lock().expect("hook lock") = Some(p.clone());
                     p
                 })

@@ -14,6 +14,8 @@
 //!   configurations concurrently within single rounds, composable under an
 //!   RS or SHA wrapper (the Figure 14 protocol).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod fedex;
 pub mod objective;
 pub mod pbt;

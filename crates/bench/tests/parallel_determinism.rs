@@ -207,7 +207,6 @@ proptest! {
     /// case runs two full (tiny) courses, so the shape space is kept small.
     /// Invoked through the `#[test]` wrapper below, which bounds the default
     /// case count (each case costs two course runs).
-    #[allow(dead_code)]
     fn random_courses_property(
         seed in 0u64..1000,
         rounds in 1u64..3,

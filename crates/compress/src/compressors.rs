@@ -463,7 +463,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::excessive_precision)] // 1.2000001 is the exact f32 sum observed
+    #[expect(
+        clippy::excessive_precision,
+        reason = "1.2000001 is the exact f32 sum observed"
+    )]
     fn topk_error_feedback_recovers_dropped_mass() {
         // a small coordinate must eventually be transmitted via the residual
         let mut p = ParamMap::new();

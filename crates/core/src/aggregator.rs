@@ -403,7 +403,8 @@ fn robust_coordinatewise(global: &ParamMap, updates: &[ReceivedUpdate], trim: f3
             } else {
                 let cut = (((n as f32) * trim).floor() as usize).min((n - 1) / 2);
                 let kept = &column[cut..n - cut];
-                // fsa::allow(FSA004, blessed kernel: column order is fixed by sort above, so the reduce is deterministic)
+                // column order is fixed by the sort above, so the reduce is
+                // deterministic
                 kept.iter().sum::<f32>() / kept.len() as f32
             };
             out.data_mut()[i] = v;

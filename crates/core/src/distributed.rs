@@ -301,7 +301,10 @@ impl<P: ServerPort> Session<P> {
     /// Waits for every participant to dial in, pumps `course` to completion
     /// (or the wall budget), and tears the run down.
     pub fn run(self, course: &mut impl Course) -> Result<(), DistributedError> {
-        // fsa::allow(FSA002, the distributed runtime's one wall-clock read: real threads and sockets are not on the virtual clock)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the distributed runtime's one wall-clock read: real threads and sockets are not on the virtual clock"
+        )]
         let start = Instant::now();
         let mut port = match (self.accept)(self.wall_budget.min(ACCEPT_CAP)) {
             Ok(port) => port,
@@ -823,6 +826,10 @@ pub fn distributed_report(server: &Server) -> crate::runner::CourseReport {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the scripted clock starts at a real Instant: the server loop takes wall deadlines"
+)]
 mod tests {
     //! The server loop without threads, sockets or sleeps: scripted events,
     //! a scripted clock, and a port that records what the loop sends. Plus

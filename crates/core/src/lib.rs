@@ -30,6 +30,10 @@
 //! assert_eq!(report.rounds, 3);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod aggregator;
 pub mod client;
 pub mod config;

@@ -510,7 +510,10 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
     pub fn run(&mut self) -> CourseReport {
         match self.try_run() {
             Ok(report) => report,
-            // fsa::allow(FSA022, the doc-comment contract: run() panics on Enforce rejection, try_run is the recoverable path)
+            #[expect(
+                clippy::panic,
+                reason = "the doc-comment contract: run() panics on Enforce rejection, try_run is the recoverable path"
+            )]
             Err(verify) => panic!("course rejected by static verification:\n{verify}"),
         }
     }

@@ -213,7 +213,8 @@ mod tests {
     #[test]
     fn sample_batch_replays_bit_identically_per_seed() {
         // regression: this path once drew from thread_rng(), so two runs of
-        // the same course could train on different minibatches (FSA001)
+        // the same course could train on different minibatches (the
+        // vendored rand has had no `thread_rng` since)
         let d = toy();
         for seed in [0u64, 1, 42] {
             let mut r1 = StdRng::seed_from_u64(seed);

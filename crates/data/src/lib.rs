@@ -26,6 +26,8 @@
 //! * [`partition`] — the reusable partitioners (IID, Dirichlet) behind the
 //!   generators.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod dataset;
 pub mod graphs;
 pub mod partition;

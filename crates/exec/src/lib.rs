@@ -26,7 +26,9 @@
 //! Built on the vendored `crossbeam` channel (an MPMC queue): workers loop
 //! on `recv()` and exit when the pool drops the sender side.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::fmt;
@@ -103,7 +105,10 @@ impl<T> JobHandle<T> {
         match self.try_join() {
             Ok(value) => value,
             Err(JoinError::Panicked(payload)) => resume_unwind(payload),
-            // fsa::allow(FSA022, a lost job means the pool itself is broken; there is no caller-side recovery)
+            #[expect(
+                clippy::panic,
+                reason = "a lost job means the pool itself is broken; there is no caller-side recovery"
+            )]
             Err(JoinError::Lost) => panic!("fs-exec: worker dropped a job without reporting"),
         }
     }
@@ -141,6 +146,10 @@ impl WorkerPool {
             };
         }
         let (tx, rx): (Sender<Job>, Receiver<Job>) = unbounded();
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread spawn failing at pool construction is unrecoverable resource exhaustion"
+        )]
         let workers = (0..threads)
             .map(|i| {
                 let rx = rx.clone();
@@ -151,7 +160,6 @@ impl WorkerPool {
                             job();
                         }
                     })
-                    // fsa::allow(FSA021, OS thread spawn failing at pool construction is unrecoverable resource exhaustion)
                     .expect("fs-exec: spawn worker thread")
             })
             .collect();
@@ -184,9 +192,12 @@ impl WorkerPool {
             let _ = tx.send(result);
         };
         match &self.tx {
+            #[expect(
+                clippy::unreachable,
+                reason = "the pool owns both channel ends; a send failure violates the type's own invariant"
+            )]
             Some(pool_tx) => {
                 if pool_tx.send(Box::new(job)).is_err() {
-                    // fsa::allow(FSA022, the pool owns both channel ends; a send failure violates the type's own invariant)
                     unreachable!("fs-exec: pool workers alive while pool exists");
                 }
             }

@@ -45,7 +45,8 @@ impl From<CodecError> for BusError {
 /// Routes wire-encoded messages between registered participants.
 ///
 /// Keyed by a `BTreeMap` so any future iteration over the roster is in
-/// participant-id order by construction (FSA003).
+/// participant-id order by construction (fs-net's `clippy.toml` disallows
+/// `HashMap` / `HashSet`).
 #[derive(Clone, Default)]
 pub struct Bus {
     senders: BTreeMap<ParticipantId, Sender<Bytes>>,

@@ -71,7 +71,8 @@ pub enum FaultAction {
 /// A seeded, per-participant fault schedule for one course.
 ///
 /// Overrides live in a `BTreeMap` so every walk over them (roster listings,
-/// fault-draw setup) is in participant-id order by construction (FSA003).
+/// fault-draw setup) is in participant-id order by construction (fs-net's
+/// `clippy.toml` disallows `HashMap` / `HashSet`).
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     seed: u64,

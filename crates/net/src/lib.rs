@@ -24,7 +24,9 @@
 //!   participants can run as separate processes.
 
 // Library code must surface malformed input as typed errors, never panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod backend;
 pub mod bus;

@@ -365,7 +365,9 @@ impl TcpHub {
                 (None, None) => None,
             };
             if let Some(event) = last_word {
-                // fsa::allow(FSA041, an unbounded channel never blocks; queued under the lock so a Disconnected can never trail the Rejoined of the connection that replaces this one)
+                // an unbounded channel never blocks; queued under the lock so
+                // a Disconnected can never trail the Rejoined of the
+                // connection that replaces this one
                 let _ = tx.send(event);
             }
         });

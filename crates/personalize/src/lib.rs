@@ -22,6 +22,8 @@
 //!   consensus subset of parameters (e.g. a graph encoder) while owning
 //!   different heads, losses, and even task types.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod ditto;
 pub mod fedbn;
 pub mod fedem;

@@ -35,7 +35,10 @@ pub struct PFedMeTrainer {
 
 impl PFedMeTrainer {
     /// Creates a pFedMe trainer.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per pFedMe hyper-parameter, as the paper states them"
+    )]
     pub fn new(
         model: Box<dyn Model>,
         data: ClientSplit,

@@ -18,6 +18,8 @@
 //! test key sizes are small); it reproduces the paper's functionality for
 //! research use.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod bignum;
 pub mod dp;
 pub mod paillier;

@@ -170,9 +170,12 @@ impl ClientStore for LazyStore {
             merge_unique(violations, client.violations());
         }
         let trainer = mem::replace(&mut client.state.trainer, Box::new(NullTrainer));
+        #[expect(
+            clippy::expect_used,
+            reason = "this store only ever builds LocalTrainer clients in take()"
+        )]
         let parts = trainer
             .into_local()
-            // fsa::allow(FSA021, this store only ever builds LocalTrainer clients in take())
             .expect("the lazy store requires LocalTrainer-backed clients")
             .into_parts();
         let private = if self.factory.template_private.is_empty() {

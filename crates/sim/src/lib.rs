@@ -15,6 +15,10 @@
 //! * [`queue::IndexedEventQueue`] — the deterministic `(time, seq)`-ordered
 //!   event heap the virtual-time course loop drains.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod device;
 pub mod queue;
 pub mod time;

@@ -35,7 +35,10 @@ impl VirtualTime {
 
 impl Eq for VirtualTime {}
 
-#[allow(clippy::derive_ord_xor_partial_ord)]
+#[expect(
+    clippy::derive_ord_xor_partial_ord,
+    reason = "the derived PartialOrd and this total_cmp agree on the finite values construction admits"
+)]
 impl Ord for VirtualTime {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // total_cmp agrees with partial_cmp on the finite values virtual

@@ -572,7 +572,10 @@ impl BatchNorm1d {
 }
 
 impl Layer for BatchNorm1d {
-    #[allow(clippy::needless_range_loop)] // index loops read clearer in kernels
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index loops read clearer in kernels"
+    )]
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         assert_eq!(x.shape().len(), 2, "BatchNorm1d expects [B, D]");
         let (b, d) = (x.rows(), x.cols());
@@ -627,7 +630,10 @@ impl Layer for BatchNorm1d {
         out
     }
 
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index loops read clearer in kernels"
+    )]
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let BnCache { x_hat, inv_std } = self
             .cache

@@ -29,6 +29,8 @@
 //! Every gradient in this crate is verified against finite differences in the
 //! test suite.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod init;
 pub mod layer;
 pub mod loss;

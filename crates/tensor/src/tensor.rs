@@ -742,7 +742,10 @@ pub(crate) mod kernels {
     /// compile-time constant, one accumulator per output element, products
     /// added in strictly increasing `k`.
     #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "an inlined kernel: operands, output, tile origin and the three extents"
+    )]
     fn tile<const R: usize, const W: usize, const TA: bool, const MODE: u8>(
         a: &[f32],
         b: &[f32],

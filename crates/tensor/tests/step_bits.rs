@@ -71,7 +71,10 @@ struct DirectConv {
     gx: Vec<f32>,
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the reference takes every tensor and the geometry explicitly"
+)]
 fn direct_conv(
     x: &Tensor,
     w: &Tensor,
@@ -178,7 +181,10 @@ fn check_conv(in_ch: usize, out_ch: usize, k: usize, pad: usize, b: usize, h: us
 }
 
 /// [`check_conv`] on an input drawn by `input`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "check_conv's geometry plus the input generator"
+)]
 fn check_conv_on(
     input: fn(&[usize], &mut StdRng) -> Tensor,
     in_ch: usize,

@@ -33,7 +33,9 @@
 //! here is additive routing policy around it.
 
 // Library code must surface malformed input as typed errors, never panic.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 pub mod course;
 pub mod distributed;

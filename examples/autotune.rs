@@ -79,7 +79,8 @@ fn main() {
     );
     let policy = hook.last_policy.lock().unwrap().clone();
     if let Some(policy) = policy {
-        // fsa::allow(FSA040, the binding above clones the Arc out of the guard; no lock is held here)
+        // the binding above clones the Arc out of the guard; no lock is held
+        // here
         let probs = policy.lock().unwrap().probabilities();
         println!("FedEx arm probabilities after the course: {probs:?}");
     }

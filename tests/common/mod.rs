@@ -1,7 +1,7 @@
 //! Helpers shared by the golden-fingerprint suites (`scheduler_equivalence`,
 //! `topo_equivalence`): the FNV-1a fold of a course's observable surface and
 //! the capture/check switch.
-#![allow(dead_code)] // each suite uses its own subset
+#![allow(dead_code, reason = "each suite uses its own subset")]
 
 use fedscope::core::runner::CourseReport;
 use fedscope::monitor::{counters, RecordingMonitor};
