@@ -4,7 +4,7 @@
 //! file and in total, the lines that hold non-test code: at least one token
 //! that is not a comment, outside every `#[cfg(test)]` / `#[test]` item.
 //!
-//! The pipeline is [`lexer`] (a self-contained Rust tokenizer: no `syn`, no
+//! The pipeline is `lexer` (a self-contained Rust tokenizer: no `syn`, no
 //! registry access) → [`count_loc`] → [`walk::collect_rs`] for directories.
 //! The source rules the repo's determinism rests on (no ambient RNG, no
 //! wall clock on charged paths, no unordered maps or panics in the runtime)
@@ -12,7 +12,7 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod lexer;
+mod lexer;
 pub mod walk;
 
 use lexer::{lex, Tok, TokKind};
