@@ -7,6 +7,7 @@ use fs_compress::{
     decompress, encode_block, Compressor, DeltaEncode, Identity, TopK, UniformQuant,
 };
 use fs_net::wire::params_wire_len;
+use fs_tensor::model::{convnet2, Model};
 use fs_tensor::{ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -87,5 +88,36 @@ fn bench_compression(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_compression);
+/// The course benchmark's `femnist_topk` upload codec on its model: a
+/// `DeltaEncode(TopK 0.1)` encode after `set_reference`, and the server's
+/// sparse-delta reconstruct, over a `convnet2(1, 8, 32, 10)` template and an
+/// update near it. Reproduces the course's `compress.encode_ns` /
+/// `compress.decode_ns` probes outside the course.
+fn bench_femnist_topk_codec(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let reference = convnet2(1, 8, 32, 10, 0.0, &mut rng).get_params();
+    let mut trained = reference.clone();
+    for (_, t) in trained.iter_mut() {
+        for v in t.data_mut() {
+            *v += rng.gen_range(-0.05f32..0.05);
+        }
+    }
+    let upload_codec = || {
+        let mut codec = DeltaEncode::new(Box::new(TopK::new(0.1)));
+        codec.set_reference(&reference, 1);
+        codec
+    };
+    let mut group = c.benchmark_group("femnist_topk");
+    group.bench_function("delta_topk10_encode", |b| {
+        let mut codec = upload_codec();
+        b.iter(|| codec.compress(std::hint::black_box(&trained)))
+    });
+    let block = upload_codec().compress(&trained);
+    group.bench_function("sparse_delta_decode", |b| {
+        b.iter(|| decompress(std::hint::black_box(&block), Some(&reference)).expect("valid"))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_compression, bench_femnist_topk_codec);
 criterion_main!(benches);

@@ -2,6 +2,7 @@
 
 use crate::block::{packed_len, CompressedBlock, CompressedTensor, Encoding};
 use fs_tensor::{ParamMap, Tensor};
+use std::cell::RefCell;
 use std::fmt;
 
 /// A pluggable parameter-compression strategy.
@@ -74,16 +75,17 @@ fn expand(t: &CompressedTensor) -> Vec<f32> {
             } else {
                 0.0
             };
-            let level_at = |i: usize| -> u8 {
-                match bits {
-                    8 => packed[i],
-                    4 => (packed[i / 2] >> ((i % 2) * 4)) & 0x0F,
-                    _ => unreachable!("codec validated bits"),
-                }
-            };
-            (0..numel)
-                .map(|i| min + level_at(i) as f32 * step)
-                .collect()
+            let dequant = |level: u8| min + f32::from(level) * step;
+            match bits {
+                8 => packed[..numel].iter().map(|&l| dequant(l)).collect(),
+                4 => packed
+                    .iter()
+                    .flat_map(|&b| [b & 0x0F, b >> 4])
+                    .take(numel)
+                    .map(dequant)
+                    .collect(),
+                _ => unreachable!("codec validated bits"),
+            }
         }
         Encoding::Sparse { indices, values } => {
             let mut out = vec![0.0f32; numel];
@@ -160,7 +162,10 @@ impl Compressor for Identity {
 ///
 /// Each value maps to the nearest of `2^bits` evenly spaced levels spanning
 /// `[min, max]`, so the reconstruction error is at most
-/// `(max - min) / (2^bits - 1)` per value.
+/// `(max - min) / (2^bits - 1)` per value. A tensor with no such grid travels
+/// [`Encoding::Dense`], exactly: one holding a NaN (which has no level) or
+/// whose range is infinite (a ±∞, or finite extremes whose difference
+/// overflows), which would decode every value to `0 × ∞ = NaN`.
 #[derive(Clone, Debug)]
 pub struct UniformQuant {
     bits: u8,
@@ -187,8 +192,13 @@ impl UniformQuant {
         if data.is_empty() {
             (min, max) = (0.0, 0.0);
         }
-        let levels = ((1u32 << self.bits) - 1) as f32;
         let range = max - min;
+        if !range.is_finite() || !t.is_finite() {
+            return Encoding::Dense {
+                values: data.to_vec(),
+            };
+        }
+        let levels = ((1u32 << self.bits) - 1) as f32;
         let inv_step = if range > 0.0 { levels / range } else { 0.0 };
         let mut packed = vec![0u8; packed_len(self.bits, data.len())];
         for (i, &v) in data.iter().enumerate() {
@@ -241,10 +251,23 @@ impl Compressor for UniformQuant {
 /// before selection next round, so small coordinates eventually get through
 /// instead of being silenced forever. Ties break deterministically by
 /// (magnitude desc, index asc).
+///
+/// Selection is O(numel): one packed key per coordinate, a
+/// `select_nth_unstable`, then a sort of the `k` kept indices only.
 #[derive(Debug)]
 pub struct TopK {
     ratio: f32,
+    /// Per tensor: what earlier rounds dropped. Each call compensates into
+    /// it in place and zeroes the kept coordinates.
     residual: ParamMap,
+}
+
+thread_local! {
+    // Scratch the upload codecs refresh in place call after call. Kept per
+    // thread, not per codec: a course holds one codec per client, and only
+    // one call at a time on a thread uses these.
+    static SELECT_KEYS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+    static DELTA_DIFF: RefCell<ParamMap> = RefCell::new(ParamMap::new());
 }
 
 impl TopK {
@@ -266,45 +289,71 @@ impl TopK {
     }
 }
 
+/// The indices of the `k` largest-magnitude `values`, ascending, with ties
+/// going to the lower index.
+///
+/// Each coordinate becomes one `u64` key: the inverted bits of `|v|` above,
+/// the index below. A sign-cleared `f32`'s bits order exactly as
+/// `f32::total_cmp` orders it (NaN above +∞, whatever its payload), so
+/// ascending keys are (magnitude desc, index asc) — a strict total order,
+/// hence the kept set is the one a full sort by that order would keep, on
+/// every input.
+fn top_k_indices(values: &[f32], k: usize) -> Vec<u32> {
+    SELECT_KEYS.with_borrow_mut(|keys| {
+        keys.clear();
+        keys.extend(
+            values
+                .iter()
+                .zip(0u32..)
+                .map(|(v, i)| (u64::from(!v.abs().to_bits()) << 32) | u64::from(i)),
+        );
+        if k < keys.len() {
+            keys.select_nth_unstable(k);
+        }
+        let mut indices: Vec<u32> = keys[..k].iter().map(|&key| key as u32).collect();
+        indices.sort_unstable();
+        indices
+    })
+}
+
 impl Compressor for TopK {
     fn name(&self) -> &'static str {
         "topk"
     }
 
     fn compress(&mut self, params: &ParamMap) -> CompressedBlock {
-        let mut tensors = Vec::new();
+        let mut tensors = Vec::with_capacity(params.len());
         for (name, t) in params.iter() {
-            // error feedback: compensate with what previous rounds dropped
-            let mut compensated = t.data().to_vec();
-            match self.residual.get(name) {
+            // error feedback: compensate with what previous rounds dropped,
+            // in the residual itself
+            match self.residual.get_mut(name) {
                 Some(r) if r.shape() == t.shape() => {
-                    for (c, &r) in compensated.iter_mut().zip(r.data()) {
-                        *c += r;
+                    for (r, &v) in r.data_mut().iter_mut().zip(t.data()) {
+                        *r += v;
                     }
                 }
-                _ => {}
+                _ => self.residual.insert(
+                    name,
+                    Tensor::from_vec(t.shape().to_vec(), t.data().to_vec()),
+                ),
             }
+            let compensated = self
+                .residual
+                .get_mut(name)
+                .expect("residual entry written above")
+                .data_mut();
             let numel = compensated.len();
             let k = if numel == 0 {
                 0
             } else {
                 ((self.ratio * numel as f32).ceil() as usize).clamp(1, numel)
             };
-            let mut order: Vec<u32> = (0..numel as u32).collect();
-            order.sort_unstable_by(|&a, &b| {
-                let (ma, mb) = (compensated[a as usize].abs(), compensated[b as usize].abs());
-                mb.total_cmp(&ma).then(a.cmp(&b))
-            });
-            let mut indices: Vec<u32> = order[..k].to_vec();
-            indices.sort_unstable();
-            let values: Vec<f32> = indices.iter().map(|&i| compensated[i as usize]).collect();
+            let indices = top_k_indices(compensated, k);
             // residual = compensated - transmitted
-            let mut rest = compensated;
-            for &i in &indices {
-                rest[i as usize] = 0.0;
-            }
-            self.residual
-                .insert(name, Tensor::from_vec(t.shape().to_vec(), rest));
+            let values: Vec<f32> = indices
+                .iter()
+                .map(|&i| std::mem::replace(&mut compensated[i as usize], 0.0))
+                .collect();
             tensors.push(CompressedTensor {
                 name: name.to_string(),
                 shape: t.shape().to_vec(),
@@ -350,19 +399,25 @@ impl Compressor for DeltaEncode {
             // no reference yet (first round): send the full model
             return self.inner.compress(params);
         };
-        let mut diff = ParamMap::new();
-        for (name, t) in params.iter() {
-            let mut values = t.data().to_vec();
-            if let Some(base) = reference.get(name) {
-                if base.shape() == t.shape() {
-                    for (v, &b) in values.iter_mut().zip(base.data()) {
-                        *v -= b;
+        // `params - reference`, refreshed in place while the parameter
+        // structure stays the same
+        let mut diff = DELTA_DIFF.take();
+        if !diff.same_structure(params) {
+            diff = params.clone();
+        }
+        for ((name, t), (_, d)) in params.iter().zip(diff.iter_mut()) {
+            let d = d.data_mut();
+            match reference.get(name) {
+                Some(base) if base.shape() == t.shape() => {
+                    for ((d, &v), &b) in d.iter_mut().zip(t.data()).zip(base.data()) {
+                        *d = v - b;
                     }
                 }
+                _ => d.copy_from_slice(t.data()),
             }
-            diff.insert(name, Tensor::from_vec(t.shape().to_vec(), values));
         }
         let mut block = self.inner.compress(&diff);
+        DELTA_DIFF.set(diff);
         block.delta = true;
         block.ref_version = *version;
         block
@@ -444,6 +499,37 @@ mod tests {
         let q = decompress(&block, None).unwrap();
         assert_eq!(q.get("const").unwrap().data(), &[2.5, 2.5, 2.5]);
         assert_eq!(q.get("empty").unwrap().data().len(), 0);
+    }
+
+    #[test]
+    fn quant_sends_non_finite_tensors_dense() {
+        let mut p = ParamMap::new();
+        p.insert(
+            "inf",
+            Tensor::from_vec(vec![4], vec![0.5, -0.25, f32::INFINITY, 1.0]),
+        );
+        p.insert(
+            "nan",
+            Tensor::from_vec(vec![4], vec![0.5, -0.25, f32::NAN, 1.0]),
+        );
+        // finite, but max - min overflows to +∞
+        p.insert("wide", Tensor::from_vec(vec![2], vec![-f32::MAX, f32::MAX]));
+        p.insert("finite", Tensor::from_vec(vec![2], vec![0.5, -0.25]));
+        for bits in [4u8, 8] {
+            let block = UniformQuant::new(bits).compress(&p);
+            let q = decompress(&block, None).unwrap();
+            assert_eq!(
+                q.get("inf").unwrap().data(),
+                &[0.5, -0.25, f32::INFINITY, 1.0]
+            );
+            assert_eq!(q.get("wide").unwrap().data(), &[-f32::MAX, f32::MAX]);
+            let nan = q.get("nan").unwrap().data();
+            assert!(nan[2].is_nan(), "bits={bits}: NaN decoded as {}", nan[2]);
+            assert_eq!([nan[0], nan[1], nan[3]], [0.5, -0.25, 1.0]);
+            // a finite tensor beside them is still quantized
+            let finite = block.tensors.iter().find(|t| t.name == "finite").unwrap();
+            assert!(matches!(finite.encoding, Encoding::Quantized { .. }));
+        }
     }
 
     #[test]

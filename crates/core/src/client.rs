@@ -241,8 +241,10 @@ impl Client {
                 state.rounds_trained += 1;
                 let mut codec = state.compressor.as_deref_mut();
                 if let Some(codec) = codec.as_deref_mut() {
-                    // the broadcast just received is the delta reference;
-                    // the server holds the same model under `version`
+                    // the delta reference is the model trained from: under a
+                    // download codec, the *dequantized* broadcast. The server
+                    // adds the delta to its exact global of `version`, so it
+                    // receives exact global + (trained - dequantized).
                     codec.set_reference(params, version);
                 }
                 let payload = Payload::update(
@@ -392,6 +394,97 @@ mod tests {
             }
             other => panic!("wrong payload {other:?}"),
         }
+    }
+
+    #[test]
+    fn delta_upload_under_quantized_download_lands_on_the_exact_global() {
+        use crate::aggregator::FedAvg;
+        use crate::config::{CodecSpec, CompressionConfig, FlConfig};
+        use crate::sampler::Sampler;
+        use crate::server::Server;
+
+        let cfg = FlConfig {
+            concurrency: 2,
+            total_rounds: 5,
+            compression: CompressionConfig {
+                upload: Some(CodecSpec::Identity),
+                upload_delta: true,
+                download: Some(CodecSpec::UniformQuant { bits: 8 }),
+            },
+            ..Default::default()
+        };
+        let (mut c, global) = make_client(1);
+        c.state.compressor = cfg.compression.build_upload();
+        let mut server = Server::new(
+            cfg,
+            global.clone(),
+            2,
+            Box::new(FedAvg::new(0.0)),
+            Sampler::Uniform,
+            None,
+        );
+        let mut ctx = Ctx::at(VirtualTime::ZERO);
+        for id in 1..=2 {
+            let join = Message::new(id, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
+            server.handle(&join, &mut ctx);
+        }
+        let broadcast = ctx
+            .take_messages()
+            .into_iter()
+            .map(|o| o.msg)
+            .find(|m| m.kind == MessageKind::ModelParams && m.receiver == 1)
+            .expect("client 1 is sampled");
+        let Payload::CompressedModel { block, version } = &broadcast.payload else {
+            panic!(
+                "expected a quantized broadcast, got {:?}",
+                broadcast.payload
+            );
+        };
+        let dequantized = decompress(block, None).unwrap();
+        assert_ne!(dequantized, global, "8-bit quantization is lossy here");
+
+        // a codec-free twin trained on the dequantized model gives `trained`
+        let (mut twin, _) = make_client(1);
+        let mut twin_ctx = Ctx::at(VirtualTime::ZERO);
+        let shipped = Payload::Model {
+            params: dequantized.clone(),
+            version: *version,
+        };
+        let twin_msg = Message::new(SERVER_ID, 1, MessageKind::ModelParams, 0, shipped);
+        twin.handle(&twin_msg, &mut twin_ctx);
+        let Payload::Update {
+            params: trained, ..
+        } = &twin_ctx.take_messages()[0].msg.payload
+        else {
+            panic!("the twin sends a dense update");
+        };
+
+        let mut client_ctx = Ctx::at(VirtualTime::ZERO);
+        c.handle(&broadcast, &mut client_ctx);
+        let upload = client_ctx.take_messages().remove(0).msg;
+        server.handle(&upload, &mut ctx);
+        // one of two replies: buffered, not yet aggregated
+        let received = &server.state.buffer[0].params;
+        for (name, exact) in global.iter() {
+            let want: Vec<u32> = trained
+                .get(name)
+                .unwrap()
+                .data()
+                .iter()
+                .zip(dequantized.get(name).unwrap().data())
+                .zip(exact.data())
+                .map(|((&t, &d), &g)| ((t - d) + g).to_bits())
+                .collect();
+            let got: Vec<u32> = received
+                .get(name)
+                .unwrap()
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "{name}: exact global + (trained - dequantized)");
+        }
+        assert_ne!(received, trained);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests over the workspace's core invariants.
 
 use fedscope::compress::{
-    decode_block, decompress, encode_block, Compressor, DeltaEncode, Encoding, Identity, TopK,
-    UniformQuant,
+    decode_block, decompress, encode_block, CompressedBlock, CompressedTensor, Compressor,
+    DeltaEncode, Encoding, Identity, TopK, UniformQuant,
 };
 use fedscope::net::wire::{decode_params, encode_params};
 use fedscope::privacy::bignum::BigUint;
@@ -27,7 +27,211 @@ fn arb_param_map() -> impl Strategy<Value = ParamMap> {
     })
 }
 
+/// Values a magnitude order can get wrong, drawn often: ±0, ±∞, NaN of
+/// both signs and several payloads (quiet and signalling), subnormals.
+const SPECIALS: [f32; 12] = [
+    0.0,
+    -0.0,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    -f32::NAN,
+    f32::from_bits(0x7fc0_0001),
+    f32::from_bits(0xffff_ffff),
+    f32::from_bits(0x7f80_0001),
+    f32::from_bits(0x0000_0001),
+    f32::from_bits(0x8000_0001),
+    f32::MIN_POSITIVE,
+];
+
+/// Any bit pattern, a special value, or a small integer (ties).
+fn arb_f32() -> impl Strategy<Value = f32> {
+    (0u8..3, any::<u32>()).prop_map(|(kind, bits)| match kind {
+        0 => f32::from_bits(bits),
+        1 => SPECIALS[bits as usize % SPECIALS.len()],
+        _ => f32::from((bits % 7) as i8 - 3),
+    })
+}
+
+/// `k = 1`, `k = numel`, or anything between.
+fn arb_ratio() -> impl Strategy<Value = f32> {
+    (0u8..3, 0.01f32..1.0).prop_map(|(kind, r)| match kind {
+        0 => 1e-6,
+        1 => 1.0,
+        _ => r,
+    })
+}
+
+const MAX_LEN: usize = 40;
+
+/// A course of 1–5 rounds over tensors `a`, `b.w` and `c` (each may be
+/// empty), plus a delta reference shaped like round one. A tensor keeps its
+/// length from round to round except for a reshape one time in eight, so
+/// residuals carry over and are sometimes reset. Only round one holds NaN:
+/// Rust leaves the payload of `NaN + NaN` unspecified, so a NaN residual
+/// meeting a NaN input could rank differently in two correct builds. The
+/// reference is finite for the same reason (`∞ - ∞` is a NaN too).
+fn arb_course() -> impl Strategy<Value = (Vec<ParamMap>, ParamMap)> {
+    let pool = || prop::collection::vec(arb_f32(), 3 * MAX_LEN);
+    (
+        prop::collection::vec(0..MAX_LEN, 3),
+        prop::collection::vec((prop::collection::vec(0u8..8, 3), pool()), 1..6),
+        pool(),
+    )
+        .prop_map(|(base, rounds, reference_pool)| {
+            let map = |lens: &[usize], pool: &[f32], keep: fn(f32) -> bool| {
+                let mut p = ParamMap::new();
+                for (j, name) in ["a", "b.w", "c"].into_iter().enumerate() {
+                    let values = pool[j * MAX_LEN..j * MAX_LEN + lens[j]]
+                        .iter()
+                        .map(|&v| if keep(v) { v } else { 0.0 })
+                        .collect();
+                    p.insert(name, Tensor::from_vec(vec![lens[j]], values));
+                }
+                p
+            };
+            let course = rounds
+                .iter()
+                .enumerate()
+                .map(|(r, (dice, pool))| {
+                    let lens: Vec<usize> = (0..3)
+                        .map(|j| match dice[j] {
+                            0 => (base[j] + 7) % MAX_LEN,
+                            _ => base[j],
+                        })
+                        .collect();
+                    let keep: fn(f32) -> bool = if r == 0 { |_| true } else { |v| !v.is_nan() };
+                    map(&lens, pool, keep)
+                })
+                .collect();
+            (course, map(&base, &reference_pool, f32::is_finite))
+        })
+}
+
+/// `TopK` before its O(n) selection, verbatim: every index fully sorted by
+/// (magnitude desc, index asc). The oracle the selection must equal.
+struct SortTopK {
+    ratio: f32,
+    residual: ParamMap,
+}
+
+impl SortTopK {
+    fn compress(&mut self, params: &ParamMap) -> CompressedBlock {
+        let mut tensors = Vec::new();
+        for (name, t) in params.iter() {
+            let mut compensated = t.data().to_vec();
+            match self.residual.get(name) {
+                Some(r) if r.shape() == t.shape() => {
+                    for (c, &r) in compensated.iter_mut().zip(r.data()) {
+                        *c += r;
+                    }
+                }
+                _ => {}
+            }
+            let numel = compensated.len();
+            let k = if numel == 0 {
+                0
+            } else {
+                ((self.ratio * numel as f32).ceil() as usize).clamp(1, numel)
+            };
+            let mut order: Vec<u32> = (0..numel as u32).collect();
+            order.sort_unstable_by(|&a, &b| {
+                let (ma, mb) = (compensated[a as usize].abs(), compensated[b as usize].abs());
+                mb.total_cmp(&ma).then(a.cmp(&b))
+            });
+            let mut indices: Vec<u32> = order[..k].to_vec();
+            indices.sort_unstable();
+            let values: Vec<f32> = indices.iter().map(|&i| compensated[i as usize]).collect();
+            let mut rest = compensated;
+            for &i in &indices {
+                rest[i as usize] = 0.0;
+            }
+            self.residual
+                .insert(name, Tensor::from_vec(t.shape().to_vec(), rest));
+            tensors.push(CompressedTensor {
+                name: name.to_string(),
+                shape: t.shape().to_vec(),
+                encoding: Encoding::Sparse { indices, values },
+            });
+        }
+        CompressedBlock::full(tensors)
+    }
+}
+
+/// `DeltaEncode`'s difference as a fresh map, verbatim from before it was
+/// refreshed in place: the oracle's delta.
+fn oracle_delta(params: &ParamMap, reference: &ParamMap) -> ParamMap {
+    let mut diff = ParamMap::new();
+    for (name, t) in params.iter() {
+        let mut values = t.data().to_vec();
+        if let Some(base) = reference.get(name) {
+            if base.shape() == t.shape() {
+                for (v, &b) in values.iter_mut().zip(base.data()) {
+                    *v -= b;
+                }
+            }
+        }
+        diff.insert(name, Tensor::from_vec(t.shape().to_vec(), values));
+    }
+    diff
+}
+
+/// Tensor name, shape, kept indices and the bits of the kept values.
+type SparseBits = (String, Vec<usize>, Vec<u32>, Vec<u32>);
+
+/// A sparse block in comparable form: values as bits, so NaN equals NaN
+/// only when the payloads agree.
+fn block_bits(block: &CompressedBlock) -> (bool, u64, Vec<SparseBits>) {
+    let tensors = block
+        .tensors
+        .iter()
+        .map(|t| match &t.encoding {
+            Encoding::Sparse { indices, values } => (
+                t.name.clone(),
+                t.shape.clone(),
+                indices.clone(),
+                values.iter().map(|v| v.to_bits()).collect(),
+            ),
+            other => panic!("top-k emitted {other:?}"),
+        })
+        .collect();
+    (block.delta, block.ref_version, tensors)
+}
+
+fn tensor_bits(t: Option<&Tensor>) -> Option<Vec<u32>> {
+    t.map(|t| t.data().iter().map(|v| v.to_bits()).collect())
+}
+
 proptest! {
+    #[test]
+    fn topk_selection_equals_the_sort_oracle(case in arb_course(), ratio in arb_ratio()) {
+        let (course, _) = case;
+        let mut codec = TopK::new(ratio);
+        let mut oracle = SortTopK { ratio, residual: ParamMap::new() };
+        for params in &course {
+            prop_assert_eq!(block_bits(&codec.compress(params)), block_bits(&oracle.compress(params)));
+            for name in params.names() {
+                prop_assert_eq!(tensor_bits(codec.residual(name)), tensor_bits(oracle.residual.get(name)));
+            }
+        }
+    }
+
+    #[test]
+    fn delta_topk_equals_the_sort_oracle(case in arb_course(), ratio in arb_ratio()) {
+        let (course, reference) = case;
+        let mut codec = DeltaEncode::new(Box::new(TopK::new(ratio)));
+        let mut oracle = SortTopK { ratio, residual: ParamMap::new() };
+        for (round, params) in course.iter().enumerate() {
+            // what a client does each round: the broadcast it trained from
+            // becomes the reference
+            codec.set_reference(&reference, round as u64);
+            let mut want = oracle.compress(&oracle_delta(params, &reference));
+            want.delta = true;
+            want.ref_version = round as u64;
+            prop_assert_eq!(block_bits(&codec.compress(params)), block_bits(&want));
+        }
+    }
+
     #[test]
     fn wire_codec_roundtrips_any_param_map(p in arb_param_map()) {
         let bytes = encode_params(&p);
