@@ -10,7 +10,7 @@
 //!
 //! `local_train_lr122` is `LocalTrainer::local_train` on the 122-parameter
 //! logistic regression, Q = 4, batch 2: incorporate, four sampled batches,
-//! four `loss_grad_into` + optimizer steps, and the update map.
+//! four `train_step`s, and the update map.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fs_core::aggregator::FedAvg;

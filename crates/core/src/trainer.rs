@@ -40,8 +40,8 @@ pub struct LocalUpdate {
     pub n_samples: u64,
     /// Local SGD steps actually taken.
     pub n_steps: u64,
-    /// Training examples processed (`steps * batch`), which drives the device
-    /// compute-time model.
+    /// Training examples processed (each drawn example once per pass that
+    /// trains on it), which drives the device compute-time model.
     pub examples_processed: usize,
 }
 
@@ -117,11 +117,11 @@ impl Default for TrainConfig {
 }
 
 /// One pass of local SGD, the loop every trainer shares: up to `steps`
-/// minibatches of `batch_size` drawn from `train`, each a gradient into one
-/// reused map (so from the second step on `loss_grad_into` allocates
-/// nothing) and an optimizer step on the model where it lives, with an
-/// optional proximal `anchor`. Stops at the first empty batch. Returns the
-/// loss summed over the steps taken and the examples actually drawn.
+/// minibatches of `batch_size` drawn from `train` into buffers the pass
+/// reuses, each one [`Model::train_step`] with an optional proximal
+/// `anchor`. From the second step on a pass allocates nothing. Stops at
+/// the first empty batch. Returns the loss summed over the steps taken and
+/// the examples actually drawn.
 pub fn sgd_pass(
     model: &mut dyn Model,
     opt: &mut Sgd,
@@ -132,14 +132,13 @@ pub fn sgd_pass(
     rng: &mut StdRng,
 ) -> (f32, usize) {
     let (mut loss, mut drawn) = (0.0f32, 0usize);
-    let mut grads = ParamMap::new();
+    let (mut idx, mut batch) = (Vec::new(), ClientData::empty(&[]));
     for _ in 0..steps {
-        let batch = train.sample_batch(batch_size, rng);
+        train.sample_batch_into(batch_size, rng, &mut idx, &mut batch);
         if batch.is_empty() {
             break;
         }
-        loss += model.loss_grad_into(&batch.x, &batch.y, &mut grads);
-        model.step(opt, &grads, anchor);
+        loss += model.train_step(opt, &batch.x, &batch.y, anchor);
         drawn += batch.len();
     }
     (loss, drawn)
@@ -226,7 +225,7 @@ impl Trainer for LocalTrainer {
         self.incorporate(global);
         let anchor = (self.cfg.sgd.prox_mu > 0.0).then_some(global);
         let steps = self.cfg.local_steps;
-        sgd_pass(
+        let (_, drawn) = sgd_pass(
             self.model.as_mut(),
             &mut self.opt,
             &self.data.train,
@@ -241,7 +240,7 @@ impl Trainer for LocalTrainer {
             params,
             n_samples: self.data.train.len() as u64,
             n_steps: steps as u64,
-            examples_processed: steps * self.cfg.batch_size.min(self.data.train.len().max(1)),
+            examples_processed: drawn,
         }
     }
 
@@ -392,6 +391,20 @@ mod tests {
         // loss on train data should still drop vs the random init
         let after = t.evaluate_val();
         assert!(after.loss <= before.loss + 0.5);
+    }
+
+    #[test]
+    fn compute_is_charged_for_the_examples_drawn() {
+        let mut t = make_trainer();
+        let global = t.model().get_params();
+        // 8 steps of batch 4 from a non-empty split
+        assert_eq!(t.local_train(&global, 0).examples_processed, 32);
+        // an empty train split draws nothing, so it costs no compute
+        let feature_shape = t.data().train.x.shape()[1..].to_vec();
+        t.data_mut().train = ClientData::empty(&feature_shape);
+        let up = t.local_train(&global, 1);
+        assert_eq!(up.examples_processed, 0);
+        assert_eq!(up.n_samples, 0);
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! After one warm step, a local SGD step performs no heap allocation in the
-//! model or the optimizer: `loss_grad_into` (forward, loss, backward and the
-//! gradient hand-off, all on recycled worker scratch) and `Model::step` (the
-//! optimizer writing the network's own tensors, momentum buffers included).
-//!
-//! The one thing `sgd_pass` still allocates per step is the sampled batch
-//! (`fs-data` builds a fresh `[B, ..]` tensor and label vector). It is
-//! excluded here by construction: the counter is armed only inside the two
-//! model calls.
+//! After one warm step, a step of `sgd_pass` performs no heap allocation:
+//! the batch draw (into the index and batch buffers the pass reuses) and
+//! `Model::train_step` (forward, loss and backward on recycled worker
+//! scratch, then the optimizer writing the network's own tensors with the
+//! layers' own gradients, momentum buffers included). The counter is armed
+//! around the whole pass.
 //!
 //! The same counter prices the server's busy/idle bookkeeping against an id
 //! off the wire: a join from `u32::MAX - 1` must cost a set entry, not a
@@ -30,7 +27,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Arc, Mutex};
 
 /// Counts the allocations (and reallocations) the calling thread makes while
 /// it has armed it, and the bytes they asked for.
@@ -93,24 +89,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Delegates to the wrapped model, counting the allocations of each
-/// `loss_grad_into` and each `step` call.
-struct Counted {
+/// Delegates to the wrapped model, noting the thread's allocation count as
+/// each `train_step` starts.
+struct Marked {
     inner: Box<dyn Model>,
-    per_call: Arc<Mutex<Vec<usize>>>,
+    /// Reserved up front, so noting a mark allocates nothing.
+    marks: Vec<usize>,
 }
 
-impl Counted {
-    /// Runs `call` on the wrapped model with the counter armed and records
-    /// what it allocated.
-    fn counted<R>(&mut self, call: impl FnOnce(&mut dyn Model) -> R) -> R {
-        let (out, made, _) = counting(|| call(self.inner.as_mut()));
-        self.per_call.lock().expect("no panic holds it").push(made);
-        out
-    }
-}
-
-impl Model for Counted {
+impl Model for Marked {
     fn get_params(&self) -> ParamMap {
         self.inner.get_params()
     }
@@ -127,57 +114,67 @@ impl Model for Counted {
         self.inner.loss_grad(x, y)
     }
 
-    fn loss_grad_into(&mut self, x: &Tensor, y: &Target, grads: &mut ParamMap) -> f32 {
-        self.counted(|m| m.loss_grad_into(x, y, grads))
-    }
-
-    fn step(&mut self, opt: &mut Sgd, grads: &ParamMap, anchor: Option<&ParamMap>) {
-        self.counted(|m| m.step(opt, grads, anchor));
+    fn train_step(
+        &mut self,
+        opt: &mut Sgd,
+        x: &Tensor,
+        y: &Target,
+        anchor: Option<&ParamMap>,
+    ) -> f32 {
+        self.marks.push(ALLOCATIONS.with(Cell::get));
+        self.inner.train_step(opt, x, y, anchor)
     }
 
     fn clone_model(&self) -> Box<dyn Model> {
-        Box::new(Counted {
+        Box::new(Marked {
             inner: self.inner.clone_model(),
-            per_call: Arc::clone(&self.per_call),
+            marks: Vec::with_capacity(self.marks.capacity()),
         })
     }
 }
 
-/// Allocations inside the model and optimizer calls of each step of one
-/// six-step `sgd_pass`.
+/// Allocations of each step of one six-step `sgd_pass`, the counter armed
+/// around the whole pass: step `i` runs from its `train_step` to the next
+/// one (so it includes the next batch draw), the last to the pass's end.
+/// The first batch draw, which sizes the pass's buffers, precedes step 0.
 fn allocations_per_step(
     model: Box<dyn Model>,
     data: ClientSplit,
     batch_size: usize,
     momentum: f32,
 ) -> Vec<usize> {
-    let per_call = Arc::new(Mutex::new(Vec::new()));
-    let mut counted = Counted {
+    const STEPS: usize = 6;
+    let mut marked = Marked {
         inner: model,
-        per_call: Arc::clone(&per_call),
+        marks: Vec::with_capacity(STEPS),
     };
-    let sgd = SgdConfig {
+    let mut opt = Sgd::new(SgdConfig {
         momentum,
         ..SgdConfig::with_lr(0.25)
-    };
+    });
     let mut rng = StdRng::seed_from_u64(3);
-    let (loss, _) = sgd_pass(
-        &mut counted,
-        &mut Sgd::new(sgd),
-        &data.train,
-        6,
-        batch_size,
-        None,
-        &mut rng,
-    );
+    let ((loss, drawn), _, _) = counting(|| {
+        sgd_pass(
+            &mut marked,
+            &mut opt,
+            &data.train,
+            STEPS,
+            batch_size,
+            None,
+            &mut rng,
+        )
+    });
+    let end = ALLOCATIONS.with(Cell::get);
     assert!(loss.is_finite());
-    let calls = per_call.lock().expect("no panic holds it").clone();
-    assert_eq!(calls.len(), 12, "one loss_grad_into and one step per step");
-    calls.chunks(2).map(|pair| pair[0] + pair[1]).collect()
+    assert_eq!(drawn, STEPS * batch_size.min(data.train.len()));
+    let mut marks = marked.marks;
+    assert_eq!(marks.len(), STEPS, "one train_step per step");
+    marks.push(end);
+    marks.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
 #[test]
-fn steps_after_the_first_allocate_nothing_in_the_model_or_the_optimizer() {
+fn sgd_pass_steps_after_the_first_allocate_nothing() {
     let mut rng = StdRng::seed_from_u64(1);
     let images = femnist_like(&ImageConfig {
         num_clients: 2,

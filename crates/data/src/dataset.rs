@@ -67,14 +67,64 @@ impl ClientData {
         }
     }
 
+    /// [`ClientData::batch`] into `out`, refilling its tensor and label
+    /// vector in place when they already have the batch's shape and kind.
+    ///
+    /// # Panics
+    /// Panics if any index is out of range.
+    pub fn batch_into(&self, idx: &[usize], out: &mut ClientData) {
+        let same_kind = matches!(
+            (&self.y, &out.y),
+            (Target::Classes(_), Target::Classes(_)) | (Target::Values(_), Target::Values(_))
+        );
+        if !same_kind || out.x.shape()[0] != idx.len() || out.x.shape()[1..] != self.x.shape()[1..]
+        {
+            *out = self.batch(idx);
+            return;
+        }
+        let (stride, n) = (self.example_numel(), self.len());
+        let dst = out.x.data_mut();
+        for (row, &i) in idx.iter().enumerate() {
+            assert!(i < n, "batch index {i} out of range {n}");
+            dst[row * stride..(row + 1) * stride]
+                .copy_from_slice(&self.x.data()[i * stride..(i + 1) * stride]);
+        }
+        match (&self.y, &mut out.y) {
+            (Target::Classes(src), Target::Classes(dst)) => gather(src, idx, dst),
+            (Target::Values(src), Target::Values(dst)) => gather(src, idx, dst),
+            _ => unreachable!("kinds checked above"),
+        }
+    }
+
     /// Samples a random minibatch of up to `size` examples.
     pub fn sample_batch(&self, size: usize, rng: &mut impl Rng) -> ClientData {
-        let n = self.len();
-        let take = size.min(n);
-        let mut idx: Vec<usize> = (0..n).collect();
-        idx.shuffle(rng);
-        idx.truncate(take);
+        let mut idx = Vec::new();
+        self.shuffled_prefix(size, rng, &mut idx);
         self.batch(&idx)
+    }
+
+    /// [`ClientData::sample_batch`] drawing into buffers a training pass
+    /// reuses step after step: the index permutation `idx` and the batch
+    /// `out` (see [`ClientData::batch_into`]). The same draws from `rng`
+    /// give the same batch.
+    pub fn sample_batch_into(
+        &self,
+        size: usize,
+        rng: &mut impl Rng,
+        idx: &mut Vec<usize>,
+        out: &mut ClientData,
+    ) {
+        self.shuffled_prefix(size, rng, idx);
+        self.batch_into(idx, out);
+    }
+
+    /// The first `size` indices of a shuffled `0..len`, into `idx`: the
+    /// draws every minibatch makes.
+    fn shuffled_prefix(&self, size: usize, rng: &mut impl Rng, idx: &mut Vec<usize>) {
+        idx.clear();
+        idx.extend(0..self.len());
+        idx.shuffle(rng);
+        idx.truncate(size);
     }
 
     /// Histogram of class labels over `num_classes` bins (empty for
@@ -90,6 +140,12 @@ impl ClientData {
         }
         h
     }
+}
+
+/// `dst = src[idx]`, refilling `dst`'s allocation.
+fn gather<T: Copy>(src: &[T], idx: &[usize], dst: &mut Vec<T>) {
+    dst.clear();
+    dst.extend(idx.iter().map(|&i| src[i]));
 }
 
 /// One client's local data: train / validation / test splits.

@@ -14,12 +14,12 @@
 //! All gradients are checked against central finite differences in the crate's
 //! integration tests.
 
-use crate::optim::ParamsMut;
 use crate::tensor::kernels::{gemm, CONTINUE, OVERWRITE};
 use crate::{init, scratch, ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A differentiable network layer.
 ///
@@ -49,8 +49,16 @@ pub trait Layer: Send {
     }
 
     /// Copies this layer's accumulated gradients into `out` under `prefix`.
-    fn collect_grads(&self, prefix: &str, out: &mut ParamMap) {
-        let _ = (prefix, out);
+    fn collect_grads(&mut self, prefix: &str, out: &mut ParamMap) {
+        self.for_each_trainable(&mut |leaf, _, g| out.insert(join(prefix, leaf), g.clone()));
+    }
+
+    /// Hands each trained tensor to `visit` with its accumulated gradient,
+    /// as `(leaf, param, grad)` in leaf-name order: what an optimizer steps
+    /// where it lives. Buffers (batch-norm running statistics) are not
+    /// trained; parameter-free layers have nothing to visit.
+    fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
+        let _ = visit;
     }
 
     /// Loads this layer's parameters from `src` under `prefix`.
@@ -59,14 +67,6 @@ pub trait Layer: Send {
     /// local batch-norm parameters while loading the shared global rest).
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
         let _ = (prefix, src);
-    }
-
-    /// The parameter or buffer this layer stores under `leaf` (the name
-    /// [`Layer::collect_params`] gives it, without the prefix), so an
-    /// optimizer can step it where it lives. Parameter-free layers have none.
-    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
-        let _ = leaf;
-        None
     }
 
     /// Resets accumulated gradients to zero.
@@ -165,9 +165,9 @@ impl Layer for Linear {
         out.insert(format!("{prefix}.bias"), self.b.clone());
     }
 
-    fn collect_grads(&self, prefix: &str, out: &mut ParamMap) {
-        out.store(prefix, "weight", &self.gw);
-        out.store(prefix, "bias", &self.gb);
+    fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
+        visit("bias", &mut self.b, &self.gb);
+        visit("weight", &mut self.w, &self.gw);
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
@@ -178,14 +178,6 @@ impl Layer for Linear {
         if let Some(b) = src.get_in(prefix, "bias") {
             assert_eq!(b.shape(), self.b.shape(), "Linear bias shape");
             self.b = b.clone();
-        }
-    }
-
-    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
-        match leaf {
-            "weight" => Some(&mut self.w),
-            "bias" => Some(&mut self.b),
-            _ => None,
         }
     }
 
@@ -671,26 +663,21 @@ impl Layer for BatchNorm1d {
         out.insert(format!("{prefix}.running_var"), self.running_var.clone());
     }
 
-    fn collect_grads(&self, prefix: &str, out: &mut ParamMap) {
-        out.insert(format!("{prefix}.gamma"), self.g_gamma.clone());
-        out.insert(format!("{prefix}.beta"), self.g_beta.clone());
+    fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
+        visit("beta", &mut self.beta, &self.g_beta);
+        visit("gamma", &mut self.gamma, &self.g_gamma);
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
-        for leaf in ["gamma", "beta", "running_mean", "running_var"] {
-            if let (Some(t), Some(slot)) = (src.get_in(prefix, leaf), self.param_mut(leaf)) {
+        for (leaf, slot) in [
+            ("gamma", &mut self.gamma),
+            ("beta", &mut self.beta),
+            ("running_mean", &mut self.running_mean),
+            ("running_var", &mut self.running_var),
+        ] {
+            if let Some(t) = src.get_in(prefix, leaf) {
                 *slot = t.clone();
             }
-        }
-    }
-
-    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
-        match leaf {
-            "gamma" => Some(&mut self.gamma),
-            "beta" => Some(&mut self.beta),
-            "running_mean" => Some(&mut self.running_mean),
-            "running_var" => Some(&mut self.running_var),
-            _ => None,
         }
     }
 
@@ -1098,9 +1085,9 @@ impl Layer for Conv2d {
         out.insert(format!("{prefix}.bias"), self.b.clone());
     }
 
-    fn collect_grads(&self, prefix: &str, out: &mut ParamMap) {
-        out.store(prefix, "weight", &self.gw);
-        out.store(prefix, "bias", &self.gb);
+    fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
+        visit("bias", &mut self.b, &self.gb);
+        visit("weight", &mut self.w, &self.gw);
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
@@ -1111,14 +1098,6 @@ impl Layer for Conv2d {
         if let Some(b) = src.get_in(prefix, "bias") {
             assert_eq!(b.shape(), self.b.shape(), "Conv2d bias shape");
             self.b = b.clone();
-        }
-    }
-
-    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
-        match leaf {
-            "weight" => Some(&mut self.w),
-            "bias" => Some(&mut self.b),
-            _ => None,
         }
     }
 
@@ -1328,28 +1307,25 @@ impl Layer for Sequential {
 
     fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
         for (name, layer) in &self.layers {
-            layer.collect_params(&Self::join(prefix, name), out);
+            layer.collect_params(&join(prefix, name), out);
         }
     }
 
-    fn collect_grads(&self, prefix: &str, out: &mut ParamMap) {
-        for (name, layer) in &self.layers {
-            layer.collect_grads(&Self::join(prefix, name), out);
+    /// Walks the layers in name order, handing out `"<layer>.<leaf>"`
+    /// names kept since [`Sequential::push`], so the walk builds no key.
+    fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
+        let mut keys = self.walk.keys.iter();
+        for &i in &self.walk.layers {
+            self.layers[i].1.for_each_trainable(&mut |_, p, g| {
+                visit(keys.next().expect("a key per trained tensor"), p, g);
+            });
         }
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
         for (name, layer) in &mut self.layers {
-            layer.load_params(&Self::join(prefix, name), src);
+            layer.load_params(&join(prefix, name), src);
         }
-    }
-
-    /// Resolves `"<layer>.<rest>"` through the layer of that name.
-    fn param_mut(&mut self, leaf: &str) -> Option<&mut Tensor> {
-        self.layers.iter_mut().find_map(|(name, layer)| {
-            let rest = leaf.strip_prefix(name.as_str())?.strip_prefix('.')?;
-            layer.param_mut(rest)
-        })
     }
 
     fn zero_grad(&mut self) {
@@ -1366,17 +1342,53 @@ impl Layer for Sequential {
 /// An ordered, named composition of layers.
 pub struct Sequential {
     layers: Vec<(String, Box<dyn Layer>)>,
+    /// Fixed by the layer names, so clones share it.
+    walk: Arc<Walk>,
+}
+
+/// The order an optimizer walks a [`Sequential`]'s trained tensors in.
+#[derive(Default)]
+struct Walk {
+    /// Layer indices sorted by name: the order the layers' parameter names
+    /// sort in.
+    layers: Vec<usize>,
+    /// `"<layer>.<leaf>"` of every trained tensor, in name order.
+    keys: Vec<String>,
 }
 
 impl Sequential {
     /// Creates an empty network.
     pub fn new() -> Self {
-        Self { layers: Vec::new() }
+        Self {
+            layers: Vec::new(),
+            walk: Arc::default(),
+        }
     }
 
     /// Appends a named layer; names become parameter-key prefixes.
+    ///
+    /// # Panics
+    /// Panics if the trained tensors' names would not sort layer by layer:
+    /// two layers with parameters under one name, or a name that embeds `.`
+    /// so that another layer's keys fall between its own.
     pub fn push(&mut self, name: impl Into<String>, layer: Box<dyn Layer>) -> &mut Self {
         self.layers.push((name.into(), layer));
+        let name_key = |i: usize| self.layers[i].0.bytes().chain([b'.']);
+        let mut order: Vec<usize> = (0..self.layers.len()).collect();
+        order.sort_by(|&a, &b| name_key(a).cmp(name_key(b)));
+        let mut keys = Vec::new();
+        for &i in &order {
+            let (name, layer) = &mut self.layers[i];
+            layer.for_each_trainable(&mut |leaf, _, _| keys.push(format!("{name}.{leaf}")));
+        }
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "parameter names must sort layer by layer: {keys:?}"
+        );
+        self.walk = Arc::new(Walk {
+            layers: order,
+            keys,
+        });
         self
     }
 
@@ -1391,16 +1403,6 @@ impl Sequential {
         out
     }
 
-    /// `prefix.name`, borrowing `name` for a top-level network so walking
-    /// it (every training step collects gradients) allocates nothing.
-    fn join<'a>(prefix: &str, name: &'a str) -> Cow<'a, str> {
-        if prefix.is_empty() {
-            Cow::Borrowed(name)
-        } else {
-            Cow::Owned(format!("{prefix}.{name}"))
-        }
-    }
-
     /// Deep copy.
     pub fn clone_net(&self) -> Sequential {
         Sequential {
@@ -1409,13 +1411,18 @@ impl Sequential {
                 .iter()
                 .map(|(n, l)| (n.clone(), l.clone_layer()))
                 .collect(),
+            walk: Arc::clone(&self.walk),
         }
     }
 }
 
-impl ParamsMut for Sequential {
-    fn param_mut(&mut self, name: &str) -> Option<&mut Tensor> {
-        Layer::param_mut(self, name)
+/// `prefix.name`, borrowing `name` for a top-level network so walking it
+/// (every evaluation loads parameters) allocates nothing.
+fn join<'a>(prefix: &str, name: &'a str) -> Cow<'a, str> {
+    if prefix.is_empty() {
+        Cow::Borrowed(name)
+    } else {
+        Cow::Owned(format!("{prefix}.{name}"))
     }
 }
 

@@ -66,24 +66,25 @@ pub trait Model: Send {
     /// of the mean loss with respect to every trainable parameter.
     fn loss_grad(&mut self, x: &Tensor, y: &Target) -> (f32, ParamMap);
 
-    /// [`Model::loss_grad`] storing the gradient into `grads`, which a
-    /// training loop passes back step after step: a model that can refresh
-    /// the map's tensors in place ([`NetModel`]) then allocates nothing.
-    fn loss_grad_into(&mut self, x: &Tensor, y: &Target, grads: &mut ParamMap) -> f32 {
-        let (loss, fresh) = self.loss_grad(x, y);
-        *grads = fresh;
-        loss
-    }
-
-    /// One optimizer step on this model's parameters with `grads`.
+    /// One training step on a batch: [`Model::loss_grad`], then `opt`
+    /// stepping the parameters with that gradient (`anchor` is the proximal
+    /// anchor, if any). Returns the mean loss.
     ///
-    /// The default goes through a [`ParamMap`] copy; a model that can hand
-    /// out its own tensors ([`NetModel`]) is stepped where it lives, with
-    /// the same bits and no copy.
-    fn step(&mut self, opt: &mut Sgd, grads: &ParamMap, anchor: Option<&ParamMap>) {
+    /// The default goes through [`ParamMap`] copies; a model that can hand
+    /// out its own tensors and gradients ([`NetModel`]) is stepped where it
+    /// lives, with the same bits and no copy.
+    fn train_step(
+        &mut self,
+        opt: &mut Sgd,
+        x: &Tensor,
+        y: &Target,
+        anchor: Option<&ParamMap>,
+    ) -> f32 {
+        let (loss, grads) = self.loss_grad(x, y);
         let mut params = self.get_params();
-        opt.step(&mut params, grads, anchor);
+        opt.step(&mut params, &grads, anchor);
         self.set_params(&params);
+        loss
     }
 
     /// Keys of non-trained buffers (e.g. batch-norm running statistics).
@@ -140,6 +141,25 @@ impl NetModel {
     pub fn net(&self) -> &Sequential {
         &self.net
     }
+
+    /// Train-mode forward, loss and backward: leaves the gradient of the
+    /// mean loss in each layer's accumulators and returns the loss.
+    fn forward_backward(&mut self, x: &Tensor, y: &Target) -> f32 {
+        self.net.zero_grad();
+        let logits = self.net.forward(x, true);
+        let (loss, grad_logits) = match (self.loss, y) {
+            (LossKind::SoftmaxCrossEntropy, Target::Classes(c)) => {
+                softmax_cross_entropy(&logits, c)
+            }
+            (LossKind::Mse, Target::Values(v)) => mse(&logits, v),
+            (kind, _) => panic!("loss {kind:?} incompatible with target type"),
+        };
+        scratch::give(logits);
+        // nobody reads the gradient w.r.t. the batch: the first layer skips it
+        self.net.backward_params(&grad_logits);
+        scratch::give(grad_logits);
+        loss
+    }
 }
 
 impl Model for NetModel {
@@ -158,31 +178,22 @@ impl Model for NetModel {
     }
 
     fn loss_grad(&mut self, x: &Tensor, y: &Target) -> (f32, ParamMap) {
+        let loss = self.forward_backward(x, y);
         let mut grads = ParamMap::new();
-        let loss = self.loss_grad_into(x, y, &mut grads);
+        self.net.collect_grads("", &mut grads);
         (loss, grads)
     }
 
-    fn loss_grad_into(&mut self, x: &Tensor, y: &Target, grads: &mut ParamMap) -> f32 {
-        self.net.zero_grad();
-        let logits = self.net.forward(x, true);
-        let (loss, grad_logits) = match (self.loss, y) {
-            (LossKind::SoftmaxCrossEntropy, Target::Classes(c)) => {
-                softmax_cross_entropy(&logits, c)
-            }
-            (LossKind::Mse, Target::Values(v)) => mse(&logits, v),
-            (kind, _) => panic!("loss {kind:?} incompatible with target type"),
-        };
-        scratch::give(logits);
-        // nobody reads the gradient w.r.t. the batch: the first layer skips it
-        self.net.backward_params(&grad_logits);
-        scratch::give(grad_logits);
-        self.net.collect_grads("", grads);
+    fn train_step(
+        &mut self,
+        opt: &mut Sgd,
+        x: &Tensor,
+        y: &Target,
+        anchor: Option<&ParamMap>,
+    ) -> f32 {
+        let loss = self.forward_backward(x, y);
+        opt.step_each(anchor, |visit| self.net.for_each_trainable(visit));
         loss
-    }
-
-    fn step(&mut self, opt: &mut Sgd, grads: &ParamMap, anchor: Option<&ParamMap>) {
-        opt.step(&mut self.net, grads, anchor);
     }
 
     fn buffer_keys(&self) -> Vec<String> {

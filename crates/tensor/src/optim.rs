@@ -47,20 +47,6 @@ impl SgdConfig {
     }
 }
 
-/// Name-addressed parameter storage an optimizer can step in place: a
-/// [`ParamMap`], or a network's own tensors
-/// ([`Sequential`](crate::layer::Sequential)).
-pub trait ParamsMut {
-    /// The tensor stored under `name`, if any.
-    fn param_mut(&mut self, name: &str) -> Option<&mut Tensor>;
-}
-
-impl ParamsMut for ParamMap {
-    fn param_mut(&mut self, name: &str) -> Option<&mut Tensor> {
-        self.get_mut(name)
-    }
-}
-
 /// Stochastic gradient descent over name-addressed parameters.
 #[derive(Clone, Debug)]
 pub struct Sgd {
@@ -100,44 +86,53 @@ impl Sgd {
     /// Only names present in both `grads` and `params` are updated, so
     /// buffers (batch-norm running statistics) are never touched.
     ///
-    /// `params` is written where it lives: stepping a network's own tensors
-    /// and stepping a [`ParamMap`] copy of them run this one loop and one
-    /// per-tensor rule, so the two agree bit for bit.
-    pub fn step<P: ParamsMut + ?Sized>(
+    /// This is the map route of `Sgd::step_each`: a network stepped where it
+    /// lives ([`Model::train_step`](crate::model::Model::train_step)) and a
+    /// [`ParamMap`] copy of it run the same walk and per-tensor rule, so the
+    /// two agree bit for bit.
+    pub fn step(&mut self, params: &mut ParamMap, grads: &ParamMap, anchor: Option<&ParamMap>) {
+        self.step_each(anchor, |visit| {
+            for (k, g) in grads.iter() {
+                if let Some(p) = params.get_mut(k) {
+                    visit(k, p, g);
+                }
+            }
+        });
+    }
+
+    /// One SGD step over the tensors `walk` hands out: `walk(visit)` calls
+    /// `visit(name, param, grad)` once per trained tensor, in name order,
+    /// and is called twice when a clip norm is set. The velocity and the
+    /// proximal anchor of a tensor are looked up by its name.
+    pub(crate) fn step_each(
         &mut self,
-        params: &mut P,
-        grads: &ParamMap,
         anchor: Option<&ParamMap>,
+        mut walk: impl FnMut(&mut dyn FnMut(&str, &mut Tensor, &Tensor)),
     ) {
         let cfg = self.cfg;
         let anchor = anchor.filter(|_| cfg.prox_mu != 0.0);
         // the clip factor needs the norm of the whole effective gradient
         // before any parameter moves: a read-only pass, tensors in name order
         let clip = cfg.max_grad_norm.and_then(|max| {
-            let norm = grads
-                .iter()
-                .filter_map(|(k, g)| {
-                    let p = params.param_mut(k)?;
-                    let n = Self::effective_norm(&cfg, p, g, anchor.and_then(|a| a.get(k)));
-                    Some(n * n)
-                })
-                .sum::<f32>()
-                .sqrt();
+            let mut sum = 0.0f32;
+            walk(&mut |k, p, g| {
+                let n = Self::effective_norm(&cfg, p, g, anchor.and_then(|a| a.get(k)));
+                sum += n * n;
+            });
+            let norm = sum.sqrt();
             (norm > max && norm > 0.0).then(|| max / norm)
         });
-        for (k, g) in grads.iter() {
-            let Some(p) = params.param_mut(k) else {
-                continue;
-            };
+        let velocity = &mut self.velocity;
+        walk(&mut |k, p, g| {
             let v = (cfg.momentum != 0.0).then(|| {
-                let vel = self.velocity.get_or_insert_with(ParamMap::new);
+                let vel = velocity.get_or_insert_with(ParamMap::new);
                 if !vel.contains(k) {
                     vel.insert(k, g.zeros_like());
                 }
                 vel.get_mut(k).expect("inserted above")
             });
             Self::update(&cfg, clip, p, g, anchor.and_then(|a| a.get(k)), v);
-        }
+        });
     }
 
     /// The per-tensor update rule. Per coordinate, in this order:

@@ -32,29 +32,6 @@ impl ParamMap {
         self.entries.insert(name.into(), t);
     }
 
-    /// Stores a copy of `t` under `"{prefix}.{leaf}"`.
-    ///
-    /// An existing same-shaped entry is refreshed in place — no key is built
-    /// and nothing is allocated, which is what lets a training loop collect
-    /// gradients into one map step after step. The map owns its storage: a
-    /// first store deep-copies, so the entry never aliases the layer's
-    /// accumulator.
-    pub fn store(&mut self, prefix: &str, leaf: &str, t: &Tensor) {
-        // keys that start with `prefix` sort together from `prefix` on
-        let existing = self
-            .entries
-            .range_mut::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .find(|(k, _)| is_joined(k, prefix, leaf));
-        match existing {
-            Some((_, slot)) if slot.shape() == t.shape() => slot.copy_from(t),
-            _ => {
-                let owned = Tensor::from_vec(t.shape().to_vec(), t.data().to_vec());
-                self.entries.insert(format!("{prefix}.{leaf}"), owned);
-            }
-        }
-    }
-
     /// Looks up `"{prefix}.{leaf}"` without building the key — what a layer
     /// loading its parameters step after step asks.
     pub fn get_in(&self, prefix: &str, leaf: &str) -> Option<&Tensor> {

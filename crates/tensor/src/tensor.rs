@@ -297,8 +297,9 @@ impl Tensor {
         out
     }
 
-    /// [`Tensor::matmul_nt`] writing into `out`; the transposed copy of
-    /// `rhs` is staged in worker scratch.
+    /// [`Tensor::matmul_nt`] writing into `out`. A product with fewer rows
+    /// than one tile band reads `rhs` where it lies; a taller one stages
+    /// `rhs^T` in worker scratch for the tiles. Both give the tile's bits.
     pub fn matmul_nt_into(&self, rhs: &Tensor, out: &mut Tensor) {
         assert_eq!(self.shape.len(), 2, "matmul_nt lhs must be 2-D");
         assert_eq!(rhs.shape.len(), 2, "matmul_nt rhs must be 2-D");
@@ -309,6 +310,12 @@ impl Tensor {
             "matmul_nt inner dims: {:?} x {:?}^T",
             self.shape, rhs.shape
         );
+        if m < kernels::MR {
+            // a transpose would cost as much as the few rows' arithmetic
+            out.reset_to(&[m, n]);
+            kernels::gemm_nt_thin(&self.data, &rhs.data, out.data_mut(), m, k, n);
+            return;
+        }
         // stage rhs^T once; the transpose is O(k·n) against O(m·k·n) math
         let mut staged = crate::scratch::take(&[k, n]);
         kernels::transpose(&rhs.data, n, k, staged.data_mut());
@@ -602,7 +609,7 @@ impl Tensor {
 /// is no dynamic-width branch for a ragged shape to fall into.
 pub(crate) mod kernels {
     /// Accumulator tile rows (distinct output rows per full tile).
-    const MR: usize = 4;
+    pub(crate) const MR: usize = 4;
     /// Accumulator tile columns. At `MR x NR = 4 x 16` the tile is 8 AVX2
     /// (4 AVX-512) registers, leaving room for the broadcast multipliers —
     /// the whole accumulator state lives in the register file across the
@@ -797,6 +804,73 @@ pub(crate) mod kernels {
             } else {
                 o_row.copy_from_slice(acc_r);
             }
+        }
+    }
+
+    /// `out = a x bᵀ` with `a` stored `[m,k]` and `b` stored `[n,k]`, for
+    /// `m < MR`: no `bᵀ` is staged. Each output is one chain from `+0.0`
+    /// adding `a[i,kk]·b[j,kk]` in increasing `kk`, the tile's order, so the
+    /// bits are those of `gemm` over an explicit transpose; the chains of
+    /// up to four columns run side by side.
+    pub(crate) fn gemm_nt_thin(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        assert_eq!(a.len(), m * k, "gemm_nt lhs length");
+        assert_eq!(b.len(), n * k, "gemm_nt rhs length");
+        assert_eq!(out.len(), m * n, "gemm_nt out length");
+        match m {
+            0 => {}
+            1 => thin_band::<1>(a, b, out, k, n),
+            2 => thin_band::<2>(a, b, out, k, n),
+            3 => thin_band::<3>(a, b, out, k, n),
+            _ => panic!("gemm_nt_thin: {m} rows fill a band"),
+        }
+    }
+
+    /// All `R` rows of a thin product: four-column groups, then two, then one.
+    #[inline(always)]
+    fn thin_band<const R: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+        let mut j = 0;
+        while j + 4 <= n {
+            thin_tile::<R, 4>(a, b, out, j, k, n);
+            j += 4;
+        }
+        if n - j >= 2 {
+            thin_tile::<R, 2>(a, b, out, j, k, n);
+            j += 2;
+        }
+        if n - j >= 1 {
+            thin_tile::<R, 1>(a, b, out, j, k, n);
+        }
+    }
+
+    /// Columns `j..j + W` of a thin product, one accumulator per output.
+    #[inline(always)]
+    fn thin_tile<const R: usize, const W: usize>(
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        j: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+        let b_rows: [&[f32]; W] = std::array::from_fn(|c| &b[(j + c) * k..(j + c + 1) * k]);
+        let mut acc = [[0.0f32; W]; R];
+        for kk in 0..k {
+            for (acc_r, a_row) in acc.iter_mut().zip(&a_rows) {
+                for (v, b_row) in acc_r.iter_mut().zip(&b_rows) {
+                    *v += a_row[kk] * b_row[kk];
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            out[r * n + j..r * n + j + W].copy_from_slice(acc_r);
         }
     }
 
@@ -998,6 +1072,33 @@ mod tests {
         Tensor::from_vec(vec![rows, cols], data)
     }
 
+    /// Like [`lcg_matrix`], laced with the values whose handling an
+    /// accumulation order decides: ±0, ±∞, NaNs of several payloads and
+    /// signs, and subnormals, each rare enough that most products stay
+    /// finite.
+    fn special_matrix(rows: usize, cols: usize, seed: u64) -> Tensor {
+        let mut s = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let data = (0..rows * cols)
+            .map(|_| {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let low = (s >> 11) as u32;
+                match (s >> 33) % 256 {
+                    0..=3 => 0.0,
+                    4..=7 => -0.0,
+                    8 => f32::INFINITY,
+                    9 => f32::NEG_INFINITY,
+                    10 => f32::from_bits(0x7fc0_0000 | (low & 0x3f_ffff)),
+                    11 => f32::from_bits(0xff80_0001 | (low & 0x3f_ffff)),
+                    12..=19 => f32::from_bits((low & 0x8000_0000) | (low & 0x7f_ffff).max(1)),
+                    _ => ((s >> 33) as f32 / (1u64 << 31) as f32) - 1.0,
+                }
+            })
+            .collect();
+        Tensor::from_vec(vec![rows, cols], data)
+    }
+
     /// `out[i,j]` as one chain over increasing `k` from `+0.0`, no blocking,
     /// no zero-skip: the order every kernel must reproduce.
     fn reference_product(a: &Tensor, b: &Tensor) -> Vec<f32> {
@@ -1052,6 +1153,32 @@ mod tests {
             a.t().matmul_tn_acc(&b, &mut acc);
             let two_step: Vec<f32> = base.data().iter().zip(&want).map(|(o, c)| o + c).collect();
             assert_same_bits(acc.data(), &two_step, "matmul_tn_acc");
+        }
+
+        /// `matmul_nt_into` below one band (`m` ≤ 3 reads `rhs` in place) and
+        /// above it (`m` = 4, 5 stage `rhsᵀ` for the tiles) equals `matmul`
+        /// over an explicit `rhs.t()`, bit for bit, on operands laced with
+        /// special values. NaN results are compared for NaN-ness only: Rust
+        /// leaves NaN payloads unspecified.
+        #[test]
+        fn matmul_nt_on_either_side_of_the_band_equals_the_transposed_product(
+            m in 1usize..6,
+            k in 1usize..41,
+            n in 1usize..41,
+            seed in 0u64..u64::MAX,
+        ) {
+            let a = special_matrix(m, k, seed);
+            let w = special_matrix(n, k, seed ^ 0x5bd1);
+            let want = a.matmul(&w.t());
+            let mut out = Tensor::full(&[2, 7], f32::NAN);
+            a.matmul_nt_into(&w, &mut out);
+            proptest::prop_assert!(out.shape() == want.shape());
+            for (i, (x, y)) in out.data().iter().zip(want.data()).enumerate() {
+                proptest::prop_assert!(
+                    x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                    "{m}x{k}x{n}, element {i}: {x} vs {y}"
+                );
+            }
         }
 
         /// The portable kernel and whichever wide path this CPU dispatches to

@@ -12,6 +12,7 @@ use fs_tensor::layer::{
 };
 use fs_tensor::loss::{softmax_cross_entropy, LossKind, Target};
 use fs_tensor::model::{convnet2, logistic_regression, mlp, Model, NetModel};
+use fs_tensor::optim::{Sgd, SgdConfig};
 use fs_tensor::{scratch, ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -214,7 +215,7 @@ fn check_conv_on(
         &want.y,
         &format!("{what}: eval forward"),
     );
-    let grads_of = |conv: &Conv2d| {
+    let grads_of = |conv: &mut Conv2d| {
         let mut grads = ParamMap::new();
         conv.collect_grads("c", &mut grads);
         grads
@@ -228,7 +229,7 @@ fn check_conv_on(
     let gx = conv.backward(&g);
     assert_eq!(gx.shape(), x.shape());
     assert_same_bits(gx.data(), &want.gx, &format!("{what}: input grad"));
-    let full = grads_of(&conv);
+    let full = grads_of(&mut conv);
     assert_same_bits(
         full.get("c.weight").unwrap().data(),
         &want.gw,
@@ -245,7 +246,7 @@ fn check_conv_on(
     // an eval forward in between leaves the training lowering in place
     conv.forward(&x, false);
     conv.backward_params(&g);
-    let skipped = grads_of(&conv);
+    let skipped = grads_of(&mut conv);
     assert_same_bits(
         skipped.get("c.weight").unwrap().data(),
         &want.gw,
@@ -473,12 +474,9 @@ fn loss_grad_without_the_input_gradient_equals_full_backward() {
         let (loss, by_value) = model.loss_grad(&x, &y);
         assert_eq!(loss.to_bits(), want_loss.to_bits());
         assert_same_grads(&by_value, &want, &format!("model {i}: loss_grad"));
-        // the reused map ends up with the same bits, stale contents or not
-        let mut reused = want.clone();
-        reused.scale(f32::NAN);
-        let loss = model.loss_grad_into(&x, &y, &mut reused);
-        assert_eq!(loss.to_bits(), want_loss.to_bits());
-        assert_same_grads(&reused, &want, &format!("model {i}: loss_grad_into"));
+        // the fused training step runs the same forward and backward
+        let loss = model.train_step(&mut Sgd::new(SgdConfig::with_lr(0.1)), &x, &y, None);
+        assert_eq!(loss.to_bits(), want_loss.to_bits(), "model {i}: train_step");
     }
 }
 
@@ -577,11 +575,11 @@ fn a_model_at_rest_keeps_no_scratch() {
         let mut model = convnet2(1, 8, 32, 10, 0.0, &mut rng);
         let x = random_tensor(&[20, 1, 8, 8], &mut rng);
         let y = Target::Classes((0..20).map(|i| i % 10).collect());
-        let mut grads = ParamMap::new();
-        model.loss_grad_into(&x, &y, &mut grads);
+        let mut opt = Sgd::new(SgdConfig::with_lr(0.1));
+        model.train_step(&mut opt, &x, &y, None);
         let after_warm_step = scratch::pooled();
         for _ in 0..3 {
-            model.loss_grad_into(&x, &y, &mut grads);
+            model.train_step(&mut opt, &x, &y, None);
             assert_eq!(
                 scratch::pooled(),
                 after_warm_step,

@@ -1,13 +1,18 @@
-//! `Model::step` on a network's own tensors ≡ the `get_params` /
-//! `Sgd::step` / `set_params` round trip ≡ the tensor-at-a-time optimizer the
-//! fused per-coordinate rule replaced, bit for bit — parameters and momentum
-//! state, over every stage of the rule and every feed-forward architecture.
+//! `NetModel::train_step`, which steps each layer's own parameters with the
+//! layer's own gradients, ≡ the default `Model::train_step` (`loss_grad`,
+//! then `Sgd::step` over a `get_params` copy, then `set_params`) ≡ the
+//! tensor-at-a-time optimizer the fused per-coordinate rule replaced, bit for
+//! bit — losses, parameters and momentum state, over every stage of the rule
+//! and every feed-forward architecture.
 //!
 //! The first two routes share `Sgd::update`, so on their own they would
 //! agree on a wrong rule too. `reference_step` is the third: the optimizer
 //! as it stood before the fusion, written with whole-tensor operations. A
 //! reordered stage in the shared rule (decay after the proximal term, clip
-//! before it) rounds differently and fails here.
+//! before it) rounds differently and fails here. The clip norm sums the
+//! tensors in name order; `deep_mlp`'s ten linear layers (`fc1, fc10, fc2,
+//! …`) and `mlp_bn`'s `bn1` before `fc1` are where that differs from layer
+//! order.
 
 use fs_tensor::loss::Target;
 use fs_tensor::model::{convnet2, logistic_regression, mlp, mlp_bn, Model, NetModel};
@@ -19,13 +24,46 @@ use rand::{Rng, SeedableRng};
 
 const CLASSES: usize = 3;
 
-/// The four architectures, with the input shape each one takes.
+/// The five architectures, with the input shape each one takes.
 fn model(arch: u8, rng: &mut StdRng) -> (NetModel, Vec<usize>) {
     match arch {
         0 => (logistic_regression(6, CLASSES, rng), vec![6]),
         1 => (mlp(&[6, 5, CLASSES], rng), vec![6]),
         2 => (convnet2(1, 8, 8, CLASSES, 0.0, rng), vec![1, 8, 8]),
-        _ => (mlp_bn(&[6, 5, CLASSES], rng), vec![6]),
+        3 => (mlp_bn(&[6, 5, CLASSES], rng), vec![6]),
+        _ => (deep_mlp(rng), vec![6]),
+    }
+}
+
+/// Ten linear layers, `fc1` … `fc10`: name order puts `fc10` second.
+fn deep_mlp(rng: &mut StdRng) -> NetModel {
+    let mut dims = vec![6; 10];
+    dims.push(CLASSES);
+    mlp(&dims, rng)
+}
+
+/// A model that keeps the default `Model::train_step`: the map route.
+struct ViaMap(Box<dyn Model>);
+
+impl Model for ViaMap {
+    fn get_params(&self) -> ParamMap {
+        self.0.get_params()
+    }
+
+    fn set_params(&mut self, src: &ParamMap) {
+        self.0.set_params(src);
+    }
+
+    fn predict(&mut self, x: &Tensor) -> Tensor {
+        self.0.predict(x)
+    }
+
+    fn loss_grad(&mut self, x: &Tensor, y: &Target) -> (f32, ParamMap) {
+        self.0.loss_grad(x, y)
+    }
+
+    fn clone_model(&self) -> Box<dyn Model> {
+        Box::new(ViaMap(self.0.clone_model()))
     }
 }
 
@@ -132,7 +170,7 @@ fn same_bits(got: &ParamMap, want: &ParamMap, what: &str) -> Result<(), String> 
 proptest! {
     #[test]
     fn in_place_step_equals_the_map_route_and_the_unfused_reference(
-        arch in 0u8..4,
+        arch in 0u8..5,
         kind in 0u8..6,
         steps in 1usize..=5,
         partial_anchor in 0u8..2,
@@ -152,26 +190,25 @@ proptest! {
         let anchor = Some(&anchor);
 
         let mut in_place = template.clone_model();
-        let mut via_map = template.clone_model();
+        let mut via_map = ViaMap(template.clone_model());
         let mut unfused = template.clone_model();
         let (mut opt_a, mut opt_b) = (Sgd::new(cfg), Sgd::new(cfg));
         let mut vel_c = None;
-        let (mut ga, mut gb, mut gc) = (ParamMap::new(), ParamMap::new(), ParamMap::new());
         for step in 0..steps {
             let (x, y) = batch(&input, &mut rng);
 
-            in_place.loss_grad_into(&x, &y, &mut ga);
-            in_place.step(&mut opt_a, &ga, anchor);
+            let loss_a = in_place.train_step(&mut opt_a, &x, &y, anchor);
+            let loss_b = via_map.train_step(&mut opt_b, &x, &y, anchor);
 
-            via_map.loss_grad_into(&x, &y, &mut gb);
-            let mut params = via_map.get_params();
-            opt_b.step(&mut params, &gb, anchor);
-            via_map.set_params(&params);
-
-            unfused.loss_grad_into(&x, &y, &mut gc);
+            let (loss_c, gc) = unfused.loss_grad(&x, &y);
             let mut params = unfused.get_params();
             reference_step(&cfg, &mut vel_c, &mut params, &gc, anchor);
             unfused.set_params(&params);
+
+            prop_assert!(
+                loss_a.to_bits() == loss_b.to_bits() && loss_a.to_bits() == loss_c.to_bits(),
+                "step {step}: losses {loss_a} / {loss_b} / {loss_c}"
+            );
 
             let got = in_place.get_params();
             if let Err(e) = same_bits(&got, &via_map.get_params(), "in place vs map route") {
@@ -200,21 +237,27 @@ fn in_place_step_leaves_buffers_and_unnamed_gradients_alone() {
     let mut rng = StdRng::seed_from_u64(5);
     let mut m = mlp_bn(&[6, 5, CLASSES], &mut rng);
     let (x, y) = batch(&[6], &mut rng);
-    let mut grads = ParamMap::new();
-    m.loss_grad_into(&x, &y, &mut grads);
-    // a gradient for a name the model does not have is ignored, not a panic
-    grads.insert("ghost.weight", Tensor::ones(&[2]));
-    let before = m.get_params();
-    let mut opt = Sgd::new(SgdConfig {
+    let cfg = SgdConfig {
         momentum: 0.9,
         max_grad_norm: Some(0.1),
         ..SgdConfig::with_lr(0.1)
-    });
-    m.step(&mut opt, &grads, None);
+    };
+    let before = m.get_params();
+    // the training forward moves the running statistics; the step must not
+    let mut forward_only = m.clone_model();
+    let (_, mut grads) = forward_only.loss_grad(&x, &y);
+    let moved = forward_only.get_params();
+    m.train_step(&mut Sgd::new(cfg), &x, &y, None);
     let after = m.get_params();
     for key in m.buffer_keys() {
-        assert_eq!(after.get(&key), before.get(&key), "{key} moved");
+        assert_ne!(moved.get(&key), before.get(&key), "{key}: forward left it");
+        assert_eq!(after.get(&key), moved.get(&key), "{key} was stepped");
     }
     assert_ne!(after.get("fc1.weight"), before.get("fc1.weight"));
+    // the map route ignores a gradient for a name the parameters lack
+    grads.insert("ghost.weight", Tensor::ones(&[2]));
+    let mut opt = Sgd::new(cfg);
+    let mut params = moved.clone();
+    opt.step(&mut params, &grads, None);
     assert!(!opt.velocity().unwrap().contains("ghost.weight"));
 }
