@@ -1,12 +1,13 @@
 //! Shared command-line argument parsing for the `exp_*` binaries.
 //!
 //! Every experiment takes the same knobs — a seed, an optional round cap, a
-//! strategy subset, a workload subset, and a `--quick` smoke-test mode — and
-//! used to hardcode them. [`ExpArgs::parse`] centralizes the vocabulary:
+//! strategy subset and a workload subset — and used to hardcode them.
+//! [`ExpArgs::parse`] centralizes the vocabulary; any other argument is a
+//! usage error:
 //!
 //! ```text
 //! exp_monitor --seed 7 --rounds 40 --strategies sync_vanilla,goal_aggr_unif \
-//!             --workloads femnist,twitter --quick
+//!             --workloads femnist,twitter
 //! ```
 
 use crate::strategies::Strategy;
@@ -23,22 +24,14 @@ pub struct ExpArgs {
     pub strategies: Option<Vec<Strategy>>,
     /// `--workloads x,y` — workload subset by name (femnist, cifar, twitter).
     pub workloads: Option<Vec<String>>,
-    /// `--quick` — shrink the run to a seconds-scale smoke test.
-    pub quick: bool,
     /// `--threads N` — worker threads for the standalone runner's parallel
     /// client execution (`FlConfig::parallelism`): 1 serial, 0 all cores.
     pub threads: Option<usize>,
     /// `--clients a,b,c` — client counts to sweep (scale experiments).
     pub clients: Option<Vec<u64>>,
-    /// `--mem-budget-mb N` — peak-RSS budget; experiments that track memory
-    /// fail when the process high-water mark exceeds it.
-    pub mem_budget_mb: Option<u64>,
     /// `--topology star|hier:<tiers>x<fanout>|gossip:<degree>[x<rounds>]` —
     /// communication topology for the course (`FlConfig::topology`).
     pub topology: Option<fs_net::Topology>,
-    /// Flags the experiment itself interprets (everything starting `--` that
-    /// this parser does not know, recorded without the leading dashes).
-    pub extra_flags: Vec<String>,
 }
 
 /// Known workload names (the `--workloads` vocabulary).
@@ -55,8 +48,7 @@ impl ExpArgs {
                 eprintln!(
                     "usage: [--seed N] [--rounds N] [--strategies a,b,c] \
                      [--workloads femnist,cifar,twitter] [--threads N] \
-                     [--clients a,b,c] [--mem-budget-mb N] \
-                     [--topology star|hier:TxF|gossip:D] [--quick]"
+                     [--clients a,b,c] [--topology star|hier:TxF|gossip:D]"
                 );
                 std::process::exit(2);
             }
@@ -133,19 +125,9 @@ impl ExpArgs {
                     }
                     args.clients = Some(out);
                 }
-                "--mem-budget-mb" => {
-                    let v = value_for("--mem-budget-mb")?;
-                    args.mem_budget_mb =
-                        Some(v.parse().map_err(|_| format!("bad mem budget {v:?}"))?);
-                }
                 "--topology" => {
                     let v = value_for("--topology")?;
                     args.topology = Some(fs_net::Topology::parse(&v)?);
-                }
-                "--quick" => args.quick = true,
-                other if other.starts_with("--") => {
-                    args.extra_flags
-                        .push(other.trim_start_matches('-').to_string());
                 }
                 other => return Err(format!("unexpected argument {other:?}")),
             }
@@ -186,19 +168,9 @@ impl ExpArgs {
         self.clients.clone().unwrap_or_else(|| default.to_vec())
     }
 
-    /// The peak-RSS budget in MiB, or an experiment-specific default.
-    pub fn mem_budget_mb_or(&self, default: u64) -> u64 {
-        self.mem_budget_mb.unwrap_or(default)
-    }
-
     /// The topology, or an experiment-specific default (usually `Star`).
     pub fn topology_or(&self, default: fs_net::Topology) -> fs_net::Topology {
         self.topology.unwrap_or(default)
-    }
-
-    /// `true` when `--<flag>` was passed among the unclaimed extras.
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.extra_flags.iter().any(|f| f == flag)
     }
 }
 
@@ -225,25 +197,17 @@ mod tests {
             "4",
             "--clients",
             "10000,250k,1m",
-            "--mem-budget-mb",
-            "4096",
-            "--quick",
-            "--validate",
         ]))
         .unwrap();
         assert_eq!(a.seed_or(7), 42);
         assert_eq!(a.rounds_or(300), 10);
         assert_eq!(a.threads_or(1), 4);
         assert_eq!(a.clients_or(&[5]), vec![10_000, 250_000, 1_000_000]);
-        assert_eq!(a.mem_budget_mb_or(1024), 4096);
         assert_eq!(
             a.strategies_or(vec![]),
             vec![Strategy::SyncVanilla, Strategy::GoalAggrUnif]
         );
         assert_eq!(a.workloads_or(&["cifar"]), vec!["femnist", "twitter"]);
-        assert!(a.quick);
-        assert!(a.has_flag("validate"));
-        assert!(!a.has_flag("other"));
     }
 
     #[test]
@@ -258,8 +222,6 @@ mod tests {
         );
         assert_eq!(a.threads_or(1), 1);
         assert_eq!(a.clients_or(&[10_000]), vec![10_000]);
-        assert_eq!(a.mem_budget_mb_or(4096), 4096);
-        assert!(!a.quick);
     }
 
     #[test]
@@ -272,8 +234,9 @@ mod tests {
         assert!(ExpArgs::parse_from(&argv(&["--workloads", "mnist"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--clients", "abc"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["--clients", ""])).is_err());
-        assert!(ExpArgs::parse_from(&argv(&["--mem-budget-mb", "x"])).is_err());
         assert!(ExpArgs::parse_from(&argv(&["stray"])).is_err());
+        // a mistyped flag is a usage error, not a silent default run
+        assert!(ExpArgs::parse_from(&argv(&["--quik"])).is_err());
     }
 
     #[test]

@@ -10,12 +10,15 @@
 //! 4. *server optimizer* (FedOpt family): plain averaging vs server-side
 //!    Adam / Yogi on the aggregated delta.
 //!
+//! Claims (EXPERIMENTS.md): tolerance 0 drops the most updates; `a=0` is the
+//! only discount that misses 90%; mean staleness falls as the goal rises.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_ablation -- [--seed N] [--rounds N]
 //! ```
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_bench::workloads::femnist;
 use fs_core::aggregator::FedAvg;
 use fs_core::config::{BroadcastManner, SamplerKind};
@@ -174,4 +177,27 @@ fn main() {
     );
     let path = write_json("ablation", &rows).expect("write results");
     println!("wrote {path}");
+
+    // rows in run order: discount a=0/0.5/2, tolerance 0/2/20, goal 4/8/16,
+    // then the server optimizers
+    let tol0 = rows[3].dropped_updates;
+    check_claims(&[
+        Claim::new(
+            "Ablation: tol=0 drops the most updates",
+            rows.iter()
+                .enumerate()
+                .all(|(i, r)| i == 3 || r.dropped_updates < tol0),
+        ),
+        Claim::new(
+            "Ablation: a=0 is the only discount that misses 90%",
+            rows[0].hours_to_target.is_none()
+                && rows[1..3].iter().all(|r| r.hours_to_target.is_some()),
+        ),
+        Claim::new(
+            "Ablation: mean staleness falls as the goal rises",
+            rows[6..9]
+                .windows(2)
+                .all(|w| w[1].mean_staleness < w[0].mean_staleness),
+        ),
+    ]);
 }

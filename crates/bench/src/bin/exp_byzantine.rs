@@ -7,13 +7,16 @@
 //! coordinate-median, trimmed-mean, and norm-bounding all hold the line, at
 //! a small cost in clean accuracy.
 //!
+//! Claim (EXPERIMENTS.md): under model replacement, FedAvg's accuracy is
+//! below every robust rule's.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_byzantine
 //! ```
 
 use fs_attack::backdoor::label_flip;
 use fs_attack::malicious::{AttackMode, MaliciousTrainer};
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::aggregator::{Aggregator, CoordinateMedian, FedAvg, Krum, NormBounded, TrimmedMean};
 use fs_core::config::FlConfig;
 use fs_core::course::CourseBuilder;
@@ -151,4 +154,13 @@ fn main() {
     );
     let path = write_json("byzantine", &cells).expect("write results");
     println!("wrote {path}");
+
+    let (fedavg, robust): (Vec<&Cell>, Vec<&Cell>) = cells
+        .iter()
+        .filter(|c| c.attack == "replacement")
+        .partition(|c| c.aggregator == "fedavg");
+    check_claims(&[Claim::new(
+        "Byzantine: FedAvg under model replacement is below every robust rule",
+        robust.iter().all(|c| fedavg[0].accuracy < c.accuracy),
+    )]);
 }

@@ -12,14 +12,14 @@
 //!   backoff, so the rejoin never depends on a round outlasting a backoff.
 //!
 //! Each cell also cross-checks the monitor's `clients.dropouts` /
-//! `clients.reconnects` counters against the server's own record.
+//! `clients.reconnects` counters against the server's own record. Every
+//! check is a claim over the whole grid, printed at the end.
 //!
 //! Emits `results/faults_grid.csv`
 //! (`backend,strategy,profile,rounds,survivors,dropouts,reconnects,wall_ms`).
 //!
 //! ```text
-//! cargo run -p fs-bench --release --bin exp_faults             # full grid
-//! cargo run -p fs-bench --release --bin exp_faults -- --quick  # CI grid
+//! cargo run -p fs-bench --release --bin exp_faults
 //! ```
 //!
 //! `--topology hier:TxF` runs the same grid through the driver's relay tree:
@@ -27,7 +27,7 @@
 //! rejected — the survivor arithmetic needs a server.
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::render_table;
+use fs_bench::output::{check_claims, render_table, Claim};
 use fs_core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fs_core::course::CourseBuilder;
 use fs_core::distributed::{
@@ -148,10 +148,9 @@ fn condemned(k: usize) -> Vec<ParticipantId> {
 fn main() {
     let args = ExpArgs::parse();
     let seed = args.seed_or(11);
-    let quick = args.quick;
-    let n = if quick { 6 } else { 12 };
-    let rounds = args.rounds_or(if quick { 3 } else { 5 });
-    let k = if quick { 2 } else { 3 };
+    let n = 12;
+    let rounds = args.rounds_or(5);
+    let k = 3;
     let budget = Duration::from_secs(120);
     let topology = args.topology_or(Topology::Star);
     if matches!(topology, Topology::Gossip { .. }) {
@@ -168,6 +167,12 @@ fn main() {
     .expect("write csv header");
 
     let mut table: Vec<Vec<String>> = Vec::new();
+    // the survivor arithmetic, one flag per claim, each over the whole grid
+    let mut complete = true;
+    let mut fault_free = true;
+    let mut dropouts_exact = true;
+    let mut rejoined = true;
+    let mut counters_agree = true;
     for backend in [Backend::Bus, Backend::Tcp] {
         for strat in [Strat::Sync, Strat::Goal] {
             let mut profiles = vec![Profile::None, Profile::DropoutK(k)];
@@ -229,53 +234,33 @@ fn main() {
                 let wall_ms = start.elapsed().as_millis();
                 let server = result.unwrap_or_else(|e| panic!("{cell}: course failed: {e}"));
                 let state = &server.state;
-                assert_eq!(state.round, rounds, "{cell}: wrong round count");
+                complete &= state.round == rounds;
 
                 // survivor arithmetic per profile
                 match profile {
                     Profile::None => {
-                        assert_eq!(state.client_reports.len(), n, "{cell}: missing reports");
-                        assert!(state.dropouts.is_empty(), "{cell}: phantom dropouts");
+                        fault_free &= state.client_reports.len() == n && state.dropouts.is_empty();
                     }
                     Profile::DropoutK(k) => {
                         // threads race, so the record's order is not fixed
                         let mut recorded = state.dropouts.clone();
                         recorded.sort_unstable();
                         recorded.dedup();
-                        assert_eq!(recorded, condemned(k), "{cell}: wrong dropout record");
-                        assert_eq!(
-                            state.client_reports.len(),
-                            n - k,
-                            "{cell}: survivor count wrong"
-                        );
-                        for id in condemned(k) {
-                            assert!(
-                                !state.client_reports.contains_key(&id),
-                                "{cell}: dead client {id} reported"
-                            );
-                        }
+                        dropouts_exact &= recorded == condemned(k)
+                            && state.client_reports.len() == n - k
+                            && condemned(k)
+                                .iter()
+                                .all(|id| !state.client_reports.contains_key(id));
                     }
                     Profile::FlakyRejoin => {
-                        assert!(state.reconnects >= 1, "{cell}: no rejoin counted");
-                        assert!(
-                            state.client_reports.len() >= n - 1,
-                            "{cell}: healthy clients must all report"
-                        );
+                        rejoined &= state.reconnects >= 1 && state.client_reports.len() >= n - 1;
                     }
                 }
 
                 // the monitor counters must agree with the server's record
                 let mon = monitor.lock().unwrap_or_else(PoisonError::into_inner);
-                assert_eq!(
-                    mon.counter(counters::DROPOUTS),
-                    state.dropouts.len() as u64,
-                    "{cell}: dropout counter disagrees"
-                );
-                assert_eq!(
-                    mon.counter(counters::RECONNECTS),
-                    state.reconnects,
-                    "{cell}: reconnect counter disagrees"
-                );
+                counters_agree &= mon.counter(counters::DROPOUTS) == state.dropouts.len() as u64
+                    && mon.counter(counters::RECONNECTS) == state.reconnects;
 
                 writeln!(
                     csv,
@@ -299,13 +284,6 @@ fn main() {
                     state.reconnects.to_string(),
                     format!("{wall_ms}ms"),
                 ]);
-                eprintln!(
-                    "  {cell:<36} rounds {} survivors {} dropouts {} reconnects {} ({wall_ms}ms)",
-                    state.round,
-                    state.client_reports.len(),
-                    state.dropouts.len(),
-                    state.reconnects
-                );
             }
         }
     }
@@ -328,4 +306,27 @@ fn main() {
         )
     );
     println!("wrote results/faults_grid.csv");
+
+    check_claims(&[
+        Claim::new("faults: every cell completes its rounds", complete),
+        Claim::new(
+            "faults: with no faults every client reports and none drops out",
+            fault_free,
+        ),
+        Claim::new(
+            format!(
+                "faults: dropout_{k} records exactly the {k} condemned and {} survivors report",
+                n - k
+            ),
+            dropouts_exact,
+        ),
+        Claim::new(
+            "faults: flaky_rejoin counts a rejoin and every healthy client reports",
+            rejoined,
+        ),
+        Claim::new(
+            "faults: the monitor's dropout and reconnect counters equal the server's record",
+            counters_agree,
+        ),
+    ]);
 }

@@ -6,11 +6,14 @@
 //! vanilla sync and the asynchronous strategies produce concentrated
 //! distributions with no starved clients.
 //!
+//! Claims (EXPERIMENTS.md): Sync-OS starves at least as many clients as
+//! Sync-vanilla, and async (Goal-Aggr-Unif) starves none.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_fig10
 //! ```
 
-use fs_bench::output::{ascii_histogram, write_json};
+use fs_bench::output::{ascii_histogram, check_claims, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::femnist;
 use serde::Serialize;
@@ -92,7 +95,6 @@ fn main() {
             fraction_starved: starved,
         });
     }
-    // the paper's claim, asserted
     let starved = |label: &str| {
         dists
             .iter()
@@ -108,4 +110,15 @@ fn main() {
     );
     let path = write_json("fig10", &dists).expect("write results");
     println!("wrote {path}");
+
+    check_claims(&[
+        Claim::new(
+            "Fig 10: Sync-OS starves at least as many clients as Sync-vanilla",
+            starved("Sync-OS") >= starved("Sync-vanilla"),
+        ),
+        Claim::new(
+            "Fig 10: async (Goal-Aggr-Unif) starves no client",
+            starved("Goal-Aggr-Unif") == 0.0,
+        ),
+    ]);
 }

@@ -6,11 +6,13 @@
 //! `Goal-Rece-Unif`), because after-receiving keeps slow clients training on
 //! models that age while they work.
 //!
+//! Claim (EXPERIMENTS.md): Goal-Aggr-Unif's mean staleness < Goal-Rece-Unif's.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_fig11
 //! ```
 
-use fs_bench::output::{ascii_histogram, write_json};
+use fs_bench::output::{ascii_histogram, check_claims, percentile, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::femnist;
 use serde::Serialize;
@@ -21,14 +23,6 @@ struct StalenessDist {
     histogram: Vec<usize>,
     mean: f64,
     p95: u64,
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx]
 }
 
 fn main() {
@@ -84,4 +78,9 @@ fn main() {
     );
     let path = write_json("fig11", &dists).expect("write results");
     println!("wrote {path}");
+
+    check_claims(&[Claim::new(
+        "Fig 11: Goal-Aggr-Unif's mean staleness < Goal-Rece-Unif's",
+        mean_of("Goal-Aggr-Unif") < mean_of("Goal-Rece-Unif"),
+    )]);
 }

@@ -6,12 +6,16 @@
 //! inversion recovers clean clients' training examples almost exactly, while
 //! reconstructions from noisy clients are destroyed.
 //!
+//! Claims (EXPERIMENTS.md): accuracy falls monotonically as the noisy
+//! fraction grows, and the clean client's DLG reconstruction MSE is below the
+//! DP-noised client's.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_fig13
 //! ```
 
 use fs_attack::dlg::{invert_linear_gradients, reconstruction_mse};
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::FlConfig;
 use fs_core::course::CourseBuilder;
 use fs_core::trainer::{share_all, LocalTrainer, LocalUpdate, TrainConfig, Trainer};
@@ -235,6 +239,22 @@ fn main() {
         "{}",
         render_table(&["client", "recon MSE", "label recovered"], &rows)
     );
-    let path = write_json("fig13", &Fig13 { utility, dlg }).expect("write results");
+    let fig = Fig13 { utility, dlg };
+    let path = write_json("fig13", &fig).expect("write results");
     println!("wrote {path}");
+
+    // DLG ran on the clean client first, then on the DP-noised one
+    let (clean, noised) = (fig.dlg[0].reconstruction_mse, fig.dlg[1].reconstruction_mse);
+    check_claims(&[
+        Claim::new(
+            "Fig 13: accuracy falls monotonically as the noisy fraction grows",
+            fig.utility
+                .windows(2)
+                .all(|w| w[1].accuracy < w[0].accuracy),
+        ),
+        Claim::new(
+            "Fig 13: clean DLG reconstruction MSE < DP-noised",
+            matches!((clean, noised), (Some(c), Some(n)) if c < n),
+        ),
+    ]);
 }

@@ -6,6 +6,11 @@
 //! searched configurations reach *better* final test accuracy — fine-grained
 //! client-wise exploration pays off at evaluation time.
 //!
+//! Claims (EXPERIMENTS.md): RS+FedEx's best-seen validation loss is worse
+//! than RS's (the slower-regret signature). Each FedEx variant reaching a
+//! better final test accuracy than its wrapper is expected-partial: it does
+//! not reproduce here, and the run fails if it starts to.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_fig14
 //! ```
@@ -15,7 +20,7 @@ use fs_autotune::rs::random_search;
 use fs_autotune::sha::successive_halving;
 use fs_autotune::space::{Param, SearchSpace};
 use fs_autotune::FedExHook;
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::FlConfig;
 use fs_data::synth::{femnist_like, ImageConfig};
 use fs_tensor::model::{mlp, Model};
@@ -139,4 +144,19 @@ fn main() {
     );
     let path = write_json("fig14", &results).expect("write results");
     println!("wrote {path}");
+
+    let [rs, sha, rs_fedex, sha_fedex] = &results[..] else {
+        unreachable!("four methods ran")
+    };
+    check_claims(&[
+        Claim::new(
+            "Fig 14: RS+FedEx's best-seen validation loss is worse than RS's",
+            rs_fedex.best_val_loss > rs.best_val_loss,
+        ),
+        Claim::partial(
+            "Fig 14: each FedEx variant beats its wrapper's final test accuracy",
+            rs_fedex.final_test_accuracy > rs.final_test_accuracy
+                && sha_fedex.final_test_accuracy > sha.final_test_accuracy,
+        ),
+    ]);
 }

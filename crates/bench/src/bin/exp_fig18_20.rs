@@ -9,11 +9,15 @@
 //! clients own the rare labels, and uniform sampling lets their staled
 //! contributions be discounted away.
 //!
+//! Claims (EXPERIMENTS.md): on bias-CIFAR, responsiveness and group sampling
+//! each beat uniform on rare-label accuracy. "All three tie within noise" on
+//! the unbiased split gives no number, so it stays prose.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_fig18_20
 //! ```
 
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fs_core::course::CourseBuilder;
 use fs_core::sampler::Sampler;
@@ -206,4 +210,20 @@ fn main() {
     );
     let path = write_json("fig18_20", &outcomes).expect("write results");
     println!("wrote {path}");
+
+    // bias-CIFAR's uniform, responsiveness and group cells, in that order
+    let rare: Vec<f32> = outcomes[3..]
+        .iter()
+        .map(|o| o.rare_label_accuracy)
+        .collect();
+    check_claims(&[
+        Claim::new(
+            "Figs 18-20: on bias-CIFAR, responsiveness beats uniform on rare-label accuracy",
+            rare[1] > rare[0],
+        ),
+        Claim::new(
+            "Figs 18-20: on bias-CIFAR, group beats uniform on rare-label accuracy",
+            rare[2] > rare[0],
+        ),
+    ]);
 }

@@ -4,12 +4,15 @@
 //! Paper's shape: asynchronous curves sit clearly above the synchronous ones
 //! for most of the course (a long-lived gap), converging to similar accuracy.
 //!
+//! Claim (EXPERIMENTS.md): at 8% of the sync course's virtual duration every
+//! async strategy is more accurate than Sync-vanilla.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_fig9 -- [--seed N] [--rounds N]
 //! ```
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::write_json;
+use fs_bench::output::{check_claims, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::cifar;
 use serde::Serialize;
@@ -74,4 +77,14 @@ fn main() {
     }
     let path = write_json("fig9", &curves).expect("write results");
     println!("wrote {path}");
+
+    let sync = acc_at(&curves[0]);
+    check_claims(&[Claim::new(
+        "Fig 9: every async strategy beats Sync-vanilla at 8% of the sync course",
+        strategies
+            .iter()
+            .zip(&curves)
+            .filter(|(s, _)| s.is_async())
+            .all(|(_, c)| acc_at(c) > sync),
+    )]);
 }

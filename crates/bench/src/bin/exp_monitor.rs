@@ -7,21 +7,21 @@
 //!   (`workload,strategy,counter,value`);
 //! * `results/trace_monitor.json` — Chrome trace-event JSON of the first
 //!   cell, loadable in `chrome://tracing` / Perfetto;
-//! * `BENCH_monitor.json` (repo root) — the bench snapshot: rounds/sec
-//!   wall-clock, virtual time to target accuracy, bytes on wire.
+//! * `results/monitor.json` — one row per cell: virtual time to target
+//!   accuracy, best accuracy, bytes on wire. The wall-clock rate
+//!   (rounds/sec) is printed in the table only, so the file is a pure
+//!   function of the code.
 //!
-//! Every cell also cross-checks the monitor's byte counters against the
-//! runner's sim-charged totals — they must match exactly.
+//! Two claims close the run: every cell's monitor byte counters equal the
+//! runner's sim-charged totals exactly, and every cell's dispatch spans are
+//! well-nested.
 //!
 //! ```text
-//! cargo run -p fs-bench --release --bin exp_monitor                # full grid
-//! cargo run -p fs-bench --release --bin exp_monitor -- --quick    # CI grid
-//! cargo run -p fs-bench --release --bin exp_monitor -- --validate # gate only
+//! cargo run -p fs-bench --release --bin exp_monitor
 //! ```
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::render_table;
-use fs_bench::snapshot::{validate_file, BenchRow, Snapshot};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::workload_by_name;
 use fs_monitor::trace::{chrome_trace_json, validate_chrome_trace};
@@ -31,39 +31,39 @@ use std::fs;
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
-const BENCH_PATH: &str = "BENCH_monitor.json";
+/// One strategy × workload cell of `results/monitor.json`.
+#[derive(Serialize)]
+struct Row {
+    workload: String,
+    strategy: String,
+    compressor: String,
+    rounds: u64,
+    /// Virtual seconds when the target accuracy was first reached
+    /// (negative when the target was never reached).
+    virtual_secs_to_target: f64,
+    target_accuracy: f64,
+    best_accuracy: f64,
+    uploaded_bytes: u64,
+    downloaded_bytes: u64,
+    final_virtual_secs: f64,
+}
 
 fn main() {
     let args = ExpArgs::parse();
-
-    // --validate: CI gate mode — parse the existing snapshot and exit
-    if args.has_flag("validate") {
-        validate_file::<BenchRow>(BENCH_PATH);
-        return;
-    }
-
     let seed = args.seed_or(7);
-    let quick = args.quick;
-    let workload_names = if quick {
-        args.workloads_or(&["femnist"])
-    } else {
-        args.workloads_or(&["femnist", "cifar", "twitter"])
-    };
-    let strategies = if quick {
-        args.strategies_or(vec![Strategy::SyncVanilla, Strategy::GoalAggrUnif])
-    } else {
-        args.strategies_or(Strategy::table1())
-    };
-    let rounds = args.rounds_or(if quick { 8 } else { 40 });
+    let workload_names = args.workloads_or(&["femnist", "cifar", "twitter"]);
+    let strategies = args.strategies_or(Strategy::table1());
+    let rounds = args.rounds_or(40);
 
     fs::create_dir_all("results").expect("create results/");
     let mut jsonl = fs::File::create("results/monitor_rounds.jsonl").expect("create jsonl");
     let mut csv = fs::File::create("results/monitor_summary.csv").expect("create csv");
     writeln!(csv, "workload,strategy,counter,value").expect("write csv header");
 
-    let mut snapshot = Snapshot::<BenchRow>::new("exp_monitor");
+    let mut rows: Vec<Row> = Vec::new();
     let mut table: Vec<Vec<String>> = Vec::new();
     let mut first_trace: Option<String> = None;
+    let (mut reconciled, mut nested) = (true, true);
 
     for wl_name in &workload_names {
         let wl = workload_by_name(wl_name, seed);
@@ -85,21 +85,13 @@ fn main() {
 
             // reconciliation: monitor byte counters must equal the
             // sim-charged totals, by construction
-            assert_eq!(
-                mon.counter(counters::UPLOADED_BYTES),
-                report.uploaded_bytes,
-                "{wl_name}/{}: uploaded bytes disagree",
-                strat.label()
-            );
-            assert_eq!(
-                mon.counter(counters::DOWNLOADED_BYTES),
-                report.downloaded_bytes,
-                "{wl_name}/{}: downloaded bytes disagree",
-                strat.label()
-            );
-            mon.validate_nesting().unwrap_or_else(|e| {
-                panic!("{wl_name}/{}: spans not well-nested: {e}", strat.label())
-            });
+            reconciled &= mon.counter(counters::UPLOADED_BYTES) == report.uploaded_bytes
+                && mon.counter(counters::DOWNLOADED_BYTES) == report.downloaded_bytes;
+            let nesting = mon.validate_nesting();
+            if let Err(e) = &nesting {
+                eprintln!("  {wl_name}/{}: spans not well-nested: {e}", strat.label());
+            }
+            nested &= nesting.is_ok();
 
             for r in mon.rounds() {
                 let mut v = Serialize::to_value(r);
@@ -126,13 +118,12 @@ fn main() {
                 first_trace = Some(chrome_trace_json(&mon));
             }
 
-            let wall = mon.wall_secs().max(1e-9);
-            let row = BenchRow {
+            let rounds_per_sec = report.rounds as f64 / mon.wall_secs().max(1e-9);
+            let row = Row {
                 workload: wl_name.clone(),
                 strategy: strat.label().to_string(),
                 compressor: "none".to_string(),
                 rounds: report.rounds,
-                rounds_per_sec: report.rounds as f64 / wall,
                 virtual_secs_to_target: report.time_to_accuracy(wl.target_accuracy).unwrap_or(-1.0),
                 target_accuracy: f64::from(wl.target_accuracy),
                 best_accuracy: f64::from(report.best_accuracy()),
@@ -144,7 +135,7 @@ fn main() {
                 row.workload.clone(),
                 row.strategy.clone(),
                 row.rounds.to_string(),
-                format!("{:.1}", row.rounds_per_sec),
+                format!("{rounds_per_sec:.1}"),
                 format!("{:.3}", row.best_accuracy),
                 if row.virtual_secs_to_target >= 0.0 {
                     format!("{:.0}s", row.virtual_secs_to_target)
@@ -154,22 +145,14 @@ fn main() {
                 row.uploaded_bytes.to_string(),
                 row.downloaded_bytes.to_string(),
             ]);
-            eprintln!(
-                "  {wl_name:<8} {:<16} {} rounds, {:.1} rounds/s wall, best acc {:.3}",
-                strat.label(),
-                row.rounds,
-                row.rounds_per_sec,
-                row.best_accuracy
-            );
-            snapshot.rows.push(row);
+            rows.push(row);
         }
     }
 
     let trace = first_trace.expect("at least one grid cell ran");
     let n_events = validate_chrome_trace(&trace).expect("trace must validate");
     fs::write("results/trace_monitor.json", &trace).expect("write trace");
-
-    snapshot.store(BENCH_PATH).expect("write bench snapshot");
+    let path = write_json("monitor", &rows).expect("write results");
 
     println!("\nexp_monitor grid (seed {seed}, {rounds} sync-equivalent rounds)\n");
     println!(
@@ -191,5 +174,16 @@ fn main() {
     println!("wrote results/monitor_rounds.jsonl");
     println!("wrote results/monitor_summary.csv");
     println!("wrote results/trace_monitor.json ({n_events} events)");
-    println!("wrote {BENCH_PATH} ({} rows)", snapshot.rows.len());
+    println!("wrote {path} ({} rows)", rows.len());
+
+    check_claims(&[
+        Claim::new(
+            "monitor: every cell's byte counters equal the sim-charged totals",
+            reconciled,
+        ),
+        Claim::new(
+            "monitor: every cell's dispatch spans are well-nested",
+            nested,
+        ),
+    ]);
 }

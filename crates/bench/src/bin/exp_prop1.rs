@@ -15,11 +15,14 @@
 //! strongly-convex quadratic federation and verify both parts: a log-linear
 //! early phase and a floor monotone in τ_max.
 //!
+//! Claims (EXPERIMENTS.md): the error floor rises monotonically with τ_max,
+//! and the synchronous run's equal-span gap ratios are both < 1.
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_prop1
 //! ```
 
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
@@ -188,4 +191,15 @@ fn main() {
     );
     let path = write_json("prop1", &results).expect("write results");
     println!("wrote {path}");
+
+    check_claims(&[
+        Claim::new(
+            "Prop 1: the error floor rises monotonically with tau_max",
+            results.windows(2).all(|w| w[0].final_gap < w[1].final_gap),
+        ),
+        Claim::new(
+            "Prop 1: the sync run's equal-span gap ratios are < 1",
+            ratio1 < 1.0 && ratio2 < 1.0,
+        ),
+    ]);
 }

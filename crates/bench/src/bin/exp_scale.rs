@@ -6,25 +6,21 @@
 //! client exists only while that client is materialized, which is the whole
 //! point of the scale runner. Each sweep point records wall-clock time,
 //! events processed, `clients/sec`, `events/sec`, and the process peak RSS,
-//! written to `BENCH_scale.json` (repo root): schema-versioned,
-//! self-validated after writing, gated in CI.
+//! written to `results/scale.json` — the one results file that is wall
+//! clock by nature. Whether the runner got slower is the course benchmark's
+//! `scale_lr` workload, measured against the parent commit on the same host.
+//!
+//! Two claims close the run: every sweep point completes its rounds, and
+//! peak RSS stays within [`MEM_BUDGET_MB`] — the acceptance bar for "a
+//! million clients fit in memory".
 //!
 //! ```text
-//! cargo run -p fs-bench --release --bin exp_scale               # full sweep
-//! cargo run -p fs-bench --release --bin exp_scale -- --quick    # CI sweep (≤50k)
-//! cargo run -p fs-bench --release --bin exp_scale -- --validate # gate only
+//! cargo run -p fs-bench --release --bin exp_scale
+//! cargo run -p fs-bench --release --bin exp_scale -- --clients 10000,250k,1m
 //! ```
-//!
-//! `--validate` checks the committed document's schema and rows; whether the
-//! runner got slower is the course benchmark's `scale_lr` workload, measured
-//! against the parent commit on the same host.
-//!
-//! `--mem-budget-mb N` (default 4096) fails the run when peak RSS exceeds
-//! the budget — the acceptance bar for "a million clients fit in memory".
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::render_table;
-use fs_bench::snapshot::{validate_file, ScaleRow, Snapshot};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_bench::sys::{peak_rss, peak_rss_mb};
 use fs_core::config::FlConfig;
 use fs_data::{ClientData, ClientSplit};
@@ -35,10 +31,12 @@ use fs_tensor::optim::SgdConfig;
 use fs_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 use std::sync::Arc;
 use std::time::Instant;
 
-const BENCH_PATH: &str = "BENCH_scale.json";
+/// Peak-RSS budget of the whole sweep, in MiB.
+const MEM_BUDGET_MB: f64 = 4096.0;
 /// Feature dimension of the synthetic femnist-style workload.
 const DIM: usize = 64;
 /// Class count of the synthetic workload.
@@ -70,23 +68,32 @@ fn synth_split(seed: u64, idx: usize) -> ClientSplit {
     ClientSplit::from_fractions(&all, 8.0 / 12.0, 2.0 / 12.0)
 }
 
+/// One client-count sweep point of `results/scale.json`.
+#[derive(Serialize)]
+struct Row {
+    clients: u64,
+    rounds: u64,
+    /// Simulation events processed (deliveries, batch members, timers).
+    events: u64,
+    /// Wall-clock seconds for the full course.
+    wall_secs: f64,
+    /// `clients / wall_secs` — the headline scale metric.
+    clients_per_sec: f64,
+    /// `events / wall_secs` — event-heap throughput.
+    events_per_sec: f64,
+    /// Peak resident set size in bytes (`VmHWM`), or 0 when the platform
+    /// does not expose it. Measured once per process, so rows report the
+    /// high-water mark *up to and including* their run.
+    peak_rss_bytes: u64,
+}
+
 fn main() {
     let args = ExpArgs::parse();
-    if args.has_flag("validate") {
-        validate_file::<ScaleRow>(BENCH_PATH);
-        return;
-    }
-
     let seed = args.seed_or(7);
     let rounds = args.rounds_or(100);
-    let clients_list = if args.quick {
-        args.clients_or(&[10_000, 50_000])
-    } else {
-        args.clients_or(&[10_000, 100_000, 1_000_000])
-    };
-    let budget_mb = args.mem_budget_mb_or(4096);
+    let clients_list = args.clients_or(&[10_000, 100_000, 1_000_000]);
 
-    let mut snapshot = Snapshot::<ScaleRow>::new("exp_scale");
+    let mut rows: Vec<Row> = Vec::new();
     let mut table: Vec<Vec<String>> = Vec::new();
 
     for &n in &clients_list {
@@ -111,7 +118,6 @@ fn main() {
         let start = Instant::now();
         let report = runner.run();
         let wall_secs = start.elapsed().as_secs_f64();
-        assert_eq!(report.rounds, rounds, "course must complete every round");
         let events = runner.events_processed();
         let clients_per_sec = n as f64 / wall_secs;
         let events_per_sec = events as f64 / wall_secs;
@@ -130,7 +136,7 @@ fn main() {
             format!("{events_per_sec:.0}"),
             rss_label,
         ]);
-        snapshot.rows.push(ScaleRow {
+        rows.push(Row {
             clients: n,
             rounds: report.rounds,
             events,
@@ -139,15 +145,6 @@ fn main() {
             events_per_sec,
             peak_rss_bytes: rss,
         });
-        if let Some(mb) = peak_rss_mb() {
-            if mb > budget_mb as f64 {
-                eprintln!(
-                    "memory budget exceeded after {n} clients: peak RSS {mb:.0} MB \
-                     > budget {budget_mb} MB"
-                );
-                std::process::exit(1);
-            }
-        }
     }
 
     println!(
@@ -165,6 +162,19 @@ fn main() {
         )
     );
 
-    snapshot.store(BENCH_PATH).expect("write BENCH_scale.json");
-    println!("wrote {BENCH_PATH}: {} rows", snapshot.rows.len());
+    let path = write_json("scale", &rows).expect("write results");
+    println!("wrote {path}: {} rows", rows.len());
+
+    check_claims(&[
+        Claim::new(
+            "scale: every sweep point completes its rounds",
+            rows.iter().all(|r| r.rounds == rounds),
+        ),
+        // the high-water mark only rises, so one read after the sweep covers
+        // every point; a platform without `VmHWM` has nothing to check
+        Claim::new(
+            format!("scale: peak RSS stays within {MEM_BUDGET_MB} MiB"),
+            peak_rss_mb().is_none_or(|mb| mb <= MEM_BUDGET_MB),
+        ),
+    ]);
 }

@@ -1,5 +1,5 @@
 //! **Scheduler harness** — the scheduler-mode × workload grid behind
-//! `BENCH_sched.json`.
+//! `results/sched.json`.
 //!
 //! Every cell runs the same seeded standalone course under one execution
 //! mode, i.e. one `AggregationRule`: the three legacy regimes
@@ -8,35 +8,56 @@
 //! async (`buffered:K`, aggregate every K buffered updates with
 //! staleness-discounted weights) and tiered semi-async (`tiered:T`, seeded
 //! speed tiers aggregating synchronously within a tier and merging
-//! asynchronously across tiers). Per cell the snapshot records rounds/sec,
-//! virtual time to the workload's target accuracy, byte totals, and the
-//! staleness distribution of every aggregated update (mean/p50/p90) plus
-//! the staleness-gate drop count.
+//! asynchronously across tiers). Per cell the file records virtual time to
+//! the workload's target accuracy, byte totals, and the staleness
+//! distribution of every aggregated update (mean/p50/p90) plus the
+//! staleness-gate drop count; rounds/sec (wall clock) is printed only.
 //!
-//! Two contracts are checked by the `--validate` CI gate (see
-//! `fs_bench::snapshot::SchedRow`):
+//! Three claims close the run:
 //!
-//! * **fresh sync** — the synchronous baseline must aggregate only
-//!   staleness-zero updates (any recorded staleness means the scheduler
-//!   refactor broke the legacy semantics);
-//! * **new modes present** — the grid must contain a completed `buffered`
-//!   and `tiered` row, because demonstrating them is the point.
+//! * **fresh sync** — the synchronous baseline aggregates only
+//!   staleness-zero updates (any recorded staleness means the legacy
+//!   semantics broke);
+//! * **new modes present** — the grid holds a `buffered` and a `tiered`
+//!   row, because demonstrating them is the point;
+//! * **complete** — every cell runs all the rounds it was configured for.
 //!
 //! ```text
-//! cargo run -p fs-bench --release --bin exp_sched                  # full grid
-//! cargo run -p fs-bench --release --bin exp_sched -- --quick      # CI grid
-//! cargo run -p fs-bench --release --bin exp_sched -- --validate   # gate only
+//! cargo run -p fs-bench --release --bin exp_sched
 //! ```
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::render_table;
-use fs_bench::snapshot::{validate_file, SchedRow, Snapshot};
+use fs_bench::output::{check_claims, percentile, render_table, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{workload_by_name, Workload};
 use fs_core::config::FlConfig;
+use serde::Serialize;
 use std::time::Instant;
 
-const BENCH_PATH: &str = "BENCH_sched.json";
+/// One scheduler-mode × workload cell of `results/sched.json`.
+#[derive(Serialize)]
+struct Row {
+    workload: String,
+    /// Scheduler mode in CLI syntax (`"sync"`, `"goal"`, `"time"`,
+    /// `"buffered:4"`, `"tiered:2"`).
+    scheduler: String,
+    rounds: u64,
+    /// Virtual seconds when the target accuracy was first reached
+    /// (negative when the target was never reached).
+    virtual_secs_to_target: f64,
+    target_accuracy: f64,
+    best_accuracy: f64,
+    final_virtual_secs: f64,
+    uploaded_bytes: u64,
+    downloaded_bytes: u64,
+    /// Updates folded into aggregations over the whole course.
+    updates_aggregated: u64,
+    /// Updates rejected by the staleness gate.
+    stale_drops: u64,
+    staleness_mean: f64,
+    staleness_p50: u64,
+    staleness_p90: u64,
+}
 
 #[derive(Clone, Copy)]
 enum SchedMode {
@@ -93,36 +114,21 @@ impl SchedMode {
 
 /// Mean / p50 / p90 of the per-update staleness log.
 fn staleness_stats(log: &[u64]) -> (f64, u64, u64) {
-    if log.is_empty() {
-        return (0.0, 0, 0);
-    }
     let mut sorted = log.to_vec();
     sorted.sort_unstable();
-    let mean = sorted.iter().sum::<u64>() as f64 / sorted.len() as f64;
-    let pct = |p: f64| sorted[(((sorted.len() - 1) as f64) * p).round() as usize];
-    (mean, pct(0.50), pct(0.90))
+    let mean = sorted.iter().sum::<u64>() as f64 / sorted.len().max(1) as f64;
+    (mean, percentile(&sorted, 0.50), percentile(&sorted, 0.90))
 }
 
 fn main() {
     let args = ExpArgs::parse();
-
-    // --validate: CI gate mode — parse the existing snapshot and exit
-    if args.has_flag("validate") {
-        validate_file::<SchedRow>(BENCH_PATH);
-        return;
-    }
-
     let seed = args.seed_or(7);
-    let quick = args.quick;
-    let rounds = args.rounds_or(if quick { 2 } else { 20 });
-    let workload_names = args.workloads_or(if quick {
-        &["femnist"]
-    } else {
-        &["femnist", "twitter"]
-    });
+    let rounds = args.rounds_or(20);
+    let workload_names = args.workloads_or(&["femnist", "twitter"]);
 
-    let mut snapshot = Snapshot::<SchedRow>::new("exp_sched");
+    let mut rows: Vec<Row> = Vec::new();
     let mut table: Vec<Vec<String>> = Vec::new();
+    let mut complete = true;
 
     for wl_name in &workload_names {
         let wl = workload_by_name(wl_name, seed);
@@ -136,17 +142,18 @@ fn main() {
         for mode in modes {
             let mut cfg = mode.configure(&wl, rounds);
             cfg.parallelism = args.threads_or(1);
+            let configured = cfg.total_rounds;
             let mut runner = wl.build(cfg);
             let start = Instant::now();
             let report = runner.run();
-            let wall = start.elapsed().as_secs_f64().max(1e-9);
+            let rounds_per_sec = report.rounds as f64 / start.elapsed().as_secs_f64().max(1e-9);
+            complete &= report.rounds == configured;
             let ledger = &runner.server.state.ledger;
             let (mean, p50, p90) = staleness_stats(&ledger.staleness_log);
-            let row = SchedRow {
+            let row = Row {
                 workload: wl_name.clone(),
                 scheduler: mode.label(),
                 rounds: report.rounds,
-                rounds_per_sec: report.rounds as f64 / wall,
                 virtual_secs_to_target: report.time_to_accuracy(wl.target_accuracy).unwrap_or(-1.0),
                 target_accuracy: f64::from(wl.target_accuracy),
                 best_accuracy: f64::from(report.best_accuracy()),
@@ -159,21 +166,11 @@ fn main() {
                 staleness_p50: p50,
                 staleness_p90: p90,
             };
-            eprintln!(
-                "  {wl_name:<8} {:<12} {} rounds ({:.1}/s), acc {:.3}, \
-                 staleness mean {:.2} p90 {}, {} stale drops",
-                row.scheduler,
-                row.rounds,
-                row.rounds_per_sec,
-                row.best_accuracy,
-                row.staleness_mean,
-                row.staleness_p90,
-                row.stale_drops,
-            );
             table.push(vec![
                 row.workload.clone(),
                 row.scheduler.clone(),
                 row.rounds.to_string(),
+                format!("{rounds_per_sec:.1}"),
                 format!("{:.3}", row.best_accuracy),
                 if row.virtual_secs_to_target >= 0.0 {
                     format!("{:.0}s", row.virtual_secs_to_target)
@@ -185,7 +182,7 @@ fn main() {
                 row.stale_drops.to_string(),
                 row.uploaded_bytes.to_string(),
             ]);
-            snapshot.rows.push(row);
+            rows.push(row);
         }
     }
 
@@ -197,6 +194,7 @@ fn main() {
                 "workload",
                 "scheduler",
                 "rounds",
+                "rounds/s",
                 "best acc",
                 "t(target)",
                 "stale mean",
@@ -208,6 +206,21 @@ fn main() {
         )
     );
 
-    snapshot.store(BENCH_PATH).expect("write BENCH_sched.json");
-    println!("wrote {BENCH_PATH}: {} rows", snapshot.rows.len());
+    let path = write_json("sched", &rows).expect("write results");
+    println!("wrote {path}: {} rows", rows.len());
+
+    let has = |prefix: &str| rows.iter().any(|r| r.scheduler.starts_with(prefix));
+    check_claims(&[
+        Claim::new(
+            "sched: the sync rows aggregate only fresh updates (zero staleness)",
+            rows.iter()
+                .filter(|r| r.scheduler == "sync")
+                .all(|r| r.staleness_mean == 0.0 && r.staleness_p90 == 0),
+        ),
+        Claim::new(
+            "sched: buffered and tiered rows are present",
+            has("buffered") && has("tiered"),
+        ),
+        Claim::new("sched: every cell completes its rounds", complete),
+    ]);
 }

@@ -13,9 +13,12 @@
 //! `--topology hier:TxF` re-runs the table through the fs-topo course (a
 //! lossless hierarchy reproduces the star's numbers bit for bit; gossip
 //! replaces the virtual clock, so its time-to-accuracy column is empty).
+//!
+//! Claims (EXPERIMENTS.md): per dataset, 1 < Sync-OS's speedup < every
+//! async speedup; Goal-Aggr-Group is the best strategy on FEMNIST.
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{workload_by_name, Workload};
 use fs_net::Topology;
@@ -115,4 +118,28 @@ fn main() {
     );
     let path = write_json("table1", &rows).expect("write results");
     println!("wrote {path}");
+
+    // speedups in `Strategy::table1()` order: vanilla, OS, then the four
+    // async strategies with Goal-Aggr-Group last; a strategy that never
+    // reaches the target has no speedup, and 0 fails every comparison
+    let mut claims = Vec::new();
+    for per_dataset in rows.chunks(Strategy::table1().len()) {
+        let dataset = &per_dataset[0].dataset;
+        let speedup: Vec<f64> = per_dataset
+            .iter()
+            .map(|r| r.speedup_vs_sync.unwrap_or(0.0))
+            .collect();
+        let (os, group) = (speedup[1], speedup[5]);
+        claims.push(Claim::new(
+            format!("Table 1: {dataset}: 1 < Sync-OS speedup < every async speedup"),
+            1.0 < os && speedup[2..].iter().all(|&a| os < a),
+        ));
+        if dataset == "FEMNIST-like" {
+            claims.push(Claim::new(
+                "Table 1: FEMNIST-like: Goal-Aggr-Group is the best strategy",
+                speedup[..5].iter().all(|&s| s < group),
+            ));
+        }
+    }
+    check_claims(&claims);
 }

@@ -5,11 +5,14 @@
 //! (more label skew); FedBN and Ditto *improve* as skew rises, overtaking
 //! FedAvg on every non-IID split.
 //!
+//! Claims (EXPERIMENTS.md): under IID FedAvg is best and FedBN worst, and
+//! FedBN's accuracy rises monotonically with skew (IID → α=0.2).
+//!
 //! ```text
 //! cargo run -p fs-bench --release --bin exp_table4
 //! ```
 
-use fs_bench::output::{render_table, write_json};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::FlConfig;
 use fs_core::course::CourseBuilder;
 use fs_core::trainer::{share_all, TrainConfig};
@@ -145,4 +148,28 @@ fn main() {
     );
     let path = write_json("table4", &cells).expect("write results");
     println!("wrote {path}");
+
+    // one accuracy per split, IID first
+    let by_split = |method: &str| -> Vec<f32> {
+        cells
+            .iter()
+            .filter(|c| c.method == method)
+            .map(|c| c.accuracy)
+            .collect()
+    };
+    let (fedavg, fedbn, ditto) = (by_split("FedAvg"), by_split("FedBN"), by_split("Ditto"));
+    check_claims(&[
+        Claim::new(
+            "Table 4: FedAvg is best under IID",
+            fedavg[0] > fedbn[0] && fedavg[0] > ditto[0],
+        ),
+        Claim::new(
+            "Table 4: FedBN is worst under IID",
+            fedbn[0] < fedavg[0] && fedbn[0] < ditto[0],
+        ),
+        Claim::new(
+            "Table 4: FedBN's accuracy rises monotonically with skew",
+            fedbn.windows(2).all(|w| w[0] < w[1]),
+        ),
+    ]);
 }

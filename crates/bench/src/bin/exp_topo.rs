@@ -1,33 +1,31 @@
 //! **Topology harness** — the topology × codec × backend grid behind
-//! `BENCH_topo.json`.
+//! `results/topo.json`.
 //!
 //! Every cell runs the same seeded femnist course under one communication
 //! topology (`star`, a 2-tier hierarchy, or serverless gossip), one upload
 //! codec (`identity`, `topk`), and one execution backend (`standalone`
-//! virtual time, in-process `bus`, real-socket `tcp`). Per cell the snapshot
-//! records rounds/sec, best accuracy, star-accounting byte totals, per-tier
-//! byte vectors where the backend meters tiers, and whether the cell's
-//! report compared bit-identical to the star cell at the same seed.
+//! virtual time, in-process `bus`, real-socket `tcp`). Per cell the file
+//! records best accuracy, star-accounting byte totals, per-tier byte vectors
+//! where the backend meters tiers, and whether the cell's report compared
+//! bit-identical to the star cell at the same seed; rounds/sec (wall clock)
+//! is printed only.
 //!
-//! Two contracts are checked by `fs_bench::snapshot::TopoRow` — before the
-//! snapshot is written (a grid that breaks one never replaces the committed
-//! file) and again by the `--validate` CI gate:
+//! Three claims close the run (the star is the grid's first topology, which
+//! `--topology` replaces):
 //!
 //! * **lossless equivalence** — a standalone hierarchy under the identity
-//!   codec must reproduce the star course bit for bit;
-//! * **root-link payoff** — a standalone hierarchy under a lossy codec must
-//!   move fewer bytes over the server's link than the star does, because
-//!   edge aggregators fold their subtree before re-encoding.
+//!   codec reproduces the star course bit for bit;
+//! * **root-link payoff** — a standalone hierarchy under a lossy codec moves
+//!   fewer bytes over the server's link than the star does, because edge
+//!   aggregators fold their subtree before re-encoding;
+//! * **complete** — every cell runs all its rounds.
 //!
 //! ```text
-//! cargo run -p fs-bench --release --bin exp_topo                  # full grid
-//! cargo run -p fs-bench --release --bin exp_topo -- --quick      # CI grid
-//! cargo run -p fs-bench --release --bin exp_topo -- --validate   # gate only
+//! cargo run -p fs-bench --release --bin exp_topo
 //! ```
 
 use fs_bench::args::ExpArgs;
-use fs_bench::output::render_table;
-use fs_bench::snapshot::{validate_file, Snapshot, TopoRow};
+use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{workload_by_name, Workload};
 use fs_core::config::{CodecSpec, FlConfig};
@@ -41,10 +39,38 @@ use fs_core::StandaloneRunner;
 use fs_monitor::{MonitorHandle, RecordingMonitor};
 use fs_net::Topology;
 use fs_topo::{bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed};
+use serde::Serialize;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-const BENCH_PATH: &str = "BENCH_topo.json";
+/// One topology × codec × backend cell of `results/topo.json`.
+#[derive(Serialize)]
+struct Row {
+    workload: String,
+    /// Topology in CLI syntax (`"star"`, `"hier:2x4"`, `"gossip:2"`).
+    topology: String,
+    /// Upload compressor name (`"identity"`, `"topk"`).
+    compressor: String,
+    /// Execution backend (`"standalone"`, `"bus"`, `"tcp"`).
+    backend: String,
+    /// Aggregation (or gossip) rounds completed.
+    rounds: u64,
+    /// Best global accuracy (0 when the cell runs without a central
+    /// evaluator).
+    best_accuracy: f64,
+    /// Payload bytes charged client → server (star accounting).
+    uploaded_bytes: u64,
+    /// Payload bytes charged server → clients (star accounting).
+    downloaded_bytes: u64,
+    /// Encoded bytes sent upstream per tier; index 0 is the root link
+    /// (server ↔ top tier). Empty when the backend does not meter tiers.
+    bytes_up_per_tier: Vec<u64>,
+    /// Encoded bytes sent downstream per tier.
+    bytes_down_per_tier: Vec<u64>,
+    /// Whether this cell's `CourseReport` compared bit-identical to the
+    /// star cell at the same seed.
+    star_equivalent: bool,
+}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Backend {
@@ -154,16 +180,8 @@ fn run_cell(
 
 fn main() {
     let args = ExpArgs::parse();
-
-    // --validate: CI gate mode — parse the existing snapshot and exit
-    if args.has_flag("validate") {
-        validate_file::<TopoRow>(BENCH_PATH);
-        return;
-    }
-
     let seed = args.seed_or(7);
-    let quick = args.quick;
-    let rounds = args.rounds_or(if quick { 2 } else { 8 });
+    let rounds = args.rounds_or(8);
     let workload_names = args.workloads_or(&["femnist"]);
     let budget = Duration::from_secs(300);
 
@@ -181,8 +199,10 @@ fn main() {
     let codecs = [CodecSpec::Identity, CodecSpec::TopK { ratio: 0.25 }];
     let backends = [Backend::Standalone, Backend::Bus, Backend::Tcp];
 
-    let mut snapshot = Snapshot::<TopoRow>::new("exp_topo");
+    let mut rows: Vec<Row> = Vec::new();
     let mut table: Vec<Vec<String>> = Vec::new();
+    // the two topology contracts, each over every standalone hierarchy
+    let (mut lossless_equal, mut root_reduced) = (true, true);
 
     for wl_name in &workload_names {
         let wl = workload_by_name(wl_name, seed);
@@ -192,15 +212,11 @@ fn main() {
                 // other topology at the same (backend, codec)
                 let mut star_report: Option<CourseReport> = None;
                 for &topology in &topologies {
-                    let cell = format!(
-                        "{wl_name}/{topology}/{}/{}",
-                        codec_label(codec),
-                        backend.label()
-                    );
                     let runner = build_course(&wl, rounds, topology, codec, backend);
                     let start = Instant::now();
                     let (report, up, down) = run_cell(runner, topology, backend, budget);
-                    let wall = start.elapsed().as_secs_f64().max(1e-9);
+                    let rounds_per_sec =
+                        report.rounds as f64 / start.elapsed().as_secs_f64().max(1e-9);
                     let star_equivalent = match &star_report {
                         None => {
                             star_report = Some(report.clone());
@@ -208,18 +224,27 @@ fn main() {
                         }
                         Some(star) => *star == report,
                     };
+                    let star_up = star_report.as_ref().map_or(0, |s| s.uploaded_bytes);
+                    if backend == Backend::Standalone
+                        && matches!(topology, Topology::Hierarchical { .. })
+                    {
+                        if matches!(codec, CodecSpec::Identity) {
+                            lossless_equal &= star_equivalent;
+                        } else {
+                            root_reduced &= up.first().is_some_and(|&root| root < star_up);
+                        }
+                    }
                     let best_accuracy = report
                         .history
                         .iter()
                         .map(|e| e.metrics.accuracy as f64)
                         .fold(0.0, f64::max);
-                    let row = TopoRow {
+                    let row = Row {
                         workload: wl_name.to_string(),
                         topology: topology.to_string(),
                         compressor: codec_label(codec).to_string(),
                         backend: backend.label().to_string(),
                         rounds: report.rounds,
-                        rounds_per_sec: report.rounds as f64 / wall,
                         best_accuracy,
                         uploaded_bytes: report.uploaded_bytes,
                         downloaded_bytes: report.downloaded_bytes,
@@ -227,21 +252,13 @@ fn main() {
                         bytes_down_per_tier: down,
                         star_equivalent,
                     };
-                    eprintln!(
-                        "  {cell:<40} rounds {} ({:.2}/s) acc {:.3} up {} root-up {:?} star-eq {}",
-                        row.rounds,
-                        row.rounds_per_sec,
-                        row.best_accuracy,
-                        row.uploaded_bytes,
-                        row.bytes_up_per_tier.first(),
-                        row.star_equivalent,
-                    );
                     table.push(vec![
                         wl_name.to_string(),
                         row.topology.clone(),
                         row.compressor.clone(),
                         row.backend.clone(),
                         row.rounds.to_string(),
+                        format!("{rounds_per_sec:.2}"),
                         format!("{:.3}", row.best_accuracy),
                         row.uploaded_bytes.to_string(),
                         row.bytes_up_per_tier
@@ -250,7 +267,7 @@ fn main() {
                             .unwrap_or_else(|| "-".to_string()),
                         if row.star_equivalent { "yes" } else { "no" }.to_string(),
                     ]);
-                    snapshot.rows.push(row);
+                    rows.push(row);
                 }
             }
         }
@@ -266,6 +283,7 @@ fn main() {
                 "codec",
                 "backend",
                 "rounds",
+                "rounds/s",
                 "best acc",
                 "uploaded",
                 "root-link up",
@@ -275,6 +293,21 @@ fn main() {
         )
     );
 
-    snapshot.store(BENCH_PATH).expect("write BENCH_topo.json");
-    println!("wrote {BENCH_PATH}: {} rows", snapshot.rows.len());
+    let path = write_json("topo", &rows).expect("write results");
+    println!("wrote {path}: {} rows", rows.len());
+
+    check_claims(&[
+        Claim::new(
+            "topo: every standalone hier + identity cell reproduces the star",
+            lossless_equal,
+        ),
+        Claim::new(
+            "topo: every standalone hier + lossy cell moves fewer root-link bytes than the star",
+            root_reduced,
+        ),
+        Claim::new(
+            "topo: every cell completes its rounds",
+            rows.iter().all(|r| r.rounds == rounds),
+        ),
+    ]);
 }

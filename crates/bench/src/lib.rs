@@ -9,12 +9,11 @@
 //!   same model families);
 //! * [`strategies`] — the named strategy grid of Table 1 / Figure 17
 //!   (`Sync-vanilla`, `Sync-OS`, `Async-<Event>-<Manner>-<Sampler>`);
-//! * [`args`] — the shared `--seed/--rounds/--strategies/--workloads/--quick`
+//! * [`args`] — the shared `--seed/--rounds/--strategies/--workloads`
 //!   command-line vocabulary;
-//! * [`output`] — human-readable tables plus machine-readable JSON dumped
-//!   under `results/`;
-//! * [`snapshot`] — the one `BENCH_*.json` document type, its four row
-//!   schemas and the `--validate` gate the snapshot-writing binaries share.
+//! * [`output`] — human-readable tables, machine-readable JSON dumped under
+//!   `results/`, and the named [`output::Claim`]s each binary checks against
+//!   its own rows (exit 1 names a broken one).
 //!
 //! Absolute numbers differ from the paper (different hardware model, data,
 //! and scale); the *shape* of each result — who wins, by roughly what factor,
@@ -22,7 +21,6 @@
 
 pub mod args;
 pub mod output;
-pub mod snapshot;
 pub mod strategies;
 pub mod sys;
 pub mod workloads;

@@ -13,7 +13,7 @@
 //!   with error feedback, and delta encoding
 //! * [`sim`] — virtual time, device profiles, discrete-event queue
 //! * [`monitor`] — observability: spans, counters, round metrics, Chrome
-//!   trace / JSONL / CSV / bench-snapshot exporters
+//!   trace / JSONL / CSV exporters
 //! * [`verify`] — static course verification & config lints with structured
 //!   `FSVnnn` diagnostics (§3.6, Appendix E)
 //! * [`core`] — the event-driven FL engine (workers, events, handlers,
