@@ -49,7 +49,7 @@ pub struct Broadcast {
     pub round: u64,
     /// Payload shared by every copy (cloned per target on delivery).
     pub payload: Payload,
-    /// Recipients, in broadcast order; never empty.
+    /// Recipients, in broadcast order; at least two.
     pub targets: Vec<ParticipantId>,
 }
 
@@ -110,6 +110,17 @@ impl Ctx {
         }
     }
 
+    /// Readies the context for the next dispatch at `now`: every record of
+    /// the last one is dropped, the allocations (and the monitor) kept.
+    pub fn reset(&mut self, now: VirtualTime) {
+        self.now = now;
+        self.outbox.clear();
+        self.timers.clear();
+        self.raised.clear();
+        self.emitted.clear();
+        self.finished = false;
+    }
+
     /// Queues a message with zero local compute work.
     pub fn send(&mut self, msg: Message) {
         self.send_after_compute(msg, 0.0);
@@ -132,7 +143,8 @@ impl Ctx {
 
     /// Broadcasts `payload` from the server to every client in `targets`:
     /// one recorded intent and one emitted event, whatever the cohort size.
-    /// An empty target list records nothing.
+    /// An empty target list records nothing, and a cohort of one is recorded
+    /// as the plain send it is (delivered exactly as a one-member batch).
     pub fn broadcast(
         &mut self,
         kind: MessageKind,
@@ -140,8 +152,10 @@ impl Ctx {
         payload: Payload,
         targets: &[ParticipantId],
     ) {
-        if targets.is_empty() {
-            return;
+        match *targets {
+            [] => return,
+            [one] => return self.send(Message::new(SERVER_ID, one, kind, round, payload)),
+            _ => {}
         }
         self.emitted.push(Event::Message(kind));
         self.outbox.push(Intent::Broadcast(Broadcast {
@@ -241,6 +255,19 @@ mod tests {
                 (0, 2, MessageKind::EvalRequest, 2),
             ]
         );
+    }
+
+    #[test]
+    fn a_cohort_of_one_is_recorded_as_a_plain_send() {
+        let mut ctx = Ctx::at(VirtualTime::ZERO);
+        ctx.broadcast(MessageKind::ModelParams, 4, Payload::Empty, &[7]);
+        assert!(matches!(
+            &ctx.outbox[..],
+            [Intent::Send(o)]
+                if (o.msg.sender, o.msg.receiver, o.msg.kind, o.msg.round, o.compute_work)
+                    == (SERVER_ID, 7, MessageKind::ModelParams, 4, 0.0)
+        ));
+        assert_eq!(ctx.emitted, [Event::Message(MessageKind::ModelParams)]);
     }
 
     #[test]

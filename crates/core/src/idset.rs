@@ -105,6 +105,23 @@ impl IdSet {
         self.len = 0;
     }
 
+    /// Refills `into` with the ids of `from` that are not in the set, in
+    /// `from`'s order. The compaction does not branch on membership, which
+    /// a set that changes between calls (the server's busy clients) would
+    /// keep mispredicting: every id is written to the next free slot, and
+    /// only an absent one keeps it.
+    pub fn absent_into(&self, from: &[ParticipantId], into: &mut Vec<ParticipantId>) {
+        into.clear();
+        into.extend_from_slice(from);
+        let mut kept = 0;
+        for i in 0..into.len() {
+            let id = into[i];
+            into[kept] = id;
+            kept += usize::from(!self.contains(&id));
+        }
+        into.truncate(kept);
+    }
+
     /// The ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = ParticipantId> + '_ {
         let dense = self.words.iter().enumerate().flat_map(|(i, &word)| {
@@ -165,7 +182,11 @@ mod tests {
 
     proptest! {
         #[test]
-        fn behaves_like_a_btreeset(ops in proptest::collection::vec(op(), 0..120), probe in id()) {
+        fn behaves_like_a_btreeset(
+            ops in proptest::collection::vec(op(), 0..120),
+            probe in id(),
+            from in proptest::collection::vec(id(), 0..40),
+        ) {
             let mut set = IdSet::new();
             let mut model = BTreeSet::new();
             for op in ops {
@@ -184,6 +205,11 @@ mod tests {
             // once per case: a set that reached the dense limit walks 64 Ki
             // words, and the sequence lengths vary anyway
             prop_assert!(set.iter().eq(model.iter().copied()), "iter order");
+            // the compaction keeps `from`'s order and drops exactly the members
+            let mut absent = vec![7; 3];
+            set.absent_into(&from, &mut absent);
+            let want: Vec<_> = from.iter().copied().filter(|id| !model.contains(id)).collect();
+            prop_assert_eq!(absent, want);
             // equality looks at members, not at how far the bitmap grew
             let rebuilt: IdSet = {
                 let mut s = IdSet::new();

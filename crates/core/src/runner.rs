@@ -411,6 +411,9 @@ pub struct Runner<S, R = Star> {
     pool: Option<WorkerPool>,
     /// The (single) outstanding speculation per borrowed client.
     speculations: BTreeMap<ParticipantId, Speculation>,
+    /// The context every serial dispatch runs in, reset before each one so
+    /// its buffers are allocated once per course.
+    ctx: Ctx,
 }
 
 /// The runner over eagerly built clients — what `CourseBuilder::build`
@@ -455,6 +458,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             monitor: MonitorHandle::null(),
             pool: None,
             speculations: BTreeMap::new(),
+            ctx: Ctx::at(VirtualTime::ZERO),
         }
     }
 
@@ -524,6 +528,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         // the monitor once at the flush below — commutative totals, so the
         // deferred fold is observably identical
         self.monitor = self.monitor.clone().sharded();
+        self.ctx.monitor = self.monitor.clone();
         // the parallelism knob: 1 = serial (no pool), 0 = one worker per
         // available core, n > 1 = n workers
         let parallelism = self.server.state.cfg.parallelism;
@@ -658,11 +663,27 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         label: &'static str,
         dispatch: impl FnOnce(&mut Server, &mut Ctx),
     ) {
-        let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
-        self.monitor.enter(SERVER_ID, label, "dispatch", at);
-        dispatch(&mut self.server, &mut ctx);
-        self.monitor.exit(SERVER_ID, at);
-        self.realize(SERVER_ID, ctx);
+        self.dispatch_in_ctx(SERVER_ID, at, |runner, ctx| {
+            runner.monitor.enter(SERVER_ID, label, "dispatch", at);
+            dispatch(&mut runner.server, ctx);
+            runner.monitor.exit(SERVER_ID, at);
+        });
+    }
+
+    /// Runs `dispatch` for `from` in the loop's context, reset to `at`, then
+    /// realizes what it recorded.
+    fn dispatch_in_ctx(
+        &mut self,
+        from: ParticipantId,
+        at: VirtualTime,
+        dispatch: impl FnOnce(&mut Self, &mut Ctx),
+    ) {
+        // lent out for the dispatch, which needs the rest of `self`
+        let mut ctx = std::mem::replace(&mut self.ctx, Ctx::at(at));
+        ctx.reset(at);
+        dispatch(self, &mut ctx);
+        self.realize(from, &mut ctx);
+        self.ctx = ctx;
     }
 
     /// Whether a `ModelParams` broadcast reaching `receiver` at `at` is lost
@@ -728,12 +749,12 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         }
         self.recall(id);
         if let Some(mut client) = self.clients.take(id) {
-            let mut ctx = Ctx::with_monitor(at, self.monitor.clone());
-            self.monitor.enter(id, msg.kind.name(), "dispatch", at);
-            client.handle(msg, &mut ctx);
-            self.monitor.exit(id, at);
-            self.clients.put_back(client, &self.server);
-            self.realize(id, ctx);
+            self.dispatch_in_ctx(id, at, |runner, ctx| {
+                runner.monitor.enter(id, msg.kind.name(), "dispatch", at);
+                client.handle(msg, ctx);
+                runner.monitor.exit(id, at);
+                runner.clients.put_back(client, &runner.server);
+            });
         }
     }
 
@@ -747,13 +768,13 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
         debug_assert!(!lost, "a doomed delivery was speculated on");
         self.clients.put_back(res.client, &self.server);
         match res.run {
-            Some(run) => {
+            Some(mut run) => {
                 // adopt: re-emit outputs and monitor records at exactly the
                 // serial program point
                 self.monitor.enter(receiver, kind.name(), "dispatch", at);
                 BufferMonitor::replay_ops(&run.ops, &self.monitor);
                 self.monitor.exit(receiver, at);
-                self.realize(receiver, run.ctx);
+                self.realize(receiver, &mut run.ctx);
             }
             // trainer not snapshotable: nothing ran, dispatch serially now
             None => self.dispatch_client(at, msg),
@@ -762,16 +783,16 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
 
     /// Realizes one dispatch's intents: sends and cohort broadcasts in
     /// emission order (so sequence numbers are assigned in that order), then
-    /// timers.
-    fn realize(&mut self, from: ParticipantId, ctx: Ctx) {
+    /// timers. Leaves `ctx`'s lists empty.
+    fn realize(&mut self, from: ParticipantId, ctx: &mut Ctx) {
         let now = ctx.now;
-        for intent in ctx.outbox {
+        for intent in ctx.outbox.drain(..) {
             match intent {
                 Intent::Send(out) => self.send_one(from, now, out),
                 Intent::Broadcast(b) => self.send_batch(now, b),
             }
         }
-        for t in ctx.timers {
+        for t in ctx.timers.drain(..) {
             self.queue.push(
                 now + t.delay_secs,
                 SimEvent::Timer {

@@ -131,20 +131,17 @@ pub struct ServerState {
     pub track_history: bool,
     /// Whether the course has been terminated by the server.
     pub done: bool,
+    /// The candidate buffer every sample is drawn in: the idle clients, then
+    /// the picks. Kept while the course runs, so a draw allocates nothing.
+    idle: Vec<ParticipantId>,
 }
 
 impl ServerState {
-    /// The clients not in `busy`, in roster (join) order. The order is
-    /// contractual: the sampler's draw sequence is a function of it.
-    fn idle_clients(&self) -> Vec<ParticipantId> {
-        if self.busy.is_empty() {
-            return self.roster.clone();
-        }
-        self.roster
-            .iter()
-            .copied()
-            .filter(|c| !self.busy.contains(c))
-            .collect()
+    /// Refills `idle` with the clients not in `busy`, in roster (join)
+    /// order. The order is contractual: the sampler's draw sequence is a
+    /// function of it.
+    fn fill_idle(&mut self) {
+        self.busy.absent_into(&self.roster, &mut self.idle);
     }
 
     /// The view of this state that `cfg.rule` decides over.
@@ -219,9 +216,13 @@ impl ServerState {
         if k == 0 {
             return;
         }
-        let idle = self.idle_clients();
-        let picked = self.sampler.sample(&idle, k, &mut self.rng);
-        self.broadcast_to(&picked, ctx);
+        self.fill_idle();
+        self.sampler
+            .sample_in_place(&mut self.idle, k, &mut self.rng);
+        // lent out for the broadcast, which needs the rest of `self`
+        let picks = std::mem::take(&mut self.idle);
+        self.broadcast_to(&picks, ctx);
+        self.idle = picks;
     }
 
     /// Refills concurrency to the configured target and re-arms the round
@@ -469,6 +470,7 @@ impl Server {
             global_history: BTreeMap::new(),
             track_history,
             done: false,
+            idle: Vec::new(),
         };
         let mut s = Self {
             state,
@@ -639,8 +641,8 @@ impl Server {
                 let params = update.to_params(|v| state.global_history.get(&v)).ok();
                 // per-client bookkeeping runs over the merged constituents so
                 // rounds close on the same client set as the star course
-                let contributors = update.contributors(msg.sender);
-                for c in &contributors {
+                let contributors = update.contributors(&msg.sender);
+                for c in contributors {
                     state.busy.remove(c);
                 }
                 if state.done {
@@ -653,7 +655,7 @@ impl Server {
                 );
                 // remove (not just test) so a duplicated or replayed reply
                 // from the same client cannot be counted twice
-                for c in &contributors {
+                for c in contributors {
                     if state.outstanding.remove(c) {
                         state.ledger.received_this_round += 1;
                     }
@@ -773,6 +775,9 @@ impl Server {
                     return;
                 }
                 state.done = true;
+                // nothing samples after the end: the roster-sized buffer
+                // need not outlive the course into its final fan-out
+                state.idle = Vec::new();
                 if state.finish_reason.is_none() {
                     state.finish_reason = Some("early stop".to_string());
                 }
@@ -886,11 +891,13 @@ mod tests {
             let m = Message::new(id, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
             s.handle(&m, &mut ctx);
         }
-        assert_eq!(s.state.idle_clients(), joins, "nobody busy: the roster");
+        s.state.fill_idle();
+        assert_eq!(s.state.idle, joins, "nobody busy: the roster");
         for id in [64, 1, 2] {
             s.state.busy.insert(id);
         }
-        assert_eq!(s.state.idle_clients(), [70, 3, 200, 65]);
+        s.state.fill_idle();
+        assert_eq!(s.state.idle, [70, 3, 200, 65]);
         // the set itself iterates by id, whatever the insertion order
         assert_eq!(s.state.busy.iter().collect::<Vec<_>>(), [1, 2, 64]);
     }

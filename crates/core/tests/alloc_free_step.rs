@@ -9,12 +9,18 @@
 //! off the wire: a join from `u32::MAX - 1` must cost a set entry, not a
 //! bitmap sized by the id.
 //!
+//! And it pins what one warmed `Updates` dispatch allocates on the
+//! `twitter_async` shapes: the candidate scan and the draw reuse one buffer,
+//! the contributors are a borrowed slice and the one-client broadcast is a
+//! plain send, so what is left is the update's and the broadcast's model
+//! copies and the aggregations.
+//!
 //! The counters are per thread, so the tests here do not see each other.
 
 use fs_core::aggregator::FedAvg;
 use fs_core::sampler::Sampler;
 use fs_core::trainer::sgd_pass;
-use fs_core::{Ctx, FlConfig, Server};
+use fs_core::{AggregationRule, BroadcastManner, Ctx, FlConfig, Server};
 use fs_data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fs_data::ClientSplit;
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
@@ -256,5 +262,68 @@ fn a_join_from_a_huge_id_is_sampled_without_sizing_anything_by_the_id() {
     assert!(
         bytes < 1 << 20,
         "joining and sampling id {hostile} allocated {bytes} bytes"
+    );
+}
+
+#[test]
+fn a_warmed_updates_dispatch_allocates_at_most_seven_times() {
+    const USERS: ParticipantId = 120;
+    const WARM: usize = 80;
+    const COUNTED: usize = 160;
+    let mut rng = StdRng::seed_from_u64(7);
+    let global = logistic_regression(60, 2, &mut rng).get_params();
+    assert_eq!(global.numel(), 122);
+    let cfg = FlConfig {
+        concurrency: 40,
+        total_rounds: u64::MAX,
+        rule: AggregationRule::GoalAchieved { goal: 16 },
+        broadcast: BroadcastManner::AfterReceiving,
+        staleness_tolerance: u64::MAX,
+        ..Default::default()
+    };
+    let mut server = Server::new(
+        cfg,
+        global.clone(),
+        USERS as usize,
+        Box::new(FedAvg::new(0.0)),
+        Sampler::Uniform,
+        None,
+    );
+    let mut ctx = Ctx::at(VirtualTime::ZERO);
+    for id in 1..=USERS {
+        let join = Message::new(id, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
+        server.handle(&join, &mut ctx);
+    }
+    let replies: Vec<Message> = (1..=USERS)
+        .map(|id| {
+            let update = Payload::Update {
+                params: global.clone(),
+                start_version: 0,
+                n_samples: 10,
+                n_steps: 4,
+            };
+            Message::new(id, SERVER_ID, MessageKind::Updates, 0, update)
+        })
+        .collect();
+    // the oldest busy client replies; every reply hands the model on
+    let reply = |server: &mut Server, ctx: &mut Ctx| {
+        ctx.reset(VirtualTime::ZERO);
+        let replying = server.state.busy.iter().next().expect("40 clients busy");
+        server.handle(&replies[replying as usize - 1], ctx);
+        assert_eq!(server.state.busy.len(), 40);
+    };
+    for _ in 0..WARM {
+        reply(&mut server, &mut ctx);
+    }
+    let ((), allocations, _) = counting(|| {
+        for _ in 0..COUNTED {
+            reply(&mut server, &mut ctx);
+        }
+    });
+    assert_eq!(server.state.version as usize, (WARM + COUNTED) / 16);
+    let mean = allocations as f64 / COUNTED as f64;
+    assert!(
+        mean <= 7.0,
+        "a warmed Updates dispatch allocated {mean} times on average"
     );
 }

@@ -234,9 +234,9 @@ impl UpdateRef<'_> {
     /// The clients whose work this update from `sender` carries: the merged
     /// constituents of a partial update; a plain update is its own single
     /// constituent.
-    pub fn contributors(&self, sender: ParticipantId) -> Vec<ParticipantId> {
+    pub fn contributors<'s>(&'s self, sender: &'s ParticipantId) -> &'s [ParticipantId] {
         self.constituents
-            .map_or_else(|| vec![sender], <[ParticipantId]>::to_vec)
+            .unwrap_or_else(|| std::slice::from_ref(sender))
     }
 }
 

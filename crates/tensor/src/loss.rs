@@ -86,6 +86,41 @@ pub fn softmax_cross_entropy(logits: &Tensor, classes: &[usize]) -> (f32, Tensor
     (loss * inv_b, grad)
 }
 
+/// The loss of [`softmax_cross_entropy`] without its gradient, with the
+/// same bits: each row's exponentials are summed in the same order, and the
+/// target's probability is its own exponential over that sum.
+pub fn cross_entropy_loss(logits: &Tensor, classes: &[usize]) -> f32 {
+    let (b, c) = (logits.rows(), logits.cols());
+    assert_eq!(b, classes.len(), "batch/target length mismatch");
+    let mut loss = 0.0f32;
+    for (row, &y) in logits.data().chunks_exact(c).zip(classes) {
+        assert!(y < c, "class index {y} out of range {c}");
+        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let (mut sum, mut target) = (0.0f32, 0.0f32);
+        for (j, &v) in row.iter().enumerate() {
+            let e = (v - max).exp();
+            if j == y {
+                target = e;
+            }
+            sum += e;
+        }
+        loss -= (target / sum).max(1e-12).ln();
+    }
+    loss * (1.0 / b as f32)
+}
+
+/// The loss of [`mse`] without its gradient, with the same bits.
+pub fn mse_loss(preds: &Tensor, values: &[f32]) -> f32 {
+    let b = preds.shape()[0];
+    assert_eq!(b, values.len(), "batch/target length mismatch");
+    assert_eq!(preds.numel(), b, "mse expects one prediction per example");
+    let loss: f32 = preds.data().iter().zip(values).fold(0.0, |sum, (&p, &v)| {
+        let diff = p - v;
+        sum + diff * diff
+    });
+    loss * (1.0 / b as f32)
+}
+
 /// Mean squared error and its gradient w.r.t. the predictions.
 ///
 /// `preds` must be `[B, 1]` or `[B]`; `values.len()` must equal `B`. The

@@ -9,7 +9,9 @@
 use crate::layer::{
     BatchNorm1d, Conv2d, Dropout, Flatten, Layer, Linear, Relu, ReluMaxPool2d, Sequential,
 };
-use crate::loss::{accuracy, mse, softmax_cross_entropy, LossKind, Target};
+use crate::loss::{
+    accuracy, cross_entropy_loss, mse, mse_loss, softmax_cross_entropy, LossKind, Target,
+};
 use crate::optim::Sgd;
 use crate::{init, scratch, ParamMap, Tensor};
 use rand::Rng;
@@ -95,17 +97,10 @@ pub trait Model: Send {
     /// Evaluates loss and accuracy on a split without computing gradients.
     fn evaluate(&mut self, x: &Tensor, y: &Target) -> Metrics {
         let logits = self.predict(x);
-        let (loss, grad, acc) = match y {
-            Target::Classes(c) => {
-                let (loss, grad) = softmax_cross_entropy(&logits, c);
-                (loss, grad, accuracy(&logits, c))
-            }
-            Target::Values(v) => {
-                let (loss, grad) = mse(&logits, v);
-                (loss, grad, 0.0)
-            }
+        let (loss, acc) = match y {
+            Target::Classes(c) => (cross_entropy_loss(&logits, c), accuracy(&logits, c)),
+            Target::Values(v) => (mse_loss(&logits, v), 0.0),
         };
-        scratch::give(grad);
         scratch::give(logits);
         Metrics {
             loss,

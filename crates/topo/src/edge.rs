@@ -222,7 +222,7 @@ impl EdgeAggregator {
             start_version: update.start_version,
             n_samples: update.n_samples,
             n_steps: update.n_steps,
-            clients: update.contributors(msg.sender),
+            clients: update.contributors(&msg.sender).to_vec(),
         })
     }
 
