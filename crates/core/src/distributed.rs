@@ -3,13 +3,13 @@
 //! Each participant runs on its own thread behind a [`Link`]; every message
 //! crosses the [`Transport`] as wire bytes, so the whole message-translation
 //! path (§3.5) is exercised. There is one server loop ([`ServerLoop`], a
-//! state machine stepped by [`LoopEvent`]s), one client worker and one edge
-//! relay, generic over the transport (in-process bus or TCP, picked by the
-//! options type) and over the [`TopologyPlan`] built from `cfg.topology` — a
-//! star is simply the plan with no edges. Virtual time does not apply here —
-//! `time_up` courses must use the standalone runner — but the `all_received`
-//! and `goal_achieved` strategies run unchanged, demonstrating that worker
-//! behaviour is transport-independent.
+//! state machine stepped by [`LoopEvent`]s; it sees no clock), one client
+//! worker and one edge relay, generic over the transport (in-process bus or
+//! TCP, picked by the options type) and over the [`TopologyPlan`] built from
+//! `cfg.topology` — a star is simply the plan with no edges. Virtual time
+//! does not apply here — `time_up` courses must use the standalone runner —
+//! but the `all_received` and `goal_achieved` strategies run unchanged,
+//! demonstrating that worker behaviour is transport-independent.
 //!
 //! # Routing
 //!
@@ -31,12 +31,13 @@
 //! live ancestor) with a [`REHOME`] control frame and every subtree client is
 //! re-armed; an edge that rejoins has its subtree re-armed in place.
 //!
-//! **The lost-report rule.** A finished client's report is lost exactly when
-//! the client's link has `Closed` and the report has not arrived — at once
-//! when the link led straight to the server (the transport orders `Closed`
-//! behind every direct frame), after [`RELAY_GRACE`] when the report travels
-//! through a relay. Every dropout, whatever noticed it, goes through one
-//! test-and-set on the `gone` set.
+//! **The lost-report rule.** The server answers each stored
+//! `MetricsReport` with a [`SHUTDOWN`] frame, and a client worker runs until
+//! that frame arrives or its link dies, so a client's link closes only after
+//! its report has landed. Hence one rule, direct or relayed: a client whose
+//! `Closed` arrives before its report is a dropout at once, and a client that
+//! has reported is never one. Every dropout, whatever noticed it, goes
+//! through one test-and-set on the `gone` set.
 //!
 //! Failures keep their identity: a bind failure, a codec failure, a client
 //! panic, and a true wall-budget timeout each surface as their own
@@ -70,12 +71,9 @@ pub use crate::transport::{
 };
 
 /// How long the server loop blocks on its port before it looks at worker
-/// exits and deadlines again.
+/// exits again. It decides no outcome, only how soon a quiet loop sees an
+/// exit.
 pub const POLL: Duration = Duration::from_millis(20);
-
-/// How long a finished client's *relayed* report may trail the close of the
-/// client's own link before it is declared lost (see the module docs).
-pub const RELAY_GRACE: Duration = Duration::from_millis(250);
 
 /// Ceiling on the wait for every participant to dial in.
 pub const ACCEPT_CAP: Duration = Duration::from_secs(30);
@@ -84,8 +82,9 @@ pub const ACCEPT_CAP: Duration = Duration::from_secs(30);
 /// in the payload". Sent when an edge is gone for good.
 pub const REHOME: MessageKind = MessageKind::Custom(0x71);
 
-/// Server → edge control frame: the course is over, exit the relay loop.
-pub const EDGE_SHUTDOWN: MessageKind = MessageKind::Custom(0x72);
+/// Server → participant control frame: stop. Answers each stored client
+/// report, and ends every live edge relay once the course is complete.
+pub const SHUTDOWN: MessageKind = MessageKind::Custom(0x72);
 
 /// Errors from a distributed run, one variant per failure class.
 #[derive(Debug)]
@@ -180,8 +179,8 @@ impl From<TcpError> for DistributedError {
 /// Why a worker thread stopped.
 #[derive(Debug)]
 pub enum WorkerOutcome {
-    /// Clean end: a client received Finish and reported, an edge received
-    /// [`EDGE_SHUTDOWN`], a gossip peer shipped its final model.
+    /// Clean end: a client or an edge received [`SHUTDOWN`], a gossip peer
+    /// shipped its final model.
     Finished,
     /// Its (possibly fault-injected) link died for good.
     Disconnected,
@@ -207,14 +206,9 @@ impl WorkerOutcome {
 /// What the poll loop steps: the server-based [`ServerLoop`], or a gossip
 /// course's final-model collector.
 pub trait Course {
-    /// Applies one event. `now` is the loop's clock, passed in so the state
-    /// machine itself never reads one.
-    fn step(
-        &mut self,
-        event: LoopEvent,
-        now: Instant,
-        port: &mut dyn ServerPort,
-    ) -> Result<(), DistributedError>;
+    /// Applies one event.
+    fn step(&mut self, event: LoopEvent, port: &mut dyn ServerPort)
+        -> Result<(), DistributedError>;
 
     /// Whether the course is over and the loop may return.
     fn complete(&self) -> bool;
@@ -353,31 +347,26 @@ fn pump(
 ) -> Result<(), DistributedError> {
     let mut pending = None;
     loop {
-        let elapsed = start.elapsed();
-        let now = start + elapsed;
         while let Ok((id, outcome)) = exits.try_recv() {
-            course.step(LoopEvent::Exit(id, outcome), now, port)?;
+            course.step(LoopEvent::Exit(id, outcome), port)?;
         }
         if let Some(event) = pending.take() {
-            course.step(event, now, port)?;
+            course.step(event, port)?;
         }
         if course.complete() {
             return Ok(());
         }
-        let remaining = wall_budget.saturating_sub(elapsed);
+        let remaining = wall_budget.saturating_sub(start.elapsed());
         if remaining.is_zero() {
             return Err(DistributedError::Timeout);
         }
-        pending = Some(
-            port.recv_event(remaining.min(POLL))?
-                .unwrap_or(LoopEvent::Idle),
-        );
+        pending = port.recv_event(remaining.min(POLL))?;
     }
 }
 
 /// The server's side of a distributed course as a state machine: feed it
-/// [`LoopEvent`]s and the time, it drives the [`Server`] and ships what the
-/// server wants sent.
+/// [`LoopEvent`]s, it drives the [`Server`] and ships what the server wants
+/// sent.
 pub struct ServerLoop {
     /// The server being driven; handed back when the course completes.
     pub server: Server,
@@ -385,15 +374,9 @@ pub struct ServerLoop {
     monitor: MonitorHandle,
     /// The server terminated the course.
     finished: bool,
-    /// Clients whose report can never arrive. Cleanly finished clients are
-    /// NOT in here: their report is still in flight and must be awaited.
+    /// Clients whose report can never arrive.
     gone: BTreeSet<ParticipantId>,
-    /// Clients whose worker ended cleanly.
-    finished_workers: BTreeSet<ParticipantId>,
     dead_edges: BTreeSet<ParticipantId>,
-    /// Finished clients whose link closed ahead of their relayed report,
-    /// with the instant the report is declared lost.
-    watch: BTreeMap<ParticipantId, Instant>,
 }
 
 impl ServerLoop {
@@ -405,9 +388,7 @@ impl ServerLoop {
             monitor,
             finished: false,
             gone: BTreeSet::new(),
-            finished_workers: BTreeSet::new(),
             dead_edges: BTreeSet::new(),
-            watch: BTreeMap::new(),
         }
     }
 
@@ -420,10 +401,10 @@ impl ServerLoop {
     }
 
     /// The single dropout path: the first caller to put `id` in `gone`
-    /// applies the dropout policy and gets the server's reaction to ship.
+    /// applies the dropout policy and gets the server's reaction to ship. A
+    /// client that has reported is never a dropout.
     fn dropout(&mut self, id: ParticipantId) -> Result<Option<Ctx>, DistributedError> {
-        self.watch.remove(&id);
-        if !self.gone.insert(id) {
+        if self.reported(id) || !self.gone.insert(id) {
             return Ok(None);
         }
         let state = &self.server.state;
@@ -468,11 +449,7 @@ impl ServerLoop {
                         payload_wire_len(&out.msg.payload) as u64,
                     );
                 }
-            } else if !(self.plan.is_edge(to)
-                || self.finished
-                || self.reported(to)
-                || self.finished_workers.contains(&to))
-            {
+            } else if !(self.plan.is_edge(to) || self.finished) {
                 if let Some(mut reaction) = self.dropout(to)? {
                     self.finished |= reaction.finished;
                     pending.extend(reaction.take_messages());
@@ -500,7 +477,7 @@ impl ServerLoop {
         port: &mut dyn ServerPort,
     ) -> Result<(), DistributedError> {
         for c in self.plan.subtree_clients(edge) {
-            if !self.gone.contains(&c) {
+            if !(self.gone.contains(&c) || self.reported(c)) {
                 self.rearm(c, port)?;
             }
         }
@@ -508,8 +485,8 @@ impl ServerLoop {
     }
 
     /// An edge is gone for good: re-home its direct children onto the
-    /// nearest live ancestor and re-arm every subtree client still in the
-    /// course, so the round recovers.
+    /// nearest live ancestor and re-arm every subtree client still owing its
+    /// report, so the round recovers.
     fn rehome(
         &mut self,
         dead: ParticipantId,
@@ -537,7 +514,6 @@ impl Course for ServerLoop {
     fn step(
         &mut self,
         event: LoopEvent,
-        now: Instant,
         port: &mut dyn ServerPort,
     ) -> Result<(), DistributedError> {
         match event {
@@ -545,31 +521,22 @@ impl Course for ServerLoop {
                 let mut ctx = self.ctx();
                 self.server.handle(&msg, &mut ctx);
                 self.ship(ctx, port)?;
-            }
-            LoopEvent::Exit(id, outcome) => {
-                let finished = outcome.settled(id)?;
-                match (self.plan.is_edge(id), finished) {
-                    (true, true) => {} // shutdown acknowledged
-                    (true, false) => self.rehome(id, port)?,
-                    (false, true) => {
-                        self.finished_workers.insert(id);
-                    }
-                    (false, false) => self.drop_client(id, port)?,
+                if msg.kind == MessageKind::MetricsReport && self.reported(msg.sender) {
+                    // the acknowledgement that ends the client's worker;
+                    // point-to-point and unmetered, like `REHOME`
+                    let _ = port.send(&shutdown_msg(msg.sender))?;
                 }
             }
+            LoopEvent::Exit(id, outcome) => match (outcome.settled(id)?, self.plan.is_edge(id)) {
+                (true, _) => {} // shutdown acknowledged
+                (false, true) => self.rehome(id, port)?,
+                (false, false) => self.drop_client(id, port)?,
+            },
             // an edge's link closing decides nothing: the edge either
             // rejoins, or its worker exits `Disconnected` and is re-homed
             LoopEvent::Closed(id) if self.plan.is_edge(id) => {}
-            LoopEvent::Closed(id) if self.reported(id) || self.gone.contains(&id) => {}
-            LoopEvent::Closed(id) => {
-                // the lost-report rule (module docs)
-                let relayed = self.plan.parent_of(id).is_some_and(|p| p != SERVER_ID);
-                if relayed && self.finished_workers.contains(&id) {
-                    self.watch.entry(id).or_insert(now + RELAY_GRACE);
-                } else {
-                    self.drop_client(id, port)?;
-                }
-            }
+            // the lost-report rule (module docs)
+            LoopEvent::Closed(id) => self.drop_client(id, port)?,
             LoopEvent::Rejoined(id) if self.plan.is_edge(id) => self.rearm_subtree(id, port)?,
             LoopEvent::Rejoined(id) => {
                 // the link is live again: await this client's report normally
@@ -577,18 +544,6 @@ impl Course for ServerLoop {
                 self.rearm(id, port)?;
             }
             LoopEvent::Codec(detail) => return Err(DistributedError::Codec(detail)),
-            LoopEvent::Idle => {}
-        }
-        let reports = &self.server.state.client_reports;
-        self.watch.retain(|id, _| !reports.contains_key(id));
-        let overdue: Vec<ParticipantId> = self
-            .watch
-            .iter()
-            .filter(|&(_, &lost_at)| lost_at <= now)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in overdue {
-            self.drop_client(id, port)?;
         }
         Ok(())
     }
@@ -607,11 +562,14 @@ impl Course for ServerLoop {
     fn wind_down(&mut self, port: &mut dyn ServerPort) {
         for &e in &self.plan.edges {
             if !self.dead_edges.contains(&e) {
-                let shutdown = Message::new(SERVER_ID, e, EDGE_SHUTDOWN, 0, Payload::Empty);
-                let _ = port.send(&shutdown);
+                let _ = port.send(&shutdown_msg(e));
             }
         }
     }
+}
+
+fn shutdown_msg(to: ParticipantId) -> Message {
+    Message::new(SERVER_ID, to, SHUTDOWN, 0, Payload::Empty)
 }
 
 fn rehome_msg(to: ParticipantId, new_parent: ParticipantId) -> Message {
@@ -655,7 +613,8 @@ impl Uplink {
 
 /// The client worker: the client's own handlers, with frames bound for the
 /// server re-addressed to the current parent and [`REHOME`] swapping that
-/// parent mid-course.
+/// parent mid-course. It runs until [`SHUTDOWN`] acknowledges its report, or
+/// its link dies.
 fn client_worker(
     mut client: Client,
     mut up: Uplink,
@@ -668,16 +627,21 @@ fn client_worker(
             if out.msg.receiver == SERVER_ID {
                 out.msg.receiver = up.parent;
             }
-            if up.send(link, &out.msg)? == SendOutcome::Disconnected {
-                return Ok(WorkerOutcome::Disconnected);
+            match up.send(link, &out.msg)? {
+                SendOutcome::Sent => {}
+                // a report its own link lost is never acknowledged
+                SendOutcome::Dropped if out.msg.kind != MessageKind::MetricsReport => {}
+                SendOutcome::Dropped | SendOutcome::Disconnected => {
+                    return Ok(WorkerOutcome::Disconnected)
+                }
             }
-        }
-        if ctx.finished {
-            return Ok(WorkerOutcome::Finished);
         }
         let Some(msg) = link.recv()? else {
             return Ok(WorkerOutcome::Disconnected);
         };
+        if msg.kind == SHUTDOWN {
+            return Ok(WorkerOutcome::Finished);
+        }
         ctx = Ctx::at(VirtualTime::ZERO);
         match rehome_target(&msg) {
             Some(parent) => up.parent = parent,
@@ -687,13 +651,13 @@ fn client_worker(
 }
 
 /// The edge relay: forwards every upstream frame to its parent unchanged
-/// (lossless), obeying [`REHOME`] / [`EDGE_SHUTDOWN`] control.
+/// (lossless), obeying [`REHOME`] / [`SHUTDOWN`] control.
 fn edge_worker(mut up: Uplink, link: &mut dyn Link) -> Result<WorkerOutcome, DistributedError> {
     loop {
         let Some(mut msg) = link.recv()? else {
             return Ok(WorkerOutcome::Disconnected);
         };
-        if msg.kind == EDGE_SHUTDOWN {
+        if msg.kind == SHUTDOWN {
             return Ok(WorkerOutcome::Finished);
         }
         if let Some(parent) = rehome_target(&msg) {
@@ -826,22 +790,20 @@ pub fn distributed_report(server: &Server) -> crate::runner::CourseReport {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "the scripted clock starts at a real Instant: the server loop takes wall deadlines"
-)]
 mod tests {
-    //! The server loop without threads, sockets or sleeps: scripted events,
-    //! a scripted clock, and a port that records what the loop sends. Plus
-    //! one real threaded course at the end.
+    //! The server loop without threads, sockets, sleeps or a clock: scripted
+    //! events and a port that records what the loop sends. Plus one real
+    //! threaded course at the end.
     use super::*;
     use crate::aggregator::FedAvg;
     use crate::config::FlConfig;
     use crate::course::CourseBuilder;
     use crate::sampler::Sampler;
     use fs_data::synth::{twitter_like, TwitterConfig};
+    use fs_monitor::RecordingMonitor;
     use fs_tensor::model::{logistic_regression, Metrics};
     use fs_tensor::{ParamMap, Tensor};
+    use std::sync::{Arc, Mutex};
 
     /// Records what the loop sends; receivers in `dead` are gone.
     #[derive(Default)]
@@ -862,6 +824,14 @@ mod tests {
             }
             self.sent.push(msg.clone());
             Ok(true)
+        }
+    }
+
+    impl ScriptPort {
+        /// How many frames of `kind` went to `to`.
+        fn count(&self, kind: MessageKind, to: ParticipantId) -> usize {
+            let frames = self.sent.iter().filter(|msg| msg.receiver == to);
+            frames.filter(|msg| msg.kind == kind).count()
         }
     }
 
@@ -903,23 +873,51 @@ mod tests {
         from(id, MessageKind::MetricsReport, Payload::Report { metrics })
     }
 
-    /// Steps `events` at `now`, all of which must succeed.
-    fn feed(m: &mut ServerLoop, port: &mut ScriptPort, now: Instant, events: Vec<LoopEvent>) {
+    /// `id`'s update on the current global model, for the current round.
+    fn update(m: &ServerLoop, id: ParticipantId) -> LoopEvent {
+        let state = &m.server.state;
+        let payload = Payload::Update {
+            params: state.global.clone(),
+            start_version: state.round,
+            n_samples: 1,
+            n_steps: 1,
+        };
+        let msg = Message::new(id, SERVER_ID, MessageKind::Updates, state.round, payload);
+        LoopEvent::Message(msg)
+    }
+
+    /// Steps `events`, all of which must succeed.
+    fn feed(m: &mut ServerLoop, port: &mut ScriptPort, events: Vec<LoopEvent>) {
         for event in events {
-            m.step(event, now, port).expect("step");
+            m.step(event, port).expect("step");
         }
     }
 
-    fn joined(n: u32, topology: Topology) -> (ServerLoop, ScriptPort, Instant) {
+    fn joined(n: u32, topology: Topology) -> (ServerLoop, ScriptPort) {
         let mut m = machine(n as usize, topology);
         let mut port = ScriptPort::default();
-        let t0 = Instant::now();
-        feed(&mut m, &mut port, t0, (1..=n).map(join).collect());
+        feed(&mut m, &mut port, (1..=n).map(join).collect());
         assert!(m.server.state.ledger.models_sent > 0, "course started");
-        (m, port, t0)
+        (m, port)
+    }
+
+    /// A four-client course whose server has terminated: every client sent
+    /// both rounds' updates and was told `Finish`; nobody has reported yet.
+    fn finished(topology: Topology) -> (ServerLoop, ScriptPort) {
+        let (mut m, mut port) = joined(4, topology);
+        for _round in 0..2 {
+            let updates = (1..=4).map(|id| update(&m, id)).collect();
+            feed(&mut m, &mut port, updates);
+        }
+        assert!(m.finished, "the server terminated the course");
+        (m, port)
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pump's wall budget starts at a real Instant"
+    )]
     fn a_worker_panic_outranks_queued_messages() {
         let mut m = machine(2, Topology::Star);
         let mut port = ScriptPort::default();
@@ -946,69 +944,111 @@ mod tests {
     }
 
     #[test]
-    fn a_relayed_report_disarms_the_grace_it_armed() {
-        let (mut m, mut port, t0) = joined(4, HIER3);
-        let finished = LoopEvent::Exit(1, WorkerOutcome::Finished);
-        feed(&mut m, &mut port, t0, vec![finished, LoopEvent::Closed(1)]);
-        assert_eq!(m.watch.get(&1), Some(&(t0 + RELAY_GRACE)), "grace armed");
-        assert!(m.server.state.dropouts.is_empty(), "in flight, not lost");
-        feed(&mut m, &mut port, t0 + RELAY_GRACE / 2, vec![report(1)]);
-        assert!(m.watch.is_empty(), "the report's arrival disarms it");
-        feed(
-            &mut m,
-            &mut port,
-            t0 + RELAY_GRACE * 4,
-            vec![LoopEvent::Idle],
+    fn a_close_before_the_report_is_one_dropout_at_once() {
+        // a link closes only after its report was acknowledged, so a close
+        // ahead of the report is a loss, whether the frames went through a
+        // relay or straight to the server
+        for topology in [HIER3, Topology::Star] {
+            let (mut m, mut port) = finished(topology);
+            let lost = LoopEvent::Exit(2, WorkerOutcome::Disconnected);
+            let events = vec![LoopEvent::Closed(2), lost, LoopEvent::Closed(2)];
+            feed(&mut m, &mut port, events);
+            assert_eq!(m.server.state.dropouts, vec![2], "{topology}");
+            assert!(m.gone.contains(&2));
+        }
+    }
+
+    #[test]
+    fn a_reported_client_is_never_a_dropout() {
+        // whether its worker saw the acknowledgement (3) or died before it
+        // arrived (1: the acknowledgement finds no receiver)
+        for topology in [HIER3, Topology::Star] {
+            let (mut m, mut port) = finished(topology);
+            port.dead.insert(1);
+            let events = vec![
+                report(1),
+                LoopEvent::Exit(1, WorkerOutcome::Disconnected),
+                LoopEvent::Closed(1),
+                report(3),
+                LoopEvent::Exit(3, WorkerOutcome::Finished),
+                LoopEvent::Closed(3),
+            ];
+            feed(&mut m, &mut port, events);
+            assert!(m.server.state.dropouts.is_empty(), "{topology}");
+            assert!(m.gone.is_empty());
+        }
+    }
+
+    #[test]
+    fn each_stored_report_is_answered_by_one_shutdown_to_its_sender() {
+        let (mut m, mut port) = finished(HIER3);
+        let recording = Arc::new(Mutex::new(RecordingMonitor::new()));
+        m.monitor = MonitorHandle::from_shared(recording.clone());
+        port.sent.clear();
+        feed(&mut m, &mut port, (1..=4).map(report).collect());
+        let acks: Vec<(MessageKind, ParticipantId)> = port
+            .sent
+            .iter()
+            .map(|msg| (msg.kind, msg.receiver))
+            .collect();
+        assert_eq!(acks, (1..=4).map(|id| (SHUTDOWN, id)).collect::<Vec<_>>());
+        let recorded = recording.lock().expect("monitor");
+        let tiers = recorded
+            .counters()
+            .keys()
+            .filter(|c| c.starts_with("topo."));
+        assert_eq!(tiers.count(), 0, "the acknowledgement is not metered");
+        assert!(m.complete());
+    }
+
+    #[test]
+    fn rearming_a_dead_edges_subtree_skips_its_reporters() {
+        // hier:3x2 over 4 clients: edge 5 relays two clients; one reports,
+        // then the edge dies
+        let (mut m, mut port) = finished(HIER3);
+        let (reporter, other) = (m.plan.children_of(5)[0], m.plan.children_of(5)[1]);
+        feed(&mut m, &mut port, vec![report(reporter)]);
+        let reconnects = m.server.state.reconnects;
+        let dead = LoopEvent::Exit(5, WorkerOutcome::Disconnected);
+        feed(&mut m, &mut port, vec![dead]);
+        assert_eq!(m.server.state.reconnects, reconnects + 1, "one, not two");
+        assert_eq!(
+            port.count(MessageKind::Finish, reporter),
+            1,
+            "no second Finish"
         );
+        assert_eq!(port.count(MessageKind::Finish, other), 2);
+    }
+
+    #[test]
+    fn an_edge_dying_with_a_finished_clients_report_asks_for_it_again() {
+        // the client is still up, waiting for the acknowledgement: it is
+        // told its new parent, then `Finish` again, and its second report
+        // settles it
+        let (mut m, mut port) = finished(HIER3);
+        let held = m.plan.children_of(5)[1];
+        port.sent.clear();
+        let dead = LoopEvent::Exit(5, WorkerOutcome::Disconnected);
+        feed(&mut m, &mut port, vec![dead]);
+        let to_held = port.sent.iter().filter(|msg| msg.receiver == held);
+        let kinds: Vec<MessageKind> = to_held.map(|msg| msg.kind).collect();
+        assert_eq!(kinds, vec![REHOME, MessageKind::Finish]);
+        feed(&mut m, &mut port, vec![report(held)]);
+        assert_eq!(port.count(SHUTDOWN, held), 1);
+        assert!(m.server.state.client_reports.contains_key(&held));
         assert!(m.server.state.dropouts.is_empty());
-        assert!(!m.gone.contains(&1));
-    }
-
-    #[test]
-    fn an_overdue_report_drops_its_client_exactly_once() {
-        let (mut m, mut port, t0) = joined(4, HIER3);
-        let finished = LoopEvent::Exit(2, WorkerOutcome::Finished);
-        feed(&mut m, &mut port, t0, vec![finished, LoopEvent::Closed(2)]);
-        let just_before = t0 + RELAY_GRACE - Duration::from_millis(1);
-        feed(&mut m, &mut port, just_before, vec![LoopEvent::Idle]);
-        assert!(m.server.state.dropouts.is_empty(), "not yet overdue");
-        let late = t0 + RELAY_GRACE;
-        let again = vec![LoopEvent::Idle, LoopEvent::Closed(2), LoopEvent::Idle];
-        feed(&mut m, &mut port, late, again);
-        assert_eq!(m.server.state.dropouts, vec![2]);
-        assert!(m.watch.is_empty() && m.gone.contains(&2));
-    }
-
-    #[test]
-    fn a_direct_link_has_no_grace() {
-        // star: `Closed` trails every frame the client sent, so a finished
-        // client's missing report is lost the moment its link closes
-        let (mut m, mut port, t0) = joined(3, Topology::Star);
-        let finished = LoopEvent::Exit(3, WorkerOutcome::Finished);
-        feed(&mut m, &mut port, t0, vec![finished, LoopEvent::Closed(3)]);
-        assert_eq!(m.server.state.dropouts, vec![3]);
-        // and a reported client's close is no event at all
-        let finished = LoopEvent::Exit(1, WorkerOutcome::Finished);
-        feed(
-            &mut m,
-            &mut port,
-            t0,
-            vec![report(1), finished, LoopEvent::Closed(1)],
-        );
-        assert_eq!(m.server.state.dropouts, vec![3]);
     }
 
     #[test]
     fn an_edge_death_rehomes_to_the_nearest_live_ancestor() {
         // hier:3x2 over 4 clients: leaf edges 5 and 6 under top edge 7
-        let (mut m, mut port, t0) = joined(4, HIER3);
+        let (mut m, mut port) = joined(4, HIER3);
         assert_eq!(m.plan.edges, vec![5, 6, 7]);
         let orphans = m.plan.children_of(5).to_vec();
         let lost = orphans[0];
         feed(
             &mut m,
             &mut port,
-            t0,
             vec![LoopEvent::Exit(lost, WorkerOutcome::Disconnected)],
         );
         assert_eq!(m.server.state.dropouts, vec![lost]);
@@ -1022,7 +1062,7 @@ mod tests {
         // the top edge dies: its children (edges 5 and 6) move to the server,
         // and all three surviving clients are re-armed
         let dead = |id| LoopEvent::Exit(id, WorkerOutcome::Disconnected);
-        feed(&mut m, &mut port, t0, vec![dead(7)]);
+        feed(&mut m, &mut port, vec![dead(7)]);
         assert_eq!(rehomes(&port), vec![(5, SERVER_ID), (6, SERVER_ID)]);
         assert_eq!(
             m.server.state.reconnects, 3,
@@ -1032,7 +1072,7 @@ mod tests {
         // then edge 5: its plan parent (7) is dead, so the nearest *live*
         // ancestor is the server; only the child still in the course is told
         port.sent.clear();
-        feed(&mut m, &mut port, t0, vec![dead(5), dead(5)]);
+        feed(&mut m, &mut port, vec![dead(5), dead(5)]);
         assert_eq!(rehomes(&port), vec![(orphans[1], SERVER_ID)]);
         assert_eq!(m.server.state.reconnects, 4, "one live client under edge 5");
         assert_eq!(
@@ -1044,11 +1084,11 @@ mod tests {
 
     #[test]
     fn rejoined_clears_gone() {
-        let (mut m, mut port, t0) = joined(3, Topology::Star);
-        feed(&mut m, &mut port, t0, vec![LoopEvent::Closed(2)]);
+        let (mut m, mut port) = joined(3, Topology::Star);
+        feed(&mut m, &mut port, vec![LoopEvent::Closed(2)]);
         assert!(m.gone.contains(&2));
         assert_eq!(m.server.state.roster, vec![1, 3]);
-        feed(&mut m, &mut port, t0, vec![LoopEvent::Rejoined(2)]);
+        feed(&mut m, &mut port, vec![LoopEvent::Rejoined(2)]);
         assert!(!m.gone.contains(&2), "its report is awaited again");
         assert_eq!(m.server.state.roster, vec![1, 3, 2]);
         assert_eq!(
@@ -1063,36 +1103,23 @@ mod tests {
         // the `Finish` broadcast was written to the connection that had just
         // died; without a second one the rejoiner blocks in `recv` and the
         // course waits for its report until the wall budget
-        let finishes = |port: &ScriptPort, id: ParticipantId| {
-            let to_id = port.sent.iter().filter(|msg| msg.receiver == id);
-            to_id.filter(|msg| msg.kind == MessageKind::Finish).count()
-        };
+        let finishes = |port: &ScriptPort, id| port.count(MessageKind::Finish, id);
         for reports_after_rejoin in [true, false] {
-            let (mut m, mut port, t0) = joined(3, Topology::Star);
+            let (mut m, mut port) = joined(3, Topology::Star);
             port.dead.insert(2);
-            feed(&mut m, &mut port, t0, vec![LoopEvent::Closed(2)]);
+            feed(&mut m, &mut port, vec![LoopEvent::Closed(2)]);
             // clients 1 and 3 carry both rounds; the server terminates
-            for round in 0..2u64 {
-                let update = |id| {
-                    let payload = Payload::Update {
-                        params: m.server.state.global.clone(),
-                        start_version: round,
-                        n_samples: 1,
-                        n_steps: 1,
-                    };
-                    let msg = Message::new(id, SERVER_ID, MessageKind::Updates, round, payload);
-                    LoopEvent::Message(msg)
-                };
-                let updates = vec![update(1), update(3)];
-                feed(&mut m, &mut port, t0, updates);
+            for _round in 0..2 {
+                let updates = vec![update(&m, 1), update(&m, 3)];
+                feed(&mut m, &mut port, updates);
             }
             assert!(m.finished, "the server terminated the course");
             assert_eq!((finishes(&port, 1), finishes(&port, 2)), (1, 0));
-            feed(&mut m, &mut port, t0, vec![report(1), report(3)]);
+            feed(&mut m, &mut port, vec![report(1), report(3)]);
             assert!(m.complete(), "2 is gone, everyone else reported");
 
             port.dead.clear();
-            feed(&mut m, &mut port, t0, vec![LoopEvent::Rejoined(2)]);
+            feed(&mut m, &mut port, vec![LoopEvent::Rejoined(2)]);
             assert!(!m.complete(), "the rejoiner's report is awaited again");
             assert_eq!(finishes(&port, 2), 1, "and it is told to send it");
             assert_eq!(finishes(&port, 1), 1, "nobody else hears it twice");
@@ -1101,7 +1128,7 @@ mod tests {
             } else {
                 LoopEvent::Closed(2)
             };
-            feed(&mut m, &mut port, t0, vec![settles]);
+            feed(&mut m, &mut port, vec![settles]);
             assert!(m.complete());
             assert_eq!(
                 m.server.state.client_reports.len(),
@@ -1117,17 +1144,15 @@ mod tests {
         let mut m = machine(3, Topology::Star);
         let mut port = ScriptPort::default();
         port.dead.insert(2);
-        let t0 = Instant::now();
         feed(
             &mut m,
             &mut port,
-            t0,
             vec![join(1), join(2), LoopEvent::Closed(2)],
         );
         assert_eq!(m.server.state.dropouts, vec![2]);
         assert_eq!(m.server.state.expected_clients, 2);
         assert_eq!(m.server.state.ledger.models_sent, 0, "client 3 is awaited");
-        feed(&mut m, &mut port, t0, vec![join(3)]);
+        feed(&mut m, &mut port, vec![join(3)]);
         assert!(m.server.state.ledger.models_sent > 0, "starts with 1 and 3");
     }
 
@@ -1142,7 +1167,7 @@ mod tests {
     #[test]
     fn control_kinds_are_distinct() {
         use crate::transport::{HELLO, LINK_CLOSED};
-        let kinds = [HELLO, REHOME, EDGE_SHUTDOWN, LINK_CLOSED];
+        let kinds = [HELLO, REHOME, SHUTDOWN, LINK_CLOSED];
         let tags: BTreeSet<u16> = kinds
             .iter()
             .map(|kind| match kind {

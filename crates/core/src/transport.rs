@@ -39,7 +39,7 @@ use std::time::Duration;
 
 /// The `MessageKind::Custom` tags user handlers may not use on the threaded
 /// driver: the transports' `HELLO` and `LINK_CLOSED`, the driver's `REHOME`
-/// and `EDGE_SHUTDOWN`.
+/// and `SHUTDOWN`.
 pub const RESERVED: RangeInclusive<u16> = 0x70..=0x73;
 
 /// First frame a participant that does not speak first (an edge relay, a
@@ -52,8 +52,8 @@ pub(crate) const HELLO: MessageKind = MessageKind::Custom(0x70);
 /// participant's link is dropped, behind every frame that link sent there.
 pub(crate) const LINK_CLOSED: MessageKind = MessageKind::Custom(0x73);
 
-/// What steps the server loop: transport events, worker exits, and the
-/// passage of time.
+/// What steps the server loop: transport events and worker exits. The loop
+/// sees no clock; when nothing arrives, nothing is stepped.
 #[derive(Debug)]
 pub enum LoopEvent {
     /// A decoded frame addressed to the server.
@@ -67,15 +67,13 @@ pub enum LoopEvent {
     Codec(String),
     /// A worker thread ended.
     Exit(ParticipantId, WorkerOutcome),
-    /// Nothing arrived within the poll interval.
-    Idle,
 }
 
 /// The server's end of a transport.
 pub trait ServerPort {
     /// Blocks up to `timeout` for the next event. `Ok(None)` when nothing
     /// for the loop arrived (the timeout elapsed, or the frame was
-    /// transport-internal). Never yields `Exit` or `Idle`.
+    /// transport-internal). Never yields `Exit`.
     fn recv_event(&mut self, timeout: Duration) -> Result<Option<LoopEvent>, DistributedError>;
 
     /// Sends `msg` to its receiver; `Ok(false)` when the receiver is gone.

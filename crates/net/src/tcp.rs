@@ -12,7 +12,9 @@
 //! # One frame path, no clocks
 //!
 //! [`write_frame`] and [`read_frame`] are the only code that puts a frame on
-//! a socket or takes one off. A frame goes out as **one** `write` (prefix and
+//! a socket or takes one off (the hub's readers call `read_frame`'s capped
+//! form: until a connection has identified itself, its first frame may be no
+//! longer than a handshake). A frame goes out as **one** `write` (prefix and
 //! body in one buffer) on a socket with `TCP_NODELAY` set — every accepted
 //! and every dialled socket, unconditionally. The traffic is request/response
 //! (a ~15 KB model frame answered by another, <100-byte control frames in
@@ -145,10 +147,20 @@ pub fn write_frame(
 /// sender's writes were split, counting the real bytes taken off the socket
 /// into the monitor's `wire.*` counters.
 pub fn read_frame(stream: &mut TcpStream, monitor: &MonitorHandle) -> Result<Message, TcpError> {
+    read_frame_within(stream, monitor, MAX_FRAME_BYTES)
+}
+
+/// [`read_frame`] with a smaller cap: a prefix over `cap` bytes is refused
+/// before any of the body is allocated or read.
+fn read_frame_within(
+    stream: &mut TcpStream,
+    monitor: &MonitorHandle,
+    cap: u32,
+) -> Result<Message, TcpError> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;
     let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
+    if len > cap {
         return Err(TcpError::FrameTooLarge(len));
     }
     let mut buf = vec![0u8; len as usize];
@@ -315,7 +327,9 @@ impl TcpHub {
 
     /// One reader thread per connection, blocked in [`read_frame`]: the
     /// first frame is the join handshake (it registers the connection and
-    /// wakes `accept`); [`MessageKind::Rejoin`] frames are consumed as
+    /// wakes `accept`), and may be no longer than a handshake with an empty
+    /// payload, so a stranger's length prefix cannot make the hub allocate
+    /// up to [`MAX_FRAME_BYTES`]; [`MessageKind::Rejoin`] frames are consumed as
     /// transport control; everything else flows to the incoming queue. Death
     /// is reported as [`HubEvent::Disconnected`] unless a newer connection
     /// for the same participant has already taken over.
@@ -327,12 +341,18 @@ impl TcpHub {
         monitor: MonitorHandle,
     ) {
         std::thread::spawn(move || {
+            // `JoinIn`, `HELLO` and `Rejoin` all encode to this length
+            let handshake = Message::new(0, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
+            let handshake_len = encode_message(&handshake).len() as u32;
             let mut me: Option<ParticipantId> = None;
             let rejected = loop {
-                let msg = match read_frame(&mut stream, &monitor) {
+                let cap = me.map_or(handshake_len, |_| MAX_FRAME_BYTES);
+                let msg = match read_frame_within(&mut stream, &monitor, cap) {
                     Ok(msg) => msg,
                     Err(TcpError::Codec(e)) => break Some(e.to_string()),
-                    Err(e @ TcpError::FrameTooLarge(_)) => break Some(e.to_string()),
+                    Err(e @ TcpError::FrameTooLarge(_)) => {
+                        break Some(format!("{e} of {cap} bytes"))
+                    }
                     // EOF, reset, or the hub's drop shutting the socket down
                     Err(_) => break None,
                 };
@@ -819,6 +839,21 @@ mod tests {
         match next_event(&hub) {
             HubEvent::Codec(None, detail) => {
                 assert!(detail.contains(&too_large.to_string()), "{detail}");
+            }
+            other => panic!("expected an anonymous codec event, got {other:?}"),
+        }
+
+        // a stranger may not make the hub allocate more than a handshake
+        // needs: a 1 MiB prefix with no body behind it is refused at once
+        let mut stranger = TcpStream::connect(addr).unwrap();
+        stranger.write_all(&(1u32 << 20).to_le_bytes()).unwrap();
+        let cap = join_msg(0).wire_bytes();
+        match next_event(&hub) {
+            HubEvent::Codec(None, detail) => {
+                assert!(
+                    detail.contains(&format!("limit of {cap} bytes")),
+                    "{detail}"
+                );
             }
             other => panic!("expected an anonymous codec event, got {other:?}"),
         }

@@ -22,7 +22,7 @@ use fs_sim::VirtualTime;
 use fs_tensor::ParamMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The final frame: the peer's model, shipped to the harness for the central
 /// observation of the decentralized consensus.
@@ -76,7 +76,6 @@ impl Course for Finals {
     fn step(
         &mut self,
         event: LoopEvent,
-        _now: Instant,
         _port: &mut dyn ServerPort,
     ) -> Result<(), DistributedError> {
         match event {
@@ -96,7 +95,7 @@ impl Course for Finals {
                 return Err(DistributedError::PeerDisconnected(id));
             }
             LoopEvent::Codec(detail) => return Err(DistributedError::Codec(detail)),
-            LoopEvent::Closed(_) | LoopEvent::Rejoined(_) | LoopEvent::Idle => {}
+            LoopEvent::Closed(_) | LoopEvent::Rejoined(_) => {}
         }
         Ok(())
     }

@@ -146,3 +146,39 @@ fn client_dropout_semantics_survive_the_relay_path() {
     assert!(!server.state.client_reports.contains_key(&2));
     assert_eq!(server.state.client_reports.len(), 5);
 }
+
+#[test]
+fn slow_relays_lose_no_report() {
+    // both edges hold every frame they relay for 400 ms: a report still in a
+    // relay is on its way, not lost, however long the relay takes
+    let seed = 55;
+    let topology = Topology::Hierarchical {
+        tiers: 2,
+        fanout: 2,
+    };
+    let mut runner = course(4, seed, topology);
+    runner.server.state.cfg.total_rounds = 1;
+    runner.server.state.cfg.dropout = DropoutPolicy::Fail;
+    let slow = FaultSpec {
+        delay_ms: 400,
+        ..Default::default()
+    };
+    let plan = TopologyPlan::build(topology, 4, seed).expect("plan");
+    assert_eq!(plan.edges.len(), 2);
+    let faults = plan
+        .edges
+        .iter()
+        .fold(FaultPlan::new(seed), |faults, &edge| {
+            faults.with(edge, slow)
+        });
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    let opts = BusRunOptions {
+        faults: Some(faults),
+        ..Default::default()
+    };
+    let server = run_distributed_with(runner.server, clients, BUDGET, opts)
+        .expect("a slow relay is not a dead client");
+    assert_eq!(server.state.round, 1);
+    assert_eq!(server.state.client_reports.len(), 4);
+    assert!(server.state.dropouts.is_empty());
+}
