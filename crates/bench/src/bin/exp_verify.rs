@@ -15,13 +15,16 @@ use fs_bench::output::{check_claims, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{cifar, femnist, twitter, Workload};
 use fs_core::config::{CodecSpec, FlConfig};
-use fs_core::{verify_assembled, Client, Condition, Event, StandaloneRunner};
+use fs_core::{verify_assembled, ClientStore, Condition, Event, StandaloneRunner};
 use fs_net::MessageKind;
 use fs_verify::VerifyReport;
 
 fn verify_runner(runner: &StandaloneRunner) -> VerifyReport {
-    let clients: Vec<&Client> = runner.clients.values().collect();
-    verify_assembled(&runner.server, &clients, Some(&runner.server.state.cfg))
+    verify_assembled(
+        &runner.server,
+        &runner.clients.groups(),
+        Some(&runner.server.state.cfg),
+    )
 }
 
 /// Verifies every fig-17 strategy on every workload. Returns the number of

@@ -3,7 +3,6 @@
 use fs_compress::{Compressor, DeltaEncode, Identity, TopK, UniformQuant};
 use fs_net::Topology;
 use fs_tensor::optim::SgdConfig;
-use fs_verify::VerifyMode;
 
 /// Which codec compresses a parameter payload (see `fs-compress`).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -200,8 +199,6 @@ pub struct FlConfig {
     pub sgd: SgdConfig,
     /// Update compression (both directions disabled by default).
     pub compression: CompressionConfig,
-    /// What runners do with static verification before starting the course.
-    pub verify: VerifyMode,
     /// How distributed runners handle mid-course client disconnects.
     pub dropout: DropoutPolicy,
     /// Course RNG seed.
@@ -237,7 +234,6 @@ impl Default for FlConfig {
             batch_size: 20,
             sgd: SgdConfig::with_lr(0.1),
             compression: CompressionConfig::default(),
-            verify: VerifyMode::Enforce,
             dropout: DropoutPolicy::default(),
             seed: 42,
             parallelism: 1,

@@ -3,17 +3,19 @@
 //! This is the "simple configuring" interface of §3.6: pick a dataset, a
 //! model factory, and an [`FlConfig`]; the builder wires up the server, the
 //! clients, the fleet, the sampler, the aggregator, and the centralized
-//! evaluator, validating the configuration as it goes.
+//! evaluator. Building refuses nothing: a misconfigured course is refused by
+//! the runner's preflight ([`crate::verify::preflight`]), with the lint
+//! findings that name what is wrong.
 //!
-//! Everything that does not depend on *where clients live* — validation,
-//! fleet, template model, sampler, evaluator, aggregator, server — is
+//! Everything that does not depend on *where clients live* — fleet,
+//! template model, sampler, evaluator, aggregator, server — is
 //! [`CourseWiring`], written once. [`CourseBuilder`] adds the eager client
 //! set on top (one [`Client`] per dataset split, built up front); `fs-scale`'s
 //! builder adds a lazy store on top of the same wiring.
 
 use crate::aggregator::{Aggregator, FedAvg};
 use crate::client::Client;
-use crate::config::{AggregationRule, FlConfig, SamplerKind};
+use crate::config::{FlConfig, SamplerKind};
 use crate::eval::GlobalEvaluator;
 use crate::runner::{Runner, StandaloneRunner};
 use crate::sampler::Sampler;
@@ -33,8 +35,8 @@ pub type TrainerFactory =
     Box<dyn Fn(usize, Box<dyn Model>, ClientSplit, &FlConfig) -> Box<dyn Trainer>>;
 
 /// The client-independent half of a course: every knob but the client set,
-/// plus the one validation and server/sampler/evaluator/aggregator wiring
-/// every builder goes through.
+/// plus the one server/sampler/evaluator/aggregator wiring every builder
+/// goes through.
 pub struct CourseWiring {
     /// Number of clients the course is assembled for.
     pub num_clients: usize,
@@ -107,50 +109,12 @@ impl CourseWiring {
         }
     }
 
-    fn validate(&self) {
-        let n = self.num_clients;
-        assert!(n > 0, "dataset has no clients");
-        assert!(
-            self.cfg.sample_target() <= n,
-            "sample target {} exceeds client count {n}",
-            self.cfg.sample_target()
-        );
-        match self.cfg.rule {
-            AggregationRule::GoalAchieved { goal } => {
-                assert!(goal >= 1, "aggregation goal must be >= 1");
-                assert!(
-                    goal <= self.cfg.sample_target(),
-                    "goal {goal} can never be reached with sample target {}",
-                    self.cfg.sample_target()
-                );
-            }
-            AggregationRule::TimeUp {
-                budget_secs,
-                min_feedback,
-            } => {
-                assert!(budget_secs > 0.0, "time budget must be positive");
-                assert!(
-                    min_feedback <= self.cfg.sample_target(),
-                    "min_feedback {min_feedback} exceeds sample target {}",
-                    self.cfg.sample_target()
-                );
-            }
-            AggregationRule::Buffered { k, .. } => {
-                assert!(k >= 1, "buffer threshold k must be >= 1");
-            }
-            AggregationRule::Tiered { tiers } => {
-                assert!(tiers >= 1, "tier count must be >= 1");
-            }
-            AggregationRule::AllReceived => {}
-        }
-    }
-
-    /// Validates the configuration and wires up fleet, template, sampler,
-    /// evaluator, aggregator and server. The centralized evaluator scores on
+    /// Wires up fleet, template, sampler, evaluator, aggregator and server.
+    /// It refuses nothing: a configuration's errors are lint findings, and
+    /// the runner's preflight refuses the course before its first event. The centralized evaluator scores on
     /// the test set pooled from `test_pool`; without one (a population that
     /// exists only as a closure) there is no evaluator.
     pub fn wire(self, test_pool: Option<&FedDataset>) -> Wired {
-        self.validate();
         let CourseWiring {
             num_clients: n,
             cfg,
@@ -165,16 +129,6 @@ impl CourseWiring {
         } = self;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let fleet = fleet.unwrap_or_else(|| Fleet::generate(&fleet_cfg));
-        // crashed broadcasts leave clients busy forever; only a timer-armed
-        // rule has a remedial measure for that, so reject the combination up
-        // front instead of silently deadlocking mid-course
-        if cfg.rule.round_timer().is_none() {
-            assert!(
-                fleet.profiles().iter().all(|p| p.crash_prob == 0.0),
-                "client crashes require a timer-armed scheduler (its remedial \
-                 measure re-arms the round); the other modes would deadlock"
-            );
-        }
 
         // template model defines the initial global parameters
         let template = model_factory(&mut rng);
@@ -352,6 +306,7 @@ impl CourseBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AggregationRule;
     use fs_data::synth::{twitter_like, TwitterConfig};
     use fs_tensor::model::logistic_regression;
     use fs_tensor::optim::SgdConfig;
@@ -455,12 +410,12 @@ mod tests {
             rule: AggregationRule::GoalAchieved { goal: 100 },
             ..Default::default()
         };
-        let _ = tiny_course(cfg);
+        let _ = tiny_course(cfg).run();
     }
 
     /// The last rule setter wins: a goal the buffered scheduler never reads
-    /// must not fail validation (it used to, while `rule` and the scheduler
-    /// override were separate fields).
+    /// must not refuse the course (it used to, while `rule` and the
+    /// scheduler override were separate fields).
     #[test]
     fn buffered_course_ignores_a_replaced_goal() {
         let cfg = FlConfig {
@@ -493,7 +448,7 @@ mod tests {
             concurrency: 1000,
             ..Default::default()
         };
-        let _ = tiny_course(cfg);
+        let _ = tiny_course(cfg).run();
     }
 
     #[test]

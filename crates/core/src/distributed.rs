@@ -93,10 +93,10 @@ pub enum DistributedError {
     /// that needs virtual time (`time_up`), a handler on a reserved message
     /// kind, a gossip course over a lossy transport.
     Unsupported(String),
-    /// The course was refused before any thread was spawned: static
-    /// verification under [`fs_verify::VerifyMode::Enforce`], or — in every
-    /// mode — a topology this driver cannot realize (`FSV057` for gossip,
-    /// which has no server).
+    /// The course was refused before any thread was spawned: its preflight
+    /// report holds an Error, or its topology is one this driver cannot
+    /// realize (`FSV057` for gossip, which has no server; `FSV050` for a
+    /// plan that fails to build).
     Verification(Box<VerifyReport>),
     /// A bus operation failed.
     Bus(BusError),
@@ -696,8 +696,8 @@ fn routed_plan(server: &Server, clients: &[Client]) -> Result<TopologyPlan, Dist
         )));
     }
     if let Topology::Gossip { .. } = cfg.topology {
-        // not a lint a verify mode can wave through: a gossip course has no
-        // server for this driver to run
+        // nothing else can be verified: a gossip course has no server for
+        // this driver to run
         let unrouted = Diagnostic::new(
             Code::TopologyUnrouted,
             "topology",

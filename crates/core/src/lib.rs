@@ -67,7 +67,4 @@ pub use lint::lint_config;
 pub use runner::{Ascent, ClientStore, CourseReport, Router, Runner, StandaloneRunner, Star};
 pub use server::{Server, ServerState};
 pub use trainer::{LocalTrainer, ShareFilter, TrainConfig, Trainer, TrainerParts};
-pub use verify::{
-    course_ir, course_ir_grouped, effective_handler_log, effective_handler_log_grouped, preflight,
-    verify_assembled, verify_assembled_grouped,
-};
+pub use verify::{course_ir, effective_handler_log, preflight, verify_assembled};

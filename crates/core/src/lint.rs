@@ -4,7 +4,10 @@
 //! They live next to the config they read, so a new [`AggregationRule`] or
 //! [`CodecSpec`] variant is spelled once; `fs-verify` keeps the vocabulary
 //! they report in ([`Code`], [`Diagnostic`]) and the protocol checks over the
-//! flow graph. [`crate::verify`] appends these findings to a course's report.
+//! flow graph. [`crate::verify`] appends these findings to a course's report,
+//! and an Error among them refuses the course at
+//! [`crate::verify::preflight`]: they are the only copy of these rules (the
+//! course builder checks nothing).
 
 use crate::config::{AggregationRule, BroadcastManner, CodecSpec, FlConfig};
 use fs_net::Topology;

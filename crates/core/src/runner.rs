@@ -136,7 +136,7 @@ impl CourseReport {
             stale_drops: s.ledger.stale_drops,
             total_updates: s.ledger.total_updates,
             remedial_count: s.ledger.remedial_count,
-            effective_handlers: crate::verify::effective_handler_log_grouped(server, clients),
+            effective_handlers: crate::verify::effective_handler_log(server, clients),
             registry_warnings: server.warnings().to_vec(),
             conformance_violations: server.violations().to_vec(),
             dropouts: s.dropouts.clone(),
@@ -482,26 +482,40 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
     }
 
     /// Runs the course to completion and returns the report, or the
-    /// verification report when the course's topology has no router here
-    /// (`FSV057`, regardless of mode) or it fails static analysis under
-    /// [`fs_verify::VerifyMode::Enforce`].
+    /// verification report when the preflight finds an Error: static
+    /// analysis and config lints, the router's findings, a topology this
+    /// runner has no router for (`FSV057`), or a fleet that can crash
+    /// clients under a rule with no round timer (`FSV065`).
     pub fn try_run(&mut self) -> Result<CourseReport, Box<VerifyReport>> {
-        let topology = self.server.state.cfg.topology;
+        let cfg = &self.server.state.cfg;
+        let topology = cfg.topology;
+        let mut extra = self.router.diagnostics();
         if !self.router.routes(&topology) {
-            let unrouted = Diagnostic::new(
-                Code::TopologyUnrouted,
-                "topology",
-                format!("{topology:?} is configured but this runner has no router for it"),
+            extra.push(
+                Diagnostic::new(
+                    Code::TopologyUnrouted,
+                    "topology",
+                    format!("{topology:?} is configured but this runner has no router for it"),
+                )
+                .with_suggestion("run the assembled course through fs_topo::run_course_auto"),
             );
-            return Err(crate::verify::refusal(unrouted.with_suggestion(
-                "run the assembled course through fs_topo::run_course_auto",
-            )));
         }
-        crate::verify::preflight(
-            &self.server,
-            &self.clients.groups(),
-            self.router.diagnostics(),
-        )?;
+        // a crashed broadcast leaves its client busy for good; only a
+        // timer-armed rule has a remedial measure that re-arms the round
+        if cfg.rule.round_timer().is_none()
+            && self.fleet.profiles().iter().any(|p| p.crash_prob > 0.0)
+        {
+            extra.push(
+                Diagnostic::new(
+                    Code::CrashesWithoutTimer,
+                    "rule",
+                    "the fleet can crash clients but the rule arms no round timer: \
+                     the first crashed broadcast stalls its round for good",
+                )
+                .with_suggestion("use a timer-armed rule (time_up) or a crash-free fleet"),
+            );
+        }
+        crate::verify::preflight(&self.server, &self.clients.groups(), extra)?;
         Ok(self.run_unchecked())
     }
 
@@ -516,7 +530,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
             Ok(report) => report,
             #[expect(
                 clippy::panic,
-                reason = "the doc-comment contract: run() panics on Enforce rejection, try_run is the recoverable path"
+                reason = "the doc-comment contract: run() panics on a refusal, try_run is the recoverable path"
             )]
             Err(verify) => panic!("course rejected by static verification:\n{verify}"),
         }

@@ -7,27 +7,28 @@
 //! into one group, so a 10k-client course lowers to a couple of specs),
 //! gathers registry overwrite warnings, hands the result to
 //! [`fs_verify::verify_course`] and, when the caller has a config, appends
-//! [`lint_config`]'s findings. Every runner — virtual-time, bus, TCP, star
-//! or routed — calls [`preflight`] before starting a course.
+//! [`lint_config`]'s findings.
+//!
+//! [`preflight`] is the one verification gate. Every runner — virtual-time,
+//! bus, TCP, star or routed — calls it before starting a course, with the
+//! findings only it can make (a router's, a realized plan's); a report that
+//! holds an Error refuses the course. Nothing switches the gate off.
 
 use crate::client::Client;
 use crate::config::FlConfig;
 use crate::lint::lint_config;
 use crate::server::Server;
 use fs_net::ParticipantId;
-use fs_verify::{CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyMode, VerifyReport};
+use fs_verify::{CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyReport};
 
-/// Lowers a course into the verifier's IR.
-pub fn course_ir(server: &Server, clients: &[&Client]) -> CourseIr {
-    course_ir_grouped(server, &singleton_groups(clients.iter().copied()))
-}
-
-/// Lowers a course given as representative clients plus the id sets they
-/// stand for. A lazy runner that materializes clients on demand verifies a
-/// million-client course through one representative without building the
-/// other 999,999; the result is identical to [`course_ir`] over fully
-/// materialized clients with the same handler tables.
-pub fn course_ir_grouped(server: &Server, reps: &[(&Client, Vec<ParticipantId>)]) -> CourseIr {
+/// Lowers a course, given as representative clients plus the id sets they
+/// stand for, into the verifier's IR. A lazy runner that materializes
+/// clients on demand verifies a million-client course through one
+/// representative without building the other 999,999; the result is
+/// identical to the lowering of fully materialized clients with the same
+/// handler tables. A runner's store hands over its groups itself
+/// ([`crate::ClientStore::groups`]).
+pub fn course_ir(server: &Server, reps: &[(&Client, Vec<ParticipantId>)]) -> CourseIr {
     let mut groups: Vec<(Vec<HandlerSpec>, Vec<ParticipantId>)> = Vec::new();
     for (c, ids) in reps {
         let specs = c.specs();
@@ -64,25 +65,15 @@ pub fn course_ir_grouped(server: &Server, reps: &[(&Client, Vec<ParticipantId>)]
     }
 }
 
-/// Runs the full static analysis over an assembled course. `config` is
-/// optional so callers can verify a hand-assembled server/client set without
-/// a full `FlConfig`.
+/// Runs the full static analysis over an assembled course (see
+/// [`course_ir`] for `reps`). `config` is optional so callers can verify a
+/// hand-assembled server/client set without a full `FlConfig`.
 pub fn verify_assembled(
-    server: &Server,
-    clients: &[&Client],
-    config: Option<&FlConfig>,
-) -> VerifyReport {
-    verify_assembled_grouped(server, &singleton_groups(clients.iter().copied()), config)
-}
-
-/// [`verify_assembled`] over representative clients (see
-/// [`course_ir_grouped`]).
-pub fn verify_assembled_grouped(
     server: &Server,
     reps: &[(&Client, Vec<ParticipantId>)],
     config: Option<&FlConfig>,
 ) -> VerifyReport {
-    let mut report = fs_verify::verify_course(&course_ir_grouped(server, reps));
+    let mut report = fs_verify::verify_course(&course_ir(server, reps));
     if let Some(cfg) = config {
         let total = reps.iter().map(|(_, ids)| ids.len()).sum();
         report.extend(lint_config(cfg, Some(total)));
@@ -90,73 +81,58 @@ pub fn verify_assembled_grouped(
     report
 }
 
-/// Verifies an assembled course per its configured [`VerifyMode`] before it
-/// starts: static analysis over `clients` (representatives plus the ids they
-/// stand for) merged with `extra` findings the caller already holds (a
-/// realized topology plan's). Prints the table when it has anything to say
-/// (always under `FS_VERIFY_LOG`), and returns the report as the error when
-/// `Enforce` meets an Error.
+/// Verifies an assembled course before it starts: static analysis over
+/// `clients` (representatives plus the ids they stand for) merged with
+/// `extra` findings the caller already holds (a router's, a realized
+/// topology plan's), through [`gate`].
 pub fn preflight(
     server: &Server,
     clients: &[(&Client, Vec<ParticipantId>)],
     extra: Vec<Diagnostic>,
 ) -> Result<(), Box<VerifyReport>> {
-    let cfg = &server.state.cfg;
-    if cfg.verify == VerifyMode::Skip {
-        return Ok(());
-    }
-    let mut report = verify_assembled_grouped(server, clients, Some(cfg));
+    let mut report = verify_assembled(server, clients, Some(&server.state.cfg));
     report.extend(extra);
-    if std::env::var_os("FS_VERIFY_LOG").is_some() {
-        for line in effective_handler_log_grouped(server, clients) {
-            eprintln!("fs-verify: {line}");
-        }
-    }
-    enforce(cfg.verify, report)
+    gate(report)
 }
 
-/// Applies `mode` to a finished report: prints the table when it has anything
-/// to say (always under `FS_VERIFY_LOG`) and returns the report as the error
-/// when `Enforce` meets an Error.
-pub fn enforce(mode: VerifyMode, report: VerifyReport) -> Result<(), Box<VerifyReport>> {
-    if std::env::var_os("FS_VERIFY_LOG").is_some() || !report.is_clean() {
+/// Where every preflight ends: prints the table when the report holds a
+/// warning or an error, and returns the report as the error when it holds
+/// an Error.
+pub fn gate(report: VerifyReport) -> Result<(), Box<VerifyReport>> {
+    if !report.is_clean() {
         eprint!("{}", report.render_table());
     }
-    if mode == VerifyMode::Enforce && report.has_errors() {
+    if report.has_errors() {
         return Err(Box::new(report));
     }
     Ok(())
 }
 
-/// A refusal no [`VerifyMode`] can wave through (an un-routed topology, say):
-/// the one finding, boxed the way [`preflight`] reports its own.
+/// A refusal made where nothing else can be verified (a course this driver
+/// cannot run at all, a topology plan that fails to build): the one
+/// finding, boxed the way [`preflight`] reports its own.
 pub fn refusal(finding: Diagnostic) -> Box<VerifyReport> {
     Box::new(VerifyReport {
         diagnostics: vec![finding],
     })
 }
 
-/// One singleton group per client — the shape [`preflight`] and the grouped
-/// lowering take when every client is materialized.
-pub fn singleton_groups<'a>(
+/// One singleton group per client — the shape the analyses take when every
+/// client is materialized.
+pub(crate) fn singleton_groups<'a>(
     clients: impl IntoIterator<Item = &'a Client>,
 ) -> Vec<(&'a Client, Vec<ParticipantId>)> {
     clients.into_iter().map(|c| (c, vec![c.state.id])).collect()
 }
 
 /// The effective-handler log the paper prints: one line per participant
-/// group, `<event> -> <handler>` pairs in registration-table order.
-pub fn effective_handler_log(server: &Server, clients: &[&Client]) -> Vec<String> {
-    effective_handler_log_grouped(server, &singleton_groups(clients.iter().copied()))
-}
-
-/// [`effective_handler_log`] over representative clients (see
-/// [`course_ir_grouped`]).
-pub fn effective_handler_log_grouped(
+/// group, `<event> -> <handler>` pairs in registration-table order (see
+/// [`course_ir`] for `reps`).
+pub fn effective_handler_log(
     server: &Server,
     reps: &[(&Client, Vec<ParticipantId>)],
 ) -> Vec<String> {
-    let ir = course_ir_grouped(server, reps);
+    let ir = course_ir(server, reps);
     let mut lines = Vec::new();
     for spec in std::iter::once(&ir.server).chain(ir.client_groups.iter()) {
         for h in &spec.handlers {
@@ -171,6 +147,7 @@ mod tests {
     use super::*;
     use crate::config::FlConfig;
     use crate::course::CourseBuilder;
+    use crate::runner::ClientStore;
     use fs_data::synth::{twitter_like, TwitterConfig};
     use fs_tensor::model::logistic_regression;
 
@@ -197,16 +174,14 @@ mod tests {
     #[test]
     fn default_course_verifies_clean() {
         let runner = tiny_course();
-        let clients: Vec<&Client> = runner.clients.values().collect();
-        let report = verify_assembled(&runner.server, &clients, None);
+        let report = verify_assembled(&runner.server, &runner.clients.groups(), None);
         assert!(report.is_clean(), "{report}");
     }
 
     #[test]
     fn identical_clients_collapse_to_one_group() {
         let runner = tiny_course();
-        let clients: Vec<&Client> = runner.clients.values().collect();
-        let ir = course_ir(&runner.server, &clients);
+        let ir = course_ir(&runner.server, &runner.clients.groups());
         assert_eq!(ir.client_groups.len(), 1);
         assert!(ir.client_groups[0].label.contains("6 of them"));
     }
@@ -214,8 +189,7 @@ mod tests {
     #[test]
     fn handler_log_covers_both_sides() {
         let runner = tiny_course();
-        let clients: Vec<&Client> = runner.clients.values().collect();
-        let log = effective_handler_log(&runner.server, &clients);
+        let log = effective_handler_log(&runner.server, &runner.clients.groups());
         assert!(log.iter().any(|l| l.starts_with("server:")));
         assert!(log.iter().any(|l| l.contains("local_training")));
     }

@@ -1,8 +1,8 @@
 //! Course assembly over the lazy client store.
 //!
 //! [`ScaleCourseBuilder`] is `fs_core`'s [`CourseWiring`] — the one
-//! validation and server/sampler/evaluator/aggregator wiring every course
-//! goes through — plus a data *source* in place of a materialized client set.
+//! server/sampler/evaluator/aggregator wiring every course goes through —
+//! plus a data *source* in place of a materialized client set.
 //! Handing the builder a closure from client index to split (or a shared
 //! dataset to index into) is what selects the lazy store; nothing in
 //! `FlConfig` does. The course itself is the *same course*: same RNG draws in
@@ -198,6 +198,7 @@ mod tests {
             Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
             cfg,
         )
-        .build();
+        .build()
+        .run();
     }
 }

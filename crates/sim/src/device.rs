@@ -87,7 +87,6 @@ pub struct Fleet {
 impl Fleet {
     /// Generates a fleet from the configuration (deterministic in the seed).
     pub fn generate(cfg: &FleetConfig) -> Self {
-        assert!(cfg.num_clients > 0, "fleet needs at least one client");
         assert!(cfg.num_groups > 0, "fleet needs at least one group");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         // log-normal draw, inlined: exp(mu + sigma·z) with one standard-normal

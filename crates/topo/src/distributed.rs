@@ -122,7 +122,7 @@ pub fn run_gossip_distributed<T: Transport>(
         return Err(DistributedError::Unsupported(what.to_string()).into());
     }
     let course = GossipRunner::from_standalone(runner)?;
-    check_plan(course.cfg.verify, &course.plan)?;
+    check_plan(&course.plan)?;
     let (rounds, plan) = (course.rounds, Arc::new(course.plan));
     let ids: Vec<ParticipantId> = course.peers.iter().map(|p| p.id).collect();
     let mut session = Session::open(transport, &ids, wall_budget)?;

@@ -198,7 +198,7 @@ impl GossipRunner {
 
     /// Runs the gossip course: train → exchange → merge, round-synchronous.
     pub fn run(&mut self) -> Result<GossipOutcome, TopoRunError> {
-        check_plan(self.cfg.verify, &self.plan)?;
+        check_plan(&self.plan)?;
         let mut history: Vec<EvalRecord> = Vec::new();
         let mut exchanges = 0u64;
         let mut uploaded_bytes = 0u64;

@@ -35,7 +35,7 @@ use fs_core::ClientStore;
 use fs_monitor::MonitorHandle;
 use fs_net::{Message, ParticipantId, Topology, TopologyError, TopologyPlan, SERVER_ID};
 use fs_sim::VirtualTime;
-use fs_verify::{verify_topology_plan, Diagnostic, VerifyMode, VerifyReport};
+use fs_verify::{verify_topology_plan, Diagnostic, VerifyReport};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -44,8 +44,8 @@ use std::fmt;
 pub enum TopoRunError {
     /// The topology description itself is invalid for this course.
     Topology(TopologyError),
-    /// The course was refused before it started: static verification under
-    /// `VerifyMode::Enforce`, or a topology nothing routes (`FSV057`).
+    /// The course was refused before it started: its preflight report holds
+    /// an Error (a topology nothing routes is `FSV057`).
     Verification(Box<VerifyReport>),
     /// An edge aggregator failed to decode a constituent update.
     Edge(EdgeError),
@@ -289,13 +289,10 @@ impl Router for TreeRouter {
     }
 }
 
-/// Verifies a realized plan on its own, per `mode` — all the static checking
-/// a serverless (gossip) course has.
-pub(crate) fn check_plan(mode: VerifyMode, plan: &TopologyPlan) -> Result<(), TopoRunError> {
-    if mode == VerifyMode::Skip {
-        return Ok(());
-    }
-    fs_core::verify::enforce(mode, verify_topology_plan(plan)).map_err(TopoRunError::Verification)
+/// Verifies a realized plan on its own — all the static checking a
+/// serverless (gossip) course has.
+pub(crate) fn check_plan(plan: &TopologyPlan) -> Result<(), TopoRunError> {
+    fs_core::verify::gate(verify_topology_plan(plan)).map_err(TopoRunError::Verification)
 }
 
 /// Re-routes an assembled course over the hierarchy named in its config.

@@ -202,14 +202,18 @@ pub fn verify_course(ir: &CourseIr) -> VerifyReport {
             for &e in &h.emits {
                 match e {
                     Event::Message(k) => {
-                        if !ir.server.handles(Event::Message(k)) {
+                        // a client may address a peer, so the kind is only
+                        // unhandled when nobody handles it (as for FSV005)
+                        if !ir.server.handles(e) && !any_client_handles(k) {
                             report.push(
                                 Diagnostic::new(
                                     Code::ClientSendUnhandled,
                                     subject(spec, h),
-                                    format!("emits {e} but the server has no handler for it"),
+                                    format!("emits {e} but no participant has a handler for it"),
                                 )
-                                .with_suggestion("register a server handler for the message kind"),
+                                .with_suggestion(
+                                    "register a handler for the message kind on its receiver",
+                                ),
                             );
                         }
                     }
@@ -389,6 +393,22 @@ mod tests {
             .push(c(Condition::Custom(9)));
         let report = verify_course(&ir);
         assert!(report.has_code(Code::ConditionUnhandled), "{report}");
+    }
+
+    /// A client may message a peer: a kind only another client group
+    /// handles is delivered, not unhandled.
+    #[test]
+    fn a_kind_a_peer_handles_is_not_unhandled() {
+        let mut ir = vanilla_ir();
+        ir.client_groups[0].handlers[3]
+            .emits
+            .push(m(MessageKind::Custom(8)));
+        ir.client_groups.push(ParticipantSpec {
+            label: "client 2".into(),
+            handlers: vec![h(m(MessageKind::Custom(8)), "take_relay", &[])],
+        });
+        let report = verify_course(&ir);
+        assert!(!report.has_code(Code::ClientSendUnhandled), "{report}");
     }
 
     #[test]

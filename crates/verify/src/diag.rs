@@ -51,7 +51,8 @@ pub enum Code {
     CycleWithoutExit,
     /// FSV005: the server emits a message kind no client handles.
     ServerSendUnhandled,
-    /// FSV006: a client emits a message kind the server does not handle.
+    /// FSV006: a client emits a message kind neither the server nor any
+    /// client handles.
     ClientSendUnhandled,
     /// FSV007: a condition is raised but the raising participant has no
     /// handler for it (conditions are participant-local).
@@ -140,6 +141,10 @@ pub enum Code {
     /// FSV063: a degenerate tier count — one tier behaves like plain sync,
     /// more tiers than clients leaves some tiers permanently empty.
     SchedTiersDegenerate,
+    /// FSV065: the fleet can crash clients but the rule arms no round timer,
+    /// so a crashed broadcast leaves its client busy and the round waits
+    /// forever. (FSV064 is retired and stays unallocated.)
+    CrashesWithoutTimer,
 }
 
 impl Code {
@@ -186,6 +191,7 @@ impl Code {
             Code::SchedBufferInvalid => "FSV061",
             Code::SchedTiersInvalid => "FSV062",
             Code::SchedTiersDegenerate => "FSV063",
+            Code::CrashesWithoutTimer => "FSV065",
         }
     }
 
@@ -217,7 +223,8 @@ impl Code {
             | Code::TopologyUnrouted
             | Code::SchedTopologyUnsupported
             | Code::SchedBufferInvalid
-            | Code::SchedTiersInvalid => Severity::Error,
+            | Code::SchedTiersInvalid
+            | Code::CrashesWithoutTimer => Severity::Error,
             Code::UnreachableHandler
             | Code::CycleWithoutExit
             | Code::OverSelectionHuge
@@ -435,6 +442,11 @@ mod tests {
             Code::GossipIgnoresStrategy,
             Code::DeltaUploadUnsupportedInHier,
             Code::TopologyUnrouted,
+            Code::SchedTopologyUnsupported,
+            Code::SchedBufferInvalid,
+            Code::SchedTiersInvalid,
+            Code::SchedTiersDegenerate,
+            Code::CrashesWithoutTimer,
         ];
         let mut strs: Vec<&str> = all.iter().map(|c| c.as_str()).collect();
         strs.sort_unstable();

@@ -24,6 +24,11 @@
 //! [`course::CourseIr`] defined here. The config lints (`FSV02x`–`FSV03x`,
 //! `FSV06x`) read `FlConfig` itself and so live beside it, in
 //! `fs_core::lint`; they report in this crate's codes.
+//!
+//! There is one gate and it is always on: `fs_core::verify::preflight`
+//! merges every finding about a course into one report and refuses the
+//! course when that report holds an Error. Nothing switches it off, and
+//! building a course refuses nothing.
 
 // Library code must surface malformed input as typed errors, never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -37,15 +42,3 @@ pub use course::{union_graph, verify_course, CourseIr, HandlerSpec, ParticipantS
 pub use diag::{Code, Diagnostic, Severity, VerifyReport};
 pub use graph::FlowGraph;
 pub use topo::verify_topology_plan;
-
-/// What runners do with verification results before starting a course.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum VerifyMode {
-    /// Verify and refuse to start on Errors (the default).
-    #[default]
-    Enforce,
-    /// Verify, report, and run anyway.
-    Warn,
-    /// Skip verification entirely.
-    Skip,
-}

@@ -1,6 +1,6 @@
 //! Plan-level topology checks (FSV050–FSV053).
 //!
-//! [`crate::config::lint_config`] lints the topology *description*; this
+//! `fs_core::lint_config` lints the topology *description*; this
 //! module checks a realized [`TopologyPlan`] — the concrete tier assignment a
 //! course will actually route over. The builder constructs well-formed plans,
 //! but plans also mutate at runtime (failover re-homes subtrees) and can be

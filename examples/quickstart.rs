@@ -12,6 +12,7 @@
 
 use fedscope::core::config::FlConfig;
 use fedscope::core::course::CourseBuilder;
+use fedscope::core::ClientStore;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::tensor::model::logistic_regression;
 use fedscope::tensor::optim::SgdConfig;
@@ -48,7 +49,7 @@ fn main() {
 
     // the handlers that take effect are recorded, as the paper requires
     println!("effective handlers (server and one line per client group):");
-    let clients: Vec<&fedscope::core::Client> = runner.clients.values().collect();
+    let clients = runner.clients.groups();
     for line in fedscope::core::effective_handler_log(&runner.server, &clients) {
         println!("  {line}");
     }

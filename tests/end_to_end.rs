@@ -3,7 +3,7 @@
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{run_distributed_with, BusRunOptions};
-use fedscope::core::{course_ir, verify_assembled, Event};
+use fedscope::core::{course_ir, verify_assembled, ClientStore, Event};
 use fedscope::data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fedscope::tensor::model::{convnet2, logistic_regression};
 use fedscope::tensor::optim::SgdConfig;
@@ -34,7 +34,7 @@ fn default_course_is_complete_and_terminates() {
         ..Default::default()
     };
     let mut runner = twitter_course(cfg);
-    let clients: Vec<&fedscope::core::Client> = runner.clients.values().collect();
+    let clients = runner.clients.groups();
     assert!(
         !verify_assembled(&runner.server, &clients, None).has_code(Code::Incomplete),
         "default course must have a start-to-finish path"

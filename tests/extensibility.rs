@@ -4,7 +4,7 @@
 
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::{Condition, Event};
+use fedscope::core::{ClientStore, Condition, Event};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::{Message, MessageKind, Payload, SERVER_ID};
 use fedscope::tensor::model::logistic_regression;
@@ -182,8 +182,7 @@ fn removing_the_aggregation_handler_breaks_completeness() {
         .server
         .registry_mut()
         .unregister(Event::Condition(Condition::AllReceived));
-    let clients: Vec<&fedscope::core::Client> = runner.clients.values().collect();
-    let report = fedscope::core::verify_assembled(&runner.server, &clients, None);
+    let report = fedscope::core::verify_assembled(&runner.server, &runner.clients.groups(), None);
     assert!(
         report.has_code(Code::Incomplete),
         "no aggregation handler -> no path to Finish:\n{report}"

@@ -13,7 +13,6 @@ use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::tcp::{ReconnectPolicy, TcpError, TcpPeer};
 use fedscope::net::{FaultPlan, FaultSpec, Message, MessageKind, Payload, SERVER_ID};
 use fedscope::tensor::model::logistic_regression;
-use fedscope::verify::VerifyMode;
 use std::time::Duration;
 
 /// A small course with `n` clients, all sampled every round.
@@ -189,8 +188,7 @@ fn refused_dial_surfaces_as_io_error_not_codec() {
 
 #[test]
 fn client_panic_surfaces_with_id_and_detail() {
-    let mut runner = course(3, 26);
-    runner.server.state.cfg.verify = VerifyMode::Skip;
+    let runner = course(3, 26);
     let mut clients: Vec<_> = runner.clients.into_values().collect();
     let victim = clients
         .iter_mut()
@@ -264,8 +262,7 @@ fn rogue_peer_garbage_surfaces_as_codec_error() {
             }
         }
     });
-    let mut runner = course(3, 28);
-    runner.server.state.cfg.verify = VerifyMode::Skip;
+    let runner = course(3, 28);
     let mut clients: Vec<_> = runner.clients.into_values().collect();
     // client 1 never answers a broadcast, so no round can complete: the
     // course cannot end before the rogue gets through, however late it dials
@@ -314,8 +311,7 @@ fn bus_clients_can_message_each_other() {
 fn peer_message_chain_completes(tcp: bool) {
     use std::sync::atomic::{AtomicU8, Ordering};
     use std::sync::Arc;
-    let mut runner = course(2, 29);
-    runner.server.state.cfg.verify = VerifyMode::Skip;
+    let runner = course(2, 29);
     let mut clients: Vec<_> = runner.clients.into_values().collect();
     for client in clients.iter_mut() {
         match client.state.id {

@@ -195,8 +195,6 @@ fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
     // to ignore the topology and quietly run a star
     for topology in [HIER2, GOSSIP2] {
         let mut runner = course(8, 41, topology);
-        // not a lint a verify mode can wave through
-        runner.server.state.cfg.verify = fedscope::verify::VerifyMode::Skip;
         let refused = runner
             .try_run()
             .expect_err("an un-routed course must not run");
@@ -244,22 +242,18 @@ fn threaded_driver_routes_by_topology_instead_of_running_a_silent_star() {
         "routed, yet the star's course"
     );
 
-    use fedscope::verify::VerifyMode;
-    for mode in [VerifyMode::Enforce, VerifyMode::Warn, VerifyMode::Skip] {
-        let mut runner = course_no_eval(6, 45, GOSSIP2);
-        runner.server.state.cfg.verify = mode;
-        let clients: Vec<_> = runner.clients.into_values().collect();
-        match run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default()) {
-            Err(DistributedError::Verification(refused)) => assert!(
-                refused
-                    .diagnostics
-                    .iter()
-                    .any(|d| d.code.as_str() == "FSV057"),
-                "{mode:?}: expected FSV057, got {refused}"
-            ),
-            Err(other) => panic!("{mode:?}: expected FSV057, got {other}"),
-            Ok(_) => panic!("{mode:?}: a gossip course must not get a server"),
-        }
+    let runner = course_no_eval(6, 45, GOSSIP2);
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    match run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default()) {
+        Err(DistributedError::Verification(refused)) => assert!(
+            refused
+                .diagnostics
+                .iter()
+                .any(|d| d.code.as_str() == "FSV057"),
+            "expected FSV057, got {refused}"
+        ),
+        Err(other) => panic!("expected FSV057, got {other}"),
+        Ok(_) => panic!("a gossip course must not get a server"),
     }
 }
 

@@ -8,11 +8,14 @@ use fedscope::core::config::{
 };
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{run_distributed_with, BusRunOptions, DistributedError};
-use fedscope::core::{lint_config, verify_assembled, Client, Condition, Event, StandaloneRunner};
+use fedscope::core::{
+    lint_config, verify_assembled, Client, ClientStore, Condition, Event, StandaloneRunner,
+};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::{MessageKind, Topology};
+use fedscope::sim::FleetConfig;
 use fedscope::tensor::model::logistic_regression;
-use fedscope::verify::{Code, Severity, VerifyMode, VerifyReport};
+use fedscope::verify::{Code, Severity, VerifyReport};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -35,8 +38,11 @@ fn course(num_clients: usize, cfg: FlConfig) -> StandaloneRunner {
 }
 
 fn report_of(runner: &StandaloneRunner) -> VerifyReport {
-    let clients: Vec<&Client> = runner.clients.values().collect();
-    verify_assembled(&runner.server, &clients, Some(&runner.server.state.cfg))
+    verify_assembled(
+        &runner.server,
+        &runner.clients.groups(),
+        Some(&runner.server.state.cfg),
+    )
 }
 
 fn small_cfg() -> FlConfig {
@@ -403,58 +409,6 @@ fn standalone_runner_refuses_broken_config() {
     assert!(err.has_code(Code::ZeroEvalEvery), "{err}");
 }
 
-/// `VerifyMode::Warn` downgrades refusal to a printed report: the course
-/// starts anyway. We use a statically broken but dynamically harmless course
-/// (a declared custom message nobody handles is simply dropped at runtime).
-#[test]
-fn warn_mode_overrides_refusal() {
-    let mut runner = course(8, small_cfg());
-    for client in runner.clients.values_mut() {
-        client.registry_mut().register(
-            Event::Message(MessageKind::ModelParams),
-            "train_and_gossip",
-            vec![
-                Event::Message(MessageKind::Updates),
-                Event::Message(MessageKind::Custom(9)),
-            ],
-            Box::new(|_, _, _| {}),
-        );
-    }
-    assert!(runner.try_run().is_err(), "Enforce must refuse");
-
-    // Same defect, Warn mode: the runner logs the report and proceeds. The
-    // no-op client handlers mean no client ever returns an update, so pick a
-    // fresh course and only flip the mode.
-    let mut runner = course(8, small_cfg());
-    runner.server.state.cfg.verify = VerifyMode::Warn;
-    runner
-        .server
-        .registry_mut()
-        .unregister(Event::Message(MessageKind::MetricsReport));
-    let report = runner.try_run().expect("warn mode proceeds");
-    assert_eq!(report.rounds, 2);
-}
-
-#[test]
-fn skip_mode_bypasses_verification() {
-    let mut runner = course(
-        8,
-        FlConfig {
-            verify: VerifyMode::Skip,
-            ..small_cfg()
-        },
-    );
-    // Statically broken (undeclared custom emission target), dynamically fine.
-    runner.server.registry_mut().register(
-        Event::Message(MessageKind::Custom(77)),
-        "orphan",
-        vec![],
-        Box::new(|_, _, _| {}),
-    );
-    let report = runner.try_run().expect("skip mode never refuses");
-    assert_eq!(report.rounds, 2);
-}
-
 #[test]
 fn distributed_runner_refuses_broken_course() {
     let runner = course(6, small_cfg());
@@ -514,7 +468,6 @@ fn undeclared_runtime_emission_is_reported() {
             ctx.raise(Condition::Custom(60));
         }),
     );
-    runner.server.state.cfg.verify = VerifyMode::Skip;
     let report = runner.try_run().expect("course still runs");
     assert!(
         report
@@ -531,9 +484,8 @@ fn undeclared_runtime_emission_is_reported() {
 // against the lints.
 // ---------------------------------------------------------------------------
 
-/// What verification says about `cfg` on a valid `n`-client course. The
-/// course is assembled from a config that always builds, so configs the
-/// builder itself refuses can still be linted.
+/// What verification says about `cfg` on a valid `n`-client course, the
+/// course's handler tables assembled from one fixed config.
 fn report_for(cfg: &FlConfig, n: usize) -> VerifyReport {
     let runner = course(
         n,
@@ -542,8 +494,7 @@ fn report_for(cfg: &FlConfig, n: usize) -> VerifyReport {
             ..small_cfg()
         },
     );
-    let clients: Vec<&Client> = runner.clients.values().collect();
-    verify_assembled(&runner.server, &clients, Some(cfg))
+    verify_assembled(&runner.server, &runner.clients.groups(), Some(cfg))
 }
 
 fn with_compression(compression: CompressionConfig) -> FlConfig {
@@ -827,9 +778,8 @@ fn lint_output_matches_pre_fold_pin() {
     }
 }
 
-/// Every config the course builder refuses (`CourseWiring::validate` panics)
-/// is also a lint `Error`: the two validators may differ in what else they
-/// catch, never on these.
+/// Building a course refuses nothing: each of these configs builds, and the
+/// runner's preflight refuses it with its lint Error before any round runs.
 #[test]
 fn builder_refusals_are_lint_errors() {
     let goal = |goal| with_rule(AggregationRule::GoalAchieved { goal });
@@ -839,22 +789,25 @@ fn builder_refusals_are_lint_errors() {
             min_feedback,
         })
     };
-    let refused: Vec<(&str, FlConfig, Code)> = vec![
-        ("goal 0", goal(0), Code::ZeroGoal),
+    let refused: Vec<(&str, usize, FlConfig, Code)> = vec![
+        ("goal 0", 8, goal(0), Code::ZeroGoal),
         (
             "goal > sample target",
+            8,
             goal(5),
             Code::ThresholdExceedsSampleTarget,
         ),
-        ("budget 0", time_up(0.0, 1), Code::NonPositiveBudget),
-        ("budget < 0", time_up(-2.0, 1), Code::NonPositiveBudget),
+        ("budget 0", 8, time_up(0.0, 1), Code::NonPositiveBudget),
+        ("budget < 0", 8, time_up(-2.0, 1), Code::NonPositiveBudget),
         (
             "min_feedback > sample target",
+            8,
             time_up(5.0, 5),
             Code::ThresholdExceedsSampleTarget,
         ),
         (
             "k 0",
+            8,
             with_rule(AggregationRule::Buffered {
                 k: 0,
                 discount: 0.5,
@@ -863,28 +816,77 @@ fn builder_refusals_are_lint_errors() {
         ),
         (
             "tiers 0",
+            8,
             with_rule(AggregationRule::Tiered { tiers: 0 }),
             Code::SchedTiersInvalid,
         ),
         (
             "sample target > clients",
+            8,
             FlConfig {
                 concurrency: 9,
                 ..small_cfg()
             },
             Code::SampleTargetExceedsClients,
         ),
+        (
+            "empty dataset",
+            0,
+            small_cfg(),
+            Code::SampleTargetExceedsClients,
+        ),
     ];
-    for (what, cfg, code) in &refused {
-        let built = {
-            let cfg = cfg.clone();
-            std::panic::catch_unwind(move || course(8, cfg)).is_ok()
-        };
-        assert!(!built, "{what}: the builder no longer refuses this config");
-        let report = report_for(cfg, 8);
-        assert!(report.has_code(*code), "{what}:\n{report}");
+    for (what, n, cfg, code) in refused {
+        let mut runner = course(n, cfg);
+        let report = runner.try_run().expect_err(what);
+        assert!(report.has_code(code), "{what}:\n{report}");
         assert_eq!(code.severity(), Severity::Error, "{what}");
+        assert_eq!(runner.server.state.round, 0, "{what}: a round ran");
     }
+}
+
+/// Only a rule with a round timer recovers a round a crashed broadcast left
+/// waiting, so a crash-prone fleet under any other rule is refused
+/// (`FSV065`) before any round runs; under `time_up` the same fleet runs.
+#[test]
+fn crash_prone_fleet_needs_a_round_timer() {
+    let crash_course = |cfg: FlConfig| {
+        let data = twitter_like(&TwitterConfig {
+            num_clients: 8,
+            per_client: 12,
+            ..Default::default()
+        });
+        let dim = data.input_dim();
+        CourseBuilder::new(
+            data,
+            Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
+            cfg,
+        )
+        .fleet_config(FleetConfig {
+            num_clients: 8,
+            crash_prob: 0.3,
+            ..Default::default()
+        })
+        .build()
+    };
+    let mut runner = crash_course(small_cfg());
+    let report = runner
+        .try_run()
+        .expect_err("all_received cannot survive a crash");
+    assert!(report.has_code(Code::CrashesWithoutTimer), "{report}");
+    assert_eq!(Code::CrashesWithoutTimer.as_str(), "FSV065");
+    assert_eq!(runner.server.state.round, 0, "a round ran");
+
+    let timed = small_cfg().async_time(
+        5.0,
+        1,
+        BroadcastManner::AfterAggregating,
+        SamplerKind::Uniform,
+    );
+    let report = crash_course(timed)
+        .try_run()
+        .expect("time_up re-arms its rounds");
+    assert_eq!(report.rounds, 2);
 }
 
 // ---------------------------------------------------------------------------
