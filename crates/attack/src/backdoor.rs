@@ -8,9 +8,7 @@
 //!   to the target class;
 //! * [`dba_fragments`] — DBA: split one global trigger into fragments, one
 //!   per colluding client, so no single update carries the full pattern;
-//! * [`label_flip`] — classic label-flipping (a ↦ b);
-//! * [`edge_case_indices`] — edge-case backdoors poison only the tail inputs
-//!   the model is least confident about.
+//! * [`label_flip`] — classic label-flipping (a ↦ b).
 
 use fs_data::ClientData;
 use fs_tensor::loss::Target;
@@ -117,105 +115,6 @@ pub fn dba_fragments(trigger: &Trigger, k: usize) -> Vec<Trigger> {
         .collect()
 }
 
-/// A Blended-style trigger (Chen et al.): instead of overwriting a patch, a
-/// fixed full-image pattern is alpha-blended into the input —
-/// `x' = (1 - alpha) x + alpha * pattern` — which is far less visible than a
-/// BadNets patch while remaining a reliable backdoor key.
-#[derive(Clone, Debug)]
-pub struct BlendedTrigger {
-    /// The blended pattern (one image, `[C, H, W]` flattened).
-    pub pattern: Vec<f32>,
-    /// Blend strength in `(0, 1]`.
-    pub alpha: f32,
-}
-
-impl BlendedTrigger {
-    /// A deterministic pseudo-random pattern for `[c, h, w]` images.
-    pub fn random(c: usize, h: usize, w: usize, seed: u64) -> Self {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pattern = (0..c * h * w)
-            .map(|_| rng.gen_range(-1.0f32..2.0))
-            .collect();
-        Self {
-            pattern,
-            alpha: 0.25,
-        }
-    }
-
-    /// Blends the pattern into every image of a `[N, C, H, W]` batch.
-    pub fn stamp(&self, x: &mut Tensor) {
-        assert_eq!(x.shape().len(), 4, "blended trigger expects [N, C, H, W]");
-        let per = x.shape()[1] * x.shape()[2] * x.shape()[3];
-        assert_eq!(per, self.pattern.len(), "pattern size mismatch");
-        let a = self.alpha;
-        for (i, v) in x.data_mut().iter_mut().enumerate() {
-            *v = (1.0 - a) * *v + a * self.pattern[i % per];
-        }
-    }
-}
-
-/// A WaNet-style warping trigger (Nguyen & Tran): a fixed smooth displacement
-/// field subtly warps the image geometry — imperceptible per pixel, but a
-/// consistent key the model can learn. Bilinear resampling on `[N, C, H, W]`.
-#[derive(Clone, Debug)]
-pub struct WarpTrigger {
-    /// Per-pixel displacement `(dy, dx)`, length `h * w`.
-    pub field: Vec<(f32, f32)>,
-    /// Image height.
-    pub h: usize,
-    /// Image width.
-    pub w: usize,
-}
-
-impl WarpTrigger {
-    /// A smooth sinusoidal displacement field of the given strength (pixels).
-    pub fn sinusoidal(h: usize, w: usize, strength: f32) -> Self {
-        let mut field = Vec::with_capacity(h * w);
-        for y in 0..h {
-            for x in 0..w {
-                let fy = strength * (2.0 * std::f32::consts::PI * x as f32 / w as f32).sin();
-                let fx = strength * (2.0 * std::f32::consts::PI * y as f32 / h as f32).cos();
-                field.push((fy, fx));
-            }
-        }
-        Self { field, h, w }
-    }
-
-    /// Warps every image of a `[N, C, H, W]` batch in place.
-    pub fn stamp(&self, x: &mut Tensor) {
-        assert_eq!(x.shape().len(), 4, "warp trigger expects [N, C, H, W]");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        assert_eq!((h, w), (self.h, self.w), "field size mismatch");
-        let src = x.data().to_vec();
-        let dst = x.data_mut();
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * h * w;
-                for y in 0..h {
-                    for xx in 0..w {
-                        let (dy, dx) = self.field[y * w + xx];
-                        let sy = (y as f32 + dy).clamp(0.0, (h - 1) as f32);
-                        let sx = (xx as f32 + dx).clamp(0.0, (w - 1) as f32);
-                        let (y0, x0) = (sy.floor() as usize, sx.floor() as usize);
-                        let (y1, x1) = ((y0 + 1).min(h - 1), (x0 + 1).min(w - 1));
-                        let (fy, fx) = (sy - y0 as f32, sx - x0 as f32);
-                        let v00 = src[base + y0 * w + x0];
-                        let v01 = src[base + y0 * w + x1];
-                        let v10 = src[base + y1 * w + x0];
-                        let v11 = src[base + y1 * w + x1];
-                        dst[base + y * w + xx] = v00 * (1.0 - fy) * (1.0 - fx)
-                            + v01 * (1.0 - fy) * fx
-                            + v10 * fy * (1.0 - fx)
-                            + v11 * fy * fx;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Flips every label `from` to `to`, returning how many were flipped.
 pub fn label_flip(data: &mut ClientData, from: usize, to: usize) -> usize {
     let mut flipped = 0;
@@ -228,23 +127,6 @@ pub fn label_flip(data: &mut ClientData, from: usize, to: usize) -> usize {
         }
     }
     flipped
-}
-
-/// Indices of the `count` examples the model is *least* confident about —
-/// the "edge cases" (tail inputs) that edge-case backdoors poison because
-/// their gradients conflict least with the benign objective.
-pub fn edge_case_indices(model: &mut dyn Model, data: &ClientData, count: usize) -> Vec<usize> {
-    let logits = model.predict(&data.x);
-    let probs = fs_tensor::loss::softmax(&logits);
-    let mut conf: Vec<(usize, f32)> = (0..data.len())
-        .map(|i| {
-            let row = probs.row(i);
-            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            (i, max)
-        })
-        .collect();
-    conf.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite confidence"));
-    conf.into_iter().take(count).map(|(i, _)| i).collect()
 }
 
 /// Attack success rate: the fraction of *triggered* test inputs classified as
@@ -345,50 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn blended_trigger_preserves_most_signal() {
-        let t = BlendedTrigger::random(1, 8, 8, 3);
-        let mut x = Tensor::ones(&[2, 1, 8, 8]);
-        let before = x.clone();
-        t.stamp(&mut x);
-        // blended, not overwritten: values moved but stayed correlated
-        let diff = x.sub(&before).norm() / before.norm();
-        assert!(diff > 0.01, "trigger had no effect");
-        assert!(diff < 1.0, "trigger overwrote the image: {diff}");
-        // deterministic
-        let t2 = BlendedTrigger::random(1, 8, 8, 3);
-        assert_eq!(t.pattern, t2.pattern);
-    }
-
-    #[test]
-    fn warp_trigger_is_subtle_and_consistent() {
-        let t = WarpTrigger::sinusoidal(8, 8, 0.7);
-        let cfg = ImageConfig {
-            num_clients: 1,
-            per_client: 4,
-            img: 8,
-            ..Default::default()
-        };
-        let d = cifar_like(&cfg, None).clients[0].train.clone();
-        let mut a = d.x.clone();
-        let mut b = d.x.clone();
-        t.stamp(&mut a);
-        t.stamp(&mut b);
-        assert_eq!(a, b, "warp must be deterministic");
-        assert_ne!(a, d.x, "warp must change the image");
-        // subtle: per-pixel change is bounded by local image variation
-        let rel = a.sub(&d.x).norm() / d.x.norm();
-        assert!(rel < 0.8, "warp too destructive: {rel}");
-    }
-
-    #[test]
-    fn warp_of_constant_image_is_identity() {
-        let t = WarpTrigger::sinusoidal(6, 6, 1.0);
-        let mut x = Tensor::full(&[1, 1, 6, 6], 3.5);
-        t.stamp(&mut x);
-        assert!(x.data().iter().all(|&v| (v - 3.5).abs() < 1e-5));
-    }
-
-    #[test]
     fn label_flip_counts() {
         let mut d = image_data();
         let before = d.label_histogram(10);
@@ -397,37 +235,5 @@ mod tests {
         let after = d.label_histogram(10);
         assert_eq!(after[0], 0);
         assert_eq!(after[1], before[0] + before[1]);
-    }
-
-    #[test]
-    fn edge_cases_are_least_confident() {
-        use fs_tensor::model::logistic_regression;
-        let d = image_data();
-        let flat = ClientData {
-            x: d.x.reshape(&[d.len(), 64]),
-            y: d.y.clone(),
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut m = logistic_regression(64, 10, &mut rng);
-        // train a bit so confidence varies
-        for _ in 0..50 {
-            let (_, g) = m.loss_grad(&flat.x, &flat.y);
-            let mut p = m.get_params();
-            p.add_scaled(-0.5, &g);
-            m.set_params(&p);
-        }
-        let edges = edge_case_indices(&mut m, &flat, 5);
-        assert_eq!(edges.len(), 5);
-        // the least-confident example must not be among the most confident
-        let probs = fs_tensor::loss::softmax(&m.predict(&flat.x));
-        let conf = |i: usize| {
-            probs
-                .row(i)
-                .iter()
-                .cloned()
-                .fold(f32::NEG_INFINITY, f32::max)
-        };
-        let min_all = (0..flat.len()).map(conf).fold(f32::INFINITY, f32::min);
-        assert!((conf(edges[0]) - min_all).abs() < 1e-6);
     }
 }

@@ -10,18 +10,13 @@
 //!   models used in the paper's Figure 13 experiment the inversion is exact
 //!   (closed form); DP noise on the update destroys it.
 //! * [`membership`] — loss-threshold membership inference.
-//! * [`property`] — property inference: a meta-classifier over gradient
-//!   features predicts a sensitive property of a client's dataset.
 //!
 //! **Performance attacks (backdoors)**
 //! * [`backdoor`] — data poisoning: BadNets-style pixel triggers, label
-//!   flipping, edge-case (tail) poisoning, and DBA's distributed trigger
-//!   split across colluding clients.
-//! * [`model_poison`] — model-poisoning: model replacement (update scaling)
-//!   and Neurotoxin-style masking to rarely-updated coordinates.
+//!   flipping, and DBA's distributed trigger split across colluding clients.
 //! * [`malicious`] — the participant plug-in: a trainer wrapper that applies
-//!   any of the above during an FL course (the `MaliciousClient` of the
-//!   paper's Figure 7).
+//!   a data-poisoning backdoor or model replacement (update scaling) during
+//!   an FL course (the `MaliciousClient` of the paper's Figure 7).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -29,5 +24,3 @@ pub mod backdoor;
 pub mod dlg;
 pub mod malicious;
 pub mod membership;
-pub mod model_poison;
-pub mod property;

@@ -8,13 +8,26 @@
 //! any other client at the message level — invisible to the server.
 
 use crate::backdoor::{poison_dataset, Trigger};
-use crate::model_poison::model_replacement;
 use fs_core::trainer::{LocalTrainer, LocalUpdate, Trainer};
 use fs_tensor::model::Metrics;
 use fs_tensor::optim::SgdConfig;
 use fs_tensor::ParamMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Scales a malicious update for model replacement: given the current global
+/// parameters and the attacker's desired parameters, returns the update to
+/// submit so that after weighted averaging with `n_participants` equal-weight
+/// updates the global lands (approximately) on the desired model
+/// (`theta_mal = global + n * delta`).
+fn model_replacement(global: &ParamMap, desired: &ParamMap, n_participants: usize) -> ParamMap {
+    let boost = n_participants.max(1) as f32;
+    let mut delta = desired.sub(global);
+    delta.scale(boost);
+    let mut out = global.clone();
+    out.add_scaled(1.0, &delta);
+    out
+}
 
 /// What the malicious client does.
 #[derive(Clone, Debug)]
@@ -121,11 +134,49 @@ impl Trainer for MaliciousTrainer {
 mod tests {
     use super::*;
     use crate::backdoor::attack_success_rate;
+    use fs_core::aggregator::{Aggregator, FedAvg, ReceivedUpdate};
     use fs_core::config::FlConfig;
     use fs_core::course::CourseBuilder;
     use fs_core::trainer::{share_all, TrainConfig};
     use fs_data::synth::{cifar_like, ImageConfig};
     use fs_tensor::model::{convnet2, Model};
+    use fs_tensor::Tensor;
+
+    fn p(v: &[f32]) -> ParamMap {
+        let mut m = ParamMap::new();
+        m.insert("w", Tensor::from_vec(vec![v.len()], v.to_vec()));
+        m
+    }
+
+    #[test]
+    fn replacement_survives_averaging() {
+        let global = p(&[0.0, 0.0]);
+        let desired = p(&[1.0, -1.0]);
+        let n = 5;
+        let mal = model_replacement(&global, &desired, n);
+        // aggregate the boosted update with n-1 benign no-op updates
+        let mut agg = FedAvg::new(0.0);
+        let mut updates: Vec<ReceivedUpdate> = (0..n - 1)
+            .map(|i| ReceivedUpdate {
+                client: i as u32 + 1,
+                params: global.clone(),
+                staleness: 0,
+                n_samples: 10,
+                n_steps: 4,
+            })
+            .collect();
+        updates.push(ReceivedUpdate {
+            client: 99,
+            params: mal,
+            staleness: 0,
+            n_samples: 10,
+            n_steps: 4,
+        });
+        let next = agg.aggregate(&global, &updates);
+        let w = next.get("w").unwrap();
+        assert!((w.data()[0] - 1.0).abs() < 1e-5, "got {:?}", w.data());
+        assert!((w.data()[1] + 1.0).abs() < 1e-5);
+    }
 
     /// Runs a small FL course with `n_malicious` backdooring clients and
     /// returns (clean accuracy, attack success rate).

@@ -7,9 +7,8 @@
 //! * [`objective`] — the budget-aware, checkpointable black-box objective
 //!   wrapping an FL course;
 //! * [`rs`] — random search (treats a *complete* course as the black box);
-//! * [`sha`] — successive halving and Hyperband (*a few rounds* per
-//!   evaluation, resuming survivors from checkpoints);
-//! * [`pbt`] — population-based training on the same checkpoint mechanism;
+//! * [`sha`] — successive halving (*a few rounds* per evaluation, resuming
+//!   survivors from checkpoints);
 //! * [`fedex`] — FedEx, the Federated-HPO method exploring *client-wise*
 //!   configurations concurrently within single rounds, composable under an
 //!   RS or SHA wrapper (the Figure 14 protocol).
@@ -18,7 +17,6 @@
 
 pub mod fedex;
 pub mod objective;
-pub mod pbt;
 pub mod rs;
 pub mod sha;
 pub mod space;
@@ -26,5 +24,5 @@ pub mod space;
 pub use fedex::{FedExHook, FedExPolicy};
 pub use objective::{Checkpoint, FlObjective, Objective, TrialResult};
 pub use rs::{random_search, SearchOutcome};
-pub use sha::{hyperband, successive_halving};
+pub use sha::successive_halving;
 pub use space::{Config, Param, SearchSpace};

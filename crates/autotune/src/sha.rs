@@ -1,10 +1,8 @@
-//! Successive halving (SHA) and Hyperband — multi-fidelity HPO.
+//! Successive halving (SHA) — multi-fidelity HPO.
 //!
 //! SHA evaluates many configurations at a small budget, keeps the best
 //! `1/eta` fraction, and resumes the survivors *from their checkpoints* at a
-//! larger budget (the checkpoint mechanism of §4.3). Hyperband runs several
-//! SHA brackets trading off "many configs, small budget" against "few
-//! configs, large budget".
+//! larger budget (the checkpoint mechanism of §4.3).
 
 use crate::objective::{Checkpoint, Objective, TrialResult};
 use crate::rs::{BestSeen, SearchOutcome};
@@ -70,47 +68,6 @@ pub fn successive_halving(
     }
 }
 
-/// Runs Hyperband: brackets `s = s_max, ..., 0`, where bracket `s` starts
-/// `ceil(eta^s)` configurations and SHA reduces them.
-pub fn hyperband(
-    space: &SearchSpace,
-    objective: &mut dyn Objective,
-    s_max: usize,
-    rung_budget: u64,
-    eta: usize,
-    rng: &mut impl Rng,
-) -> SearchOutcome {
-    let mut best: Option<SearchOutcome> = None;
-    let mut trace: Vec<BestSeen> = Vec::new();
-    let mut spent = 0u64;
-    for s in (0..=s_max).rev() {
-        let n = (eta as u64).pow(s as u32).max(1) as usize;
-        let out = successive_halving(space, objective, n, rung_budget, eta, rng);
-        for point in &out.trace {
-            trace.push(BestSeen {
-                cumulative_cost: spent + point.cumulative_cost,
-                best_val_loss: point.best_val_loss.min(
-                    best.as_ref()
-                        .map_or(f64::INFINITY, |b| b.best_result.val_loss),
-                ),
-            });
-        }
-        spent += out.trace.last().map_or(0, |p| p.cumulative_cost);
-        let better = best
-            .as_ref()
-            .is_none_or(|b| out.best_result.val_loss < b.best_result.val_loss);
-        if better {
-            best = Some(SearchOutcome {
-                trace: Vec::new(),
-                ..out
-            });
-        }
-    }
-    let mut best = best.expect("at least one bracket");
-    best.trace = trace;
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,17 +109,5 @@ mod tests {
         let out = successive_halving(&space(), &mut obj, 16, 3, 2, &mut rng);
         let total = out.trace.last().unwrap().cumulative_cost;
         assert!(total < 16 * 12, "sha spent {total}");
-    }
-
-    #[test]
-    fn hyperband_runs_all_brackets() {
-        let mut obj = QuadraticObjective;
-        let mut rng = StdRng::seed_from_u64(2);
-        let out = hyperband(&space(), &mut obj, 3, 2, 2, &mut rng);
-        assert!((out.best_config["lr"] - 0.3).abs() < 0.3);
-        assert!(!out.trace.is_empty());
-        for w in out.trace.windows(2) {
-            assert!(w[1].best_val_loss <= w[0].best_val_loss + 1e-12);
-        }
     }
 }

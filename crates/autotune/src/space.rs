@@ -74,29 +74,6 @@ impl SearchSpace {
             })
             .collect()
     }
-
-    /// Perturbs a configuration for PBT's explore step: floats are scaled by
-    /// 0.8 or 1.25 (clamped), ints move ±1, choices resample.
-    pub fn perturb(&self, cfg: &Config, rng: &mut impl Rng) -> Config {
-        self.dims
-            .iter()
-            .map(|(name, p)| {
-                let cur = cfg.get(name).copied().unwrap_or(0.0);
-                let v = match p {
-                    Param::Float { lo, hi, .. } => {
-                        let f = if rng.gen::<bool>() { 0.8 } else { 1.25 };
-                        (cur * f).clamp(*lo, *hi)
-                    }
-                    Param::Int { lo, hi } => {
-                        let step = if rng.gen::<bool>() { -1.0 } else { 1.0 };
-                        (cur + step).clamp(*lo as f64, *hi as f64)
-                    }
-                    Param::Choice(vals) => vals[rng.gen_range(0..vals.len())],
-                };
-                (name.clone(), v)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -152,17 +129,5 @@ mod tests {
         }
         // log-uniform: half the draws land below 1e-2
         assert!((150..350).contains(&small), "got {small}");
-    }
-
-    #[test]
-    fn perturb_respects_bounds() {
-        let s = space();
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut c = s.sample(&mut rng);
-        for _ in 0..50 {
-            c = s.perturb(&c, &mut rng);
-            assert!((0.01..=1.0).contains(&c["lr"]));
-            assert!((1.0..=8.0).contains(&c["steps"]));
-        }
     }
 }

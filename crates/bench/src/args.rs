@@ -9,6 +9,9 @@
 //! exp_monitor --seed 7 --rounds 40 --strategies sync_vanilla,goal_aggr_unif \
 //!             --workloads femnist,twitter
 //! ```
+//!
+//! A binary that runs one fixed grid calls [`ExpArgs::parse_none`] instead,
+//! which refuses every argument.
 
 use crate::strategies::Strategy;
 
@@ -40,9 +43,29 @@ pub const WORKLOAD_NAMES: [&str; 3] = ["femnist", "cifar", "twitter"];
 impl ExpArgs {
     /// Parses the process arguments; prints usage and exits on bad input.
     pub fn parse() -> Self {
+        Self::parse_then(Ok)
+    }
+
+    /// For a binary that runs one fixed grid: any argument, a known flag
+    /// included, is a usage error (exit 2) rather than silently ignored.
+    pub fn parse_none() {
+        Self::parse_then(Self::none);
+    }
+
+    /// Refuses every field set away from the default (testable form of
+    /// [`ExpArgs::parse_none`]).
+    fn none(self) -> Result<(), String> {
+        if self == Self::default() {
+            Ok(())
+        } else {
+            Err("this experiment takes no arguments".to_string())
+        }
+    }
+
+    fn parse_then<T>(check: impl FnOnce(Self) -> Result<T, String>) -> T {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse_from(&argv) {
-            Ok(args) => args,
+        match Self::parse_from(&argv).and_then(check) {
+            Ok(v) => v,
             Err(e) => {
                 eprintln!("error: {e}");
                 eprintln!(
@@ -237,6 +260,17 @@ mod tests {
         assert!(ExpArgs::parse_from(&argv(&["stray"])).is_err());
         // a mistyped flag is a usage error, not a silent default run
         assert!(ExpArgs::parse_from(&argv(&["--quik"])).is_err());
+    }
+
+    #[test]
+    fn a_fixed_grid_binary_refuses_every_argument() {
+        let none = |a: &[&str]| ExpArgs::parse_from(&argv(a)).and_then(ExpArgs::none);
+        assert!(none(&[]).is_ok());
+        assert!(none(&["--bogus"]).is_err());
+        // a known flag too: these binaries do not read it yet
+        assert!(none(&["--seed", "7"]).is_err());
+        assert!(none(&["--threads", "1"]).is_err());
+        assert!(none(&["--topology", "star"]).is_err());
     }
 
     #[test]

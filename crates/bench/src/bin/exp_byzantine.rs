@@ -16,6 +16,7 @@
 
 use fs_attack::backdoor::label_flip;
 use fs_attack::malicious::{AttackMode, MaliciousTrainer};
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::aggregator::{Aggregator, CoordinateMedian, FedAvg, Krum, NormBounded, TrimmedMean};
 use fs_core::config::FlConfig;
@@ -110,6 +111,7 @@ fn run(agg_name: &str, attack: &str) -> f32 {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let aggregators = [
         "fedavg",
         "multi-krum",

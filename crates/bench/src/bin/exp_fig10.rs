@@ -13,6 +13,7 @@
 //! cargo run -p fs-bench --release --bin exp_fig10
 //! ```
 
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{ascii_histogram, check_claims, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::femnist;
@@ -27,6 +28,7 @@ struct Dist {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     // a larger fleet than Table 1 so that each client is sampled only a
     // handful of times (the paper samples 130 of 3,597 writers) — this is
     // what exposes over-selection's perpetual victims

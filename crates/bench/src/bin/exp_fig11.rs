@@ -12,6 +12,7 @@
 //! cargo run -p fs-bench --release --bin exp_fig11
 //! ```
 
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{ascii_histogram, check_claims, percentile, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::femnist;
@@ -26,6 +27,7 @@ struct StalenessDist {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let wl = femnist(7);
     let strategies = [
         Strategy::GoalAggrUnif,

@@ -13,6 +13,7 @@
 //! cargo run -p fs-bench --release --bin exp_fig12
 //! ```
 
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::FlConfig;
 use fs_core::course::CourseBuilder;
@@ -86,6 +87,7 @@ fn client_accs(runner: &fs_core::StandaloneRunner) -> Vec<f32> {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let data = dataset();
     let dim = data.input_dim();
     let hidden = 48;

@@ -15,6 +15,7 @@
 //! ```
 
 use fs_attack::dlg::{invert_linear_gradients, reconstruction_mse};
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::FlConfig;
 use fs_core::course::CourseBuilder;
@@ -199,6 +200,7 @@ fn dlg_attack(data: &FedDataset) -> Vec<DlgPoint> {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let data = dataset();
     let fractions = [0.0, 0.25, 0.5, 0.75, 1.0];
     let mut utility = Vec::new();

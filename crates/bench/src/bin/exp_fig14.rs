@@ -20,6 +20,7 @@ use fs_autotune::rs::random_search;
 use fs_autotune::sha::successive_halving;
 use fs_autotune::space::{Param, SearchSpace};
 use fs_autotune::FedExHook;
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::FlConfig;
 use fs_data::synth::{femnist_like, ImageConfig};
@@ -73,6 +74,7 @@ fn make_objective(with_fedex: bool) -> FlObjective {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let space = SearchSpace::new()
         .with(
             "lr",

@@ -17,6 +17,7 @@
 //! cargo run -p fs-bench --release --bin exp_fig18_20
 //! ```
 
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fs_core::course::CourseBuilder;
@@ -151,6 +152,7 @@ fn run(data: &FedDataset, sampler: &str) -> (f32, f32) {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let unbiased = cifar_like(&img_cfg(), Some(0.5)).flattened();
     let biased = cifar_like_biased(&img_cfg(), &RARE, SLOW_START).flattened();
 

@@ -22,6 +22,7 @@
 //! cargo run -p fs-bench --release --bin exp_prop1
 //! ```
 
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -132,6 +133,7 @@ struct Prop1Result {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let mut rng = StdRng::seed_from_u64(3);
     let clients: Vec<Client> = (0..M_CLIENTS)
         .map(|_| Client {

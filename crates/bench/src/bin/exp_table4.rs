@@ -12,6 +12,7 @@
 //! cargo run -p fs-bench --release --bin exp_table4
 //! ```
 
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_core::config::FlConfig;
 use fs_core::course::CourseBuilder;
@@ -104,6 +105,7 @@ fn run_method(method: &str, data: &FedDataset) -> f32 {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let splits: Vec<(String, Option<f64>)> = vec![
         ("IID".into(), None),
         ("alpha=1.0".into(), Some(1.0)),

@@ -11,6 +11,7 @@
 //! cargo run -p fs-bench --release --bin exp_verify
 //! ```
 
+use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{cifar, femnist, twitter, Workload};
@@ -157,6 +158,7 @@ fn run_broken_suite(wl: &Workload) -> usize {
 }
 
 fn main() {
+    ExpArgs::parse_none();
     let workloads = [femnist(1), cifar(1), twitter(1)];
     let dirty = verify_grid(&workloads);
     let missed = run_broken_suite(&workloads[2]);

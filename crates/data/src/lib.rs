@@ -20,9 +20,6 @@
 //! * [`graphs`] — synthetic fixed-size graph tasks for the multi-goal
 //!   scenarios of §3.4.2 (different clients own classification vs regression
 //!   goals over a shared graph encoder).
-//! * [`text`] — Shakespeare-like next-character prediction (role-partitioned,
-//!   style-skewed) and CelebA-like binary attributes, rounding out the
-//!   DataZoo's LEAF coverage;
 //! * [`partition`] — the reusable partitioners (IID, Dirichlet) behind the
 //!   generators.
 
@@ -32,6 +29,5 @@ pub mod dataset;
 pub mod graphs;
 pub mod partition;
 pub mod synth;
-pub mod text;
 
 pub use dataset::{ClientData, ClientSplit, FedDataset};

@@ -6,7 +6,7 @@ use fs_tensor::model::Metrics;
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A span/counter track: `0` is the server, `n >= 1` is client `n` —
-/// the same numbering as [`fs_net`-style] participant ids.
+/// the same numbering as `fs_net`'s participant ids.
 pub type TrackId = u32;
 
 /// The server's track id.
@@ -110,7 +110,7 @@ pub trait Monitor: Send {
 /// behind an `Arc<Mutex<_>>`; cloning it is one atomic increment.
 ///
 /// Counter sharding: a handle upgraded with [`sharded`](Self::sharded)
-/// routes `add` to a lock-free [`ShardedCounters`] bank instead of the
+/// routes `add` to a lock-free [`ShardedCounters`](crate::ShardedCounters) bank instead of the
 /// monitor mutex, so threads bumping counters never serialize on the lock
 /// that orders spans. Counters are commutative totals, so folding the bank
 /// into the monitor once via [`flush_counters`](Self::flush_counters)

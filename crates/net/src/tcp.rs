@@ -150,8 +150,13 @@ pub fn read_frame(stream: &mut TcpStream, monitor: &MonitorHandle) -> Result<Mes
     read_frame_within(stream, monitor, MAX_FRAME_BYTES)
 }
 
+/// The body buffer a frame starts with: a frame this size or smaller is read
+/// into one allocation, a larger one grows only as its bytes arrive.
+const FIRST_READ_BYTES: usize = 64 * 1024;
+
 /// [`read_frame`] with a smaller cap: a prefix over `cap` bytes is refused
-/// before any of the body is allocated or read.
+/// before any of the body is allocated or read, and a prefix under it
+/// reserves no more than [`FIRST_READ_BYTES`] until the body arrives.
 fn read_frame_within(
     stream: &mut TcpStream,
     monitor: &MonitorHandle,
@@ -163,8 +168,11 @@ fn read_frame_within(
     if len > cap {
         return Err(TcpError::FrameTooLarge(len));
     }
-    let mut buf = vec![0u8; len as usize];
-    stream.read_exact(&mut buf)?;
+    let mut buf = Vec::with_capacity((len as usize).min(FIRST_READ_BYTES));
+    let got = stream.take(u64::from(len)).read_to_end(&mut buf)?;
+    if got < len as usize {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     let msg = decode_message(&buf)?;
     monitor.add(counters::WIRE_FRAMES_IN, 1);
     monitor.add(counters::WIRE_BYTES_IN, 4 + u64::from(len));

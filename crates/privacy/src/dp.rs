@@ -1,10 +1,10 @@
 //! Differential privacy for FL (§4.1, Figure 6).
 //!
 //! The paper exposes DP as a *behavior plug-in*: clients clip and perturb the
-//! messages they are about to share. This module provides the Gaussian and
-//! Laplace mechanisms over [`ParamMap`]s, the calibration formula
-//! `sigma = sqrt(2 ln(1.25/delta)) * sensitivity / epsilon`, and a simple
-//! composition accountant. As the paper notes, a formal end-to-end guarantee
+//! messages they are about to share. This module provides the Gaussian
+//! mechanism over [`ParamMap`]s, the calibration formula
+//! `sigma = sqrt(2 ln(1.25/delta)) * sensitivity / epsilon`, and a basic
+//! sequential-composition accountant. As the paper notes, a formal end-to-end guarantee
 //! still requires the user to fix the noise distribution and budget
 //! allocation for their own data and task.
 
@@ -46,28 +46,6 @@ pub fn gaussian_mechanism(params: &mut ParamMap, cfg: &DpConfig, rng: &mut impl 
     scale
 }
 
-/// Clips and adds Laplace noise with scale `b = sensitivity / epsilon` for
-/// pure `epsilon`-DP.
-pub fn laplace_mechanism(
-    params: &mut ParamMap,
-    clip_norm: f32,
-    epsilon: f64,
-    rng: &mut impl Rng,
-) -> f32 {
-    assert!(epsilon > 0.0, "epsilon must be positive");
-    let scale_factor = params.clip_norm(clip_norm);
-    let b = clip_norm as f64 / epsilon;
-    for (_, t) in params.iter_mut() {
-        for v in t.data_mut() {
-            // inverse-CDF sampling of Laplace(0, b)
-            let u: f64 = rng.gen::<f64>() - 0.5;
-            let noise = -b * u.signum() * (1.0 - 2.0 * u.abs()).ln();
-            *v += noise as f32;
-        }
-    }
-    scale_factor
-}
-
 /// Tracks cumulative privacy loss over repeated mechanism invocations.
 #[derive(Clone, Debug, Default)]
 pub struct PrivacyAccountant {
@@ -101,27 +79,6 @@ impl PrivacyAccountant {
         let eps = self.events.iter().map(|e| e.0).sum();
         let delta = self.events.iter().map(|e| e.1).sum();
         (eps, delta)
-    }
-
-    /// Advanced composition (Dwork–Rothblum–Vadhan) for `k` homogeneous
-    /// invocations at the slack `delta_prime`:
-    /// `eps_total = eps * sqrt(2 k ln(1/delta'))+ k eps (e^eps - 1)`.
-    pub fn advanced_composition(&self, delta_prime: f64) -> Option<(f64, f64)> {
-        if self.events.is_empty() {
-            return Some((0.0, 0.0));
-        }
-        let (e0, d0) = self.events[0];
-        if !self
-            .events
-            .iter()
-            .all(|&(e, d)| (e - e0).abs() < 1e-12 && (d - d0).abs() < 1e-12)
-        {
-            return None; // heterogeneous events: use basic composition
-        }
-        let k = self.events.len() as f64;
-        let eps = e0 * (2.0 * k * (1.0 / delta_prime).ln()).sqrt() + k * e0 * (e0.exp() - 1.0);
-        let delta = k * d0 + delta_prime;
-        Some((eps, delta))
     }
 }
 
@@ -177,17 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn laplace_noise_scale() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mut p = params(&vec![0.0; 20_000]);
-        laplace_mechanism(&mut p, 1.0, 2.0, &mut rng);
-        let t = p.get("w").unwrap();
-        // Laplace(b) has std b*sqrt(2); b = 1/2
-        let std = (t.data().iter().map(|v| v * v).sum::<f32>() / t.numel() as f32).sqrt();
-        assert!((std - 0.5 * 2.0f32.sqrt()).abs() < 0.05, "std {std}");
-    }
-
-    #[test]
     fn accountant_compositions() {
         let mut acc = PrivacyAccountant::new();
         for _ in 0..10 {
@@ -196,22 +142,5 @@ mod tests {
         let (eps, delta) = acc.basic_composition();
         assert!((eps - 1.0).abs() < 1e-9);
         assert!((delta - 1e-5).abs() < 1e-12);
-        let (adv_eps, adv_delta) = acc.advanced_composition(1e-6).unwrap();
-        assert!(adv_eps > 0.0);
-        assert!(adv_delta > 1e-5);
-        // heterogeneous events fall back to None
-        acc.spend(0.7, 0.0);
-        assert!(acc.advanced_composition(1e-6).is_none());
-    }
-
-    #[test]
-    fn advanced_beats_basic_for_many_small_epsilons() {
-        let mut acc = PrivacyAccountant::new();
-        for _ in 0..1000 {
-            acc.spend(0.01, 0.0);
-        }
-        let (basic, _) = acc.basic_composition();
-        let (adv, _) = acc.advanced_composition(1e-6).unwrap();
-        assert!(adv < basic, "advanced {adv} should beat basic {basic}");
     }
 }

@@ -3,9 +3,9 @@
 //! FederatedScope treats privacy protection as *behavior plug-ins*: operators
 //! applied to messages before they are shared. Provided here:
 //!
-//! * [`dp`] — differential privacy: clipping, the Gaussian and Laplace
-//!   mechanisms over [`fs_tensor::ParamMap`]s, `(epsilon, delta)` calibration,
-//!   and a composition accountant;
+//! * [`dp`] — differential privacy: clipping, the Gaussian mechanism over
+//!   [`fs_tensor::ParamMap`]s, `(epsilon, delta)` calibration, and a
+//!   composition accountant;
 //! * [`paillier`] — the Paillier additively homomorphic cryptosystem for
 //!   cross-silo FL, on top of
 //! * [`bignum`] — a from-scratch arbitrary-precision integer implementation
@@ -26,4 +26,4 @@ pub mod paillier;
 pub mod secret_sharing;
 
 pub use bignum::BigUint;
-pub use dp::{gaussian_mechanism, laplace_mechanism, DpConfig, PrivacyAccountant};
+pub use dp::{gaussian_mechanism, DpConfig, PrivacyAccountant};

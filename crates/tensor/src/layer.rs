@@ -258,163 +258,6 @@ impl Layer for Relu {
     }
 }
 
-/// Hyperbolic-tangent activation.
-#[derive(Default)]
-pub struct Tanh {
-    out: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = x.map(f32::tanh);
-        if train {
-            self.out = Some(y.clone());
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self
-            .out
-            .take()
-            .expect("Tanh::backward without forward(train)");
-        // d tanh = 1 - tanh^2
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(y.data())
-            .map(|(&g, &t)| g * (1.0 - t * t))
-            .collect();
-        Tensor::from_vec(grad_out.shape().to_vec(), data)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Tanh::default())
-    }
-}
-
-/// Logistic-sigmoid activation.
-#[derive(Default)]
-pub struct Sigmoid {
-    out: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let y = x.map(|v| 1.0 / (1.0 + (-v).exp()));
-        if train {
-            self.out = Some(y.clone());
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let y = self
-            .out
-            .take()
-            .expect("Sigmoid::backward without forward(train)");
-        let data = grad_out
-            .data()
-            .iter()
-            .zip(y.data())
-            .map(|(&g, &s)| g * s * (1.0 - s))
-            .collect();
-        Tensor::from_vec(grad_out.shape().to_vec(), data)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(Sigmoid::default())
-    }
-}
-
-/// 2x2 average pooling with stride 2 over `[B, C, H, W]`.
-#[derive(Default)]
-pub struct AvgPool2d {
-    in_shape: Option<Vec<usize>>,
-}
-
-impl AvgPool2d {
-    /// Creates a 2x2/stride-2 average-pool layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for AvgPool2d {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "AvgPool2d expects [B, C, H, W]");
-        let (b, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = (h / 2, w / 2);
-        let xd = x.data();
-        let mut out = vec![0.0f32; b * c * oh * ow];
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut s = 0.0f32;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                s += xd[base + (oy * 2 + dy) * w + (ox * 2 + dx)];
-                            }
-                        }
-                        out[((bi * c + ci) * oh + oy) * ow + ox] = s * 0.25;
-                    }
-                }
-            }
-        }
-        if train {
-            self.in_shape = Some(x.shape().to_vec());
-        }
-        Tensor::from_vec(vec![b, c, oh, ow], out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let in_shape = self
-            .in_shape
-            .take()
-            .expect("AvgPool2d::backward without forward(train)");
-        let (b, c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
-        let (oh, ow) = (h / 2, w / 2);
-        let gd = grad_out.data();
-        let mut grad_in = vec![0.0f32; b * c * h * w];
-        for bi in 0..b {
-            for ci in 0..c {
-                let base = (bi * c + ci) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = gd[((bi * c + ci) * oh + oy) * ow + ox] * 0.25;
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                grad_in[base + (oy * 2 + dy) * w + (ox * 2 + dx)] += g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(in_shape, grad_in)
-    }
-
-    fn clone_layer(&self) -> Box<dyn Layer> {
-        Box::new(AvgPool2d::default())
-    }
-}
-
 /// Flattens `[B, ...]` to `[B, prod(...)]`.
 #[derive(Default)]
 pub struct Flatten {
@@ -878,7 +721,7 @@ impl ConvGeom {
 /// `[C·K·K, OH·OW]`. Forward is `W [OC, C·K·K] x cols`, which *is* the
 /// image's `[OC, OH, OW]` block of the NCHW output; the weight gradient is
 /// `cols x g^T` with the `k` chain running on across images; the input
-/// gradient is `W^T x g` folded back by [`ConvGeom::col2im`]. The
+/// gradient is `W^T x g` folded back by `ConvGeom::col2im`. The
 /// accumulation orders these fix are part of the determinism contract
 /// (DESIGN.md, "training step").
 pub struct Conv2d {

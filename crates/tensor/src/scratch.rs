@@ -2,12 +2,12 @@
 //!
 //! A training step needs the same set of temporaries every time — layer
 //! outputs, cached activations, lowering tiles, staged transposes. Layers
-//! [`take`] them here and [`give`] them back when the step is done with them,
+//! `take` them here and `give` them back when the step is done with them,
 //! so after one warm step the loop allocates nothing, and the buffers belong
 //! to the thread that runs the clients, not to each client's model: a model
 //! that has returned from a step holds parameters and gradients only.
 //!
-//! Results never depend on what a recycled buffer contains: [`take`] promises
+//! Results never depend on what a recycled buffer contains: `take` promises
 //! nothing about contents, and every kernel that receives one either writes
 //! every element or fills it first ([`poison`] lets tests prove it, and debug
 //! builds poison every buffer as it is given back).

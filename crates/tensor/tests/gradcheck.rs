@@ -2,10 +2,7 @@
 //! verified against central finite differences of a scalar objective, for
 //! both input gradients and parameter gradients.
 
-use fs_tensor::layer::{
-    AvgPool2d, BatchNorm1d, Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, Sequential, Sigmoid,
-    Tanh,
-};
+use fs_tensor::layer::{BatchNorm1d, Conv2d, Flatten, Layer, Linear, MaxPool2d, Relu, Sequential};
 use fs_tensor::{ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,18 +115,6 @@ fn relu_gradcheck() {
 }
 
 #[test]
-fn tanh_gradcheck() {
-    let x = rand_input(&[4, 5], 6);
-    check_input_grad(&mut Tanh::new(), &x, 2e-2, 7);
-}
-
-#[test]
-fn sigmoid_gradcheck() {
-    let x = rand_input(&[4, 5], 8);
-    check_input_grad(&mut Sigmoid::new(), &x, 2e-2, 9);
-}
-
-#[test]
 fn conv2d_gradcheck() {
     let mut rng = StdRng::seed_from_u64(10);
     let mut l = Conv2d::new(2, 3, 3, 1, &mut rng);
@@ -166,12 +151,6 @@ fn conv2d_gradcheck_across_kernels_paddings_and_shapes() {
 }
 
 #[test]
-fn avgpool_gradcheck() {
-    let x = rand_input(&[2, 2, 6, 6], 13);
-    check_input_grad(&mut AvgPool2d::new(), &x, 2e-2, 14);
-}
-
-#[test]
 fn maxpool_gradcheck() {
     // spread values so the argmax is stable under the probe epsilon
     let mut x = rand_input(&[1, 1, 6, 6], 16);
@@ -197,11 +176,17 @@ fn sequential_chain_gradcheck() {
     let mut rng = StdRng::seed_from_u64(19);
     let mut net = Sequential::new();
     net.push("conv", Box::new(Conv2d::new(1, 2, 3, 1, &mut rng)));
-    net.push("act", Box::new(Tanh::new()));
-    net.push("pool", Box::new(AvgPool2d::new()));
+    net.push("act", Box::new(Relu::new()));
+    net.push("pool", Box::new(MaxPool2d::new()));
     net.push("flat", Box::new(Flatten::new()));
     net.push("fc", Box::new(Linear::new(2 * 3 * 3, 3, &mut rng)));
-    let x = rand_input(&[2, 1, 6, 6], 20);
+    // a ramp over each image, like maxpool_gradcheck's, keeps every conv
+    // output away from relu's kink and every pool window's argmax stable
+    // under the input and parameter probes (still so at 5x their epsilon)
+    let mut x = rand_input(&[2, 1, 6, 6], 20);
+    for (i, v) in x.data_mut().iter_mut().enumerate() {
+        *v += (i % 36) as f32;
+    }
     check_input_grad(&mut net, &x, 4e-2, 21);
     check_param_grads(&mut net, &x, 4e-2, 21);
 }

@@ -24,11 +24,10 @@
 //!   serverless gossip, standalone and distributed, with per-tier byte
 //!   metering
 //! * [`personalize`] — FedBN / Ditto / pFedMe / FedEM and multi-goal FL
-//! * [`privacy`] — DP mechanisms, Paillier, secret sharing
-//! * [`attack`] — privacy attacks (DLG, membership/property inference) and
-//!   backdoors (BadNets, DBA, Neurotoxin-style, model replacement)
-//! * [`autotune`] — HPO: random search, successive halving, Hyperband, PBT,
-//!   FedEx
+//! * [`privacy`] — the Gaussian DP mechanism, Paillier, secret sharing
+//! * [`attack`] — privacy attacks (DLG, membership inference) and backdoors
+//!   (BadNets, DBA, model replacement)
+//! * [`autotune`] — HPO: random search, successive halving, FedEx
 //!
 //! See the `examples/` directory for runnable FL courses, and `crates/bench`
 //! for the harness reproducing every table and figure of the paper.
