@@ -5,6 +5,14 @@
 //! the fs-monitor streams (counters, round records, span sequences) must
 //! match event-for-event, and the monitor's byte counters must reconcile
 //! with the sim-charged totals in both runners.
+//!
+//! Equality between the two stores alone would not notice a change that
+//! moved both sides together, so `GOLDEN_STORE` also pins each store's
+//! absolute fingerprint (report + monitor stream, FNV-1a) on every cell of
+//! the 100-client strategy × codec grid, captured before the two stores
+//! were folded into one. Re-capture (only legitimate when intentionally
+//! changing course behaviour):
+//! `SCHED_EQ_CAPTURE=1 cargo test --test scale_equivalence -- --nocapture`.
 
 use fedscope::core::config::{
     BroadcastManner, CodecSpec, CompressionConfig, FlConfig, SamplerKind,
@@ -21,6 +29,9 @@ use fedscope::tensor::model::logistic_regression;
 use fedscope::tensor::optim::SgdConfig;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
+
+mod common;
+use common::{check, fingerprint};
 
 /// Deterministic dataset: both runners regenerate it from the same config,
 /// so neither sees the other's copy.
@@ -94,13 +105,14 @@ fn run_scale(
 
 /// Runs one (config, fleet) cell through both runners and asserts the full
 /// equivalence contract: report, counters, round records, span sequence, and
-/// byte-counter reconciliation against the sim-charged totals.
+/// byte-counter reconciliation against the sim-charged totals. Returns the
+/// eager and the lazy run's fingerprints.
 fn assert_equivalent(
     label: &str,
     num_clients: usize,
     cfg: FlConfig,
     fleet_cfg: Option<FleetConfig>,
-) {
+) -> (u64, u64) {
     let (legacy_report, legacy_mon) = run_legacy(num_clients, 21, cfg.clone(), fleet_cfg.clone());
     let (scale_report, scale_mon) = run_scale(num_clients, 21, cfg, fleet_cfg);
 
@@ -146,6 +158,10 @@ fn assert_equivalent(
         );
     }
     scale_mon.validate_nesting().unwrap();
+    (
+        fingerprint(&legacy_report, &legacy_mon),
+        fingerprint(&scale_report, &scale_mon),
+    )
 }
 
 fn base_cfg(rounds: u64) -> FlConfig {
@@ -218,6 +234,35 @@ fn codec_grid() -> Vec<(&'static str, CompressionConfig)> {
     ]
 }
 
+/// Absolute fingerprints of the 100-client grid, per store, captured while
+/// the eager and the lazy store were still separate types.
+const GOLDEN_STORE: &[(&str, u64)] = &[
+    ("sync_vanilla/plain/eager", 0xa5b5564ee4bf67a5),
+    ("sync_vanilla/plain/lazy", 0xa5b5564ee4bf67a5),
+    ("sync_vanilla/quant8/eager", 0xf93d593cf2090463),
+    ("sync_vanilla/quant8/lazy", 0xf93d593cf2090463),
+    ("sync_vanilla/topk_delta/eager", 0x45ba2f5635328a4f),
+    ("sync_vanilla/topk_delta/lazy", 0x45ba2f5635328a4f),
+    ("sync_vanilla/downlink/eager", 0xd0f28789d1fe963a),
+    ("sync_vanilla/downlink/lazy", 0xd0f28789d1fe963a),
+    ("async_goal/plain/eager", 0x9e9434f01a1b857d),
+    ("async_goal/plain/lazy", 0x9e9434f01a1b857d),
+    ("async_goal/quant8/eager", 0xe07976e09db8973f),
+    ("async_goal/quant8/lazy", 0xe07976e09db8973f),
+    ("async_goal/topk_delta/eager", 0x917313fa72d7a27f),
+    ("async_goal/topk_delta/lazy", 0x917313fa72d7a27f),
+    ("async_goal/downlink/eager", 0x27afdae5520e63da),
+    ("async_goal/downlink/lazy", 0x27afdae5520e63da),
+    ("async_time/plain/eager", 0x0543295fd21c6cb0),
+    ("async_time/plain/lazy", 0x0543295fd21c6cb0),
+    ("async_time/quant8/eager", 0xa5d003f928db67ac),
+    ("async_time/quant8/lazy", 0xa5d003f928db67ac),
+    ("async_time/topk_delta/eager", 0xb50dbaab564351f8),
+    ("async_time/topk_delta/lazy", 0xb50dbaab564351f8),
+    ("async_time/downlink/eager", 0x107024bec22337b1),
+    ("async_time/downlink/lazy", 0x107024bec22337b1),
+];
+
 #[test]
 fn strategy_codec_grid_bit_identical_at_100_clients() {
     for (sname, strat_cfg) in strategy_grid() {
@@ -226,7 +271,10 @@ fn strategy_codec_grid_bit_identical_at_100_clients() {
                 compression,
                 ..strat_cfg.clone()
             };
-            assert_equivalent(&format!("{sname}/{cname}"), 100, cfg, None);
+            let label = format!("{sname}/{cname}");
+            let (eager, lazy) = assert_equivalent(&label, 100, cfg, None);
+            check(&format!("{label}/eager"), eager, GOLDEN_STORE);
+            check(&format!("{label}/lazy"), lazy, GOLDEN_STORE);
         }
     }
 }
