@@ -48,11 +48,6 @@ impl SearchSpace {
         self
     }
 
-    /// The dimension names.
-    pub fn names(&self) -> Vec<&str> {
-        self.dims.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Samples one configuration uniformly (per-dimension).
     pub fn sample(&self, rng: &mut impl Rng) -> Config {
         self.dims

@@ -80,10 +80,8 @@ fn summarize(method: &str, accs: Vec<f32>) -> MethodResult {
 }
 
 fn client_accs(runner: &fs_core::StandaloneRunner) -> Vec<f32> {
-    (1..=runner.clients.len() as u32)
-        .filter_map(|c| runner.server.state.client_reports.get(&c))
-        .map(|m| m.accuracy)
-        .collect()
+    let reports = runner.server.state.client_reports.values();
+    reports.map(|m| m.accuracy).collect()
 }
 
 fn main() {

@@ -1,10 +1,10 @@
-//! **fs-scale harness** — the persisted throughput baseline for the
-//! million-client simulation core.
+//! **Scale harness** — the persisted throughput baseline for million-client
+//! courses.
 //!
 //! Sweeps client counts (default 10k → 1M, 100 rounds each) over a
 //! femnist-style synthetic workload generated *on demand* — the data for a
 //! client exists only while that client is materialized, which is the whole
-//! point of the scale runner. Each sweep point records wall-clock time,
+//! point of building clients on demand. Each sweep point records wall-clock time,
 //! events processed, `clients/sec`, `events/sec`, and the process peak RSS,
 //! written to `results/scale.json` — the one results file that is wall
 //! clock by nature. Whether the runner got slower is the course benchmark's
@@ -23,8 +23,8 @@ use fs_bench::args::ExpArgs;
 use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_bench::sys::{peak_rss, peak_rss_mb};
 use fs_core::config::FlConfig;
+use fs_core::CourseBuilder;
 use fs_data::{ClientData, ClientSplit};
-use fs_scale::ScaleCourseBuilder;
 use fs_tensor::loss::Target;
 use fs_tensor::model::logistic_regression;
 use fs_tensor::optim::SgdConfig;
@@ -108,7 +108,7 @@ fn main() {
             ..Default::default()
         };
         let data_seed = seed;
-        let mut runner = ScaleCourseBuilder::synthetic(
+        let mut runner = CourseBuilder::synthetic(
             n_usize,
             Arc::new(move |i| synth_split(data_seed, i)),
             Box::new(move |rng| Box::new(logistic_regression(DIM, CLASSES, rng))),

@@ -16,7 +16,7 @@ use fs_bench::output::{check_claims, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{cifar, femnist, twitter, Workload};
 use fs_core::config::{CodecSpec, FlConfig};
-use fs_core::{verify_assembled, ClientStore, Condition, Event, StandaloneRunner};
+use fs_core::{verify_assembled, Condition, Event, StandaloneRunner};
 use fs_net::MessageKind;
 use fs_verify::VerifyReport;
 

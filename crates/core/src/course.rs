@@ -8,10 +8,15 @@
 //! findings that name what is wrong.
 //!
 //! Everything that does not depend on *where clients live* — fleet,
-//! template model, sampler, evaluator, aggregator, server — is
-//! [`CourseWiring`], written once. [`CourseBuilder`] adds the eager client
-//! set on top (one [`Client`] per dataset split, built up front); `fs-scale`'s
-//! builder adds a lazy store on top of the same wiring.
+//! template model, sampler, evaluator, aggregator, server — is one private
+//! wiring step, written once. The builder's source type only decides which
+//! slots the runner's [`ClientStore`] starts with: [`CourseBuilder::new`]
+//! builds one resident [`Client`] per dataset split up front;
+//! [`CourseBuilder::from_dataset`] and [`CourseBuilder::synthetic`] leave
+//! every client to be built on demand from a shared blueprint. Only the
+//! resident source takes a custom trainer factory: an on-demand client is
+//! dismantled between dispatches, which only the default [`LocalTrainer`]
+//! supports, so [`CourseBuilder::trainer_factory`] does not exist there.
 
 use crate::aggregator::{Aggregator, FedAvg};
 use crate::client::Client;
@@ -20,15 +25,22 @@ use crate::eval::GlobalEvaluator;
 use crate::runner::{Runner, StandaloneRunner};
 use crate::sampler::Sampler;
 use crate::server::Server;
+use crate::store::ClientStore;
 use crate::trainer::{pooled_test_set, share_all, LocalTrainer, ShareFilter, TrainConfig, Trainer};
 use fs_data::{ClientSplit, FedDataset};
 use fs_sim::{Fleet, FleetConfig};
 use fs_tensor::model::Model;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Creates a fresh model given the course RNG.
 pub type ModelFactory = Box<dyn Fn(&mut StdRng) -> Box<dyn Model>>;
+
+/// A deterministic data source: client index (0-based) → its split. Called
+/// on every activation of an on-demand client, so it must return identical
+/// data for identical indices.
+pub type DataSource = Arc<dyn Fn(usize) -> ClientSplit + Send + Sync>;
 
 /// Creates a trainer for client `idx` (0-based) from its model and data.
 pub type TrainerFactory =
@@ -37,7 +49,7 @@ pub type TrainerFactory =
 /// The client-independent half of a course: every knob but the client set,
 /// plus the one server/sampler/evaluator/aggregator wiring every builder
 /// goes through.
-pub struct CourseWiring {
+struct CourseWiring {
     /// Number of clients the course is assembled for.
     pub num_clients: usize,
     /// The course configuration.
@@ -60,20 +72,9 @@ pub struct CourseWiring {
     pub detect_perf_drop: bool,
 }
 
-/// What [`CourseWiring::wire`] produces: the server and fleet, ready to run,
-/// and the blueprint the client set is built from.
-pub struct Wired {
-    /// The assembled server.
-    pub server: Server,
-    /// The device fleet.
-    pub fleet: Fleet,
-    /// What every client is built from.
-    pub blueprint: ClientBlueprint,
-}
-
 /// Everything clients have in common, so that building client `idx` — up
 /// front or on demand — is the same code path with the same seeds.
-pub struct ClientBlueprint {
+pub(crate) struct ClientBlueprint {
     /// The template model every client starts from (FedAvg convention).
     pub template: Box<dyn Model>,
     /// The course configuration.
@@ -89,7 +90,7 @@ const EVAL_CAP_PER_CLIENT: usize = 20;
 
 impl CourseWiring {
     /// Default wiring for `num_clients` clients.
-    pub fn new(num_clients: usize, model_factory: ModelFactory, cfg: FlConfig) -> Self {
+    fn new(num_clients: usize, model_factory: ModelFactory, cfg: FlConfig) -> Self {
         let fleet_cfg = FleetConfig {
             num_clients,
             seed: cfg.seed ^ 0xf1ee,
@@ -109,12 +110,14 @@ impl CourseWiring {
         }
     }
 
-    /// Wires up fleet, template, sampler, evaluator, aggregator and server.
-    /// It refuses nothing: a configuration's errors are lint findings, and
-    /// the runner's preflight refuses the course before its first event. The centralized evaluator scores on
+    /// Wires up fleet, template, sampler, evaluator, aggregator and server,
+    /// and returns the server and fleet, ready to run, with the blueprint
+    /// the clients are built from. It refuses nothing: a configuration's
+    /// errors are lint findings, and the runner's preflight refuses the
+    /// course before its first event. The centralized evaluator scores on
     /// the test set pooled from `test_pool`; without one (a population that
     /// exists only as a closure) there is no evaluator.
-    pub fn wire(self, test_pool: Option<&FedDataset>) -> Wired {
+    fn wire(self, test_pool: Option<&FedDataset>) -> (Server, Fleet, ClientBlueprint) {
         let CourseWiring {
             num_clients: n,
             cfg,
@@ -164,16 +167,13 @@ impl CourseWiring {
         let aggregator =
             aggregator.unwrap_or_else(|| Box::new(FedAvg::new(cfg.effective_staleness_discount())));
         let server = Server::new(cfg.clone(), global, n, aggregator, sampler, evaluator);
-        Wired {
-            server,
-            fleet,
-            blueprint: ClientBlueprint {
-                template,
-                cfg,
-                share,
-                detect_perf_drop,
-            },
-        }
+        let blueprint = ClientBlueprint {
+            template,
+            cfg,
+            share,
+            detect_perf_drop,
+        };
+        (server, fleet, blueprint)
     }
 }
 
@@ -210,24 +210,118 @@ impl ClientBlueprint {
     }
 }
 
-/// Assembles FL courses over a materialized dataset.
-pub struct CourseBuilder {
+/// Where a builder's clients come from: a materialized dataset whose
+/// clients are all built up front ([`CourseBuilder::new`]).
+pub struct Resident {
     dataset: FedDataset,
-    wiring: CourseWiring,
     trainer_factory: Option<TrainerFactory>,
+}
+
+/// Where a builder's clients come from: a data source indexed on demand,
+/// each client built only while it is dispatched
+/// ([`CourseBuilder::from_dataset`], [`CourseBuilder::synthetic`]).
+pub struct OnDemand {
+    /// The materialized dataset the source indexes, if any: the
+    /// centralized evaluator's test pool.
+    dataset: Option<Arc<FedDataset>>,
+    data: DataSource,
+}
+
+/// Assembles FL courses. `S` is where the clients come from, and so which
+/// slots the runner's [`ClientStore`] holds: resident ones ([`Resident`],
+/// the default) or ones built on demand ([`OnDemand`]). The course itself
+/// is the same either way: same RNG draws in the same order, same server,
+/// run by the same loop.
+pub struct CourseBuilder<S = Resident> {
+    source: S,
+    wiring: CourseWiring,
 }
 
 impl CourseBuilder {
     /// Starts a builder from a dataset, a model factory, and a configuration.
     pub fn new(dataset: FedDataset, model_factory: ModelFactory, cfg: FlConfig) -> Self {
-        let wiring = CourseWiring::new(dataset.num_clients(), model_factory, cfg);
         Self {
-            dataset,
-            wiring,
-            trainer_factory: None,
+            wiring: CourseWiring::new(dataset.num_clients(), model_factory, cfg),
+            source: Resident {
+                dataset,
+                trainer_factory: None,
+            },
         }
     }
 
+    /// Replaces the default [`LocalTrainer`] factory (personalization).
+    pub fn trainer_factory(mut self, f: TrainerFactory) -> Self {
+        self.source.trainer_factory = Some(f);
+        self
+    }
+
+    /// Builds the runner, every client built up front and resident.
+    pub fn build(self) -> StandaloneRunner {
+        let (server, fleet, blueprint) = self.wiring.wire(Some(&self.source.dataset));
+        let factory = &self.source.trainer_factory;
+        let splits = self.source.dataset.clients.into_iter().enumerate();
+        let clients = splits
+            .map(|(i, split)| {
+                let model = blueprint.template.clone_model();
+                let trainer: Box<dyn Trainer> = match factory {
+                    Some(f) => f(i, model, split, &blueprint.cfg),
+                    None => Box::new(blueprint.local_trainer(i, model, split)),
+                };
+                blueprint.client(i, trainer)
+            })
+            .collect();
+        Runner::new(server, ClientStore::resident(clients), fleet)
+    }
+}
+
+impl CourseBuilder<OnDemand> {
+    /// Starts a builder over a materialized dataset whose clients are built
+    /// on demand (splits cloned per activation): the same course as
+    /// [`CourseBuilder::new`]'s, bit for bit.
+    pub fn from_dataset(
+        dataset: Arc<FedDataset>,
+        model_factory: ModelFactory,
+        cfg: FlConfig,
+    ) -> Self {
+        let source = dataset.clone();
+        Self {
+            wiring: CourseWiring::new(dataset.num_clients(), model_factory, cfg),
+            source: OnDemand {
+                dataset: Some(dataset),
+                data: Arc::new(move |i| source.clients[i].clone()),
+            },
+        }
+    }
+
+    /// Starts a builder over `num_clients` splits produced on demand by
+    /// `data` — the only form a million-client dataset can take. No
+    /// centralized evaluator (pooling a million test splits is exactly the
+    /// materialization this avoids), so the course history stays empty.
+    pub fn synthetic(
+        num_clients: usize,
+        data: DataSource,
+        model_factory: ModelFactory,
+        cfg: FlConfig,
+    ) -> Self {
+        Self {
+            wiring: CourseWiring::new(num_clients, model_factory, cfg),
+            source: OnDemand {
+                dataset: None,
+                data,
+            },
+        }
+    }
+
+    /// Builds the runner over untouched clients built on demand.
+    pub fn build(self) -> StandaloneRunner {
+        let n = self.wiring.num_clients;
+        let (server, fleet, blueprint) = self.wiring.wire(self.source.dataset.as_deref());
+        let clients = ClientStore::on_demand(blueprint, self.source.data, n);
+        Runner::new(server, clients, fleet)
+    }
+}
+
+impl<S> CourseBuilder<S> {
     /// Uses an explicit fleet instead of generating one.
     pub fn fleet(mut self, fleet: Fleet) -> Self {
         self.wiring.fleet = Some(fleet);
@@ -252,12 +346,6 @@ impl CourseBuilder {
         self
     }
 
-    /// Replaces the default [`LocalTrainer`] factory (personalization).
-    pub fn trainer_factory(mut self, f: TrainerFactory) -> Self {
-        self.trainer_factory = Some(f);
-        self
-    }
-
     /// Replaces the sampler derived from `cfg.sampler` (e.g. an
     /// inverse-responsiveness sampler compensating slow clients).
     pub fn sampler(mut self, s: Sampler) -> Self {
@@ -275,31 +363,6 @@ impl CourseBuilder {
     pub fn detect_perf_drop(mut self) -> Self {
         self.wiring.detect_perf_drop = true;
         self
-    }
-
-    /// Builds the runner, every client materialized up front.
-    pub fn build(self) -> StandaloneRunner {
-        let Wired {
-            server,
-            fleet,
-            blueprint,
-        } = self.wiring.wire(Some(&self.dataset));
-        let clients = self
-            .dataset
-            .clients
-            .into_iter()
-            .enumerate()
-            .map(|(i, split)| {
-                let model = blueprint.template.clone_model();
-                let trainer: Box<dyn Trainer> = match &self.trainer_factory {
-                    Some(f) => f(i, model, split, &blueprint.cfg),
-                    None => Box::new(blueprint.local_trainer(i, model, split)),
-                };
-                let client = blueprint.client(i, trainer);
-                (client.state.id, client)
-            })
-            .collect();
-        Runner::new(server, clients, fleet)
     }
 }
 
@@ -468,6 +531,33 @@ mod tests {
         let mut runner = tiny_course(cfg);
         let report = runner.run();
         assert_eq!(report.rounds, 4);
+    }
+
+    #[test]
+    fn synthetic_source_runs_without_central_eval() {
+        let data = Arc::new(twitter_like(&TwitterConfig {
+            num_clients: 8,
+            per_client: 12,
+            ..Default::default()
+        }));
+        let dim = data.input_dim();
+        let cfg = FlConfig {
+            total_rounds: 4,
+            concurrency: 4,
+            sgd: SgdConfig::with_lr(0.5),
+            ..Default::default()
+        };
+        let report = CourseBuilder::synthetic(
+            8,
+            Arc::new(move |i| data.clients[i].clone()),
+            Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
+            cfg,
+        )
+        .build()
+        .run();
+        assert_eq!(report.rounds, 4);
+        assert!(report.history.is_empty(), "no evaluator, no history");
+        assert!(report.total_updates > 0);
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod runner;
 pub mod sampler;
 mod scheduler;
 pub mod server;
+pub mod store;
 pub mod trainer;
 pub mod transport;
 pub mod verify;
@@ -59,12 +60,13 @@ pub use config::{
     AggregationRule, BroadcastManner, CodecSpec, CompressionConfig, DropoutPolicy, FlConfig,
     SamplerKind,
 };
-pub use course::{CourseBuilder, CourseWiring};
+pub use course::CourseBuilder;
 pub use ctx::Ctx;
 pub use event::{Condition, Event};
 pub use idset::IdSet;
 pub use lint::lint_config;
-pub use runner::{Ascent, ClientStore, CourseReport, Router, Runner, StandaloneRunner, Star};
+pub use runner::{Ascent, CourseReport, Router, Runner, StandaloneRunner, Star};
 pub use server::{Server, ServerState};
+pub use store::ClientStore;
 pub use trainer::{LocalTrainer, ShareFilter, TrainConfig, Trainer, TrainerParts};
 pub use verify::{course_ir, effective_handler_log, preflight, verify_assembled};

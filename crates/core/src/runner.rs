@@ -13,10 +13,10 @@
 //! two seams, both chosen by how the course was assembled and never by a
 //! config switch:
 //!
-//! * **where clients live** — a [`ClientStore`]. The eager store is the
-//!   `BTreeMap` every client was built into ([`StandaloneRunner`]); `fs-scale`
-//!   supplies a lazy one that materializes a client only while it is
-//!   dispatched. The loop only ever `take`s a client out and `put_back`s it.
+//! * **where clients live** — the slots of the one [`ClientStore`]:
+//!   resident clients built up front, or clients built on demand only while
+//!   they are dispatched. The loop only ever `take`s a client out and
+//!   `put_back`s it.
 //! * **how a send is routed** — a [`Router`]. [`Star`] does nothing;
 //!   `fs-topo` installs a tree router that meters per-tier traffic at send
 //!   time and walks server-bound messages up through edge aggregators at
@@ -53,7 +53,8 @@
 //! reason work is ever undone: whether a broadcast is lost to a simulated
 //! device crash is a function of (seed, receiver, delivery time), known when
 //! the delivery is scheduled, so a doomed delivery is never started.
-//! Because speculation only uses `take`/`put_back`, it works over any store.
+//! Because speculation only uses `take`/`put_back`, it works over either kind
+//! of slot.
 //! See DESIGN.md ("Determinism contract") for the full argument.
 
 use crate::client::{Client, ClientSnapshot};
@@ -61,6 +62,7 @@ use crate::ctx::{Broadcast, Ctx, Intent, Outgoing};
 use crate::eval::EvalRecord;
 use crate::event::Condition;
 use crate::server::Server;
+use crate::store::ClientStore;
 use fs_exec::{JobHandle, WorkerPool};
 use fs_monitor::{counters, BufferMonitor, MonitorHandle, MonitorOp};
 use fs_net::{Message, MessageKind, ParticipantId, Payload, Topology, SERVER_ID};
@@ -169,68 +171,6 @@ impl CourseReport {
             .iter()
             .find(|r| r.metrics.accuracy >= target)
             .map(|r| r.time_secs)
-    }
-}
-
-/// Where a course's clients live between dispatches.
-///
-/// The loop is the only caller and holds at most one client per id out of
-/// the store at a time. A store may observe the ids it is asked for, the
-/// clients handed back, and (in `put_back`) the server's state at that
-/// program point; it never sees the clock, the queue or the monitor, so it
-/// cannot perturb event order.
-pub trait ClientStore {
-    /// Every client id in the course, ascending.
-    fn ids(&self) -> Vec<ParticipantId>;
-
-    /// Moves client `id` out of the store for a dispatch (or a speculation).
-    /// `None` when the id is unknown or the client is already out.
-    fn take(&mut self, id: ParticipantId) -> Option<Client>;
-
-    /// Returns a client after its dispatch (or a rolled-back speculation).
-    /// `server` is the server at this program point — the same point under
-    /// serial and speculative execution — for stores that decide what to
-    /// retain from whether the server can still reach the client.
-    fn put_back(&mut self, client: Client, server: &Server);
-
-    /// Representative clients and the ids each stands for: what static
-    /// verification and the effective-handler log are computed over.
-    fn groups(&self) -> Vec<(&Client, Vec<ParticipantId>)>;
-
-    /// Visits every client's registry warnings and conformance violations,
-    /// in id order.
-    fn registry_output(&self, visit: &mut dyn FnMut(&[String], &[String]));
-
-    /// `false` when every client's handler for `kind` is known to have no
-    /// effect, so the loop can record the dispatch without taking the
-    /// receiver out. The default claims nothing.
-    fn handles(&self, _kind: MessageKind) -> bool {
-        true
-    }
-}
-
-/// The eager store: every client built up front and held for the course.
-impl ClientStore for BTreeMap<ParticipantId, Client> {
-    fn ids(&self) -> Vec<ParticipantId> {
-        self.keys().copied().collect()
-    }
-
-    fn take(&mut self, id: ParticipantId) -> Option<Client> {
-        self.remove(&id)
-    }
-
-    fn put_back(&mut self, client: Client, _server: &Server) {
-        self.insert(client.state.id, client);
-    }
-
-    fn groups(&self) -> Vec<(&Client, Vec<ParticipantId>)> {
-        crate::verify::singleton_groups(self.values())
-    }
-
-    fn registry_output(&self, visit: &mut dyn FnMut(&[String], &[String])) {
-        for c in self.values() {
-            visit(c.warnings(), c.violations());
-        }
     }
 }
 
@@ -349,7 +289,7 @@ enum SimEvent {
 struct SpecResult {
     /// The client, moved back. Post-dispatch state when `run` is `Some`,
     /// untouched when `None`.
-    client: Client,
+    client: Box<Client>,
     /// The executed speculation, or `None` when the client's trainer could
     /// not be snapshotted (it then runs serially at the delivery pop).
     run: Option<SpecRun>,
@@ -367,7 +307,7 @@ struct SpecRun {
 
 impl SpecResult {
     /// The client as it was before the speculation touched it.
-    fn rolled_back(self) -> Client {
+    fn rolled_back(self) -> Box<Client> {
         let mut client = self.client;
         if let Some(run) = self.run {
             client.restore(run.snapshot);
@@ -386,11 +326,11 @@ struct Speculation {
 }
 
 /// Runs an FL course under virtual time.
-pub struct Runner<S, R = Star> {
+pub struct Runner<R = Star> {
     /// The server participant.
     pub server: Server,
     /// The client participants.
-    pub clients: S,
+    pub clients: ClientStore,
     /// Device profiles.
     pub fleet: Fleet,
     /// The routing policy (and, after the run, its tallies).
@@ -416,19 +356,18 @@ pub struct Runner<S, R = Star> {
     ctx: Ctx,
 }
 
-/// The runner over eagerly built clients — what `CourseBuilder::build`
-/// returns.
-pub type StandaloneRunner = Runner<BTreeMap<ParticipantId, Client>>;
+/// The star-routed runner — what every `CourseBuilder::build` returns.
+pub type StandaloneRunner = Runner;
 
-impl<S: ClientStore> Runner<S> {
+impl Runner {
     /// Assembles a star-routed runner; the course starts when
     /// [`Runner::run`] is called.
-    pub fn new(server: Server, clients: S, fleet: Fleet) -> Self {
+    pub(crate) fn new(server: Server, clients: ClientStore, fleet: Fleet) -> Self {
         Runner::routed(server, clients, fleet, Star)
     }
 
     /// Re-routes a not-yet-run course through `router`.
-    pub fn with_router<R: Router>(self, router: R) -> Runner<S, R> {
+    pub fn with_router<R: Router>(self, router: R) -> Runner<R> {
         let mut routed = Runner::routed(self.server, self.clients, self.fleet, router);
         routed.max_events = self.max_events;
         routed.monitor = self.monitor;
@@ -436,8 +375,8 @@ impl<S: ClientStore> Runner<S> {
     }
 }
 
-impl<S: ClientStore, R: Router> Runner<S, R> {
-    fn routed(server: Server, clients: S, fleet: Fleet, router: R) -> Self {
+impl<R: Router> Runner<R> {
+    fn routed(server: Server, clients: ClientStore, fleet: Fleet, router: R) -> Self {
         assert_eq!(
             fleet.len(),
             clients.ids().len(),
@@ -1000,10 +939,10 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
     /// Builds the course report from the current state.
     pub fn report(&self) -> CourseReport {
         let mut report = CourseReport::from_server(&self.server, &self.clients.groups());
-        self.clients.registry_output(&mut |warnings, violations| {
+        for (warnings, violations) in self.clients.registry_output() {
             merge_unique(&mut report.registry_warnings, warnings);
             merge_unique(&mut report.conformance_violations, violations);
-        });
+        }
         report.final_time_secs = self.now.as_secs();
         report.crashed_deliveries = self.crashed_deliveries;
         report.uploaded_bytes = self.uploaded_bytes;
@@ -1014,7 +953,7 @@ impl<S: ClientStore, R: Router> Runner<S, R> {
 
 /// Appends the lines of `from` not already in `into`, keeping first-seen
 /// order (how registry warnings and conformance violations are collected).
-pub fn merge_unique(into: &mut Vec<String>, from: &[String]) {
+pub(crate) fn merge_unique(into: &mut Vec<String>, from: &[String]) {
     for line in from {
         if !into.contains(line) {
             into.push(line.clone());

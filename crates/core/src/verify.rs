@@ -22,9 +22,9 @@ use fs_net::ParticipantId;
 use fs_verify::{CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyReport};
 
 /// Lowers a course, given as representative clients plus the id sets they
-/// stand for, into the verifier's IR. A lazy runner that materializes
-/// clients on demand verifies a million-client course through one
-/// representative without building the other 999,999; the result is
+/// stand for, into the verifier's IR. A store whose clients are built on
+/// demand verifies a million-client course through one representative
+/// without building the other 999,999; the result is
 /// identical to the lowering of fully materialized clients with the same
 /// handler tables. A runner's store hands over its groups itself
 /// ([`crate::ClientStore::groups`]).
@@ -147,7 +147,6 @@ mod tests {
     use super::*;
     use crate::config::FlConfig;
     use crate::course::CourseBuilder;
-    use crate::runner::ClientStore;
     use fs_data::synth::{twitter_like, TwitterConfig};
     use fs_tensor::model::logistic_regression;
 

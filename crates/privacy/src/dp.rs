@@ -64,16 +64,6 @@ impl PrivacyAccountant {
         self.events.push((epsilon, delta));
     }
 
-    /// Number of recorded invocations.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when nothing has been spent.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Basic sequential composition: epsilons and deltas add.
     pub fn basic_composition(&self) -> (f64, f64) {
         let eps = self.events.iter().map(|e| e.0).sum();

@@ -160,7 +160,7 @@ impl GossipRunner {
         let clients = runner.clients;
         let fleet = runner.fleet;
         let cfg = server.state.cfg.clone();
-        let plan = TopologyPlan::build(cfg.topology, clients.len(), cfg.seed)?;
+        let plan = TopologyPlan::build(cfg.topology, clients.ids().len(), cfg.seed)?;
         let rounds = match cfg.topology {
             fs_net::Topology::Gossip { rounds, .. } if rounds > 0 => rounds as u64,
             _ => cfg.total_rounds,

@@ -28,10 +28,8 @@
 
 use crate::edge::{EdgeAction, EdgeAggregator, EdgeError, EdgeMerge};
 use crate::{bytes_down_counter, bytes_up_counter};
-use fs_core::client::Client;
 use fs_core::config::{AggregationRule, CodecSpec, FlConfig};
 use fs_core::runner::{Ascent, Router, Runner, StandaloneRunner};
-use fs_core::ClientStore;
 use fs_monitor::MonitorHandle;
 use fs_net::{Message, ParticipantId, Topology, TopologyError, TopologyPlan, SERVER_ID};
 use fs_sim::VirtualTime;
@@ -136,7 +134,7 @@ fn auto_merge(cfg: &FlConfig) -> EdgeMerge {
 }
 
 /// An assembled course routed over its configured hierarchy.
-pub type TopoRunner = Runner<BTreeMap<ParticipantId, Client>, TreeRouter>;
+pub type TopoRunner = Runner<TreeRouter>;
 
 /// Routes sends over a tree of edge aggregators and meters every tier.
 pub struct TreeRouter {

@@ -12,7 +12,6 @@
 
 use fedscope::core::config::FlConfig;
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::ClientStore;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::tensor::model::logistic_regression;
 use fedscope::tensor::optim::SgdConfig;

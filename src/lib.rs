@@ -18,8 +18,8 @@
 //!   `FSVnnn` diagnostics (§3.6, Appendix E)
 //! * [`core`] — the event-driven FL engine (workers, events, handlers,
 //!   aggregators, samplers, runners, completeness checking)
-//! * [`scale`] — million-client courses: a lazy client store for the one
-//!   virtual-time loop, bit-identical to the eager store
+//! * [`scale`] — the names million-client courses are assembled under
+//!   (their on-demand client slots live in `core`'s one client store)
 //! * [`topo`] — communication topologies: hierarchical edge aggregation and
 //!   serverless gossip, standalone and distributed, with per-tier byte
 //!   metering

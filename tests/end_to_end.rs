@@ -3,7 +3,7 @@
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{run_distributed_with, BusRunOptions};
-use fedscope::core::{course_ir, verify_assembled, ClientStore, Event};
+use fedscope::core::{course_ir, verify_assembled, Event};
 use fedscope::data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fedscope::tensor::model::{convnet2, logistic_regression};
 use fedscope::tensor::optim::SgdConfig;

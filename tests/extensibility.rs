@@ -4,7 +4,7 @@
 
 use fedscope::core::config::{BroadcastManner, FlConfig, SamplerKind};
 use fedscope::core::course::CourseBuilder;
-use fedscope::core::{ClientStore, Condition, Event};
+use fedscope::core::{Condition, Event};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::{Message, MessageKind, Payload, SERVER_ID};
 use fedscope::tensor::model::logistic_regression;

@@ -29,7 +29,7 @@ use fedscope::core::event::{Condition, Event};
 use fedscope::core::runner::CourseReport;
 use fedscope::core::server::{Server, ServerState};
 use fedscope::core::trainer::{share_all, LocalTrainer, LocalUpdate, TrainConfig, Trainer};
-use fedscope::core::{ClientStore, Runner};
+use fedscope::core::Runner;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::data::FedDataset;
 use fedscope::monitor::{MonitorHandle, RecordingMonitor};
@@ -94,7 +94,7 @@ fn fleet(cfg: &FlConfig, crash_prob: f64) -> FleetConfig {
 type Observed = (CourseReport, RecordingMonitor, Vec<u64>);
 
 /// Runs `runner` (after `prepare` customized it) under a recording monitor.
-fn observe<S: ClientStore>(mut runner: Runner<S>, prepare: fn(&mut Server)) -> Observed {
+fn observe(mut runner: Runner, prepare: fn(&mut Server)) -> Observed {
     prepare(&mut runner.server);
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
     let mut runner = runner.with_monitor(MonitorHandle::from_shared(monitor.clone()));

@@ -19,7 +19,7 @@ use fedscope::core::config::{
 };
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::runner::CourseReport;
-use fedscope::core::{ClientStore, Router, Runner};
+use fedscope::core::Runner;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::data::FedDataset;
 use fedscope::monitor::{counters, MonitorHandle, RecordingMonitor};
@@ -322,10 +322,7 @@ fn crash_faults_replay_identically() {
 
 /// Runs a course capped at `cap` events and reports what it left behind:
 /// the report plus every client's `rounds_trained`.
-fn run_capped<S: ClientStore, R: Router>(
-    runner: Runner<S, R>,
-    cap: u64,
-) -> (CourseReport, Vec<u64>) {
+fn run_capped(runner: Runner, cap: u64) -> (CourseReport, Vec<u64>) {
     let mut runner = runner.with_max_events(cap);
     let report = runner.run();
     if report.finish_reason.starts_with("event cap") {

@@ -8,9 +8,7 @@ use fedscope::core::config::{
 };
 use fedscope::core::course::CourseBuilder;
 use fedscope::core::distributed::{run_distributed_with, BusRunOptions, DistributedError};
-use fedscope::core::{
-    lint_config, verify_assembled, Client, ClientStore, Condition, Event, StandaloneRunner,
-};
+use fedscope::core::{lint_config, verify_assembled, Client, Condition, Event, StandaloneRunner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::net::{MessageKind, Topology};
 use fedscope::sim::FleetConfig;
