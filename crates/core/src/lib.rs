@@ -68,5 +68,5 @@ pub use lint::lint_config;
 pub use runner::{Ascent, CourseReport, Router, Runner, StandaloneRunner, Star};
 pub use server::{Server, ServerState};
 pub use store::ClientStore;
-pub use trainer::{LocalTrainer, ShareFilter, TrainConfig, Trainer, TrainerParts};
+pub use trainer::{LocalTrainer, ShareFilter, TrainConfig, Trainer};
 pub use verify::{course_ir, effective_handler_log, preflight, verify_assembled};

@@ -43,7 +43,6 @@ use crate::client::{Client, ClientState};
 use crate::course::{ClientBlueprint, DataSource};
 use crate::runner::merge_unique;
 use crate::server::Server;
-use crate::trainer::{LocalTrainer, TrainerParts};
 use fs_net::{MessageKind, ParticipantId};
 use fs_tensor::model::{Metrics, Model};
 use fs_tensor::optim::Sgd;
@@ -234,12 +233,9 @@ impl ClientFactory {
         };
         let d = *d;
         model.set_params(&d.private);
-        let fresh = blueprint.local_trainer(idx, model, data).into_parts();
-        let trainer = LocalTrainer::from_parts(TrainerParts {
-            opt: d.opt,
-            rng: d.rng,
-            ..fresh
-        });
+        let mut trainer = blueprint.local_trainer(idx, model, data);
+        trainer.opt = d.opt;
+        trainer.rng = d.rng;
         let mut client = Box::new(blueprint.client(idx, Box::new(trainer)));
         let state = &mut client.state;
         state.rounds_trained = d.rounds_trained;
@@ -276,17 +272,16 @@ impl ClientFactory {
             clippy::expect_used,
             reason = "build() gives every on-demand client a LocalTrainer"
         )]
-        let parts = trainer
+        let trainer = trainer
             .into_local()
-            .expect("an on-demand client is LocalTrainer-backed")
-            .into_parts();
+            .expect("an on-demand client is LocalTrainer-backed");
         let private = if self.template_private.is_empty() {
             ParamMap::new()
         } else {
             let share = &self.blueprint.share;
-            parts.model.get_params().filter(|k| !share(k))
+            trainer.model.get_params().filter(|k| !share(k))
         };
-        self.pool.push(parts.model);
+        self.pool.push(trainer.model);
         // a done client still in the server's busy set may yet receive an
         // in-flight ModelParams (post-Finish training is legal and must be
         // bit-identical), so it keeps its dormant state
@@ -294,8 +289,8 @@ impl ClientFactory {
             return Slot::Finished;
         }
         Slot::Dormant(Box::new(Dormant {
-            opt: parts.opt,
-            rng: parts.rng,
+            opt: trainer.opt,
+            rng: trainer.rng,
             rounds_trained,
             last_val,
             perf_drop_count,

@@ -84,10 +84,10 @@ pub trait Trainer: Send {
     }
 
     /// Downcasts this trainer into a [`LocalTrainer`] by value, consuming the
-    /// box. The lazy client store uses this to dismantle a client when it
-    /// goes dormant — recycling the model tensors through a pool and keeping
-    /// only the tiny resumable state (optimizer, RNG) — so only
-    /// `LocalTrainer`-backed clients can live in it.
+    /// box. The client store uses this to dismantle an on-demand client
+    /// when it goes dormant — recycling the model tensors through a pool and
+    /// keeping only the tiny resumable state (optimizer, RNG) — so only
+    /// `LocalTrainer`-backed clients can be built on demand.
     ///
     /// The default returns `None` (not a `LocalTrainer`).
     fn into_local(self: Box<Self>) -> Option<LocalTrainer> {
@@ -157,12 +157,16 @@ pub fn eval_split(model: &mut dyn Model, split: &ClientData) -> Metrics {
 /// keys selected by the [`ShareFilter`]. When `sgd.prox_mu > 0` the received
 /// global model is used as the proximal anchor (FedProx).
 pub struct LocalTrainer {
-    model: Box<dyn Model>,
+    /// Recycled through the client store's pool while its client is
+    /// dormant.
+    pub(crate) model: Box<dyn Model>,
     data: ClientSplit,
     cfg: TrainConfig,
     share: ShareFilter,
-    opt: Sgd,
-    rng: StdRng,
+    /// Kept by the client store while its client is dormant.
+    pub(crate) opt: Sgd,
+    /// Kept by the client store while its client is dormant, mid-stream.
+    pub(crate) rng: StdRng,
 }
 
 impl Clone for LocalTrainer {
@@ -267,50 +271,6 @@ impl Trainer for LocalTrainer {
 
     fn into_local(self: Box<Self>) -> Option<LocalTrainer> {
         Some(*self)
-    }
-}
-
-/// The constituent parts of a [`LocalTrainer`], exposed so a lazy runner can
-/// dismantle a trainer on deactivation (recycling the model allocation) and
-/// reassemble it bit-identically on the next activation.
-pub struct TrainerParts {
-    /// The local model.
-    pub model: Box<dyn Model>,
-    /// The local dataset.
-    pub data: ClientSplit,
-    /// Training-loop configuration.
-    pub cfg: TrainConfig,
-    /// The share filter.
-    pub share: ShareFilter,
-    /// Optimizer state (momentum buffers survive hibernation).
-    pub opt: Sgd,
-    /// The minibatch RNG, mid-stream.
-    pub rng: StdRng,
-}
-
-impl LocalTrainer {
-    /// Dismantles the trainer into its parts.
-    pub fn into_parts(self) -> TrainerParts {
-        TrainerParts {
-            model: self.model,
-            data: self.data,
-            cfg: self.cfg,
-            share: self.share,
-            opt: self.opt,
-            rng: self.rng,
-        }
-    }
-
-    /// Reassembles a trainer from parts produced by [`Self::into_parts`].
-    pub fn from_parts(parts: TrainerParts) -> Self {
-        Self {
-            model: parts.model,
-            data: parts.data,
-            cfg: parts.cfg,
-            share: parts.share,
-            opt: parts.opt,
-            rng: parts.rng,
-        }
     }
 }
 
