@@ -4,7 +4,7 @@
 //! distributed backends (bus and TCP).
 
 use fedscope::core::config::{CodecSpec, CompressionConfig, FlConfig};
-use fedscope::core::course::CourseBuilder;
+use fedscope::core::course::{CourseBuilder, ModelFactory};
 use fedscope::core::distributed::{
     distributed_report, run_distributed_tcp_with, run_distributed_with, BusRunOptions,
     DistributedError, TcpRunOptions,
@@ -261,10 +261,23 @@ fn threaded_driver_routes_by_topology_instead_of_running_a_silent_star() {
 // absolute pins (captured before the one-event-loop refactor)
 // ---------------------------------------------------------------------------
 
+/// Which slots a pinned course's store holds: `CourseBuilder::new`'s
+/// resident clients or `CourseBuilder::from_dataset`'s on-demand ones.
+#[derive(Clone, Copy, Debug)]
+enum Store {
+    Resident,
+    OnDemand,
+}
+
 /// `CourseReport` + monitor stream + per-tier counters + `TopoReport` of one
 /// hierarchical course over a heterogeneous fleet, folded into one FNV-1a
 /// fingerprint.
-fn hier_fingerprint(topology: Topology, upload: Option<CodecSpec>) -> u64 {
+fn hier_fingerprint(
+    topology: Topology,
+    upload: Option<CodecSpec>,
+    store: Store,
+    parallelism: usize,
+) -> u64 {
     let merging = upload.is_some();
     let n = 8;
     let data = twitter_like(&TwitterConfig {
@@ -282,6 +295,7 @@ fn hier_fingerprint(topology: Topology, upload: Option<CodecSpec>) -> u64 {
             upload,
             ..Default::default()
         },
+        parallelism,
         ..Default::default()
     };
     let fleet = FleetConfig {
@@ -290,13 +304,15 @@ fn hier_fingerprint(topology: Topology, upload: Option<CodecSpec>) -> u64 {
         seed: cfg.seed ^ 0xf1ee,
         ..Default::default()
     };
-    let runner = CourseBuilder::new(
-        data,
-        Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
-        cfg,
-    )
-    .fleet_config(fleet)
-    .build();
+    let model: ModelFactory = Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng)));
+    let runner = match store {
+        Store::Resident => CourseBuilder::new(data, model, cfg)
+            .fleet_config(fleet)
+            .build(),
+        Store::OnDemand => CourseBuilder::from_dataset(Arc::new(data), model, cfg)
+            .fleet_config(fleet)
+            .build(),
+    };
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
     let runner = runner.with_monitor(MonitorHandle::from_shared(monitor.clone()));
     let (report, topo) = run_course_auto(runner).expect("hier course");
@@ -322,6 +338,7 @@ fn hier_fingerprint(topology: Topology, upload: Option<CodecSpec>) -> u64 {
 /// (`SCHED_EQ_CAPTURE=1 cargo test --test topo_equivalence -- --nocapture`
 /// re-captures). Lossless cells are otherwise pinned only relative to the
 /// star; the TopK cells (partial merge, per-hop re-encoding) by nothing else.
+/// Each cell holds for both stores at `parallelism` 1 and 2.
 const GOLDEN_HIER: &[(&str, u64)] = &[
     ("hier:2x4/identity", 0x2032d784dab73c70),
     ("hier:2x4/topk", 0x1632d9601358f361),
@@ -339,7 +356,17 @@ fn hier_courses_match_pre_refactor_pin() {
     for (sname, topology) in shapes {
         for (cname, upload) in codecs {
             let label = format!("{sname}/{cname}");
-            check(&label, hier_fingerprint(topology, upload), GOLDEN_HIER);
+            let pinned = hier_fingerprint(topology, upload, Store::Resident, 1);
+            check(&label, pinned, GOLDEN_HIER);
+            for store in [Store::Resident, Store::OnDemand] {
+                for parallelism in [1, 2] {
+                    assert_eq!(
+                        hier_fingerprint(topology, upload, store, parallelism),
+                        pinned,
+                        "{label}: {store:?} store at parallelism {parallelism}"
+                    );
+                }
+            }
         }
     }
 }
