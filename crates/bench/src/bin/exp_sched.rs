@@ -91,7 +91,7 @@ impl SchedMode {
             SchedMode::Sync => Strategy::SyncVanilla.configure(wl),
             SchedMode::Goal => Strategy::GoalAggrUnif.configure(wl),
             SchedMode::Time => Strategy::TimeAggrUnif.configure(wl),
-            SchedMode::Buffered(k) => wl.base_cfg.clone().buffered_async(k, 0.5),
+            SchedMode::Buffered(k) => wl.base_cfg.clone().buffered_async(k),
             SchedMode::Tiered(t) => wl.base_cfg.clone().tiered(t),
         };
         let concurrency = cfg.concurrency as u64;

@@ -20,7 +20,7 @@ use fs_scale::ScaleCourseBuilder;
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// How a grid cell's course is assembled: which client store and router the
+/// How a grid cell's course is assembled: which client slots and topology the
 /// one virtual-time loop runs over.
 #[derive(Clone, Copy, Debug)]
 enum Via {

@@ -103,15 +103,11 @@ pub enum AggregationRule {
         min_feedback: usize,
     },
     /// FedBuff-style buffered async: aggregate every `k` buffered updates,
-    /// weighting each by the staleness discount.
+    /// weighting each by `FlConfig::staleness_discount`.
     Buffered {
         /// Buffer size that triggers aggregation (clamped to the live
         /// roster, like `goal_achieved`'s effective goal).
         k: usize,
-        /// Staleness discount exponent used for the buffered average; this
-        /// overrides `FlConfig::staleness_discount` so the FedBuff-style
-        /// weighting can be tuned independently of the legacy async modes.
-        discount: f32,
     },
     /// Tiered semi-async (FedModule-style): clients are partitioned into
     /// `tiers` speed tiers by a seeded hash; each tier aggregates
@@ -210,10 +206,12 @@ pub struct FlConfig {
     /// virtual-time accounting — parallelism only changes wall-clock time.
     pub parallelism: usize,
     /// Communication topology: star (the default), hierarchical with edge
-    /// aggregators, or serverless gossip. Non-star courses are routed by
-    /// `fs-topo` (`run_course_auto`); a runner started without a router for
-    /// its topology refuses to run (`FSV057`). Tier/neighborhood assignment
-    /// is derived deterministically from `seed`.
+    /// aggregators, or serverless gossip. Every server runner routes by
+    /// it: the virtual-time `Runner` and the threaded driver run a star or a
+    /// hierarchy themselves and refuse gossip (`FSV057`), which has no
+    /// server and runs through `fs-topo` (`run_course_auto`,
+    /// `run_gossip_distributed`). Tier/neighborhood assignment is derived
+    /// deterministically from `seed`.
     pub topology: Topology,
 }
 
@@ -247,20 +245,6 @@ impl FlConfig {
     /// including over-selection.
     pub fn sample_target(&self) -> usize {
         ((self.concurrency as f32) * (1.0 + self.over_selection)).round() as usize
-    }
-
-    /// The staleness-discount exponent the aggregator should use: the
-    /// buffered-async rule carries its own (FedBuff weights stale
-    /// updates down independently of the legacy async knob); every other
-    /// mode uses the course-wide `staleness_discount`.
-    pub fn effective_staleness_discount(&self) -> f32 {
-        match self.rule {
-            AggregationRule::Buffered { discount, .. } => discount,
-            AggregationRule::AllReceived
-            | AggregationRule::GoalAchieved { .. }
-            | AggregationRule::TimeUp { .. }
-            | AggregationRule::Tiered { .. } => self.staleness_discount,
-        }
     }
 
     /// Convenience: the paper's `Sync-vanilla` strategy.
@@ -316,8 +300,8 @@ impl FlConfig {
     /// Convenience: FedBuff-style buffered async — aggregate every `k`
     /// buffered updates with staleness-discounted weights, topping
     /// concurrency up per receive so the buffer keeps filling.
-    pub fn buffered_async(mut self, k: usize, discount: f32) -> Self {
-        self.rule = AggregationRule::Buffered { k, discount };
+    pub fn buffered_async(mut self, k: usize) -> Self {
+        self.rule = AggregationRule::Buffered { k };
         self.broadcast = BroadcastManner::AfterReceiving;
         self
     }

@@ -165,7 +165,7 @@ impl CourseWiring {
         });
 
         let aggregator =
-            aggregator.unwrap_or_else(|| Box::new(FedAvg::new(cfg.effective_staleness_discount())));
+            aggregator.unwrap_or_else(|| Box::new(FedAvg::new(cfg.staleness_discount)));
         let server = Server::new(cfg.clone(), global, n, aggregator, sampler, evaluator);
         let blueprint = ClientBlueprint {
             template,
@@ -492,14 +492,8 @@ mod tests {
             crate::config::BroadcastManner::AfterReceiving,
             SamplerKind::Uniform,
         )
-        .buffered_async(3, 0.5);
-        assert_eq!(
-            cfg.rule,
-            AggregationRule::Buffered {
-                k: 3,
-                discount: 0.5
-            }
-        );
+        .buffered_async(3);
+        assert_eq!(cfg.rule, AggregationRule::Buffered { k: 3 });
         let report = tiny_course(cfg).run();
         assert_eq!(report.rounds, 3);
     }

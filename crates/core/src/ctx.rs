@@ -7,7 +7,6 @@
 //! runner and the threaded distributed runner.
 
 use crate::event::{Condition, Event};
-use fs_monitor::MonitorHandle;
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
 use fs_sim::VirtualTime;
 use std::collections::VecDeque;
@@ -83,13 +82,10 @@ pub struct Ctx {
     pub emitted: Vec<Event>,
     /// Set when the participant considers the course finished.
     pub finished: bool,
-    /// Observability sink. Null (free) unless the runner attached a monitor;
-    /// handlers record domain counters and round metrics through it.
-    pub monitor: MonitorHandle,
 }
 
 impl Ctx {
-    /// Creates a context at the given virtual time with a null monitor.
+    /// Creates a context at the given virtual time.
     pub fn at(now: VirtualTime) -> Self {
         Self {
             now,
@@ -98,20 +94,11 @@ impl Ctx {
             raised: VecDeque::new(),
             emitted: Vec::new(),
             finished: false,
-            monitor: MonitorHandle::null(),
-        }
-    }
-
-    /// Creates a context carrying the runner's monitor handle.
-    pub fn with_monitor(now: VirtualTime, monitor: MonitorHandle) -> Self {
-        Self {
-            monitor,
-            ..Self::at(now)
         }
     }
 
     /// Readies the context for the next dispatch at `now`: every record of
-    /// the last one is dropped, the allocations (and the monitor) kept.
+    /// the last one is dropped, the allocations kept.
     pub fn reset(&mut self, now: VirtualTime) {
         self.now = now;
         self.outbox.clear();

@@ -47,7 +47,7 @@ use crate::client::Client;
 use crate::config::DropoutPolicy;
 use crate::ctx::Ctx;
 use crate::server::Server;
-use crate::verify::{refusal, singleton_groups};
+use crate::verify::{refusal, server_plan, singleton_groups};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fs_monitor::MonitorHandle;
 use fs_net::bus::BusError;
@@ -55,11 +55,10 @@ use fs_net::tcp::TcpError;
 use fs_net::topology::{bytes_down_counter, bytes_up_counter};
 use fs_net::wire::payload_wire_len;
 use fs_net::{
-    Event, Message, MessageKind, ParticipantId, Payload, SendOutcome, Topology, TopologyPlan,
-    SERVER_ID,
+    Event, Message, MessageKind, ParticipantId, Payload, SendOutcome, TopologyPlan, SERVER_ID,
 };
 use fs_sim::VirtualTime;
-use fs_verify::{verify_topology_plan, Code, Diagnostic, HandlerSpec, VerifyReport};
+use fs_verify::{verify_topology_plan, HandlerSpec, VerifyReport};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
@@ -380,8 +379,10 @@ pub struct ServerLoop {
 }
 
 impl ServerLoop {
-    /// A loop over `server`, routed per `plan`.
-    pub fn new(server: Server, plan: TopologyPlan, monitor: MonitorHandle) -> Self {
+    /// A loop over `server`, routed per `plan`, recording into `monitor`
+    /// (the server's handlers too).
+    pub fn new(mut server: Server, plan: TopologyPlan, monitor: MonitorHandle) -> Self {
+        server.state.monitor = monitor.clone();
         ServerLoop {
             server,
             plan,
@@ -390,10 +391,6 @@ impl ServerLoop {
             gone: BTreeSet::new(),
             dead_edges: BTreeSet::new(),
         }
-    }
-
-    fn ctx(&self) -> Ctx {
-        Ctx::with_monitor(VirtualTime::ZERO, self.monitor.clone())
     }
 
     fn reported(&self, id: ParticipantId) -> bool {
@@ -411,7 +408,7 @@ impl ServerLoop {
         let survivors = state.roster.len() - usize::from(state.roster_index.contains(&id));
         match state.cfg.dropout {
             DropoutPolicy::Survivors { min_survivors } if survivors >= min_survivors => {
-                let mut ctx = self.ctx();
+                let mut ctx = Ctx::at(VirtualTime::ZERO);
                 self.server.notify_dropout(id, &mut ctx);
                 Ok(Some(ctx))
             }
@@ -466,7 +463,7 @@ impl ServerLoop {
         id: ParticipantId,
         port: &mut dyn ServerPort,
     ) -> Result<(), DistributedError> {
-        let mut ctx = self.ctx();
+        let mut ctx = Ctx::at(VirtualTime::ZERO);
         self.server.notify_rejoin(id, &mut ctx);
         self.ship(ctx, port)
     }
@@ -518,7 +515,7 @@ impl Course for ServerLoop {
     ) -> Result<(), DistributedError> {
         match event {
             LoopEvent::Message(msg) => {
-                let mut ctx = self.ctx();
+                let mut ctx = Ctx::at(VirtualTime::ZERO);
                 self.server.handle(&msg, &mut ctx);
                 self.ship(ctx, port)?;
                 if msg.kind == MessageKind::MetricsReport && self.reported(msg.sender) {
@@ -695,26 +692,9 @@ fn routed_plan(server: &Server, clients: &[Client]) -> Result<TopologyPlan, Dist
              {RESERVED:#x?} carry the driver's own control frames"
         )));
     }
-    if let Topology::Gossip { .. } = cfg.topology {
-        // nothing else can be verified: a gossip course has no server for
-        // this driver to run
-        let unrouted = Diagnostic::new(
-            Code::TopologyUnrouted,
-            "topology",
-            format!("{} is serverless; this driver runs a server", cfg.topology),
-        );
-        return Err(refusal(
-            unrouted.with_suggestion("run the course through fs_topo::run_gossip_distributed"),
-        )
-        .into());
-    }
-    let plan = TopologyPlan::build(cfg.topology, clients.len(), cfg.seed).map_err(|e| {
-        refusal(Diagnostic::new(
-            Code::TopologyInvalid,
-            "topology",
-            e.to_string(),
-        ))
-    })?;
+    // nothing else can be verified without a plan (a gossip course has no
+    // server for this driver to run)
+    let plan = server_plan(cfg, clients.len()).map_err(refusal)?;
     crate::verify::preflight(
         server,
         &singleton_groups(clients),
@@ -801,6 +781,7 @@ mod tests {
     use crate::sampler::Sampler;
     use fs_data::synth::{twitter_like, TwitterConfig};
     use fs_monitor::RecordingMonitor;
+    use fs_net::Topology;
     use fs_tensor::model::{logistic_regression, Metrics};
     use fs_tensor::{ParamMap, Tensor};
     use std::sync::{Arc, Mutex};

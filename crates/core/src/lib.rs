@@ -52,6 +52,7 @@ pub mod server;
 pub mod store;
 pub mod trainer;
 pub mod transport;
+mod tree;
 pub mod verify;
 
 pub use aggregator::{Aggregator, ReceivedUpdate};
@@ -65,7 +66,7 @@ pub use ctx::Ctx;
 pub use event::{Condition, Event};
 pub use idset::IdSet;
 pub use lint::lint_config;
-pub use runner::{Ascent, CourseReport, Router, Runner, StandaloneRunner, Star};
+pub use runner::{CourseReport, Runner, StandaloneRunner, TopoReport};
 pub use server::{Server, ServerState};
 pub use store::ClientStore;
 pub use trainer::{LocalTrainer, ShareFilter, TrainConfig, Trainer};

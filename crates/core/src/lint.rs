@@ -488,7 +488,7 @@ mod tests {
     }
 
     fn buffered(k: usize) -> AggregationRule {
-        AggregationRule::Buffered { k, discount: 0.5 }
+        AggregationRule::Buffered { k }
     }
 
     #[test]
@@ -676,7 +676,7 @@ mod tests {
         };
         assert!(codes(&cfg, None).contains(&Code::AfterReceivingUnderAllReceived));
         // the exact shape `FlConfig::buffered_async` produces — no hazard
-        let cfg = FlConfig::default().buffered_async(4, 0.5);
+        let cfg = FlConfig::default().buffered_async(4);
         assert!(!codes(&cfg, None).contains(&Code::AfterReceivingUnderAllReceived));
     }
 

@@ -9,18 +9,18 @@
 //! Crashed deliveries (device failures) silently drop the round's broadcast,
 //! which is what the `time_up` remedial machinery exists to absorb.
 //!
-//! [`Runner`] is that loop, once. What varies between courses is confined to
-//! two seams, both chosen by how the course was assembled and never by a
-//! config switch:
+//! [`Runner`] is that loop, once. What varies between courses by how they
+//! were assembled, never by a config switch, is one seam: **where clients
+//! live** — the slots of the one [`ClientStore`], resident clients built up
+//! front or clients built on demand only while they are dispatched. The
+//! loop only ever `take`s a client out and `put_back`s it.
 //!
-//! * **where clients live** — the slots of the one [`ClientStore`]:
-//!   resident clients built up front, or clients built on demand only while
-//!   they are dispatched. The loop only ever `take`s a client out and
-//!   `put_back`s it.
-//! * **how a send is routed** — a [`Router`]. [`Star`] does nothing;
-//!   `fs-topo` installs a tree router that meters per-tier traffic at send
-//!   time and walks server-bound messages up through edge aggregators at
-//!   delivery time.
+//! How a send is routed is `cfg.topology`'s to say, read at
+//! [`Runner::try_run`] as the threaded driver reads it: a star routes
+//! nothing; a hierarchy realizes its `TopologyPlan` as a tree router that
+//! meters per-tier traffic at send time and walks server-bound messages up
+//! through edge aggregators at delivery time; a serverless gossip course is
+//! refused (`FSV057`) and runs through `fs_topo::run_course_auto`.
 //!
 //! # Event order
 //!
@@ -45,9 +45,10 @@
 //! the rest of the simulation. The speculation is remembered under the client
 //! it borrowed together with the `seq` of the delivery it predicts. When a
 //! delivery to that client pops with that `seq`, the loop *adopts* the
-//! precomputed result (re-emitting its outputs and monitor records at exactly
-//! the serial program point, so queue sequence numbers, RNG draws,
-//! timestamps, and report fields all match serially produced ones); a
+//! precomputed result (re-emitting its outputs and its dispatch span at
+//! exactly the serial program point, so queue sequence numbers, RNG draws,
+//! timestamps, and report fields all match serially produced ones; a client
+//! handler records nothing in the monitor, which the server owns); a
 //! delivery with any other `seq` got there first, so a *recall* undoes the
 //! speculation — the client is rolled back to its snapshot. That is the one
 //! reason work is ever undone: whether a broadcast is lost to a simulated
@@ -63,13 +64,13 @@ use crate::eval::EvalRecord;
 use crate::event::Condition;
 use crate::server::Server;
 use crate::store::ClientStore;
+use crate::tree::{Ascent, TreeRouter};
 use fs_exec::{JobHandle, WorkerPool};
-use fs_monitor::{counters, BufferMonitor, MonitorHandle, MonitorOp};
+use fs_monitor::{counters, MonitorHandle};
 use fs_net::{Message, MessageKind, ParticipantId, Payload, Topology, SERVER_ID};
 use fs_sim::{Fleet, IndexedEventQueue, VirtualTime};
-use fs_verify::{Code, Diagnostic, VerifyReport};
+use fs_verify::{verify_topology_plan, Code, Diagnostic, VerifyReport};
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::sync::{Arc, Mutex};
 
 /// Outcome summary of a finished course.
 ///
@@ -174,59 +175,35 @@ impl CourseReport {
     }
 }
 
-/// What a server-bound message turned into on its way up the topology.
-pub enum Ascent {
-    /// It reaches the server unchanged.
-    Through,
-    /// An intermediate tier kept it (a partial cohort still filling).
-    Absorbed,
-    /// An intermediate tier substituted this message for it.
-    Merged(Message),
-    /// Routing failed; the course stops with this as its finish reason. The
-    /// router keeps the typed error for its owner.
-    Failed(String),
+/// Per-tier traffic totals of a finished topology course. Index `level - 1`
+/// holds tier `level`; tier 1 is the root link (server ↔ top tier) and the
+/// deepest tier is the leaf (client) link.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TopoReport {
+    /// Number of link levels in the tree (1 for a star).
+    pub levels: usize,
+    /// Encoded payload bytes crossing each tier toward the root.
+    pub bytes_up: Vec<u64>,
+    /// Encoded payload bytes crossing each tier toward the clients.
+    pub bytes_down: Vec<u64>,
+    /// Messages crossing each tier toward the root.
+    pub msgs_up: Vec<u64>,
+    /// Messages crossing each tier toward the clients.
+    pub msgs_down: Vec<u64>,
+    /// Edge aggregators in the plan.
+    pub edge_count: usize,
 }
 
-/// How a send is routed between the participants the loop dispatches.
-///
-/// A router observes each send (after the loop charged it) and each
-/// server-bound delivery; it may meter, absorb or substitute server-bound
-/// messages, but it has no access to the queue or the clock, so it cannot
-/// reorder events or move timestamps.
-pub trait Router {
-    /// Whether this router realizes `topology`. A course whose configured
-    /// topology its router does not realize is refused (`FSV057`) instead of
-    /// silently running as something else.
-    fn routes(&self, topology: &Topology) -> bool;
-
-    /// Findings about the realized route, merged into the preflight report.
-    fn diagnostics(&self) -> Vec<Diagnostic> {
-        Vec::new()
+impl TopoReport {
+    /// Bytes crossing the root link (tier 1) toward the server.
+    pub fn root_bytes_up(&self) -> u64 {
+        self.bytes_up.first().copied().unwrap_or(0)
     }
 
-    /// Observes one send from `from`, `payload_bytes` long, at send time.
-    fn on_send(
-        &mut self,
-        _from: ParticipantId,
-        _msg: &Message,
-        _payload_bytes: u64,
-        _monitor: &MonitorHandle,
-    ) {
-    }
-
-    /// Carries a server-bound message from its sender up to the server, at
-    /// delivery time `at`.
-    fn ascend(&mut self, _at: VirtualTime, _msg: &Message, _monitor: &MonitorHandle) -> Ascent {
-        Ascent::Through
-    }
-}
-
-/// The star topology: every client talks to the server directly.
-pub struct Star;
-
-impl Router for Star {
-    fn routes(&self, topology: &Topology) -> bool {
-        matches!(topology, Topology::Star)
+    /// Bytes crossing the leaf (client) tier toward the server — reconciles
+    /// with `CourseReport::uploaded_bytes` by construction.
+    pub fn leaf_bytes_up(&self) -> u64 {
+        self.bytes_up.last().copied().unwrap_or(0)
     }
 }
 
@@ -301,8 +278,6 @@ struct SpecRun {
     snapshot: ClientSnapshot,
     /// The handler's recorded intents, to be enqueued at adopt time.
     ctx: Ctx,
-    /// Monitor operations the handler issued, buffered for in-order replay.
-    ops: Vec<MonitorOp>,
 }
 
 impl SpecResult {
@@ -326,15 +301,16 @@ struct Speculation {
 }
 
 /// Runs an FL course under virtual time.
-pub struct Runner<R = Star> {
+pub struct Runner {
     /// The server participant.
     pub server: Server,
     /// The client participants.
     pub clients: ClientStore,
     /// Device profiles.
     pub fleet: Fleet,
-    /// The routing policy (and, after the run, its tallies).
-    pub router: R,
+    /// The hierarchy `cfg.topology` names, realized at [`Runner::try_run`];
+    /// `None` for a star, which routes nothing.
+    tree: Option<TreeRouter>,
     /// Current virtual time.
     pub now: VirtualTime,
     /// Broadcast deliveries dropped by simulated device crashes.
@@ -356,27 +332,12 @@ pub struct Runner<R = Star> {
     ctx: Ctx,
 }
 
-/// The star-routed runner — what every `CourseBuilder::build` returns.
+/// What every `CourseBuilder::build` returns.
 pub type StandaloneRunner = Runner;
 
 impl Runner {
-    /// Assembles a star-routed runner; the course starts when
-    /// [`Runner::run`] is called.
+    /// Assembles a runner; the course starts when [`Runner::run`] is called.
     pub(crate) fn new(server: Server, clients: ClientStore, fleet: Fleet) -> Self {
-        Runner::routed(server, clients, fleet, Star)
-    }
-
-    /// Re-routes a not-yet-run course through `router`.
-    pub fn with_router<R: Router>(self, router: R) -> Runner<R> {
-        let mut routed = Runner::routed(self.server, self.clients, self.fleet, router);
-        routed.max_events = self.max_events;
-        routed.monitor = self.monitor;
-        routed
-    }
-}
-
-impl<R: Router> Runner<R> {
-    fn routed(server: Server, clients: ClientStore, fleet: Fleet, router: R) -> Self {
         assert_eq!(
             fleet.len(),
             clients.ids().len(),
@@ -386,7 +347,7 @@ impl<R: Router> Runner<R> {
             server,
             clients,
             fleet,
-            router,
+            tree: None,
             now: VirtualTime::ZERO,
             crashed_deliveries: 0,
             uploaded_bytes: 0,
@@ -420,24 +381,30 @@ impl<R: Router> Runner<R> {
         self.events_processed
     }
 
+    /// Per-tier traffic of a hierarchical course so far; `None` for a star,
+    /// whose single tier already *is* the report's byte pair.
+    pub fn topo_report(&self) -> Option<TopoReport> {
+        self.tree.as_ref().map(|tree| tree.report().clone())
+    }
+
     /// Runs the course to completion and returns the report, or the
     /// verification report when the preflight finds an Error: static
-    /// analysis and config lints, the router's findings, a topology this
-    /// runner has no router for (`FSV057`), or a fleet that can crash
-    /// clients under a rule with no round timer (`FSV065`).
+    /// analysis and config lints, the realized hierarchy's findings, a
+    /// serverless (gossip) course (`FSV057`) or a topology that does not
+    /// fit the course (`FSV050`), or a fleet that can crash clients under a
+    /// rule with no round timer (`FSV065`).
     pub fn try_run(&mut self) -> Result<CourseReport, Box<VerifyReport>> {
         let cfg = &self.server.state.cfg;
-        let topology = cfg.topology;
-        let mut extra = self.router.diagnostics();
-        if !self.router.routes(&topology) {
-            extra.push(
-                Diagnostic::new(
-                    Code::TopologyUnrouted,
-                    "topology",
-                    format!("{topology:?} is configured but this runner has no router for it"),
-                )
-                .with_suggestion("run the assembled course through fs_topo::run_course_auto"),
-            );
+        let mut extra = Vec::new();
+        // a star routes nothing and so builds nothing
+        if cfg.topology != Topology::Star {
+            match crate::verify::server_plan(cfg, self.fleet.len()) {
+                Ok(plan) => {
+                    extra = verify_topology_plan(&plan).diagnostics;
+                    self.tree = Some(TreeRouter::new(plan, cfg));
+                }
+                Err(refused) => extra.push(refused),
+            }
         }
         // a crashed broadcast leaves its client busy for good; only a
         // timer-armed rule has a remedial measure that re-arms the round
@@ -481,7 +448,7 @@ impl<R: Router> Runner<R> {
         // the monitor once at the flush below — commutative totals, so the
         // deferred fold is observably identical
         self.monitor = self.monitor.clone().sharded();
-        self.ctx.monitor = self.monitor.clone();
+        self.server.state.monitor = self.monitor.clone();
         // the parallelism knob: 1 = serial (no pool), 0 = one worker per
         // available core, n > 1 = n workers
         let parallelism = self.server.state.cfg.parallelism;
@@ -592,18 +559,20 @@ impl<R: Router> Runner<R> {
         Ok(())
     }
 
-    /// Delivers a server-bound message: up through the router, then into the
-    /// server's handler.
+    /// Delivers a server-bound message: up through the tree, if there is
+    /// one, then into the server's handler.
     fn deliver_server(&mut self, at: VirtualTime, msg: &Message) -> Result<(), String> {
         let merged;
-        let msg = match self.router.ascend(at, msg, &self.monitor) {
-            Ascent::Through => msg,
-            Ascent::Absorbed => return Ok(()),
-            Ascent::Merged(m) => {
-                merged = m;
-                &merged
-            }
-            Ascent::Failed(why) => return Err(why),
+        let msg = match self.tree.as_mut() {
+            None => msg,
+            Some(tree) => match tree.ascend(at, msg, &self.monitor)? {
+                Ascent::Through => msg,
+                Ascent::Absorbed => return Ok(()),
+                Ascent::Merged(m) => {
+                    merged = m;
+                    &merged
+                }
+            },
         };
         self.dispatch_server(at, msg.kind.name(), |server, ctx| server.handle(msg, ctx));
         Ok(())
@@ -722,10 +691,9 @@ impl<R: Router> Runner<R> {
         self.clients.put_back(res.client, &self.server);
         match res.run {
             Some(mut run) => {
-                // adopt: re-emit outputs and monitor records at exactly the
+                // adopt: re-emit outputs and the dispatch span at exactly the
                 // serial program point
                 self.monitor.enter(receiver, kind.name(), "dispatch", at);
-                BufferMonitor::replay_ops(&run.ops, &self.monitor);
                 self.monitor.exit(receiver, at);
                 self.realize(receiver, &mut run.ctx);
             }
@@ -759,7 +727,7 @@ impl<R: Router> Runner<R> {
 
     /// Charges one send and returns its delivery time: message and byte
     /// counters (the monitor's are bumped at the same statements that charge
-    /// the report's totals, so they reconcile exactly), the router's
+    /// the report's totals, so they reconcile exactly), the tree's
     /// bookkeeping, and the device delay with its spans — server time is
     /// negligible so the receiver pays the download; a client pays its
     /// compute, then its upload.
@@ -780,7 +748,9 @@ impl<R: Router> Runner<R> {
             self.downloaded_bytes += bytes;
             self.monitor.add(counters::DOWNLOADED_BYTES, bytes);
         }
-        self.router.on_send(from, msg, bytes, &self.monitor);
+        if let Some(tree) = self.tree.as_mut() {
+            tree.on_send(from, msg, bytes, &self.monitor);
+        }
         let live = self.monitor.is_live();
         let delay = if from == SERVER_ID {
             let comm = self.fleet.profile(msg.receiver).comm_secs(payload_bytes);
@@ -885,31 +855,17 @@ impl<R: Router> Runner<R> {
         let Some(mut client) = self.clients.take(msg.receiver) else {
             return;
         };
-        let live = self.monitor.is_live();
         let msg = msg.clone();
         let receiver = msg.receiver;
         let job = pool.spawn(move || {
             let Some(snapshot) = client.snapshot() else {
                 return SpecResult { client, run: None };
             };
-            // handlers must not write to the shared monitor from a worker:
-            // record into a buffer, replayed in order at adopt time
-            let buf = live.then(|| Arc::new(Mutex::new(BufferMonitor::new())));
-            let handle_monitor = match &buf {
-                Some(b) => MonitorHandle::from_shared(b.clone()),
-                None => MonitorHandle::null(),
-            };
-            let mut ctx = Ctx::with_monitor(deliver_at, handle_monitor);
+            let mut ctx = Ctx::at(deliver_at);
             client.handle(&msg, &mut ctx);
-            ctx.monitor = MonitorHandle::null();
-            let ops = buf
-                .map(|b| {
-                    std::mem::take(&mut *b.lock().unwrap_or_else(|p| p.into_inner())).into_ops()
-                })
-                .unwrap_or_default();
             SpecResult {
                 client,
-                run: Some(SpecRun { snapshot, ctx, ops }),
+                run: Some(SpecRun { snapshot, ctx }),
             }
         });
         self.speculations.insert(receiver, Speculation { seq, job });

@@ -240,10 +240,7 @@ mod tests {
 
     #[test]
     fn buffered_fires_every_k() {
-        let s = AggregationRule::Buffered {
-            k: 4,
-            discount: 0.5,
-        };
+        let s = AggregationRule::Buffered { k: 4 };
         let none = IdSet::new();
         let buf: Vec<_> = (0..3).map(upd).collect();
         assert_eq!(s.aggregation_due(&obs(&buf, &none, 3, false, 30)), None);
@@ -329,7 +326,7 @@ mod tests {
         );
         assert_eq!(cfg.rule.trigger(), None);
         assert_eq!(cfg.rule.round_timer(), Some(1.0));
-        let cfg = FlConfig::default().buffered_async(6, 0.5);
+        let cfg = FlConfig::default().buffered_async(6);
         assert_eq!(cfg.rule.trigger(), Some(Condition::BufferFull));
         assert!(cfg.rule.gauges());
         let cfg = FlConfig::default().tiered(3);

@@ -21,6 +21,7 @@ use crate::registry::Registry;
 use crate::sampler::Sampler;
 use crate::scheduler::SchedulerObs;
 use fs_compress::{CompressedBlock, Compressor};
+use fs_monitor::MonitorHandle;
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
 use fs_tensor::model::Metrics;
 use fs_tensor::ParamMap;
@@ -33,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The server's mutable state is sharded into independently owned sections:
 /// the model section (`global`, version, history, broadcast cache — touched
 /// by aggregation math), this ledger (counters and logs — bumped on every
-/// received update), and the monitor stream (owned by `Ctx`). Handlers that
+/// received update), and the monitor stream (`ServerState::monitor`). Handlers that
 /// only do bookkeeping never borrow the model section, so the aggregation
 /// hot loop stays free of ledger writes and a multi-threaded server can
 /// guard each section separately instead of serializing on one lock.
@@ -131,6 +132,10 @@ pub struct ServerState {
     pub track_history: bool,
     /// Whether the course has been terminated by the server.
     pub done: bool,
+    /// Observability sink: null (free) unless the runner driving the course
+    /// attached a monitor. The server's handlers record domain counters and
+    /// round metrics through it; no client handler records anything.
+    pub monitor: MonitorHandle,
     /// The candidate buffer every sample is drawn in: the idle clients, then
     /// the picks. Kept while the course runs, so a draw allocates nothing.
     idle: Vec<ParticipantId>,
@@ -266,7 +271,7 @@ impl ServerState {
         self.busy.remove(&id);
         self.outstanding.remove(&id);
         self.dropouts.push(id);
-        ctx.monitor.add(fs_monitor::counters::DROPOUTS, 1);
+        self.monitor.add(fs_monitor::counters::DROPOUTS, 1);
         if joining {
             // a client lost before the course started is no longer awaited
             self.expected_clients = self.expected_clients.saturating_sub(1);
@@ -285,7 +290,7 @@ impl ServerState {
     /// Transport-level notification — call through [`Server::notify_rejoin`].
     pub fn rejoin_client(&mut self, id: ParticipantId, ctx: &mut Ctx) {
         self.reconnects += 1;
-        ctx.monitor.add(fs_monitor::counters::RECONNECTS, 1);
+        self.monitor.add(fs_monitor::counters::RECONNECTS, 1);
         if self.roster_index.insert(id) {
             self.roster.push(id);
         }
@@ -357,20 +362,20 @@ impl ServerState {
                     .into_iter()
                     .partition(|u| in_tier(u.client));
                 self.buffer = rest;
-                ctx.monitor.add(fs_monitor::counters::SCHED_TIER_MERGES, 1);
+                self.monitor.add(fs_monitor::counters::SCHED_TIER_MERGES, 1);
                 merged
             }
         };
         let staleness_sum = self.ledger.record_aggregation(&buffer);
-        ctx.monitor.add(fs_monitor::counters::AGGREGATIONS, 1);
-        ctx.monitor.add(
+        self.monitor.add(fs_monitor::counters::AGGREGATIONS, 1);
+        self.monitor.add(
             fs_monitor::counters::UPDATES_AGGREGATED,
             buffer.len() as u64,
         );
-        ctx.monitor
+        self.monitor
             .add(fs_monitor::counters::STALENESS_SUM, staleness_sum);
         if self.cfg.rule.gauges() {
-            ctx.monitor.add(
+            self.monitor.add(
                 fs_monitor::counters::SCHED_BUFFER_OCCUPANCY,
                 occupancy as u64,
             );
@@ -391,7 +396,7 @@ impl ServerState {
                     time_secs: ctx.now.as_secs(),
                     metrics,
                 });
-                ctx.monitor.round(self.round, ctx.now, &metrics);
+                self.monitor.round(self.round, ctx.now, &metrics);
                 if let Some(target) = self.cfg.target_accuracy {
                     if metrics.accuracy >= target {
                         self.finish_reason = Some(format!(
@@ -470,6 +475,7 @@ impl Server {
             global_history: BTreeMap::new(),
             track_history,
             done: false,
+            monitor: MonitorHandle::null(),
             idle: Vec::new(),
         };
         let mut s = Self {
@@ -649,7 +655,7 @@ impl Server {
                     return; // late update after termination
                 }
                 state.ledger.total_updates += contributors.len() as u64;
-                ctx.monitor.add(
+                state.monitor.add(
                     fs_monitor::counters::UPDATES_RECEIVED,
                     contributors.len() as u64,
                 );
@@ -673,7 +679,7 @@ impl Server {
                     }
                     _ => {
                         state.ledger.dropped_updates += contributors.len() as u64;
-                        ctx.monitor.add(
+                        state.monitor.add(
                             fs_monitor::counters::UPDATES_DROPPED,
                             contributors.len() as u64,
                         );
@@ -682,7 +688,7 @@ impl Server {
                         // reference); everything else is a staleness drop
                         if staleness > state.cfg.staleness_tolerance {
                             state.ledger.stale_drops += contributors.len() as u64;
-                            ctx.monitor.add(
+                            state.monitor.add(
                                 fs_monitor::counters::UPDATES_DROPPED_STALE,
                                 contributors.len() as u64,
                             );
@@ -744,7 +750,7 @@ impl Server {
                         state.aggregate_and_continue(ctx);
                     } else {
                         state.ledger.remedial_count += 1;
-                        ctx.monitor.add(fs_monitor::counters::REMEDIAL, 1);
+                        state.monitor.add(fs_monitor::counters::REMEDIAL, 1);
                         if state.ledger.remedial_count > 10_000 {
                             state.finish_reason =
                                 Some("remedial limit exceeded (no client feedback)".to_string());
@@ -1485,7 +1491,7 @@ mod tests {
             staleness_tolerance: 8,
             ..Default::default()
         }
-        .buffered_async(2, 0.5);
+        .buffered_async(2);
         let mut s = make_server(cfg, 4);
         let mut ctx = Ctx::at(VirtualTime::ZERO);
         join_all(&mut s, 4, &mut ctx);

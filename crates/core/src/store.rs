@@ -14,7 +14,9 @@
 //! * **dormant** — dispatched before; only the small resumable state is
 //!   kept (optimizer, RNG stream, counters, codec state and, under a
 //!   partial share filter, the private parameters);
-//! * **finished** — done and out of the server's reach: no state at all.
+//! * **finished** — done and out of the server's reach: only its count of
+//!   rounds trained is kept, inline in the slot. Its final metrics are the
+//!   server's `client_reports` entry.
 //!
 //! So an idle on-demand client costs one 16-byte slot, a full [`Client`]
 //! exists only while the loop has it out, and model tensors are recycled
@@ -70,7 +72,8 @@ enum Slot {
     Untouched,
     Active,
     Dormant(Box<Dormant>),
-    Finished,
+    /// Done, with this many rounds trained.
+    Finished(u64),
 }
 
 /// Builds on-demand clients and keeps what they leave behind.
@@ -137,7 +140,9 @@ impl ClientStore {
 
     /// Moves client `id` out of the store for a dispatch (or a speculation),
     /// building it first when it is not resident. `None` when the id is
-    /// unknown or the client is already out.
+    /// unknown or the client is already out. A finished on-demand client
+    /// comes back done, with its rounds trained and nothing else: its final
+    /// metrics are the server's `client_reports` entry.
     pub fn take(&mut self, id: ParticipantId) -> Option<Box<Client>> {
         let idx = (id as usize).checked_sub(1)?;
         let slot = self.slots.get_mut(idx)?;
@@ -187,7 +192,8 @@ impl ClientStore {
         self.factory.is_none() || kind != MessageKind::IdAssignment
     }
 
-    /// Every client, in id order (built, when not resident).
+    /// Every client, in id order (built, when not resident; see
+    /// [`ClientStore::take`] for what a finished on-demand client keeps).
     pub fn into_values(mut self) -> impl Iterator<Item = Client> {
         (1..=self.slots.len() as ParticipantId).filter_map(move |id| self.take(id).map(|c| *c))
     }
@@ -216,9 +222,10 @@ impl ClientStore {
 impl ClientFactory {
     /// Builds client `idx + 1` from its slot: a pooled (or fresh) model
     /// allocation, the deterministic data split, and either the blueprint's
-    /// initial state (untouched, or finished — a finished client is only
-    /// ever rebuilt by a delivery the server can no longer produce) or the
-    /// retained dormant state.
+    /// initial state (untouched, or finished — done, with its rounds
+    /// trained; a finished client is only ever rebuilt by a delivery the
+    /// server can no longer produce, or to be read) or the retained dormant
+    /// state.
     fn build(&mut self, idx: usize, slot: Slot) -> Box<Client> {
         let blueprint = &self.blueprint;
         let mut model = self
@@ -229,7 +236,12 @@ impl ClientFactory {
         let Slot::Dormant(d) = slot else {
             model.set_params(&self.template_private);
             let trainer = blueprint.local_trainer(idx, model, data);
-            return Box::new(blueprint.client(idx, Box::new(trainer)));
+            let mut client = Box::new(blueprint.client(idx, Box::new(trainer)));
+            if let Slot::Finished(rounds_trained) = slot {
+                client.state.rounds_trained = rounds_trained;
+                client.state.done = true;
+            }
+            return client;
         };
         let d = *d;
         model.set_params(&d.private);
@@ -286,7 +298,7 @@ impl ClientFactory {
         // in-flight ModelParams (post-Finish training is legal and must be
         // bit-identical), so it keeps its dormant state
         if done && !server.state.busy.contains(&id) {
-            return Slot::Finished;
+            return Slot::Finished(rounds_trained);
         }
         Slot::Dormant(Box::new(Dormant {
             opt: trainer.opt,

@@ -11,15 +11,16 @@
 //!
 //! [`preflight`] is the one verification gate. Every runner — virtual-time,
 //! bus, TCP, star or routed — calls it before starting a course, with the
-//! findings only it can make (a router's, a realized plan's); a report that
-//! holds an Error refuses the course. Nothing switches the gate off.
+//! findings only it can make (a realized plan's, a crash-prone fleet's); a
+//! report that holds an Error refuses the course. Nothing switches the gate
+//! off.
 
 use crate::client::Client;
 use crate::config::FlConfig;
 use crate::lint::lint_config;
 use crate::server::Server;
-use fs_net::ParticipantId;
-use fs_verify::{CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyReport};
+use fs_net::{ParticipantId, Topology, TopologyPlan};
+use fs_verify::{Code, CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyReport};
 
 /// Lowers a course, given as representative clients plus the id sets they
 /// stand for, into the verifier's IR. A store whose clients are built on
@@ -83,8 +84,8 @@ pub fn verify_assembled(
 
 /// Verifies an assembled course before it starts: static analysis over
 /// `clients` (representatives plus the ids they stand for) merged with
-/// `extra` findings the caller already holds (a router's, a realized
-/// topology plan's), through [`gate`].
+/// `extra` findings the caller already holds (a realized topology plan's,
+/// a runner's own), through [`gate`].
 pub fn preflight(
     server: &Server,
     clients: &[(&Client, Vec<ParticipantId>)],
@@ -115,6 +116,27 @@ pub fn refusal(finding: Diagnostic) -> Box<VerifyReport> {
     Box::new(VerifyReport {
         diagnostics: vec![finding],
     })
+}
+
+/// The plan a server runs a course by: `cfg.topology` realized over `n`
+/// clients from the course seed, or the finding that refuses the course —
+/// `FSV057` for a serverless (gossip) course, `FSV050` for a topology that
+/// does not fit it. The virtual-time runner and the threaded driver both
+/// route by this.
+pub(crate) fn server_plan(cfg: &FlConfig, n: usize) -> Result<TopologyPlan, Diagnostic> {
+    if let Topology::Gossip { .. } = cfg.topology {
+        let unrouted = Diagnostic::new(
+            Code::TopologyUnrouted,
+            "topology",
+            format!("{} is serverless; this runner runs a server", cfg.topology),
+        );
+        return Err(unrouted.with_suggestion(
+            "run the course through fs_topo::run_course_auto (virtual time) or \
+             fs_topo::run_gossip_distributed (threads)",
+        ));
+    }
+    TopologyPlan::build(cfg.topology, n, cfg.seed)
+        .map_err(|e| Diagnostic::new(Code::TopologyInvalid, "topology", e.to_string()))
 }
 
 /// One singleton group per client — the shape the analyses take when every

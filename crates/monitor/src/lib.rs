@@ -26,12 +26,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod api;
-pub mod buffer;
 pub mod recording;
 pub mod sharded;
 pub mod trace;
 
 pub use api::{counters, Monitor, MonitorHandle, TrackId, SERVER_TRACK};
-pub use buffer::{BufferMonitor, MonitorOp};
 pub use recording::{RecordingMonitor, RoundRecord, SpanRecord};
 pub use sharded::ShardedCounters;

@@ -200,11 +200,6 @@ impl FaultyBus {
         }
     }
 
-    /// Whether a `Disconnect` verdict has fired.
-    pub fn is_dead(&self) -> bool {
-        self.dead
-    }
-
     /// The underlying bus, past the fault model.
     pub fn bus(&self) -> &Bus {
         &self.bus
@@ -260,7 +255,6 @@ mod tests {
         let msg = Message::new(1, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
         assert_eq!(link.send(&msg).unwrap(), SendOutcome::Sent);
         assert_eq!(link.send(&msg).unwrap(), SendOutcome::Disconnected);
-        assert!(link.is_dead());
         assert_eq!(link.send(&msg).unwrap(), SendOutcome::Disconnected);
         // exactly one frame crossed the bus
         assert!(server_mb.try_recv().unwrap().is_some());

@@ -8,8 +8,9 @@
 //! one central evaluation of the consensus.
 
 use crate::bytes_up_counter;
+use crate::course::TopoRunError;
+use crate::gossip::check_plan;
 use crate::gossip::{consensus, GossipRunner, Peer, Share};
-use crate::router::{check_plan, TopoRunError};
 use fs_core::distributed::{
     Course, DistributedError, Link, LoopEvent, ServerPort, Session, Transport, WorkerOutcome,
 };

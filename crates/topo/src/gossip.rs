@@ -21,17 +21,18 @@
 //! server-full runners emit.
 
 use crate::bytes_up_counter;
-use crate::router::{check_plan, TopoReport, TopoRunError};
+use crate::course::TopoRunError;
 use fs_compress::Compressor;
 use fs_core::config::FlConfig;
 use fs_core::eval::{EvalRecord, GlobalEvaluator};
-use fs_core::runner::{CourseReport, StandaloneRunner};
+use fs_core::runner::{CourseReport, StandaloneRunner, TopoReport};
 use fs_core::trainer::Trainer;
 use fs_monitor::{counters, MonitorHandle};
 use fs_net::wire::payload_wire_len;
 use fs_net::{ParticipantId, Payload, TopologyPlan};
 use fs_sim::{Fleet, VirtualTime};
 use fs_tensor::ParamMap;
+use fs_verify::verify_topology_plan;
 use std::collections::BTreeMap;
 
 /// One gossip participant: its trainer, model, codec, and local clock. Both
@@ -127,6 +128,12 @@ pub(crate) fn consensus<'a>(
     avg
 }
 
+/// Verifies a realized plan on its own — all the static checking a
+/// serverless (gossip) course has.
+pub(crate) fn check_plan(plan: &TopologyPlan) -> Result<(), TopoRunError> {
+    fs_core::verify::gate(verify_topology_plan(plan)).map_err(TopoRunError::Verification)
+}
+
 /// Outcome of a gossip course: the familiar report shape plus per-tier
 /// traffic (gossip has a single tier — the peer radio links).
 #[derive(Debug)]
@@ -217,12 +224,9 @@ impl GossipRunner {
                 sent_at.insert(peer.id, peer.clock);
                 // what the neighbors actually hear: the decoded, possibly
                 // lossy reconstruction (the model itself without a codec)
-                let share = Share::decode(&payload).map_err(|detail| {
-                    TopoRunError::Edge(crate::edge::EdgeError::Decode {
-                        edge: peer.id,
-                        sender: peer.id,
-                        detail,
-                    })
+                let share = Share::decode(&payload).map_err(|detail| TopoRunError::Decode {
+                    peer: peer.id,
+                    detail,
                 })?;
                 if let Some(share) = share {
                     shares.insert(peer.id, share);

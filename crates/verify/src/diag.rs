@@ -126,8 +126,8 @@ pub enum Code {
     /// history, which intermediate tiers do not hold — unsupported in
     /// hierarchical topologies.
     DeltaUploadUnsupportedInHier,
-    /// FSV057: the config names a non-star topology but the runner was
-    /// started without a router for it — it would silently run as a star.
+    /// FSV057: a serverless (gossip) course was handed to a runner that
+    /// runs a server — it would silently run as a star.
     TopologyUnrouted,
     /// FSV060: the buffered-async / tiered schedulers drive one central
     /// server loop and require the star topology (gossip has no server;

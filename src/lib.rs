@@ -17,12 +17,12 @@
 //! * [`verify`] — static course verification & config lints with structured
 //!   `FSVnnn` diagnostics (§3.6, Appendix E)
 //! * [`core`] — the event-driven FL engine (workers, events, handlers,
-//!   aggregators, samplers, runners, completeness checking)
+//!   aggregators, samplers, runners — which route star and hierarchical
+//!   courses, edge aggregation included — completeness checking)
 //! * [`scale`] — the names million-client courses are assembled under
 //!   (their on-demand client slots live in `core`'s one client store)
-//! * [`topo`] — communication topologies: hierarchical edge aggregation and
-//!   serverless gossip, standalone and distributed, with per-tier byte
-//!   metering
+//! * [`topo`] — serverless gossip, standalone and distributed, and
+//!   `run_course_auto`, which runs a course of any topology
 //! * [`personalize`] — FedBN / Ditto / pFedMe / FedEM and multi-goal FL
 //! * [`privacy`] — the Gaussian DP mechanism, Paillier, secret sharing
 //! * [`attack`] — privacy attacks (DLG, membership inference) and backdoors

@@ -138,8 +138,10 @@ fn lazy(cfg: FlConfig, crash_prob: f64, prepare: fn(&mut Server)) -> Observed {
     )
 }
 
-/// Report, counters, round records and span sequence.
-fn assert_same_stream(label: &str, serial: &Observed, parallel: &Observed) {
+/// The same report, counters, round records and span sequence, and the
+/// same rounds trained per client left behind, on either store: a finished
+/// on-demand client keeps its count.
+fn assert_same_course(label: &str, serial: &Observed, parallel: &Observed) {
     assert_eq!(serial.0, parallel.0, "{label}: CourseReport diverged");
     assert_eq!(
         serial.1.counters(),
@@ -156,12 +158,6 @@ fn assert_same_stream(label: &str, serial: &Observed, parallel: &Observed) {
         parallel.1.spans(),
         "{label}: span sequences diverged"
     );
-}
-
-/// The same stream and the same clients left behind. Only meaningful within
-/// one store: the lazy store drops a finished client's state.
-fn assert_same_course(label: &str, serial: &Observed, parallel: &Observed) {
-    assert_same_stream(label, serial, parallel);
     assert_eq!(
         serial.2, parallel.2,
         "{label}: per-client rounds_trained diverged"
@@ -299,7 +295,7 @@ fn an_overtaking_message_recalls_the_speculation_on_both_stores() {
     );
     assert_same_course("eager/2", &serial, &eager(cfg(2), 0.0, install_chase));
     let lazy_serial = lazy(cfg(1), 0.0, install_chase);
-    assert_same_stream("lazy/1", &serial, &lazy_serial);
+    assert_same_course("lazy/1", &serial, &lazy_serial);
     assert_same_course("lazy/2", &lazy_serial, &lazy(cfg(2), 0.0, install_chase));
 }
 
@@ -380,7 +376,7 @@ fn a_delivery_lost_to_a_crash_is_never_trained_on_either_store() {
     );
     assert_same_course("eager/2", &serial, &eager(cfg(2), 0.2, untouched));
     let lazy_serial = lazy(cfg(1), 0.2, untouched);
-    assert_same_stream("lazy/1", &serial, &lazy_serial);
+    assert_same_course("lazy/1", &serial, &lazy_serial);
     assert_same_course("lazy/2", &lazy_serial, &lazy(cfg(2), 0.2, untouched));
 
     // nothing overtakes on this course, so a crash was the only thing that

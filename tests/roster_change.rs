@@ -97,7 +97,7 @@ fn buffered_dropout_that_lowers_the_threshold_to_the_fill_aggregates() {
         total_rounds: 100,
         ..Default::default()
     }
-    .buffered_async(3, 0.5);
+    .buffered_async(3);
     let (mut s, mut ctx) = server(cfg, 3);
     assert_eq!(s.state.busy.len(), 3, "everyone sampled");
     reply(&mut s, 1, 0, &mut ctx);
@@ -117,7 +117,7 @@ fn buffered_dropout_above_the_fill_keeps_waiting() {
         total_rounds: 100,
         ..Default::default()
     }
-    .buffered_async(3, 0.5);
+    .buffered_async(3);
     let (mut s, mut ctx) = server(cfg, 4);
     reply(&mut s, 1, 0, &mut ctx);
     s.notify_dropout(4, &mut ctx);

@@ -324,7 +324,7 @@ fn new_scheduler_modes_complete_and_are_deterministic() {
             staleness_tolerance: 8,
             ..base_cfg(&wl)
         }
-        .buffered_async(3, 0.5);
+        .buffered_async(3);
         let (mut runner, monitor) = build_runner(&wl, cfg.clone(), 0.0);
         let report = runner.run();
         drop(runner);
@@ -383,7 +383,7 @@ fn new_scheduler_modes_run_distributed() {
         staleness_tolerance: 8,
         ..base_cfg(&Wl::Twitter)
     }
-    .buffered_async(3, 0.5);
+    .buffered_async(3);
     let data = dataset(&Wl::Twitter);
     let dim = data.input_dim();
     let runner = CourseBuilder::new(

@@ -193,22 +193,48 @@ fn gossip_courses_match_pre_fold_pin() {
 fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
     // regression: `CourseBuilder::new(.., hier/gossip cfg).build().run()` used
     // to ignore the topology and quietly run a star
-    for topology in [HIER2, GOSSIP2] {
-        let mut runner = course(8, 41, topology);
-        let refused = runner
-            .try_run()
-            .expect_err("an un-routed course must not run");
-        assert!(
-            refused
-                .diagnostics
-                .iter()
-                .any(|d| d.code.as_str() == "FSV057"),
-            "expected FSV057, got {refused}"
-        );
-        assert_eq!(runner.server.state.round, 0, "nothing ran");
-    }
-    let panicked = std::panic::catch_unwind(|| course(8, 41, HIER2).run());
+    let mut runner = course(8, 41, GOSSIP2);
+    let refused = runner
+        .try_run()
+        .expect_err("an un-routed course must not run");
+    assert!(
+        refused
+            .diagnostics
+            .iter()
+            .any(|d| d.code.as_str() == "FSV057"),
+        "expected FSV057, got {refused}"
+    );
+    assert_eq!(runner.server.state.round, 0, "nothing ran");
+    let panicked = std::panic::catch_unwind(|| course(8, 41, GOSSIP2).run());
     assert!(panicked.is_err(), "run() panics with the diagnostic");
+
+    // a hierarchy is routed by the runner itself: a plain run is the course
+    // `run_course_auto` runs, uploads climbing the tree
+    let recorded = |runner: StandaloneRunner| {
+        let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
+        (
+            runner.with_monitor(MonitorHandle::from_shared(monitor.clone())),
+            monitor,
+        )
+    };
+    let (mut bare, bare_monitor) = recorded(course(8, 41, HIER2));
+    let report = bare.run();
+    let topo = bare.topo_report();
+    drop(bare);
+    let (auto, auto_monitor) = recorded(course(8, 41, HIER2));
+    let (auto_report, auto_topo) = run_course_auto(auto).expect("hier course");
+    assert_eq!(report, auto_report, "the routed course's report");
+    assert_eq!(topo, auto_topo, "the routed course's TopoReport");
+    let (bare_mon, auto_mon) = (extract(bare_monitor), extract(auto_monitor));
+    for level in 1..=TIER_LEVELS {
+        for name in [bytes_up_counter(level), bytes_down_counter(level)] {
+            assert_eq!(bare_mon.counter(name), auto_mon.counter(name), "{name}");
+        }
+    }
+    assert!(
+        bare_mon.counter(bytes_up_counter(2)) > 0,
+        "uploads must climb the tree: topo.bytes_up.l2"
+    );
 }
 
 #[test]

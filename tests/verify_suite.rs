@@ -586,7 +586,7 @@ fn lint_output_matches_pre_fold_pin() {
         ),
         (
             "preset/buffered_async".into(),
-            small_cfg().buffered_async(3, 0.5),
+            small_cfg().buffered_async(3),
             16,
         ),
         ("preset/tiered".into(), small_cfg().tiered(2), 16),
@@ -647,10 +647,7 @@ fn lint_output_matches_pre_fold_pin() {
     ));
     table.push((
         "buffered/k0".into(),
-        with_rule(AggregationRule::Buffered {
-            k: 0,
-            discount: 0.5,
-        }),
+        with_rule(AggregationRule::Buffered { k: 0 }),
         16,
     ));
     table.push((
@@ -718,16 +715,13 @@ fn lint_output_matches_pre_fold_pin() {
         ),
         (
             "buffered/k_exceeds_target",
-            with_rule(AggregationRule::Buffered {
-                k: 9,
-                discount: 0.5,
-            }),
+            with_rule(AggregationRule::Buffered { k: 9 }),
         ),
         (
             "buffered/on_gossip",
             FlConfig {
                 topology: gossip(2),
-                ..small_cfg().buffered_async(3, 0.5)
+                ..small_cfg().buffered_async(3)
             },
         ),
         (
@@ -806,10 +800,7 @@ fn builder_refusals_are_lint_errors() {
         (
             "k 0",
             8,
-            with_rule(AggregationRule::Buffered {
-                k: 0,
-                discount: 0.5,
-            }),
+            with_rule(AggregationRule::Buffered { k: 0 }),
             Code::SchedBufferInvalid,
         ),
         (
