@@ -370,7 +370,6 @@ pub struct ServerLoop {
     /// The server being driven; handed back when the course completes.
     pub server: Server,
     plan: TopologyPlan,
-    monitor: MonitorHandle,
     /// The server terminated the course.
     finished: bool,
     /// Clients whose report can never arrive.
@@ -380,13 +379,12 @@ pub struct ServerLoop {
 
 impl ServerLoop {
     /// A loop over `server`, routed per `plan`, recording into `monitor`
-    /// (the server's handlers too).
+    /// (the server's handlers and the loop's per-tier metering alike).
     pub fn new(mut server: Server, plan: TopologyPlan, monitor: MonitorHandle) -> Self {
-        server.state.monitor = monitor.clone();
+        server.state.monitor = monitor;
         ServerLoop {
             server,
             plan,
-            monitor,
             finished: false,
             gone: BTreeSet::new(),
             dead_edges: BTreeSet::new(),
@@ -441,7 +439,7 @@ impl ServerLoop {
             let to = out.msg.receiver;
             if port.send(&out.msg)? {
                 if !self.plan.edges.is_empty() {
-                    self.monitor.add(
+                    self.server.state.monitor.add(
                         bytes_down_counter(self.plan.link_level(to)),
                         payload_wire_len(&out.msg.payload) as u64,
                     );
@@ -964,7 +962,7 @@ mod tests {
     fn each_stored_report_is_answered_by_one_shutdown_to_its_sender() {
         let (mut m, mut port) = finished(HIER3);
         let recording = Arc::new(Mutex::new(RecordingMonitor::new()));
-        m.monitor = MonitorHandle::from_shared(recording.clone());
+        m.server.state.monitor = MonitorHandle::from_shared(recording.clone());
         port.sent.clear();
         feed(&mut m, &mut port, (1..=4).map(report).collect());
         let acks: Vec<(MessageKind, ParticipantId)> = port

@@ -34,10 +34,11 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The server's mutable state is sharded into independently owned sections:
 /// the model section (`global`, version, history, broadcast cache — touched
 /// by aggregation math), this ledger (counters and logs — bumped on every
-/// received update), and the monitor stream (`ServerState::monitor`). Handlers that
-/// only do bookkeeping never borrow the model section, so the aggregation
-/// hot loop stays free of ledger writes and a multi-threaded server can
-/// guard each section separately instead of serializing on one lock.
+/// received update), and the monitor stream (`ServerState::monitor`).
+/// Handlers that only do bookkeeping never borrow the model section, so the
+/// aggregation hot loop stays free of ledger writes and a multi-threaded
+/// server can guard each section separately instead of serializing on one
+/// lock.
 #[derive(Debug, Default)]
 pub struct RoundLedger {
     /// Per-client effective aggregation count (Fig. 10).

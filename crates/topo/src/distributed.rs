@@ -9,8 +9,7 @@
 
 use crate::bytes_up_counter;
 use crate::course::TopoRunError;
-use crate::gossip::check_plan;
-use crate::gossip::{consensus, GossipRunner, Peer, Share};
+use crate::gossip::{check_plan, consensus, GossipRunner, Peer, Share};
 use fs_core::distributed::{
     Course, DistributedError, Link, LoopEvent, ServerPort, Session, Transport, WorkerOutcome,
 };
