@@ -147,11 +147,15 @@ fn standalone_gossip_is_deterministic() {
 
 /// `CourseReport` + monitor stream + tier-1 counter + `TopoReport` of
 /// [`standalone_gossip_is_deterministic`]'s course, folded like
-/// [`hier_fingerprint`].
-fn gossip_fingerprint(upload: Option<CodecSpec>) -> u64 {
-    let mut runner = course(6, 44, GOSSIP2);
+/// [`hier_fingerprint`], over either store at any `parallelism`.
+fn gossip_fingerprint(upload: Option<CodecSpec>, store: Store, parallelism: usize) -> u64 {
+    let mut runner = match store {
+        Store::Resident => course(6, 44, GOSSIP2),
+        Store::OnDemand => on_demand_course(6, 44, GOSSIP2),
+    };
     // the gossip runner builds its per-peer codecs from the course config
     runner.server.state.cfg.compression.upload = upload;
+    runner.server.state.cfg.parallelism = parallelism;
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
     let GossipOutcome { report, topo } = GossipRunner::from_standalone(runner)
         .expect("gossip plan")
@@ -168,10 +172,34 @@ fn gossip_fingerprint(upload: Option<CodecSpec>) -> u64 {
     h.finish()
 }
 
+/// [`course`] with its clients built on demand.
+fn on_demand_course(n: usize, seed: u64, topology: Topology) -> StandaloneRunner {
+    let data = twitter_like(&TwitterConfig {
+        num_clients: n,
+        per_client: 12,
+        ..Default::default()
+    });
+    let dim = data.input_dim();
+    let cfg = FlConfig {
+        total_rounds: 3,
+        concurrency: n,
+        seed,
+        topology,
+        ..Default::default()
+    };
+    CourseBuilder::from_dataset(
+        Arc::new(data),
+        Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
+        cfg,
+    )
+    .build()
+}
+
 /// Captured before the two gossip runners were folded onto one peer
 /// (`SCHED_EQ_CAPTURE=1 cargo test --test topo_equivalence -- --nocapture`
 /// re-captures). The TopK cell runs the per-sender codec and the lossy
-/// reconstruction every neighbor merges.
+/// reconstruction every neighbor merges. Each cell holds for both stores at
+/// `parallelism` 1 and 2.
 const GOLDEN_GOSSIP: &[(&str, u64)] = &[
     ("gossip:2/identity", 0xa8113c6b883abd12),
     ("gossip:2/topk", 0xa01153a196a294aa),
@@ -185,7 +213,76 @@ fn gossip_courses_match_pre_fold_pin() {
     ];
     for (cname, upload) in codecs {
         let label = format!("gossip:2/{cname}");
-        check(&label, gossip_fingerprint(upload), GOLDEN_GOSSIP);
+        let pinned = gossip_fingerprint(upload, Store::Resident, 1);
+        check(&label, pinned, GOLDEN_GOSSIP);
+        for store in [Store::Resident, Store::OnDemand] {
+            for parallelism in [1, 2] {
+                assert_eq!(
+                    gossip_fingerprint(upload, store, parallelism),
+                    pinned,
+                    "{label}: {store:?} store at parallelism {parallelism}"
+                );
+            }
+        }
+    }
+}
+
+/// `CourseReport` + monitor stream + tier-1 counter of a threaded gossip
+/// course (6 peers, seed 48, central evaluator kept) on the bus or over TCP.
+fn gossip_threaded_fingerprint(tcp: bool, upload: Option<CodecSpec>) -> u64 {
+    let mut runner = course(6, 48, GOSSIP2);
+    runner.server.state.cfg.compression.upload = upload;
+    let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
+    let handle = MonitorHandle::from_shared(monitor.clone());
+    let report = if tcp {
+        let opts = TcpRunOptions {
+            monitor: handle,
+            ..Default::default()
+        };
+        run_gossip_distributed(runner, BUDGET, opts)
+    } else {
+        let opts = BusRunOptions {
+            monitor: handle,
+            ..Default::default()
+        };
+        run_gossip_distributed(runner, BUDGET, opts)
+    }
+    .expect("threaded gossip course");
+    // a TCP hub reader may still hold its handle for a moment
+    let mon = std::mem::take(&mut *monitor.lock().expect("monitor"));
+    let mut h = Fnv::new();
+    fold_course(&mut h, &report, &mon);
+    let tier = bytes_up_counter(1);
+    h.field(tier, &mon.counter(tier).to_string());
+    h.finish()
+}
+
+/// Threaded gossip on the bus and over TCP, captured before the threaded
+/// driver ran gossip itself (same re-capture switch as [`GOLDEN_GOSSIP`]).
+/// The peers merge in plan order and the harness scores the consensus once,
+/// so neither arrival order nor the transport shows.
+const GOLDEN_GOSSIP_THREADED: &[(&str, u64)] = &[
+    ("bus/identity", 0xcc3274f7d35073b6),
+    ("bus/topk", 0x504202683fffd575),
+    ("tcp/identity", 0xcc3274f7d35073b6),
+    ("tcp/topk", 0x504202683fffd575),
+];
+
+#[test]
+fn threaded_gossip_matches_pre_fold_pin() {
+    let codecs = [
+        ("identity", None),
+        ("topk", Some(CodecSpec::TopK { ratio: 0.25 })),
+    ];
+    for (bname, tcp) in [("bus", false), ("tcp", true)] {
+        for (cname, upload) in codecs {
+            let label = format!("{bname}/{cname}");
+            check(
+                &label,
+                gossip_threaded_fingerprint(tcp, upload),
+                GOLDEN_GOSSIP_THREADED,
+            );
+        }
     }
 }
 
