@@ -10,7 +10,7 @@
 //! cargo run -p fs-bench --release --bin exp_table1 -- [--seed N] [--workloads a,b]
 //! ```
 //!
-//! `--topology hier:TxF` re-runs the table through the fs-topo course (a
+//! `--topology hier:TxF` re-runs the table over that topology (a
 //! lossless hierarchy reproduces the star's numbers bit for bit; gossip
 //! replaces the virtual clock, so its time-to-accuracy column is empty).
 //!
@@ -22,7 +22,6 @@ use fs_bench::output::{check_claims, render_table, write_json, Claim};
 use fs_bench::strategies::Strategy;
 use fs_bench::workloads::{workload_by_name, Workload};
 use fs_net::Topology;
-use fs_topo::run_course_auto;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -43,14 +42,10 @@ fn run_workload(wl: &Workload, threads: usize, topology: Topology, rows: &mut Ve
         cfg.target_accuracy = Some(wl.target_accuracy);
         cfg.parallelism = threads;
         cfg.topology = topology;
-        let mut runner = wl.build(cfg);
-        let report = if topology.is_star() {
-            runner.run()
-        } else {
-            let (report, _) = run_course_auto(runner)
-                .unwrap_or_else(|e| panic!("{} under {topology}: {e}", wl.name));
-            report
-        };
+        let report = wl
+            .build(cfg)
+            .try_run()
+            .unwrap_or_else(|e| panic!("{} under {topology}: {e}", wl.name));
         let hours = report
             .time_to_accuracy(wl.target_accuracy)
             .map(|s| s / 3600.0);

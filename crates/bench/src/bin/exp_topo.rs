@@ -37,8 +37,8 @@ use fs_core::distributed::{
 use fs_core::runner::CourseReport;
 use fs_core::StandaloneRunner;
 use fs_monitor::{MonitorHandle, RecordingMonitor};
+use fs_net::topology::{bytes_down_counter, bytes_up_counter};
 use fs_net::Topology;
-use fs_topo::{bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed};
 use serde::Serialize;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -124,14 +124,15 @@ fn build_course(
 
 /// Runs one grid cell and returns its report plus any per-tier byte vectors.
 fn run_cell(
-    runner: StandaloneRunner,
+    mut runner: StandaloneRunner,
     topology: Topology,
     backend: Backend,
     budget: Duration,
 ) -> (CourseReport, Vec<u64>, Vec<u64>) {
     match backend {
         Backend::Standalone => {
-            let (report, topo) = run_course_auto(runner).expect("standalone cell");
+            let report = runner.try_run().expect("standalone cell");
+            let topo = runner.topo_report();
             let (up, down) = topo.map(|t| (t.bytes_up, t.bytes_down)).unwrap_or_default();
             (report, up, down)
         }
@@ -147,20 +148,12 @@ fn run_cell(
                 monitor: handle,
                 ..Default::default()
             };
-            let report = if matches!(topology, Topology::Gossip { .. }) {
-                match backend {
-                    Backend::Bus => run_gossip_distributed(runner, budget, bus),
-                    _ => run_gossip_distributed(runner, budget, tcp),
-                }
-                .expect("gossip cell")
-            } else {
-                let clients: Vec<_> = runner.clients.into_values().collect();
-                let server = match backend {
-                    Backend::Bus => run_distributed_with(runner.server, clients, budget, bus),
-                    _ => run_distributed_tcp_with(runner.server, clients, budget, tcp),
-                };
-                distributed_report(&server.expect("star/hier cell"))
+            let clients: Vec<_> = runner.clients.into_values().collect();
+            let server = match backend {
+                Backend::Bus => run_distributed_with(runner.server, clients, budget, bus),
+                _ => run_distributed_tcp_with(runner.server, clients, budget, tcp),
             };
+            let report = distributed_report(&server.expect("distributed cell"));
             // the distributed hierarchy meters tiers through the monitor
             let levels = match topology {
                 Topology::Hierarchical { tiers, .. } => tiers,

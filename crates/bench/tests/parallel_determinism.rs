@@ -28,7 +28,7 @@ enum Via {
     Eager,
     /// The fs-scale lazy store over the same dataset.
     Lazy,
-    /// Eager clients routed over a 2-tier hierarchy by fs-topo.
+    /// Eager clients routed over a 2-tier hierarchy by the runner itself.
     Hier,
 }
 
@@ -68,8 +68,9 @@ fn run_course_via(
                 tiers: 2,
                 fanout: 8,
             };
-            let (report, topo) = fs_topo::run_course_auto(wl.build(cfg)).expect("hier course");
-            assert!(topo.is_some(), "the course ran routed");
+            let mut runner = wl.build(cfg);
+            let report = runner.try_run().expect("hier course");
+            assert!(runner.topo_report().is_some(), "the course ran routed");
             report
         }
     }

@@ -206,12 +206,17 @@ pub struct FlConfig {
     /// virtual-time accounting — parallelism only changes wall-clock time.
     pub parallelism: usize,
     /// Communication topology: star (the default), hierarchical with edge
-    /// aggregators, or serverless gossip. Every server runner routes by
-    /// it: the virtual-time `Runner` and the threaded driver run a star or a
-    /// hierarchy themselves and refuse gossip (`FSV057`), which has no
-    /// server and runs through `fs-topo` (`run_course_auto`,
-    /// `run_gossip_distributed`). Tier/neighborhood assignment is derived
-    /// deterministically from `seed`.
+    /// aggregators, or serverless gossip. Both clocks route by it from
+    /// their ordinary entry points: the virtual-time `Runner` (`try_run`)
+    /// and the threaded driver (`run_distributed_with`,
+    /// `run_distributed_tcp_with`) run all three. Tier/neighborhood
+    /// assignment is derived deterministically from `seed`.
+    ///
+    /// A gossip course has no server: the aggregation rule, broadcast
+    /// manner and sampler do not apply (`FSV055`), and neither does the
+    /// fleet's `crash_prob` — a device crash loses a server broadcast, and
+    /// gossip sends none, so its peers never crash and the crash-fleet
+    /// check for server courses (`FSV065`) does not refuse it.
     pub topology: Topology,
 }
 

@@ -1,12 +1,15 @@
 //! The distributed driver: the same workers on real threads.
 //!
-//! Each participant runs on its own thread behind a [`Link`]; every message
-//! crosses the [`Transport`] as wire bytes, so the whole message-translation
-//! path (§3.5) is exercised. There is one server loop ([`ServerLoop`], a
-//! state machine stepped by [`LoopEvent`]s; it sees no clock), one client
+//! Each participant runs on its own thread behind a `Link`; every message
+//! crosses the `Transport` as wire bytes, so the whole message-translation
+//! path (§3.5) is exercised. There is one server loop (`ServerLoop`, a
+//! state machine stepped by `LoopEvent`s; it sees no clock), one client
 //! worker and one edge relay, generic over the transport (in-process bus or
 //! TCP, picked by the options type) and over the [`TopologyPlan`] built from
-//! `cfg.topology` — a star is simply the plan with no edges. Virtual time
+//! `cfg.topology` — a star is simply the plan with no edges. A serverless
+//! gossip course runs here too, from the same entry points: its peers
+//! exchange models directly over the same transport, and the loop only
+//! collects their final models (crate-private `gossip` module). Virtual time
 //! does not apply here — `time_up` courses must use the standalone runner —
 //! but the `all_received` and `goal_achieved` strategies run unchanged,
 //! demonstrating that worker behaviour is transport-independent.
@@ -47,7 +50,7 @@ use crate::client::Client;
 use crate::config::DropoutPolicy;
 use crate::ctx::Ctx;
 use crate::server::Server;
-use crate::verify::{refusal, server_plan, singleton_groups};
+use crate::verify::{course_plan, refusal, singleton_groups};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fs_monitor::MonitorHandle;
 use fs_net::bus::BusError;
@@ -55,7 +58,8 @@ use fs_net::tcp::TcpError;
 use fs_net::topology::{bytes_down_counter, bytes_up_counter};
 use fs_net::wire::payload_wire_len;
 use fs_net::{
-    Event, Message, MessageKind, ParticipantId, Payload, SendOutcome, TopologyPlan, SERVER_ID,
+    Event, Message, MessageKind, ParticipantId, Payload, SendOutcome, Topology, TopologyPlan,
+    SERVER_ID,
 };
 use fs_sim::VirtualTime;
 use fs_verify::{verify_topology_plan, HandlerSpec, VerifyReport};
@@ -64,10 +68,8 @@ use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
-use crate::transport::Dialer;
-pub use crate::transport::{
-    BusRunOptions, Link, LoopEvent, ServerPort, TcpRunOptions, Transport, RESERVED,
-};
+pub use crate::transport::{BusRunOptions, TcpRunOptions, RESERVED};
+use crate::transport::{Dialer, Link, LoopEvent, ServerPort, Transport};
 
 /// How long the server loop blocks on its port before it looks at worker
 /// exits again. It decides no outcome, only how soon a quiet loop sees an
@@ -93,9 +95,8 @@ pub enum DistributedError {
     /// kind, a gossip course over a lossy transport.
     Unsupported(String),
     /// The course was refused before any thread was spawned: its preflight
-    /// report holds an Error, or its topology is one this driver cannot
-    /// realize (`FSV057` for gossip, which has no server; `FSV050` for a
-    /// plan that fails to build).
+    /// report (a gossip course's: its plan's findings) holds an Error, or
+    /// its topology does not fit the course (`FSV050`).
     Verification(Box<VerifyReport>),
     /// A bus operation failed.
     Bus(BusError),
@@ -177,7 +178,7 @@ impl From<TcpError> for DistributedError {
 
 /// Why a worker thread stopped.
 #[derive(Debug)]
-pub enum WorkerOutcome {
+pub(crate) enum WorkerOutcome {
     /// Clean end: a client or an edge received [`SHUTDOWN`], a gossip peer
     /// shipped its final model.
     Finished,
@@ -192,7 +193,7 @@ pub enum WorkerOutcome {
 impl WorkerOutcome {
     /// Surfaces the two failing outcomes as the course's error; `Ok(true)`
     /// is a clean finish, `Ok(false)` a dead link.
-    pub fn settled(self, id: ParticipantId) -> Result<bool, DistributedError> {
+    pub(crate) fn settled(self, id: ParticipantId) -> Result<bool, DistributedError> {
         match self {
             WorkerOutcome::Finished => Ok(true),
             WorkerOutcome::Disconnected => Ok(false),
@@ -204,7 +205,7 @@ impl WorkerOutcome {
 
 /// What the poll loop steps: the server-based [`ServerLoop`], or a gossip
 /// course's final-model collector.
-pub trait Course {
+pub(crate) trait Course {
     /// Applies one event.
     fn step(&mut self, event: LoopEvent, port: &mut dyn ServerPort)
         -> Result<(), DistributedError>;
@@ -218,9 +219,9 @@ pub trait Course {
 
 /// One distributed run in flight: an opened transport, the worker threads
 /// spawned onto it, and the channel their exit reports arrive on.
-pub struct Session<P> {
+pub(crate) struct Session<P> {
     /// The run's (sharded) monitor handle.
-    pub monitor: MonitorHandle,
+    pub(crate) monitor: MonitorHandle,
     dialers: BTreeMap<ParticipantId, Dialer>,
     accept: Box<dyn FnOnce(Duration) -> Result<P, DistributedError>>,
     wall_budget: Duration,
@@ -231,7 +232,7 @@ pub struct Session<P> {
 
 impl<P: ServerPort> Session<P> {
     /// Opens `transport` for participants `ids` (the server excluded).
-    pub fn open<T: Transport<Port = P>>(
+    pub(crate) fn open<T: Transport<Port = P>>(
         transport: T,
         ids: &[ParticipantId],
         wall_budget: Duration,
@@ -254,7 +255,7 @@ impl<P: ServerPort> Session<P> {
     /// lets the link close, so a `Closed` event can never overtake the exit
     /// report that explains it. An `id` that was not given to
     /// [`Session::open`], or is spawned twice, is an error.
-    pub fn spawn<F>(
+    pub(crate) fn spawn<F>(
         &mut self,
         id: ParticipantId,
         announce: bool,
@@ -293,7 +294,7 @@ impl<P: ServerPort> Session<P> {
 
     /// Waits for every participant to dial in, pumps `course` to completion
     /// (or the wall budget), and tears the run down.
-    pub fn run(self, course: &mut impl Course) -> Result<(), DistributedError> {
+    pub(crate) fn run(self, course: &mut impl Course) -> Result<(), DistributedError> {
         #[expect(
             clippy::disallowed_methods,
             reason = "the distributed runtime's one wall-clock read: real threads and sockets are not on the virtual clock"
@@ -366,7 +367,7 @@ fn pump(
 /// The server's side of a distributed course as a state machine: feed it
 /// [`LoopEvent`]s, it drives the [`Server`] and ships what the server wants
 /// sent.
-pub struct ServerLoop {
+pub(crate) struct ServerLoop {
     /// The server being driven; handed back when the course completes.
     pub server: Server,
     plan: TopologyPlan,
@@ -380,7 +381,7 @@ pub struct ServerLoop {
 impl ServerLoop {
     /// A loop over `server`, routed per `plan`, recording into `monitor`
     /// (the server's handlers and the loop's per-tier metering alike).
-    pub fn new(mut server: Server, plan: TopologyPlan, monitor: MonitorHandle) -> Self {
+    pub(crate) fn new(mut server: Server, plan: TopologyPlan, monitor: MonitorHandle) -> Self {
         server.state.monitor = monitor;
         ServerLoop {
             server,
@@ -690,9 +691,8 @@ fn routed_plan(server: &Server, clients: &[Client]) -> Result<TopologyPlan, Dist
              {RESERVED:#x?} carry the driver's own control frames"
         )));
     }
-    // nothing else can be verified without a plan (a gossip course has no
-    // server for this driver to run)
-    let plan = server_plan(cfg, clients.len()).map_err(refusal)?;
+    // nothing else can be verified without a plan
+    let plan = course_plan(cfg, clients.len()).map_err(refusal)?;
     crate::verify::preflight(
         server,
         &singleton_groups(clients),
@@ -707,6 +707,9 @@ fn drive<T: Transport>(
     wall_budget: Duration,
     transport: T,
 ) -> Result<Server, DistributedError> {
+    if let Topology::Gossip { .. } = server.state.cfg.topology {
+        return crate::gossip::drive_gossip(server, clients, wall_budget, transport);
+    }
     let plan = routed_plan(&server, &clients)?;
     let ids: Vec<ParticipantId> = plan
         .edges
@@ -731,7 +734,7 @@ fn drive<T: Transport>(
 
 /// Runs a course over threads and the in-process bus, returning the server
 /// (with its histories and client reports) once the course finishes. The
-/// course's `cfg.topology` decides the routing: star or hierarchy; `opts`
+/// course's `cfg.topology` decides the routing: star, hierarchy or gossip; `opts`
 /// carries fault injection and observability (`BusRunOptions::default()`
 /// for neither).
 pub fn run_distributed_with(

@@ -42,6 +42,7 @@ pub mod ctx;
 pub mod distributed;
 pub mod eval;
 pub mod event;
+mod gossip;
 pub mod idset;
 pub mod lint;
 pub mod registry;

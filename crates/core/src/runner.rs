@@ -15,12 +15,14 @@
 //! front or clients built on demand only while they are dispatched. The
 //! loop only ever `take`s a client out and `put_back`s it.
 //!
-//! How a send is routed is `cfg.topology`'s to say, read at
+//! How a course is routed is `cfg.topology`'s to say, read at
 //! [`Runner::try_run`] as the threaded driver reads it: a star routes
 //! nothing; a hierarchy realizes its `TopologyPlan` as a tree router that
 //! meters per-tier traffic at send time and walks server-bound messages up
-//! through edge aggregators at delivery time; a serverless gossip course is
-//! refused (`FSV057`) and runs through `fs_topo::run_course_auto`.
+//! through edge aggregators at delivery time; a serverless gossip course
+//! realizes its plan and runs the peers' lockstep rounds over the same
+//! clients, fleet, evaluator and monitor (crate-private `gossip` module),
+//! not this event loop.
 //!
 //! # Event order
 //!
@@ -139,7 +141,11 @@ impl CourseReport {
             stale_drops: s.ledger.stale_drops,
             total_updates: s.ledger.total_updates,
             remedial_count: s.ledger.remedial_count,
-            effective_handlers: crate::verify::effective_handler_log(server, clients),
+            // a gossip course runs no handler
+            effective_handlers: match s.cfg.topology {
+                Topology::Gossip { .. } => Vec::new(),
+                _ => crate::verify::effective_handler_log(server, clients),
+            },
             registry_warnings: server.warnings().to_vec(),
             conformance_violations: server.violations().to_vec(),
             dropouts: s.dropouts.clone(),
@@ -309,8 +315,10 @@ pub struct Runner {
     /// Device profiles.
     pub fleet: Fleet,
     /// The hierarchy `cfg.topology` names, realized at [`Runner::try_run`];
-    /// `None` for a star, which routes nothing.
+    /// `None` for a star, which routes nothing, and for gossip.
     tree: Option<TreeRouter>,
+    /// A finished gossip course's traffic.
+    gossip: Option<TopoReport>,
     /// Current virtual time.
     pub now: VirtualTime,
     /// Broadcast deliveries dropped by simulated device crashes.
@@ -322,7 +330,7 @@ pub struct Runner {
     queue: IndexedEventQueue<SimEvent>,
     max_events: u64,
     events_processed: u64,
-    monitor: MonitorHandle,
+    pub(crate) monitor: MonitorHandle,
     /// Worker pool for speculative client execution; `None` runs serially.
     pool: Option<WorkerPool>,
     /// The (single) outstanding speculation per borrowed client.
@@ -348,6 +356,7 @@ impl Runner {
             clients,
             fleet,
             tree: None,
+            gossip: None,
             now: VirtualTime::ZERO,
             crashed_deliveries: 0,
             uploaded_bytes: 0,
@@ -381,29 +390,40 @@ impl Runner {
         self.events_processed
     }
 
-    /// Per-tier traffic of a hierarchical course so far; `None` for a star,
-    /// whose single tier already *is* the report's byte pair.
+    /// Per-tier traffic of a hierarchical course so far, or a finished
+    /// gossip course's one tier of peer links; `None` for a star, whose
+    /// single tier already *is* the report's byte pair.
     pub fn topo_report(&self) -> Option<TopoReport> {
-        self.tree.as_ref().map(|tree| tree.report().clone())
+        let tree = self.tree.as_ref().map(|tree| tree.report().clone());
+        tree.or_else(|| self.gossip.clone())
     }
 
     /// Runs the course to completion and returns the report, or the
     /// verification report when the preflight finds an Error: static
-    /// analysis and config lints, the realized hierarchy's findings, a
-    /// serverless (gossip) course (`FSV057`) or a topology that does not
-    /// fit the course (`FSV050`), or a fleet that can crash clients under a
-    /// rule with no round timer (`FSV065`).
+    /// analysis and config lints, the realized plan's findings or a
+    /// topology that does not fit the course (`FSV050`), or a fleet that
+    /// can crash clients under a rule with no round timer (`FSV065`). A
+    /// gossip course is gated on its plan alone, and no fleet crash applies
+    /// to it: it sends no broadcast a crash could lose.
     pub fn try_run(&mut self) -> Result<CourseReport, Box<VerifyReport>> {
         let cfg = &self.server.state.cfg;
         let mut extra = Vec::new();
-        // a star routes nothing and so builds nothing
-        if cfg.topology != Topology::Star {
-            match crate::verify::server_plan(cfg, self.fleet.len()) {
-                Ok(plan) => {
-                    extra = verify_topology_plan(&plan).diagnostics;
-                    self.tree = Some(TreeRouter::new(plan, cfg));
+        match cfg.topology {
+            // a star routes nothing and so builds nothing
+            Topology::Star => {}
+            Topology::Hierarchical { .. } => {
+                match crate::verify::course_plan(cfg, self.fleet.len()) {
+                    Ok(plan) => {
+                        extra = verify_topology_plan(&plan).diagnostics;
+                        self.tree = Some(TreeRouter::new(plan, cfg));
+                    }
+                    Err(refused) => extra.push(refused),
                 }
-                Err(refused) => extra.push(refused),
+            }
+            Topology::Gossip { .. } => {
+                let plan = crate::gossip::gossip_plan(cfg, self.fleet.len())?;
+                self.gossip = Some(self.run_gossip(&plan));
+                return Ok(self.report());
             }
         }
         // a crashed broadcast leaves its client busy for good; only a

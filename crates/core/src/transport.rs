@@ -1,23 +1,23 @@
 //! The transport seam under the distributed driver.
 //!
 //! [`crate::distributed`] runs one server loop and one set of workers; what
-//! carries their frames is a [`Transport`] — the in-process bus
+//! carries their frames is a `Transport` — the in-process bus
 //! ([`BusRunOptions`]) or TCP loopback ([`TcpRunOptions`]), chosen by which
 //! options type the caller passes. A transport gives the server a
-//! [`ServerPort`] and every other participant a [`Link`].
+//! `ServerPort` and every other participant a `Link`.
 //!
 //! # Contract
 //!
-//! * **Ordering.** [`LoopEvent::Closed`]`(id)` is delivered after every frame
+//! * **Ordering.** `LoopEvent::Closed(id)` is delivered after every frame
 //!   `id`'s link handed the server *directly* (the bus enqueues a close
 //!   marker behind them on the same mailbox; the hub's per-connection reader
 //!   queues frames, then the EOF). Frames that travelled through a relay are
 //!   not ordered against it.
-//! * **Receiver gone.** [`ServerPort::send`] answers `Ok(false)` — never an
+//! * **Receiver gone.** `ServerPort::send` answers `Ok(false)` — never an
 //!   error — when the receiver's mailbox or connection no longer exists
 //!   (`BusError::{UnknownReceiver, Disconnected}`,
-//!   `TcpError::{UnknownReceiver, Io}`); a [`Link`] reports the same
-//!   condition for a peer-addressed frame as [`SendOutcome::Dropped`].
+//!   `TcpError::{UnknownReceiver, Io}`); a `Link` reports the same
+//!   condition for a peer-addressed frame as `SendOutcome::Dropped`.
 //! * **Peer frames.** A frame addressed to another participant reaches that
 //!   participant, never the server's handlers: the bus delivers it, the TCP
 //!   port forwards it between connections (the hub is the switching fabric).
@@ -55,7 +55,7 @@ pub(crate) const LINK_CLOSED: MessageKind = MessageKind::Custom(0x73);
 /// What steps the server loop: transport events and worker exits. The loop
 /// sees no clock; when nothing arrives, nothing is stepped.
 #[derive(Debug)]
-pub enum LoopEvent {
+pub(crate) enum LoopEvent {
     /// A decoded frame addressed to the server.
     Message(Message),
     /// `id`'s link to the server closed (see the module-level ordering
@@ -70,7 +70,7 @@ pub enum LoopEvent {
 }
 
 /// The server's end of a transport.
-pub trait ServerPort {
+pub(crate) trait ServerPort {
     /// Blocks up to `timeout` for the next event. `Ok(None)` when nothing
     /// for the loop arrived (the timeout elapsed, or the frame was
     /// transport-internal). Never yields `Exit`.
@@ -82,7 +82,7 @@ pub trait ServerPort {
 
 /// A participant's end of a transport, fault injection and reconnects
 /// included.
-pub trait Link {
+pub(crate) trait Link {
     /// Sends one frame. [`SendOutcome::Disconnected`] means the link is gone
     /// for good; an outage the link will recover from is `Dropped`.
     fn send(&mut self, msg: &Message) -> Result<SendOutcome, DistributedError>;
@@ -93,23 +93,23 @@ pub trait Link {
 
 /// Brings one participant's link up, on that participant's own thread.
 /// `announce` is set by participants that do not speak first.
-pub type Dialer = Box<dyn FnOnce(bool) -> Result<Box<dyn Link>, DistributedError> + Send>;
+pub(crate) type Dialer = Box<dyn FnOnce(bool) -> Result<Box<dyn Link>, DistributedError> + Send>;
 
 /// An opened transport: the run's monitor handle (sharded — the caller folds
 /// it with `flush_counters` once every producer is done), each participant's
 /// [`Dialer`] in the order asked for, and the accept step that yields the
 /// server port once they have all dialed (or the wait ran out).
-pub struct Opened<P> {
+pub(crate) struct Opened<P> {
     /// Observability sink for the server loop and the tier counters.
-    pub monitor: MonitorHandle,
+    pub(crate) monitor: MonitorHandle,
     /// Every participant's dialer, in the order the ids were given.
-    pub dialers: Vec<(ParticipantId, Dialer)>,
+    pub(crate) dialers: Vec<(ParticipantId, Dialer)>,
     /// Waits for every participant, up to the given duration.
-    pub accept: Box<dyn FnOnce(Duration) -> Result<P, DistributedError>>,
+    pub(crate) accept: Box<dyn FnOnce(Duration) -> Result<P, DistributedError>>,
 }
 
 /// A backend the distributed driver can run over.
-pub trait Transport {
+pub(crate) trait Transport {
     /// The server's end.
     type Port: ServerPort;
 
@@ -136,7 +136,7 @@ pub struct BusRunOptions {
 }
 
 /// The server's mailbox plus a sender to everyone else's.
-pub struct BusPort {
+pub(crate) struct BusPort {
     bus: Bus,
     mailbox: Mailbox,
 }
@@ -250,7 +250,7 @@ pub struct TcpRunOptions {
 }
 
 /// The hub, as the server's port and the switching fabric between tiers.
-pub struct TcpPort {
+pub(crate) struct TcpPort {
     hub: TcpHub,
 }
 

@@ -9,17 +9,18 @@
 //! [`fs_verify::verify_course`] and, when the caller has a config, appends
 //! [`lint_config`]'s findings.
 //!
-//! [`preflight`] is the one verification gate. Every runner — virtual-time,
-//! bus, TCP, star or routed — calls it before starting a course, with the
-//! findings only it can make (a realized plan's, a crash-prone fleet's); a
-//! report that holds an Error refuses the course. Nothing switches the gate
-//! off.
+//! [`preflight`] is the one verification gate. Every server course — virtual
+//! time, bus or TCP, star or hierarchy — passes it before it starts, with
+//! the findings only its runner can make (a realized plan's, a crash-prone
+//! fleet's); a report that holds an Error refuses the course. A gossip
+//! course has no server to verify: its realized plan's findings alone pass
+//! the same gate. Nothing switches the gate off.
 
 use crate::client::Client;
 use crate::config::FlConfig;
 use crate::lint::lint_config;
 use crate::server::Server;
-use fs_net::{ParticipantId, Topology, TopologyPlan};
+use fs_net::{ParticipantId, TopologyPlan};
 use fs_verify::{Code, CourseIr, Diagnostic, HandlerSpec, ParticipantSpec, VerifyReport};
 
 /// Lowers a course, given as representative clients plus the id sets they
@@ -85,7 +86,7 @@ pub fn verify_assembled(
 /// Verifies an assembled course before it starts: static analysis over
 /// `clients` (representatives plus the ids they stand for) merged with
 /// `extra` findings the caller already holds (a realized topology plan's,
-/// a runner's own), through [`gate`].
+/// a runner's own), through `gate`.
 pub fn preflight(
     server: &Server,
     clients: &[(&Client, Vec<ParticipantId>)],
@@ -99,7 +100,7 @@ pub fn preflight(
 /// Where every preflight ends: prints the table when the report holds a
 /// warning or an error, and returns the report as the error when it holds
 /// an Error.
-pub fn gate(report: VerifyReport) -> Result<(), Box<VerifyReport>> {
+pub(crate) fn gate(report: VerifyReport) -> Result<(), Box<VerifyReport>> {
     if !report.is_clean() {
         eprint!("{}", report.render_table());
     }
@@ -109,32 +110,19 @@ pub fn gate(report: VerifyReport) -> Result<(), Box<VerifyReport>> {
     Ok(())
 }
 
-/// A refusal made where nothing else can be verified (a course this driver
-/// cannot run at all, a topology plan that fails to build): the one
-/// finding, boxed the way [`preflight`] reports its own.
-pub fn refusal(finding: Diagnostic) -> Box<VerifyReport> {
+/// A refusal made where nothing else can be verified (a topology plan that
+/// fails to build): the one finding, boxed the way [`preflight`] reports
+/// its own.
+pub(crate) fn refusal(finding: Diagnostic) -> Box<VerifyReport> {
     Box::new(VerifyReport {
         diagnostics: vec![finding],
     })
 }
 
-/// The plan a server runs a course by: `cfg.topology` realized over `n`
-/// clients from the course seed, or the finding that refuses the course —
-/// `FSV057` for a serverless (gossip) course, `FSV050` for a topology that
-/// does not fit it. The virtual-time runner and the threaded driver both
-/// route by this.
-pub(crate) fn server_plan(cfg: &FlConfig, n: usize) -> Result<TopologyPlan, Diagnostic> {
-    if let Topology::Gossip { .. } = cfg.topology {
-        let unrouted = Diagnostic::new(
-            Code::TopologyUnrouted,
-            "topology",
-            format!("{} is serverless; this runner runs a server", cfg.topology),
-        );
-        return Err(unrouted.with_suggestion(
-            "run the course through fs_topo::run_course_auto (virtual time) or \
-             fs_topo::run_gossip_distributed (threads)",
-        ));
-    }
+/// The plan a course runs by: `cfg.topology` realized over `n` clients from
+/// the course seed, or `FSV050` when the topology does not fit the course.
+/// Both clocks route star, hierarchy and gossip courses by this.
+pub(crate) fn course_plan(cfg: &FlConfig, n: usize) -> Result<TopologyPlan, Diagnostic> {
     TopologyPlan::build(cfg.topology, n, cfg.seed)
         .map_err(|e| Diagnostic::new(Code::TopologyInvalid, "topology", e.to_string()))
 }

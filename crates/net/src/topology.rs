@@ -4,8 +4,8 @@
 //! A [`Topology`] *describes* how participants exchange information; a
 //! [`TopologyPlan`] *realizes* it for a concrete client count, assigning
 //! participants to tiers (hierarchical) or neighborhoods (gossip)
-//! deterministically from the course seed. The plan is pure data: runners in
-//! `fs-topo` interpret it, `fs-verify` lints it, and transports route by it.
+//! deterministically from the course seed. The plan is pure data: `fs-core`'s
+//! runners interpret it, `fs-verify` lints it, and transports route by it.
 //!
 //! Id space: the server is [`SERVER_ID`] (0), clients are `1..=n`, and edge
 //! aggregators are allocated from `n + 1` upward so they never collide with

@@ -126,9 +126,6 @@ pub enum Code {
     /// history, which intermediate tiers do not hold — unsupported in
     /// hierarchical topologies.
     DeltaUploadUnsupportedInHier,
-    /// FSV057: a serverless (gossip) course was handed to a runner that
-    /// runs a server — it would silently run as a star.
-    TopologyUnrouted,
     /// FSV060: the buffered-async / tiered schedulers drive one central
     /// server loop and require the star topology (gossip has no server;
     /// hierarchical edges close rounds with `all_received` semantics).
@@ -186,7 +183,6 @@ impl Code {
             Code::TopologyRuleUnsupported => "FSV054",
             Code::GossipIgnoresStrategy => "FSV055",
             Code::DeltaUploadUnsupportedInHier => "FSV056",
-            Code::TopologyUnrouted => "FSV057",
             Code::SchedTopologyUnsupported => "FSV060",
             Code::SchedBufferInvalid => "FSV061",
             Code::SchedTiersInvalid => "FSV062",
@@ -220,7 +216,6 @@ impl Code {
             | Code::OrphanSubtree
             | Code::TierUnreachable
             | Code::DeltaUploadUnsupportedInHier
-            | Code::TopologyUnrouted
             | Code::SchedTopologyUnsupported
             | Code::SchedBufferInvalid
             | Code::SchedTiersInvalid
@@ -441,7 +436,6 @@ mod tests {
             Code::TopologyRuleUnsupported,
             Code::GossipIgnoresStrategy,
             Code::DeltaUploadUnsupportedInHier,
-            Code::TopologyUnrouted,
             Code::SchedTopologyUnsupported,
             Code::SchedBufferInvalid,
             Code::SchedTiersInvalid,

@@ -9,16 +9,15 @@ use fedscope::core::distributed::{
     distributed_report, run_distributed_tcp_with, run_distributed_with, BusRunOptions,
     DistributedError, TcpRunOptions,
 };
+use fedscope::core::runner::{CourseReport, TopoReport};
 use fedscope::core::StandaloneRunner;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::monitor::{MonitorHandle, RecordingMonitor};
+use fedscope::net::topology::{bytes_down_counter, bytes_up_counter, TIER_LEVELS};
 use fedscope::net::Topology;
 use fedscope::sim::FleetConfig;
 use fedscope::tensor::model::logistic_regression;
-use fedscope::topo::{
-    bytes_down_counter, bytes_up_counter, run_course_auto, run_gossip_distributed, GossipOutcome,
-    GossipRunner, TIER_LEVELS,
-};
+use fedscope::verify::VerifyReport;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -48,6 +47,15 @@ fn course(n: usize, seed: u64, topology: Topology) -> StandaloneRunner {
         cfg,
     )
     .build()
+}
+
+/// Runs a course of any topology through `try_run`, returning its report
+/// and its per-tier traffic.
+fn routed(
+    mut runner: StandaloneRunner,
+) -> Result<(CourseReport, Option<TopoReport>), Box<VerifyReport>> {
+    let report = runner.try_run()?;
+    Ok((report, runner.topo_report()))
 }
 
 /// Same course, assembled without a central evaluator — the distributed
@@ -93,7 +101,7 @@ const HIER3: Topology = Topology::Hierarchical {
 #[test]
 fn standalone_hier_identity_is_bit_identical_to_star() {
     let star = course(8, 41, Topology::Star).run();
-    let (hier, topo) = run_course_auto(course(8, 41, HIER2)).expect("hier course");
+    let (hier, topo) = routed(course(8, 41, HIER2)).expect("hier course");
     assert_eq!(
         star, hier,
         "2-tier lossless hierarchy must reproduce the star"
@@ -113,7 +121,7 @@ fn standalone_three_tier_hier_is_bit_identical_to_star() {
         tiers: 3,
         fanout: 2,
     };
-    let (hier, topo) = run_course_auto(course(8, 42, deep)).expect("3-tier course");
+    let (hier, topo) = routed(course(8, 42, deep)).expect("3-tier course");
     assert_eq!(star, hier, "depth must not change lossless semantics");
     let topo = topo.expect("hierarchies report per-tier traffic");
     assert_eq!(topo.levels, 3);
@@ -122,7 +130,7 @@ fn standalone_three_tier_hier_is_bit_identical_to_star() {
 #[test]
 fn standalone_star_route_is_the_unchanged_runner() {
     let direct = course(6, 43, Topology::Star).run();
-    let (auto, topo) = run_course_auto(course(6, 43, Topology::Star)).expect("star course");
+    let (auto, topo) = routed(course(6, 43, Topology::Star)).expect("star course");
     assert_eq!(direct, auto);
     assert!(topo.is_none(), "the star has no per-tier report");
 }
@@ -134,8 +142,8 @@ const GOSSIP2: Topology = Topology::Gossip {
 
 #[test]
 fn standalone_gossip_is_deterministic() {
-    let (r1, t1) = run_course_auto(course(6, 44, GOSSIP2)).expect("gossip run 1");
-    let (r2, t2) = run_course_auto(course(6, 44, GOSSIP2)).expect("gossip run 2");
+    let (r1, t1) = routed(course(6, 44, GOSSIP2)).expect("gossip run 1");
+    let (r2, t2) = routed(course(6, 44, GOSSIP2)).expect("gossip run 2");
     assert_eq!(r1, r2, "same seed, same gossip course");
     assert_eq!(
         t1.expect("gossip topo report"),
@@ -143,6 +151,57 @@ fn standalone_gossip_is_deterministic() {
     );
     assert_eq!(r1.rounds, 3);
     assert!(r1.uploaded_bytes > 0, "peers exchanged models");
+}
+
+#[test]
+fn gossip_on_a_crash_prone_fleet_runs_every_round() {
+    // gossip sends no broadcast a device crash could lose, so a fleet that
+    // refuses a server course without a round timer (FSV065) runs it whole
+    let run = |topology, parallelism| {
+        let data = twitter_like(&TwitterConfig {
+            num_clients: 6,
+            per_client: 12,
+            ..Default::default()
+        });
+        let dim = data.input_dim();
+        let cfg = FlConfig {
+            total_rounds: 3,
+            concurrency: 6,
+            seed: 44,
+            topology,
+            parallelism,
+            ..Default::default()
+        };
+        let fleet = FleetConfig {
+            num_clients: 6,
+            crash_prob: 0.5,
+            seed: 9,
+            ..Default::default()
+        };
+        let model: ModelFactory = Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng)));
+        CourseBuilder::new(data, model, cfg)
+            .fleet_config(fleet)
+            .build()
+            .try_run()
+    };
+    let refused = run(Topology::Star, 1).expect_err("a star course is refused");
+    assert!(
+        refused
+            .diagnostics
+            .iter()
+            .any(|d| d.code.as_str() == "FSV065"),
+        "expected FSV065, got {refused}"
+    );
+    let serial = run(GOSSIP2, 1).expect("gossip ignores device crashes");
+    assert_eq!(serial.finish_reason, "gossip rounds complete");
+    assert_eq!(serial.rounds, 3);
+    assert_eq!(serial.crashed_deliveries, 0);
+    let parallel = run(GOSSIP2, 2).expect("gossip at parallelism 2");
+    assert_eq!(
+        format!("{serial:?}"),
+        format!("{parallel:?}"),
+        "the same bits at parallelism 2"
+    );
 }
 
 /// `CourseReport` + monitor stream + tier-1 counter + `TopoReport` of
@@ -157,11 +216,9 @@ fn gossip_fingerprint(upload: Option<CodecSpec>, store: Store, parallelism: usiz
     runner.server.state.cfg.compression.upload = upload;
     runner.server.state.cfg.parallelism = parallelism;
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
-    let GossipOutcome { report, topo } = GossipRunner::from_standalone(runner)
-        .expect("gossip plan")
-        .with_monitor(MonitorHandle::from_shared(monitor.clone()))
-        .run()
-        .expect("gossip course");
+    let runner = runner.with_monitor(MonitorHandle::from_shared(monitor.clone()));
+    let (report, topo) = routed(runner).expect("gossip course");
+    let topo = topo.expect("gossip reports its peer links");
     let mon = extract(monitor);
     assert_eq!(report.history.len(), 3, "scored every round");
     let mut h = Fnv::new();
@@ -234,20 +291,21 @@ fn gossip_threaded_fingerprint(tcp: bool, upload: Option<CodecSpec>) -> u64 {
     runner.server.state.cfg.compression.upload = upload;
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
     let handle = MonitorHandle::from_shared(monitor.clone());
-    let report = if tcp {
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    let server = if tcp {
         let opts = TcpRunOptions {
             monitor: handle,
             ..Default::default()
         };
-        run_gossip_distributed(runner, BUDGET, opts)
+        run_distributed_tcp_with(runner.server, clients, BUDGET, opts)
     } else {
         let opts = BusRunOptions {
             monitor: handle,
             ..Default::default()
         };
-        run_gossip_distributed(runner, BUDGET, opts)
-    }
-    .expect("threaded gossip course");
+        run_distributed_with(runner.server, clients, BUDGET, opts)
+    };
+    let report = distributed_report(&server.expect("threaded gossip course"));
     // a TCP hub reader may still hold its handle for a moment
     let mon = std::mem::take(&mut *monitor.lock().expect("monitor"));
     let mut h = Fnv::new();
@@ -289,24 +347,18 @@ fn threaded_gossip_matches_pre_fold_pin() {
 #[test]
 fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
     // regression: `CourseBuilder::new(.., hier/gossip cfg).build().run()` used
-    // to ignore the topology and quietly run a star
+    // to ignore the topology and quietly run a star; a gossip course now runs
+    // as gossip: no server download, one tier of peer links
     let mut runner = course(8, 41, GOSSIP2);
-    let refused = runner
-        .try_run()
-        .expect_err("an un-routed course must not run");
-    assert!(
-        refused
-            .diagnostics
-            .iter()
-            .any(|d| d.code.as_str() == "FSV057"),
-        "expected FSV057, got {refused}"
-    );
-    assert_eq!(runner.server.state.round, 0, "nothing ran");
-    let panicked = std::panic::catch_unwind(|| course(8, 41, GOSSIP2).run());
-    assert!(panicked.is_err(), "run() panics with the diagnostic");
+    let report = runner.try_run().expect("a gossip course runs");
+    assert_eq!(report.finish_reason, "gossip rounds complete");
+    assert_eq!(report.downloaded_bytes, 0, "no server broadcast");
+    let topo = runner.topo_report().expect("gossip reports its peer links");
+    assert_eq!(topo.levels, 1);
+    assert_eq!(topo.bytes_up, vec![report.uploaded_bytes]);
 
     // a hierarchy is routed by the runner itself: a plain run is the course
-    // `run_course_auto` runs, uploads climbing the tree
+    // `try_run` runs, uploads climbing the tree
     let recorded = |runner: StandaloneRunner| {
         let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
         (
@@ -319,7 +371,7 @@ fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
     let topo = bare.topo_report();
     drop(bare);
     let (auto, auto_monitor) = recorded(course(8, 41, HIER2));
-    let (auto_report, auto_topo) = run_course_auto(auto).expect("hier course");
+    let (auto_report, auto_topo) = routed(auto).expect("hier course");
     assert_eq!(report, auto_report, "the routed course's report");
     assert_eq!(topo, auto_topo, "the routed course's TopoReport");
     let (bare_mon, auto_mon) = (extract(bare_monitor), extract(auto_monitor));
@@ -365,19 +417,15 @@ fn threaded_driver_routes_by_topology_instead_of_running_a_silent_star() {
         "routed, yet the star's course"
     );
 
+    // a gossip course runs as gossip, not as a star
     let runner = course_no_eval(6, 45, GOSSIP2);
     let clients: Vec<_> = runner.clients.into_values().collect();
-    match run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default()) {
-        Err(DistributedError::Verification(refused)) => assert!(
-            refused
-                .diagnostics
-                .iter()
-                .any(|d| d.code.as_str() == "FSV057"),
-            "expected FSV057, got {refused}"
-        ),
-        Err(other) => panic!("expected FSV057, got {other}"),
-        Ok(_) => panic!("a gossip course must not get a server"),
-    }
+    let server = run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default())
+        .expect("gossip bus run");
+    let gossip = distributed_report(&server);
+    assert_eq!(gossip.finish_reason, "gossip rounds complete");
+    assert_eq!(gossip.downloaded_bytes, 0, "no server broadcast");
+    assert_eq!(gossip.total_updates, 6, "every peer's final model");
 }
 
 // ---------------------------------------------------------------------------
@@ -438,7 +486,7 @@ fn hier_fingerprint(
     };
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
     let runner = runner.with_monitor(MonitorHandle::from_shared(monitor.clone()));
-    let (report, topo) = run_course_auto(runner).expect("hier course");
+    let (report, topo) = routed(runner).expect("hier course");
     let mon = extract(monitor);
     let topo = topo.expect("hierarchies report per-tier traffic");
     assert_eq!(
@@ -551,8 +599,10 @@ fn tcp_hier_identity_matches_star_report() {
 #[test]
 fn bus_gossip_collects_every_peer_and_scores_once() {
     let runner = course(6, 48, GOSSIP2); // central evaluator kept: one final score
-    let report =
-        run_gossip_distributed(runner, BUDGET, BusRunOptions::default()).expect("gossip bus run");
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    let server = run_distributed_with(runner.server, clients, BUDGET, BusRunOptions::default())
+        .expect("gossip bus run");
+    let report = distributed_report(&server);
     assert_eq!(report.rounds, 3);
     assert_eq!(report.total_updates, 6, "every peer lands its final model");
     assert_eq!(report.finish_reason, "gossip rounds complete");
@@ -563,7 +613,7 @@ fn bus_gossip_collects_every_peer_and_scores_once() {
     );
     // the threaded peers do the virtual-time runner's arithmetic: the final
     // consensus scores bit for bit what that runner scored after its last round
-    let (virtual_time, _) = run_course_auto(course(6, 48, GOSSIP2)).expect("virtual-time gossip");
+    let (virtual_time, _) = routed(course(6, 48, GOSSIP2)).expect("virtual-time gossip");
     let last = virtual_time.history.last().expect("scored every round");
     assert_eq!(last.round, 3);
     assert_eq!(report.history[0].metrics, last.metrics);
@@ -572,8 +622,10 @@ fn bus_gossip_collects_every_peer_and_scores_once() {
 #[test]
 fn tcp_gossip_collects_every_peer() {
     let runner = course_no_eval(5, 49, GOSSIP2);
-    let report =
-        run_gossip_distributed(runner, BUDGET, TcpRunOptions::default()).expect("gossip tcp run");
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    let server = run_distributed_tcp_with(runner.server, clients, BUDGET, TcpRunOptions::default())
+        .expect("gossip tcp run");
+    let report = distributed_report(&server);
     assert_eq!(report.rounds, 3);
     assert_eq!(report.total_updates, 5);
     assert!(report.history.is_empty(), "no evaluator, no history");
@@ -585,9 +637,8 @@ fn gossip_over_a_lossy_transport_is_refused_up_front() {
     // stall its receiver until the wall budget ran out
     use fedscope::net::tcp::ReconnectPolicy;
     use fedscope::net::FaultPlan;
-    use fedscope::topo::TopoRunError;
-    let refused = |outcome: Result<_, TopoRunError>| match outcome {
-        Err(TopoRunError::Distributed(DistributedError::Unsupported(what))) => {
+    let refused = |outcome: Result<_, DistributedError>| match outcome {
+        Err(DistributedError::Unsupported(what)) => {
             assert!(what.contains("gossip"), "{what}")
         }
         Err(other) => panic!("expected Unsupported, got {other}"),
@@ -597,17 +648,18 @@ fn gossip_over_a_lossy_transport_is_refused_up_front() {
         faults: Some(FaultPlan::new(1)),
         ..Default::default()
     };
-    refused(run_gossip_distributed(
-        course_no_eval(4, 50, GOSSIP2),
-        BUDGET,
-        bus,
-    ));
+    let runner = course_no_eval(4, 50, GOSSIP2);
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    refused(run_distributed_with(runner.server, clients, BUDGET, bus));
     let tcp = TcpRunOptions {
         reconnect: Some(ReconnectPolicy::default()),
         ..Default::default()
     };
-    refused(run_gossip_distributed(
-        course_no_eval(4, 50, GOSSIP2),
+    let runner = course_no_eval(4, 50, GOSSIP2);
+    let clients: Vec<_> = runner.clients.into_values().collect();
+    refused(run_distributed_tcp_with(
+        runner.server,
+        clients,
         BUDGET,
         tcp,
     ));
