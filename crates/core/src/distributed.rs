@@ -734,9 +734,9 @@ fn drive<T: Transport>(
 
 /// Runs a course over threads and the in-process bus, returning the server
 /// (with its histories and client reports) once the course finishes. The
-/// course's `cfg.topology` decides the routing: star, hierarchy or gossip; `opts`
-/// carries fault injection and observability (`BusRunOptions::default()`
-/// for neither).
+/// course's `cfg.topology` decides the routing: star, hierarchy or gossip;
+/// `opts` carries fault injection and observability
+/// (`BusRunOptions::default()` for neither).
 pub fn run_distributed_with(
     server: Server,
     clients: Vec<Client>,

@@ -33,6 +33,7 @@ use crate::config::{CodecSpec, FlConfig};
 use crate::distributed::{Course, DistributedError, Session, WorkerOutcome};
 use crate::eval::EvalRecord;
 use crate::runner::{Runner, TopoReport};
+use crate::server::Server;
 use crate::trainer::Trainer;
 use crate::transport::{Link, LoopEvent, ServerPort, Transport};
 use crate::verify::{course_plan, gate, refusal};
@@ -175,6 +176,8 @@ impl Runner {
     /// Runs a gossip course over `plan` under virtual time: train →
     /// exchange → merge, round-synchronous, over the runner's own clients,
     /// fleet, evaluator and monitor. Returns its one-level traffic report.
+    /// The clients do not go back into the store: their trainers became
+    /// the peers.
     pub(crate) fn run_gossip(&mut self, plan: &TopologyPlan) -> TopoReport {
         let cfg = &self.server.state.cfg;
         let (rounds, eval_every) = (gossip_rounds(cfg), cfg.eval_every);
@@ -310,11 +313,11 @@ impl Course for Finals {
 /// outage stalls its receiver for good — so a transport with a fault plan or
 /// a reconnect policy is refused before any thread is spawned.
 pub(crate) fn drive_gossip<T: Transport>(
-    mut server: crate::server::Server,
+    mut server: Server,
     clients: Vec<Client>,
     wall_budget: Duration,
     transport: T,
-) -> Result<crate::server::Server, DistributedError> {
+) -> Result<Server, DistributedError> {
     if !transport.lossless() {
         let what = "gossip over a transport with fault injection or reconnect";
         return Err(DistributedError::Unsupported(what.to_string()));

@@ -125,7 +125,7 @@ impl CourseReport {
     /// reason, ledger totals, dropouts, its registry output, and the
     /// effective-handler log over `clients` (representatives plus the ids
     /// they stand for; empty when the clients are gone, as after a
-    /// distributed run). Everything a runner meters itself — virtual time,
+    /// distributed run, and for a gossip course, which runs no handler). Everything a runner meters itself — virtual time,
     /// crash and payload-byte totals — is left at zero for the runner to
     /// fill in.
     pub fn from_server(server: &Server, clients: &[(&Client, Vec<ParticipantId>)]) -> Self {
@@ -141,7 +141,6 @@ impl CourseReport {
             stale_drops: s.ledger.stale_drops,
             total_updates: s.ledger.total_updates,
             remedial_count: s.ledger.remedial_count,
-            // a gossip course runs no handler
             effective_handlers: match s.cfg.topology {
                 Topology::Gossip { .. } => Vec::new(),
                 _ => crate::verify::effective_handler_log(server, clients),

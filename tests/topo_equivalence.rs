@@ -347,8 +347,8 @@ fn threaded_gossip_matches_pre_fold_pin() {
 #[test]
 fn unrouted_non_star_course_is_refused_not_run_as_a_star() {
     // regression: `CourseBuilder::new(.., hier/gossip cfg).build().run()` used
-    // to ignore the topology and quietly run a star; a gossip course now runs
-    // as gossip: no server download, one tier of peer links
+    // to ignore the topology and quietly run a star; a gossip course runs as
+    // gossip: no server download, one tier of peer links
     let mut runner = course(8, 41, GOSSIP2);
     let report = runner.try_run().expect("a gossip course runs");
     assert_eq!(report.finish_reason, "gossip rounds complete");
