@@ -11,8 +11,9 @@
 //! ```
 //!
 //! `--topology hier:TxF` re-runs the table over that topology (a
-//! lossless hierarchy reproduces the star's numbers bit for bit; gossip
-//! replaces the virtual clock, so its time-to-accuracy column is empty).
+//! lossless hierarchy reproduces the star's numbers bit for bit; gossip has
+//! no server and ignores the strategy (`FSV055`), so every strategy reaches
+//! the target at the same virtual time).
 //!
 //! Claims (EXPERIMENTS.md): per dataset, 1 < Sync-OS's speedup < every
 //! async speedup; Goal-Aggr-Group is the best strategy on FEMNIST.
