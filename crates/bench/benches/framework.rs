@@ -18,6 +18,11 @@
 //! `local_train_lr122` is `LocalTrainer::local_train` on the 122-parameter
 //! logistic regression, Q = 4, batch 2: incorporate, four sampled batches,
 //! four `train_step`s, and the update map.
+//!
+//! `param_map_clone_drop` clones a model's `ParamMap` and drops the clone —
+//! what every update and broadcast copy costs the framework besides the
+//! tensors it shares — on the 122-parameter map (`lr122`, 2 entries) and on
+//! `convnet2`'s at the `femnist` shapes (`convnet2`, 8 entries).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fs_core::aggregator::FedAvg;
@@ -27,7 +32,7 @@ use fs_core::{AggregationRule, BroadcastManner, Ctx, FlConfig, IdSet, Server};
 use fs_data::synth::{twitter_like, TwitterConfig};
 use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
 use fs_sim::VirtualTime;
-use fs_tensor::model::{logistic_regression, Model};
+use fs_tensor::model::{convnet2, logistic_regression, Model};
 use fs_tensor::optim::SgdConfig;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -164,10 +169,24 @@ fn bench_local_train(c: &mut Criterion) {
     });
 }
 
+fn bench_param_map_clone_drop(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let maps = [
+        ("lr122", logistic_regression(VOCAB, 2, &mut rng).get_params()),
+        ("convnet2", convnet2(1, 8, 32, 10, 0.0, &mut rng).get_params()),
+    ];
+    let mut group = c.benchmark_group("framework/param_map_clone_drop");
+    for (name, params) in &maps {
+        group.bench_function(*name, |b| b.iter(|| drop(black_box(params.clone()))));
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_server_dispatch,
     bench_sample_idle,
-    bench_local_train
+    bench_local_train,
+    bench_param_map_clone_drop
 );
 criterion_main!(benches);

@@ -4,6 +4,7 @@ use crate::block::{packed_len, CompressedBlock, CompressedTensor, Encoding};
 use fs_tensor::{ParamMap, Tensor};
 use std::cell::RefCell;
 use std::fmt;
+use std::sync::Arc;
 
 /// A pluggable parameter-compression strategy.
 ///
@@ -124,7 +125,8 @@ pub fn decompress(
                 *v += b;
             }
         }
-        out.insert(t.name.clone(), Tensor::from_vec(t.shape.clone(), values));
+        let name = Arc::from(t.name.as_str());
+        out.insert_shared(name, Tensor::from_vec(t.shape.clone(), values));
     }
     Ok(out)
 }

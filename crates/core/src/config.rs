@@ -185,7 +185,10 @@ pub struct FlConfig {
     pub over_selection: f32,
     /// Evaluate the global model every this many rounds.
     pub eval_every: u64,
-    /// Stop as soon as global test accuracy reaches this value.
+    /// Stop as soon as global test accuracy reaches this value. A gossip
+    /// course under virtual time checks it on each consensus evaluation; the
+    /// threaded driver scores a gossip consensus once, after the last round,
+    /// so there it cannot stop a gossip course early.
     pub target_accuracy: Option<f32>,
     /// Local training steps per round (the paper's `Q`).
     pub local_steps: usize,

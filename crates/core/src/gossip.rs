@@ -26,7 +26,9 @@
 //!
 //! Central evaluation is an observer, not a participant: every `eval_every`
 //! rounds (on threads: once, at the end) the uniform average of all peer
-//! models is scored on the pooled test set.
+//! models is scored on the pooled test set. Under virtual time a score that
+//! reaches `target_accuracy` ends the course, as it ends a server course; on
+//! threads the one score comes after the last round.
 
 use crate::client::Client;
 use crate::config::{CodecSpec, FlConfig};
@@ -181,6 +183,7 @@ impl Runner {
     pub(crate) fn run_gossip(&mut self, plan: &TopologyPlan) -> TopoReport {
         let cfg = &self.server.state.cfg;
         let (rounds, eval_every) = (gossip_rounds(cfg), cfg.eval_every);
+        let target = cfg.target_accuracy;
         let clients = self.clients.ids().into_iter();
         let clients = clients.filter_map(|id| self.clients.take(id).map(|c| *c));
         let mut peers = peers(cfg, &self.server.state.global, clients);
@@ -243,6 +246,11 @@ impl Runner {
                         metrics,
                     });
                     self.monitor.round(round, self.now, &metrics);
+                    // the server's stop check, on the consensus
+                    if let Some(t) = target.filter(|&t| metrics.accuracy >= t) {
+                        finish = format!("target accuracy {t} reached at round {round}");
+                        break 'rounds;
+                    }
                 }
             }
         }

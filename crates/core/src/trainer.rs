@@ -12,6 +12,7 @@ use fs_tensor::optim::{Sgd, SgdConfig};
 use fs_tensor::{ParamMap, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Predicate over parameter names deciding what a client shares.
@@ -116,12 +117,22 @@ impl Default for TrainConfig {
     }
 }
 
+/// The index permutation and the batch a training pass draws into.
+type PassBuffers = (Vec<usize>, ClientData);
+
+thread_local! {
+    // Kept per worker thread, not per pass: the passes a thread runs one
+    // after another (one per client activation) draw into the same buffers,
+    // so a warmed pass allocates nothing for its batches.
+    static PASS_BUFFERS: RefCell<Option<PassBuffers>> = const { RefCell::new(None) };
+}
+
 /// One pass of local SGD, the loop every trainer shares: up to `steps`
-/// minibatches of `batch_size` drawn from `train` into buffers the pass
-/// reuses, each one [`Model::train_step`] with an optional proximal
-/// `anchor`. From the second step on a pass allocates nothing. Stops at
-/// the first empty batch. Returns the loss summed over the steps taken and
-/// the examples actually drawn.
+/// minibatches of `batch_size` drawn from `train` into the calling thread's
+/// pass buffers, each one [`Model::train_step`] with an optional proximal
+/// `anchor`. Once the thread has drawn a batch of this shape, the draws
+/// allocate nothing. Stops at the first empty batch. Returns the loss summed
+/// over the steps taken and the examples actually drawn.
 pub fn sgd_pass(
     model: &mut dyn Model,
     opt: &mut Sgd,
@@ -132,7 +143,11 @@ pub fn sgd_pass(
     rng: &mut StdRng,
 ) -> (f32, usize) {
     let (mut loss, mut drawn) = (0.0f32, 0usize);
-    let (mut idx, mut batch) = (Vec::new(), ClientData::empty(&[]));
+    // taken out for the pass, so a pass nested in a model's step finds none
+    // and draws into its own
+    let (mut idx, mut batch) = PASS_BUFFERS
+        .with_borrow_mut(Option::take)
+        .unwrap_or_else(|| (Vec::new(), ClientData::empty(&[])));
     for _ in 0..steps {
         train.sample_batch_into(batch_size, rng, &mut idx, &mut batch);
         if batch.is_empty() {
@@ -141,6 +156,7 @@ pub fn sgd_pass(
         loss += model.train_step(opt, &batch.x, &batch.y, anchor);
         drawn += batch.len();
     }
+    PASS_BUFFERS.set(Some((idx, batch)));
     (loss, drawn)
 }
 

@@ -9,17 +9,24 @@
 //! off the wire: a join from `u32::MAX - 1` must cost a set entry, not a
 //! bitmap sized by the id.
 //!
-//! And it pins what one warmed `Updates` dispatch allocates on the
-//! `twitter_async` shapes: the candidate scan and the draw reuse one buffer,
-//! the contributors are a borrowed slice and the one-client broadcast is a
-//! plain send, so what is left is the update's and the broadcast's model
-//! copies and the aggregations.
+//! And it keeps the update path's allocation ledger on the `twitter_async`
+//! shapes (the 122-parameter logistic regression):
+//! - a warmed `LocalTrainer::local_train` draws its batches into the
+//!   worker's pass buffers and names its update map with the names the
+//!   network built once, so what is left is the copy-on-write of the two
+//!   tensors the first step writes and the update map itself;
+//! - a model's `ParamMap` clones in one allocation, whatever its entry
+//!   count: the keys are shared;
+//! - a warmed `Updates` dispatch: the candidate scan and the draw reuse one
+//!   buffer, the contributors are a borrowed slice and the one-client
+//!   broadcast is a plain send, so what is left is the update's and the
+//!   broadcast's model copies and the aggregations.
 //!
 //! The counters are per thread, so the tests here do not see each other.
 
 use fs_core::aggregator::FedAvg;
 use fs_core::sampler::Sampler;
-use fs_core::trainer::sgd_pass;
+use fs_core::trainer::{sgd_pass, share_all, LocalTrainer, TrainConfig, Trainer};
 use fs_core::{AggregationRule, BroadcastManner, Ctx, FlConfig, Server};
 use fs_data::synth::{femnist_like, twitter_like, ImageConfig, TwitterConfig};
 use fs_data::ClientSplit;
@@ -266,7 +273,66 @@ fn a_join_from_a_huge_id_is_sampled_without_sizing_anything_by_the_id() {
 }
 
 #[test]
-fn a_warmed_updates_dispatch_allocates_at_most_seven_times() {
+fn a_warmed_local_train_on_the_twitter_shapes_allocates_at_most_five_times() {
+    // the framework bench's `local_train_lr122`: Q = 4, batch 2
+    let data = twitter_like(&TwitterConfig {
+        num_clients: 4,
+        vocab: 60,
+        per_client: 10,
+        ..Default::default()
+    });
+    let mut rng = StdRng::seed_from_u64(7);
+    let model = logistic_regression(data.input_dim(), 2, &mut rng);
+    let global = model.get_params();
+    assert_eq!(global.numel(), 122);
+    let cfg = TrainConfig {
+        local_steps: 4,
+        batch_size: 2,
+        sgd: SgdConfig::with_lr(0.3),
+    };
+    let mut trainer = LocalTrainer::new(
+        Box::new(model),
+        data.clients[0].clone(),
+        cfg,
+        share_all(),
+        7,
+    );
+    for _ in 0..3 {
+        trainer.local_train(&global, 0);
+    }
+    for _ in 0..5 {
+        let (update, allocations, _) = counting(|| trainer.local_train(&global, 0));
+        assert_eq!(update.n_steps, 4);
+        // the weight's and the bias's copy-on-write (buffer and `Arc`
+        // each), and the update map
+        assert!(
+            allocations <= 5,
+            "a warmed local_train allocated {allocations} times"
+        );
+    }
+}
+
+#[test]
+fn cloning_a_models_param_map_allocates_once() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let models: [(&str, Box<dyn Model>); 2] = [
+        ("lr122", Box::new(logistic_regression(60, 2, &mut rng))),
+        ("convnet2", Box::new(convnet2(1, 8, 32, 10, 0.0, &mut rng))),
+    ];
+    for (name, model) in models {
+        let params = model.get_params();
+        let (copy, allocations, _) = counting(|| params.clone());
+        assert_eq!(copy, params);
+        assert!(
+            allocations <= 1,
+            "cloning the {name} map ({} entries) allocated {allocations} times",
+            params.len()
+        );
+    }
+}
+
+#[test]
+fn a_warmed_updates_dispatch_allocates_at_most_2_6_times() {
     const USERS: ParticipantId = 120;
     const WARM: usize = 80;
     const COUNTED: usize = 160;
@@ -323,7 +389,7 @@ fn a_warmed_updates_dispatch_allocates_at_most_seven_times() {
     assert_eq!(server.state.version as usize, (WARM + COUNTED) / 16);
     let mean = allocations as f64 / COUNTED as f64;
     assert!(
-        mean <= 7.0,
+        mean <= 2.6,
         "a warmed Updates dispatch allocated {mean} times on average"
     );
 }

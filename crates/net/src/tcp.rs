@@ -38,8 +38,9 @@
 //!   the [`TcpHub`] marks it closed, shuts all of them down — a peer blocked
 //!   in `recv` sees EOF at once, and every reader thread returns — and wakes
 //!   the acceptor with a self-connect; the acceptor sees the mark, returns,
-//!   and the listener closes with it. `drop` joins the acceptor, so once it
-//!   returns a dial to the old address is refused.
+//!   and the listener closes with it. `drop` joins the acceptor and every
+//!   reader, so once it returns a dial to the old address is refused and no
+//!   hub thread holds the monitor handle any more.
 //!
 //! # Fault tolerance
 //!
@@ -209,6 +210,9 @@ struct Conns {
     current: BTreeMap<ParticipantId, u64>,
     /// Participants that ever registered (what `accept` counts).
     joined: BTreeSet<ParticipantId>,
+    /// Every reader thread not yet known to have ended, replaced
+    /// connections' included: what [`TcpHub`]'s drop joins.
+    readers: Vec<JoinHandle<()>>,
     /// The hub was dropped: the acceptor hands out nothing more.
     closed: bool,
 }
@@ -310,17 +314,18 @@ impl TcpHub {
                     if stream.set_nodelay(true).is_err() {
                         continue;
                     }
-                    {
-                        // checked under the lock the drop closes under: a
-                        // socket is either refused here or shut down there
-                        let mut conns = lock(&shared.conns);
-                        if conns.closed {
-                            return;
-                        }
-                        conns.live.insert(generation, write_half);
+                    // checked under the lock the drop closes under: a socket
+                    // is either refused here or shut down there, and its
+                    // reader joined there
+                    let mut conns = lock(&shared.conns);
+                    if conns.closed {
+                        return;
                     }
+                    conns.live.insert(generation, write_half);
+                    conns.readers.retain(|r| !r.is_finished());
                     let (shared, tx, monitor) = (shared.clone(), tx.clone(), monitor.clone());
-                    Self::spawn_reader(stream, generation, shared, tx, monitor);
+                    let reader = Self::spawn_reader(stream, generation, shared, tx, monitor);
+                    conns.readers.push(reader);
                 }
             })
         };
@@ -347,7 +352,7 @@ impl TcpHub {
         shared: Arc<HubShared>,
         tx: Sender<HubEvent>,
         monitor: MonitorHandle,
-    ) {
+    ) -> JoinHandle<()> {
         std::thread::spawn(move || {
             // `JoinIn`, `HELLO` and `Rejoin` all encode to this length
             let handshake = Message::new(0, SERVER_ID, MessageKind::JoinIn, 0, Payload::Empty);
@@ -398,7 +403,7 @@ impl TcpHub {
                 // connection that replaces this one
                 let _ = tx.send(event);
             }
-        });
+        })
     }
 
     /// Blocks until `expected` distinct participants have registered.
@@ -458,19 +463,25 @@ impl TcpHub {
 
 impl Drop for TcpHub {
     fn drop(&mut self) {
-        {
+        let readers = {
             let mut conns = lock(&self.shared.conns);
             conns.closed = true;
             for stream in conns.live.values() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
-        }
+            std::mem::take(&mut conns.readers)
+        };
         // wake the acceptor out of `accept`: it finds the hub closed and
         // returns, taking the listener with it
         if TcpStream::connect(self.local_addr).is_ok() {
             if let Some(acceptor) = self.acceptor.take() {
                 let _ = acceptor.join();
             }
+        }
+        // every reader's socket is shut down, so each returns from its read;
+        // joined, none outlives the hub with a clone of its monitor handle
+        for reader in readers {
+            let _ = reader.join();
         }
     }
 }

@@ -22,6 +22,7 @@ use fs_compress::{put_block, take_block, BlockCodecError, CompressedBlock};
 use fs_tensor::model::Metrics;
 use fs_tensor::{ParamMap, Tensor};
 use std::fmt;
+use std::sync::Arc;
 
 /// Serialized size of the fixed message header
 /// (sender + receiver + kind + round + timestamp).
@@ -329,7 +330,7 @@ impl<'a> ParamsView<'a> {
     pub fn to_params(&self) -> ParamMap {
         let mut out = ParamMap::new();
         for (name, t) in &self.entries {
-            out.insert(*name, t.to_tensor());
+            out.insert_shared(Arc::from(*name), t.to_tensor());
         }
         out
     }

@@ -45,7 +45,14 @@ pub trait Layer: Send {
 
     /// Copies this layer's parameters into `out` under `prefix`.
     fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
-        let _ = (prefix, out);
+        self.for_each_param(&mut |leaf, t| out.insert(join(prefix, leaf), t.clone()));
+    }
+
+    /// Hands each named tensor, trained ones and buffers alike, to `visit`
+    /// as `(leaf, tensor)` in leaf-name order. Parameter-free layers have
+    /// nothing to visit.
+    fn for_each_param(&self, visit: &mut dyn FnMut(&str, &Tensor)) {
+        let _ = visit;
     }
 
     /// Copies this layer's accumulated gradients into `out` under `prefix`.
@@ -71,12 +78,6 @@ pub trait Layer: Send {
 
     /// Resets accumulated gradients to zero.
     fn zero_grad(&mut self) {}
-
-    /// Names (relative to the layer) of non-trained buffers such as
-    /// batch-norm running statistics.
-    fn buffer_names(&self) -> Vec<&'static str> {
-        Vec::new()
-    }
 
     /// Deep copy as a boxed trait object.
     fn clone_layer(&self) -> Box<dyn Layer>;
@@ -160,9 +161,9 @@ impl Layer for Linear {
         self.accumulate_grads(grad_out);
     }
 
-    fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
-        out.insert(format!("{prefix}.weight"), self.w.clone());
-        out.insert(format!("{prefix}.bias"), self.b.clone());
+    fn for_each_param(&self, visit: &mut dyn FnMut(&str, &Tensor)) {
+        visit("bias", &self.b);
+        visit("weight", &self.w);
     }
 
     fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
@@ -499,11 +500,11 @@ impl Layer for BatchNorm1d {
         grad_in
     }
 
-    fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
-        out.insert(format!("{prefix}.gamma"), self.gamma.clone());
-        out.insert(format!("{prefix}.beta"), self.beta.clone());
-        out.insert(format!("{prefix}.running_mean"), self.running_mean.clone());
-        out.insert(format!("{prefix}.running_var"), self.running_var.clone());
+    fn for_each_param(&self, visit: &mut dyn FnMut(&str, &Tensor)) {
+        visit("beta", &self.beta);
+        visit("gamma", &self.gamma);
+        visit("running_mean", &self.running_mean);
+        visit("running_var", &self.running_var);
     }
 
     fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
@@ -527,10 +528,6 @@ impl Layer for BatchNorm1d {
     fn zero_grad(&mut self) {
         self.g_gamma.fill(0.0);
         self.g_beta.fill(0.0);
-    }
-
-    fn buffer_names(&self) -> Vec<&'static str> {
-        vec!["running_mean", "running_var"]
     }
 
     fn clone_layer(&self) -> Box<dyn Layer> {
@@ -923,9 +920,9 @@ impl Layer for Conv2d {
         self.backprop(grad_out, false);
     }
 
-    fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
-        out.insert(format!("{prefix}.weight"), self.w.clone());
-        out.insert(format!("{prefix}.bias"), self.b.clone());
+    fn for_each_param(&self, visit: &mut dyn FnMut(&str, &Tensor)) {
+        visit("bias", &self.b);
+        visit("weight", &self.w);
     }
 
     fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
@@ -1148,21 +1145,32 @@ impl Layer for Sequential {
         }
     }
 
+    /// A top-level network hands out the names it built at
+    /// [`Sequential::push`]: the map shares them and builds no key.
     fn collect_params(&self, prefix: &str, out: &mut ParamMap) {
-        for (name, layer) in &self.layers {
-            layer.collect_params(&join(prefix, name), out);
+        if prefix.is_empty() {
+            self.walk_params(|name, t| out.insert_shared(Arc::clone(name), t.clone()));
+        } else {
+            self.walk_params(|name, t| out.insert(format!("{prefix}.{name}"), t.clone()));
         }
+    }
+
+    fn collect_grads(&mut self, prefix: &str, out: &mut ParamMap) {
+        if prefix.is_empty() {
+            self.walk_trainable(|name, _, g| out.insert_shared(Arc::clone(name), g.clone()));
+        } else {
+            self.walk_trainable(|name, _, g| out.insert(format!("{prefix}.{name}"), g.clone()));
+        }
+    }
+
+    fn for_each_param(&self, visit: &mut dyn FnMut(&str, &Tensor)) {
+        self.walk_params(|name, t| visit(name, t));
     }
 
     /// Walks the layers in name order, handing out `"<layer>.<leaf>"`
     /// names kept since [`Sequential::push`], so the walk builds no key.
     fn for_each_trainable(&mut self, visit: &mut dyn FnMut(&str, &mut Tensor, &Tensor)) {
-        let mut keys = self.walk.keys.iter();
-        for &i in &self.walk.layers {
-            self.layers[i].1.for_each_trainable(&mut |_, p, g| {
-                visit(keys.next().expect("a key per trained tensor"), p, g);
-            });
-        }
+        self.walk_trainable(|name, p, g| visit(name, p, g));
     }
 
     fn load_params(&mut self, prefix: &str, src: &ParamMap) {
@@ -1189,14 +1197,18 @@ pub struct Sequential {
     walk: Arc<Walk>,
 }
 
-/// The order an optimizer walks a [`Sequential`]'s trained tensors in.
+/// The order a [`Sequential`]'s named tensors are walked in, and their
+/// names, built once.
 #[derive(Default)]
 struct Walk {
     /// Layer indices sorted by name: the order the layers' parameter names
     /// sort in.
     layers: Vec<usize>,
-    /// `"<layer>.<leaf>"` of every trained tensor, in name order.
-    keys: Vec<String>,
+    /// `"<layer>.<leaf>"` of every named tensor (buffers included), in name
+    /// order: the keys of every map taken from the network.
+    params: Vec<Arc<str>>,
+    /// The trained ones among `params`, in name order (the same `Arc`s).
+    trained: Vec<Arc<str>>,
 }
 
 impl Sequential {
@@ -1219,31 +1231,59 @@ impl Sequential {
         let name_key = |i: usize| self.layers[i].0.bytes().chain([b'.']);
         let mut order: Vec<usize> = (0..self.layers.len()).collect();
         order.sort_by(|&a, &b| name_key(a).cmp(name_key(b)));
-        let mut keys = Vec::new();
+        let (mut params, mut trained) = (Vec::<Arc<str>>::new(), Vec::new());
         for &i in &order {
             let (name, layer) = &mut self.layers[i];
-            layer.for_each_trainable(&mut |leaf, _, _| keys.push(format!("{name}.{leaf}")));
+            let first = params.len();
+            layer.for_each_param(&mut |leaf, _| params.push(format!("{name}.{leaf}").into()));
+            let own = &params[first..];
+            layer.for_each_trainable(&mut |leaf, _, _| {
+                let key = own.iter().find(|k| is_leaf_of(k, name, leaf));
+                trained.push(Arc::clone(key.expect("a trained tensor is a parameter")));
+            });
         }
         assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "parameter names must sort layer by layer: {keys:?}"
+            params.windows(2).all(|w| w[0] < w[1]),
+            "parameter names must sort layer by layer: {params:?}"
         );
         self.walk = Arc::new(Walk {
             layers: order,
-            keys,
+            params,
+            trained,
         });
         self
     }
 
-    /// Buffer keys (fully prefixed) across all layers.
-    pub fn buffer_keys(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (name, layer) in &self.layers {
-            for b in layer.buffer_names() {
-                out.push(format!("{name}.{b}"));
-            }
+    /// Hands every named tensor to `visit` with its shared name, in name
+    /// order.
+    fn walk_params(&self, mut visit: impl FnMut(&Arc<str>, &Tensor)) {
+        let mut names = self.walk.params.iter();
+        for &i in &self.walk.layers {
+            self.layers[i].1.for_each_param(&mut |_, t| {
+                visit(names.next().expect("a name per parameter"), t);
+            });
         }
-        out
+    }
+
+    /// Hands every trained tensor and its gradient to `visit` with its
+    /// shared name, in name order.
+    fn walk_trainable(&mut self, mut visit: impl FnMut(&Arc<str>, &mut Tensor, &Tensor)) {
+        let mut names = self.walk.trained.iter();
+        for &i in &self.walk.layers {
+            self.layers[i].1.for_each_trainable(&mut |_, p, g| {
+                visit(names.next().expect("a name per trained tensor"), p, g);
+            });
+        }
+    }
+
+    /// Buffer keys (fully prefixed) across all layers, in name order: the
+    /// named tensors that are not trained.
+    pub fn buffer_keys(&self) -> Vec<String> {
+        let Walk {
+            params, trained, ..
+        } = &*self.walk;
+        let buffers = params.iter().filter(|k| !trained.contains(k));
+        buffers.map(|k| k.to_string()).collect()
     }
 
     /// Deep copy.
@@ -1257,6 +1297,13 @@ impl Sequential {
             walk: Arc::clone(&self.walk),
         }
     }
+}
+
+/// `true` when `key` is `"{name}.{leaf}"`.
+fn is_leaf_of(key: &str, name: &str, leaf: &str) -> bool {
+    key.strip_prefix(name)
+        .and_then(|rest| rest.strip_prefix('.'))
+        == Some(leaf)
 }
 
 /// `prefix.name`, borrowing `name` for a top-level network so walking it

@@ -6,19 +6,28 @@
 //! the paper's personalization support — FedBN is literally "share every key
 //! that does not start with `bn.`", and multi-goal FL shares only an agreed
 //! subset of keys (the *consensus set*, §3.4.2).
+//!
+//! Keys are `Arc<str>`: a model builds each name once (`Sequential` at
+//! `push`) and every map taken from it, and every clone, filter, difference
+//! or merge of such a map, shares that one allocation. A name that arrives
+//! as a string (a wire frame, a compressed block, a test) becomes a shared
+//! key when it is inserted. Entries are kept sorted by the bytes of their
+//! names, the order a `BTreeMap<String, _>` keeps, so every fold, norm and
+//! wire frame walks them in the same order.
 
 use crate::Tensor;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::fmt;
+use std::sync::Arc;
 
 /// An ordered map of named tensors.
 ///
-/// Backed by a `BTreeMap` so iteration order is deterministic — determinism
+/// A `Vec` sorted by name, so iteration order is deterministic — determinism
 /// matters because aggregation, wire encoding, and test assertions all iterate
-/// the map.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// the map — and a clone is one allocation whatever the entry count.
+#[derive(Clone, Default, PartialEq)]
 pub struct ParamMap {
-    entries: BTreeMap<String, Tensor>,
+    /// Sorted by name, names unique.
+    entries: Vec<(Arc<str>, Tensor)>,
 }
 
 impl ParamMap {
@@ -27,16 +36,42 @@ impl ParamMap {
         Self::default()
     }
 
-    /// Inserts (or replaces) a named tensor.
+    /// Where `name` is, or where it would go.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| (**k).cmp(name))
+    }
+
+    /// Inserts (or replaces) a named tensor. A replaced entry keeps its key.
     pub fn insert(&mut self, name: impl Into<String>, t: Tensor) {
-        self.entries.insert(name.into(), t);
+        let name = name.into();
+        self.put(self.find(&name), name, t);
+    }
+
+    /// [`ParamMap::insert`] under a shared key: what a model handing out the
+    /// names it built once, or a decoder building each name once, calls.
+    pub fn insert_shared(&mut self, name: Arc<str>, t: Tensor) {
+        let at = match self.entries.last() {
+            Some((last, _)) if *last >= name => self.find(&name),
+            // a model hands its names out in order: append without a search
+            _ => Err(self.entries.len()),
+        };
+        self.put(at, name, t);
+    }
+
+    /// Replaces the value at `Ok(i)`, or inserts the entry at `Err(i)`.
+    fn put(&mut self, at: Result<usize, usize>, name: impl Into<Arc<str>>, t: Tensor) {
+        match at {
+            Ok(i) => self.entries[i].1 = t,
+            Err(i) => self.entries.insert(i, (name.into(), t)),
+        }
     }
 
     /// Looks up `"{prefix}.{leaf}"` without building the key — what a layer
     /// loading its parameters step after step asks.
     pub fn get_in(&self, prefix: &str, leaf: &str) -> Option<&Tensor> {
-        self.entries
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        let first = self.entries.partition_point(|(k, _)| **k < *prefix);
+        self.entries[first..]
+            .iter()
             .take_while(|(k, _)| k.starts_with(prefix))
             .find(|(k, _)| is_joined(k, prefix, leaf))
             .map(|(_, t)| t)
@@ -44,22 +79,22 @@ impl ParamMap {
 
     /// Looks up a tensor by name.
     pub fn get(&self, name: &str) -> Option<&Tensor> {
-        self.entries.get(name)
+        self.find(name).ok().map(|i| &self.entries[i].1)
     }
 
     /// Mutable lookup by name.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Tensor> {
-        self.entries.get_mut(name)
+        self.find(name).ok().map(|i| &mut self.entries[i].1)
     }
 
     /// Removes and returns a named tensor.
     pub fn remove(&mut self, name: &str) -> Option<Tensor> {
-        self.entries.remove(name)
+        self.find(name).ok().map(|i| self.entries.remove(i).1)
     }
 
     /// `true` when the map contains `name`.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.contains_key(name)
+        self.find(name).is_ok()
     }
 
     /// Number of named tensors.
@@ -74,30 +109,35 @@ impl ParamMap {
 
     /// Iterates `(name, tensor)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Iterates with mutable tensors, in name order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (&str, &mut Tensor)> {
-        self.entries.iter_mut().map(|(k, v)| (k.as_str(), v))
+        self.entries.iter_mut().map(|(k, v)| (&**k, v))
     }
 
     /// Parameter names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(|k| k.as_str())
+        self.entries.iter().map(|(k, _)| &**k)
     }
 
     /// Total number of scalar elements across all tensors.
     pub fn numel(&self) -> usize {
-        self.entries.values().map(Tensor::numel).sum()
+        self.entries.iter().map(|(_, t)| t.numel()).sum()
     }
 
     /// A map with the same keys/shapes, all zeros.
     pub fn zeros_like(&self) -> Self {
+        self.map(|_, v| v.zeros_like())
+    }
+
+    /// The map with each tensor replaced by `f(name, tensor)`, keys shared.
+    fn map(&self, mut f: impl FnMut(&str, &Tensor) -> Tensor) -> Self {
         let entries = self
             .entries
             .iter()
-            .map(|(k, v)| (k.clone(), v.zeros_like()))
+            .map(|(k, v)| (Arc::clone(k), f(k, v)))
             .collect();
         Self { entries }
     }
@@ -110,7 +150,6 @@ impl ParamMap {
     pub fn add_scaled(&mut self, alpha: f32, rhs: &ParamMap) {
         for (k, v) in rhs.iter() {
             let dst = self
-                .entries
                 .get_mut(k)
                 .unwrap_or_else(|| panic!("add_scaled: missing key {k:?}"));
             dst.add_scaled(alpha, v);
@@ -143,14 +182,14 @@ impl ParamMap {
     /// Sets every element of every tensor to zero in place, preserving the
     /// allocations — the accumulator-reset between aggregation rounds.
     pub fn zero(&mut self) {
-        for t in self.entries.values_mut() {
+        for (_, t) in self.entries.iter_mut() {
             t.fill(0.0);
         }
     }
 
     /// Multiplies every tensor by `alpha` in place.
     pub fn scale(&mut self, alpha: f32) {
-        for t in self.entries.values_mut() {
+        for (_, t) in self.entries.iter_mut() {
             t.scale(alpha);
         }
     }
@@ -160,17 +199,12 @@ impl ParamMap {
     /// # Panics
     /// Panics if `rhs` is missing any key of `self`.
     pub fn sub(&self, rhs: &ParamMap) -> ParamMap {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(k, v)| {
-                let other = rhs
-                    .get(k)
-                    .unwrap_or_else(|| panic!("sub: missing key {k:?}"));
-                (k.clone(), v.sub(other))
-            })
-            .collect();
-        ParamMap { entries }
+        self.map(|k, v| {
+            let other = rhs
+                .get(k)
+                .unwrap_or_else(|| panic!("sub: missing key {k:?}"));
+            v.sub(other)
+        })
     }
 
     /// Flattened inner product over shared structure.
@@ -178,8 +212,7 @@ impl ParamMap {
     /// # Panics
     /// Panics on key or shape mismatch.
     pub fn dot(&self, rhs: &ParamMap) -> f32 {
-        self.entries
-            .iter()
+        self.iter()
             .map(|(k, v)| {
                 let other = rhs
                     .get(k)
@@ -192,8 +225,8 @@ impl ParamMap {
     /// Euclidean norm over all elements of all tensors.
     pub fn norm(&self) -> f32 {
         self.entries
-            .values()
-            .map(|t| {
+            .iter()
+            .map(|(_, t)| {
                 let n = t.norm();
                 n * n
             })
@@ -203,8 +236,7 @@ impl ParamMap {
 
     /// Squared Euclidean distance to `rhs` over the keys of `self`.
     pub fn sq_dist(&self, rhs: &ParamMap) -> f32 {
-        self.entries
-            .iter()
+        self.iter()
             .map(|(k, v)| {
                 let other = rhs
                     .get(k)
@@ -221,7 +253,7 @@ impl ParamMap {
             .entries
             .iter()
             .filter(|(k, _)| pred(k))
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .cloned()
             .collect();
         ParamMap { entries }
     }
@@ -229,7 +261,7 @@ impl ParamMap {
     /// [`ParamMap::filter`] in place: drops the entries whose name fails
     /// `pred`, building no second map.
     pub fn retain(&mut self, mut pred: impl FnMut(&str) -> bool) {
-        self.entries.retain(|k, _| pred(k));
+        self.entries.retain(|(k, _)| pred(k));
     }
 
     /// Copies every entry of `src` into `self`, replacing same-named entries
@@ -237,8 +269,8 @@ impl ParamMap {
     /// global model" operation: keys in `self` but not in `src` (e.g. local
     /// BatchNorm stats under FedBN) are left untouched.
     pub fn merge_from(&mut self, src: &ParamMap) {
-        for (k, v) in src.iter() {
-            self.entries.insert(k.to_string(), v.clone());
+        for (k, v) in &src.entries {
+            self.insert_shared(Arc::clone(k), v.clone());
         }
     }
 
@@ -269,7 +301,7 @@ impl ParamMap {
 
     /// `true` when every tensor contains only finite values.
     pub fn is_finite(&self) -> bool {
-        self.entries.values().all(Tensor::is_finite)
+        self.entries.iter().all(|(_, t)| t.is_finite())
     }
 }
 
@@ -281,17 +313,26 @@ fn is_joined(key: &str, prefix: &str, leaf: &str) -> bool {
         && key.ends_with(leaf)
 }
 
+/// Prints as the map it is: `{"name": Tensor(..), ..}`.
+impl fmt::Debug for ParamMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 impl FromIterator<(String, Tensor)> for ParamMap {
     fn from_iter<I: IntoIterator<Item = (String, Tensor)>>(iter: I) -> Self {
-        Self {
-            entries: iter.into_iter().collect(),
+        let mut map = Self::new();
+        for (k, v) in iter {
+            map.insert(k, v);
         }
+        map
     }
 }
 
 impl IntoIterator for ParamMap {
-    type Item = (String, Tensor);
-    type IntoIter = std::collections::btree_map::IntoIter<String, Tensor>;
+    type Item = (Arc<str>, Tensor);
+    type IntoIter = std::vec::IntoIter<(Arc<str>, Tensor)>;
     fn into_iter(self) -> Self::IntoIter {
         self.entries.into_iter()
     }

@@ -7,9 +7,13 @@
 //!
 //! Storage is copy-on-write: the backing buffer lives behind an [`Arc`], so
 //! `Clone` is O(1) (a refcount bump) and the first mutation of a shared
-//! tensor pays the copy. This is what makes speculation snapshots, broadcast
-//! payload clones, and `ParamMap` plumbing cheap — a cloned model only copies
-//! the tensors that are actually written.
+//! tensor pays the copy. This is what makes speculation snapshots and
+//! broadcast payload clones cheap — a cloned model only copies the tensors
+//! that are actually written. A `ParamMap` clone also shares its keys
+//! (`Arc<str>`), so it costs one allocation, its entry vector. What the
+//! sharing still costs is the copy-on-write check on every write and, on
+//! the first step after a model is loaded, the copy of each tensor it
+//! shares with the map it was loaded from.
 
 use std::fmt;
 use std::ops::Deref;

@@ -10,9 +10,11 @@ use fedscope::core::distributed::{
 };
 use fedscope::core::{Event, StandaloneRunner};
 use fedscope::data::synth::{twitter_like, TwitterConfig};
+use fedscope::monitor::{counters, MonitorHandle, RecordingMonitor};
 use fedscope::net::tcp::{ReconnectPolicy, TcpError, TcpPeer};
 use fedscope::net::{FaultPlan, FaultSpec, Message, MessageKind, Payload, SERVER_ID};
 use fedscope::tensor::model::logistic_regression;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A small course with `n` clients, all sampled every round.
@@ -38,6 +40,30 @@ fn course(n: usize, seed: u64) -> StandaloneRunner {
 }
 
 const BUDGET: Duration = Duration::from_secs(60);
+
+#[test]
+fn a_tcp_course_hands_its_monitor_back() {
+    // the hub joins every reader thread before the course returns, so no
+    // reader still holds a clone of the handle (nor adds a `wire.*` count
+    // after the course flushed its counters)
+    for seed in 0..20 {
+        let runner = course(3, 60 + seed);
+        let clients: Vec<_> = runner.clients.into_values().collect();
+        let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
+        let opts = TcpRunOptions {
+            monitor: MonitorHandle::from_shared(monitor.clone()),
+            ..Default::default()
+        };
+        let server = run_distributed_tcp_with(runner.server, clients, BUDGET, opts)
+            .expect("a fault-free TCP course");
+        assert_eq!(server.state.round, 3);
+        drop(server);
+        let monitor = Arc::try_unwrap(monitor)
+            .unwrap_or_else(|_| panic!("course {seed}: a thread kept the monitor handle"));
+        let recorded = monitor.into_inner().expect("monitor");
+        assert!(recorded.counter(counters::WIRE_BYTES_IN) > 0, "course {seed}");
+    }
+}
 
 // ---------------------------------------------------------------------------
 // dropout handling

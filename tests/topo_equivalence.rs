@@ -204,6 +204,48 @@ fn gossip_on_a_crash_prone_fleet_runs_every_round() {
     );
 }
 
+/// [`standalone_gossip_is_deterministic`]'s course over ten rounds,
+/// stopping once its consensus scores `target`.
+fn gossip_to(target: Option<f32>, parallelism: usize) -> CourseReport {
+    let mut runner = course(6, 44, GOSSIP2);
+    let cfg = &mut runner.server.state.cfg;
+    cfg.total_rounds = 10;
+    cfg.target_accuracy = target;
+    cfg.parallelism = parallelism;
+    runner.try_run().expect("gossip course")
+}
+
+#[test]
+fn gossip_stops_once_its_consensus_reaches_the_target() {
+    let full = gossip_to(None, 1);
+    assert_eq!(full.finish_reason, "gossip rounds complete");
+    assert_eq!(full.rounds, 10);
+    assert_eq!(full.history.len(), 10, "scored every round");
+    // the first score above every earlier one, with rounds left to run
+    let scores: Vec<f32> = full.history.iter().map(|r| r.metrics.accuracy).collect();
+    let best_before = |i: usize| scores[..i].iter().copied().fold(f32::MIN, f32::max);
+    let hit = (1..scores.len() - 1)
+        .find(|&i| scores[i] > best_before(i))
+        .expect("the consensus improves before the last round");
+    let (target, round) = (scores[hit], full.history[hit].round);
+    let stopped = gossip_to(Some(target), 1);
+    assert_eq!(
+        stopped.finish_reason,
+        format!("target accuracy {target} reached at round {round}")
+    );
+    assert_eq!(stopped.rounds, round);
+    assert_eq!(
+        stopped.history,
+        full.history[..=hit],
+        "the rounds it ran, bit for bit"
+    );
+    assert_eq!(
+        format!("{stopped:?}"),
+        format!("{:?}", gossip_to(Some(target), 2)),
+        "the same bits at parallelism 2"
+    );
+}
+
 /// `CourseReport` + monitor stream + tier-1 counter + `TopoReport` of
 /// [`standalone_gossip_is_deterministic`]'s course, folded like
 /// [`hier_fingerprint`], over either store at any `parallelism`.
@@ -306,8 +348,7 @@ fn gossip_threaded_fingerprint(tcp: bool, upload: Option<CodecSpec>) -> u64 {
         run_distributed_with(runner.server, clients, BUDGET, opts)
     };
     let report = distributed_report(&server.expect("threaded gossip course"));
-    // a TCP hub reader may still hold its handle for a moment
-    let mon = std::mem::take(&mut *monitor.lock().expect("monitor"));
+    let mon = extract(monitor);
     let mut h = Fnv::new();
     fold_course(&mut h, &report, &mon);
     let tier = bytes_up_counter(1);
