@@ -777,9 +777,10 @@ mod tests {
     //! threaded course at the end.
     use super::*;
     use crate::aggregator::FedAvg;
-    use crate::config::FlConfig;
+    use crate::config::{DropoutPolicy, FlConfig};
     use crate::course::CourseBuilder;
     use crate::sampler::Sampler;
+    use crate::transport::{BusPort, Opened};
     use fs_data::synth::{twitter_like, TwitterConfig};
     use fs_monitor::RecordingMonitor;
     use fs_net::Topology;
@@ -1221,6 +1222,123 @@ mod tests {
         .err()
         .expect("refused");
         assert!(matches!(err, DistributedError::Unsupported(_)), "{err}");
+    }
+
+    /// The edge-death course's ordering facts, pinned absolutely: rounds,
+    /// finish reason, the sorted reporters, the dropouts, the sorted
+    /// `REHOME` targets and the re-arm count. No model bit is folded.
+    const GOLDEN_EDGE_DEATH: u64 = 0x0d98_3784_b81d_aa39;
+
+    /// A bus whose server port logs every `REHOME` frame it is handed.
+    struct Logged(
+        BusRunOptions,
+        Arc<Mutex<Vec<(ParticipantId, ParticipantId)>>>,
+    );
+
+    struct LoggedPort(BusPort, Arc<Mutex<Vec<(ParticipantId, ParticipantId)>>>);
+
+    impl ServerPort for LoggedPort {
+        fn recv_event(&mut self, timeout: Duration) -> Result<Option<LoopEvent>, DistributedError> {
+            self.0.recv_event(timeout)
+        }
+
+        fn send(&mut self, msg: &Message) -> Result<bool, DistributedError> {
+            if let Some(target) = rehome_target(msg) {
+                self.1.lock().expect("log").push((msg.receiver, target));
+            }
+            self.0.send(msg)
+        }
+    }
+
+    impl Transport for Logged {
+        type Port = LoggedPort;
+
+        fn open(self, ids: &[ParticipantId]) -> Result<Opened<LoggedPort>, DistributedError> {
+            let (opened, log) = (self.0.open(ids)?, self.1);
+            let accept = opened.accept;
+            Ok(Opened {
+                monitor: opened.monitor,
+                dialers: opened.dialers,
+                accept: Box::new(move |wait| Ok(LoggedPort(accept(wait)?, log))),
+            })
+        }
+
+        fn lossless(&self) -> bool {
+            self.0.lossless()
+        }
+    }
+
+    #[test]
+    fn a_keyed_edge_death_matches_its_pin() {
+        // `topo_faults::bus_edge_death_rehomes_subtree`'s course: hier:2x3
+        // over six clients, the first edge dies at its fourth relayed frame
+        let (seed, n) = (53, 6);
+        let topology = Topology::Hierarchical {
+            tiers: 2,
+            fanout: 3,
+        };
+        let data = twitter_like(&TwitterConfig {
+            num_clients: n,
+            per_client: 12,
+            ..Default::default()
+        });
+        let dim = data.input_dim();
+        let cfg = FlConfig {
+            total_rounds: 3,
+            concurrency: n,
+            seed,
+            topology,
+            dropout: DropoutPolicy::Fail,
+            ..Default::default()
+        };
+        let model = Box::new(move |rng: &mut _| {
+            Box::new(logistic_regression(dim, 2, rng)) as Box<dyn fs_tensor::model::Model>
+        });
+        let runner = CourseBuilder::new(data, model, cfg)
+            .no_central_eval()
+            .build();
+        let plan = TopologyPlan::build(topology, n, seed).expect("plan");
+        let faults =
+            fs_net::FaultPlan::new(seed).with(plan.edges[0], fs_net::FaultSpec::dies_after(3));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let opts = BusRunOptions {
+            faults: Some(faults),
+            ..Default::default()
+        };
+        let clients = runner.clients.into_values().collect();
+        let transport = Logged(opts, Arc::clone(&log));
+        let server = drive(runner.server, clients, Duration::from_secs(60), transport)
+            .expect("the edge death re-homes");
+        let mut rehomes = log.lock().expect("log").clone();
+        rehomes.sort_unstable();
+        let state = &server.state;
+        let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fold = |bytes: &[u8]| {
+            for &b in bytes {
+                fp = (fp ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        fold(&state.round.to_le_bytes());
+        fold(state.finish_reason.as_deref().unwrap_or("").as_bytes());
+        for id in state.client_reports.keys().chain([&u32::MAX]) {
+            fold(&id.to_le_bytes());
+        }
+        for id in state.dropouts.iter().chain([&u32::MAX]) {
+            fold(&id.to_le_bytes());
+        }
+        for (to, parent) in &rehomes {
+            fold(&to.to_le_bytes());
+            fold(&parent.to_le_bytes());
+        }
+        fold(&state.reconnects.to_le_bytes());
+        let facts = (
+            state.round,
+            state.client_reports.len(),
+            &state.dropouts,
+            &rehomes,
+            state.reconnects,
+        );
+        assert_eq!(fp, GOLDEN_EDGE_DEATH, "{fp:#018x}: {facts:?}");
     }
 
     #[test]
