@@ -10,10 +10,11 @@
 //! cargo run -p fs-bench --release --bin exp_table1 -- [--seed N] [--workloads a,b]
 //! ```
 //!
-//! `--topology hier:TxF` re-runs the table over that topology (a
-//! lossless hierarchy reproduces the star's numbers bit for bit; gossip has
-//! no server and ignores the strategy (`FSV055`), so every strategy reaches
-//! the target at the same virtual time).
+//! `--topology hier:TxF` re-runs the table over that topology (a lossless
+//! hierarchy reproduces the star's numbers bit for bit). `--topology
+//! gossip:D` is refused with exit 2: gossip has no server and ignores the
+//! strategy (`FSV055`), so every strategy would run the same serverless
+//! course and the strategy claims could not hold.
 //!
 //! Claims (EXPERIMENTS.md): per dataset, 1 < Sync-OS's speedup < every
 //! async speedup; Goal-Aggr-Group is the best strategy on FEMNIST.
@@ -79,16 +80,16 @@ fn run_workload(wl: &Workload, threads: usize, topology: Topology, rows: &mut Ve
 fn main() {
     let args = ExpArgs::parse();
     let seed = args.seed_or(7);
+    let topology = args.topology_or(Topology::Star);
+    if matches!(topology, Topology::Gossip { .. }) {
+        eprintln!("error: Table 1 compares server strategies; gossip has no server to run them");
+        std::process::exit(2);
+    }
     let mut rows = Vec::new();
     for name in args.workloads_or(&["femnist", "cifar", "twitter"]) {
         let wl = workload_by_name(&name, seed);
         eprintln!("== {} (target {:.0}%)", wl.name, wl.target_accuracy * 100.0);
-        run_workload(
-            &wl,
-            args.threads_or(1),
-            args.topology_or(Topology::Star),
-            &mut rows,
-        );
+        run_workload(&wl, args.threads_or(1), topology, &mut rows);
     }
     let table: Vec<Vec<String>> = rows
         .iter()
