@@ -1,4 +1,4 @@
-//! `fs-net` — messages, events, the neutral wire format, backends, the bus.
+//! `fs-net` — messages, events, the neutral wire format, the transports.
 //!
 //! FederatedScope abstracts all exchanged information as *messages* and makes
 //! cross-backend FL possible through *message translation* (§3.5): every
@@ -14,10 +14,6 @@
 //!   the static verifier share it without a dependency cycle;
 //! * [`wire`] — the neutral binary codec for parameters and whole messages
 //!   (the *encoding*/*decoding* procedures of §3.5), built on `bytes`;
-//! * [`backend`] — the [`backend::Backend`] trait plus two concrete parameter
-//!   stores with different native layouts (row-major `f32`, "torch-like", and
-//!   column-major `f64`, "tf-like") that interoperate only through the wire
-//!   format, exercising the paper's cross-backend path for real;
 //! * [`bus`] — an in-process transport (crossbeam channels) used by the
 //!   distributed runner, where the same worker code runs on real threads;
 //! * [`tcp`] — the same wire frames over real sockets (`std::net`), so
@@ -28,7 +24,6 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-pub mod backend;
 pub mod bus;
 pub mod event;
 pub mod fault;

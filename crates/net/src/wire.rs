@@ -288,17 +288,6 @@ impl<'a> TensorView<'a> {
         Tensor::from_vec(self.shape.clone(), data)
     }
 
-    /// Copies the values into `dst` without allocating.
-    /// Returns `false` (leaving `dst` untouched) on a length mismatch.
-    pub fn copy_values_into(&self, dst: &mut [f32]) -> bool {
-        if dst.len() != self.numel() {
-            return false;
-        }
-        for (d, v) in dst.iter_mut().zip(self.values()) {
-            *d = v;
-        }
-        true
-    }
 }
 
 /// A [`ParamMap`] parsed without copying tensor values — the borrowed
@@ -335,24 +324,6 @@ impl<'a> ParamsView<'a> {
         out
     }
 
-    /// Refreshes `dst` in place from the view — zero allocations when the
-    /// structures match. Returns `false` (leaving `dst` in an unspecified
-    /// but valid state) when names, entry order, or shapes differ; the
-    /// caller falls back to [`to_params`](Self::to_params).
-    pub fn copy_into(&self, dst: &mut ParamMap) -> bool {
-        if dst.len() != self.entries.len() {
-            return false;
-        }
-        for ((dname, dt), (sname, st)) in dst.iter_mut().zip(self.entries.iter()) {
-            if dname != *sname || dt.shape() != st.shape() {
-                return false;
-            }
-            if !st.copy_values_into(dt.data_mut()) {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// Parses the neutral format, keeping tensor values in the buffer. `buf`
@@ -787,23 +758,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn view_copy_into_refreshes_in_place_and_detects_mismatch() {
-        let p = sample_params();
-        let bytes = encode_params(&p);
-        let view = decode_params_view(&bytes).unwrap();
-        let mut dst = p.zeros_like();
-        assert!(view.copy_into(&mut dst));
-        assert_eq!(dst, p);
-        // shape mismatch refuses
-        let mut wrong = ParamMap::new();
-        wrong.insert("fc.bias", Tensor::zeros(&[3]));
-        wrong.insert("fc.weight", Tensor::zeros(&[3, 2]));
-        assert!(!view.copy_into(&mut wrong));
-        // entry-count mismatch refuses
-        let mut short = ParamMap::new();
-        short.insert("fc.bias", Tensor::zeros(&[3]));
-        assert!(!short.iter().eq(p.iter()));
-        assert!(!view.copy_into(&mut short));
-    }
 }

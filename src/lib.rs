@@ -8,7 +8,8 @@
 //!
 //! * [`tensor`] — ML substrate (tensors, layers, models, optimizers)
 //! * [`data`] — DataZoo: synthetic federated datasets and partitioners
-//! * [`net`] — messages, wire codec (message translation), backends
+//! * [`net`] — messages, wire codec (message translation), bus and TCP
+//!   transports, topology plans, fault injection
 //! * [`compress`] — update compression: quantization, top-k sparsification
 //!   with error feedback, and delta encoding
 //! * [`sim`] — virtual time, device profiles, discrete-event queue
