@@ -9,7 +9,11 @@ fn table1_refuses_gossip_before_any_course_runs() {
         .args(["--topology", "gossip:2"])
         .output()
         .expect("exp_table1 runs");
-    assert_eq!(out.status.code(), Some(2), "a usage error, not a broken claim");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "a usage error, not a broken claim"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("gossip"), "names the reason: {stderr}");
     assert!(!stderr.contains("=="), "no workload started: {stderr}");

@@ -2,17 +2,22 @@
 //!
 //! Each participant runs on its own thread behind a `Link`; every message
 //! crosses the `Transport` as wire bytes, so the whole message-translation
-//! path (§3.5) is exercised. There is one server loop (`ServerLoop`, a
-//! state machine stepped by `LoopEvent`s; it sees no clock), one client
+//! path (§3.5) is exercised. There is one poll loop (`pump`), one client
 //! worker and one edge relay, generic over the transport (in-process bus or
 //! TCP, picked by the options type) and over the [`TopologyPlan`] built from
-//! `cfg.topology` — a star is simply the plan with no edges. A serverless
-//! gossip course runs here too, from the same entry points: its peers
-//! exchange models directly over the same transport, and the loop only
-//! collects their final models (crate-private `gossip` module). Virtual time
-//! does not apply here — `time_up` courses must use the standalone runner —
-//! but the `all_received` and `goal_achieved` strategies run unchanged,
-//! demonstrating that worker behaviour is transport-independent.
+//! `cfg.topology` — a star is simply the plan with no edges. The loop owns
+//! the clock and the port and only delivers: it feeds the server's one
+//! portless step (`Server::step`, the step the virtual-time runner calls
+//! too) a `LoopEvent` per frame, closed link, rejoin, dead worker and
+//! undeliverable frame, then ships what the step recorded in its `Ctx`.
+//! Per-tier metering and the [`SHUTDOWN`] acknowledgement happen here, on
+//! the transport's side. A serverless gossip course runs here too, from the
+//! same entry points: its peers exchange models directly over the same
+//! transport, and the loop only collects their final models (crate-private
+//! `gossip` module). Virtual time does not apply here — `time_up` courses
+//! must use the standalone runner — but the `all_received` and
+//! `goal_achieved` strategies run unchanged, demonstrating that worker
+//! behaviour is transport-independent.
 //!
 //! # Routing
 //!
@@ -25,8 +30,9 @@
 //!
 //! # Fault tolerance
 //!
-//! A client whose link dies is handled per the configured
-//! [`DropoutPolicy`] — the course aborts with
+//! The step decides every fault; the loop only reports it. A client whose
+//! link dies is handled per the configured
+//! [`crate::config::DropoutPolicy`] — the course aborts with
 //! [`DistributedError::PeerDisconnected`], or the client leaves the roster
 //! and the round completes with the survivors. TCP participants may come
 //! back through the rejoin handshake. An edge that is gone for good has its
@@ -39,16 +45,19 @@
 //! that frame arrives or its link dies, so a client's link closes only after
 //! its report has landed. Hence one rule, direct or relayed: a client whose
 //! `Closed` arrives before its report is a dropout at once, and a client that
-//! has reported is never one. Every dropout, whatever noticed it, goes
-//! through one test-and-set on the `gone` set.
+//! has reported is never one. A frame the port could not deliver is stepped
+//! back in as `Undeliverable(to)`: a dropout while the client is still owed
+//! work, a lost frame once the server has finished (the client's `Closed`
+//! then decides). Every dropout, whatever noticed it, goes through one
+//! test-and-set on the server's `gone` set.
 //!
 //! Failures keep their identity: a bind failure, a codec failure, a client
 //! panic, and a true wall-budget timeout each surface as their own
 //! [`DistributedError`] variant instead of collapsing into `Timeout`.
 
 use crate::client::Client;
-use crate::config::DropoutPolicy;
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Outgoing};
+pub(crate) use crate::server::LoopEvent;
 use crate::server::Server;
 use crate::verify::{course_plan, refusal, singleton_groups};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -63,15 +72,15 @@ use fs_net::{
 };
 use fs_sim::VirtualTime;
 use fs_verify::{verify_topology_plan, HandlerSpec, VerifyReport};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::time::{Duration, Instant};
 
 pub use crate::transport::{BusRunOptions, TcpRunOptions, RESERVED};
-use crate::transport::{Dialer, Link, LoopEvent, ServerPort, Transport};
+use crate::transport::{Dialer, Link, ServerPort, Transport};
 
-/// How long the server loop blocks on its port before it looks at worker
+/// How long the poll loop blocks on its port before it looks at worker
 /// exits again. It decides no outcome, only how soon a quiet loop sees an
 /// exit.
 pub const POLL: Duration = Duration::from_millis(20);
@@ -203,18 +212,55 @@ impl WorkerOutcome {
     }
 }
 
-/// What the poll loop steps: the server-based [`ServerLoop`], or a gossip
-/// course's final-model collector.
+/// What the poll loop steps: the [`Server`], or a gossip course's
+/// final-model collector.
 pub(crate) trait Course {
-    /// Applies one event.
-    fn step(&mut self, event: LoopEvent, port: &mut dyn ServerPort)
-        -> Result<(), DistributedError>;
+    /// Applies one event, recording what to send in `ctx`.
+    fn step(&mut self, event: LoopEvent, ctx: &mut Ctx) -> Result<(), DistributedError>;
 
     /// Whether the course is over and the loop may return.
     fn complete(&self) -> bool;
 
-    /// Last words to still-running workers after a completed course.
-    fn wind_down(&mut self, _port: &mut dyn ServerPort) {}
+    /// Whether `id`'s report is stored, so that its worker may stop.
+    fn reported(&self, _id: ParticipantId) -> bool {
+        false
+    }
+
+    /// Meters one frame the port delivered.
+    fn sent(&self, _msg: &Message) {}
+}
+
+impl Course for Server {
+    fn step(&mut self, event: LoopEvent, ctx: &mut Ctx) -> Result<(), DistributedError> {
+        Server::step(self, event, ctx)
+    }
+
+    /// The course is complete when the server terminated it and every roster
+    /// member has either reported metrics or is provably gone.
+    fn complete(&self) -> bool {
+        let state = &self.state;
+        state.done
+            && (state.roster.iter())
+                .all(|id| state.client_reports.contains_key(id) || state.gone.contains(id))
+    }
+
+    fn reported(&self, id: ParticipantId) -> bool {
+        self.state.client_reports.contains_key(&id)
+    }
+
+    /// Per-tier download metering, when the plan has edges; `REHOME` is
+    /// control, unmetered like `SHUTDOWN`.
+    fn sent(&self, msg: &Message) {
+        let plan = self
+            .state
+            .plan
+            .as_ref()
+            .filter(|plan| !plan.edges.is_empty());
+        if let Some(plan) = plan.filter(|_| msg.kind != REHOME) {
+            let counter = bytes_down_counter(plan.link_level(msg.receiver));
+            (self.state.monitor).add(counter, payload_wire_len(&msg.payload) as u64);
+        }
+    }
 }
 
 /// One distributed run in flight: an opened transport, the worker threads
@@ -293,8 +339,13 @@ impl<P: ServerPort> Session<P> {
     }
 
     /// Waits for every participant to dial in, pumps `course` to completion
-    /// (or the wall budget), and tears the run down.
-    pub(crate) fn run(self, course: &mut impl Course) -> Result<(), DistributedError> {
+    /// (or the wall budget), and tears the run down: after a completed
+    /// course every edge relay of `edges` still up is told [`SHUTDOWN`].
+    pub(crate) fn run(
+        self,
+        course: &mut impl Course,
+        edges: &[ParticipantId],
+    ) -> Result<(), DistributedError> {
         #[expect(
             clippy::disallowed_methods,
             reason = "the distributed runtime's one wall-clock read: real threads and sockets are not on the virtual clock"
@@ -315,7 +366,10 @@ impl<P: ServerPort> Session<P> {
         };
         let result = pump(&mut port, &self.exits, start, self.wall_budget, course);
         if result.is_ok() {
-            course.wind_down(&mut port);
+            for &edge in edges {
+                // a dead edge's link is gone with its worker: the send fails
+                let _ = port.send(&shutdown_msg(edge));
+            }
         }
         // closing the port unblocks any worker still mid-reconnect (its
         // retries hit a dead listener and run out), so joins terminate
@@ -337,7 +391,8 @@ impl<P: ServerPort> Session<P> {
 /// The one poll loop. Worker exits are drained before every port event is
 /// stepped — including between receiving it and stepping it — so an exit
 /// report (a panic above all) always outranks queued traffic, and the exit
-/// that causally precedes a `Closed` is always seen first.
+/// that causally precedes a `Closed` is always seen first. A worker that
+/// ended with its link dead is stepped as `Died`.
 fn pump(
     port: &mut dyn ServerPort,
     exits: &Receiver<(ParticipantId, WorkerOutcome)>,
@@ -348,10 +403,12 @@ fn pump(
     let mut pending = None;
     loop {
         while let Ok((id, outcome)) = exits.try_recv() {
-            course.step(LoopEvent::Exit(id, outcome), port)?;
+            if !outcome.settled(id)? {
+                deliver(LoopEvent::Died(id), course, port)?;
+            }
         }
         if let Some(event) = pending.take() {
-            course.step(event, port)?;
+            deliver(event, course, port)?;
         }
         if course.complete() {
             return Ok(());
@@ -364,211 +421,45 @@ fn pump(
     }
 }
 
-/// The server's side of a distributed course as a state machine: feed it
-/// [`LoopEvent`]s, it drives the [`Server`] and ships what the server wants
-/// sent.
-pub(crate) struct ServerLoop {
-    /// The server being driven; handed back when the course completes.
-    pub server: Server,
-    plan: TopologyPlan,
-    /// The server terminated the course.
-    finished: bool,
-    /// Clients whose report can never arrive.
-    gone: BTreeSet<ParticipantId>,
-    dead_edges: BTreeSet<ParticipantId>,
-}
-
-impl ServerLoop {
-    /// A loop over `server`, routed per `plan`, recording into `monitor`
-    /// (the server's handlers and the loop's per-tier metering alike).
-    pub(crate) fn new(mut server: Server, plan: TopologyPlan, monitor: MonitorHandle) -> Self {
-        server.state.monitor = monitor;
-        ServerLoop {
-            server,
-            plan,
-            finished: false,
-            gone: BTreeSet::new(),
-            dead_edges: BTreeSet::new(),
+/// Steps `event` and realizes what the step recorded on the port, in
+/// emission order. A frame that finds no receiver is stepped back in as
+/// `Undeliverable`; the reaction ships after the frames already queued. A
+/// stored report is answered with [`SHUTDOWN`], point-to-point and
+/// unmetered: the acknowledgement belongs to the transport, not the server.
+fn deliver(
+    event: LoopEvent,
+    course: &mut impl Course,
+    port: &mut dyn ServerPort,
+) -> Result<(), DistributedError> {
+    let report = match &event {
+        LoopEvent::Message(msg) if msg.kind == MessageKind::MetricsReport => Some(msg.sender),
+        _ => None,
+    };
+    let mut ctx = Ctx::at(VirtualTime::ZERO);
+    course.step(event, &mut ctx)?;
+    debug_assert!(ctx.timers.is_empty(), "timers need the virtual-time runner");
+    let mut queue = VecDeque::from(ctx.take_messages());
+    while let Some(Outgoing { msg, .. }) = queue.pop_front() {
+        if port.send(&msg)? {
+            course.sent(&msg);
+        } else {
+            let mut reaction = Ctx::at(VirtualTime::ZERO);
+            course.step(LoopEvent::Undeliverable(msg.receiver), &mut reaction)?;
+            queue.extend(reaction.take_messages());
         }
     }
-
-    fn reported(&self, id: ParticipantId) -> bool {
-        self.server.state.client_reports.contains_key(&id)
+    if let Some(id) = report.filter(|&id| course.reported(id)) {
+        let _ = port.send(&shutdown_msg(id))?;
     }
-
-    /// The single dropout path: the first caller to put `id` in `gone`
-    /// applies the dropout policy and gets the server's reaction to ship. A
-    /// client that has reported is never a dropout.
-    fn dropout(&mut self, id: ParticipantId) -> Result<Option<Ctx>, DistributedError> {
-        if self.reported(id) || !self.gone.insert(id) {
-            return Ok(None);
-        }
-        let state = &self.server.state;
-        let survivors = state.roster.len() - usize::from(state.roster_index.contains(&id));
-        match state.cfg.dropout {
-            DropoutPolicy::Survivors { min_survivors } if survivors >= min_survivors => {
-                let mut ctx = Ctx::at(VirtualTime::ZERO);
-                self.server.notify_dropout(id, &mut ctx);
-                Ok(Some(ctx))
-            }
-            _ => Err(DistributedError::PeerDisconnected(id)),
-        }
-    }
-
-    fn drop_client(
-        &mut self,
-        id: ParticipantId,
-        port: &mut dyn ServerPort,
-    ) -> Result<(), DistributedError> {
-        match self.dropout(id)? {
-            Some(ctx) => self.ship(ctx, port),
-            None => Ok(()),
-        }
-    }
-
-    /// Ships a server context (downloads go point-to-point). A send that
-    /// finds its receiver gone is a dropout if the receiver is a client
-    /// still owed work, and a lost frame otherwise.
-    fn ship(&mut self, mut ctx: Ctx, port: &mut dyn ServerPort) -> Result<(), DistributedError> {
-        debug_assert!(
-            ctx.timers.is_empty(),
-            "timers require the standalone runner"
-        );
-        self.finished |= ctx.finished;
-        let mut pending = VecDeque::from(ctx.take_messages());
-        while let Some(out) = pending.pop_front() {
-            let to = out.msg.receiver;
-            if port.send(&out.msg)? {
-                if !self.plan.edges.is_empty() {
-                    self.server.state.monitor.add(
-                        bytes_down_counter(self.plan.link_level(to)),
-                        payload_wire_len(&out.msg.payload) as u64,
-                    );
-                }
-            } else if !(self.plan.is_edge(to) || self.finished) {
-                if let Some(mut reaction) = self.dropout(to)? {
-                    self.finished |= reaction.finished;
-                    pending.extend(reaction.take_messages());
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Treats `id` as freshly reconnected: in-flight work is void, the
-    /// server re-arms it.
-    fn rearm(
-        &mut self,
-        id: ParticipantId,
-        port: &mut dyn ServerPort,
-    ) -> Result<(), DistributedError> {
-        let mut ctx = Ctx::at(VirtualTime::ZERO);
-        self.server.notify_rejoin(id, &mut ctx);
-        self.ship(ctx, port)
-    }
-
-    fn rearm_subtree(
-        &mut self,
-        edge: ParticipantId,
-        port: &mut dyn ServerPort,
-    ) -> Result<(), DistributedError> {
-        for c in self.plan.subtree_clients(edge) {
-            if !(self.gone.contains(&c) || self.reported(c)) {
-                self.rearm(c, port)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// An edge is gone for good: re-home its direct children onto the
-    /// nearest live ancestor and re-arm every subtree client still owing its
-    /// report, so the round recovers.
-    fn rehome(
-        &mut self,
-        dead: ParticipantId,
-        port: &mut dyn ServerPort,
-    ) -> Result<(), DistributedError> {
-        if !self.dead_edges.insert(dead) {
-            return Ok(());
-        }
-        let mut new_parent = self.plan.parent_of(dead).unwrap_or(SERVER_ID);
-        while self.dead_edges.contains(&new_parent) {
-            new_parent = self.plan.parent_of(new_parent).unwrap_or(SERVER_ID);
-        }
-        for &child in self.plan.children_of(dead) {
-            if !self.dead_edges.contains(&child) && !self.gone.contains(&child) {
-                // a freshly-dead child is moot — its own exit re-homes or
-                // drops it in turn
-                let _ = port.send(&rehome_msg(child, new_parent))?;
-            }
-        }
-        self.rearm_subtree(dead, port)
-    }
-}
-
-impl Course for ServerLoop {
-    fn step(
-        &mut self,
-        event: LoopEvent,
-        port: &mut dyn ServerPort,
-    ) -> Result<(), DistributedError> {
-        match event {
-            LoopEvent::Message(msg) => {
-                let mut ctx = Ctx::at(VirtualTime::ZERO);
-                self.server.handle(&msg, &mut ctx);
-                self.ship(ctx, port)?;
-                if msg.kind == MessageKind::MetricsReport && self.reported(msg.sender) {
-                    // the acknowledgement that ends the client's worker;
-                    // point-to-point and unmetered, like `REHOME`
-                    let _ = port.send(&shutdown_msg(msg.sender))?;
-                }
-            }
-            LoopEvent::Exit(id, outcome) => match (outcome.settled(id)?, self.plan.is_edge(id)) {
-                (true, _) => {} // shutdown acknowledged
-                (false, true) => self.rehome(id, port)?,
-                (false, false) => self.drop_client(id, port)?,
-            },
-            // an edge's link closing decides nothing: the edge either
-            // rejoins, or its worker exits `Disconnected` and is re-homed
-            LoopEvent::Closed(id) if self.plan.is_edge(id) => {}
-            // the lost-report rule (module docs)
-            LoopEvent::Closed(id) => self.drop_client(id, port)?,
-            LoopEvent::Rejoined(id) if self.plan.is_edge(id) => self.rearm_subtree(id, port)?,
-            LoopEvent::Rejoined(id) => {
-                // the link is live again: await this client's report normally
-                self.gone.remove(&id);
-                self.rearm(id, port)?;
-            }
-            LoopEvent::Codec(detail) => return Err(DistributedError::Codec(detail)),
-        }
-        Ok(())
-    }
-
-    /// The course is complete when the server terminated it and every roster
-    /// member has either reported metrics or is provably gone.
-    fn complete(&self) -> bool {
-        let state = &self.server.state;
-        self.finished
-            && state
-                .roster
-                .iter()
-                .all(|id| state.client_reports.contains_key(id) || self.gone.contains(id))
-    }
-
-    fn wind_down(&mut self, port: &mut dyn ServerPort) {
-        for &e in &self.plan.edges {
-            if !self.dead_edges.contains(&e) {
-                let _ = port.send(&shutdown_msg(e));
-            }
-        }
-    }
+    Ok(())
 }
 
 fn shutdown_msg(to: ParticipantId) -> Message {
     Message::new(SERVER_ID, to, SHUTDOWN, 0, Payload::Empty)
 }
 
-fn rehome_msg(to: ParticipantId, new_parent: ParticipantId) -> Message {
+/// A [`REHOME`] frame telling `to` its new parent.
+pub(crate) fn rehome_msg(to: ParticipantId, new_parent: ParticipantId) -> Message {
     let payload = Payload::Bytes(new_parent.to_le_bytes().to_vec());
     Message::new(SERVER_ID, to, REHOME, 0, payload)
 }
@@ -702,7 +593,7 @@ fn routed_plan(server: &Server, clients: &[Client]) -> Result<TopologyPlan, Dist
 }
 
 fn drive<T: Transport>(
-    server: Server,
+    mut server: Server,
     clients: Vec<Client>,
     wall_budget: Duration,
     transport: T,
@@ -727,9 +618,11 @@ fn drive<T: Transport>(
         let up = Uplink::of(id, &plan, &session.monitor);
         session.spawn(id, false, move |link| client_worker(client, up, link))?;
     }
-    let mut course = ServerLoop::new(server, plan, session.monitor.clone());
-    session.run(&mut course)?;
-    Ok(course.server)
+    server.state.monitor = session.monitor.clone();
+    let edges = plan.edges.len();
+    server.state.plan = Some(plan);
+    session.run(&mut server, &ids[..edges])?;
+    Ok(server)
 }
 
 /// Runs a course over threads and the in-process bus, returning the server
@@ -772,9 +665,9 @@ pub fn distributed_report(server: &Server) -> crate::runner::CourseReport {
 
 #[cfg(test)]
 mod tests {
-    //! The server loop without threads, sockets, sleeps or a clock: scripted
-    //! events and a port that records what the loop sends. Plus one real
-    //! threaded course at the end.
+    //! The server step as the threaded driver realizes it, without threads,
+    //! sockets, sleeps or a clock: scripted events and a port that records
+    //! what the step sends. Plus two real threaded courses at the end.
     use super::*;
     use crate::aggregator::FedAvg;
     use crate::config::{DropoutPolicy, FlConfig};
@@ -786,6 +679,7 @@ mod tests {
     use fs_net::Topology;
     use fs_tensor::model::{logistic_regression, Metrics};
     use fs_tensor::{ParamMap, Tensor};
+    use std::collections::BTreeSet;
     use std::sync::{Arc, Mutex};
 
     /// Records what the loop sends; receivers in `dead` are gone.
@@ -823,8 +717,8 @@ mod tests {
         fanout: 2,
     };
 
-    /// A loop over a bare server expecting `n` clients, routed per `topology`.
-    fn machine(n: usize, topology: Topology) -> ServerLoop {
+    /// A bare server expecting `n` clients, routed per `topology`.
+    fn machine(n: usize, topology: Topology) -> Server {
         let cfg = FlConfig {
             concurrency: n,
             total_rounds: 2,
@@ -835,8 +729,13 @@ mod tests {
         global.insert("w", Tensor::zeros(&[2]));
         let plan = TopologyPlan::build(topology, n, cfg.seed).expect("plan");
         let aggregator = Box::new(FedAvg::new(0.0));
-        let server = Server::new(cfg, global, n, aggregator, Sampler::Uniform, None);
-        ServerLoop::new(server, plan, MonitorHandle::null())
+        let mut server = Server::new(cfg, global, n, aggregator, Sampler::Uniform, None);
+        server.state.plan = Some(plan);
+        server
+    }
+
+    fn plan(m: &Server) -> &TopologyPlan {
+        m.state.plan.as_ref().expect("routed")
     }
 
     fn from(id: ParticipantId, kind: MessageKind, payload: Payload) -> LoopEvent {
@@ -857,8 +756,8 @@ mod tests {
     }
 
     /// `id`'s update on the current global model, for the current round.
-    fn update(m: &ServerLoop, id: ParticipantId) -> LoopEvent {
-        let state = &m.server.state;
+    fn update(m: &Server, id: ParticipantId) -> LoopEvent {
+        let state = &m.state;
         let payload = Payload::Update {
             params: state.global.clone(),
             start_version: state.round,
@@ -870,29 +769,29 @@ mod tests {
     }
 
     /// Steps `events`, all of which must succeed.
-    fn feed(m: &mut ServerLoop, port: &mut ScriptPort, events: Vec<LoopEvent>) {
+    fn feed(m: &mut Server, port: &mut ScriptPort, events: Vec<LoopEvent>) {
         for event in events {
-            m.step(event, port).expect("step");
+            deliver(event, m, port).expect("step");
         }
     }
 
-    fn joined(n: u32, topology: Topology) -> (ServerLoop, ScriptPort) {
+    fn joined(n: u32, topology: Topology) -> (Server, ScriptPort) {
         let mut m = machine(n as usize, topology);
         let mut port = ScriptPort::default();
         feed(&mut m, &mut port, (1..=n).map(join).collect());
-        assert!(m.server.state.ledger.models_sent > 0, "course started");
+        assert!(m.state.ledger.models_sent > 0, "course started");
         (m, port)
     }
 
     /// A four-client course whose server has terminated: every client sent
     /// both rounds' updates and was told `Finish`; nobody has reported yet.
-    fn finished(topology: Topology) -> (ServerLoop, ScriptPort) {
+    fn finished(topology: Topology) -> (Server, ScriptPort) {
         let (mut m, mut port) = joined(4, topology);
         for _round in 0..2 {
             let updates = (1..=4).map(|id| update(&m, id)).collect();
             feed(&mut m, &mut port, updates);
         }
-        assert!(m.finished, "the server terminated the course");
+        assert!(m.state.done, "the server terminated the course");
         (m, port)
     }
 
@@ -920,10 +819,7 @@ mod tests {
             matches!(&err, DistributedError::ClientPanic { id: 2, detail } if detail == "boom"),
             "wrong error: {err}"
         );
-        assert!(
-            m.server.state.roster.is_empty(),
-            "no queued join was handled"
-        );
+        assert!(m.state.roster.is_empty(), "no queued join was handled");
     }
 
     #[test]
@@ -933,11 +829,11 @@ mod tests {
         // relay or straight to the server
         for topology in [HIER3, Topology::Star] {
             let (mut m, mut port) = finished(topology);
-            let lost = LoopEvent::Exit(2, WorkerOutcome::Disconnected);
+            let lost = LoopEvent::Died(2);
             let events = vec![LoopEvent::Closed(2), lost, LoopEvent::Closed(2)];
             feed(&mut m, &mut port, events);
-            assert_eq!(m.server.state.dropouts, vec![2], "{topology}");
-            assert!(m.gone.contains(&2));
+            assert_eq!(m.state.dropouts, vec![2], "{topology}");
+            assert!(m.state.gone.contains(&2));
         }
     }
 
@@ -950,15 +846,14 @@ mod tests {
             port.dead.insert(1);
             let events = vec![
                 report(1),
-                LoopEvent::Exit(1, WorkerOutcome::Disconnected),
+                LoopEvent::Died(1),
                 LoopEvent::Closed(1),
                 report(3),
-                LoopEvent::Exit(3, WorkerOutcome::Finished),
                 LoopEvent::Closed(3),
             ];
             feed(&mut m, &mut port, events);
-            assert!(m.server.state.dropouts.is_empty(), "{topology}");
-            assert!(m.gone.is_empty());
+            assert!(m.state.dropouts.is_empty(), "{topology}");
+            assert!(m.state.gone.is_empty());
         }
     }
 
@@ -966,7 +861,7 @@ mod tests {
     fn each_stored_report_is_answered_by_one_shutdown_to_its_sender() {
         let (mut m, mut port) = finished(HIER3);
         let recording = Arc::new(Mutex::new(RecordingMonitor::new()));
-        m.server.state.monitor = MonitorHandle::from_shared(recording.clone());
+        m.state.monitor = MonitorHandle::from_shared(recording.clone());
         port.sent.clear();
         feed(&mut m, &mut port, (1..=4).map(report).collect());
         let acks: Vec<(MessageKind, ParticipantId)> = port
@@ -989,12 +884,12 @@ mod tests {
         // hier:3x2 over 4 clients: edge 5 relays two clients; one reports,
         // then the edge dies
         let (mut m, mut port) = finished(HIER3);
-        let (reporter, other) = (m.plan.children_of(5)[0], m.plan.children_of(5)[1]);
+        let (reporter, other) = (plan(&m).children_of(5)[0], plan(&m).children_of(5)[1]);
         feed(&mut m, &mut port, vec![report(reporter)]);
-        let reconnects = m.server.state.reconnects;
-        let dead = LoopEvent::Exit(5, WorkerOutcome::Disconnected);
+        let reconnects = m.state.reconnects;
+        let dead = LoopEvent::Died(5);
         feed(&mut m, &mut port, vec![dead]);
-        assert_eq!(m.server.state.reconnects, reconnects + 1, "one, not two");
+        assert_eq!(m.state.reconnects, reconnects + 1, "one, not two");
         assert_eq!(
             port.count(MessageKind::Finish, reporter),
             1,
@@ -1009,32 +904,28 @@ mod tests {
         // told its new parent, then `Finish` again, and its second report
         // settles it
         let (mut m, mut port) = finished(HIER3);
-        let held = m.plan.children_of(5)[1];
+        let held = plan(&m).children_of(5)[1];
         port.sent.clear();
-        let dead = LoopEvent::Exit(5, WorkerOutcome::Disconnected);
+        let dead = LoopEvent::Died(5);
         feed(&mut m, &mut port, vec![dead]);
         let to_held = port.sent.iter().filter(|msg| msg.receiver == held);
         let kinds: Vec<MessageKind> = to_held.map(|msg| msg.kind).collect();
         assert_eq!(kinds, vec![REHOME, MessageKind::Finish]);
         feed(&mut m, &mut port, vec![report(held)]);
         assert_eq!(port.count(SHUTDOWN, held), 1);
-        assert!(m.server.state.client_reports.contains_key(&held));
-        assert!(m.server.state.dropouts.is_empty());
+        assert!(m.state.client_reports.contains_key(&held));
+        assert!(m.state.dropouts.is_empty());
     }
 
     #[test]
     fn an_edge_death_rehomes_to_the_nearest_live_ancestor() {
         // hier:3x2 over 4 clients: leaf edges 5 and 6 under top edge 7
         let (mut m, mut port) = joined(4, HIER3);
-        assert_eq!(m.plan.edges, vec![5, 6, 7]);
-        let orphans = m.plan.children_of(5).to_vec();
+        assert_eq!(plan(&m).edges, vec![5, 6, 7]);
+        let orphans = plan(&m).children_of(5).to_vec();
         let lost = orphans[0];
-        feed(
-            &mut m,
-            &mut port,
-            vec![LoopEvent::Exit(lost, WorkerOutcome::Disconnected)],
-        );
-        assert_eq!(m.server.state.dropouts, vec![lost]);
+        feed(&mut m, &mut port, vec![LoopEvent::Died(lost)]);
+        assert_eq!(m.state.dropouts, vec![lost]);
 
         let rehomes = |port: &ScriptPort| -> Vec<(ParticipantId, ParticipantId)> {
             let frames = port.sent.iter().filter(|msg| msg.kind == REHOME);
@@ -1044,41 +935,30 @@ mod tests {
         };
         // the top edge dies: its children (edges 5 and 6) move to the server,
         // and all three surviving clients are re-armed
-        let dead = |id| LoopEvent::Exit(id, WorkerOutcome::Disconnected);
+        let dead = |id| LoopEvent::Died(id);
         feed(&mut m, &mut port, vec![dead(7)]);
         assert_eq!(rehomes(&port), vec![(5, SERVER_ID), (6, SERVER_ID)]);
-        assert_eq!(
-            m.server.state.reconnects, 3,
-            "gone clients are not re-armed"
-        );
+        assert_eq!(m.state.reconnects, 3, "gone clients are not re-armed");
 
         // then edge 5: its plan parent (7) is dead, so the nearest *live*
         // ancestor is the server; only the child still in the course is told
         port.sent.clear();
         feed(&mut m, &mut port, vec![dead(5), dead(5)]);
         assert_eq!(rehomes(&port), vec![(orphans[1], SERVER_ID)]);
-        assert_eq!(m.server.state.reconnects, 4, "one live client under edge 5");
-        assert_eq!(
-            m.server.state.dropouts,
-            vec![lost],
-            "re-homing drops nobody"
-        );
+        assert_eq!(m.state.reconnects, 4, "one live client under edge 5");
+        assert_eq!(m.state.dropouts, vec![lost], "re-homing drops nobody");
     }
 
     #[test]
     fn rejoined_clears_gone() {
         let (mut m, mut port) = joined(3, Topology::Star);
         feed(&mut m, &mut port, vec![LoopEvent::Closed(2)]);
-        assert!(m.gone.contains(&2));
-        assert_eq!(m.server.state.roster, vec![1, 3]);
+        assert!(m.state.gone.contains(&2));
+        assert_eq!(m.state.roster, vec![1, 3]);
         feed(&mut m, &mut port, vec![LoopEvent::Rejoined(2)]);
-        assert!(!m.gone.contains(&2), "its report is awaited again");
-        assert_eq!(m.server.state.roster, vec![1, 3, 2]);
-        assert_eq!(
-            m.server.state.dropouts,
-            vec![2],
-            "the outage stays on record"
-        );
+        assert!(!m.state.gone.contains(&2), "its report is awaited again");
+        assert_eq!(m.state.roster, vec![1, 3, 2]);
+        assert_eq!(m.state.dropouts, vec![2], "the outage stays on record");
     }
 
     #[test]
@@ -1096,7 +976,7 @@ mod tests {
                 let updates = vec![update(&m, 1), update(&m, 3)];
                 feed(&mut m, &mut port, updates);
             }
-            assert!(m.finished, "the server terminated the course");
+            assert!(m.state.done, "the server terminated the course");
             assert_eq!((finishes(&port, 1), finishes(&port, 2)), (1, 0));
             feed(&mut m, &mut port, vec![report(1), report(3)]);
             assert!(m.complete(), "2 is gone, everyone else reported");
@@ -1114,7 +994,7 @@ mod tests {
             feed(&mut m, &mut port, vec![settles]);
             assert!(m.complete());
             assert_eq!(
-                m.server.state.client_reports.len(),
+                m.state.client_reports.len(),
                 2 + usize::from(reports_after_rejoin)
             );
         }
@@ -1132,11 +1012,91 @@ mod tests {
             &mut port,
             vec![join(1), join(2), LoopEvent::Closed(2)],
         );
-        assert_eq!(m.server.state.dropouts, vec![2]);
-        assert_eq!(m.server.state.expected_clients, 2);
-        assert_eq!(m.server.state.ledger.models_sent, 0, "client 3 is awaited");
+        assert_eq!(m.state.dropouts, vec![2]);
+        assert_eq!(m.state.expected_clients, 2);
+        assert_eq!(m.state.ledger.models_sent, 0, "client 3 is awaited");
         feed(&mut m, &mut port, vec![join(3)]);
-        assert!(m.server.state.ledger.models_sent > 0, "starts with 1 and 3");
+        assert!(m.state.ledger.models_sent > 0, "starts with 1 and 3");
+    }
+
+    #[test]
+    fn an_undeliverable_frame_to_a_client_owed_work_is_one_dropout() {
+        // the next round's broadcast finds client 2 gone: it is stepped back
+        // in as `Undeliverable(2)`, a dropout, and its later `Closed` adds
+        // none
+        let (mut m, mut port) = joined(3, Topology::Star);
+        port.dead.insert(2);
+        let updates = (1..=3).map(|id| update(&m, id)).collect();
+        feed(&mut m, &mut port, updates);
+        assert!(!m.state.done, "one round of two");
+        assert_eq!(m.state.dropouts, vec![2]);
+        assert!(m.state.gone.contains(&2));
+        assert_eq!(m.state.roster, vec![1, 3]);
+        feed(&mut m, &mut port, vec![LoopEvent::Closed(2)]);
+        assert_eq!(m.state.dropouts, vec![2], "counted once");
+    }
+
+    #[test]
+    fn an_undeliverable_frame_after_the_finish_is_lost_and_closed_decides() {
+        // the `Finish` broadcast finds client 2 gone: that decides nothing,
+        // since its report may yet be on its way; its `Closed` decides
+        let (mut m, mut port) = joined(4, Topology::Star);
+        let updates = (1..=4).map(|id| update(&m, id)).collect();
+        feed(&mut m, &mut port, updates);
+        port.dead.insert(2);
+        let updates = (1..=4).map(|id| update(&m, id)).collect();
+        feed(&mut m, &mut port, updates);
+        assert!(m.state.done, "the server terminated the course");
+        assert_eq!(port.count(MessageKind::Finish, 2), 0, "the send failed");
+        assert!(m.state.dropouts.is_empty());
+        assert!(m.state.gone.is_empty());
+        feed(&mut m, &mut port, vec![LoopEvent::Closed(2)]);
+        assert_eq!(m.state.dropouts, vec![2]);
+        feed(&mut m, &mut port, [1, 3, 4].map(report).into());
+        assert!(m.complete(), "2 is gone, everyone else reported");
+    }
+
+    #[test]
+    fn an_undeliverable_frame_to_a_reporter_is_never_a_dropout() {
+        // client 1's report is stored before the round closes; the next
+        // broadcast then finds it gone, and it stays on the roster
+        let (mut m, mut port) = joined(3, Topology::Star);
+        feed(&mut m, &mut port, vec![report(1)]);
+        port.dead.insert(1);
+        let updates = (1..=3).map(|id| update(&m, id)).collect();
+        feed(&mut m, &mut port, updates);
+        assert!(!m.state.done, "one round of two");
+        assert!(m.state.dropouts.is_empty());
+        assert!(m.state.gone.is_empty());
+        assert_eq!(m.state.roster, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn an_undeliverable_frame_to_an_edge_decides_nothing() {
+        // only a server handler that addresses an edge can send one a frame;
+        // its loss is the edge's own `Died` to decide
+        let mut m = machine(4, HIER3);
+        let edge = plan(&m).edges[0];
+        let probe = Event::Message(MessageKind::Custom(1));
+        let to_edge = Box::new(move |_: &mut _, _: &Message, ctx: &mut Ctx| {
+            ctx.send(Message::new(
+                SERVER_ID,
+                edge,
+                MessageKind::Custom(2),
+                0,
+                Payload::Empty,
+            ));
+        });
+        let emits = vec![Event::Message(MessageKind::Custom(2))];
+        m.registry_mut()
+            .register_aux(probe, "to_edge", emits, to_edge);
+        let mut port = ScriptPort::default();
+        port.dead.insert(edge);
+        let nudge = from(1, MessageKind::Custom(1), Payload::Empty);
+        feed(&mut m, &mut port, vec![join(1), nudge]);
+        assert!(m.state.dropouts.is_empty());
+        assert!(m.state.gone.is_empty());
+        assert_eq!(m.state.expected_clients, 4, "no seat was given up");
     }
 
     #[test]

@@ -32,12 +32,14 @@
 
 use crate::client::Client;
 use crate::config::{CodecSpec, FlConfig};
+use crate::ctx::Ctx;
 use crate::distributed::{Course, DistributedError, Session, WorkerOutcome};
 use crate::eval::EvalRecord;
 use crate::runner::{Runner, TopoReport};
+use crate::server::LoopEvent;
 use crate::server::Server;
 use crate::trainer::Trainer;
-use crate::transport::{Link, LoopEvent, ServerPort, Transport};
+use crate::transport::{Link, Transport};
 use crate::verify::{course_plan, gate, refusal};
 use fs_compress::Compressor;
 use fs_monitor::{counters, MonitorHandle};
@@ -280,20 +282,11 @@ struct Finals {
 }
 
 impl Course for Finals {
-    fn step(
-        &mut self,
-        event: LoopEvent,
-        _port: &mut dyn ServerPort,
-    ) -> Result<(), DistributedError> {
+    fn step(&mut self, event: LoopEvent, _ctx: &mut Ctx) -> Result<(), DistributedError> {
         match event {
             LoopEvent::Message(msg) => {
                 if let Payload::Update { params, .. } = msg.payload {
                     self.models.insert(msg.sender, params);
-                }
-            }
-            LoopEvent::Exit(id, outcome) => {
-                if !outcome.settled(id)? {
-                    return Err(DistributedError::PeerDisconnected(id));
                 }
             }
             // `Closed` trails every frame the peer sent the harness, so a
@@ -301,8 +294,8 @@ impl Course for Finals {
             LoopEvent::Closed(id) if !self.models.contains_key(&id) => {
                 return Err(DistributedError::PeerDisconnected(id));
             }
-            LoopEvent::Codec(detail) => return Err(DistributedError::Codec(detail)),
-            LoopEvent::Closed(_) | LoopEvent::Rejoined(_) => {}
+            LoopEvent::Died(id) => return Err(DistributedError::PeerDisconnected(id)),
+            _ => {}
         }
         Ok(())
     }
@@ -346,7 +339,7 @@ pub(crate) fn drive_gossip<T: Transport>(
         expected: ids.len(),
         models: BTreeMap::new(),
     };
-    session.run(&mut finals)?;
+    session.run(&mut finals, &[])?;
     let due = state.cfg.eval_every > 0;
     if let Some(ev) = state.evaluator.as_mut().filter(|_| due) {
         if let Some(avg) = consensus(finals.models.values()) {

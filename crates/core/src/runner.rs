@@ -15,6 +15,12 @@
 //! front or clients built on demand only while they are dispatched. The
 //! loop only ever `take`s a client out and `put_back`s it.
 //!
+//! The server is reached through its one portless step (`Server::step`, the
+//! step the threaded driver feeds too): every server-bound delivery and
+//! every fired timer is one `LoopEvent`, and the loop realizes the sends and
+//! timers the step records on its event queue. Batching, the tree router,
+//! crash doom, speculation and dispatch spans stay here, on the loop's side.
+//!
 //! How a course is routed is `cfg.topology`'s to say, read at
 //! [`Runner::try_run`] as the threaded driver reads it: a star routes
 //! nothing; a hierarchy realizes its `TopologyPlan` as a tree router that
@@ -64,7 +70,7 @@ use crate::client::{Client, ClientSnapshot};
 use crate::ctx::{Broadcast, Ctx, Intent, Outgoing};
 use crate::eval::EvalRecord;
 use crate::event::Condition;
-use crate::server::Server;
+use crate::server::{LoopEvent, Server};
 use crate::store::ClientStore;
 use crate::tree::{Ascent, TreeRouter};
 use fs_exec::{JobHandle, WorkerPool};
@@ -125,9 +131,10 @@ impl CourseReport {
     /// reason, ledger totals, dropouts, its registry output, and the
     /// effective-handler log over `clients` (representatives plus the ids
     /// they stand for; empty when the clients are gone, as after a
-    /// distributed run, and for a gossip course, which runs no handler). Everything a runner meters itself — virtual time,
-    /// crash and payload-byte totals — is left at zero for the runner to
-    /// fill in.
+    /// distributed run, and for a gossip course, which runs no handler).
+    ///
+    /// Everything a runner meters itself — virtual time, crash and
+    /// payload-byte totals — is left at zero for the runner to fill in.
     pub fn from_server(server: &Server, clients: &[(&Client, Vec<ParticipantId>)]) -> Self {
         let s = &server.state;
         CourseReport {
@@ -569,9 +576,7 @@ impl Runner {
                 round,
             } => {
                 if to == SERVER_ID {
-                    self.dispatch_server(at, "timer", |server, ctx| {
-                        server.handle_timer(condition, round, ctx)
-                    });
+                    self.dispatch_server(at, "timer", LoopEvent::Timer(condition, round))?;
                 }
             }
         }
@@ -593,22 +598,23 @@ impl Runner {
                 }
             },
         };
-        self.dispatch_server(at, msg.kind.name(), |server, ctx| server.handle(msg, ctx));
-        Ok(())
+        self.dispatch_server(at, msg.kind.name(), LoopEvent::Message(msg))
     }
 
-    /// Runs one server dispatch and realizes its intents.
+    /// Runs one server step and realizes its intents.
     fn dispatch_server(
         &mut self,
         at: VirtualTime,
         label: &'static str,
-        dispatch: impl FnOnce(&mut Server, &mut Ctx),
-    ) {
+        event: LoopEvent<&Message>,
+    ) -> Result<(), String> {
+        let mut stepped = Ok(());
         self.dispatch_in_ctx(SERVER_ID, at, |runner, ctx| {
             runner.monitor.enter(SERVER_ID, label, "dispatch", at);
-            dispatch(&mut runner.server, ctx);
+            stepped = runner.server.step(event, ctx);
             runner.monitor.exit(SERVER_ID, at);
         });
+        stepped.map_err(|e| e.to_string())
     }
 
     /// Runs `dispatch` for `from` in the loop's context, reset to `at`, then

@@ -6,14 +6,27 @@
 //! `time_up` (budgeted async with remedial measures) — plus the
 //! buffered-async and tiered semi-async modes, combined with the
 //! *after-aggregating* / *after-receiving* broadcast manners and the
-//! uniform / responsiveness / group samplers. The server loop itself
-//! contains no per-regime logic: when aggregation fires, which buffered
-//! updates it consumes and what a round timer means are asked of
-//! `cfg.rule` (`scheduler.rs`), over a view of this state.
+//! uniform / responsiveness / group samplers. The server itself contains no
+//! per-regime logic: when aggregation fires, which buffered updates it
+//! consumes and what a round timer means are asked of `cfg.rule`
+//! (`scheduler.rs`), over a view of this state.
+//!
+//! # The step
+//!
+//! Both clocks reach the server through one portless step,
+//! [`Server::step`] over a `LoopEvent`: a delivered message, a fired timer,
+//! or what a driver learned about a participant (its link closed, its worker
+//! died, a frame to it found no receiver, it rejoined). The step applies the
+//! handlers, the dropout policy, the lost-report rule, re-arming and the
+//! re-homing of a dead edge's subtree, and records every send, timer and
+//! `REHOME` frame in the [`Ctx`]. It reads no clock and no port; the
+//! virtual-time runner realizes the context on its event queue, the threaded
+//! driver on its transport.
 
 use crate::aggregator::{Aggregator, ReceivedUpdate};
-use crate::config::{BroadcastManner, FlConfig};
+use crate::config::{BroadcastManner, DropoutPolicy, FlConfig};
 use crate::ctx::Ctx;
+use crate::distributed::{rehome_msg, DistributedError};
 use crate::eval::{EvalRecord, GlobalEvaluator};
 use crate::event::{Condition, Event};
 use crate::idset::IdSet;
@@ -22,12 +35,33 @@ use crate::sampler::Sampler;
 use crate::scheduler::SchedulerObs;
 use fs_compress::{CompressedBlock, Compressor};
 use fs_monitor::MonitorHandle;
-use fs_net::{Message, MessageKind, ParticipantId, Payload, SERVER_ID};
+use fs_net::{Message, MessageKind, ParticipantId, Payload, TopologyPlan, SERVER_ID};
 use fs_tensor::model::Metrics;
 use fs_tensor::ParamMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// What the server step consumes, under either clock. The message is owned
+/// off a transport and borrowed off the virtual-time queue.
+#[derive(Debug)]
+pub(crate) enum LoopEvent<M = Message> {
+    /// A message addressed to the server.
+    Message(M),
+    /// A timer the server armed fired: its condition and the round it was
+    /// armed in.
+    Timer(Condition, u64),
+    /// `id`'s link to the server closed. It trails every frame that link
+    /// handed the server directly (the transport's ordering guarantee).
+    Closed(ParticipantId),
+    /// `id`'s worker ended with its link dead for good.
+    Died(ParticipantId),
+    /// A frame the step sent to `id` found no receiver.
+    Undeliverable(ParticipantId),
+    /// `id` re-entered over a fresh link after an outage.
+    Rejoined(ParticipantId),
+}
 
 /// Round/staleness bookkeeping, split out of the model-math server state.
 ///
@@ -118,6 +152,13 @@ pub struct ServerState {
     /// Clients removed from the course after their connection died
     /// (distributed runners only; chronological).
     pub dropouts: Vec<ParticipantId>,
+    /// Clients whose report can never arrive: lost, and not rejoined since.
+    pub(crate) gone: BTreeSet<ParticipantId>,
+    /// Edges gone for good, their subtrees re-homed.
+    pub(crate) dead_edges: BTreeSet<ParticipantId>,
+    /// The hierarchy a threaded course is routed over, along which a dead
+    /// edge's subtree is re-homed; `None` when no driver needs one.
+    pub(crate) plan: Option<TopologyPlan>,
     /// Successful client reconnections observed by the transport.
     pub reconnects: u64,
     /// Download codec: when set, broadcasts leave as
@@ -470,6 +511,9 @@ impl Server {
             finish_reason: None,
             client_reports: BTreeMap::new(),
             dropouts: Vec::new(),
+            gone: BTreeSet::new(),
+            dead_edges: BTreeSet::new(),
+            plan: None,
             reconnects: 0,
             download_codec,
             broadcast_cache: None,
@@ -543,28 +587,110 @@ impl Server {
     /// [`ServerState::drop_client`] and drains any condition it unblocked.
     pub fn notify_dropout(&mut self, id: ParticipantId, ctx: &mut Ctx) {
         self.state.drop_client(id, ctx);
-        let synthetic = Message::new(
-            id,
-            SERVER_ID,
-            MessageKind::Custom(0xFFE),
-            self.state.round,
-            Payload::Empty,
-        );
-        self.drain_conditions(&synthetic, ctx);
+        self.drain_notified(id, ctx);
     }
 
     /// Transport notification: `id` completed a rejoin handshake. Applies
     /// [`ServerState::rejoin_client`] and drains any condition it unblocked.
     pub fn notify_rejoin(&mut self, id: ParticipantId, ctx: &mut Ctx) {
         self.state.rejoin_client(id, ctx);
-        let synthetic = Message::new(
-            id,
-            SERVER_ID,
-            MessageKind::Custom(0xFFE),
-            self.state.round,
-            Payload::Empty,
-        );
+        self.drain_notified(id, ctx);
+    }
+
+    /// Drains the conditions a transport notification about `id` raised.
+    fn drain_notified(&mut self, id: ParticipantId, ctx: &mut Ctx) {
+        let kind = MessageKind::Custom(0xFFE);
+        let synthetic = Message::new(id, SERVER_ID, kind, self.state.round, Payload::Empty);
         self.drain_conditions(&synthetic, ctx);
+    }
+
+    /// The server's one step, under either clock: applies `event`, recording
+    /// every send, timer and `REHOME` frame in `ctx`. Fails only when the
+    /// dropout policy forbids continuing without a lost client.
+    pub(crate) fn step(
+        &mut self,
+        event: LoopEvent<impl Borrow<Message>>,
+        ctx: &mut Ctx,
+    ) -> Result<(), DistributedError> {
+        let plan = self.state.plan.as_ref();
+        let edge = |id| plan.is_some_and(|plan| plan.is_edge(id));
+        match event {
+            LoopEvent::Message(msg) => self.handle(msg.borrow(), ctx),
+            LoopEvent::Timer(condition, round) => self.handle_timer(condition, round, ctx),
+            LoopEvent::Died(id) if edge(id) => self.rehome(id, ctx),
+            // an edge's link decides nothing by itself: the edge either
+            // rejoins, or its worker dies and its subtree is re-homed
+            LoopEvent::Closed(id) | LoopEvent::Undeliverable(id) if edge(id) => {}
+            LoopEvent::Rejoined(id) if edge(id) => self.rearm_subtree(id, ctx),
+            // after the finish a frame that found no receiver is merely
+            // lost: the client's own `Closed` decides
+            LoopEvent::Undeliverable(_) if self.state.done => {}
+            // the lost-report rule (`distributed` module docs)
+            LoopEvent::Closed(id) | LoopEvent::Died(id) | LoopEvent::Undeliverable(id) => {
+                self.dropout(id, ctx)?;
+            }
+            LoopEvent::Rejoined(id) => {
+                // the link is live again: await this client's report normally
+                self.state.gone.remove(&id);
+                self.notify_rejoin(id, ctx);
+            }
+        }
+        Ok(())
+    }
+
+    /// The single dropout path: the first loss of `id` to be stepped applies
+    /// the dropout policy. A client that has reported is never a dropout.
+    fn dropout(&mut self, id: ParticipantId, ctx: &mut Ctx) -> Result<(), DistributedError> {
+        let state = &mut self.state;
+        if state.client_reports.contains_key(&id) || !state.gone.insert(id) {
+            return Ok(());
+        }
+        let survivors = state.roster.len() - usize::from(state.roster_index.contains(&id));
+        match state.cfg.dropout {
+            DropoutPolicy::Survivors { min_survivors } if survivors >= min_survivors => {
+                self.notify_dropout(id, ctx);
+                Ok(())
+            }
+            _ => Err(DistributedError::PeerDisconnected(id)),
+        }
+    }
+
+    /// Re-arms every client under `edge` still owing its report: work in
+    /// flight through the edge is void.
+    fn rearm_subtree(&mut self, edge: ParticipantId, ctx: &mut Ctx) {
+        let plan = self.state.plan.as_ref();
+        for c in plan
+            .map(|plan| plan.subtree_clients(edge))
+            .unwrap_or_default()
+        {
+            if !(self.state.gone.contains(&c) || self.state.client_reports.contains_key(&c)) {
+                self.notify_rejoin(c, ctx);
+            }
+        }
+    }
+
+    /// An edge is gone for good: its direct children are told their new
+    /// parent, the nearest live ancestor, and its subtree is re-armed so the
+    /// round recovers.
+    fn rehome(&mut self, dead: ParticipantId, ctx: &mut Ctx) {
+        let state = &mut self.state;
+        let Some(plan) = state.plan.as_ref() else {
+            return;
+        };
+        if !state.dead_edges.insert(dead) {
+            return;
+        }
+        let mut new_parent = plan.parent_of(dead).unwrap_or(SERVER_ID);
+        while state.dead_edges.contains(&new_parent) {
+            new_parent = plan.parent_of(new_parent).unwrap_or(SERVER_ID);
+        }
+        for &child in plan.children_of(dead) {
+            // a freshly dead child is moot: its own death re-homes or drops it
+            if !(state.dead_edges.contains(&child) || state.gone.contains(&child)) {
+                ctx.send(rehome_msg(child, new_parent));
+            }
+        }
+        self.rearm_subtree(dead, ctx);
     }
 
     fn drain_conditions(&mut self, msg: &Message, ctx: &mut Ctx) {

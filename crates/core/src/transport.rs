@@ -1,6 +1,6 @@
 //! The transport seam under the distributed driver.
 //!
-//! [`crate::distributed`] runs one server loop and one set of workers; what
+//! [`crate::distributed`] runs one poll loop and one set of workers; what
 //! carries their frames is a `Transport` — the in-process bus
 //! ([`BusRunOptions`]) or TCP loopback ([`TcpRunOptions`]), chosen by which
 //! options type the caller passes. A transport gives the server a
@@ -17,7 +17,12 @@
 //!   error — when the receiver's mailbox or connection no longer exists
 //!   (`BusError::{UnknownReceiver, Disconnected}`,
 //!   `TcpError::{UnknownReceiver, Io}`); a `Link` reports the same
-//!   condition for a peer-addressed frame as `SendOutcome::Dropped`.
+//!   condition for a peer-addressed frame as `SendOutcome::Dropped`. The
+//!   port decides nothing: the loop steps the server with
+//!   `LoopEvent::Undeliverable(to)`.
+//! * **Events.** A port yields the server step's own events — a message,
+//!   `Closed`, `Rejoined` — and nothing else; worker exits reach the loop on
+//!   their own channel, and bytes the codec rejects are an error.
 //! * **Peer frames.** A frame addressed to another participant reaches that
 //!   participant, never the server's handlers: the bus delivers it, the TCP
 //!   port forwards it between connections (the hub is the switching fabric).
@@ -27,7 +32,8 @@
 //!   tags in [`RESERVED`] belong to it and to the driver's control frames; a
 //!   course whose handlers use one is refused before any thread is spawned.
 
-use crate::distributed::{DistributedError, WorkerOutcome};
+use crate::distributed::DistributedError;
+use crate::server::LoopEvent;
 use fs_monitor::MonitorHandle;
 use fs_net::bus::{Bus, BusError, Mailbox};
 use fs_net::fault::{FaultPlan, FaultState, FaultyBus, SendOutcome};
@@ -52,28 +58,12 @@ pub(crate) const HELLO: MessageKind = MessageKind::Custom(0x70);
 /// participant's link is dropped, behind every frame that link sent there.
 pub(crate) const LINK_CLOSED: MessageKind = MessageKind::Custom(0x73);
 
-/// What steps the server loop: transport events and worker exits. The loop
-/// sees no clock; when nothing arrives, nothing is stepped.
-#[derive(Debug)]
-pub(crate) enum LoopEvent {
-    /// A decoded frame addressed to the server.
-    Message(Message),
-    /// `id`'s link to the server closed (see the module-level ordering
-    /// guarantee).
-    Closed(ParticipantId),
-    /// `id` re-entered over a fresh link after an outage.
-    Rejoined(ParticipantId),
-    /// A participant sent bytes the wire codec rejects.
-    Codec(String),
-    /// A worker thread ended.
-    Exit(ParticipantId, WorkerOutcome),
-}
-
 /// The server's end of a transport.
 pub(crate) trait ServerPort {
-    /// Blocks up to `timeout` for the next event. `Ok(None)` when nothing
-    /// for the loop arrived (the timeout elapsed, or the frame was
-    /// transport-internal). Never yields `Exit`.
+    /// Blocks up to `timeout` for the next event: a message, `Closed` or
+    /// `Rejoined`. `Ok(None)` when nothing for the server arrived (the
+    /// timeout elapsed, or the frame was transport-internal); bytes the wire
+    /// codec rejects are `Err(DistributedError::Codec)`.
     fn recv_event(&mut self, timeout: Duration) -> Result<Option<LoopEvent>, DistributedError>;
 
     /// Sends `msg` to its receiver; `Ok(false)` when the receiver is gone.
@@ -100,7 +90,7 @@ pub(crate) type Dialer = Box<dyn FnOnce(bool) -> Result<Box<dyn Link>, Distribut
 /// [`Dialer`] in the order asked for, and the accept step that yields the
 /// server port once they have all dialed (or the wait ran out).
 pub(crate) struct Opened<P> {
-    /// Observability sink for the server loop and the tier counters.
+    /// Observability sink for the server and the tier counters.
     pub(crate) monitor: MonitorHandle,
     /// Every participant's dialer, in the order the ids were given.
     pub(crate) dialers: Vec<(ParticipantId, Dialer)>,
@@ -272,7 +262,7 @@ impl ServerPort for TcpPort {
             HubEvent::Message(msg) => Some(LoopEvent::Message(msg)),
             HubEvent::Disconnected(id) => Some(LoopEvent::Closed(id)),
             HubEvent::Rejoined(id) => Some(LoopEvent::Rejoined(id)),
-            HubEvent::Codec(_, detail) => Some(LoopEvent::Codec(detail)),
+            HubEvent::Codec(_, detail) => return Err(DistributedError::Codec(detail)),
         })
     }
 

@@ -287,7 +287,6 @@ impl<'a> TensorView<'a> {
         data.extend(self.values());
         Tensor::from_vec(self.shape.clone(), data)
     }
-
 }
 
 /// A [`ParamMap`] parsed without copying tensor values — the borrowed
@@ -323,7 +322,6 @@ impl<'a> ParamsView<'a> {
         }
         out
     }
-
 }
 
 /// Parses the neutral format, keeping tensor values in the buffer. `buf`
@@ -757,5 +755,4 @@ mod tests {
             assert_eq!(vt.values().collect::<Vec<_>>(), pt.data());
         }
     }
-
 }

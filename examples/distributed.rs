@@ -46,7 +46,11 @@ fn main() {
     )
     .expect("distributed run");
     assert_eq!(server.state.round, 5, "every round ran");
-    assert_eq!(server.state.client_reports.len(), 8, "every client reported");
+    assert_eq!(
+        server.state.client_reports.len(),
+        8,
+        "every client reported"
+    );
     println!(
         "distributed course finished: {} rounds, {} client reports, reason: {}",
         server.state.round,
