@@ -57,8 +57,7 @@
 
 use crate::client::Client;
 use crate::ctx::{Ctx, Outgoing};
-pub(crate) use crate::server::LoopEvent;
-use crate::server::Server;
+use crate::server::{LoopEvent, Server};
 use crate::verify::{course_plan, refusal, singleton_groups};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use fs_monitor::MonitorHandle;

@@ -36,8 +36,7 @@ use crate::ctx::Ctx;
 use crate::distributed::{Course, DistributedError, Session, WorkerOutcome};
 use crate::eval::EvalRecord;
 use crate::runner::{Runner, TopoReport};
-use crate::server::LoopEvent;
-use crate::server::Server;
+use crate::server::{LoopEvent, Server};
 use crate::trainer::Trainer;
 use crate::transport::{Link, Transport};
 use crate::verify::{course_plan, gate, refusal};

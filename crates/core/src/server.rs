@@ -658,11 +658,10 @@ impl Server {
     /// Re-arms every client under `edge` still owing its report: work in
     /// flight through the edge is void.
     fn rearm_subtree(&mut self, edge: ParticipantId, ctx: &mut Ctx) {
-        let plan = self.state.plan.as_ref();
-        for c in plan
-            .map(|plan| plan.subtree_clients(edge))
-            .unwrap_or_default()
-        {
+        let Some(plan) = self.state.plan.as_ref() else {
+            return;
+        };
+        for c in plan.subtree_clients(edge) {
             if !(self.state.gone.contains(&c) || self.state.client_reports.contains_key(&c)) {
                 self.notify_rejoin(c, ctx);
             }
