@@ -390,8 +390,9 @@ impl<P: ServerPort> Session<P> {
 /// The one poll loop. Worker exits are drained before every port event is
 /// stepped — including between receiving it and stepping it — so an exit
 /// report (a panic above all) always outranks queued traffic, and the exit
-/// that causally precedes a `Closed` is always seen first. A worker that
-/// ended with its link dead is stepped as `Died`.
+/// that causally precedes a `Closed` is always seen first; so does a port
+/// error (bytes the codec rejects). A worker that ended with its link dead
+/// is stepped as `Died`.
 fn pump(
     port: &mut dyn ServerPort,
     exits: &Receiver<(ParticipantId, WorkerOutcome)>,
@@ -399,14 +400,14 @@ fn pump(
     wall_budget: Duration,
     course: &mut impl Course,
 ) -> Result<(), DistributedError> {
-    let mut pending = None;
+    let mut pending = Ok(None);
     loop {
         while let Ok((id, outcome)) = exits.try_recv() {
             if !outcome.settled(id)? {
                 deliver(LoopEvent::Died(id), course, port)?;
             }
         }
-        if let Some(event) = pending.take() {
+        if let Some(event) = pending? {
             deliver(event, course, port)?;
         }
         if course.complete() {
@@ -416,7 +417,7 @@ fn pump(
         if remaining.is_zero() {
             return Err(DistributedError::Timeout);
         }
-        pending = port.recv_event(remaining.min(POLL))?;
+        pending = port.recv_event(remaining.min(POLL));
     }
 }
 
@@ -819,6 +820,41 @@ mod tests {
             "wrong error: {err}"
         );
         assert!(m.state.roster.is_empty(), "no queued join was handled");
+    }
+
+    /// A port whose read fails the codec while a worker's panic report lands.
+    struct GarbledPort(Option<Sender<(ParticipantId, WorkerOutcome)>>);
+
+    impl ServerPort for GarbledPort {
+        fn recv_event(&mut self, _: Duration) -> Result<Option<LoopEvent>, DistributedError> {
+            if let Some(exit_tx) = self.0.take() {
+                let panicked = WorkerOutcome::Panicked("boom".to_string());
+                exit_tx.send((1, panicked)).expect("exit report");
+            }
+            Err(DistributedError::Codec("garbled".to_string()))
+        }
+
+        fn send(&mut self, _: &Message) -> Result<bool, DistributedError> {
+            Ok(true)
+        }
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pump's wall budget starts at a real Instant"
+    )]
+    fn a_worker_panic_outranks_a_codec_failure_read_before_it() {
+        let mut m = machine(2, Topology::Star);
+        let (exit_tx, exits) = unbounded();
+        let mut port = GarbledPort(Some(exit_tx));
+        let budget = Duration::from_secs(5);
+        let err =
+            pump(&mut port, &exits, Instant::now(), budget, &mut m).expect_err("the course fails");
+        assert!(
+            matches!(&err, DistributedError::ClientPanic { id: 1, .. }),
+            "wrong error: {err}"
+        );
     }
 
     #[test]
