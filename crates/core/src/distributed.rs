@@ -237,10 +237,9 @@ impl Course for Server {
     /// The course is complete when the server terminated it and every roster
     /// member has either reported metrics or is provably gone.
     fn complete(&self) -> bool {
-        let state = &self.state;
-        state.done
-            && (state.roster.iter())
-                .all(|id| state.client_reports.contains_key(id) || state.gone.contains(id))
+        let s = &self.state;
+        s.done
+            && (s.roster.iter()).all(|id| s.client_reports.contains_key(id) || s.gone.contains(id))
     }
 
     fn reported(&self, id: ParticipantId) -> bool {
@@ -250,12 +249,10 @@ impl Course for Server {
     /// Per-tier download metering, when the plan has edges; `REHOME` is
     /// control, unmetered like `SHUTDOWN`.
     fn sent(&self, msg: &Message) {
-        let plan = self
-            .state
-            .plan
-            .as_ref()
-            .filter(|plan| !plan.edges.is_empty());
-        if let Some(plan) = plan.filter(|_| msg.kind != REHOME) {
+        let Some(plan) = self.state.plan.as_ref() else {
+            return;
+        };
+        if !plan.edges.is_empty() && msg.kind != REHOME {
             let counter = bytes_down_counter(plan.link_level(msg.receiver));
             (self.state.monitor).add(counter, payload_wire_len(&msg.payload) as u64);
         }

@@ -14,7 +14,7 @@
 //! # The step
 //!
 //! Both clocks reach the server through one portless step,
-//! [`Server::step`] over a `LoopEvent`: a delivered message, a fired timer,
+//! `Server::step` over a `LoopEvent`: a delivered message, a fired timer,
 //! or what a driver learned about a participant (its link closed, its worker
 //! died, a frame to it found no receiver, it rejoined). The step applies the
 //! handlers, the dropout policy, the lost-report rule, re-arming and the
