@@ -3,8 +3,10 @@
 //! over the eager store on every overlapping scale — same strategy, same
 //! codec, same fleet, same seed. The comparison goes beyond the report:
 //! the fs-monitor streams (counters, round records, span sequences) must
-//! match event-for-event, and the monitor's byte counters must reconcile
-//! with the sim-charged totals in both runners.
+//! match event-for-event, the monitor's byte counters must reconcile with
+//! the sim-charged totals in both runners, and every client's final report
+//! (the metrics its `Finish` computed, which no `CourseReport` field holds)
+//! must carry the same bits.
 //!
 //! Equality between the two stores alone would not notice a change that
 //! moved both sides together, so `GOLDEN_STORE` also pins each store's
@@ -23,11 +25,13 @@ use fedscope::core::Runner;
 use fedscope::data::synth::{twitter_like, TwitterConfig};
 use fedscope::data::FedDataset;
 use fedscope::monitor::{counters, MonitorHandle, RecordingMonitor};
+use fedscope::net::ParticipantId;
 use fedscope::scale::ScaleCourseBuilder;
 use fedscope::sim::FleetConfig;
-use fedscope::tensor::model::logistic_regression;
+use fedscope::tensor::model::{logistic_regression, Metrics};
 use fedscope::tensor::optim::SgdConfig;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 mod common;
@@ -45,6 +49,14 @@ fn dataset(num_clients: usize, seed: u64) -> FedDataset {
     })
 }
 
+/// A finished run: its report, its monitor stream and the server's final
+/// per-client reports.
+type Run = (
+    CourseReport,
+    RecordingMonitor,
+    BTreeMap<ParticipantId, Metrics>,
+);
+
 fn extract(monitor: Arc<Mutex<RecordingMonitor>>) -> RecordingMonitor {
     Arc::try_unwrap(monitor)
         .map_err(|_| "runner kept a monitor handle")
@@ -58,7 +70,7 @@ fn run_legacy(
     data_seed: u64,
     cfg: FlConfig,
     fleet_cfg: Option<FleetConfig>,
-) -> (CourseReport, RecordingMonitor) {
+) -> Run {
     let data = dataset(num_clients, data_seed);
     let dim = data.input_dim();
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
@@ -74,8 +86,9 @@ fn run_legacy(
         .build()
         .with_monitor(MonitorHandle::from_shared(monitor.clone()));
     let report = runner.run();
+    let client_reports = runner.server.state.client_reports.clone();
     drop(runner);
-    (report, extract(monitor))
+    (report, extract(monitor), client_reports)
 }
 
 fn run_scale(
@@ -83,7 +96,7 @@ fn run_scale(
     data_seed: u64,
     cfg: FlConfig,
     fleet_cfg: Option<FleetConfig>,
-) -> (CourseReport, RecordingMonitor) {
+) -> Run {
     let data = Arc::new(dataset(num_clients, data_seed));
     let dim = data.input_dim();
     let monitor = Arc::new(Mutex::new(RecordingMonitor::new()));
@@ -99,8 +112,9 @@ fn run_scale(
         .build()
         .with_monitor(MonitorHandle::from_shared(monitor.clone()));
     let report = runner.run();
+    let client_reports = runner.server.state.client_reports.clone();
     drop(runner);
-    (report, extract(monitor))
+    (report, extract(monitor), client_reports)
 }
 
 /// Runs one (config, fleet) cell through both runners and asserts the full
@@ -113,8 +127,9 @@ fn assert_equivalent(
     cfg: FlConfig,
     fleet_cfg: Option<FleetConfig>,
 ) -> (u64, u64) {
-    let (legacy_report, legacy_mon) = run_legacy(num_clients, 21, cfg.clone(), fleet_cfg.clone());
-    let (scale_report, scale_mon) = run_scale(num_clients, 21, cfg, fleet_cfg);
+    let (legacy_report, legacy_mon, legacy_finals) =
+        run_legacy(num_clients, 21, cfg.clone(), fleet_cfg.clone());
+    let (scale_report, scale_mon, scale_finals) = run_scale(num_clients, 21, cfg, fleet_cfg);
 
     assert_eq!(
         legacy_report, scale_report,
@@ -158,10 +173,38 @@ fn assert_equivalent(
         );
     }
     scale_mon.validate_nesting().unwrap();
+    assert_same_final_reports(label, num_clients, &legacy_finals, &scale_finals);
     (
         fingerprint(&legacy_report, &legacy_mon),
         fingerprint(&scale_report, &scale_mon),
     )
+}
+
+/// Every client reported its final metrics in both runs, with the same
+/// bits of `loss` and `accuracy` and the same `n`.
+fn assert_same_final_reports(
+    label: &str,
+    num_clients: usize,
+    legacy: &BTreeMap<ParticipantId, Metrics>,
+    scale: &BTreeMap<ParticipantId, Metrics>,
+) {
+    let bits =
+        |reports: &BTreeMap<ParticipantId, Metrics>| -> Vec<(ParticipantId, u32, u32, usize)> {
+            reports
+                .iter()
+                .map(|(&id, m)| (id, m.loss.to_bits(), m.accuracy.to_bits(), m.n))
+                .collect()
+        };
+    assert_eq!(
+        legacy.keys().copied().collect::<Vec<_>>(),
+        (1..=num_clients as ParticipantId).collect::<Vec<_>>(),
+        "{label}: not every client sent its final report"
+    );
+    assert_eq!(
+        bits(legacy),
+        bits(scale),
+        "{label}: per-client final reports diverged at {num_clients} clients"
+    );
 }
 
 fn base_cfg(rounds: u64) -> FlConfig {
@@ -312,7 +355,7 @@ fn crash_faults_replay_identically() {
         seed: cfg.seed ^ 0xf1ee,
         ..Default::default()
     };
-    let (report, _) = run_scale(100, 21, cfg.clone(), Some(fleet_cfg.clone()));
+    let (report, _, _) = run_scale(100, 21, cfg.clone(), Some(fleet_cfg.clone()));
     assert!(
         report.crashed_deliveries > 0,
         "crash cell is vacuous: no deliveries crashed"
@@ -445,10 +488,12 @@ proptest! {
             ..Default::default()
         }
         .async_goal(goal, BroadcastManner::AfterAggregating, sampler);
-        let (legacy_report, legacy_mon) = run_legacy(20, seed ^ 0x5eed, cfg.clone(), None);
-        let (scale_report, scale_mon) = run_scale(20, seed ^ 0x5eed, cfg, None);
+        let (legacy_report, legacy_mon, legacy_finals) =
+            run_legacy(20, seed ^ 0x5eed, cfg.clone(), None);
+        let (scale_report, scale_mon, scale_finals) = run_scale(20, seed ^ 0x5eed, cfg, None);
         prop_assert_eq!(&legacy_report, &scale_report);
         prop_assert_eq!(legacy_mon.counters(), scale_mon.counters());
         prop_assert_eq!(legacy_mon.spans(), scale_mon.spans());
+        assert_same_final_reports("any_sampler_seed", 20, &legacy_finals, &scale_finals);
     }
 }
