@@ -172,8 +172,14 @@ fn bench_local_train(c: &mut Criterion) {
 fn bench_param_map_clone_drop(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(7);
     let maps = [
-        ("lr122", logistic_regression(VOCAB, 2, &mut rng).get_params()),
-        ("convnet2", convnet2(1, 8, 32, 10, 0.0, &mut rng).get_params()),
+        (
+            "lr122",
+            logistic_regression(VOCAB, 2, &mut rng).get_params(),
+        ),
+        (
+            "convnet2",
+            convnet2(1, 8, 32, 10, 0.0, &mut rng).get_params(),
+        ),
     ];
     let mut group = c.benchmark_group("framework/param_map_clone_drop");
     for (name, params) in &maps {

@@ -61,7 +61,10 @@ fn a_tcp_course_hands_its_monitor_back() {
         let monitor = Arc::try_unwrap(monitor)
             .unwrap_or_else(|_| panic!("course {seed}: a thread kept the monitor handle"));
         let recorded = monitor.into_inner().expect("monitor");
-        assert!(recorded.counter(counters::WIRE_BYTES_IN) > 0, "course {seed}");
+        assert!(
+            recorded.counter(counters::WIRE_BYTES_IN) > 0,
+            "course {seed}"
+        );
     }
 }
 
