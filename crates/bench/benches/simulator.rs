@@ -1,9 +1,11 @@
-//! Criterion: full-course event throughput of the standalone runner.
+//! Criterion: full-course event throughput of the standalone runner, and
+//! the fleet set-up a 100 000-client course pays before its first event.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fs_core::config::FlConfig;
 use fs_core::course::CourseBuilder;
 use fs_data::synth::{twitter_like, TwitterConfig};
+use fs_sim::{Fleet, FleetConfig};
 use fs_tensor::model::logistic_regression;
 use fs_tensor::optim::SgdConfig;
 
@@ -44,5 +46,20 @@ fn bench_course(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_course);
+/// `Fleet::generate` for the `scale_lr` benchmark's fleet: 100 000
+/// log-normal devices ranked into four responsiveness groups.
+fn bench_fleet_generate(c: &mut Criterion) {
+    let mut group = c.benchmark_group("simulator");
+    group.sample_size(20);
+    let cfg = FleetConfig {
+        num_clients: 100_000,
+        speed_sigma: 1.5,
+        seed: 7 ^ 0xf1ee,
+        ..Default::default()
+    };
+    group.bench_function("fleet_generate_100k", |b| b.iter(|| Fleet::generate(&cfg)));
+    group.finish();
+}
+
+criterion_group!(benches, bench_course, bench_fleet_generate);
 criterion_main!(benches);

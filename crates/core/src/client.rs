@@ -82,12 +82,28 @@ fn shipped_model(payload: &Payload) -> Option<(Cow<'_, ParamMap>, u64)> {
     }
 }
 
-/// Incorporates a shipped global model into the trainer, if the payload
-/// carries one.
-fn incorporate_shipped_model(state: &mut ClientState, payload: &Payload) {
-    if let Some((params, _)) = shipped_model(payload) {
-        state.trainer.incorporate(&params);
+/// What the `evaluate_and_report` and `finalize` handlers of client `id`
+/// do: incorporates the global model `msg` ships, if any, evaluates on the
+/// local test split and reports the metrics to the server. Returns them.
+/// The client store calls it too, to finish a client without building it.
+pub(crate) fn evaluate_and_report(
+    id: ParticipantId,
+    trainer: &mut dyn Trainer,
+    msg: &Message,
+    ctx: &mut Ctx,
+) -> Metrics {
+    if let Some((params, _)) = shipped_model(&msg.payload) {
+        trainer.incorporate(&params);
     }
+    let metrics = trainer.evaluate_test();
+    ctx.send(Message::new(
+        id,
+        SERVER_ID,
+        MessageKind::MetricsReport,
+        msg.round,
+        Payload::Report { metrics },
+    ));
+    metrics
 }
 
 /// A client participant: state + handler registry.
@@ -286,15 +302,7 @@ impl Client {
             "evaluate_and_report",
             vec![Event::Message(MessageKind::MetricsReport)],
             Box::new(|state, msg, ctx| {
-                incorporate_shipped_model(state, &msg.payload);
-                let metrics = state.trainer.evaluate_test();
-                ctx.send(Message::new(
-                    state.id,
-                    SERVER_ID,
-                    MessageKind::MetricsReport,
-                    msg.round,
-                    Payload::Report { metrics },
-                ));
+                evaluate_and_report(state.id, &mut *state.trainer, msg, ctx);
             }),
         );
 
@@ -305,16 +313,8 @@ impl Client {
             "finalize",
             vec![Event::Message(MessageKind::MetricsReport)],
             Box::new(|state, msg, ctx| {
-                incorporate_shipped_model(state, &msg.payload);
-                let metrics = state.trainer.evaluate_test();
-                state.final_test = Some(metrics);
-                ctx.send(Message::new(
-                    state.id,
-                    SERVER_ID,
-                    MessageKind::MetricsReport,
-                    msg.round,
-                    Payload::Report { metrics },
-                ));
+                state.final_test =
+                    Some(evaluate_and_report(state.id, &mut *state.trainer, msg, ctx));
                 state.done = true;
             }),
         );

@@ -695,14 +695,14 @@ impl Runner {
             return;
         }
         self.recall(id);
-        if let Some(mut client) = self.clients.take(id) {
-            self.dispatch_in_ctx(id, at, |runner, ctx| {
+        self.dispatch_in_ctx(id, at, |runner, ctx| {
+            // a client handler records nothing in the monitor, so the span
+            // can follow it, as an adopted speculation's does
+            if runner.clients.dispatch(msg, ctx, &runner.server) {
                 runner.monitor.enter(id, msg.kind.name(), "dispatch", at);
-                client.handle(msg, ctx);
                 runner.monitor.exit(id, at);
-                runner.clients.put_back(client, &runner.server);
-            });
-        }
+            }
+        });
     }
 
     /// The delivery a speculation predicted has popped: adopt the

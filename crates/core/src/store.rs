@@ -41,11 +41,13 @@
 //! re-run on every activation, possibly on the send side of a speculation
 //! rather than at delivery.
 
-use crate::client::{Client, ClientState};
+use crate::client::{evaluate_and_report, Client, ClientState};
 use crate::course::{ClientBlueprint, DataSource};
+use crate::ctx::Ctx;
 use crate::runner::merge_unique;
 use crate::server::Server;
-use fs_net::{MessageKind, ParticipantId};
+use crate::trainer::LocalTrainer;
+use fs_net::{Message, MessageKind, ParticipantId};
 use fs_tensor::model::{Metrics, Model};
 use fs_tensor::optim::Sgd;
 use fs_tensor::ParamMap;
@@ -153,6 +155,40 @@ impl ClientStore {
         }
     }
 
+    /// Hands `msg` to client `msg.receiver` in the dispatch context `ctx`:
+    /// takes the client out, lets it handle the message and puts it back.
+    /// `false`, with nothing done, when the client is unknown or out.
+    ///
+    /// A `Finish` to an untouched on-demand client that `server` no longer
+    /// counts as busy is answered without building the client: a trainer
+    /// from the blueprint evaluates the final model and reports, exactly as
+    /// the `finalize` handler would, and the slot ends finished with no
+    /// rounds trained, as `put_back` would have left it.
+    pub fn dispatch(&mut self, msg: &Message, ctx: &mut Ctx, server: &Server) -> bool {
+        let id = msg.receiver;
+        let idx = (id as usize).wrapping_sub(1);
+        let unbuilt = msg.kind == MessageKind::Finish
+            && matches!(self.slots.get(idx), Some(Slot::Untouched))
+            && !server.state.busy.contains(&id);
+        match self.factory.as_mut() {
+            Some(factory) if unbuilt => {
+                let mut trainer = factory.trainer(idx, None);
+                evaluate_and_report(id, &mut trainer, msg, ctx);
+                factory.pool.push(trainer.model);
+                self.slots[idx] = Slot::Finished(0);
+                ctx.finished = true;
+            }
+            _ => {
+                let Some(mut client) = self.take(id) else {
+                    return false;
+                };
+                client.handle(msg, ctx);
+                self.put_back(client, server);
+            }
+        }
+        true
+    }
+
     /// Returns a client after its dispatch (or a rolled-back speculation).
     /// An on-demand client is dismantled to what it needs to resume —
     /// nothing once it is done and `server` (at this program point, the same
@@ -227,16 +263,9 @@ impl ClientFactory {
     /// server can no longer produce, or to be read) or the retained dormant
     /// state.
     fn build(&mut self, idx: usize, slot: Slot) -> Box<Client> {
-        let blueprint = &self.blueprint;
-        let mut model = self
-            .pool
-            .pop()
-            .unwrap_or_else(|| blueprint.template.clone_model());
-        let data = (self.data)(idx);
         let Slot::Dormant(d) = slot else {
-            model.set_params(&self.template_private);
-            let trainer = blueprint.local_trainer(idx, model, data);
-            let mut client = Box::new(blueprint.client(idx, Box::new(trainer)));
+            let trainer = self.trainer(idx, None);
+            let mut client = Box::new(self.blueprint.client(idx, Box::new(trainer)));
             if let Slot::Finished(rounds_trained) = slot {
                 client.state.rounds_trained = rounds_trained;
                 client.state.done = true;
@@ -244,11 +273,10 @@ impl ClientFactory {
             return client;
         };
         let d = *d;
-        model.set_params(&d.private);
-        let mut trainer = blueprint.local_trainer(idx, model, data);
+        let mut trainer = self.trainer(idx, Some(&d.private));
         trainer.opt = d.opt;
         trainer.rng = d.rng;
-        let mut client = Box::new(blueprint.client(idx, Box::new(trainer)));
+        let mut client = Box::new(self.blueprint.client(idx, Box::new(trainer)));
         let state = &mut client.state;
         state.rounds_trained = d.rounds_trained;
         state.last_val = d.last_val;
@@ -257,6 +285,19 @@ impl ClientFactory {
         state.final_test = d.final_test;
         state.compressor = d.compressor;
         client
+    }
+
+    /// Client `idx + 1`'s initial trainer on a pooled (or fresh) model
+    /// allocation and its deterministic data split, the model holding
+    /// `private` (default: the template's) as its unshared parameters.
+    fn trainer(&mut self, idx: usize, private: Option<&ParamMap>) -> LocalTrainer {
+        let blueprint = &self.blueprint;
+        let mut model = self
+            .pool
+            .pop()
+            .unwrap_or_else(|| blueprint.template.clone_model());
+        model.set_params(private.unwrap_or(&self.template_private));
+        blueprint.local_trainer(idx, model, (self.data)(idx))
     }
 
     /// Dismantles a client after its dispatch: harvests its registry

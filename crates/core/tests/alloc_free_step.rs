@@ -20,11 +20,15 @@
 //! - a warmed `Updates` dispatch: the candidate scan and the draw reuse one
 //!   buffer, the contributors are a borrowed slice and the one-client
 //!   broadcast is a plain send, so what is left is the update's and the
-//!   broadcast's model copies and the aggregations.
+//!   broadcast's model copies and the aggregations;
+//! - a `Finish` to an on-demand client that was never dispatched builds no
+//!   client (no handler registry, no codec, no dismantling), only a trainer
+//!   over a pooled model and the client's data split.
 //!
 //! The counters are per thread, so the tests here do not see each other.
 
 use fs_core::aggregator::FedAvg;
+use fs_core::course::CourseBuilder;
 use fs_core::sampler::Sampler;
 use fs_core::trainer::{sgd_pass, share_all, LocalTrainer, TrainConfig, Trainer};
 use fs_core::{AggregationRule, BroadcastManner, Ctx, FlConfig, Server};
@@ -40,6 +44,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Counts the allocations (and reallocations) the calling thread makes while
 /// it has armed it, and the bytes they asked for.
@@ -391,5 +396,51 @@ fn a_warmed_updates_dispatch_allocates_at_most_2_6_times() {
     assert!(
         mean <= 2.6,
         "a warmed Updates dispatch allocated {mean} times on average"
+    );
+}
+
+#[test]
+fn a_finish_to_a_never_dispatched_on_demand_client_allocates_at_most_four_times() {
+    let data = Arc::new(twitter_like(&TwitterConfig {
+        num_clients: 4,
+        vocab: 60,
+        per_client: 10,
+        ..Default::default()
+    }));
+    let dim = data.input_dim();
+    let mut runner = CourseBuilder::from_dataset(
+        data,
+        Box::new(move |rng| Box::new(logistic_regression(dim, 2, rng))),
+        FlConfig::default(),
+    )
+    .build();
+    let global = runner.server.state.global.clone();
+    assert_eq!(global.numel(), 122);
+    let finish = |id: ParticipantId| {
+        let params = global.clone();
+        Message::new(
+            SERVER_ID,
+            id,
+            MessageKind::Finish,
+            3,
+            Payload::Model { params, version: 3 },
+        )
+    };
+    let mut ctx = Ctx::at(VirtualTime::ZERO);
+    // client 1 leaves a model in the store's pool and sizes the outbox
+    assert!(runner
+        .clients
+        .dispatch(&finish(1), &mut ctx, &runner.server));
+    ctx.reset(VirtualTime::ZERO);
+    let msg = finish(2);
+    let (handled, allocations, _) =
+        counting(|| runner.clients.dispatch(&msg, &mut ctx, &runner.server));
+    assert!(handled);
+    let sent = ctx.take_messages();
+    assert_eq!(sent.len(), 1);
+    assert_eq!(sent[0].msg.kind, MessageKind::MetricsReport);
+    assert!(
+        allocations <= 4,
+        "a Finish to a never-dispatched client allocated {allocations} times"
     );
 }

@@ -4,6 +4,7 @@ use fs_tensor::loss::Target;
 use fs_tensor::Tensor;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::ops::Range;
 
 /// One split of one client's local data.
 ///
@@ -63,6 +64,23 @@ impl ClientData {
         };
         ClientData {
             x: Tensor::from_vec(shape, data),
+            y,
+        }
+    }
+
+    /// The contiguous examples `range`, copied as two slices: what
+    /// [`ClientData::batch`] gathers from the indices of `range`.
+    fn rows(&self, range: Range<usize>) -> ClientData {
+        let stride = self.example_numel();
+        let mut shape = vec![range.len()];
+        shape.extend_from_slice(&self.x.shape()[1..]);
+        let x = self.x.data()[range.start * stride..range.end * stride].to_vec();
+        let y = match &self.y {
+            Target::Classes(c) => Target::Classes(c[range].to_vec()),
+            Target::Values(v) => Target::Values(v[range].to_vec()),
+        };
+        ClientData {
+            x: Tensor::from_vec(shape, x),
             y,
         }
     }
@@ -170,13 +188,10 @@ impl ClientSplit {
         let n_val = ((n as f32) * val_frac).round() as usize;
         let n_train = n_train.min(n);
         let n_val = n_val.min(n - n_train);
-        let train_idx: Vec<usize> = (0..n_train).collect();
-        let val_idx: Vec<usize> = (n_train..n_train + n_val).collect();
-        let test_idx: Vec<usize> = (n_train + n_val..n).collect();
         Self {
-            train: all.batch(&train_idx),
-            val: all.batch(&val_idx),
-            test: all.batch(&test_idx),
+            train: all.rows(0..n_train),
+            val: all.rows(n_train..n_train + n_val),
+            test: all.rows(n_train + n_val..n),
         }
     }
 
@@ -306,6 +321,36 @@ mod tests {
         assert_eq!(s.val.len(), 1);
         assert_eq!(s.test.len(), 1);
         assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    fn rows_copy_what_batch_gathers() {
+        let classes = toy();
+        let values = ClientData {
+            x: Tensor::from_vec(vec![3, 2], vec![1.0, -0.0, 3.0, f32::NAN, 5.0, 6.0]),
+            y: Target::Values(vec![10.0, -0.0, 30.0]),
+        };
+        let bits = |d: &ClientData| {
+            let y: Vec<u32> = match &d.y {
+                Target::Classes(c) => c.iter().map(|&c| c as u32).collect(),
+                Target::Values(v) => v.iter().map(|v| v.to_bits()).collect(),
+            };
+            let x: Vec<u32> = d.x.data().iter().map(|v| v.to_bits()).collect();
+            (
+                d.x.shape().to_vec(),
+                x,
+                matches!(d.y, Target::Classes(_)),
+                y,
+            )
+        };
+        for d in [classes, values] {
+            for lo in 0..=d.len() {
+                for hi in lo..=d.len() {
+                    let idx: Vec<usize> = (lo..hi).collect();
+                    assert_eq!(bits(&d.rows(lo..hi)), bits(&d.batch(&idx)), "{lo}..{hi}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -107,14 +107,12 @@ impl Fleet {
             })
             .collect();
         // assign groups by expected round latency quantile (fast group = 0)
-        let mut order: Vec<usize> = (0..cfg.num_clients).collect();
-        order.sort_by(|&a, &b| {
-            let la = profiles[a].round_secs(100, 100_000);
-            let lb = profiles[b].round_secs(100, 100_000);
-            la.total_cmp(&lb)
-        });
+        let latencies: Vec<f64> = profiles
+            .iter()
+            .map(|p| p.round_secs(100, 100_000))
+            .collect();
         let per_group = cfg.num_clients.div_ceil(cfg.num_groups);
-        for (rank, &idx) in order.iter().enumerate() {
+        for (rank, idx) in rank_ascending(&latencies).enumerate() {
             profiles[idx].group = (rank / per_group).min(cfg.num_groups - 1);
         }
         Self { profiles }
@@ -185,6 +183,30 @@ impl Fleet {
             .map(|p| 1.0 / p.round_secs(examples, payload_bytes).max(1e-9))
             .collect()
     }
+}
+
+/// The indices of `keys` from the smallest key up, in `f64::total_cmp`
+/// order but with `-0.0` equal to `0.0`; equal keys keep index order, as a
+/// stable sort would. Each key is mapped once to a `u64` whose unsigned
+/// order is that order, packed above its index, and the packed words are
+/// sorted: no comparison re-reads a float.
+fn rank_ascending(keys: &[f64]) -> impl Iterator<Item = usize> {
+    let mut packed: Vec<u128> = keys
+        .iter()
+        .enumerate()
+        .map(|(idx, &key)| {
+            let bits = if key == 0.0 { 0.0f64 } else { key }.to_bits();
+            // negative: flip every bit; non-negative: set the sign bit
+            let ordered = if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            };
+            u128::from(ordered) << 64 | idx as u128
+        })
+        .collect();
+    packed.sort_unstable();
+    packed.into_iter().map(|word| word as u64 as usize)
 }
 
 /// Domain tag separating the crash draw from any other keyed draw.
@@ -361,6 +383,36 @@ mod tests {
                 .map(|(c, at)| fleet.delivery_lost(9, c, at + 1e-9))
                 .collect()
         ));
+    }
+
+    #[test]
+    fn equal_and_signed_zero_keys_rank_by_index() {
+        let ranked: Vec<usize> = rank_ascending(&[2.0, 0.0, -0.0, 2.0, -1.0, 0.0, -0.0]).collect();
+        assert_eq!(ranked, [4, 1, 2, 5, 6, 0, 3]);
+    }
+
+    #[test]
+    fn ranking_matches_a_stable_total_cmp_sort() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let specials = [
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            1e-300,
+            -1e300,
+        ];
+        let keys: Vec<f64> = (0..2_000)
+            .map(|i| match i % 7 {
+                // repeated values, so ties are common
+                0 => (i % 5) as f64,
+                1 => specials[i % specials.len()],
+                _ => StandardNormal.sample(&mut rng),
+            })
+            .collect();
+        let mut stable: Vec<usize> = (0..keys.len()).collect();
+        stable.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+        assert_eq!(rank_ascending(&keys).collect::<Vec<_>>(), stable);
     }
 
     #[test]
