@@ -13,7 +13,9 @@
 //! were assembled, never by a config switch, is one seam: **where clients
 //! live** — the slots of the one [`ClientStore`], resident clients built up
 //! front or clients built on demand only while they are dispatched. The
-//! loop only ever `take`s a client out and `put_back`s it.
+//! loop hands a serial delivery to the store's `dispatch` (which takes the
+//! client out, lets it handle the message and puts it back), and a
+//! speculation `take`s the client out and `put_back`s it.
 //!
 //! The server is reached through its one portless step (`Server::step`, the
 //! step the threaded driver feeds too): every server-bound delivery and

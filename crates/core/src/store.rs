@@ -8,7 +8,10 @@
 //! shared factory:
 //!
 //! * **untouched** — never dispatched: the factory's template state *is*
-//!   this client;
+//!   this client. A `Finish` it receives while the server does not count
+//!   it busy is answered without building it: a trainer over a pooled
+//!   model evaluates the final model through the `finalize` handler's own
+//!   function, and the slot goes straight to finished;
 //! * **active** — out of the store, mid-dispatch or inside a speculation
 //!   job (a taken resident client leaves the same mark);
 //! * **dormant** — dispatched before; only the small resumable state is
@@ -23,12 +26,13 @@
 //! through a pool. Which kind of slot a store holds is fixed by the builder
 //! constructor; nothing in `FlConfig` chooses it.
 //!
-//! The loop is the only caller of [`ClientStore::take`] and
-//! [`ClientStore::put_back`], and holds at most one client per id out of the
-//! store at a time. The store sees the ids it is asked for, the clients
-//! handed back and (in `put_back`) the server at that program point; it
-//! never sees the clock, the queue or the monitor, so it cannot perturb
-//! event order.
+//! The loop is the only caller of [`ClientStore::dispatch`] (a serial
+//! delivery), [`ClientStore::take`] and [`ClientStore::put_back`] (a
+//! speculation), and holds at most one client per id out of the store at a
+//! time. The store sees the ids it is asked for, the clients handed back,
+//! the context a dispatch writes into and (in `dispatch` and `put_back`)
+//! the server at that program point; it never sees the queue or the
+//! monitor, so it cannot perturb event order.
 //!
 //! # Determinism contract
 //!
